@@ -1,8 +1,8 @@
 """Campaign-level speedup: batched replay + persistent memo store.
 
 Runs the full CCD campaign of all twelve applications through the
-per-point path (PR 6 steady state: one ``contend_packed`` call and one
-phase-A pass per design point) and through the batched scheduler
+per-point path (one phase-B kernel call and one phase-A pass per design
+point) and through the batched scheduler
 (:meth:`SimulationCampaign._run_points_batched`: every point's phase B
 in one multi-point kernel invocation, phase A served from the
 persistent ``$REPRO_SIM_MEMO_DIR`` store), at jobs=1 and jobs=4, with
@@ -34,10 +34,6 @@ import os
 import tempfile
 import time
 
-# Default-enable the compiled kernel for this benchmark; an explicit
-# REPRO_SIM_JIT=0 in the environment still wins.
-os.environ.setdefault("REPRO_SIM_JIT", "1")
-
 from _bench_utils import emit, emit_record
 
 from repro import get_workload
@@ -56,9 +52,8 @@ SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "").strip() not in ("", "0")
 SCALE = 6.0 if SMOKE else 1.0
 JOBS = 4
 #: Campaign-level floor for batched+warm-store vs per-point at jobs=1,
-#: with a compiled phase-B backend and without one (pure-Python hosts).
-MIN_SPEEDUP_JIT = 2.0
-MIN_SPEEDUP_NOJIT = 1.3
+#: per phase-B backend (compiled C kernel, pure-Python fallback).
+MIN_SPEEDUP = {"cc": 2.0, "python": 1.3}
 
 #: (record key, batch?, jobs, store) — store is "off" / "cold" / "warm".
 VARIANTS = (
@@ -108,7 +103,7 @@ def _drop_sim_memos() -> None:
 
 
 def test_campaign_batch_speedup():
-    jit = jit_status()
+    backend = jit_status()["backend"]
     totals = {key: 0.0 for key, *_ in VARIANTS}
     per_workload = {}
     with tempfile.TemporaryDirectory() as warm_root:
@@ -165,7 +160,6 @@ def test_campaign_batch_speedup():
         *(f"{totals[key]:7.3f}" for key, *_ in VARIANTS),
         f"{speedup_j1:5.2f}x",
     ])
-    backend = jit["backend"] or "python"
     emit("campaign_batch", format_table(
         ["workload", *(key for key, *_ in VARIANTS), "warm j1 speedup"],
         rows,
@@ -189,8 +183,7 @@ def test_campaign_batch_speedup():
         config={
             "scale": SCALE, "smoke": SMOKE, "jobs": JOBS,
             "workloads": list(WORKLOADS),
-            "jit_requested": jit["requested"],
-            "jit_backend": jit["backend"],
+            "jit_backend": backend,
             "store": store_status(),
             "batch_counters": {
                 "calls": metrics().count("sim.batch.calls"),
@@ -201,10 +194,7 @@ def test_campaign_batch_speedup():
 
     assert all(v > 0 for v in totals.values())
     if not SMOKE:
-        floor = (
-            MIN_SPEEDUP_JIT if jit["backend"] is not None
-            else MIN_SPEEDUP_NOJIT
-        )
+        floor = MIN_SPEEDUP[backend]
         assert speedup_j1 >= floor, (
             f"batched campaign speedup {speedup_j1:.2f}x at jobs=1 "
             f"(backend={backend}) fell below {floor}x"

@@ -421,16 +421,10 @@ class RuntimeConfig:
     ``sim_engine`` selects the NMC simulation engine (``"fast"`` or
     ``"reference"``; see :data:`SIM_ENGINES`) — an execution choice, not
     a modelling one: both engines produce identical results.
-
-    ``sim_jit`` opts the fast engine's contention loop into the compiled
-    kernel (numba or system C compiler; ``REPRO_SIM_JIT=1``).  Also an
-    execution choice: results are bit-identical with and without it, and
-    it degrades gracefully to the Python loop when no backend builds.
     """
 
     jobs: int = 1
     sim_engine: str = "fast"
-    sim_jit: bool = False
 
     def validate(self) -> None:
         if self.jobs < 0:
@@ -439,8 +433,6 @@ class RuntimeConfig:
             raise ConfigError(
                 f"sim_engine must be one of {', '.join(SIM_ENGINES)}"
             )
-        if not isinstance(self.sim_jit, bool):
-            raise ConfigError("sim_jit must be a bool")
 
     def resolved_jobs(self) -> int:
         """The effective worker count (0 expanded to the CPU count)."""
@@ -450,18 +442,12 @@ class RuntimeConfig:
 
 
 def default_runtime_config() -> RuntimeConfig:
-    """Runtime settings honouring the ``REPRO_JOBS``,
-    ``REPRO_SIM_ENGINE`` and ``REPRO_SIM_JIT`` environment variables."""
+    """Runtime settings honouring the ``REPRO_JOBS`` and
+    ``REPRO_SIM_ENGINE`` environment variables."""
     from .parallel import resolve_jobs
 
     engine = os.environ.get("REPRO_SIM_ENGINE", "").strip() or "fast"
-    jit = (
-        os.environ.get("REPRO_SIM_JIT", "").strip().lower()
-        in ("1", "true", "yes", "on")
-    )
-    cfg = RuntimeConfig(
-        jobs=resolve_jobs(None), sim_engine=engine, sim_jit=jit
-    )
+    cfg = RuntimeConfig(jobs=resolve_jobs(None), sim_engine=engine)
     cfg.validate()
     return cfg
 

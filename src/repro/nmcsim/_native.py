@@ -1,44 +1,47 @@
-"""Optional JIT/native backend for the fast engine's contention loop.
+"""The fast engine's phase-B contention kernel: one multi-point loop.
 
 Phase B of the fast engine (:mod:`repro.nmcsim.simulator`) replays the
-miss/writeback event stream through a global-time heap.  The loop is
-exact but interpreter-bound: profiling shows ~70% of its cost is CPython
-dispatch and heap bookkeeping, not arithmetic.  This module provides the
-same loop over *packed* flat arrays (all streams' events concatenated,
-offset-indexed) as a compiled kernel, selected at import time:
+miss/writeback event stream in global time order.  Every caller —
+a single :meth:`~repro.nmcsim.NMCSimulator.run` (a batch of one) and
+:func:`~repro.nmcsim.simulate_batch` — hands this module one packed
+event bundle per design point (flat per-stream event columns, see
+:data:`COLUMNS`) and gets every packed stream's finish time back from
+one kernel call.  The compiled kernel reads the bundles' arrays in
+place; nothing is concatenated or copied per call.
 
-* ``numba`` — :func:`contend_packed` is ``njit``-compiled when numba is
-  importable (the dependency stays optional; nothing here imports it at
-  module load);
-* ``cc`` — otherwise the equivalent C translation is compiled on demand
-  with the system C compiler (``-O2 -fPIC -shared -ffp-contract=off``)
-  into a source-hash-keyed shared object under a cache directory and
-  loaded with :mod:`ctypes`;
-* neither available → :func:`get_kernel` returns ``(None, None)`` and
-  the simulator keeps its pure-Python loop.
+The kernel comes in two forms, chosen by :func:`resolve_kernel` on the
+first phase-B call of a process:
 
-Bit-equivalence contract: every floating-point expression below keeps
-the exact operation order of the Python loop (and of
-``StackedMemory.access``).  C ``double`` and CPython ``float`` are both
-IEEE-754 binary64, and ``-ffp-contract=off`` forbids FMA contraction,
-so the compiled kernels produce byte-identical results — this is
-asserted by the equivalence suite, not assumed.
+* ``cc`` — the C translation in this module, built with the system C
+  compiler (``cc``, ``gcc`` or ``clang``; ``-O2 -fPIC -shared
+  -ffp-contract=off``) into a source-hash-keyed shared object under
+  ``$REPRO_SIM_JIT_CACHE`` (default: ``repro-simjit`` in the temp
+  directory) and loaded with :mod:`ctypes`.  This is the default
+  whenever a compiler is found; the build is race-free across processes
+  and a damaged cached object is rebuilt;
+* ``python`` — :func:`contend_packed_multi`, the pure-Python loop, on
+  hosts without a compiler (or when the build fails).
 
-The kernel is gated behind ``REPRO_SIM_JIT=1`` (checked by the
-simulator, not here); :func:`contend_packed` itself is also the pure
-Python reference used by the unit tests to validate the packed
-formulation independently of any compiler.
+Bit-equivalence contract: both forms keep the exact floating-point
+operation order of ``StackedMemory.access``.  C ``double`` and CPython
+``float`` are both IEEE-754 binary64, and ``-ffp-contract=off`` forbids
+FMA contraction, so the two forms — and the per-access reference
+engine — produce byte-identical results.  The equivalence suite asserts
+this, it is not assumed.
 """
 
 from __future__ import annotations
 
 import ctypes
 import hashlib
+import heapq
 import os
 import shutil
 import subprocess
 import tempfile
-from typing import Callable
+import warnings
+import weakref
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -49,336 +52,201 @@ log = get_logger("repro.nmcsim.native")
 #: Environment variable selecting the shared-object cache directory.
 CACHE_ENV_VAR = "REPRO_SIM_JIT_CACHE"
 
-
-def contend_packed(
-    off,
-    block, vault, bank,
-    wblock, wvault, wbank,
-    dnext, t0, tail, finish,
-    bank_ready, bank_row, bank_until, bus_ready,
-    t_cl, t_bl, t_rp, hop, linger, closed, occupancy, wr_extra, l1_cycle,
-    ooo, mshrs, mshr_buf, mshr_len,
-    heap_t, heap_i, pos,
-):  # pragma: no cover - exercised via tests + compiled backends
-    """Packed-array contention loop (numba-compilable, pure NumPy ops).
-
-    One entry per miss event, streams concatenated with ``off`` bounds;
-    ``wbank < 0`` marks clean evictions.  ``finish`` receives each packed
-    stream's completion time.  ``heap_t``/``heap_i``/``pos``/``mshr_*``
-    are caller-allocated scratch.  Algorithm, event order and FP
-    evaluation order are exactly the simulator's Python loop: a
-    (time, stream) min-heap used peek-style, with the root's decrease-key
-    bound being the heap's second minimum — which in a binary heap is
-    always one of the root's two children, so the bound (and hence the
-    event order) is independent of the heap's internal layout.
-    """
-    n_streams = off.shape[0] - 1
-    heap_n = n_streams
-    for i in range(n_streams):
-        heap_t[i] = t0[i]
-        heap_i[i] = i
-        pos[i] = off[i]
-        mshr_len[i] = 0
-    # Bottom-up heapify on the (t, i) keys.
-    for k0 in range(heap_n // 2 - 1, -1, -1):
-        k = k0
-        kt = heap_t[k]
-        ki = heap_i[k]
-        while True:
-            c = 2 * k + 1
-            if c >= heap_n:
-                break
-            if c + 1 < heap_n and (
-                heap_t[c + 1] < heap_t[c]
-                or (heap_t[c + 1] == heap_t[c] and heap_i[c + 1] < heap_i[c])
-            ):
-                c += 1
-            if heap_t[c] < kt or (heap_t[c] == kt and heap_i[c] < ki):
-                heap_t[k] = heap_t[c]
-                heap_i[k] = heap_i[c]
-                k = c
-            else:
-                break
-        heap_t[k] = kt
-        heap_i[k] = ki
-
-    inf = np.inf
-    while heap_n > 0:
-        t = heap_t[0]
-        i = heap_i[0]
-        j = pos[i]
-        end = off[i + 1]
-        mbase = i * mshrs
-        mlen = mshr_len[i]
-        # Decrease-key bound: the global second minimum, i.e. the
-        # smaller of the root's children; +inf when this stream is alone.
-        if heap_n > 1:
-            c = 1
-            if heap_n > 2 and (
-                heap_t[2] < heap_t[1]
-                or (heap_t[2] == heap_t[1] and heap_i[2] < heap_i[1])
-            ):
-                c = 2
-            ct = heap_t[c]
-            ci = heap_i[c]
-        else:
-            ct = inf
-            ci = np.int64(-1)
-        while True:
-            blk = block[j]
-            v = vault[j]
-            bi = bank[j]
-            # Miss access: timing half of StackedMemory.access.
-            now = t + hop
-            ready = bank_ready[bi]
-            start = now if now > ready else ready
-            open_row = bank_row[bi]
-            row_open = open_row >= 0 and start <= bank_until[bi]
-            if row_open and blk == open_row:
-                data_at = start + t_cl + t_bl
-                bank_ready[bi] = start + t_bl
-            else:
-                pre = t_rp if row_open else 0.0
-                data_at = start + pre + closed
-                bank_ready[bi] = start + pre + occupancy
-            bank_row[bi] = blk
-            bank_until[bi] = data_at + linger
-            br = bus_ready[v]
-            if data_at - t_bl < br:
-                data_at = br + t_bl
-            bus_ready[v] = data_at
-            done = data_at + hop
-            if ooo == 0:
-                t = done + l1_cycle
-            else:
-                # Per-stream MSHR min-heap (completion times).
-                k = mlen
-                mlen += 1
-                while k > 0:
-                    p = (k - 1) // 2
-                    if done < mshr_buf[mbase + p]:
-                        mshr_buf[mbase + k] = mshr_buf[mbase + p]
-                        k = p
-                    else:
-                        break
-                mshr_buf[mbase + k] = done
-                if mlen >= mshrs:
-                    oldest = mshr_buf[mbase]
-                    mlen -= 1
-                    if mlen > 0:
-                        last = mshr_buf[mbase + mlen]
-                        k = 0
-                        while True:
-                            c = 2 * k + 1
-                            if c >= mlen:
-                                break
-                            if (
-                                c + 1 < mlen
-                                and mshr_buf[mbase + c + 1]
-                                < mshr_buf[mbase + c]
-                            ):
-                                c += 1
-                            if mshr_buf[mbase + c] < last:
-                                mshr_buf[mbase + k] = mshr_buf[mbase + c]
-                                k = c
-                            else:
-                                break
-                        mshr_buf[mbase + k] = last
-                    t = (t if t >= oldest else oldest) + l1_cycle
-                else:
-                    t = t + l1_cycle
-            wbi = wbank[j]
-            if wbi >= 0:
-                # Dirty-victim writeback: same pipeline, posted at the
-                # miss completion time; does not block the PE.
-                wblk = wblock[j]
-                wv = wvault[j]
-                now = t + hop
-                ready = bank_ready[wbi]
-                start = now if now > ready else ready
-                open_row = bank_row[wbi]
-                row_open = open_row >= 0 and start <= bank_until[wbi]
-                if row_open and wblk == open_row:
-                    data_at = start + t_cl + t_bl
-                    bank_ready[wbi] = start + t_bl
-                else:
-                    pre = t_rp if row_open else 0.0
-                    data_at = start + pre + closed
-                    bank_ready[wbi] = start + pre + occupancy
-                if wr_extra != 0.0:
-                    # Posted-write asymmetry (NAND-class backends).
-                    data_at = data_at + wr_extra
-                    bank_ready[wbi] = bank_ready[wbi] + wr_extra
-                bank_row[wbi] = wblk
-                bank_until[wbi] = data_at + linger
-                br = bus_ready[wv]
-                if data_at - t_bl < br:
-                    data_at = br + t_bl
-                bus_ready[wv] = data_at
-            dn = dnext[j]
-            j += 1
-            if j < end:
-                tn = t + dn
-                if tn < ct or (tn == ct and i < ci):
-                    t = tn
-                    continue
-                pos[i] = j
-                mshr_len[i] = mlen
-                # heapreplace with the stream's new key.
-                k = 0
-                while True:
-                    c = 2 * k + 1
-                    if c >= heap_n:
-                        break
-                    if c + 1 < heap_n and (
-                        heap_t[c + 1] < heap_t[c]
-                        or (
-                            heap_t[c + 1] == heap_t[c]
-                            and heap_i[c + 1] < heap_i[c]
-                        )
-                    ):
-                        c += 1
-                    if heap_t[c] < tn or (
-                        heap_t[c] == tn and heap_i[c] < i
-                    ):
-                        heap_t[k] = heap_t[c]
-                        heap_i[k] = heap_i[c]
-                        k = c
-                    else:
-                        break
-                heap_t[k] = tn
-                heap_i[k] = i
-                break
-            fin = t + tail[i]
-            for q in range(mlen):
-                if mshr_buf[mbase + q] > fin:
-                    fin = mshr_buf[mbase + q]
-            mshr_len[i] = 0
-            finish[i] = fin
-            # Pop the exhausted stream.
-            heap_n -= 1
-            if heap_n > 0:
-                kt = heap_t[heap_n]
-                ki = heap_i[heap_n]
-                k = 0
-                while True:
-                    c = 2 * k + 1
-                    if c >= heap_n:
-                        break
-                    if c + 1 < heap_n and (
-                        heap_t[c + 1] < heap_t[c]
-                        or (
-                            heap_t[c + 1] == heap_t[c]
-                            and heap_i[c + 1] < heap_i[c]
-                        )
-                    ):
-                        c += 1
-                    if heap_t[c] < kt or (
-                        heap_t[c] == kt and heap_i[c] < ki
-                    ):
-                        heap_t[k] = heap_t[c]
-                        heap_i[k] = heap_i[c]
-                        k = c
-                    else:
-                        break
-                heap_t[k] = kt
-                heap_i[k] = ki
-            break
-
-
-#: Column order of the per-point float parameter table handed to
-#: :func:`contend_packed_multi` (one row per design point).
+#: Column order of the per-point float parameter table handed to the
+#: kernel (one row per design point).
 PARAM_FIELDS = (
     "t_cl", "t_bl", "t_rp", "hop", "linger", "closed", "occupancy",
     "wr_extra", "l1_cycle",
 )
 
 #: Column order of the per-point integer parameter table: the PE model
-#: switches plus the scratch-reset extents (bank / vault counts).
-IPARAM_FIELDS = ("ooo", "mshrs", "n_banks", "n_vaults")
+#: switches, the idle-memory extents (bank / vault counts) and the
+#: point's packed-stream count.
+IPARAM_FIELDS = ("ooo", "mshrs", "n_banks", "n_vaults", "n_streams")
+
+#: The packed event columns the kernel reads from each point's bundle:
+#: per-stream event bounds (``off``, ``n_streams + 1`` entries), the
+#: per-event miss and writeback routing (``wbank < 0`` marks a clean
+#: eviction) and issue gap to the next miss, and the per-stream first
+#: issue time and tail.  All are contiguous int64 arrays except the last
+#: three, which are float64.
+COLUMNS = (
+    "off", "block", "vault", "bank", "wblock", "wvault", "wbank",
+    "dnext", "t0", "tail",
+)
 
 
-def _make_multi(single: Callable) -> Callable:
-    """The multi-point loop over a single-point kernel body.
+def contend_packed_multi(
+    points: Sequence, params: np.ndarray, iparams: np.ndarray
+) -> np.ndarray:
+    """Pure-Python phase B over many design points.
 
-    Shared between the pure-Python reference and the numba build (numba
-    compiles the closure with ``single`` being the jitted single-point
-    kernel).  ``p_off`` bounds each design point's packed-stream window
-    in the concatenated arrays; ``off`` entries are *absolute* event
-    indices, so the per-point window ``off[s0:s1+1]`` indexes the global
-    event columns directly.  Scratch arrays are sized for the largest
-    point and re-initialised per point — each point starts from the
-    exact idle-memory state a fresh :class:`StackedMemory` would have,
-    which is what makes one batched invocation bit-identical to N
-    separate ones.
+    ``points`` holds one packed event bundle per design point (any
+    object with the :data:`COLUMNS` attributes); ``params`` /
+    ``iparams`` hold one row per point, laid out as
+    :data:`PARAM_FIELDS` / :data:`IPARAM_FIELDS`.  Returns the finish
+    time of every packed stream, concatenated in point order.  Each
+    point replays against the idle memory state a fresh
+    :class:`~repro.nmcsim.dram.StackedMemory` holds, so one batched call
+    equals N separate ones.
+
+    The columns are converted to Python scalars one point at a time
+    (``.tolist()`` plus one tuple per event), which keeps the inner loop
+    on cheap list indexing without holding a whole batch as tuples.
     """
-
-    def contend_packed_multi(
-        p_off, off,
-        block, vault, bank, wblock, wvault, wbank,
-        dnext, t0, tail, finish,
-        params, iparams,
-        bank_ready, bank_row, bank_until, bus_ready,
-        mshr_buf, mshr_len,
-        heap_t, heap_i, pos,
-    ):
-        n_points = p_off.shape[0] - 1
-        for p in range(n_points):
-            s0 = p_off[p]
-            s1 = p_off[p + 1]
-            if s1 == s0:
-                continue
-            nb = iparams[p, 2]
-            nv = iparams[p, 3]
-            bank_ready[:nb] = 0.0
-            bank_row[:nb] = -1
-            bank_until[:nb] = -1.0
-            bus_ready[:nv] = 0.0
-            single(
-                off[s0:s1 + 1],
-                block, vault, bank, wblock, wvault, wbank,
-                dnext, t0[s0:s1], tail[s0:s1], finish[s0:s1],
-                bank_ready, bank_row, bank_until, bus_ready,
-                params[p, 0], params[p, 1], params[p, 2], params[p, 3],
-                params[p, 4], params[p, 5], params[p, 6], params[p, 7],
-                params[p, 8],
-                iparams[p, 0], iparams[p, 1],
-                mshr_buf, mshr_len,
-                heap_t, heap_i, pos,
-            )
-
-    return contend_packed_multi
+    finish = np.empty(int(iparams[:, 4].sum()), dtype=np.float64)
+    s = 0
+    for b, prm, iprm in zip(points, params.tolist(), iparams.tolist()):
+        n = iprm[4]
+        if not n:
+            continue
+        events = list(zip(
+            b.block.tolist(), b.vault.tolist(), b.bank.tolist(),
+            b.wblock.tolist(), b.wvault.tolist(), b.wbank.tolist(),
+            b.dnext.tolist(),
+        ))
+        finish[s:s + n] = _contend_point(
+            events, b.off.tolist(), b.t0.tolist(), b.tail.tolist(),
+            prm, iprm,
+        )
+        s += n
+    return finish
 
 
-#: Pure-Python reference of the multi-point kernel (also the numba source).
-contend_packed_multi = _make_multi(contend_packed)
+def _contend_point(
+    events: list[tuple],
+    ends: list[int],
+    t0: list[float],
+    tails: list[float],
+    params: list[float],
+    iparams: list[int],
+) -> list[float]:
+    """One design point's phase B (the body of :func:`contend_packed_multi`).
+
+    Stream ``i`` owns ``events[ends[i]:ends[i + 1]]``.  The heap orders
+    events by (time, stream); streams are packed in increasing original
+    PE-stream order, so ties break exactly as in the reference engine.
+    The C kernel picks the same (time, stream) minimum with a loser
+    tree, so the two forms agree bit for bit.
+    """
+    t_cl, t_bl, t_rp, hop, linger, closed, occupancy, wr_extra, l1_cycle = (
+        params
+    )
+    ooo, mshrs, n_banks, n_vaults, n = iparams
+    bank_ready = [0.0] * n_banks
+    bank_row = [-1] * n_banks
+    bank_until = [-1.0] * n_banks
+    bus_ready = [0.0] * n_vaults
+    next_evt = ends[:-1]
+    outstanding: list[list[float]] = [[] for _ in range(n)]
+    finish = [0.0] * n
+
+    heappush = heapq.heappush
+    heappop = heapq.heappop
+    heapreplace = heapq.heapreplace
+    # The heap root is always the globally next (time, stream) event;
+    # after each event the stream's entry is replaced by its next miss
+    # (nearly every event hands the floor to another stream).
+    heap = [(t0[i], i) for i in range(n)]
+    heapq.heapify(heap)
+    while heap:
+        t, i = heap[0]
+        j = next_evt[i]
+        blk, v, bi, wblk, wv, wbi, dn = events[j]
+        # Miss access: the timing half of StackedMemory.access, inlined;
+        # routing and traffic counts come from phase A.
+        now = t + hop
+        ready = bank_ready[bi]
+        start = now if now > ready else ready
+        open_row = bank_row[bi]
+        row_open = open_row >= 0 and start <= bank_until[bi]
+        if row_open and blk == open_row:
+            data_at = start + t_cl + t_bl
+            bank_ready[bi] = start + t_bl
+        else:
+            pre = t_rp if row_open else 0.0
+            data_at = start + pre + closed
+            bank_ready[bi] = start + pre + occupancy
+        bank_row[bi] = blk
+        bank_until[bi] = data_at + linger
+        br = bus_ready[v]
+        if data_at - t_bl < br:
+            data_at = br + t_bl
+        bus_ready[v] = data_at
+        done = data_at + hop
+        if not ooo:
+            t = done + l1_cycle
+        else:
+            out_i = outstanding[i]
+            heappush(out_i, done)
+            if len(out_i) >= mshrs:
+                oldest = heappop(out_i)
+                t = (t if t >= oldest else oldest) + l1_cycle
+            else:
+                t = t + l1_cycle
+        if wbi >= 0:
+            # Dirty-victim writeback: same pipeline, posted at the miss
+            # completion time; does not block the PE.
+            now = t + hop
+            ready = bank_ready[wbi]
+            start = now if now > ready else ready
+            open_row = bank_row[wbi]
+            row_open = open_row >= 0 and start <= bank_until[wbi]
+            if row_open and wblk == open_row:
+                data_at = start + t_cl + t_bl
+                bank_ready[wbi] = start + t_bl
+            else:
+                pre = t_rp if row_open else 0.0
+                data_at = start + pre + closed
+                bank_ready[wbi] = start + pre + occupancy
+            if wr_extra:
+                # Posted-write asymmetry (NAND-class backends).
+                data_at = data_at + wr_extra
+                bank_ready[wbi] = bank_ready[wbi] + wr_extra
+            bank_row[wbi] = wblk
+            bank_until[wbi] = data_at + linger
+            br = bus_ready[wv]
+            if data_at - t_bl < br:
+                data_at = br + t_bl
+            bus_ready[wv] = data_at
+        j += 1
+        if j < ends[i + 1]:
+            next_evt[i] = j
+            heapreplace(heap, (t + dn, i))
+            continue
+        fin = t + tails[i]
+        for done in outstanding[i]:
+            if done > fin:
+                fin = done
+        finish[i] = fin
+        heappop(heap)
+    return finish
 
 
 _C_SOURCE = r"""
 #include <stdint.h>
+#include <string.h>
 #include <math.h>
 
 typedef int64_t i64;
 
-static void sift_down(double *ht, i64 *hi, i64 n, i64 k) {
-    double t = ht[k];
-    i64 v = hi[k];
-    for (;;) {
-        i64 c = 2 * k + 1;
-        if (c >= n) break;
-        if (c + 1 < n && (ht[c + 1] < ht[c] ||
-                          (ht[c + 1] == ht[c] && hi[c + 1] < hi[c]))) c++;
-        if (ht[c] < t || (ht[c] == t && hi[c] < v)) {
-            ht[k] = ht[c];
-            hi[k] = hi[c];
-            k = c;
-        } else break;
-    }
-    ht[k] = t;
-    hi[k] = v;
+static inline i64 key_bits(double x)
+{
+    i64 b;
+    memcpy(&b, &x, sizeof b);
+    return b;
 }
 
-void contend_packed(
+/* One design point's phase B.  Events run in global (time, stream)
+   order: key[s] is stream s's next event time (+inf once exhausted) and
+   lose[] is a loser tree over P >= n_streams leaves (a power of two;
+   padding leaves hold +inf), so re-selecting the minimum after an event
+   replays one leaf-to-root path with no data-dependent branches.
+   key needs P entries, lose 2P (its upper half holds the subtree
+   winners while the tree is built).  The replay compares keys by their
+   bit patterns: event times are sums of non-negative terms (never -0.0
+   or NaN), and such doubles order exactly like their bits as int64. */
+static void contend_packed(
     const i64 *off,
     const i64 *block, const i64 *vault, const i64 *bank,
     const i64 *wblock, const i64 *wvault, const i64 *wbank,
@@ -390,169 +258,155 @@ void contend_packed(
     double linger, double closed, double occupancy, double wr_extra,
     double l1_cycle,
     i64 ooo, i64 mshrs, double *mshr_buf, i64 *mshr_len,
-    double *heap_t, i64 *heap_i, i64 *pos, i64 n_streams)
+    double *key, i64 *lose, i64 *pos, i64 n_streams)
 {
-    i64 heap_n = n_streams;
-    for (i64 i = 0; i < n_streams; i++) {
-        heap_t[i] = t0[i];
-        heap_i[i] = i;
-        pos[i] = off[i];
-        mshr_len[i] = 0;
+    i64 P = 1;
+    while (P < n_streams) P <<= 1;
+    for (i64 s = 0; s < P; s++) key[s] = s < n_streams ? t0[s] : INFINITY;
+    for (i64 s = 0; s < n_streams; s++) {
+        pos[s] = off[s];
+        mshr_len[s] = 0;
     }
-    for (i64 k = heap_n / 2 - 1; k >= 0; k--)
-        sift_down(heap_t, heap_i, heap_n, k);
-
-    while (heap_n > 0) {
-        double t = heap_t[0];
-        i64 i = heap_i[0];
+    i64 *win = lose + P;
+    for (i64 m = P - 1; m >= 1; m--) {
+        i64 a = 2 * m >= P ? 2 * m - P : win[2 * m];
+        i64 b = 2 * m + 1 >= P ? 2 * m + 1 - P : win[2 * m + 1];
+        int a_first = key[a] < key[b] || (key[a] == key[b] && a < b);
+        win[m] = a_first ? a : b;
+        lose[m] = a_first ? b : a;
+    }
+    i64 i = P > 1 ? win[1] : 0;
+    for (i64 active = n_streams; active > 0;) {
+        double t = key[i];
         i64 j = pos[i];
-        i64 end = off[i + 1];
         double *mbuf = mshr_buf + i * mshrs;
         i64 mlen = mshr_len[i];
-        double ct;
-        i64 ci;
-        if (heap_n > 1) {
-            i64 c = 1;
-            if (heap_n > 2 && (heap_t[2] < heap_t[1] ||
-                               (heap_t[2] == heap_t[1] &&
-                                heap_i[2] < heap_i[1]))) c = 2;
-            ct = heap_t[c];
-            ci = heap_i[c];
+        i64 blk = block[j];
+        i64 v = vault[j];
+        i64 bi = bank[j];
+        double now = t + hop;
+        double ready = bank_ready[bi];
+        double start = now > ready ? now : ready;
+        i64 open_row = bank_row[bi];
+        int row_open = open_row >= 0 && start <= bank_until[bi];
+        double data_at;
+        if (row_open && blk == open_row) {
+            data_at = start + t_cl + t_bl;
+            bank_ready[bi] = start + t_bl;
         } else {
-            ct = INFINITY;
-            ci = -1;
+            double pre = row_open ? t_rp : 0.0;
+            data_at = start + pre + closed;
+            bank_ready[bi] = start + pre + occupancy;
         }
-        for (;;) {
-            i64 blk = block[j];
-            i64 v = vault[j];
-            i64 bi = bank[j];
-            double now = t + hop;
-            double ready = bank_ready[bi];
-            double start = now > ready ? now : ready;
-            i64 open_row = bank_row[bi];
-            int row_open = open_row >= 0 && start <= bank_until[bi];
-            double data_at;
-            if (row_open && blk == open_row) {
+        bank_row[bi] = blk;
+        bank_until[bi] = data_at + linger;
+        double br = bus_ready[v];
+        if (data_at - t_bl < br) data_at = br + t_bl;
+        bus_ready[v] = data_at;
+        double done = data_at + hop;
+        if (!ooo) {
+            t = done + l1_cycle;
+        } else {
+            /* per-stream MSHR min-heap of completion times */
+            i64 k = mlen++;
+            while (k > 0) {
+                i64 p = (k - 1) / 2;
+                if (done < mbuf[p]) { mbuf[k] = mbuf[p]; k = p; }
+                else break;
+            }
+            mbuf[k] = done;
+            if (mlen >= mshrs) {
+                double oldest = mbuf[0];
+                mlen--;
+                if (mlen > 0) {
+                    double last = mbuf[mlen];
+                    k = 0;
+                    for (;;) {
+                        i64 c = 2 * k + 1;
+                        if (c >= mlen) break;
+                        if (c + 1 < mlen && mbuf[c + 1] < mbuf[c]) c++;
+                        if (mbuf[c] < last) { mbuf[k] = mbuf[c]; k = c; }
+                        else break;
+                    }
+                    mbuf[k] = last;
+                }
+                t = (t >= oldest ? t : oldest) + l1_cycle;
+            } else {
+                t = t + l1_cycle;
+            }
+            mshr_len[i] = mlen;
+        }
+        i64 wbi = wbank[j];
+        if (wbi >= 0) {
+            i64 wblk = wblock[j];
+            i64 wv = wvault[j];
+            now = t + hop;
+            ready = bank_ready[wbi];
+            start = now > ready ? now : ready;
+            open_row = bank_row[wbi];
+            row_open = open_row >= 0 && start <= bank_until[wbi];
+            if (row_open && wblk == open_row) {
                 data_at = start + t_cl + t_bl;
-                bank_ready[bi] = start + t_bl;
+                bank_ready[wbi] = start + t_bl;
             } else {
                 double pre = row_open ? t_rp : 0.0;
                 data_at = start + pre + closed;
-                bank_ready[bi] = start + pre + occupancy;
+                bank_ready[wbi] = start + pre + occupancy;
             }
-            bank_row[bi] = blk;
-            bank_until[bi] = data_at + linger;
-            double br = bus_ready[v];
+            if (wr_extra != 0.0) {
+                /* posted-write asymmetry (NAND-class backends) */
+                data_at = data_at + wr_extra;
+                bank_ready[wbi] = bank_ready[wbi] + wr_extra;
+            }
+            bank_row[wbi] = wblk;
+            bank_until[wbi] = data_at + linger;
+            br = bus_ready[wv];
             if (data_at - t_bl < br) data_at = br + t_bl;
-            bus_ready[v] = data_at;
-            double done = data_at + hop;
-            if (!ooo) {
-                t = done + l1_cycle;
-            } else {
-                i64 k = mlen++;
-                while (k > 0) {
-                    i64 p = (k - 1) / 2;
-                    if (done < mbuf[p]) { mbuf[k] = mbuf[p]; k = p; }
-                    else break;
-                }
-                mbuf[k] = done;
-                if (mlen >= mshrs) {
-                    double oldest = mbuf[0];
-                    mlen--;
-                    if (mlen > 0) {
-                        double last = mbuf[mlen];
-                        k = 0;
-                        for (;;) {
-                            i64 c = 2 * k + 1;
-                            if (c >= mlen) break;
-                            if (c + 1 < mlen && mbuf[c + 1] < mbuf[c]) c++;
-                            if (mbuf[c] < last) { mbuf[k] = mbuf[c]; k = c; }
-                            else break;
-                        }
-                        mbuf[k] = last;
-                    }
-                    t = (t >= oldest ? t : oldest) + l1_cycle;
-                } else {
-                    t = t + l1_cycle;
-                }
-            }
-            i64 wbi = wbank[j];
-            if (wbi >= 0) {
-                i64 wblk = wblock[j];
-                i64 wv = wvault[j];
-                now = t + hop;
-                ready = bank_ready[wbi];
-                start = now > ready ? now : ready;
-                open_row = bank_row[wbi];
-                row_open = open_row >= 0 && start <= bank_until[wbi];
-                if (row_open && wblk == open_row) {
-                    data_at = start + t_cl + t_bl;
-                    bank_ready[wbi] = start + t_bl;
-                } else {
-                    double pre = row_open ? t_rp : 0.0;
-                    data_at = start + pre + closed;
-                    bank_ready[wbi] = start + pre + occupancy;
-                }
-                if (wr_extra != 0.0) {
-                    /* posted-write asymmetry (NAND-class backends) */
-                    data_at = data_at + wr_extra;
-                    bank_ready[wbi] = bank_ready[wbi] + wr_extra;
-                }
-                bank_row[wbi] = wblk;
-                bank_until[wbi] = data_at + linger;
-                br = bus_ready[wv];
-                if (data_at - t_bl < br) data_at = br + t_bl;
-                bus_ready[wv] = data_at;
-            }
-            double dn = dnext[j];
-            j++;
-            if (j < end) {
-                double tn = t + dn;
-                if (tn < ct || (tn == ct && i < ci)) { t = tn; continue; }
-                pos[i] = j;
-                mshr_len[i] = mlen;
-                heap_t[0] = tn;
-                heap_i[0] = i;
-                sift_down(heap_t, heap_i, heap_n, 0);
-                break;
-            }
+            bus_ready[wv] = data_at;
+        }
+        if (j + 1 < off[i + 1]) {
+            pos[i] = j + 1;
+            key[i] = t + dnext[j];
+        } else {
             double fin = t + tail[i];
             for (i64 q = 0; q < mlen; q++)
                 if (mbuf[q] > fin) fin = mbuf[q];
-            mshr_len[i] = 0;
             finish[i] = fin;
-            heap_n--;
-            if (heap_n > 0) {
-                heap_t[0] = heap_t[heap_n];
-                heap_i[0] = heap_i[heap_n];
-                sift_down(heap_t, heap_i, heap_n, 0);
-            }
-            break;
+            key[i] = INFINITY;
+            active--;
         }
+        /* Replay stream i's leaf-to-root path; the survivor is next. */
+        i64 cand = i;
+        i64 ck = key_bits(key[i]);
+        for (i64 m = (P + i) >> 1; m >= 1; m >>= 1) {
+            i64 l = lose[m];
+            i64 lk = key_bits(key[l]);
+            i64 swap = -(i64)((lk < ck) | ((lk == ck) & (l < cand)));
+            lose[m] = (cand & swap) | (l & ~swap);
+            cand = (l & swap) | (cand & ~swap);
+            ck = (lk & swap) | (ck & ~swap);
+        }
+        i = cand;
     }
 }
 
 void contend_packed_multi(
-    const i64 *p_off,
-    const i64 *off,
-    const i64 *block, const i64 *vault, const i64 *bank,
-    const i64 *wblock, const i64 *wvault, const i64 *wbank,
-    const double *dnext, const double *t0, const double *tail,
-    double *finish,
+    const uint64_t *cols,
     const double *params, const i64 *iparams,
+    double *finish,
     double *bank_ready, i64 *bank_row, double *bank_until,
     double *bus_ready,
     double *mshr_buf, i64 *mshr_len,
-    double *heap_t, i64 *heap_i, i64 *pos, i64 n_points)
+    double *key, i64 *lose, i64 *pos, i64 n_points)
 {
     for (i64 p = 0; p < n_points; p++) {
-        i64 s0 = p_off[p];
-        i64 s1 = p_off[p + 1];
-        if (s1 == s0) continue;
+        const uint64_t *c = cols + p * 10;
         const double *pp = params + p * 9;
-        const i64 *ip = iparams + p * 4;
+        const i64 *ip = iparams + p * 5;
         i64 nb = ip[2];
         i64 nv = ip[3];
+        i64 n = ip[4];
+        if (n == 0) continue;
         for (i64 b = 0; b < nb; b++) {
             bank_ready[b] = 0.0;
             bank_row[b] = -1;
@@ -560,48 +414,18 @@ void contend_packed_multi(
         }
         for (i64 v = 0; v < nv; v++) bus_ready[v] = 0.0;
         contend_packed(
-            off + s0, block, vault, bank, wblock, wvault, wbank,
-            dnext, t0 + s0, tail + s0, finish + s0,
+            (const i64 *)c[0], (const i64 *)c[1], (const i64 *)c[2],
+            (const i64 *)c[3], (const i64 *)c[4], (const i64 *)c[5],
+            (const i64 *)c[6], (const double *)c[7], (const double *)c[8],
+            (const double *)c[9], finish,
             bank_ready, bank_row, bank_until, bus_ready,
             pp[0], pp[1], pp[2], pp[3], pp[4], pp[5], pp[6], pp[7], pp[8],
             ip[0], ip[1], mshr_buf, mshr_len,
-            heap_t, heap_i, pos, s1 - s0);
+            key, lose, pos, n);
+        finish += n;
     }
 }
 """
-
-
-def _build_numba() -> Callable | None:
-    try:
-        import numba  # noqa: F401 - optional dependency
-    except ImportError:
-        return None
-    try:
-        return numba.njit(cache=True, fastmath=False)(contend_packed)
-    except Exception as exc:  # pragma: no cover - defensive
-        log.warning("numba JIT unavailable", extra={"ctx": {"error": str(exc)}})
-        return None
-
-
-def _build_numba_multi(single: Callable) -> Callable | None:
-    """numba-compile the multi-point loop over the jitted single kernel.
-
-    ``cache=True`` is not usable here: the closure captures the jitted
-    single-point dispatcher, which numba cannot persist to its on-disk
-    cache — the (cheap) outer loop recompiles per process instead.
-    """
-    try:
-        import numba  # noqa: F401 - optional dependency
-    except ImportError:  # pragma: no cover - numba gone mid-process
-        return None
-    try:
-        return numba.njit(cache=False, fastmath=False)(_make_multi(single))
-    except Exception as exc:  # pragma: no cover - defensive
-        log.warning(
-            "numba multi-point JIT unavailable",
-            extra={"ctx": {"error": str(exc)}},
-        )
-        return None
 
 
 def _cache_dir() -> str:
@@ -612,96 +436,117 @@ def _cache_dir() -> str:
     return path
 
 
-_CC_LIB: ctypes.CDLL | None = None
-_CC_TRIED = False
+def _so_path() -> str:
+    """The cached shared object built from the current C source."""
+    digest = hashlib.sha256(_C_SOURCE.encode()).hexdigest()[:16]
+    return os.path.join(_cache_dir(), f"contend-{digest}.so")
+
+
+def _compile(compiler: str, so_path: str) -> None:
+    """Build the shared object at ``so_path`` without racing other builds.
+
+    Source and object are written to names unique to this build and the
+    finished object is moved into place with :func:`os.replace`, so
+    concurrent first builds (``--jobs N`` workers on a cold cache) never
+    see each other's half-written files; the last one in wins with
+    identical bytes.
+    """
+    fd, src_path = tempfile.mkstemp(
+        prefix=os.path.basename(so_path)[:-3] + "-",
+        suffix=".c",
+        dir=os.path.dirname(so_path),
+    )
+    tmp_path = src_path[:-2] + ".so"
+    try:
+        with os.fdopen(fd, "w") as fh:
+            fh.write(_C_SOURCE)
+        # -ffp-contract=off: no FMA contraction, so the doubles match
+        # CPython's float arithmetic operation for operation.
+        subprocess.run(
+            [
+                compiler, "-O2", "-fPIC", "-shared",
+                "-ffp-contract=off", "-o", tmp_path, src_path,
+            ],
+            check=True,
+            capture_output=True,
+            timeout=120,
+        )
+        os.replace(tmp_path, so_path)
+    finally:
+        for path in (src_path, tmp_path):
+            try:
+                os.remove(path)
+            except FileNotFoundError:
+                pass
 
 
 def _load_cc_lib() -> ctypes.CDLL | None:
-    """Compile (once) and load the shared object holding both C kernels."""
-    global _CC_LIB, _CC_TRIED
-    if _CC_TRIED:
-        return _CC_LIB
-    _CC_TRIED = True
+    """Compile (once per cache directory) and load the C kernel.
+
+    A cached object that fails to load (truncated, overwritten, built
+    for another platform) is reported, deleted and rebuilt once instead
+    of being trusted.  None when no compiler is found or the build
+    fails; the caller then uses the pure-Python loop.
+    """
     compiler = (
         shutil.which("cc") or shutil.which("gcc") or shutil.which("clang")
     )
     if compiler is None:
         return None
-    digest = hashlib.sha256(_C_SOURCE.encode()).hexdigest()[:16]
     try:
-        cache = _cache_dir()
-        so_path = os.path.join(cache, f"contend-{digest}.so")
+        so_path = _so_path()
         if not os.path.exists(so_path):
-            src_path = os.path.join(cache, f"contend-{digest}.c")
-            with open(src_path, "w") as fh:
-                fh.write(_C_SOURCE)
-            tmp_path = so_path + f".tmp{os.getpid()}"
-            # -ffp-contract=off: no FMA contraction, so the doubles match
-            # CPython's float arithmetic operation for operation.
-            subprocess.run(
-                [
-                    compiler, "-O2", "-fPIC", "-shared",
-                    "-ffp-contract=off", "-o", tmp_path, src_path,
-                ],
-                check=True,
-                capture_output=True,
-                timeout=120,
+            _compile(compiler, so_path)
+        try:
+            return ctypes.CDLL(so_path)
+        except OSError as exc:
+            warnings.warn(
+                f"cached C kernel {so_path} failed to load ({exc}); "
+                "deleting and rebuilding it",
+                RuntimeWarning,
+                stacklevel=2,
             )
-            os.replace(tmp_path, so_path)
-        _CC_LIB = ctypes.CDLL(so_path)
+            try:
+                os.remove(so_path)
+            except FileNotFoundError:
+                pass
+            _compile(compiler, so_path)
+            return ctypes.CDLL(so_path)
     except (OSError, subprocess.SubprocessError) as exc:
         log.warning(
-            "C kernel build failed; falling back to Python loop",
+            "C kernel build failed; falling back to the Python loop",
             extra={"ctx": {"compiler": compiler, "error": str(exc)}},
         )
         return None
-    return _CC_LIB
+
+
+#: Per-bundle column addresses handed to the C kernel, computed once per
+#: bundle (bundles are immutable and reused across design points).
+_ADDRESSES: "weakref.WeakKeyDictionary[object, list[int]]" = (
+    weakref.WeakKeyDictionary()
+)
+
+
+def _addresses(point) -> list[int]:
+    """The :data:`COLUMNS` base addresses of one bundle (cached)."""
+    addr = _ADDRESSES.get(point)
+    if addr is None:
+        addr = []
+        for name in COLUMNS:
+            arr = getattr(point, name)
+            dtype = np.float64 if name in ("dnext", "t0", "tail") else np.int64
+            if arr.dtype != dtype or not arr.flags.c_contiguous:
+                raise ValueError(
+                    f"packed column {name!r} must be a contiguous {dtype.__name__} "
+                    f"array, got {arr.dtype} (contiguous={arr.flags.c_contiguous})"
+                )
+            addr.append(arr.ctypes.data)
+        _ADDRESSES[point] = addr
+    return addr
 
 
 def _build_cc() -> Callable | None:
-    lib = _load_cc_lib()
-    if lib is None:
-        return None
-    fn = lib.contend_packed
-    fn.restype = None
-    dp = ctypes.POINTER(ctypes.c_double)
-    ip = ctypes.POINTER(ctypes.c_int64)
-    fn.argtypes = (
-        [ip] + [ip] * 6 + [dp] * 4
-        + [dp, ip, dp, dp]
-        + [ctypes.c_double] * 9
-        + [ctypes.c_int64, ctypes.c_int64, dp, ip]
-        + [dp, ip, ip, ctypes.c_int64]
-    )
-
-    def _as(arr: np.ndarray, ptr_type):
-        return arr.ctypes.data_as(ptr_type)
-
-    def kernel(
-        off, block, vault, bank, wblock, wvault, wbank,
-        dnext, t0, tail, finish,
-        bank_ready, bank_row, bank_until, bus_ready,
-        t_cl, t_bl, t_rp, hop, linger, closed, occupancy, wr_extra,
-        l1_cycle,
-        ooo, mshrs, mshr_buf, mshr_len, heap_t, heap_i, pos,
-    ) -> None:
-        fn(
-            _as(off, ip), _as(block, ip), _as(vault, ip), _as(bank, ip),
-            _as(wblock, ip), _as(wvault, ip), _as(wbank, ip),
-            _as(dnext, dp), _as(t0, dp), _as(tail, dp), _as(finish, dp),
-            _as(bank_ready, dp), _as(bank_row, ip), _as(bank_until, dp),
-            _as(bus_ready, dp),
-            t_cl, t_bl, t_rp, hop, linger, closed, occupancy, wr_extra,
-            l1_cycle,
-            int(ooo), int(mshrs), _as(mshr_buf, dp), _as(mshr_len, ip),
-            _as(heap_t, dp), _as(heap_i, ip), _as(pos, ip),
-            len(off) - 1,
-        )
-
-    return kernel
-
-
-def _build_cc_multi() -> Callable | None:
+    """The C kernel behind :func:`contend_packed_multi`'s signature."""
     lib = _load_cc_lib()
     if lib is None:
         return None
@@ -710,8 +555,7 @@ def _build_cc_multi() -> Callable | None:
     dp = ctypes.POINTER(ctypes.c_double)
     ip = ctypes.POINTER(ctypes.c_int64)
     fn.argtypes = (
-        [ip, ip] + [ip] * 6 + [dp] * 4
-        + [dp, ip]
+        [ctypes.POINTER(ctypes.c_uint64), dp, ip, dp]
         + [dp, ip, dp, dp]
         + [dp, ip]
         + [dp, ip, ip, ctypes.c_int64]
@@ -720,79 +564,63 @@ def _build_cc_multi() -> Callable | None:
     def _as(arr: np.ndarray, ptr_type):
         return arr.ctypes.data_as(ptr_type)
 
-    def kernel(
-        p_off, off, block, vault, bank, wblock, wvault, wbank,
-        dnext, t0, tail, finish, params, iparams,
-        bank_ready, bank_row, bank_until, bus_ready,
-        mshr_buf, mshr_len, heap_t, heap_i, pos,
-    ) -> None:
-        fn(
-            _as(p_off, ip), _as(off, ip),
-            _as(block, ip), _as(vault, ip), _as(bank, ip),
-            _as(wblock, ip), _as(wvault, ip), _as(wbank, ip),
-            _as(dnext, dp), _as(t0, dp), _as(tail, dp), _as(finish, dp),
-            _as(params, dp), _as(iparams, ip),
-            _as(bank_ready, dp), _as(bank_row, ip), _as(bank_until, dp),
-            _as(bus_ready, dp),
-            _as(mshr_buf, dp), _as(mshr_len, ip),
-            _as(heap_t, dp), _as(heap_i, ip), _as(pos, ip),
-            len(p_off) - 1,
+    def kernel(points, params, iparams) -> np.ndarray:
+        cols = np.fromiter(
+            (a for point in points for a in _addresses(point)),
+            dtype=np.uint64, count=len(points) * len(COLUMNS),
         )
+        params = np.ascontiguousarray(params, dtype=np.float64)
+        iparams = np.ascontiguousarray(iparams, dtype=np.int64)
+        # Scratch is sized for the largest point; the kernel resets the
+        # memory state and rebuilds the stream tree per point.
+        n_streams = iparams[:, 4]
+        max_streams = int(n_streams.max())
+        leaves = 1 << max(max_streams - 1, 0).bit_length()
+        max_banks = int(iparams[:, 2].max())
+        finish = np.empty(int(n_streams.sum()), dtype=np.float64)
+        fn(
+            _as(cols, ctypes.POINTER(ctypes.c_uint64)),
+            _as(params, dp), _as(iparams, ip), _as(finish, dp),
+            _as(np.empty(max_banks, dtype=np.float64), dp),
+            _as(np.empty(max_banks, dtype=np.int64), ip),
+            _as(np.empty(max_banks, dtype=np.float64), dp),
+            _as(np.empty(int(iparams[:, 3].max()), dtype=np.float64), dp),
+            _as(
+                np.empty(int((n_streams * iparams[:, 1]).max()),
+                         dtype=np.float64),
+                dp,
+            ),
+            _as(np.empty(max_streams, dtype=np.int64), ip),
+            _as(np.empty(leaves, dtype=np.float64), dp),
+            _as(np.empty(2 * leaves, dtype=np.int64), ip),
+            _as(np.empty(max_streams, dtype=np.int64), ip),
+            len(points),
+        )
+        return finish
 
     return kernel
 
 
-_RESOLVED: tuple[Callable | None, str | None] | None = None
+_RESOLVED: tuple[Callable, str] | None = None
 
 
-def get_kernel() -> tuple[Callable | None, str | None]:
-    """The compiled contention kernel as ``(callable, backend_name)``.
+def resolve_kernel() -> tuple[Callable, str]:
+    """The phase-B kernel of this process as ``(callable, backend)``.
 
-    Resolution is attempted once per process: numba first (portable,
-    no toolchain needed), then the system C compiler; ``(None, None)``
-    when neither is available.  The callable has the exact signature of
-    :func:`contend_packed`.
+    Resolved once, on first use: the C build (``"cc"``) when a compiler
+    is found and the build loads, else the pure-Python
+    :func:`contend_packed_multi` (``"python"``).  Both take the same
+    arguments and return the packed finish times.
     """
     global _RESOLVED
     if _RESOLVED is None:
-        kernel = _build_numba()
-        if kernel is not None:
-            _RESOLVED = (kernel, "numba")
-        else:
-            kernel = _build_cc()
-            _RESOLVED = (kernel, "cc") if kernel is not None else (None, None)
-        if _RESOLVED[0] is not None:
-            log.info(
-                "native contention kernel ready",
-                extra={"ctx": {"backend": _RESOLVED[1]}},
-            )
+        kernel = _build_cc()
+        _RESOLVED = (
+            (kernel, "cc") if kernel is not None
+            else (contend_packed_multi, "python")
+        )
+        log.info(
+            "phase-B contention kernel ready",
+            extra={"ctx": {"backend": _RESOLVED[1]}},
+        )
     return _RESOLVED
-
-
-_RESOLVED_MULTI: tuple[Callable | None, str | None] | None = None
-
-
-def get_batch_kernel() -> tuple[Callable | None, str | None]:
-    """The compiled *multi-point* kernel as ``(callable, backend_name)``.
-
-    Shares backend resolution with :func:`get_kernel` (the single-point
-    kernel is the body the multi loop calls per point); ``(None, None)``
-    when no compiled backend is available — callers fall back to running
-    the points one by one through the Python loop.
-    """
-    global _RESOLVED_MULTI
-    if _RESOLVED_MULTI is None:
-        single, backend = get_kernel()
-        if single is None:
-            _RESOLVED_MULTI = (None, None)
-        elif backend == "numba":
-            multi = _build_numba_multi(single)
-            _RESOLVED_MULTI = (
-                (multi, "numba") if multi is not None else (None, None)
-            )
-        else:
-            multi = _build_cc_multi()
-            _RESOLVED_MULTI = (
-                (multi, "cc") if multi is not None else (None, None)
-            )
-    return _RESOLVED_MULTI

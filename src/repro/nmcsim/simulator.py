@@ -40,11 +40,12 @@ Two further levers sit on top of the fast engine:
   under its own key, so DoE campaign points that share a slice skip the
   corresponding work entirely (``sim.memo.*`` counters; disable with
   ``REPRO_SIM_MEMO=0``).
-* **native phase B** — with ``REPRO_SIM_JIT=1`` the contention loop runs
-  as a compiled kernel (:mod:`repro.nmcsim._native`: numba if
-  importable, else a C translation built with the system compiler),
-  byte-identical to the Python loop; without a usable backend the
-  Python loop is used and results are unchanged.
+* **compiled phase B** — the contention loop is one multi-point kernel
+  (:mod:`repro.nmcsim._native`) that a single run and a batched
+  campaign replay both call.  It is built with the system C compiler on
+  first use whenever one is found (cached under
+  ``$REPRO_SIM_JIT_CACHE``) and falls back to a pure-Python loop
+  otherwise; the two are byte-identical.
 
 The simulator returns IPC (total instructions / makespan cycles),
 execution time and the full energy breakdown — the labels NAPEL trains
@@ -59,7 +60,7 @@ import time
 import warnings
 import weakref
 from collections import OrderedDict
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -67,7 +68,7 @@ from ..config import SIM_ENGINES, NMCConfig, default_nmc_config
 from ..errors import ConfigError, SimulationError
 from ..ir import OPCODE_LATENCY, InstructionTrace, Opcode
 from ..obs import get_logger, metrics, tracer
-from ._native import get_batch_kernel, get_kernel
+from . import _native
 from .cache import Cache, CacheStats
 from .classify import classify_lru
 from .dram import StackedMemory
@@ -79,9 +80,6 @@ log = get_logger("repro.nmcsim")
 
 #: Environment variable selecting the simulation engine.
 ENGINE_ENV_VAR = "REPRO_SIM_ENGINE"
-
-#: Environment variable opting into the compiled phase-B kernel.
-JIT_ENV_VAR = "REPRO_SIM_JIT"
 
 #: Environment variable disabling the phase-A geometry memos ("0" = off).
 MEMO_ENV_VAR = "REPRO_SIM_MEMO"
@@ -97,8 +95,6 @@ BATCH_ENV_VAR = "REPRO_SIM_BATCH"
 #: Valid engine names; ``fast`` is the default.
 ENGINES = SIM_ENGINES
 
-_TRUTHY = frozenset({"1", "true", "yes", "on"})
-
 
 def resolve_engine(engine: str | None = None) -> str:
     """The effective engine name: argument, ``$REPRO_SIM_ENGINE``, or fast."""
@@ -112,32 +108,13 @@ def resolve_engine(engine: str | None = None) -> str:
     return engine
 
 
-def jit_requested() -> bool:
-    """Whether ``$REPRO_SIM_JIT`` opts into the compiled phase-B kernel."""
-    return os.environ.get(JIT_ENV_VAR, "").strip().lower() in _TRUTHY
-
-
-def _active_kernel() -> Callable | None:
-    """The compiled contention kernel, or None (not requested/available)."""
-    if not jit_requested():
-        return None
-    kernel, _ = get_kernel()
-    return kernel
-
-
 def jit_status() -> dict:
-    """JIT provenance for manifests and benchmark records.
+    """Phase-B kernel provenance for manifests and benchmark records.
 
-    ``backend`` is the compiled backend actually in use (``"numba"`` or
-    ``"cc"``), or None when the JIT is not requested or no backend could
-    be built (the pure-Python loop runs in that case).
+    ``backend`` is ``"cc"`` when the compiled kernel is in use and
+    ``"python"`` on hosts where it could not be built.
     """
-    requested = jit_requested()
-    backend = None
-    if requested:
-        kernel, name = get_kernel()
-        backend = name if kernel is not None else None
-    return {"requested": requested, "backend": backend}
+    return {"backend": _native.resolve_kernel()[1]}
 
 
 # --------------------------------------------------------------- memos
@@ -177,12 +154,17 @@ def memo_enabled() -> bool:
 def _memo_cap(kind: str) -> int:
     """Entry cap of one memo kind (``$REPRO_SIM_MEMO_CAP`` override)."""
     raw = os.environ.get(MEMO_CAP_ENV_VAR, "").strip()
-    if raw:
-        try:
-            return max(1, int(raw))
-        except ValueError:
-            pass
-    return _MEMO_CAPS[kind]
+    if not raw:
+        return _MEMO_CAPS[kind]
+    try:
+        cap = int(raw)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise ConfigError(
+            f"{MEMO_CAP_ENV_VAR} must be a positive integer, got {raw!r}"
+        )
+    return cap
 
 
 def _memo_lookup(trace: InstructionTrace, kind: str, key: tuple, build):
@@ -196,6 +178,7 @@ def _memo_lookup(trace: InstructionTrace, kind: str, key: tuple, build):
     """
     if not memo_enabled():
         return build()
+    cap = _memo_cap(kind)
     _MEMO_TRACES.add(trace)
     memo: OrderedDict = trace._memo.setdefault(f"sim.{kind}", OrderedDict())
     value = memo.get(key)
@@ -206,7 +189,6 @@ def _memo_lookup(trace: InstructionTrace, kind: str, key: tuple, build):
     value = build()
     memo[key] = value
     metrics().inc(f"sim.memo.{kind}.misses")
-    cap = _memo_cap(kind)
     while len(memo) > cap:
         memo.popitem(last=False)
     return value
@@ -233,8 +215,8 @@ def _approx_nbytes(obj, _depth: int = 0) -> int:
     """Rough resident size of a memo value (arrays dominate by design).
 
     Walks arrays, containers and slotted objects; long homogeneous lists
-    (packed event tuples) are extrapolated from their first element
-    instead of walked, keeping the report cheap.
+    are extrapolated from their first element instead of walked, keeping
+    the report cheap.
     """
     if _depth > 6 or obj is None:
         return 0
@@ -452,8 +434,7 @@ class _EventBundle:
     __slots__ = (
         "sidx", "off", "block", "vault", "bank",
         "wblock", "wvault", "wbank", "dnext", "t0", "tail",
-        "finish0", "n_reads", "n_writes", "vault_counts",
-        "_events_lists",
+        "finish0", "n_reads", "n_writes", "vault_counts", "__weakref__",
     )
 
     def __init__(self) -> None:
@@ -464,36 +445,10 @@ class _EventBundle:
         self.finish0: dict[int, float] = {}
         self.n_reads = 0
         self.n_writes = 0
-        self._events_lists: list[list[tuple]] | None = None
 
     @property
     def n_packed(self) -> int:
         return len(self.sidx)
-
-    def events_lists(self) -> list[list[tuple]]:
-        """Per-packed-stream Python event tuples (pure-Python loop food).
-
-        Built lazily from the packed arrays on the first run that falls
-        back to the interpreter loop, then cached on the bundle (tuples
-        of plain scalars: cheap indexing and comparisons; float64 ->
-        float is exact).
-        """
-        if self._events_lists is None:
-            built = []
-            off = self.off
-            for slot in range(self.n_packed):
-                lo, hi = int(off[slot]), int(off[slot + 1])
-                built.append(list(zip(
-                    self.block[lo:hi].tolist(),
-                    self.vault[lo:hi].tolist(),
-                    self.bank[lo:hi].tolist(),
-                    self.wblock[lo:hi].tolist(),
-                    self.wvault[lo:hi].tolist(),
-                    self.wbank[lo:hi].tolist(),
-                    self.dnext[lo:hi].tolist(),
-                )))
-            self._events_lists = built
-        return self._events_lists
 
 
 class _PhaseA:
@@ -781,8 +736,12 @@ class NMCSimulator:
                 writes=bundle.n_writes,
                 vault_counts=bundle.vault_counts,
             )
-            with metrics().timer("phase.simulate.contend"):
-                packed_finish = self._contend_product(bundle, memory)
+            packed_finish = None
+            if bundle.n_packed:
+                with metrics().timer("phase.simulate.contend"):
+                    (packed_finish,) = _contend_native_multi(
+                        [(bundle, memory, self.config)]
+                    )
             return self._finalize(
                 trace, memory, product, packed_finish, workload, parameters
             )
@@ -1170,217 +1129,6 @@ class NMCSimulator:
                 )
             return product
 
-    def _contend_product(
-        self, bundle: _EventBundle, memory: StackedMemory
-    ) -> np.ndarray:
-        """Phase B for one point: packed finish times (empty if no misses)."""
-        if not bundle.n_packed:
-            return np.empty(0, dtype=np.float64)
-        cfg = self.config
-        kernel = _active_kernel()
-        if kernel is not None:
-            return self._contend_native(bundle, memory, kernel)
-        return _contend_python_bundle(
-            bundle, memory,
-            ooo=cfg.pe_type == "ooo",
-            mshrs=cfg.mshr_entries,
-            l1_cycle_ns=cfg.cycle_ns,
-        )
-
-    def _contend_native(
-        self,
-        bundle: _EventBundle,
-        memory: StackedMemory,
-        kernel: Callable,
-    ) -> np.ndarray:
-        """Run phase B through the compiled kernel (packed arrays).
-
-        The kernel is handed fresh state arrays matching StackedMemory's
-        initial timing state; nothing reads that state after the run
-        (DRAM statistics are count-based and pre-credited in phase A),
-        so it does not need to be copied back.
-        """
-        cfg = self.config
-        n = bundle.n_packed
-        mshrs = cfg.mshr_entries
-        n_banks = cfg.n_vaults * cfg.banks_per_vault
-        finish = np.empty(n, dtype=np.float64)
-        kernel(
-            bundle.off,
-            bundle.block, bundle.vault, bundle.bank,
-            bundle.wblock, bundle.wvault, bundle.wbank,
-            bundle.dnext, bundle.t0, bundle.tail, finish,
-            np.zeros(n_banks, dtype=np.float64),
-            np.full(n_banks, -1, dtype=np.int64),
-            np.full(n_banks, -1.0, dtype=np.float64),
-            np.zeros(cfg.n_vaults, dtype=np.float64),
-            memory._t_cl, memory._t_bl, memory._t_rp, memory._hop,
-            memory._linger, memory._closed, memory._occupancy,
-            memory._wr_extra, cfg.cycle_ns,
-            1 if cfg.pe_type == "ooo" else 0, mshrs,
-            np.empty(n * mshrs, dtype=np.float64),
-            np.empty(n, dtype=np.int64),
-            np.empty(n, dtype=np.float64),
-            np.empty(n, dtype=np.int64),
-            np.empty(n, dtype=np.int64),
-        )
-        return finish
-
-
-def _contend_python_bundle(
-    bundle: _EventBundle,
-    memory: StackedMemory,
-    *,
-    ooo: bool,
-    mshrs: int,
-    l1_cycle_ns: float,
-) -> np.ndarray:
-    """Phase-B contention loop, pure Python (no compiled backend).
-
-    Operates on packed slots throughout.  The heap orders events by
-    (time, slot); slot order equals original stream-index order because
-    ``sidx`` is strictly increasing, so ties break identically to the
-    reference engine's (time, stream index) order and the replay is
-    bit-identical whichever indexing is used.
-    """
-    n = bundle.n_packed
-    ev_lists = bundle.events_lists()
-    t0 = bundle.t0.tolist()
-    tails = bundle.tail.tolist()
-    next_evt = [0] * n
-    outstanding: list[list[float]] = [[] for _ in range(n)]
-    finish_arr = np.empty(n, dtype=np.float64)
-    # The per-miss loop below inlines the timing half of
-    # StackedMemory.access (bank + vault bus, see dram/hmc.py);
-    # routing and traffic counting were pre-computed vectorized
-    # in phase A.  Every expression keeps the exact evaluation
-    # order of the method, so the floats are identical; the fast
-    # engine never carries a hardware timeline (see _run), so
-    # that branch is dropped.
-    bus_ready = memory._bus_ready
-    bank_ready = memory._bank_ready
-    bank_row = memory._bank_row
-    bank_until = memory._bank_until
-    t_cl = memory._t_cl
-    t_bl = memory._t_bl
-    t_rp = memory._t_rp
-    hop = memory._hop
-    linger = memory._linger
-    closed = memory._closed
-    occupancy = memory._occupancy
-    wr_extra = memory._wr_extra
-
-    heappush = heapq.heappush
-    heappop = heapq.heappop
-    heapreplace = heapq.heapreplace
-    heap: list[tuple[float, int]] = []
-    for slot in range(n):
-        heappush(heap, (t0[slot], slot))
-    # The heap is used peek-style: the root is the event being
-    # processed, and it is only rewritten when the active stream
-    # stops being globally next — one heapreplace per stream
-    # switch instead of a pop + push per event.  The event order
-    # is exactly the reference engine's (time, stream index)
-    # order: a stream keeps the floor only while its next miss
-    # precedes both heap children (the decrease-key invariant).
-    inf = float("inf")
-    while heap:
-        t, i = heap[0]
-        j = next_evt[i]
-        ev_i = ev_lists[i]
-        n_i = len(ev_i)
-        out_i = outstanding[i]
-        # The children of the root are invariant while this
-        # stream keeps the floor, so the decrease-key bound is
-        # computed once per activation.  With no other stream
-        # pending the bound is +inf: run to completion.
-        n_h = len(heap)
-        if n_h > 1:
-            child = heap[1]
-            if n_h > 2 and heap[2] < child:
-                child = heap[2]
-            ct, ci = child
-        else:
-            ct, ci = inf, -1
-        while True:
-            block, vault, bi, wblk, wv, wbi, dnext = ev_i[j]
-            # Miss access: the timing half of StackedMemory
-            # .access, inlined (hottest path in the simulator).
-            now = t + hop
-            ready = bank_ready[bi]
-            start = now if now > ready else ready
-            open_row = bank_row[bi]
-            row_open = open_row >= 0 and start <= bank_until[bi]
-            if row_open and block == open_row:
-                data_at = start + t_cl + t_bl
-                bank_ready[bi] = start + t_bl
-            else:
-                pre = t_rp if row_open else 0.0
-                data_at = start + pre + closed
-                bank_ready[bi] = start + pre + occupancy
-            bank_row[bi] = block
-            bank_until[bi] = data_at + linger
-            br = bus_ready[vault]
-            if data_at - t_bl < br:
-                data_at = br + t_bl
-            bus_ready[vault] = data_at
-            done = data_at + hop
-            if not ooo:
-                t = done + l1_cycle_ns
-            else:
-                heappush(out_i, done)
-                if len(out_i) >= mshrs:
-                    oldest = heappop(out_i)
-                    t = max(t, oldest) + l1_cycle_ns
-                else:
-                    t += l1_cycle_ns
-            if wbi >= 0:
-                # Dirty-victim writeback: same inlined pipeline,
-                # posted at the miss completion time.
-                now = t + hop
-                ready = bank_ready[wbi]
-                start = now if now > ready else ready
-                open_row = bank_row[wbi]
-                row_open = (
-                    open_row >= 0 and start <= bank_until[wbi]
-                )
-                if row_open and wblk == open_row:
-                    data_at = start + t_cl + t_bl
-                    bank_ready[wbi] = start + t_bl
-                else:
-                    pre = t_rp if row_open else 0.0
-                    data_at = start + pre + closed
-                    bank_ready[wbi] = start + pre + occupancy
-                if wr_extra:
-                    data_at += wr_extra
-                    bank_ready[wbi] += wr_extra
-                bank_row[wbi] = wblk
-                bank_until[wbi] = data_at + linger
-                br = bus_ready[wv]
-                if data_at - t_bl < br:
-                    data_at = br + t_bl
-                bus_ready[wv] = data_at
-            j += 1
-            if j < n_i:
-                tn = t + dnext
-                # Decrease-key check: the root is this stream's
-                # own (stale) entry, so (tn, i) may stay on the
-                # floor as long as it precedes both children.
-                if tn < ct or (tn == ct and i < ci):
-                    t = tn
-                    continue
-                heapreplace(heap, (tn, i))
-                break
-            finish = t + tails[i]
-            if out_i:
-                finish = max(finish, max(out_i))
-                out_i.clear()
-            finish_arr[i] = finish
-            heappop(heap)
-            break
-        next_evt[i] = j
-    return finish_arr
-
 
 def simulate(
     trace: InstructionTrace,
@@ -1405,87 +1153,46 @@ _BATCH_SIZE_BOUNDS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0)
 
 def _contend_native_multi(
     entries: Sequence[tuple[_EventBundle, StackedMemory, NMCConfig]],
-    kernel: Callable,
 ) -> list[np.ndarray]:
-    """Replay every entry's phase B in ONE compiled kernel invocation.
+    """Replay every entry's phase B in ONE kernel invocation.
 
-    Concatenates the points' packed event columns into global arrays,
-    rebases each point's ``off`` table to absolute event indices, and
-    tabulates the per-point float/int parameters
+    Tabulates the per-point float/int parameters
     (:data:`repro.nmcsim._native.PARAM_FIELDS` /
-    :data:`~repro.nmcsim._native.IPARAM_FIELDS`).  Scratch arrays are
-    sized for the largest point; the kernel re-initialises them per
-    point, so each point replays from the exact idle-memory state a
-    fresh :class:`StackedMemory` holds — bit-identical to N separate
-    single-point calls.  Returns each point's finish-time slice.
+    :data:`~repro.nmcsim._native.IPARAM_FIELDS`) and hands the kernel
+    the points' packed event bundles as they are.  The kernel replays
+    each point from the idle-memory state a fresh :class:`StackedMemory`
+    holds, so the batch is bit-identical to N separate calls.  Returns
+    each point's finish-time slice.
     """
-    n_packed = np.asarray([e[0].n_packed for e in entries], dtype=np.int64)
-    p_off = np.asarray(
-        np.concatenate(([0], np.cumsum(n_packed))), dtype=np.int64
+    params = np.array(
+        [
+            (
+                memory._t_cl, memory._t_bl, memory._t_rp, memory._hop,
+                memory._linger, memory._closed, memory._occupancy,
+                memory._wr_extra, cfg.cycle_ns,
+            )
+            for _b, memory, cfg in entries
+        ],
+        dtype=np.float64,
     )
-    total = int(p_off[-1])
-    ev_counts = np.asarray(
-        [len(e[0].block) for e in entries], dtype=np.int64
-    )
-    ev_base = np.asarray(
-        np.concatenate(([0], np.cumsum(ev_counts))), dtype=np.int64
-    )
-    off = np.asarray(
-        np.concatenate(
-            [b.off[:-1] + base
-             for (b, _m, _c), base in zip(entries, ev_base)]
-            + [ev_base[-1:]]
-        ),
+    iparams = np.array(
+        [
+            (
+                1 if cfg.pe_type == "ooo" else 0,
+                cfg.mshr_entries,
+                cfg.n_vaults * cfg.banks_per_vault,
+                cfg.n_vaults,
+                bundle.n_packed,
+            )
+            for bundle, _m, cfg in entries
+        ],
         dtype=np.int64,
     )
-
-    def cat(name: str, dtype) -> np.ndarray:
-        # np.asarray leaves the concatenated (contiguous) result alone
-        # when the dtype already matches — no astype copy on the hot path.
-        return np.asarray(
-            np.concatenate([getattr(e[0], name) for e in entries]),
-            dtype=dtype,
-        )
-
-    params = np.empty((len(entries), 9), dtype=np.float64)
-    iparams = np.empty((len(entries), 4), dtype=np.int64)
-    for p, (_b, memory, cfg) in enumerate(entries):
-        params[p] = (
-            memory._t_cl, memory._t_bl, memory._t_rp, memory._hop,
-            memory._linger, memory._closed, memory._occupancy,
-            memory._wr_extra, cfg.cycle_ns,
-        )
-        iparams[p] = (
-            1 if cfg.pe_type == "ooo" else 0,
-            cfg.mshr_entries,
-            cfg.n_vaults * cfg.banks_per_vault,
-            cfg.n_vaults,
-        )
-    max_banks = int(iparams[:, 2].max())
-    max_vaults = int(iparams[:, 3].max())
-    max_streams = int(n_packed.max())
-    max_mshr_buf = int((n_packed * iparams[:, 1]).max())
-    finish = np.empty(total, dtype=np.float64)
-    kernel(
-        p_off, off,
-        cat("block", np.int64), cat("vault", np.int64),
-        cat("bank", np.int64), cat("wblock", np.int64),
-        cat("wvault", np.int64), cat("wbank", np.int64),
-        cat("dnext", np.float64), cat("t0", np.float64),
-        cat("tail", np.float64), finish,
-        params, iparams,
-        np.empty(max_banks, dtype=np.float64),
-        np.empty(max_banks, dtype=np.int64),
-        np.empty(max_banks, dtype=np.float64),
-        np.empty(max_vaults, dtype=np.float64),
-        np.empty(max_mshr_buf, dtype=np.float64),
-        np.empty(max_streams, dtype=np.int64),
-        np.empty(max_streams, dtype=np.float64),
-        np.empty(max_streams, dtype=np.int64),
-        np.empty(max_streams, dtype=np.int64),
-    )
+    kernel, _backend = _native.resolve_kernel()
+    finish = kernel([e[0] for e in entries], params, iparams)
+    bounds = np.cumsum(iparams[:, 4]).tolist()
     return [
-        finish[p_off[p]:p_off[p + 1]] for p in range(len(entries))
+        finish[lo:hi] for lo, hi in zip([0] + bounds[:-1], bounds)
     ]
 
 
@@ -1575,30 +1282,11 @@ def simulate_batch(
     t_start = time.perf_counter()
     finishes: dict[int, np.ndarray] = {}
     if packed:
-        single = _active_kernel()
-        kernel = get_batch_kernel()[0] if single is not None else None
-        if kernel is not None:
-            entries = [
-                (prepared[i][2].bundle, prepared[i][1], prepared[i][0].config)
-                for i in packed
-            ]
-            finishes = dict(zip(packed, _contend_native_multi(entries, kernel)))
-        elif single is not None:
-            for i in packed:
-                sim, memory, product = prepared[i]
-                finishes[i] = sim._contend_native(
-                    product.bundle, memory, single
-                )
-        else:
-            for i in packed:
-                sim, memory, product = prepared[i]
-                cfg = sim.config
-                finishes[i] = _contend_python_bundle(
-                    product.bundle, memory,
-                    ooo=cfg.pe_type == "ooo",
-                    mshrs=cfg.mshr_entries,
-                    l1_cycle_ns=cfg.cycle_ns,
-                )
+        entries = [
+            (prepared[i][2].bundle, prepared[i][1], prepared[i][0].config)
+            for i in packed
+        ]
+        finishes = dict(zip(packed, _contend_native_multi(entries)))
     m.inc("sim.batch.calls")
     m.inc("sim.batch.points", len(points))
     m.observe(

@@ -1,10 +1,12 @@
-"""Trace-building helpers shared by the test suite."""
+"""Trace-building and kernel-selection helpers shared by the test suite."""
 
 from __future__ import annotations
 
 import numpy as np
+import pytest
 
 from repro.ir import LoopTemplate, Opcode, TemplateOp, TraceBuilder
+from repro.nmcsim import _native
 
 
 def build_stream_trace(n: int = 2000, *, tid: int = 0, pc_base: int = 0):
@@ -37,3 +39,18 @@ def build_random_trace(n: int = 2000, *, seed: int = 0, span: int = 1 << 24):
     addrs = 0x100000 + rng.integers(0, span, size=n, dtype=np.int64) * 8
     template.emit(builder, n, {"x": addrs}, tid=0, pc_base=0)
     return builder.finish()
+
+
+def use_kernel(monkeypatch, name: str) -> None:
+    """Run the fast engine's phase B through one kernel form.
+
+    ``"python"`` forces the pure-Python loop; ``"cc"`` the compiled
+    kernel (the test is skipped on hosts without a C compiler).
+    """
+    if name == "python":
+        monkeypatch.setattr(
+            _native, "resolve_kernel",
+            lambda: (_native.contend_packed_multi, "python"),
+        )
+    elif _native.resolve_kernel()[1] != "cc":
+        pytest.skip("no C compiler available")

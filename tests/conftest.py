@@ -13,7 +13,19 @@ sys.path.insert(0, str(Path(__file__).parent))
 from repro import SimulationCampaign, get_workload  # noqa: E402
 from repro.core.dataset import TrainingSet  # noqa: E402
 
-from _helpers import build_random_trace, build_stream_trace  # noqa: E402
+from _helpers import (  # noqa: E402
+    build_random_trace,
+    build_stream_trace,
+    use_kernel,
+)
+
+
+@pytest.fixture(params=["python", "cc"], ids=["0", "1"])
+def phase_b_kernel(request, monkeypatch):
+    """Each test runs once per phase-B kernel form (see ``use_kernel``):
+    id ``0`` is the pure-Python loop, id ``1`` the compiled kernel."""
+    use_kernel(monkeypatch, request.param)
+    return request.param
 
 
 @pytest.fixture(scope="session")

@@ -1,7 +1,7 @@
 """Batched campaign replay + the persistent phase-A memo store.
 
 Covers the bit-identity matrix (batched vs per-point across workloads,
-backends, job counts and JIT legs), the persistent store's corruption /
+backends, job counts and phase-B kernels), the persistent store's corruption /
 version-skew tolerance, concurrent-writer safety, the in-process memo
 cap override, and benchmark-record placement.
 """
@@ -17,7 +17,7 @@ import pytest
 
 from repro.config import NMCConfig, default_nmc_config
 from repro.core.campaign import CampaignCache, SimulationCampaign
-from repro.errors import SimulationError
+from repro.errors import ConfigError, SimulationError
 from repro.nmcsim import (
     MemoStore,
     NMCSimulator,
@@ -68,9 +68,7 @@ def arch_variants() -> list[NMCConfig]:
 # ----------------------------------------------------- bit-identity matrix
 
 class TestBatchedBitIdentity:
-    @pytest.mark.parametrize("jit", ["0", "1"])
-    def test_simulate_batch_matches_per_point(self, monkeypatch, jit):
-        monkeypatch.setenv("REPRO_SIM_JIT", jit)
+    def test_simulate_batch_matches_per_point(self, phase_b_kernel):
         points = []
         for wname in ("atax", "bfs", "mvt"):
             trace = small_trace(wname)
@@ -103,11 +101,9 @@ class TestBatchedBitIdentity:
             simulate_batch([(empty, None, "atax", {})])
 
     @pytest.mark.parametrize("jobs", [1, 2])
-    @pytest.mark.parametrize("jit", ["0", "1"])
     def test_campaign_batched_matches_per_point(
-        self, monkeypatch, jit, jobs, tmp_path
+        self, phase_b_kernel, jobs, tmp_path
     ):
-        monkeypatch.setenv("REPRO_SIM_JIT", jit)
         workload = get_workload("atax")
         baseline = SimulationCampaign(
             scale=8.0, jobs=1, batch=False
@@ -298,6 +294,12 @@ class TestMemoBounds:
         for kind in ("streams", "classify", "events"):
             memo = trace._memo.get(f"sim.{kind}")
             assert memo is not None and len(memo) == 1, kind
+
+    @pytest.mark.parametrize("raw", ["abc", "0", "-3"])
+    def test_bad_memo_cap_fails_loud(self, monkeypatch, raw):
+        monkeypatch.setenv("REPRO_SIM_MEMO_CAP", raw)
+        with pytest.raises(ConfigError, match="REPRO_SIM_MEMO_CAP"):
+            NMCSimulator(engine="fast").run(small_trace("atax", scale=8.0))
 
     def test_memo_bytes_reported(self):
         trace = small_trace("atax", scale=8.0)

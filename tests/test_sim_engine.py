@@ -11,12 +11,21 @@ ordered-dict reconstruction.
 """
 
 import json
+import os
+import shutil
+import subprocess
+import sys
 from collections import OrderedDict, defaultdict
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from _helpers import use_kernel
 from repro import SimulationCampaign, default_nmc_config, get_workload
+from repro.backends import backend_names
 from repro.config import SIM_ENGINES, NMCConfig, RuntimeConfig
 from repro.errors import ConfigError
 from repro.ir import lru_hit_mask
@@ -28,9 +37,10 @@ from repro.nmcsim import (
     classify_vectorized,
     jit_status,
     resolve_engine,
+    simulate_batch,
     simulation_memo_summary,
 )
-from repro.nmcsim._native import contend_packed, get_kernel
+from repro.nmcsim import _native
 from repro.obs import activate_tracing, metrics, reset_tracing
 
 WORKLOADS = [
@@ -467,48 +477,140 @@ class TestClassificationMemo:
 # ------------------------------------------------- compiled phase-B kernel
 
 
+@st.composite
+def nmc_configs(draw):
+    """A memory backend plus a swept PE / L1 geometry on top of it."""
+    ways = draw(st.sampled_from([1, 2, 3, 4, 8]))
+    pe_type = draw(st.sampled_from(["inorder", "ooo"]))
+    return NMCConfig.from_backend(draw(st.sampled_from(backend_names()))).replace(
+        n_pes=draw(st.sampled_from([1, 2, 3, 4, 8, 32])),
+        l1_ways=ways,
+        l1_lines=ways * draw(st.sampled_from([1, 2, 3, 4, 8])),
+        pe_type=pe_type,
+        issue_width=draw(st.sampled_from([1, 2])),
+        mshr_entries=draw(st.integers(1, 8)) if pe_type == "ooo" else 1,
+    )
+
+
+@st.composite
+def sim_cases(draw):
+    """A workload trace at drawn input parameters and a small scale, plus
+    one to three architectures to simulate it on."""
+    workload = get_workload(draw(st.sampled_from(WORKLOADS)))
+    config = {
+        p.name: draw(st.sampled_from((*p.levels, p.test)))
+        for p in workload.parameters
+    }
+    scale = draw(st.sampled_from([6.0, 8.0, 12.0]))
+    trace = workload.generate(config, scale=scale)
+    archs = draw(st.lists(nmc_configs(), min_size=1, max_size=3))
+    return workload.name, config, trace, archs
+
+
+def assert_engines_agree(case):
+    """fast == reference for every architecture, and one batched replay
+    of all of them == per-point runs."""
+    name, params, trace, archs = case
+    per_point = []
+    for cfg in archs:
+        fast = NMCSimulator(cfg, engine="fast").run(
+            trace, workload=name, parameters=params
+        )
+        ref = NMCSimulator(cfg, engine="reference").run(
+            trace, workload=name, parameters=params
+        )
+        assert result_dict(fast) == result_dict(ref), cfg
+        per_point.append(result_dict(fast))
+    batched = simulate_batch(
+        [(trace, cfg, name, params) for cfg in archs], engine="fast"
+    )
+    assert [result_dict(r) for r in batched] == per_point
+
+
+EQUIVALENCE_SETTINGS = settings(
+    max_examples=60,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+
+
 class TestJITEquivalence:
+    """Differential test of phase B: drawn workloads, geometries and
+    backends, under the pure-Python and the compiled kernel."""
+
     def test_jit_status_shape(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SIM_JIT", raising=False)
-        status = jit_status()
-        assert status == {"requested": False, "backend": None}
+        assert jit_status()["backend"] in ("cc", "python")
+        use_kernel(monkeypatch, "python")
+        assert jit_status() == {"backend": "python"}
 
-    def test_packed_kernel_python_semantics_match_reference(self, monkeypatch):
-        # Run the packed kernel (the numba/C compile target) as plain
-        # Python: validates the batched-replay semantics even on hosts
-        # with no compiler toolchain.
-        from repro.nmcsim import simulator as sim_mod
+    @EQUIVALENCE_SETTINGS
+    @given(case=sim_cases())
+    def test_packed_kernel_python_semantics_match_reference(
+        self, monkeypatch, case
+    ):
+        use_kernel(monkeypatch, "python")
+        assert_engines_agree(case)
 
-        monkeypatch.setattr(sim_mod, "_active_kernel", lambda: contend_packed)
-        for replace in (
-            {},
-            {"l1_lines": 64, "l1_ways": 4},
-            {"pe_type": "ooo", "issue_width": 2, "mshr_entries": 8},
-            {"pe_type": "ooo", "issue_width": 2, "mshr_entries": 1},
-        ):
-            cfg = default_nmc_config().replace(**replace)
-            trace = small_trace("chol")
-            fast = NMCSimulator(cfg, engine="fast").run(trace)
-            ref = NMCSimulator(cfg, engine="reference").run(trace)
-            assert result_dict(fast) == result_dict(ref), replace
+    @EQUIVALENCE_SETTINGS
+    @given(case=sim_cases())
+    def test_compiled_kernel_matches_reference(self, monkeypatch, case):
+        use_kernel(monkeypatch, "cc")
+        assert_engines_agree(case)
 
-    def test_compiled_kernel_matches_reference(self, monkeypatch):
-        kernel, backend = get_kernel()
-        if kernel is None:
-            pytest.skip("no compiled backend (numba or C compiler) available")
-        monkeypatch.setenv("REPRO_SIM_JIT", "1")
-        assert jit_status() == {"requested": True, "backend": backend}
-        for replace in (
-            {},
-            {"l1_lines": 64, "l1_ways": 8},
-            {"pe_type": "ooo", "issue_width": 2, "mshr_entries": 8},
-        ):
-            cfg = default_nmc_config().replace(**replace)
-            for name in ("atax", "kme"):
-                trace = small_trace(name)
-                fast = NMCSimulator(cfg, engine="fast").run(trace)
-                ref = NMCSimulator(cfg, engine="reference").run(trace)
-                assert result_dict(fast) == result_dict(ref), (name, replace)
+
+requires_cc = pytest.mark.skipif(
+    not any(shutil.which(c) for c in ("cc", "gcc", "clang")),
+    reason="no C compiler available",
+)
+
+
+@requires_cc
+class TestKernelBuild:
+    """The C build is race-free and rebuilds damaged cached objects."""
+
+    @pytest.fixture
+    def cold_cache(self, tmp_path, monkeypatch):
+        monkeypatch.setenv(_native.CACHE_ENV_VAR, str(tmp_path))
+        monkeypatch.setattr(_native, "_RESOLVED", None)
+        return tmp_path
+
+    def test_damaged_cached_object_is_rebuilt(self, cold_cache):
+        so_path = Path(_native._so_path())
+        so_path.write_bytes(b"\x00garbage, not a shared object\x00" * 8)
+        with pytest.warns(RuntimeWarning, match="failed to load"):
+            assert _native.resolve_kernel()[1] == "cc"
+        assert so_path.read_bytes()[:4] == b"\x7fELF"
+        # Only the rebuilt object remains: no temporary build files.
+        assert [p.name for p in cold_cache.iterdir()] == [so_path.name]
+        trace = small_trace("kme")
+        cfg = default_nmc_config()
+        fast = NMCSimulator(cfg, engine="fast").run(trace)
+        ref = NMCSimulator(cfg, engine="reference").run(trace)
+        assert result_dict(fast) == result_dict(ref)
+
+    def test_concurrent_cold_builds_both_compile(self, cold_cache):
+        import repro
+
+        env = {
+            **os.environ,
+            "PYTHONPATH": str(Path(repro.__file__).resolve().parents[1]),
+        }
+        code = (
+            "from repro.nmcsim import jit_status; "
+            "print(jit_status()['backend'])"
+        )
+        procs = [
+            subprocess.Popen(
+                [sys.executable, "-c", code],
+                env=env, stdout=subprocess.PIPE, text=True,
+            )
+            for _ in range(2)
+        ]
+        outs = [p.communicate(timeout=300)[0].strip() for p in procs]
+        assert outs == ["cc", "cc"]
+        assert [p.name for p in cold_cache.iterdir()] == [
+            Path(_native._so_path()).name
+        ]
 
 
 # -------------------------------------------------------- traced runs
