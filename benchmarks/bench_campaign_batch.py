@@ -1,13 +1,13 @@
 """Campaign-level speedup: batched replay + persistent memo store.
 
-Runs the full CCD campaign of all twelve applications through the
-per-point path (one phase-B kernel call and one phase-A pass per design
-point) and through the batched scheduler
-(:meth:`SimulationCampaign._run_points_batched`: every point's phase B
-in one multi-point kernel invocation, phase A served from the
-persistent ``$REPRO_SIM_MEMO_DIR`` store), at jobs=1 and jobs=4, with
-the store cold and warm.  Every variant's ``TrainingSet`` is verified
-bit-identical to the per-point baseline while being timed, so the
+Simulates the full CCD of all twelve applications two ways: a per-point
+baseline (one :meth:`NMCSimulator.run` per design point over the
+memoized traces: one phase-B kernel call and one phase-A pass each) and
+the campaign runner (:meth:`SimulationCampaign._run_points`: every
+point's phase B in one multi-point kernel invocation, phase A served
+from the persistent ``$REPRO_SIM_MEMO_DIR`` store), at jobs=1 and
+jobs=4, with the store cold and warm.  Every variant's results are
+verified bit-identical to the campaign's while being timed, so the
 record can never show a speedup bought with accuracy.
 
 Measurement protocol: per workload, one untimed warm-up campaign
@@ -40,8 +40,15 @@ from repro import get_workload
 from repro.core import CampaignCache, SimulationCampaign
 from repro.core import campaign as campaign_mod
 from repro.core.reporting import format_table
-from repro.nmcsim import configure_store, jit_status, store_status
+from repro.doe import ParameterSpace, central_composite
+from repro.nmcsim import (
+    NMCSimulator,
+    configure_store,
+    jit_status,
+    store_status,
+)
 from repro.obs import metrics
+from repro.workloads.base import config_seed
 
 WORKLOADS = (
     "atax", "bfs", "bp", "chol", "gemv", "gesu",
@@ -55,21 +62,50 @@ JOBS = 4
 #: per phase-B backend (compiled C kernel, pure-Python fallback).
 MIN_SPEEDUP = {"cc": 2.0, "python": 1.3}
 
-#: (record key, batch?, jobs, store) — store is "off" / "cold" / "warm".
+#: (record key, jobs, store) — store is "off" / "cold" / "warm".
+#: ``per_point_j1`` is the bench-local baseline loop; the rest run the
+#: campaign.
 VARIANTS = (
-    ("per_point_j1", False, 1, "off"),
-    ("batched_cold_j1", True, 1, "cold"),
-    ("batched_warm_j1", True, 1, "warm"),
-    ("per_point_j4", False, JOBS, "off"),
-    ("batched_warm_j4", True, JOBS, "warm"),
+    ("per_point_j1", 1, "off"),
+    ("batched_cold_j1", 1, "cold"),
+    ("batched_warm_j1", 1, "warm"),
+    ("batched_warm_j4", JOBS, "warm"),
 )
 
 
-def _canonical(training_set):
-    return json.dumps(
-        [row.result.to_json_dict() for row in training_set.rows],
-        sort_keys=True,
-    )
+def _canonical(results):
+    return json.dumps([r.to_json_dict() for r in results], sort_keys=True)
+
+
+def _ccd_points(workload):
+    """``(config, seed, point_key)`` of every CCD point, in row order —
+    derived the way :meth:`SimulationCampaign.run` derives them."""
+    points = []
+    seen: dict[str, int] = {}
+    for config in central_composite(ParameterSpace.of_workload(workload)):
+        config = workload.validate_config(config)
+        base_key = campaign_mod._config_key(workload.name, config, 0)
+        replicate = seen.get(base_key, 0)
+        seen[base_key] = replicate + 1
+        seed = config_seed(workload.name, config) + replicate
+        points.append(
+            (config, seed,
+             campaign_mod._config_key(workload.name, config, seed))
+        )
+    return points
+
+
+def _run_per_point(workload, points):
+    """Baseline: one simulator run per point over the memoized traces."""
+    sim = NMCSimulator()
+    return [
+        sim.run(
+            campaign_mod._memoized_trace(workload, config, seed, SCALE, key),
+            workload=workload.name,
+            parameters=dict(config),
+        )
+        for config, seed, key in points
+    ]
 
 
 def _profile_cache(template: CampaignCache) -> CampaignCache:
@@ -113,13 +149,13 @@ def test_campaign_batch_speedup():
             # Untimed warm-up: traces into the process memo, profiles
             # into the cache, phase-A products into the store.
             seed_cache = CampaignCache()
-            baseline_set = SimulationCampaign(
-                cache=seed_cache, scale=SCALE, jobs=1,
-                batch=True, memo_dir=warm_dir,
+            warm_set = SimulationCampaign(
+                cache=seed_cache, scale=SCALE, jobs=1, memo_dir=warm_dir,
             ).run(workload)
-            expected = _canonical(baseline_set)
+            expected = _canonical(row.result for row in warm_set.rows)
+            points = _ccd_points(workload)
             times = {}
-            for key, batch, jobs, store in VARIANTS:
+            for key, jobs, store in VARIANTS:
                 if store == "off":
                     configure_store("")  # explicitly disabled
                     store_dir = None
@@ -131,14 +167,17 @@ def test_campaign_batch_speedup():
                     store_dir = warm_dir
                 campaign = SimulationCampaign(
                     cache=_profile_cache(seed_cache), scale=SCALE,
-                    jobs=jobs, batch=batch, memo_dir=store_dir,
+                    jobs=jobs, memo_dir=store_dir,
                 )
                 _drop_sim_memos()
                 start = time.perf_counter()
-                result_set = campaign.run(workload)
+                if key == "per_point_j1":
+                    results = _run_per_point(workload, points)
+                else:
+                    results = [r.result for r in campaign.run(workload).rows]
                 elapsed = time.perf_counter() - start
                 # Equivalence contract, checked on the timed run itself.
-                assert _canonical(result_set) == expected, (name, key)
+                assert _canonical(results) == expected, (name, key)
                 times[key] = elapsed
                 totals[key] += elapsed
             per_workload[name] = times
@@ -146,7 +185,6 @@ def test_campaign_batch_speedup():
 
     speedup_j1 = totals["per_point_j1"] / totals["batched_warm_j1"]
     speedup_cold_j1 = totals["per_point_j1"] / totals["batched_cold_j1"]
-    speedup_j4 = totals["per_point_j4"] / totals["batched_warm_j4"]
     rows = [
         [
             name,
@@ -172,7 +210,6 @@ def test_campaign_batch_speedup():
     flat.update({
         "total.speedup_warm_j1": speedup_j1,
         "total.speedup_cold_j1": speedup_cold_j1,
-        "total.speedup_warm_j4": speedup_j4,
     })
     emit_record(
         "campaign_batch",

@@ -31,6 +31,7 @@ from _bench_utils import emit, emit_record
 from repro import NapelTrainer, analyze_trace, default_nmc_config
 from repro.core.predictor import NapelModel
 from repro.core.reporting import format_bar_series, format_table
+from repro.nmcsim import NMCSimulator
 
 #: Architecture design points per application, as in the paper.
 N_CONFIGS = 256
@@ -66,7 +67,9 @@ def test_fig4_prediction_speedup(
 
         # Simulator side: time one representative simulation, extrapolate.
         start = time.perf_counter()
-        campaign._simulator.run(trace, workload=w.name)
+        NMCSimulator(campaign.arch, engine=campaign.engine).run(
+            trace, workload=w.name
+        )
         sim_one = time.perf_counter() - start
         sim_total = sim_one * N_CONFIGS
 

@@ -36,7 +36,7 @@ from _bench_utils import emit, emit_record
 
 from repro import get_workload
 from repro.core.reporting import format_table
-from repro.nmcsim import NMCSimulator, jit_status, memo_enabled
+from repro.nmcsim import NMCSimulator, jit_status
 from repro.obs import metrics
 
 WORKLOADS = (
@@ -166,7 +166,6 @@ def test_sim_engine_speedup():
         config={
             "scale": SCALE, "reps": REPS, "smoke": SMOKE, "seed": 7,
             "jit_backend": backend,
-            "memo_enabled": memo_enabled(),
         },
     )
 

@@ -15,6 +15,7 @@ from _bench_utils import emit, emit_record
 
 from repro import NapelTrainer
 from repro.core.reporting import format_table
+from repro.nmcsim import NMCSimulator
 
 PAPER = {  # (#DoE conf, DoE run mins, train+tune mins, pred mins)
     "atax": (11, 522, 34.9, 0.49), "bfs": (31, 1084, 34.2, 0.48),
@@ -38,7 +39,9 @@ def test_table4_training_and_prediction_time(
         if doe_seconds.get(w.name, 0.0) == 0.0:
             trace = w.generate(w.central_config())
             start = _time.perf_counter()
-            campaign._simulator.run(trace, workload=w.name)
+            NMCSimulator(campaign.arch, engine=campaign.engine).run(
+                trace, workload=w.name
+            )
             per_config = _time.perf_counter() - start
             n_conf = len(full_training_set.filter(w.name))
             doe_seconds[w.name] = per_config * n_conf

@@ -99,7 +99,6 @@ def _campaign(args: argparse.Namespace, arch: NMCConfig | None = None):
         scale=getattr(args, "scale", 1.0),
         jobs=getattr(args, "jobs", None),
         engine=getattr(args, "engine", None),
-        batch=False if getattr(args, "no_batch", False) else None,
         memo_dir=getattr(args, "memo_dir", None),
     )
 

@@ -121,14 +121,7 @@ def build_parser() -> argparse.ArgumentParser:
                  "0 = all CPUs; results are identical at any job count)",
         )
 
-    def add_batch_args(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--no-batch", action="store_true",
-            help="simulate campaign points one at a time instead of "
-                 "batching every point's contention replay into one "
-                 "kernel call (default: batched, or $REPRO_SIM_BATCH=0; "
-                 "results are identical either way)",
-        )
+    def add_memo_dir_arg(p: argparse.ArgumentParser) -> None:
         p.add_argument(
             "--memo-dir", metavar="DIR",
             help="persist the simulator's phase-A geometry products "
@@ -201,7 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cache", help="campaign cache file (JSON)")
     add_engine_arg(p)
     add_jobs_arg(p)
-    add_batch_args(p)
+    add_memo_dir_arg(p)
     add_manifest_arg(p)
     add_trace_args(p)
     p.set_defaults(func=commands.cmd_campaign)
@@ -233,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add_engine_arg(p)
     add_jobs_arg(p)
-    add_batch_args(p)
+    add_memo_dir_arg(p)
     add_manifest_arg(p)
     add_trace_args(p)
     p.set_defaults(func=commands.cmd_train)
@@ -341,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add_engine_arg(p)
     add_jobs_arg(p)
-    add_batch_args(p)
+    add_memo_dir_arg(p)
     add_manifest_arg(p)
     add_trace_args(p)
     p.set_defaults(func=commands.cmd_suitability)

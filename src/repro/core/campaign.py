@@ -27,9 +27,7 @@ from ..errors import CampaignError
 from ..ir import InstructionTrace
 from ..nmcsim import (
     MEMO_COUNTER_NAMES,
-    NMCSimulator,
     SimulationResult,
-    batch_enabled,
     configure_store,
     resolve_engine,
     simulate_batch,
@@ -39,6 +37,7 @@ from ..obs import get_logger, metrics, tracer
 from ..parallel import map_jobs, resolve_jobs
 from ..profiler import ApplicationProfile, analyze_trace
 from ..schema import active_schema, canonical_hash
+from ..store import atomic_write_text
 from ..workloads import Workload
 from ..workloads.base import config_seed
 from .dataset import TrainingRow, TrainingSet
@@ -175,9 +174,9 @@ class CampaignCache:
     def save(self) -> None:
         """Persist the cache atomically (no-op without a configured path).
 
-        The JSON is written to a ``.tmp`` sibling and moved into place
-        with :func:`os.replace`, so a crash mid-write never leaves a
-        truncated cache file behind.
+        Written through :func:`repro.store.atomic_write_text`, so a
+        crash mid-write never leaves a truncated cache file behind and
+        concurrent savers never collide on a temporary file.
         """
         if self.path is None:
             return
@@ -192,10 +191,7 @@ class CampaignCache:
                 for (pk, ak), r in self._results.items()
             ],
         }
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = self.path.with_name(self.path.name + ".tmp")
-        tmp.write_text(json.dumps(data))
-        os.replace(tmp, self.path)
+        atomic_write_text(self.path, json.dumps(data))
 
     def _load(self) -> None:
         try:
@@ -253,66 +249,22 @@ class CampaignCache:
         return len(self._results)
 
 
-def _simulate_point_job(
-    job: tuple[Workload, dict, int, NMCConfig, float, str],
-) -> tuple[ApplicationProfile, SimulationResult, float, dict[str, int]]:
-    """Worker-side body of one campaign point (module-level: picklable).
-
-    Pure function of its payload — trace generation, profiling and
-    simulation are all deterministic given the seed — so parallel
-    campaigns reproduce serial ones bit for bit.  (The trace memo is
-    per-process; workers reuse traces across the points they handle.)
-    The returned mapping carries the point's ``sim.memo.*`` counter
-    deltas, so worker-side memo activity reaches the parent's metrics
-    registry (and hence run manifests).
-    """
-    workload, config, seed, arch, scale, engine = job
-    start = time.perf_counter()
-    m = metrics()
-    memo_before = {name: m.count(name) for name in MEMO_COUNTER_NAMES}
-    point_key = _config_key(workload.name, config, seed)
-    with tracer().span(
-        "campaign.point", workload=workload.name, seed=seed
-    ):
-        trace = _memoized_trace(workload, config, seed, scale, point_key)
-        with metrics().timer("phase.profile"):
-            profile = analyze_trace(
-                trace, workload=workload.name, parameters=dict(config)
-            )
-        result = NMCSimulator(arch, engine=engine).run(
-            trace, workload=workload.name, parameters=dict(config)
-        )
-    m.inc("campaign.points.simulated")
-    # Simulated (deterministic) kernel time — same observation run_point
-    # makes on the serial path, so the histogram deltas shipped back
-    # merge to a snapshot bit-identical to a serial run's.
-    m.observe(
-        "campaign.point.sim_time_s",
-        result.time_s,
-        {"workload": workload.name},
-    )
-    memo_deltas = {
-        name: m.count(name) - memo_before[name]
-        for name in MEMO_COUNTER_NAMES
-    }
-    return profile, result, time.perf_counter() - start, memo_deltas
-
-
 def _simulate_batch_job(
     job: tuple[Workload, list, NMCConfig, float, str, dict],
 ) -> tuple[list, list, float, dict[str, int]]:
-    """Worker-side body of one batched campaign chunk (picklable).
+    """Simulate one contiguous chunk of campaign points (picklable).
 
-    ``job`` carries a contiguous chunk of pending points
-    ``(point_key, config, seed)`` plus ``known_profiles`` — profiles the
-    parent's cache already holds (from an earlier architecture sweep),
-    shipped along so workers skip re-profiling ("memo adoption").  Trace
-    generation and profiling emit the same per-point spans/timers as the
-    per-point path; simulation then runs through
-    :func:`repro.nmcsim.simulate_batch`, which replays every point's
-    phase B in one kernel invocation while still emitting per-point
-    ``phase.simulate`` spans — so campaign observability contracts hold
-    at any worker count.
+    The only code that simulates campaign points: :meth:`run`,
+    :meth:`run_point` and ``--jobs N`` pools all reach it.  ``job``
+    carries the chunk's pending points ``(point_key, config, seed)``
+    plus ``known_profiles`` — profiles the parent's cache already holds
+    (from an earlier architecture sweep), shipped along so workers skip
+    re-profiling.  :func:`repro.nmcsim.simulate_batch` replays every
+    point's phase B in one kernel invocation while each point keeps its
+    own ``campaign.point`` and ``phase.simulate`` spans.  The output is
+    a pure function of the payload, so results are identical at any
+    worker count; the returned mapping carries the chunk's
+    ``sim.memo.*`` counter deltas for the parent's metrics registry.
     """
     workload, chunk, arch, scale, engine, known_profiles = job
     start = time.perf_counter()
@@ -339,6 +291,9 @@ def _simulate_batch_job(
     results = simulate_batch(sim_points, engine=engine)
     for result in results:
         m.inc("campaign.points.simulated")
+        # Simulated (deterministic) kernel time, not wall-clock: the
+        # shipped histogram deltas merge to a bit-identical snapshot at
+        # any worker count.
         m.observe(
             "campaign.point.sim_time_s",
             result.time_s,
@@ -360,13 +315,13 @@ class SimulationCampaign:
     selects the simulation engine (None = honour ``REPRO_SIM_ENGINE``,
     default fast); both engines produce identical results.
 
-    ``batch`` controls campaign-level batched replay (None = honour
-    ``REPRO_SIM_BATCH``, default on): uncached points are grouped so
-    same-trace points run phase A back to back against warm memos and
-    every point's phase B replays in one compiled kernel invocation —
-    bit-identical to per-point simulation.  ``memo_dir`` points the
-    persistent phase-A memo store at a directory (None = honour
-    ``REPRO_SIM_MEMO_DIR``); pool workers adopt the same store.
+    :meth:`run`, :meth:`run_point` and ``jobs > 1`` share one simulation
+    path: uncached points are split into contiguous chunks (one per
+    worker), same-trace points run phase A back to back against warm
+    memos, and each chunk's phase B replays in one kernel invocation.
+    ``memo_dir`` points the persistent phase-A memo store at a directory
+    (None = honour ``REPRO_SIM_MEMO_DIR``); pool workers adopt the same
+    store.
     """
 
     def __init__(
@@ -377,7 +332,6 @@ class SimulationCampaign:
         scale: float = 1.0,
         jobs: int | None = None,
         engine: str | None = None,
-        batch: bool | None = None,
         memo_dir: str | os.PathLike | None = None,
     ) -> None:
         self.arch = arch or default_nmc_config()
@@ -386,10 +340,8 @@ class SimulationCampaign:
         self.scale = scale
         self.jobs = resolve_jobs(jobs)
         self.engine = resolve_engine(engine)
-        self.batch = batch
         if memo_dir is not None:
             configure_store(memo_dir)
-        self._simulator = NMCSimulator(self.arch, engine=self.engine)
         # The canonical arch hash covers every config field; computing it
         # per point was measurable (~0.7 ms each) at campaign scale.
         self._arch_key = _arch_key(self.arch)
@@ -421,60 +373,7 @@ class SimulationCampaign:
         replicates of a classical CCD are meant to estimate.
         """
         config = workload.validate_config(config)
-        seed = config_seed(workload.name, config) + replicate
-        point_key = _config_key(workload.name, config, seed)
-        arch_key = self._arch_key
-        cached = self.cache.get(point_key, arch_key)
-        if cached is not None:
-            profile, result = cached
-        else:
-            start = time.perf_counter()
-            with tracer().span(
-                "campaign.point", workload=workload.name, seed=seed
-            ):
-                trace = _memoized_trace(
-                    workload, config, seed, self.scale, point_key
-                )
-                profile = self.cache.get_profile(point_key)
-                if profile is None:
-                    with metrics().timer("phase.profile"):
-                        profile = analyze_trace(
-                            trace, workload=workload.name,
-                            parameters=dict(config),
-                        )
-                result = self._simulator.run(
-                    trace, workload=workload.name, parameters=dict(config)
-                )
-            elapsed = time.perf_counter() - start
-            metrics().inc("campaign.points.simulated")
-            # Simulated (deterministic) kernel time, not wall-clock:
-            # serial and --jobs N campaigns observe the exact same
-            # values, so the shipped histogram deltas merge to a
-            # bit-identical snapshot at any worker count.
-            metrics().observe(
-                "campaign.point.sim_time_s",
-                result.time_s,
-                {"workload": workload.name},
-            )
-            log.debug(
-                "point simulated",
-                extra={"ctx": {
-                    "workload": workload.name,
-                    "point": point_key,
-                    "seconds": round(elapsed, 3),
-                }},
-            )
-            self.doe_run_seconds[workload.name] = (
-                self.doe_run_seconds.get(workload.name, 0.0) + elapsed
-            )
-            self.cache.put(point_key, arch_key, profile, result)
-        return TrainingRow(
-            workload=workload.name,
-            parameters=dict(config),
-            profile=profile,
-            arch=self.arch,
-            result=result,
-        )
+        return self._run_points(workload, [(config, replicate)], 1)[0]
 
     # --------------------------------------------------------- campaigns
 
@@ -517,24 +416,7 @@ class SimulationCampaign:
             }},
         )
         start = time.perf_counter()
-        if batch_enabled(self.batch) and self.engine == "fast":
-            rows = self._run_points_batched(workload, points, jobs_n)
-        elif jobs_n > 1:
-            rows = self._run_points_parallel(workload, points, jobs_n)
-        else:
-            rows = []
-            for i, (config, replicate) in enumerate(points, 1):
-                rows.append(
-                    self.run_point(workload, config, replicate=replicate)
-                )
-                log.info(
-                    "campaign progress",
-                    extra={"ctx": {
-                        "workload": workload.name,
-                        "point": i,
-                        "of": len(points),
-                    }},
-                )
+        rows = self._run_points(workload, points, jobs_n)
         elapsed = time.perf_counter() - start
         self.wall_seconds[workload.name] = elapsed
         log.info(
@@ -555,7 +437,7 @@ class SimulationCampaign:
         """Point keys of all points + the (key, config, seed) not cached.
 
         Cache accounting (hits/misses, trace instants) happens here, once
-        per point — identical to the serial per-point path's lookups.
+        per point, whatever the worker count.
         """
         keys: list[str] = []
         pending: list[tuple[str, dict, int]] = []
@@ -603,65 +485,21 @@ class SimulationCampaign:
             ))
         return rows
 
-    def _run_points_parallel(
+    def _run_points(
         self,
         workload: Workload,
         points: Sequence[tuple[dict, int]],
         jobs_n: int,
     ) -> list[TrainingRow]:
-        """Simulate the uncached points in workers, merge in point order."""
-        arch_key = self._arch_key
-        keys, pending_points = self._pending_split(workload, points)
-        pending = [
-            (
-                point_key,
-                (workload, config, seed, self.arch, self.scale,
-                 self.engine),
-            )
-            for point_key, config, seed in pending_points
-        ]
-        m = metrics()
-        memo_before = {name: m.count(name) for name in MEMO_COUNTER_NAMES}
-        outputs = map_jobs(
-            _simulate_point_job,
-            [job for _, job in pending],
-            jobs_n=jobs_n,
-        )
-        self._merge_memo_deltas(outputs, memo_before)
-        # Merge in dispatch order so cache contents and timing tallies are
-        # independent of worker completion order.
-        for i, ((point_key, _), (profile, result, elapsed, _)) in enumerate(
-            zip(pending, outputs), 1
-        ):
-            self.cache.put(point_key, arch_key, profile, result)
-            self.doe_run_seconds[workload.name] = (
-                self.doe_run_seconds.get(workload.name, 0.0) + elapsed
-            )
-            log.info(
-                "campaign progress",
-                extra={"ctx": {
-                    "workload": workload.name,
-                    "point": i,
-                    "of": len(pending),
-                }},
-            )
-        return self._rows_from_cache(workload, points, keys)
-
-    def _run_points_batched(
-        self,
-        workload: Workload,
-        points: Sequence[tuple[dict, int]],
-        jobs_n: int,
-    ) -> list[TrainingRow]:
-        """Simulate the uncached points through the batching scheduler.
+        """Simulate the uncached points, then return every point's row.
 
         Pending points are split into (at most) ``jobs_n`` contiguous
-        chunks; each chunk's phase B replays in one batched kernel
-        invocation (:func:`repro.nmcsim.simulate_batch`).  When the
+        chunks, each simulated by :func:`_simulate_batch_job`, and merged
+        back into the cache in point order, so cache contents and timing
+        tallies are independent of worker completion order.  When the
         persistent memo store is configured, pool workers adopt the
         parent's store directory via the executor's ``worker_init``
         hook, so geometry work done by one worker is reused by all.
-        Results are bit-identical to per-point simulation.
         """
         keys, pending = self._pending_split(workload, points)
         if pending:

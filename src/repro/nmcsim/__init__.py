@@ -29,9 +29,7 @@ from .simulator import (
     ENGINES,
     MEMO_COUNTER_NAMES,
     NMCSimulator,
-    batch_enabled,
     jit_status,
-    memo_enabled,
     resolve_engine,
     simulate,
     simulate_batch,
@@ -51,8 +49,6 @@ __all__ = [
     "resolve_engine",
     "MEMO_COUNTER_NAMES",
     "jit_status",
-    "memo_enabled",
-    "batch_enabled",
     "simulate_batch",
     "simulation_batch_summary",
     "simulation_memo_bytes",

@@ -38,8 +38,7 @@ Two further levers sit on top of the fast engine:
   geometry, and the packed phase-B event arrays on the DRAM geometry and
   clock as well.  Each is cached on the trace's ``_memo`` side table
   under its own key, so DoE campaign points that share a slice skip the
-  corresponding work entirely (``sim.memo.*`` counters; disable with
-  ``REPRO_SIM_MEMO=0``).
+  corresponding work entirely (``sim.memo.*`` counters).
 * **compiled phase B** — the contention loop is one multi-point kernel
   (:mod:`repro.nmcsim._native`) that a single run and a batched
   campaign replay both call.  It is built with the system C compiler on
@@ -81,16 +80,9 @@ log = get_logger("repro.nmcsim")
 #: Environment variable selecting the simulation engine.
 ENGINE_ENV_VAR = "REPRO_SIM_ENGINE"
 
-#: Environment variable disabling the phase-A geometry memos ("0" = off).
-MEMO_ENV_VAR = "REPRO_SIM_MEMO"
-
 #: Environment variable capping each in-process memo kind's entry count
 #: (overrides the per-kind defaults in :data:`_MEMO_CAPS`).
 MEMO_CAP_ENV_VAR = "REPRO_SIM_MEMO_CAP"
-
-#: Environment variable disabling the campaign-level batched replay
-#: ("0" = per-point replay; anything else, or unset, = batched).
-BATCH_ENV_VAR = "REPRO_SIM_BATCH"
 
 #: Valid engine names; ``fast`` is the default.
 ENGINES = SIM_ENGINES
@@ -146,11 +138,6 @@ _MEMO_CAPS = {"streams": 2, "classify": 4, "events": 4}
 _MEMO_TRACES: "weakref.WeakSet[InstructionTrace]" = weakref.WeakSet()
 
 
-def memo_enabled() -> bool:
-    """Whether the phase-A geometry memos are active (default yes)."""
-    return os.environ.get(MEMO_ENV_VAR, "").strip() != "0"
-
-
 def _memo_cap(kind: str) -> int:
     """Entry cap of one memo kind (``$REPRO_SIM_MEMO_CAP`` override)."""
     raw = os.environ.get(MEMO_CAP_ENV_VAR, "").strip()
@@ -176,8 +163,6 @@ def _memo_lookup(trace: InstructionTrace, kind: str, key: tuple, build):
     object, so its lifetime is bounded by the campaign-level trace memo
     that already bounds trace lifetimes.
     """
-    if not memo_enabled():
-        return build()
     cap = _memo_cap(kind)
     _MEMO_TRACES.add(trace)
     memo: OrderedDict = trace._memo.setdefault(f"sim.{kind}", OrderedDict())
@@ -203,8 +188,6 @@ def _memo_touch(trace: InstructionTrace, kind: str, key: tuple) -> None:
     which looked all three up every run.  Entries absent because the
     product came from the persistent store are silently left absent.
     """
-    if not memo_enabled():
-        return
     memo = trace._memo.get(f"sim.{kind}")
     if memo is not None and key in memo:
         memo.move_to_end(key)
@@ -295,18 +278,6 @@ def simulation_batch_summary() -> dict:
         "points": points,
         "points_per_call": points / calls if calls else 0.0,
     }
-
-
-def batch_enabled(batch: bool | None = None) -> bool:
-    """Whether campaign-level batched replay is on (default yes).
-
-    An explicit argument wins; otherwise ``$REPRO_SIM_BATCH=0`` opts
-    out.  Batched and per-point replay are bit-identical — the switch
-    exists for A/B benchmarking and debugging, not correctness.
-    """
-    if batch is not None:
-        return bool(batch)
-    return os.environ.get(BATCH_ENV_VAR, "").strip() != "0"
 
 
 #: numpy lookup table: opcode value -> execute latency (cycles).
@@ -643,26 +614,6 @@ class NMCSimulator:
             }},
         )
         return result
-
-    def run_batch(
-        self,
-        items: Sequence[
-            tuple[InstructionTrace, str, Mapping[str, float] | None]
-        ],
-    ) -> list[SimulationResult]:
-        """Simulate many traces on this configuration, phase B batched.
-
-        ``items`` holds ``(trace, workload, parameters)`` tuples; see
-        :func:`simulate_batch` for the batching and equivalence
-        contract.
-        """
-        return simulate_batch(
-            [
-                (trace, self.config, workload, parameters)
-                for trace, workload, parameters in items
-            ],
-            engine=self.engine,
-        )
 
     # ----------------------------------------------------------- shared
 

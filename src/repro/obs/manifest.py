@@ -25,16 +25,17 @@ manifest (``--manifest PATH``) recording what ran and how it went:
 ``model``/``cache``/``workloads``/``n_points`` appear only when the
 command produced them; ``exit_code`` is always present (the manifest is
 written even when the run fails, so a batch driver can tell *which* phase
-died and after how long).  Writes are atomic (tmp file + ``os.replace``).
+died and after how long).  Writes are atomic
+(:func:`repro.store.atomic_write_text`).
 """
 
 from __future__ import annotations
 
 import json
-import os
 import time
 from pathlib import Path
 
+from ..store import atomic_write_text
 from .metrics import MetricsRegistry, metrics, phase_timings
 
 
@@ -114,15 +115,9 @@ class RunManifest:
 
     def write(self, path: str | Path) -> Path:
         """Atomically write the manifest JSON to ``path``."""
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_name(path.name + ".tmp")
-        tmp.write_text(
-            json.dumps(self.data, indent=2, default=str) + "\n",
-            encoding="utf-8",
+        return atomic_write_text(
+            path, json.dumps(self.data, indent=2, default=str) + "\n"
         )
-        os.replace(tmp, path)
-        return path
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "RunManifest":

@@ -47,6 +47,7 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from ..errors import TracingError
+from ..store import atomic_write_text
 
 #: Environment variable holding the trace output path (activates tracing).
 TRACE_ENV_VAR = "REPRO_TRACE"
@@ -411,13 +412,7 @@ class Tracer:
                 "no trace output path configured (pass one to write() or "
                 f"activate tracing with --trace / {TRACE_ENV_VAR})"
             )
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_name(path.name + ".tmp")
-        tmp.write_text(
-            json.dumps(self.to_json_dict()) + "\n", encoding="utf-8"
-        )
-        os.replace(tmp, path)
-        return path
+        return atomic_write_text(path, json.dumps(self.to_json_dict()) + "\n")
 
     def rotate(self, path: str | Path) -> Path:
         """Write the buffered events to ``path`` and clear the buffer.
@@ -446,12 +441,7 @@ class Tracer:
                 "hw_dropped": self.hw_dropped,
             },
         }
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_name(path.name + ".tmp")
-        tmp.write_text(json.dumps(doc) + "\n", encoding="utf-8")
-        os.replace(tmp, path)
-        return path
+        return atomic_write_text(path, json.dumps(doc) + "\n")
 
 
 class HardwareTimeline:

@@ -1,7 +1,8 @@
 """Batched campaign replay + the persistent phase-A memo store.
 
-Covers the bit-identity matrix (batched vs per-point across workloads,
-backends, job counts and phase-B kernels), the persistent store's corruption /
+Covers the bit-identity matrix (batched vs per-point simulation and the
+reference-engine campaign, across workloads, backends, job counts and
+phase-B kernels), the persistent store's corruption /
 version-skew tolerance, concurrent-writer safety, the in-process memo
 cap override, and benchmark-record placement.
 """
@@ -21,7 +22,6 @@ from repro.errors import ConfigError, SimulationError
 from repro.nmcsim import (
     MemoStore,
     NMCSimulator,
-    batch_enabled,
     configure_store,
     simulate_batch,
     simulation_batch_summary,
@@ -106,11 +106,11 @@ class TestBatchedBitIdentity:
     ):
         workload = get_workload("atax")
         baseline = SimulationCampaign(
-            scale=8.0, jobs=1, batch=False
+            scale=8.0, jobs=1, engine="reference"
         ).run(workload)
         expected = [canonical(row.result) for row in baseline.rows]
         batched = SimulationCampaign(
-            scale=8.0, jobs=jobs, batch=True,
+            scale=8.0, jobs=jobs, engine="fast",
             memo_dir=tmp_path / "store",
         ).run(workload)
         assert [canonical(row.result) for row in batched.rows] == expected
@@ -121,7 +121,7 @@ class TestBatchedBitIdentity:
     def test_campaign_batched_reuses_cache(self, tmp_path):
         workload = get_workload("atax")
         cache = CampaignCache()
-        campaign = SimulationCampaign(cache=cache, scale=8.0, batch=True)
+        campaign = SimulationCampaign(cache=cache, scale=8.0)
         first = campaign.run(workload)
         before = dict(campaign.doe_run_seconds)
         again = campaign.run(workload)
@@ -133,16 +133,6 @@ class TestBatchedBitIdentity:
 
 
 class TestBatchToggle:
-    def test_env_opt_out(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SIM_BATCH", raising=False)
-        assert batch_enabled() is True
-        monkeypatch.setenv("REPRO_SIM_BATCH", "0")
-        assert batch_enabled() is False
-        # The explicit argument beats the environment.
-        assert batch_enabled(True) is True
-        monkeypatch.delenv("REPRO_SIM_BATCH", raising=False)
-        assert batch_enabled(False) is False
-
     def test_batch_summary_counts(self):
         trace = small_trace("atax", scale=8.0)
         before = simulation_batch_summary()
@@ -250,10 +240,10 @@ class TestMemoStore:
         assert store_key(t1, ("a",)) != store_key(t2, ("a",))
 
     def test_shared_store_across_pool_workers(self, tmp_path):
-        """jobs=2 batched campaign against one store dir: consistent
+        """jobs=2 campaign against one store dir: consistent
         results, no write errors (concurrent-writer safety end to end)."""
         workload = get_workload("atax")
-        baseline = SimulationCampaign(scale=8.0, batch=False).run(workload)
+        baseline = SimulationCampaign(scale=8.0).run(workload)
         # The baseline warmed the in-process memos on the shared trace
         # objects; drop them so the batched run must go through the
         # store (fresh-process semantics).
@@ -268,7 +258,7 @@ class TestMemoStore:
                 del trace._memo[key]
         before = store_status()
         shared = SimulationCampaign(
-            scale=8.0, jobs=2, batch=True, memo_dir=tmp_path
+            scale=8.0, jobs=2, memo_dir=tmp_path
         ).run(workload)
         assert [canonical(r.result) for r in shared.rows] == [
             canonical(r.result) for r in baseline.rows

@@ -152,7 +152,19 @@ class TestCampaignCacheDisk:
         )
         cache.save()
         assert path.exists()
-        assert not list(tmp_path.glob("*.tmp"))  # temp file replaced away
+        assert not list(tmp_path.glob("*.tmp*"))  # temp file replaced away
+
+    def test_save_survives_stray_tmp_directory(self, tmp_path, atax):
+        # A fixed "<name>.tmp" scratch name would collide with this
+        # directory (and with a concurrent saver's scratch file).
+        path = tmp_path / "cache.json"
+        (tmp_path / "cache.json.tmp").mkdir()
+        cache = CampaignCache(path)
+        SimulationCampaign(cache=cache, scale=4.0).run_point(
+            atax, {"dimensions": 500, "threads": 4}
+        )
+        cache.save()
+        assert len(CampaignCache(path)) == 1
 
     @pytest.mark.parametrize(
         "content", ["", "{not json", '{"schema_hash": "HASH", "profiles": 7}']

@@ -398,11 +398,27 @@ def assert_rows_equal(got, expected):
 
 
 class TestCampaignEquivalence:
-    def test_fast_matches_reference_serial(self):
-        assert_rows_equal(run_campaign("fast", 1), run_campaign("reference", 1))
+    @pytest.mark.parametrize(
+        "engine,jobs", [("fast", 1), ("fast", 2), ("reference", 2)]
+    )
+    def test_matches_reference_serial(self, engine, jobs):
+        assert_rows_equal(
+            run_campaign(engine, jobs), run_campaign("reference", 1)
+        )
 
-    def test_fast_matches_reference_parallel(self):
-        assert_rows_equal(run_campaign("fast", 2), run_campaign("reference", 1))
+    @pytest.mark.parametrize("engine", ["fast", "reference"])
+    def test_run_point_matches_run_row(self, engine):
+        # run() and run_point() share one simulation path: a lone point
+        # reproduces its campaign row bit for bit.
+        atax = get_workload("atax")
+        rows = run_campaign(engine, 1).rows
+        for config, row in zip(ATAX_CONFIGS, rows):
+            single = SimulationCampaign(
+                scale=4.0, engine=engine
+            ).run_point(atax, config)
+            assert single.parameters == row.parameters
+            np.testing.assert_array_equal(single.features, row.features)
+            assert result_dict(single.result) == result_dict(row.result)
 
     def test_trace_reused_across_architectures(self):
         # Two campaigns over the same input points but different
@@ -458,20 +474,6 @@ class TestClassificationMemo:
     def test_parallel_memo_campaign_matches_serial(self):
         serial = run_campaign("fast", 1)
         assert_rows_equal(run_campaign("fast", 2), serial)
-
-    def test_memo_disabled_results_unchanged(self, monkeypatch):
-        trace = small_trace("bfs")
-        cfg = default_nmc_config()
-        baseline = NMCSimulator(cfg, engine="reference").run(trace)
-        monkeypatch.setenv("REPRO_SIM_MEMO", "0")
-        m = metrics()
-        before = {name: m.count(name) for name in
-                  ("sim.memo.classify.hits", "sim.memo.classify.misses")}
-        sim = NMCSimulator(cfg, engine="fast")
-        for _ in range(2):
-            assert result_dict(sim.run(trace)) == result_dict(baseline)
-        for name, count in before.items():
-            assert m.count(name) == count, name
 
 
 # ------------------------------------------------- compiled phase-B kernel
