@@ -40,10 +40,8 @@ from .config import (
     HostEnergyParams,
     NMCConfig,
     NMCEnergyParams,
-    RuntimeConfig,
     default_host_config,
     default_nmc_config,
-    default_runtime_config,
 )
 from .core import (
     CampaignCache,
@@ -76,10 +74,8 @@ __all__ = [
     "DRAMTiming",
     "NMCEnergyParams",
     "HostEnergyParams",
-    "RuntimeConfig",
     "default_nmc_config",
     "default_host_config",
-    "default_runtime_config",
     # workloads & analysis
     "get_workload",
     "all_workloads",

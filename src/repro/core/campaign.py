@@ -16,7 +16,6 @@ import functools
 import json
 import os
 import time
-import warnings
 from collections import OrderedDict
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -37,7 +36,7 @@ from ..obs import get_logger, metrics, tracer
 from ..parallel import map_jobs, resolve_jobs
 from ..profiler import ApplicationProfile, analyze_trace
 from ..schema import active_schema, canonical_hash
-from ..store import atomic_write_text
+from ..store import atomic_write_text, discard, lru_get_or_build
 from ..workloads import Workload
 from ..workloads.base import config_seed
 from .dataset import TrainingRow, TrainingSet
@@ -63,18 +62,17 @@ def _memoized_trace(
     point_key: str,
 ) -> InstructionTrace:
     """Generate (or reuse) the trace of one campaign point."""
-    key = (point_key, scale)
-    trace = _TRACE_MEMO.get(key)
-    if trace is not None:
-        _TRACE_MEMO.move_to_end(key)
+
+    def build() -> InstructionTrace:
+        with metrics().timer("phase.trace"):
+            return workload.generate(config, scale=scale, seed=seed)
+
+    trace, hit = lru_get_or_build(
+        _TRACE_MEMO, (point_key, scale), build, _TRACE_MEMO_CAPACITY
+    )
+    if hit:
         metrics().inc("campaign.trace_reuse")
         log.debug("trace reused", extra={"ctx": {"point": point_key}})
-        return trace
-    with metrics().timer("phase.trace"):
-        trace = workload.generate(config, scale=scale, seed=seed)
-    _TRACE_MEMO[key] = trace
-    while len(_TRACE_MEMO) > _TRACE_MEMO_CAPACITY:
-        _TRACE_MEMO.popitem(last=False)
     return trace
 
 
@@ -175,7 +173,7 @@ class CampaignCache:
         """Persist the cache atomically (no-op without a configured path).
 
         Written through :func:`repro.store.atomic_write_text`, so a
-        crash mid-write never leaves a truncated cache file behind and
+        failed or crashed write leaves the previous file intact and
         concurrent savers never collide on a temporary file.
         """
         if self.path is None:
@@ -194,35 +192,23 @@ class CampaignCache:
         atomic_write_text(self.path, json.dumps(data))
 
     def _load(self) -> None:
+        """Read the cache file; a stale or damaged one is discarded."""
         try:
             data = json.loads(self.path.read_text())
             stored_format = data.get("format")
             if stored_format != CACHE_FORMAT_VERSION:
-                warnings.warn(
-                    f"campaign cache {self.path} uses cache format "
-                    f"{stored_format!r}; this version writes format "
-                    f"{CACHE_FORMAT_VERSION} (arch keys are now canonical "
-                    "backend-aware hashes) — discarding the stale cache",
-                    RuntimeWarning,
-                    stacklevel=2,
+                raise ValueError(
+                    f"written in cache format {stored_format!r}, this "
+                    f"version writes format {CACHE_FORMAT_VERSION} (arch "
+                    "keys are canonical backend-aware hashes)"
                 )
-                self._profiles = {}
-                self._results = {}
-                return
             stored_hash = data.get("schema_hash")
             expected_hash = active_schema().content_hash
             if stored_hash != expected_hash:
-                warnings.warn(
-                    f"campaign cache {self.path} was written under a "
-                    f"different feature schema "
-                    f"({str(stored_hash)[:12]} vs {expected_hash[:12]}); "
-                    "discarding the stale cache",
-                    RuntimeWarning,
-                    stacklevel=2,
+                raise ValueError(
+                    f"written under a different feature schema "
+                    f"({str(stored_hash)[:12]} vs {expected_hash[:12]})"
                 )
-                self._profiles = {}
-                self._results = {}
-                return
             profiles = {
                 k: ApplicationProfile.from_json_dict(p)
                 for k, p in data.get("profiles", {}).items()
@@ -233,14 +219,10 @@ class CampaignCache:
                 for entry in data.get("results", [])
             }
         except (ValueError, KeyError, TypeError, AttributeError, OSError) as exc:
-            warnings.warn(
-                f"campaign cache {self.path} is corrupt or unreadable "
-                f"({exc!r}); starting with an empty cache",
-                RuntimeWarning,
-                stacklevel=2,
+            discard(
+                f"campaign cache {self.path} is stale, corrupt or "
+                f"unreadable ({exc!r}); starting with an empty cache"
             )
-            self._profiles = {}
-            self._results = {}
             return
         self._profiles = profiles
         self._results = results

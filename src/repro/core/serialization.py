@@ -28,6 +28,7 @@ import numpy as np
 
 from ..errors import MLError
 from ..schema import FeatureSchema, active_schema
+from ..store import replacing
 from .predictor import NapelModel
 
 _MAGIC = "napel-model"
@@ -35,7 +36,12 @@ _FORMAT_VERSION = 2
 
 
 def save_model(model: NapelModel, path: str | Path) -> None:
-    """Serialise a trained model (format v2: schema-embedding) to ``path``."""
+    """Serialise a trained model (format v2: schema-embedding) to ``path``.
+
+    Written through :func:`repro.store.replacing`: a failed save leaves
+    the previous artifact at ``path`` intact, so a serving process can
+    still reload it.
+    """
     if not isinstance(model, NapelModel):
         raise MLError(f"expected a NapelModel, got {type(model).__name__}")
     from .. import __version__
@@ -49,9 +55,7 @@ def save_model(model: NapelModel, path: str | Path) -> None:
         "schema_hash": schema.content_hash,
         "model": model,
     }
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("wb") as fh:
+    with replacing(path) as tmp, tmp.open("wb") as fh:
         pickle.dump(payload, fh)
 
 

@@ -17,18 +17,14 @@ from .classify import (
     classify_vectorized,
 )
 from .energy import EnergyBreakdown, compute_energy
-from .memostore import (
-    MemoStore,
-    active_store,
-    configure_store,
-    store_dir,
-    store_status,
-)
+from ..store import MemoStore
 from .results import SimulationResult
 from .simulator import (
     ENGINES,
     MEMO_COUNTER_NAMES,
     NMCSimulator,
+    active_store,
+    configure_store,
     jit_status,
     resolve_engine,
     simulate,
@@ -36,6 +32,8 @@ from .simulator import (
     simulation_batch_summary,
     simulation_memo_bytes,
     simulation_memo_summary,
+    store_dir,
+    store_status,
 )
 
 from .dram import StackedMemory, VaultStats

@@ -39,13 +39,13 @@ import os
 import shutil
 import subprocess
 import tempfile
-import warnings
 import weakref
 from typing import Callable, Sequence
 
 import numpy as np
 
 from ..obs import get_logger
+from ..store import discard, replacing
 
 log = get_logger("repro.nmcsim.native")
 
@@ -446,38 +446,33 @@ def _compile(compiler: str, so_path: str) -> None:
     """Build the shared object at ``so_path`` without racing other builds.
 
     Source and object are written to names unique to this build and the
-    finished object is moved into place with :func:`os.replace`, so
-    concurrent first builds (``--jobs N`` workers on a cold cache) never
-    see each other's half-written files; the last one in wins with
-    identical bytes.
+    object lands through :func:`repro.store.replacing`, so concurrent
+    first builds (``--jobs N`` workers on a cold cache) never see each
+    other's half-written files; the last one in wins with identical
+    bytes.
     """
     fd, src_path = tempfile.mkstemp(
         prefix=os.path.basename(so_path)[:-3] + "-",
         suffix=".c",
         dir=os.path.dirname(so_path),
     )
-    tmp_path = src_path[:-2] + ".so"
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(_C_SOURCE)
         # -ffp-contract=off: no FMA contraction, so the doubles match
         # CPython's float arithmetic operation for operation.
-        subprocess.run(
-            [
-                compiler, "-O2", "-fPIC", "-shared",
-                "-ffp-contract=off", "-o", tmp_path, src_path,
-            ],
-            check=True,
-            capture_output=True,
-            timeout=120,
-        )
-        os.replace(tmp_path, so_path)
+        with replacing(so_path) as tmp_path:
+            subprocess.run(
+                [
+                    compiler, "-O2", "-fPIC", "-shared",
+                    "-ffp-contract=off", "-o", str(tmp_path), src_path,
+                ],
+                check=True,
+                capture_output=True,
+                timeout=120,
+            )
     finally:
-        for path in (src_path, tmp_path):
-            try:
-                os.remove(path)
-            except FileNotFoundError:
-                pass
+        os.remove(src_path)
 
 
 def _load_cc_lib() -> ctypes.CDLL | None:
@@ -500,16 +495,10 @@ def _load_cc_lib() -> ctypes.CDLL | None:
         try:
             return ctypes.CDLL(so_path)
         except OSError as exc:
-            warnings.warn(
+            discard(
                 f"cached C kernel {so_path} failed to load ({exc}); "
-                "deleting and rebuilding it",
-                RuntimeWarning,
-                stacklevel=2,
+                "discarding and rebuilding it"
             )
-            try:
-                os.remove(so_path)
-            except FileNotFoundError:
-                pass
             _compile(compiler, so_path)
             return ctypes.CDLL(so_path)
     except (OSError, subprocess.SubprocessError) as exc:

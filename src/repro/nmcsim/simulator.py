@@ -53,10 +53,10 @@ on.
 
 from __future__ import annotations
 
+import hashlib
 import heapq
 import os
 import time
-import warnings
 import weakref
 from collections import OrderedDict
 from typing import Mapping, Sequence
@@ -72,17 +72,13 @@ from .cache import Cache, CacheStats
 from .classify import classify_lru
 from .dram import StackedMemory
 from .energy import compute_energy
-from .memostore import active_store, store_key, store_status
+from ..store import FORMAT_VERSION, MemoStore, discard, lru_get_or_build
 from .results import SimulationResult
 
 log = get_logger("repro.nmcsim")
 
 #: Environment variable selecting the simulation engine.
 ENGINE_ENV_VAR = "REPRO_SIM_ENGINE"
-
-#: Environment variable capping each in-process memo kind's entry count
-#: (overrides the per-kind defaults in :data:`_MEMO_CAPS`).
-MEMO_CAP_ENV_VAR = "REPRO_SIM_MEMO_CAP"
 
 #: Valid engine names; ``fast`` is the default.
 ENGINES = SIM_ENGINES
@@ -129,7 +125,6 @@ MEMO_COUNTER_NAMES = tuple(
 #: Per-trace LRU capacity of each memo kind.  Streams only vary with the
 #: coarse PE slice (few distinct values per campaign); classification and
 #: event bundles track swept geometries, so they keep a few more entries.
-#: ``$REPRO_SIM_MEMO_CAP`` overrides all three with one entry count.
 _MEMO_CAPS = {"streams": 2, "classify": 4, "events": 4}
 
 #: Traces carrying live memo side tables, tracked weakly so
@@ -138,44 +133,18 @@ _MEMO_CAPS = {"streams": 2, "classify": 4, "events": 4}
 _MEMO_TRACES: "weakref.WeakSet[InstructionTrace]" = weakref.WeakSet()
 
 
-def _memo_cap(kind: str) -> int:
-    """Entry cap of one memo kind (``$REPRO_SIM_MEMO_CAP`` override)."""
-    raw = os.environ.get(MEMO_CAP_ENV_VAR, "").strip()
-    if not raw:
-        return _MEMO_CAPS[kind]
-    try:
-        cap = int(raw)
-    except ValueError:
-        cap = 0
-    if cap < 1:
-        raise ConfigError(
-            f"{MEMO_CAP_ENV_VAR} must be a positive integer, got {raw!r}"
-        )
-    return cap
-
-
 def _memo_lookup(trace: InstructionTrace, kind: str, key: tuple, build):
     """Geometry-keyed lookup in the trace's ``_memo`` side table.
 
-    Each kind gets its own small LRU (:data:`_MEMO_CAPS`, overridable
-    with ``$REPRO_SIM_MEMO_CAP``); hits and misses are counted as
-    ``sim.memo.<kind>.<hits|misses>``.  The memo lives on the trace
-    object, so its lifetime is bounded by the campaign-level trace memo
-    that already bounds trace lifetimes.
+    Each kind gets its own small LRU (:data:`_MEMO_CAPS`); hits and
+    misses are counted as ``sim.memo.<kind>.<hits|misses>``.  The memo
+    lives on the trace object, so its lifetime is bounded by the
+    campaign-level trace memo that already bounds trace lifetimes.
     """
-    cap = _memo_cap(kind)
     _MEMO_TRACES.add(trace)
     memo: OrderedDict = trace._memo.setdefault(f"sim.{kind}", OrderedDict())
-    value = memo.get(key)
-    if value is not None:
-        memo.move_to_end(key)
-        metrics().inc(f"sim.memo.{kind}.hits")
-        return value
-    value = build()
-    memo[key] = value
-    metrics().inc(f"sim.memo.{kind}.misses")
-    while len(memo) > cap:
-        memo.popitem(last=False)
+    value, hit = lru_get_or_build(memo, key, build, _MEMO_CAPS[kind])
+    metrics().inc(f"sim.memo.{kind}.{'hits' if hit else 'misses'}")
     return value
 
 
@@ -192,6 +161,73 @@ def _memo_touch(trace: InstructionTrace, kind: str, key: tuple) -> None:
     if memo is not None and key in memo:
         memo.move_to_end(key)
         metrics().inc(f"sim.memo.{kind}.hits")
+
+
+# ------------------------------------------------- persistent memo store
+#
+# The in-process memos die with the process: every ``--jobs N`` worker,
+# and every fresh campaign process, would recompute the phase-A products
+# its siblings already built.  The final phase-A product (packed event
+# bundle plus aggregate cache statistics) is therefore also persisted as
+# one :class:`~repro.store.MemoStore` entry per (trace contents,
+# architecture slice) under a shared directory, off by default.
+
+#: Environment variable pointing at the shared store directory.
+STORE_ENV_VAR = "REPRO_SIM_MEMO_DIR"
+
+#: Programmatic override of the store directory (wins over the env var).
+#: ``""`` means "explicitly disabled"; None means "not configured here".
+_OVERRIDE_DIR: str | None = None
+
+
+def store_key(trace: InstructionTrace, slice_key: tuple) -> str:
+    """Entry key of one (trace, architecture-slice) phase-A product.
+
+    A SHA-256 over the store format version, the trace's full column
+    contents (:meth:`~repro.ir.InstructionTrace.content_hash`) and the
+    events-memo key tuple (every architecture field phase A reads), so a
+    changed trace, geometry or layout never aliases a stale entry.
+    """
+    payload = f"{FORMAT_VERSION}|{trace.content_hash()}|{slice_key!r}"
+    return hashlib.sha256(payload.encode()).hexdigest()
+
+
+def configure_store(path: str | os.PathLike | None) -> None:
+    """Set (or clear, with None) the process-wide store directory.
+
+    Overrides ``$REPRO_SIM_MEMO_DIR``.  Picklable entry point for pool
+    ``worker_init`` hooks: the campaign ships
+    ``functools.partial(configure_store, dir)`` so workers join the
+    parent's store even under a spawn start method.
+    """
+    global _OVERRIDE_DIR
+    _OVERRIDE_DIR = os.fspath(path) if path is not None else None
+
+
+def store_dir() -> str | None:
+    """The effective store directory, or None when the store is off."""
+    if _OVERRIDE_DIR is not None:
+        return _OVERRIDE_DIR or None
+    env = os.environ.get(STORE_ENV_VAR, "").strip()
+    return env or None
+
+
+def active_store() -> MemoStore | None:
+    """The configured :class:`~repro.store.MemoStore`, or None when off."""
+    root = store_dir()
+    return MemoStore(root) if root is not None else None
+
+
+def store_status() -> dict:
+    """Store counters + configuration for manifests and bench records."""
+    m = metrics()
+    return {
+        "dir": store_dir(),
+        "hits": m.count("sim.memo.store.hits"),
+        "misses": m.count("sim.memo.store.misses"),
+        "writes": m.count("sim.memo.store.writes"),
+        "errors": m.count("sim.memo.store.errors"),
+    }
 
 
 def _approx_nbytes(obj, _depth: int = 0) -> int:
@@ -561,13 +597,11 @@ def _decode_phase_a(data: Mapping[str, np.ndarray]) -> _PhaseA | None:
             int(meta[0]),
         )
     except (KeyError, ValueError, IndexError, TypeError) as exc:
-        warnings.warn(
+        discard(
             f"sim memo store entry decoded to an invalid phase-A product "
             f"({exc!r}); recomputing",
-            RuntimeWarning,
-            stacklevel=2,
+            counter="sim.memo.store.errors",
         )
-        metrics().inc("sim.memo.store.errors")
         return None
 
 

@@ -35,7 +35,8 @@ import json
 import time
 from pathlib import Path
 
-from ..store import atomic_write_text
+# A module import, not a name import: repro.store imports repro.obs.
+from .. import store
 from .metrics import MetricsRegistry, metrics, phase_timings
 
 
@@ -115,7 +116,7 @@ class RunManifest:
 
     def write(self, path: str | Path) -> Path:
         """Atomically write the manifest JSON to ``path``."""
-        return atomic_write_text(
+        return store.atomic_write_text(
             path, json.dumps(self.data, indent=2, default=str) + "\n"
         )
 

@@ -47,7 +47,8 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from ..errors import TracingError
-from ..store import atomic_write_text
+# A module import, not a name import: repro.store imports repro.obs.
+from .. import store
 
 #: Environment variable holding the trace output path (activates tracing).
 TRACE_ENV_VAR = "REPRO_TRACE"
@@ -412,7 +413,7 @@ class Tracer:
                 "no trace output path configured (pass one to write() or "
                 f"activate tracing with --trace / {TRACE_ENV_VAR})"
             )
-        return atomic_write_text(path, json.dumps(self.to_json_dict()) + "\n")
+        return store.atomic_write_text(path, json.dumps(self.to_json_dict()) + "\n")
 
     def rotate(self, path: str | Path) -> Path:
         """Write the buffered events to ``path`` and clear the buffer.
@@ -441,7 +442,7 @@ class Tracer:
                 "hw_dropped": self.hw_dropped,
             },
         }
-        return atomic_write_text(path, json.dumps(doc) + "\n")
+        return store.atomic_write_text(path, json.dumps(doc) + "\n")
 
 
 class HardwareTimeline:

@@ -4,7 +4,7 @@ Covers the bit-identity matrix (batched vs per-point simulation and the
 reference-engine campaign, across workloads, backends, job counts and
 phase-B kernels), the persistent store's corruption /
 version-skew tolerance, concurrent-writer safety, the in-process memo
-cap override, and benchmark-record placement.
+caps, and benchmark-record placement.
 """
 
 from __future__ import annotations
@@ -18,9 +18,8 @@ import pytest
 
 from repro.config import NMCConfig, default_nmc_config
 from repro.core.campaign import CampaignCache, SimulationCampaign
-from repro.errors import ConfigError, SimulationError
+from repro.errors import SimulationError
 from repro.nmcsim import (
-    MemoStore,
     NMCSimulator,
     configure_store,
     simulate_batch,
@@ -30,9 +29,11 @@ from repro.nmcsim import (
     store_dir,
     store_status,
 )
-from repro.nmcsim import memostore as memostore_mod
-from repro.nmcsim.memostore import store_key
+from repro import store as store_mod
+from repro.nmcsim import simulator as simulator_mod
+from repro.nmcsim.simulator import store_key
 from repro.obs import metrics
+from repro.store import MemoStore
 from repro.workloads import get_workload
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -190,7 +191,7 @@ class TestMemoStore:
     def test_version_skew_discarded(self, tmp_path, monkeypatch):
         store = MemoStore(tmp_path)
         payload = {"x": np.arange(4, dtype=np.int64)}
-        monkeypatch.setattr(memostore_mod, "FORMAT_VERSION", 99)
+        monkeypatch.setattr(store_mod, "FORMAT_VERSION", 99)
         store.put("aa00", payload)
         monkeypatch.undo()
         with pytest.warns(RuntimeWarning, match="version-skewed|corrupt"):
@@ -275,7 +276,8 @@ class TestMemoStore:
 
 class TestMemoBounds:
     def test_memo_cap_env_bounds_side_tables(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SIM_MEMO_CAP", "1")
+        for kind in ("streams", "classify", "events"):
+            monkeypatch.setitem(simulator_mod._MEMO_CAPS, kind, 1)
         trace = small_trace("atax", scale=8.0)
         for cfg in arch_variants()[:3]:
             NMCSimulator(cfg, engine="fast").run(
@@ -284,12 +286,6 @@ class TestMemoBounds:
         for kind in ("streams", "classify", "events"):
             memo = trace._memo.get(f"sim.{kind}")
             assert memo is not None and len(memo) == 1, kind
-
-    @pytest.mark.parametrize("raw", ["abc", "0", "-3"])
-    def test_bad_memo_cap_fails_loud(self, monkeypatch, raw):
-        monkeypatch.setenv("REPRO_SIM_MEMO_CAP", raw)
-        with pytest.raises(ConfigError, match="REPRO_SIM_MEMO_CAP"):
-            NMCSimulator(engine="fast").run(small_trace("atax", scale=8.0))
 
     def test_memo_bytes_reported(self):
         trace = small_trace("atax", scale=8.0)
