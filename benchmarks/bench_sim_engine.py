@@ -61,6 +61,11 @@ def _timer_total(name):
     return timer.get("total_s", 0.0)
 
 
+def _hist_sum(name):
+    hist = metrics().snapshot()["histograms"].get(name, {})
+    return hist.get("sum", 0.0)
+
+
 def _best_of(simulator, trace, name, reps, *, phases=False):
     """Best-of-reps wall time (+ the best run's phase split, if asked)."""
     best = float("inf")
@@ -69,7 +74,7 @@ def _best_of(simulator, trace, name, reps, *, phases=False):
     for _ in range(reps):
         if phases:
             classify0 = _timer_total("phase.simulate.classify")
-            contend0 = _timer_total("phase.simulate.contend")
+            contend0 = _hist_sum("sim.batch.contend_s")
         start = time.perf_counter()
         result = simulator.run(trace, workload=name, parameters={})
         elapsed = time.perf_counter() - start
@@ -80,7 +85,7 @@ def _best_of(simulator, trace, name, reps, *, phases=False):
                     "classify_s":
                         _timer_total("phase.simulate.classify") - classify0,
                     "contend_s":
-                        _timer_total("phase.simulate.contend") - contend0,
+                        _hist_sum("sim.batch.contend_s") - contend0,
                 }
     return best, result, best_phases
 

@@ -72,13 +72,9 @@ class DRAMTiming:
         With a closed-row policy every access activates the row, performs the
         column access and transfers the burst; the precharge is overlapped
         with the data return and only constrains back-to-back accesses to the
-        same bank (see :class:`repro.nmcsim.dram.bank.Bank`).
+        same bank (see :meth:`repro.nmcsim.dram.StackedMemory.access`).
         """
         return self.t_rcd_ns + self.t_cl_ns + self.t_bl_ns
-
-    def bank_occupancy_ns(self) -> float:
-        """Time a bank stays busy per closed-row access (ACT..PRE done)."""
-        return max(self.t_ras_ns, self.t_rcd_ns + self.t_cl_ns) + self.t_rp_ns
 
     def validate(self) -> None:
         for f in dataclasses.fields(self):

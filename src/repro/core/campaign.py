@@ -25,7 +25,6 @@ from ..doe import ParameterSpace, central_composite
 from ..errors import CampaignError
 from ..ir import InstructionTrace
 from ..nmcsim import (
-    MEMO_COUNTER_NAMES,
     SimulationResult,
     configure_store,
     resolve_engine,
@@ -233,7 +232,7 @@ class CampaignCache:
 
 def _simulate_batch_job(
     job: tuple[Workload, list, NMCConfig, float, str, dict],
-) -> tuple[list, list, float, dict[str, int]]:
+) -> tuple[list, list, float]:
     """Simulate one contiguous chunk of campaign points (picklable).
 
     The only code that simulates campaign points: :meth:`run`,
@@ -245,13 +244,11 @@ def _simulate_batch_job(
     point's phase B in one kernel invocation while each point keeps its
     own ``campaign.point`` and ``phase.simulate`` spans.  The output is
     a pure function of the payload, so results are identical at any
-    worker count; the returned mapping carries the chunk's
-    ``sim.memo.*`` counter deltas for the parent's metrics registry.
+    worker count.
     """
     workload, chunk, arch, scale, engine, known_profiles = job
     start = time.perf_counter()
     m = metrics()
-    memo_before = {name: m.count(name) for name in MEMO_COUNTER_NAMES}
     profiles: list[ApplicationProfile] = []
     sim_points: list[tuple[InstructionTrace, NMCConfig, str, dict]] = []
     for point_key, config, seed in chunk:
@@ -281,11 +278,7 @@ def _simulate_batch_job(
             result.time_s,
             {"workload": workload.name},
         )
-    memo_deltas = {
-        name: m.count(name) - memo_before[name]
-        for name in MEMO_COUNTER_NAMES
-    }
-    return profiles, results, time.perf_counter() - start, memo_deltas
+    return profiles, results, time.perf_counter() - start
 
 
 class SimulationCampaign:
@@ -431,20 +424,6 @@ class SimulationCampaign:
                 pending.append((point_key, config, seed))
         return keys, pending
 
-    def _merge_memo_deltas(
-        self, outputs: Sequence[tuple], memo_before: Mapping[str, int]
-    ) -> None:
-        """Fold worker-side sim-memo counter activity into this process's
-        registry.  map_jobs may have run the jobs in-process (serial
-        fallback), in which case the counters already moved here — only
-        the part not observed locally is added."""
-        m = metrics()
-        for name in MEMO_COUNTER_NAMES:
-            reported = sum(deltas.get(name, 0) for *_, deltas in outputs)
-            missing = reported - (m.count(name) - memo_before[name])
-            if missing > 0:
-                m.inc(name, missing)
-
     def _rows_from_cache(
         self,
         workload: Workload,
@@ -509,10 +488,6 @@ class SimulationCampaign:
                 )
                 for chunk in chunks
             ]
-            m = metrics()
-            memo_before = {
-                name: m.count(name) for name in MEMO_COUNTER_NAMES
-            }
             sdir = store_dir()
             outputs = map_jobs(
                 _simulate_batch_job,
@@ -524,9 +499,8 @@ class SimulationCampaign:
                     if sdir is not None else None
                 ),
             )
-            self._merge_memo_deltas(outputs, memo_before)
             done = 0
-            for chunk, (profiles, results, elapsed, _) in zip(
+            for chunk, (profiles, results, elapsed) in zip(
                 chunks, outputs
             ):
                 for (point_key, _cfg, _seed), profile, result in zip(

@@ -112,19 +112,14 @@ def explore(
     points = []
     base_fields = default_nmc_config()
     for arch, ipc_pe, epi_v in zip(archs, ipc_per_pe, epi):
-        pes = min(max(1, profile.thread_count), arch.n_pes)
-        ipc = float(ipc_pe) * pes
-        freq_hz = arch.frequency_ghz * 1e9
-        time_s = profile.instruction_count / (ipc * freq_hz)
-        prediction = NapelPrediction(
+        prediction = model.derive_prediction(
             workload=profile.workload,
-            ipc=ipc,
-            ipc_per_pe=float(ipc_pe),
-            energy_per_instruction_j=float(epi_v),
             instructions=profile.instruction_count,
-            pes_used=pes,
-            time_s=time_s,
-            energy_j=float(epi_v) * profile.instruction_count,
+            threads=profile.thread_count,
+            n_pes=arch.n_pes,
+            frequency_ghz=arch.frequency_ghz,
+            ipc_per_pe=ipc_pe,
+            energy_per_instruction_j=epi_v,
         )
         changes = {
             name: getattr(arch, name)

@@ -392,10 +392,10 @@ class NapelModel:
     ) -> NapelPrediction:
         """The paper's derived quantities for one predicted label pair.
 
-        The single place the time/energy formulas are evaluated: both
-        :meth:`predict_many` and the prediction server go through it, so
-        a served prediction is bit-identical to a CLI one for the same
-        inputs.
+        The single place the time/energy formulas are evaluated:
+        :meth:`predict_many`, :func:`repro.core.dse.explore` and the
+        prediction server all go through it, so a served or explored
+        prediction is bit-identical to a CLI one for the same inputs.
         """
         pes = min(max(1, int(threads)), int(n_pes))
         ipc = float(ipc_per_pe) * pes

@@ -21,7 +21,6 @@ from ..store import MemoStore
 from .results import SimulationResult
 from .simulator import (
     ENGINES,
-    MEMO_COUNTER_NAMES,
     NMCSimulator,
     active_store,
     configure_store,
@@ -45,7 +44,6 @@ __all__ = [
     "simulate",
     "ENGINES",
     "resolve_engine",
-    "MEMO_COUNTER_NAMES",
     "jit_status",
     "simulate_batch",
     "simulation_batch_summary",

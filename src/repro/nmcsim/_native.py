@@ -1,10 +1,10 @@
 """The fast engine's phase-B contention kernel: one multi-point loop.
 
 Phase B of the fast engine (:mod:`repro.nmcsim.simulator`) replays the
-miss/writeback event stream in global time order.  Every caller —
-a single :meth:`~repro.nmcsim.NMCSimulator.run` (a batch of one) and
-:func:`~repro.nmcsim.simulate_batch` — hands this module one packed
-event bundle per design point (flat per-stream event columns, see
+miss/writeback event stream in global time order.  Its one caller,
+:func:`~repro.nmcsim.simulate_batch` (a single
+:meth:`~repro.nmcsim.NMCSimulator.run` is a batch of one), hands this
+module one packed event bundle per design point (flat per-stream event columns, see
 :data:`COLUMNS`) and gets every packed stream's finish time back from
 one kernel call.  The compiled kernel reads the bundles' arrays in
 place; nothing is concatenated or copied per call.

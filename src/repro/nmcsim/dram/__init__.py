@@ -1,7 +1,5 @@
 """3D-stacked DRAM model: vaults, banks, closed-row timing."""
 
-from .bank import Bank
 from .hmc import StackedMemory, VaultStats
-from .vault import Vault
 
-__all__ = ["Bank", "Vault", "StackedMemory", "VaultStats"]
+__all__ = ["StackedMemory", "VaultStats"]

@@ -1,9 +1,24 @@
-"""The stacked-memory cube: address mapping and vault dispatch.
+"""The stacked-memory cube: address mapping, vaults and banks.
 
 Address interleaving follows the HMC convention: consecutive
 row-buffer-sized blocks (256 B) rotate across vaults, then across banks
 within the vault.  This spreads streaming accesses over all vaults and
 banks, which is what gives 3D-stacked memory its internal bandwidth.
+
+Each bank runs a closed-page-with-timeout policy: every access activates
+the row, performs the column access and transfers the burst, and the
+controller keeps the row open for a short linger window
+(``row_linger_ns``).  Within the window an access to the *same* row is a
+row-buffer hit (CAS + burst only) and one to a *different* row first
+precharges the open row (explicit ``tRP``).  Once the window expires the
+controller auto-precharges in the background, so a later access pays
+only the activation; ``row_linger_ns = 0`` is a strict closed-row
+policy.
+
+Each vault has an FCFS controller and one TSV data bus that serialises
+the bursts of its banks' concurrent accesses.  Requests are served in
+arrival order, which the event-driven simulator guarantees by
+construction.
 """
 
 from __future__ import annotations
@@ -38,13 +53,11 @@ class StackedMemory:
     one ``vault.access`` slice per DRAM access — the vault-occupancy lanes
     of the simulated-hardware trace.
 
-    :meth:`access` sits on the hot path of both simulation engines (it is
-    called once per L1 miss and writeback), so the per-bank and per-vault
-    timing state is kept in flat lists rather than :class:`Bank` /
-    :class:`Vault` object graphs — semantics (and the exact
-    floating-point expressions, see :mod:`repro.nmcsim.simulator`) are
-    those of the reference classes, which remain the readable model and
-    keep their own unit tests.
+    :meth:`access` is the reference engine's DRAM model (called once per
+    L1 miss and writeback); the fast engine's phase-B kernels
+    (:mod:`repro.nmcsim._native`) replay the same expressions over the
+    hoisted timing constants.  Per-bank and per-vault timing state is
+    kept in flat lists on the hot path.
     """
 
     def __init__(self, config: NMCConfig, timeline=None) -> None:
@@ -64,9 +77,8 @@ class StackedMemory:
         self._bank_ready = [0.0] * (n_vaults * banks)
         self._bank_row = [-1] * (n_vaults * banks)
         self._bank_until = [-1.0] * (n_vaults * banks)
-        # Timing constants hoisted out of the per-access path.  The sums
-        # are the same floats Bank.access computes per call (deterministic
-        # expressions of the same operands in the same order).
+        # Timing constants hoisted out of the per-access path; the
+        # phase-B kernels read the same floats.
         self._t_cl = timing.t_cl_ns
         self._t_bl = timing.t_bl_ns
         self._t_rp = timing.t_rp_ns
@@ -81,28 +93,19 @@ class StackedMemory:
         # on the hot path, so symmetric devices take no extra float ops.
         self._wr_extra = timing.t_wr_extra_ns
 
-    def route(self, addr: int) -> tuple[int, int, int]:
-        """Map a byte address to (vault index, bank index, row id).
-
-        The block id (row-buffer-sized, 256 B) is hashed with a Fibonacci
-        multiplicative hash before interleaving, so power-of-two strides do
-        not camp on a single vault or bank.  Lines within the same block
-        share a row (the row id), enabling row-buffer hits for streaming.
-        """
-        block = addr >> self._block_shift
-        folded = (block * 0x9E3779B97F4A7C15 >> 17) & 0xFFFFFFFF
-        vault = folded % self.config.n_vaults
-        bank = (folded // self.config.n_vaults) % self.config.banks_per_vault
-        return vault, bank, block
-
     def route_array(
         self, addrs: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Vectorized :meth:`route`: (vault, bank, block) int64 arrays.
+        """Map byte addresses to (vault, bank, block) int64 arrays.
 
-        ``addrs`` must be non-negative byte addresses.  The hash product
-        is taken mod 2**64 (uint64 wrap-around); :meth:`route` keeps only
-        bits 17..48 of the exact product, so the results are identical.
+        The block id (row-buffer-sized, 256 B) is hashed with a Fibonacci
+        multiplicative hash before interleaving, so power-of-two strides
+        do not camp on a single vault or bank.  Lines within the same
+        block share a row (the block id), enabling row-buffer hits for
+        streaming.  ``addrs`` must be non-negative byte addresses.  The
+        hash product is taken mod 2**64 (uint64 wrap-around);
+        :meth:`access` keeps only bits 17..48 of the exact product, so
+        the two mappings agree.
         """
         block = addrs.astype(np.uint64) >> np.uint64(self._block_shift)
         folded = (
@@ -146,9 +149,8 @@ class StackedMemory:
 
         The logic-layer interconnect hop to the vault and back is added
         here (PEs and vault controllers share the logic layer).  The body
-        is :meth:`route` + :meth:`Vault.access` + :meth:`Bank.access`
-        fused into one frame; every expression involving runtime state
-        keeps the reference association order, so results are identical.
+        fuses routing (the :meth:`route_array` hash), the bank's
+        row-buffer timing and the vault bus into one frame.
 
         ``is_writeback`` marks a posted dirty-line writeback — the only
         access class that actually *writes* the array under
@@ -170,7 +172,7 @@ class StackedMemory:
         hop = self._hop
         now = now_ns + hop
         self._vault_accesses[vault] += 1
-        # --- bank timing (Bank.access semantics) ---
+        # --- bank timing (closed-page-with-timeout) ---
         bi = vault * banks + bank
         ready = self._bank_ready[bi]
         start = now if now > ready else ready
@@ -193,7 +195,7 @@ class StackedMemory:
         # The linger window follows the bank-level data time, before the
         # burst is (possibly) delayed by the vault bus below.
         self._bank_until[bi] = data_at + self._linger
-        # --- vault TSV bus (Vault.access semantics) ---
+        # --- vault TSV bus ---
         bus_ready = self._bus_ready[vault]
         if data_at - self._t_bl < bus_ready:
             data_at = bus_ready + self._t_bl

@@ -40,11 +40,11 @@ Two further levers sit on top of the fast engine:
   under its own key, so DoE campaign points that share a slice skip the
   corresponding work entirely (``sim.memo.*`` counters).
 * **compiled phase B** — the contention loop is one multi-point kernel
-  (:mod:`repro.nmcsim._native`) that a single run and a batched
-  campaign replay both call.  It is built with the system C compiler on
-  first use whenever one is found (cached under
-  ``$REPRO_SIM_JIT_CACHE``) and falls back to a pure-Python loop
-  otherwise; the two are byte-identical.
+  (:mod:`repro.nmcsim._native`), invoked once per
+  :func:`simulate_batch` call (a single run is a batch of one).  It
+  is built with the system C compiler on first use whenever one is
+  found (cached under ``$REPRO_SIM_JIT_CACHE``) and falls back to a
+  pure-Python loop otherwise; the two are byte-identical.
 
 The simulator returns IPC (total instructions / makespan cycles),
 execution time and the full energy breakdown — the labels NAPEL trains
@@ -108,19 +108,6 @@ def jit_status() -> dict:
 # --------------------------------------------------------------- memos
 
 _MEMO_KINDS = ("streams", "classify", "events")
-
-#: ``repro.obs`` counter names fed by the phase-A memo layers — the
-#: in-process geometry memos plus the persistent cross-process store
-#: (exported so the campaign runner can aggregate worker deltas into
-#: manifests).
-MEMO_COUNTER_NAMES = tuple(
-    f"sim.memo.{kind}.{outcome}"
-    for kind in _MEMO_KINDS
-    for outcome in ("hits", "misses")
-) + tuple(
-    f"sim.memo.store.{outcome}"
-    for outcome in ("hits", "misses", "writes", "errors")
-)
 
 #: Per-trace LRU capacity of each memo kind.  Streams only vary with the
 #: coarse PE slice (few distinct values per campaign); classification and
@@ -631,12 +618,14 @@ class NMCSimulator:
         workload: str = "",
         parameters: Mapping[str, float] | None = None,
     ) -> SimulationResult:
-        """Simulate one trace; returns IPC, time and energy."""
-        if len(trace) == 0:
-            raise SimulationError("cannot simulate an empty trace")
-        with metrics().timer("phase.simulate") as span:
-            result = self._run(trace, workload=workload, parameters=parameters)
-        metrics().inc("nmcsim.runs")
+        """Simulate one trace; returns IPC, time and energy.
+
+        A batch of one through :func:`simulate_batch`.
+        """
+        start = time.perf_counter()
+        (result,) = simulate_batch(
+            [(trace, self.config, workload, parameters)], engine=self.engine
+        )
         log.debug(
             "simulation done",
             extra={"ctx": {
@@ -644,7 +633,7 @@ class NMCSimulator:
                 "engine": self.engine,
                 "instructions": result.instructions,
                 "cycles": result.cycles,
-                "seconds": round(span.elapsed_s or 0.0, 3),
+                "seconds": round(time.perf_counter() - start, 3),
             }},
         )
         return result
@@ -694,43 +683,22 @@ class NMCSimulator:
         # Fresh per-run wrappers around the shared (immutable) columns.
         return [_PEStream(*d) for d in digests]
 
-    def _run(
+    def _run_reference(
         self,
         trace: InstructionTrace,
-        *,
-        workload: str = "",
-        parameters: Mapping[str, float] | None = None,
+        workload: str,
+        parameters: Mapping[str, float] | None,
     ) -> SimulationResult:
-        # Opt-in simulated-hardware timeline (None unless REPRO_TRACE_HW
-        # is set): per-PE busy/stall slices, vault occupancy and cache
-        # counter tracks, all on the simulated nanosecond clock.  The
-        # timeline needs one event per access, which is exactly what the
-        # fast engine elides — so hardware-traced runs always take the
-        # reference path (results are identical either way).
+        """One whole run on the per-access reference engine.
+
+        Also the path of hardware-traced runs: the opt-in
+        simulated-hardware timeline (None unless ``REPRO_TRACE_HW`` is
+        set) records per-PE busy/stall slices, vault occupancy and cache
+        counter tracks on the simulated nanosecond clock, which needs
+        one event per access — exactly what the fast engine elides.
+        """
         hw = tracer().hw_timeline()
-        engine = self.engine
-        if hw is not None and engine == "fast":
-            engine = "reference"
         memory = StackedMemory(self.config, timeline=hw)
-
-        if engine == "fast":
-            product = self._phase_a(trace, memory)
-            bundle = product.bundle
-            memory.add_counts(
-                reads=bundle.n_reads,
-                writes=bundle.n_writes,
-                vault_counts=bundle.vault_counts,
-            )
-            packed_finish = None
-            if bundle.n_packed:
-                with metrics().timer("phase.simulate.contend"):
-                    (packed_finish,) = _contend_native_multi(
-                        [(bundle, memory, self.config)]
-                    )
-            return self._finalize(
-                trace, memory, product, packed_finish, workload, parameters
-            )
-
         streams = self._build_streams(trace)
         cache_stats, flush_writes = self._contend_reference(
             streams, memory, hw
@@ -753,9 +721,9 @@ class NMCSimulator:
     ) -> SimulationResult:
         """Turn a phase-A product + phase-B finish times into a result.
 
-        Shared by the per-point fast path and the batched replay path —
-        literally the same code, which is half of the bit-equivalence
-        argument (the other half being the kernels themselves).
+        Called once per point by :func:`simulate_batch`, whatever the
+        batch size, so a batch of one and a batch of many share every
+        line from phase A to the result.
         """
         memory.writes += product.flush_writes
         makespan_ns = 0.0
@@ -1058,7 +1026,7 @@ class NMCSimulator:
             cache_stats.merge(cls.stats)
             flush_writes += len(cls.flush_lines)
         # Routing only reads immutable geometry, so a throwaway memory
-        # instance serves (the caller's StackedMemory carries run state).
+        # instance serves.
         bundle = self._build_events(streams, cls_list, StackedMemory(cfg))
         return _PhaseA(
             bundle,
@@ -1070,7 +1038,7 @@ class NMCSimulator:
             len(streams),
         )
 
-    def _phase_a(self, trace: InstructionTrace, memory: StackedMemory) -> _PhaseA:
+    def _phase_a(self, trace: InstructionTrace) -> _PhaseA:
         """The phase-A product, via the memo stack.
 
         Lookup order: in-process events memo on the trace, then the
@@ -1079,7 +1047,6 @@ class NMCSimulator:
         yield the identical product — the store round-trips the exact
         float64/int64 arrays.
         """
-        del memory  # routing state is geometry-only; see _compute_phase_a
         cfg = self.config
         key = _events_key(cfg)
         built = False
@@ -1188,26 +1155,32 @@ def simulate_batch(
     *,
     engine: str | None = None,
 ) -> list[SimulationResult]:
-    """Simulate many design points with phase B batched into one call.
+    """Simulate design points; the one place a simulation is orchestrated.
 
     ``points`` holds ``(trace, config, workload, parameters)`` tuples
-    (``config=None`` means the Table 3 default).  Results are returned
-    in input order and are bit-identical to running each point through
-    :meth:`NMCSimulator.run` — the batching only amortises kernel
-    dispatch, never changes event order (points are independent: each
-    replays against its own idle memory state).
+    (``config=None`` means the Table 3 default); results come back in
+    input order.  :meth:`NMCSimulator.run` is a batch of one.  On the
+    fast engine every point's phase B is replayed in one kernel
+    invocation — the batching only amortises kernel dispatch, never
+    changes event order (points are independent: each replays against
+    its own idle memory state), so a batch of many is bit-identical to
+    the same points run one at a time.
 
-    Per point, the usual ``phase.simulate`` span (wrapping phase A) and
-    ``nmcsim.runs`` count are emitted, so campaign-level observability
-    contracts hold in both modes; the shared phase-B invocation is
-    instrumented with ``sim.batch.*`` counters/histograms only.
+    Per point, one ``phase.simulate`` span (phase A on the fast engine,
+    the whole run on the reference engine) and one ``nmcsim.runs``
+    count are emitted; the shared phase-B invocation is instrumented
+    with ``sim.batch.*`` counters/histograms only.
 
-    Non-fast engines and hardware-timeline runs fall back to per-point
-    :meth:`~NMCSimulator.run` calls (identical results, no batching).
+    The reference engine, and every run while the simulated-hardware
+    timeline is enabled, steps each point through the per-access model
+    instead (identical results, no batching).
     """
     if not points:
         return []
+    if any(len(trace) == 0 for trace, _c, _w, _p in points):
+        raise SimulationError("cannot simulate an empty trace")
     resolved = resolve_engine(engine)
+    m = metrics()
     sims: dict[int, NMCSimulator] = {}
 
     def sim_for(cfg: NMCConfig | None) -> NMCSimulator:
@@ -1218,10 +1191,14 @@ def simulate_batch(
         return sim
 
     if resolved != "fast" or tracer().hw_enabled:
-        return [
-            sim_for(cfg).run(trace, workload=workload, parameters=parameters)
-            for trace, cfg, workload, parameters in points
-        ]
+        results: list[SimulationResult] = []
+        for trace, cfg, workload, parameters in points:
+            with m.timer("phase.simulate"):
+                results.append(
+                    sim_for(cfg)._run_reference(trace, workload, parameters)
+                )
+            m.inc("nmcsim.runs")
+        return results
 
     # Schedule phase A so points sharing a trace (and then an
     # architecture slice) run back to back: the per-trace memo LRUs
@@ -1245,12 +1222,10 @@ def simulate_batch(
     )
     for i in sorted(range(len(points)), key=order_key):
         trace, cfg, _workload, _parameters = points[i]
-        if len(trace) == 0:
-            raise SimulationError("cannot simulate an empty trace")
         sim = sim_for(cfg)
-        with metrics().timer("phase.simulate"):
+        with m.timer("phase.simulate"):
             memory = StackedMemory(sim.config)
-            product = sim._phase_a(trace, memory)
+            product = sim._phase_a(trace)
             bundle = product.bundle
             memory.add_counts(
                 reads=bundle.n_reads,
@@ -1263,7 +1238,6 @@ def simulate_batch(
         i for i in range(len(points))
         if prepared[i][2].bundle.n_packed  # type: ignore[index]
     ]
-    m = metrics()
     t_start = time.perf_counter()
     finishes: dict[int, np.ndarray] = {}
     if packed:
@@ -1280,7 +1254,7 @@ def simulate_batch(
     )
     m.observe("sim.batch.contend_s", time.perf_counter() - t_start)
 
-    results: list[SimulationResult] = []
+    results = []
     for i, (trace, _cfg, workload, parameters) in enumerate(points):
         sim, memory, product = prepared[i]
         results.append(

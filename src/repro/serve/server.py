@@ -740,7 +740,7 @@ class ServerThread:
 
     def start(self) -> "ServerThread":
         self._thread = threading.Thread(
-            target=self._run, name="repro-serve", daemon=True
+            target=self._thread_main, name="repro-serve", daemon=True
         )
         self._thread.start()
         self._started.wait(timeout=120)
@@ -774,7 +774,7 @@ class ServerThread:
 
     # ------------------------------------------------------------- internal
 
-    def _run(self) -> None:
+    def _thread_main(self) -> None:
         try:
             asyncio.run(self._main())
         except BaseException as exc:  # noqa: BLE001 - surfaced in start()

@@ -1,75 +1,137 @@
-"""Tests for the 3D-stacked DRAM model (repro.nmcsim.dram)."""
+"""Tests for the 3D-stacked DRAM model (repro.nmcsim.dram).
 
+Every access goes through ``StackedMemory.access``, which adds one
+logic-layer hop on the way to the vault and one on the way back, so a
+request issued at ``t`` sees bank/bus time plus ``2 * hop_ns``.
+Addresses are picked with ``route_array`` to land on the bank or vault
+each behaviour needs.
+"""
+
+import numpy as np
 import pytest
 
 from repro.config import DRAMTiming, default_nmc_config
-from repro.nmcsim.dram import Bank, StackedMemory, Vault
+from repro.nmcsim.dram import StackedMemory
 
 
 TIMING = DRAMTiming()
+HOPS = 2 * TIMING.hop_ns
+BLOCK = 256  # row-buffer bytes: lines of one block share a row
+
+
+def memory(timing: DRAMTiming = TIMING) -> StackedMemory:
+    return StackedMemory(default_nmc_config().replace(timing=timing))
+
+
+def routes(mem: StackedMemory, n_blocks: int = 4096):
+    """(addrs, vault, bank, block) for the first ``n_blocks`` blocks."""
+    addrs = np.arange(n_blocks, dtype=np.uint64) * np.uint64(BLOCK)
+    return (addrs, *mem.route_array(addrs))
+
+
+def same_bank_pair(mem: StackedMemory) -> tuple[int, int]:
+    """Two block addresses that map to one bank but different rows."""
+    addrs, vault, bank, _ = routes(mem)
+    slot = vault * mem.config.banks_per_vault + bank
+    (hits,) = np.nonzero(slot == slot[0])
+    return int(addrs[hits[0]]), int(addrs[hits[1]])
+
+
+def same_vault_other_banks(mem: StackedMemory, n: int) -> list[int]:
+    """``n`` block addresses in one vault, each on a different bank."""
+    addrs, vault, bank, _ = routes(mem)
+    picked: dict[int, int] = {}
+    for a, v, b in zip(addrs, vault, bank):
+        if v == vault[0] and int(b) not in picked:
+            picked[int(b)] = int(a)
+    assert len(picked) >= n
+    return list(picked.values())[:n]
 
 
 class TestBank:
     def test_closed_row_latency(self):
-        bank = Bank()
-        data_at = bank.access(0.0, row=1, timing=TIMING)
-        assert data_at == pytest.approx(TIMING.closed_row_access_ns())
+        mem = memory()
+        a, _ = same_bank_pair(mem)
+        data_at = mem.access(0.0, a, False)
+        assert data_at == pytest.approx(TIMING.closed_row_access_ns() + HOPS)
 
     def test_row_hit_within_linger(self):
-        bank = Bank()
-        first = bank.access(0.0, row=1, timing=TIMING)
-        second = bank.access(first, row=1, timing=TIMING)
+        mem = memory()
+        a, _ = same_bank_pair(mem)
+        first = mem.access(0.0, a, False)
+        # Another line of the same block, while the row still lingers.
+        second = mem.access(first, a + 64, False)
         # Row hit: only CAS + burst (no new activation, no precharge).
-        assert second - first <= TIMING.t_cl_ns + TIMING.t_bl_ns + 1e-9
-        assert bank.row_hits == 1
+        assert second - first == pytest.approx(
+            TIMING.t_cl_ns + TIMING.t_bl_ns + HOPS
+        )
 
     def test_different_row_pays_precharge_and_activation(self):
-        bank = Bank()
-        first = bank.access(0.0, row=1, timing=TIMING)
-        second = bank.access(first, row=2, timing=TIMING)
+        mem = memory()
+        a, b = same_bank_pair(mem)
+        first = mem.access(0.0, a, False)
+        second = mem.access(first, b, False)
         # Conflict while the row lingers open: tRP + full access.
-        assert second - first >= (
-            TIMING.t_rp_ns + TIMING.closed_row_access_ns() - 1e-9
+        assert second - first == pytest.approx(
+            TIMING.t_rp_ns + TIMING.closed_row_access_ns() + HOPS
         )
-        assert bank.row_hits == 0
 
     def test_row_closes_after_linger(self):
-        bank = Bank()
-        first = bank.access(0.0, row=1, timing=TIMING)
+        mem = memory()
+        a, _ = same_bank_pair(mem)
+        first = mem.access(0.0, a, False)
         late = first + TIMING.row_linger_ns + 100.0
-        second = bank.access(late, row=1, timing=TIMING)
-        assert second - late >= TIMING.closed_row_access_ns() - 1e-9
+        second = mem.access(late, a, False)
+        # Auto-precharged in the background: a plain activation, no hit.
+        assert second - late == pytest.approx(
+            TIMING.closed_row_access_ns() + HOPS
+        )
 
     def test_back_to_back_same_bank_serialises(self):
-        bank = Bank()
-        bank.access(0.0, row=1, timing=TIMING)
+        mem = memory()
+        a, b = same_bank_pair(mem)
+        mem.access(0.0, a, False)
         # Second access must wait for the first activation to settle
         # (tRAS) and the conflicting row to precharge (tRP).
-        second = bank.access(0.0, row=2, timing=TIMING)
-        assert second >= TIMING.t_ras_ns + TIMING.t_rp_ns
+        second = mem.access(0.0, b, False)
+        occupancy = max(TIMING.t_ras_ns, TIMING.t_rcd_ns + TIMING.t_cl_ns)
+        assert second == pytest.approx(
+            occupancy + TIMING.t_rp_ns + TIMING.closed_row_access_ns() + HOPS
+        )
 
     def test_strict_closed_row_with_zero_linger(self):
         timing = DRAMTiming(row_linger_ns=0.0)
-        bank = Bank()
-        first = bank.access(0.0, row=1, timing=timing)
-        second = bank.access(first + 1.0, row=1, timing=timing)
-        assert bank.row_hits == 0
-        assert second - (first + 1.0) >= timing.closed_row_access_ns() - 1e-9
+        mem = memory(timing)
+        a, _ = same_bank_pair(mem)
+        first = mem.access(0.0, a, False)
+        second = mem.access(first + 1.0, a + 64, False)
+        # Same row, yet no hit: the row closed as soon as data returned.
+        assert second - (first + 1.0) == pytest.approx(
+            timing.closed_row_access_ns() + HOPS
+        )
 
 
 class TestVault:
     def test_bus_serialises_bursts(self):
-        vault = Vault(banks_per_vault=4)
+        mem = memory()
+        a, b = same_vault_other_banks(mem, 2)
         # Two simultaneous accesses to different banks share the TSV bus.
-        a = vault.access(0.0, bank_idx=0, row=0, timing=TIMING)
-        b = vault.access(0.0, bank_idx=1, row=1, timing=TIMING)
-        assert b >= a + TIMING.t_bl_ns - 1e-9
+        first = mem.access(0.0, a, False)
+        second = mem.access(0.0, b, False)
+        assert second >= first + TIMING.t_bl_ns - 1e-9
 
     def test_access_counter(self):
-        vault = Vault(banks_per_vault=2)
-        vault.access(0.0, 0, 0, TIMING)
-        vault.access(0.0, 1, 1, TIMING)
-        assert vault.accesses == 2
+        mem = memory()
+        a, b = same_vault_other_banks(mem, 2)
+        mem.access(0.0, a, False)
+        mem.access(0.0, b, True)
+        assert mem.stats().max_vault_accesses == 2
+        addrs, vault, _, _ = routes(mem)
+        other = int(addrs[np.nonzero(vault != vault[0])[0][0]])
+        mem.access(0.0, other, False)
+        stats = mem.stats()
+        assert stats.max_vault_accesses == 2
+        assert stats.accesses == 3
 
 
 class TestStackedMemory:
@@ -78,21 +140,26 @@ class TestStackedMemory:
 
     def test_route_is_deterministic_and_in_range(self):
         cfg = self.mem.config
-        for addr in (0, 64, 4096, 1 << 20, (1 << 31) + 192):
-            vault, bank, row = self.mem.route(addr)
-            assert 0 <= vault < cfg.n_vaults
-            assert 0 <= bank < cfg.banks_per_vault
-            assert self.mem.route(addr) == (vault, bank, row)
+        addrs = np.array(
+            [0, 64, 4096, 1 << 20, (1 << 31) + 192], dtype=np.uint64
+        )
+        vault, bank, row = self.mem.route_array(addrs)
+        assert ((0 <= vault) & (vault < cfg.n_vaults)).all()
+        assert ((0 <= bank) & (bank < cfg.banks_per_vault)).all()
+        for again, first in zip(self.mem.route_array(addrs), (vault, bank, row)):
+            assert np.array_equal(again, first)
 
     def test_same_block_same_route(self):
         # Two lines in the same 256 B block share vault/bank/row.
-        assert self.mem.route(0) == self.mem.route(192)
+        routed = self.mem.route_array(np.array([0, 192], dtype=np.uint64))
+        for column in routed:
+            assert column[0] == column[1]
 
     def test_hashing_spreads_power_of_two_strides(self):
         """Strided access (the bp weight walk) must not camp on one vault."""
-        vaults = [self.mem.route(i * 48 * 1024)[0] for i in range(256)]
-        counts = {v: vaults.count(v) for v in set(vaults)}
-        assert max(counts.values()) < 0.2 * len(vaults)
+        addrs = np.arange(256, dtype=np.uint64) * np.uint64(48 * 1024)
+        vaults, _, _ = self.mem.route_array(addrs)
+        assert np.bincount(vaults).max() < 0.2 * len(vaults)
 
     def test_access_counts_reads_writes(self):
         self.mem.access(0.0, 0, is_write=False)
@@ -104,19 +171,14 @@ class TestStackedMemory:
 
     def test_access_latency_includes_hops(self):
         data_at = self.mem.access(0.0, 0, is_write=False)
-        expected = TIMING.closed_row_access_ns() + 2 * TIMING.hop_ns
+        expected = TIMING.closed_row_access_ns() + HOPS
         assert data_at == pytest.approx(expected)
 
     def test_parallel_vaults_overlap(self):
         # Accesses to different vaults at t=0 all complete at the minimum
         # latency (no serialisation across vaults).
-        times = []
-        seen_vaults = set()
-        addr = 0
-        while len(seen_vaults) < 4:
-            vault, _, _ = self.mem.route(addr)
-            if vault not in seen_vaults:
-                seen_vaults.add(vault)
-                times.append(self.mem.access(0.0, addr, False))
-            addr += 256
+        addrs, vault, _, _ = routes(self.mem)
+        _, first = np.unique(vault, return_index=True)
+        times = [self.mem.access(0.0, int(addrs[i]), False) for i in first[:4]]
+        assert len(times) == 4
         assert max(times) == pytest.approx(min(times))
