@@ -9,15 +9,24 @@ set-associative LRU cache of ``W`` ways hits exactly the accesses whose
 *per-set* reuse distance is < ``W``.
 
 This module holds the shared kernels: :func:`reuse_distances` (the classic
-Fenwick-tree / move-to-front formulation, O(M log M) over M accesses) and
+Fenwick-tree formulation, O(M log M) over M accesses) and
 :func:`grouped_reuse_distances`, its per-set generalisation used by the
 profiler's locality features and by the vectorized L1 classifier of the
-fast simulation engine (:mod:`repro.nmcsim.classify`).
+fast simulation engine (:mod:`repro.nmcsim.classify`).  Both run as one
+call into the compiled kernel library (:mod:`repro.native`) over dense
+element ids; the pure-Python forms (a move-to-front list for small
+alphabets, a Fenwick tree otherwise, and a loop over groups) are the
+oracles and the fallback on hosts without a C compiler.
 """
 
 from __future__ import annotations
 
+import ctypes
+from typing import Callable
+
 import numpy as np
+
+from .. import native
 
 #: Distance value used for cold (first-touch) accesses.
 COLD_DISTANCE = -1
@@ -38,6 +47,11 @@ def reuse_distances(keys: np.ndarray) -> np.ndarray:
     accessed since the previous access to the same element, or
     :data:`COLD_DISTANCE` for first touches.
     """
+    return native.resolve("reuse_distances")[0](np.asarray(keys))
+
+
+def _reuse_distances_py(keys: np.ndarray) -> np.ndarray:
+    """Pure-Python :func:`reuse_distances` (the oracle)."""
     n = len(keys)
     out = np.empty(n, dtype=np.int64)
     if n == 0:
@@ -132,11 +146,18 @@ def grouped_reuse_distances(
     groups = np.asarray(groups)
     if keys.shape != groups.shape:
         raise ValueError("keys and groups must have the same shape")
+    return native.resolve("grouped_reuse_distances")[0](keys, groups)
+
+
+def _grouped_reuse_distances_py(
+    keys: np.ndarray, groups: np.ndarray
+) -> np.ndarray:
+    """Pure-Python :func:`grouped_reuse_distances` (the oracle)."""
     out = np.empty(len(keys), dtype=np.int64)
     if len(keys) == 0:
         return out
     if (groups == groups[0]).all():
-        out[:] = reuse_distances(keys)
+        out[:] = _reuse_distances_py(keys)
         return out
     # Stable sort by group keeps the access order within every group, so
     # each contiguous block is one group's sub-stream.
@@ -147,5 +168,57 @@ def grouped_reuse_distances(
     )
     bounds = np.concatenate((starts, [len(keys)]))
     for lo, hi in zip(bounds[:-1], bounds[1:]):
-        out[order[lo:hi]] = reuse_distances(keys[order[lo:hi]])
+        out[order[lo:hi]] = _reuse_distances_py(keys[order[lo:hi]])
     return out
+
+
+def _c_pass(lib: native.Library) -> Callable:
+    """The library's ``reuse_distances`` as ``run(keys, grouped=None)``.
+
+    Keys are remapped to dense ids in numpy; ``grouped`` (int64, sorted
+    so every group is one contiguous block) keeps distances inside
+    their block.
+    """
+    fn = lib.reuse_distances
+    fn.restype = None
+    fn.argtypes = [ctypes.c_void_p] * 2 + [ctypes.c_int64] + [ctypes.c_void_p] * 3
+
+    def run(keys: np.ndarray, grouped: np.ndarray | None = None) -> np.ndarray:
+        n = len(keys)
+        out = np.empty(n, dtype=np.int64)
+        if n == 0:
+            return out
+        uniq, ids = np.unique(keys, return_inverse=True)
+        ids = ids.astype(np.int64, copy=False)
+        last = np.full(len(uniq), -1, dtype=np.int64)
+        tree = np.zeros(n + 1, dtype=np.int64)
+        fn(
+            ids.ctypes.data, None if grouped is None else grouped.ctypes.data,
+            n, last.ctypes.data, tree.ctypes.data, out.ctypes.data,
+        )
+        return out
+
+    return run
+
+
+def _grouped_reuse_distances_cc(lib: native.Library) -> Callable:
+    run = _c_pass(lib)
+
+    def kernel(keys: np.ndarray, groups: np.ndarray) -> np.ndarray:
+        # One pass over the stream stably sorted by group (each group's
+        # sub-stream stays in access order), scattered back by order.
+        order = np.argsort(groups, kind="stable")
+        grouped = np.ascontiguousarray(groups[order], dtype=np.int64)
+        out = np.empty(len(keys), dtype=np.int64)
+        out[order] = run(keys[order], grouped)
+        return out
+
+    return kernel
+
+
+native.register("reuse_distances", _reuse_distances_py, _c_pass)
+native.register(
+    "grouped_reuse_distances",
+    _grouped_reuse_distances_py,
+    _grouped_reuse_distances_cc,
+)

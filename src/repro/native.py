@@ -1,0 +1,536 @@
+"""Compiled kernels: one C translation unit, one cached shared object.
+
+The hot per-element loops of the pipeline have two forms each: a C
+function in :data:`_C_SOURCE` and a pure-Python form, which is both the
+test oracle and the fallback on hosts without a compiler.  The modules
+that own a loop :func:`register` both forms under one name:
+
+* ``contend_packed_multi`` — the fast engine's phase-B contention
+  (:mod:`repro.nmcsim._native`);
+* ``reuse_distances`` / ``grouped_reuse_distances`` — LRU stack
+  distances (:mod:`repro.ir.stackdist`), shared by the profiler's
+  reuse-distance families and phase A's set-associative classifier;
+* ``ilp_depths`` — the profiler's dependence-DAG depths
+  (:mod:`repro.profiler.ilp`).
+
+:func:`resolve` hands out one form per call.  The C source is built on
+the first kernel call of a process (never at import) with the system C
+compiler (``cc``, ``gcc`` or ``clang``; ``-O2 -fPIC -shared
+-ffp-contract=off``) into a source-hash-keyed shared object under
+``$REPRO_SIM_JIT_CACHE`` (default: ``repro-simjit`` in the temp
+directory) and loaded with :mod:`ctypes`.  The build is race-free across
+processes and a damaged cached object is discarded and rebuilt; when no
+compiler is found or the build fails, every kernel runs its Python form.
+:func:`jit_status` says which.
+
+Bit-equivalence contract: each C function keeps its Python form's exact
+arithmetic.  The profiler kernels are integer-only; phase B keeps the
+floating-point operation order of ``StackedMemory.access`` (C ``double``
+and CPython ``float`` are both IEEE-754 binary64, and
+``-ffp-contract=off`` forbids FMA contraction).  The differential suites
+assert this, it is not assumed.
+"""
+
+from __future__ import annotations
+
+import ctypes
+import hashlib
+import os
+import shutil
+import subprocess
+import tempfile
+from typing import Callable
+
+from .obs import get_logger
+from .store import discard, replacing
+
+log = get_logger("repro.native")
+
+#: Environment variable selecting the shared-object cache directory.
+CACHE_ENV_VAR = "REPRO_SIM_JIT_CACHE"
+
+_C_SOURCE = r"""
+#include <stdint.h>
+#include <string.h>
+#include <math.h>
+
+typedef int64_t i64;
+
+/* ------------------------------------------------ phase-B contention */
+
+static inline i64 key_bits(double x)
+{
+    i64 b;
+    memcpy(&b, &x, sizeof b);
+    return b;
+}
+
+/* One design point's phase B.  Events run in global (time, stream)
+   order: key[s] is stream s's next event time (+inf once exhausted) and
+   lose[] is a loser tree over P >= n_streams leaves (a power of two;
+   padding leaves hold +inf), so re-selecting the minimum after an event
+   replays one leaf-to-root path with no data-dependent branches.
+   key needs P entries, lose 2P (its upper half holds the subtree
+   winners while the tree is built).  The replay compares keys by their
+   bit patterns: event times are sums of non-negative terms (never -0.0
+   or NaN), and such doubles order exactly like their bits as int64. */
+static void contend_packed(
+    const i64 *off,
+    const i64 *block, const i64 *vault, const i64 *bank,
+    const i64 *wblock, const i64 *wvault, const i64 *wbank,
+    const double *dnext, const double *t0, const double *tail,
+    double *finish,
+    double *bank_ready, i64 *bank_row, double *bank_until,
+    double *bus_ready,
+    double t_cl, double t_bl, double t_rp, double hop,
+    double linger, double closed, double occupancy, double wr_extra,
+    double l1_cycle,
+    i64 ooo, i64 mshrs, double *mshr_buf, i64 *mshr_len,
+    double *key, i64 *lose, i64 *pos, i64 n_streams)
+{
+    i64 P = 1;
+    while (P < n_streams) P <<= 1;
+    for (i64 s = 0; s < P; s++) key[s] = s < n_streams ? t0[s] : INFINITY;
+    for (i64 s = 0; s < n_streams; s++) {
+        pos[s] = off[s];
+        mshr_len[s] = 0;
+    }
+    i64 *win = lose + P;
+    for (i64 m = P - 1; m >= 1; m--) {
+        i64 a = 2 * m >= P ? 2 * m - P : win[2 * m];
+        i64 b = 2 * m + 1 >= P ? 2 * m + 1 - P : win[2 * m + 1];
+        int a_first = key[a] < key[b] || (key[a] == key[b] && a < b);
+        win[m] = a_first ? a : b;
+        lose[m] = a_first ? b : a;
+    }
+    i64 i = P > 1 ? win[1] : 0;
+    for (i64 active = n_streams; active > 0;) {
+        double t = key[i];
+        i64 j = pos[i];
+        double *mbuf = mshr_buf + i * mshrs;
+        i64 mlen = mshr_len[i];
+        i64 blk = block[j];
+        i64 v = vault[j];
+        i64 bi = bank[j];
+        double now = t + hop;
+        double ready = bank_ready[bi];
+        double start = now > ready ? now : ready;
+        i64 open_row = bank_row[bi];
+        int row_open = open_row >= 0 && start <= bank_until[bi];
+        double data_at;
+        if (row_open && blk == open_row) {
+            data_at = start + t_cl + t_bl;
+            bank_ready[bi] = start + t_bl;
+        } else {
+            double pre = row_open ? t_rp : 0.0;
+            data_at = start + pre + closed;
+            bank_ready[bi] = start + pre + occupancy;
+        }
+        bank_row[bi] = blk;
+        bank_until[bi] = data_at + linger;
+        double br = bus_ready[v];
+        if (data_at - t_bl < br) data_at = br + t_bl;
+        bus_ready[v] = data_at;
+        double done = data_at + hop;
+        if (!ooo) {
+            t = done + l1_cycle;
+        } else {
+            /* per-stream MSHR min-heap of completion times */
+            i64 k = mlen++;
+            while (k > 0) {
+                i64 p = (k - 1) / 2;
+                if (done < mbuf[p]) { mbuf[k] = mbuf[p]; k = p; }
+                else break;
+            }
+            mbuf[k] = done;
+            if (mlen >= mshrs) {
+                double oldest = mbuf[0];
+                mlen--;
+                if (mlen > 0) {
+                    double last = mbuf[mlen];
+                    k = 0;
+                    for (;;) {
+                        i64 c = 2 * k + 1;
+                        if (c >= mlen) break;
+                        if (c + 1 < mlen && mbuf[c + 1] < mbuf[c]) c++;
+                        if (mbuf[c] < last) { mbuf[k] = mbuf[c]; k = c; }
+                        else break;
+                    }
+                    mbuf[k] = last;
+                }
+                t = (t >= oldest ? t : oldest) + l1_cycle;
+            } else {
+                t = t + l1_cycle;
+            }
+            mshr_len[i] = mlen;
+        }
+        i64 wbi = wbank[j];
+        if (wbi >= 0) {
+            i64 wblk = wblock[j];
+            i64 wv = wvault[j];
+            now = t + hop;
+            ready = bank_ready[wbi];
+            start = now > ready ? now : ready;
+            open_row = bank_row[wbi];
+            row_open = open_row >= 0 && start <= bank_until[wbi];
+            if (row_open && wblk == open_row) {
+                data_at = start + t_cl + t_bl;
+                bank_ready[wbi] = start + t_bl;
+            } else {
+                double pre = row_open ? t_rp : 0.0;
+                data_at = start + pre + closed;
+                bank_ready[wbi] = start + pre + occupancy;
+            }
+            if (wr_extra != 0.0) {
+                /* posted-write asymmetry (NAND-class backends) */
+                data_at = data_at + wr_extra;
+                bank_ready[wbi] = bank_ready[wbi] + wr_extra;
+            }
+            bank_row[wbi] = wblk;
+            bank_until[wbi] = data_at + linger;
+            br = bus_ready[wv];
+            if (data_at - t_bl < br) data_at = br + t_bl;
+            bus_ready[wv] = data_at;
+        }
+        if (j + 1 < off[i + 1]) {
+            pos[i] = j + 1;
+            key[i] = t + dnext[j];
+        } else {
+            double fin = t + tail[i];
+            for (i64 q = 0; q < mlen; q++)
+                if (mbuf[q] > fin) fin = mbuf[q];
+            finish[i] = fin;
+            key[i] = INFINITY;
+            active--;
+        }
+        /* Replay stream i's leaf-to-root path; the survivor is next. */
+        i64 cand = i;
+        i64 ck = key_bits(key[i]);
+        for (i64 m = (P + i) >> 1; m >= 1; m >>= 1) {
+            i64 l = lose[m];
+            i64 lk = key_bits(key[l]);
+            i64 swap = -(i64)((lk < ck) | ((lk == ck) & (l < cand)));
+            lose[m] = (cand & swap) | (l & ~swap);
+            cand = (l & swap) | (cand & ~swap);
+            ck = (lk & swap) | (ck & ~swap);
+        }
+        i = cand;
+    }
+}
+
+void contend_packed_multi(
+    const uint64_t *cols,
+    const double *params, const i64 *iparams,
+    double *finish,
+    double *bank_ready, i64 *bank_row, double *bank_until,
+    double *bus_ready,
+    double *mshr_buf, i64 *mshr_len,
+    double *key, i64 *lose, i64 *pos, i64 n_points)
+{
+    for (i64 p = 0; p < n_points; p++) {
+        const uint64_t *c = cols + p * 10;
+        const double *pp = params + p * 9;
+        const i64 *ip = iparams + p * 5;
+        i64 nb = ip[2];
+        i64 nv = ip[3];
+        i64 n = ip[4];
+        if (n == 0) continue;
+        for (i64 b = 0; b < nb; b++) {
+            bank_ready[b] = 0.0;
+            bank_row[b] = -1;
+            bank_until[b] = -1.0;
+        }
+        for (i64 v = 0; v < nv; v++) bus_ready[v] = 0.0;
+        contend_packed(
+            (const i64 *)c[0], (const i64 *)c[1], (const i64 *)c[2],
+            (const i64 *)c[3], (const i64 *)c[4], (const i64 *)c[5],
+            (const i64 *)c[6], (const double *)c[7], (const double *)c[8],
+            (const double *)c[9], finish,
+            bank_ready, bank_row, bank_until, bus_ready,
+            pp[0], pp[1], pp[2], pp[3], pp[4], pp[5], pp[6], pp[7], pp[8],
+            ip[0], ip[1], mshr_buf, mshr_len,
+            key, lose, pos, n);
+        finish += n;
+    }
+}
+
+/* ------------------------------------------------ LRU stack distances */
+
+/* Stack distance of every access of ids[0..n) (dense element ids): the
+   number of distinct elements touched since the previous access to the
+   same element, -1 on a first touch.  tree[1..n] is a Fenwick tree over
+   access times counting each element's most recent access; it must be
+   zeroed, and last[] (one slot per id) filled with -1.  With grp
+   non-NULL the stream is a sequence of contiguous blocks (a new one
+   starts wherever grp changes) and distances never cross a block: an
+   element last seen in an earlier block is a first touch again.  Slots
+   left live in earlier blocks lie before every later reuse interval, so
+   they never count. */
+void reuse_distances(
+    const i64 *ids, const i64 *grp, i64 n, i64 *last, i64 *tree, i64 *out)
+{
+    i64 block = 0;
+    for (i64 t = 0; t < n; t++) {
+        if (grp && t > 0 && grp[t] != grp[t - 1]) block = t;
+        i64 k = ids[t];
+        i64 prev = last[k];
+        if (prev < block) {
+            out[t] = -1;
+        } else {
+            /* live slots in (prev, t): prefix(t - 1) - prefix(prev) */
+            i64 s = 0;
+            for (i64 p = t; p > 0; p -= p & -p) s += tree[p];
+            for (i64 p = prev + 1; p > 0; p -= p & -p) s -= tree[p];
+            out[t] = s;
+            for (i64 p = prev + 1; p <= n; p += p & -p) tree[p]--;
+        }
+        for (i64 p = t + 1; p <= n; p += p & -p) tree[p]++;
+        last[k] = t;
+    }
+}
+
+/* ------------------------------------------------------ ILP depths */
+
+/* kind[i]: bits 0-1 the op class (0 other, 1 int, 2 fp, 3 memory), bit
+   2 reads memory (load/atomic), bit 3 writes memory (store/atomic). */
+#define K_CLASS 3
+#define K_INT 1
+#define K_FP 2
+#define K_MEM 3
+#define K_READ 4
+#define K_WRITE 8
+
+/* Serialized dependence-DAG depth of chunks of `step` instructions.
+   The register and store tables are valid only where their stamp equals
+   the current chunk's epoch (a fresh epoch per chunk replaces clearing
+   them).  With chains non-NULL (one chunk over the whole sample, on
+   zeroed int and fp tables) the per-class chain depths are added into
+   chains[0..3); the int and fp tables are separate from the register
+   table because a register last written by another class keeps its old
+   chain level. */
+static i64 ilp_pass(
+    i64 n, i64 step, const i64 *kind, const i64 *dst, const i64 *src1,
+    const i64 *src2, const i64 *line,
+    i64 *reg_level, i64 *reg_stamp, i64 *store_level, i64 *store_stamp,
+    i64 *int_level, i64 *fp_level, i64 *epoch, i64 *chains)
+{
+    i64 total = 0;
+    for (i64 start = 0; start < n; start += step) {
+        i64 end = start + step < n ? start + step : n;
+        i64 e = ++*epoch;
+        i64 depth = 0, c_int = 0, c_fp = 0, mem_serial = 0;
+        for (i64 i = start; i < end; i++) {
+            i64 kd = kind[i], s1 = src1[i], s2 = src2[i], d = dst[i];
+            i64 level = 0;
+            if (s1 >= 0 && reg_stamp[s1] == e) level = reg_level[s1];
+            if (s2 >= 0 && reg_stamp[s2] == e && reg_level[s2] > level)
+                level = reg_level[s2];
+            if ((kd & K_READ) && store_stamp[line[i]] == e
+                    && store_level[line[i]] > level)
+                level = store_level[line[i]];
+            level++;
+            if (level > depth) depth = level;
+            if (d >= 0) { reg_level[d] = level; reg_stamp[d] = e; }
+            if (kd & K_WRITE) {
+                store_level[line[i]] = level;
+                store_stamp[line[i]] = e;
+            }
+            if (!chains) continue;
+            i64 cls = kd & K_CLASS;
+            if (cls == K_INT || cls == K_FP) {
+                i64 *lv = cls == K_INT ? int_level : fp_level;
+                i64 cl = 0;
+                if (s1 >= 0) cl = lv[s1];
+                if (s2 >= 0 && lv[s2] > cl) cl = lv[s2];
+                cl++;
+                if (d >= 0) lv[d] = cl;
+                if (cls == K_INT) { if (cl > c_int) c_int = cl; }
+                else if (cl > c_fp) c_fp = cl;
+            } else if (cls == K_MEM && level > mem_serial) {
+                mem_serial = level;
+            }
+        }
+        total += depth;
+        if (chains) {
+            chains[0] += c_int;
+            chains[1] += c_fp;
+            chains[2] += depth < mem_serial ? depth : mem_serial;
+        }
+    }
+    return total;
+}
+
+/* out[0] the infinite-window depth, out[1..4) the int/fp/memory chain
+   depths, out[4..7) the int/fp/memory op counts, out[7 + w] the depth
+   under windows[w].  Registers and lines are dense ids (-1: no
+   register); the tables hold n_regs / n_lines slots, all zeroed. */
+void ilp_depths(
+    const i64 *kind, const i64 *dst, const i64 *src1, const i64 *src2,
+    const i64 *line, i64 n, const i64 *windows, i64 n_windows,
+    i64 *reg_level, i64 *reg_stamp, i64 *store_level, i64 *store_stamp,
+    i64 *int_level, i64 *fp_level, i64 *out)
+{
+    i64 epoch = 0;
+    memset(out, 0, (size_t)(7 + n_windows) * sizeof *out);
+    for (i64 i = 0; i < n; i++) {
+        i64 cls = kind[i] & K_CLASS;
+        if (cls) out[3 + cls]++;
+    }
+    if (n == 0) return;
+    out[0] = ilp_pass(
+        n, n, kind, dst, src1, src2, line, reg_level, reg_stamp,
+        store_level, store_stamp, int_level, fp_level, &epoch, out + 1);
+    for (i64 w = 0; w < n_windows; w++)
+        out[7 + w] = ilp_pass(
+            n, windows[w] > 0 ? windows[w] : n, kind, dst, src1, src2, line,
+            reg_level, reg_stamp, store_level, store_stamp, NULL, NULL,
+            &epoch, NULL);
+}
+"""
+
+#: The loaded shared object handed to each kernel's C-form builder.
+Library = ctypes.CDLL
+
+#: Kernel name -> (Python form, builder of the C form from the library).
+_REGISTRY: dict[str, tuple[Callable, Callable[[Library], Callable]]] = {}
+
+_UNSET = object()
+#: The loaded shared object, None once a build proved impossible.
+_LIB: Library | None | object = _UNSET
+#: C forms already wrapped over :data:`_LIB`, by kernel name.
+_CC: dict[str, Callable] = {}
+
+
+def register(
+    name: str, python: Callable, cc: Callable[[Library], Callable]
+) -> None:
+    """Register kernel ``name``: its Python form and its C-form builder.
+
+    ``cc(lib)`` declares the ctypes signature of the C function in the
+    loaded library and returns a callable with ``python``'s signature.
+    """
+    _REGISTRY[name] = (python, cc)
+
+
+def python_form(name: str) -> Callable:
+    """The registered pure-Python form (the oracle) of kernel ``name``."""
+    return _REGISTRY[name][0]
+
+
+def resolve(name: str) -> tuple[Callable, str]:
+    """Kernel ``name`` of this process as ``(callable, backend)``.
+
+    ``backend`` is ``"cc"`` when the shared object built (on the first
+    call of the process) and ``"python"`` otherwise; both forms take the
+    same arguments and return identical results.
+    """
+    python, cc = _REGISTRY[name]
+    lib = _library()
+    if lib is None:
+        return python, "python"
+    fn = _CC.get(name)
+    if fn is None:
+        fn = _CC[name] = cc(lib)
+    return fn, "cc"
+
+
+def jit_status() -> dict:
+    """Kernel provenance for manifests and benchmark records.
+
+    ``backend`` is ``"cc"`` when every kernel runs compiled and
+    ``"python"`` on hosts where the shared object could not be built.
+    """
+    return {"backend": "python" if _library() is None else "cc"}
+
+
+def _library() -> Library | None:
+    """The loaded shared object, built on first use (None: no build)."""
+    global _LIB
+    if _LIB is _UNSET:
+        _LIB = _load_cc_lib()
+        log.info(
+            "native kernels ready",
+            extra={"ctx": {"backend": "python" if _LIB is None else "cc"}},
+        )
+    return _LIB
+
+
+def _cache_dir() -> str:
+    path = os.environ.get(CACHE_ENV_VAR, "").strip() or os.path.join(
+        tempfile.gettempdir(), "repro-simjit"
+    )
+    os.makedirs(path, exist_ok=True)
+    return path
+
+
+def _so_path() -> str:
+    """The cached shared object built from the current C source."""
+    digest = hashlib.sha256(_C_SOURCE.encode()).hexdigest()[:16]
+    return os.path.join(_cache_dir(), f"kernels-{digest}.so")
+
+
+def _compile(compiler: str, so_path: str) -> None:
+    """Build the shared object at ``so_path`` without racing other builds.
+
+    Source and object are written to names unique to this build and the
+    object lands through :func:`repro.store.replacing`, so concurrent
+    first builds (``--jobs N`` workers on a cold cache) never see each
+    other's half-written files; the last one in wins with identical
+    bytes.
+    """
+    fd, src_path = tempfile.mkstemp(
+        prefix=os.path.basename(so_path)[:-3] + "-",
+        suffix=".c",
+        dir=os.path.dirname(so_path),
+    )
+    try:
+        with os.fdopen(fd, "w") as fh:
+            fh.write(_C_SOURCE)
+        # -ffp-contract=off: no FMA contraction, so the doubles match
+        # CPython's float arithmetic operation for operation.
+        with replacing(so_path) as tmp_path:
+            subprocess.run(
+                [
+                    compiler, "-O2", "-fPIC", "-shared",
+                    "-ffp-contract=off", "-o", str(tmp_path), src_path,
+                ],
+                check=True,
+                capture_output=True,
+                timeout=120,
+            )
+    finally:
+        os.remove(src_path)
+
+
+def _load_cc_lib() -> Library | None:
+    """Compile (once per cache directory) and load the shared object.
+
+    A cached object that fails to load (truncated, overwritten, built
+    for another platform) is reported, deleted and rebuilt once instead
+    of being trusted.  None when no compiler is found or the build
+    fails; every kernel then runs its Python form.
+    """
+    compiler = (
+        shutil.which("cc") or shutil.which("gcc") or shutil.which("clang")
+    )
+    if compiler is None:
+        return None
+    try:
+        so_path = _so_path()
+        if not os.path.exists(so_path):
+            _compile(compiler, so_path)
+        try:
+            return ctypes.CDLL(so_path)
+        except OSError as exc:
+            discard(
+                f"cached C kernel {so_path} failed to load ({exc}); "
+                "discarding and rebuilding it"
+            )
+            _compile(compiler, so_path)
+            return ctypes.CDLL(so_path)
+    except (OSError, subprocess.SubprocessError) as exc:
+        log.warning(
+            "C kernel build failed; falling back to the Python forms",
+            extra={"ctx": {"compiler": compiler, "error": str(exc)}},
+        )
+        return None

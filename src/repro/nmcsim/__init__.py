@@ -17,6 +17,7 @@ from .classify import (
     classify_vectorized,
 )
 from .energy import EnergyBreakdown, compute_energy
+from ..native import jit_status
 from ..store import MemoStore
 from .results import SimulationResult
 from .simulator import (
@@ -24,7 +25,6 @@ from .simulator import (
     NMCSimulator,
     active_store,
     configure_store,
-    jit_status,
     resolve_engine,
     simulate,
     simulate_batch,

@@ -42,9 +42,10 @@ Two further levers sit on top of the fast engine:
 * **compiled phase B** — the contention loop is one multi-point kernel
   (:mod:`repro.nmcsim._native`), invoked once per
   :func:`simulate_batch` call (a single run is a batch of one).  It
-  is built with the system C compiler on first use whenever one is
-  found (cached under ``$REPRO_SIM_JIT_CACHE``) and falls back to a
-  pure-Python loop otherwise; the two are byte-identical.
+  runs from the shared kernel library :mod:`repro.native` builds with
+  the system C compiler on first use whenever one is found (cached
+  under ``$REPRO_SIM_JIT_CACHE``) and falls back to a pure-Python loop
+  otherwise; the two are byte-identical.
 
 The simulator returns IPC (total instructions / makespan cycles),
 execution time and the full energy breakdown — the labels NAPEL trains
@@ -67,7 +68,8 @@ from ..config import SIM_ENGINES, NMCConfig, default_nmc_config
 from ..errors import ConfigError, SimulationError
 from ..ir import OPCODE_LATENCY, InstructionTrace, Opcode
 from ..obs import get_logger, metrics, tracer
-from . import _native
+from .. import native
+from . import _native  # noqa: F401  (registers the phase-B kernel)
 from .cache import Cache, CacheStats
 from .classify import classify_lru
 from .dram import StackedMemory
@@ -94,15 +96,6 @@ def resolve_engine(engine: str | None = None) -> str:
             f"expected one of {', '.join(ENGINES)}"
         )
     return engine
-
-
-def jit_status() -> dict:
-    """Phase-B kernel provenance for manifests and benchmark records.
-
-    ``backend`` is ``"cc"`` when the compiled kernel is in use and
-    ``"python"`` on hosts where it could not be built.
-    """
-    return {"backend": _native.resolve_kernel()[1]}
 
 
 # --------------------------------------------------------------- memos
@@ -1140,7 +1133,7 @@ def _contend_native_multi(
         ],
         dtype=np.int64,
     )
-    kernel, _backend = _native.resolve_kernel()
+    kernel, _backend = native.resolve("contend_packed_multi")
     finish = kernel([e[0] for e in entries], params, iparams)
     bounds = np.cumsum(iparams[:, 4]).tolist()
     return [

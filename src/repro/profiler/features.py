@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 
+from ..errors import ConfigError
 from ..schema import register_block
 
 #: Instruction-mix category fractions (see instruction_mix.py).
@@ -76,6 +77,20 @@ BRANCH_NAMES = (
 )
 
 WORKING_SET_CHECKPOINTS = 8  # footprint growth measured at 8 trace fractions
+
+
+def check_sample_limit(value: int, name: str = "sample_limit") -> None:
+    """Reject a negative analysis sample limit (0 analyses nothing)."""
+    if value < 0:
+        raise ConfigError(f"{name} must be >= 0, got {value}")
+
+
+def check_line_bytes(line_bytes: int) -> None:
+    """Reject a cache-line size that is not a positive power of two."""
+    if line_bytes <= 0 or line_bytes & (line_bytes - 1):
+        raise ConfigError(
+            f"line_bytes must be a positive power of two, got {line_bytes}"
+        )
 
 
 def feature_groups() -> "OrderedDict[str, tuple[str, ...]]":

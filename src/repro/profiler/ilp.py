@@ -10,12 +10,25 @@ only look ahead ``w`` instructions; approximated by scheduling consecutive
 chunks of ``w`` instructions independently and serialising the chunks) and
 per-class dependence-chain ILP (integer, floating-point, memory) are
 reported, mirroring PISA's ILP sub-features.
+
+All of it is one call into the compiled kernel library
+(:mod:`repro.native`) per trace: registers and cache lines are remapped
+to dense ids in numpy and the C kernel walks the sample once per window
+(per-chunk epoch stamps stand in for clearing the level tables).
+:func:`_chunk_depths`, the pure-Python walk, is the oracle and the
+fallback on hosts without a C compiler.
 """
 
 from __future__ import annotations
 
+import ctypes
+from typing import Callable, Sequence
+
+import numpy as np
+
+from .. import native
 from ..ir import InstructionTrace, Opcode
-from .features import ILP_WINDOWS
+from .features import ILP_WINDOWS, check_line_bytes, check_sample_limit
 
 #: Default cap on the number of instructions analysed; ILP converges quickly
 #: for loop-dominated kernels, and the cap keeps profiling fast.
@@ -128,6 +141,81 @@ def _chunk_depths(
     return total_depth, int_chain, fp_chain, mem_chain
 
 
+def _ilp_depths_py(
+    opcodes: np.ndarray,
+    dsts: np.ndarray,
+    src1s: np.ndarray,
+    src2s: np.ndarray,
+    lines: np.ndarray,
+    windows: Sequence[int],
+) -> list[int]:
+    """Every depth :func:`ilp_features` needs, in one list.
+
+    ``[depth, int_chain, fp_chain, mem_chain, n_int, n_fp, n_mem]`` for
+    the infinite window (chain depths, then the per-class op counts),
+    followed by the total depth under each of ``windows``.
+    """
+    ops = opcodes.tolist()
+    cols = (ops, dsts.tolist(), src1s.tolist(), src2s.tolist(), lines.tolist())
+    out = list(_chunk_depths(*cols, window=None))
+    out.append(sum(1 for op in ops if op in _INT_CODES))
+    out.append(sum(1 for op in ops if op in _FP_CODES))
+    out.append(sum(1 for op in ops if op in _MEM_CODES))
+    out.extend(_chunk_depths(*cols, window=w)[0] for w in windows)
+    return out
+
+
+#: Per-opcode kind bits of the C kernel: the class in bits 0-1 (1 int,
+#: 2 fp, 3 memory), bit 2 reads memory, bit 3 writes memory.
+_KIND = np.zeros(len(Opcode), dtype=np.int64)
+_KIND[sorted(_INT_CODES)] = 1
+_KIND[sorted(_FP_CODES)] = 2
+_KIND[sorted(_MEM_CODES)] = 3
+_KIND[[_LOAD, _ATOMIC]] |= 4
+_KIND[[_STORE, _ATOMIC]] |= 8
+
+
+def _dense_regs(*cols: np.ndarray) -> tuple[int, list[np.ndarray]]:
+    """Remap register ids to ``0..k-1`` across the columns (-1: none)."""
+    flat = np.concatenate(cols).astype(np.int64)
+    uniq, ids = np.unique(flat, return_inverse=True)
+    ids = np.where(flat < 0, -1, ids)
+    return len(uniq), np.split(ids, len(cols))
+
+
+def _ilp_depths_cc(lib: native.Library) -> Callable:
+    fn = lib.ilp_depths
+    fn.restype = None
+    fn.argtypes = (
+        [ctypes.c_void_p] * 5 + [ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64]
+        + [ctypes.c_void_p] * 7
+    )
+
+    def kernel(opcodes, dsts, src1s, src2s, lines, windows) -> list[int]:
+        n = len(opcodes)
+        n_regs, (dst, src1, src2) = _dense_regs(dsts, src1s, src2s)
+        uniq_lines, line = np.unique(lines, return_inverse=True)
+        line = line.astype(np.int64, copy=False)
+        kind = _KIND[opcodes]
+        win = np.asarray(windows, dtype=np.int64)
+        # The register and store level tables, each followed by its
+        # epoch stamps, then the int- and fp-chain level tables.
+        sizes = (n_regs, n_regs, len(uniq_lines), len(uniq_lines))
+        tables = [np.zeros(k, dtype=np.int64) for k in sizes + (n_regs,) * 2]
+        out = np.empty(7 + len(win), dtype=np.int64)
+        fn(
+            kind.ctypes.data, dst.ctypes.data, src1.ctypes.data,
+            src2.ctypes.data, line.ctypes.data, n, win.ctypes.data, len(win),
+            *(t.ctypes.data for t in tables), out.ctypes.data,
+        )
+        return out.tolist()
+
+    return kernel
+
+
+native.register("ilp_depths", _ilp_depths_py, _ilp_depths_cc)
+
+
 def ilp_features(
     trace: InstructionTrace,
     *,
@@ -135,37 +223,20 @@ def ilp_features(
     line_bytes: int = 64,
 ) -> dict[str, float]:
     """ILP feature family: total, windowed, and per-class chain ILP."""
+    check_sample_limit(sample_limit)
+    check_line_bytes(line_bytes)
     n = min(len(trace), sample_limit)
-    out: dict[str, float] = {}
-    if n == 0:
-        out["ilp.total"] = 0.0
-        for w in ILP_WINDOWS:
-            out[f"ilp.window_{w}"] = 0.0
-        out["ilp.int_chain"] = 0.0
-        out["ilp.fp_chain"] = 0.0
-        out["ilp.mem_chain"] = 0.0
-        return out
-
     shift = line_bytes.bit_length() - 1
-    opcodes = trace.opcode[:n].tolist()
-    dsts = trace.dst[:n].tolist()
-    src1s = trace.src1[:n].tolist()
-    src2s = trace.src2[:n].tolist()
-    lines = (trace.addr[:n] >> shift).tolist()
-
-    depth, int_chain, fp_chain, mem_chain = _chunk_depths(
-        opcodes, dsts, src1s, src2s, lines, window=None
+    depth, int_chain, fp_chain, mem_chain, n_int, n_fp, n_mem, *windowed = (
+        native.resolve("ilp_depths")[0](
+            trace.opcode[:n], trace.dst[:n], trace.src1[:n], trace.src2[:n],
+            trace.addr[:n] >> shift, ILP_WINDOWS,
+        )
     )
-    out["ilp.total"] = n / depth if depth else 0.0
-
-    n_int = sum(1 for op in opcodes if op in _INT_CODES)
-    n_fp = sum(1 for op in opcodes if op in _FP_CODES)
-    n_mem = sum(1 for op in opcodes if op in _MEM_CODES)
+    out = {"ilp.total": n / depth if depth else 0.0}
     out["ilp.int_chain"] = n_int / int_chain if int_chain else 0.0
     out["ilp.fp_chain"] = n_fp / fp_chain if fp_chain else 0.0
     out["ilp.mem_chain"] = n_mem / mem_chain if mem_chain else 0.0
-
-    for w in ILP_WINDOWS:
-        d, _, _, _ = _chunk_depths(opcodes, dsts, src1s, src2s, lines, window=w)
+    for w, d in zip(ILP_WINDOWS, windowed):
         out[f"ilp.window_{w}"] = n / d if d else 0.0
     return out

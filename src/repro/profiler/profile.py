@@ -14,8 +14,14 @@ import numpy as np
 
 from ..errors import TraceError
 from ..ir import InstructionTrace
+from ..obs import metrics
 from .branching import branch_features
-from .features import FEATURE_NAMES, TOTAL_FEATURES
+from .features import (
+    FEATURE_NAMES,
+    TOTAL_FEATURES,
+    check_line_bytes,
+    check_sample_limit,
+)
 from .footprint import footprint_features
 from .ilp import ilp_features
 from .instruction_mix import instruction_mix_features
@@ -99,25 +105,40 @@ def analyze_trace(
     This is NAPEL phase 1 (both for training and prediction): the analysis
     is purely a function of the instruction stream and contains no
     NMC-architecture knowledge.
+
+    The ILP and reuse-distance families are timed as
+    ``phase.profile.ilp`` and ``phase.profile.reuse`` (data plus
+    instruction), every other family as ``phase.profile.other``.  A
+    negative sample limit or a ``line_bytes`` that is not a positive
+    power of two raises :class:`~repro.errors.ConfigError`.
     """
+    check_sample_limit(ilp_sample_limit, "ilp_sample_limit")
+    check_sample_limit(reuse_sample_limit, "reuse_sample_limit")
+    check_line_bytes(line_bytes)
+    m = metrics()
     features: dict[str, float] = {}
-    features.update(instruction_mix_features(trace))
-    features.update(
-        ilp_features(trace, sample_limit=ilp_sample_limit, line_bytes=line_bytes)
-    )
-    data_feats, hists = data_reuse_features(
-        trace, line_bytes=line_bytes, sample_limit=reuse_sample_limit
-    )
-    features.update(data_feats)
-    features.update(
-        instruction_reuse_features(trace, sample_limit=reuse_sample_limit)
-    )
-    features.update(memory_traffic_features(trace, hists, line_bytes=line_bytes))
-    features.update(register_traffic_features(trace))
-    features.update(footprint_features(trace, line_bytes=line_bytes))
-    features.update(stride_features(trace))
-    features.update(branch_features(trace))
-    features.update(working_set_features(trace, line_bytes=line_bytes))
+    with m.timer("phase.profile.ilp"):
+        features.update(ilp_features(
+            trace, sample_limit=ilp_sample_limit, line_bytes=line_bytes
+        ))
+    with m.timer("phase.profile.reuse"):
+        data_feats, hists = data_reuse_features(
+            trace, line_bytes=line_bytes, sample_limit=reuse_sample_limit
+        )
+        features.update(data_feats)
+        features.update(
+            instruction_reuse_features(trace, sample_limit=reuse_sample_limit)
+        )
+    with m.timer("phase.profile.other"):
+        features.update(instruction_mix_features(trace))
+        features.update(
+            memory_traffic_features(trace, hists, line_bytes=line_bytes)
+        )
+        features.update(register_traffic_features(trace))
+        features.update(footprint_features(trace, line_bytes=line_bytes))
+        features.update(stride_features(trace))
+        features.update(branch_features(trace))
+        features.update(working_set_features(trace, line_bytes=line_bytes))
 
     missing = [name for name in FEATURE_NAMES if name not in features]
     if missing:

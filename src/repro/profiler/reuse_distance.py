@@ -8,10 +8,11 @@ canonical hardware-independent description of temporal locality: a fully
 associative LRU cache of capacity ``C`` lines hits exactly the accesses with
 reuse distance < ``C``.
 
-The computation kernel (the classic Fenwick-tree / move-to-front
-formulation of Mattson's stack algorithm, O(M log M) over M accesses)
-lives in :mod:`repro.ir.stackdist`, shared with the fast simulation
-engine's L1 classifier; this module keeps the feature extraction.
+The computation kernel (the classic Fenwick-tree formulation of
+Mattson's stack algorithm, O(M log M) over M accesses, compiled through
+:mod:`repro.native`) lives in :mod:`repro.ir.stackdist`, shared with the
+fast simulation engine's L1 classifier; this module keeps the feature
+extraction.
 """
 
 from __future__ import annotations
@@ -31,6 +32,8 @@ from .features import (
     INSTR_REUSE_CDF_BUCKETS,
     INSTR_REUSE_PDF_BUCKETS,
     REUSE_STREAMS,
+    check_line_bytes,
+    check_sample_limit,
 )
 
 
@@ -127,6 +130,8 @@ def data_reuse_features(
     Returns the feature dict and the per-stream histograms (reused by the
     memory-traffic analysis).
     """
+    check_sample_limit(sample_limit)
+    check_line_bytes(line_bytes)
     addrs, _sizes, is_write = trace.memory_accesses()
     if len(addrs) > sample_limit:
         addrs = addrs[:sample_limit]
@@ -163,6 +168,7 @@ def instruction_reuse_features(
     sample_limit: int = 200_000,
 ) -> dict[str, float]:
     """Instruction reuse-distance features over the static PC stream."""
+    check_sample_limit(sample_limit)
     n = min(len(trace), sample_limit)
     pcs = trace.pc[:n].astype(np.int64)
     dists = reuse_distances(pcs)

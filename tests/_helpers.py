@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.ir import LoopTemplate, Opcode, TemplateOp, TraceBuilder
-from repro.nmcsim import _native
+from repro import native
 
 
 def build_stream_trace(n: int = 2000, *, tid: int = 0, pc_base: int = 0):
@@ -42,15 +42,12 @@ def build_random_trace(n: int = 2000, *, seed: int = 0, span: int = 1 << 24):
 
 
 def use_kernel(monkeypatch, name: str) -> None:
-    """Run the fast engine's phase B through one kernel form.
+    """Run every compiled kernel (phase B, ILP, reuse distance) in one form.
 
-    ``"python"`` forces the pure-Python loop; ``"cc"`` the compiled
-    kernel (the test is skipped on hosts without a C compiler).
+    ``"python"`` forces the pure-Python forms; ``"cc"`` the compiled
+    kernel library (the test is skipped on hosts without a C compiler).
     """
     if name == "python":
-        monkeypatch.setattr(
-            _native, "resolve_kernel",
-            lambda: (_native.contend_packed_multi, "python"),
-        )
-    elif _native.resolve_kernel()[1] != "cc":
+        monkeypatch.setattr(native, "_library", lambda: None)
+    elif native.jit_status()["backend"] != "cc":
         pytest.skip("no C compiler available")

@@ -21,9 +21,9 @@ from _helpers import (  # noqa: E402
 
 
 @pytest.fixture(params=["python", "cc"], ids=["0", "1"])
-def phase_b_kernel(request, monkeypatch):
-    """Each test runs once per phase-B kernel form (see ``use_kernel``):
-    id ``0`` is the pure-Python loop, id ``1`` the compiled kernel."""
+def kernel_form(request, monkeypatch):
+    """Each test runs once per kernel form (see ``use_kernel``): id
+    ``0`` is the pure-Python forms, id ``1`` the compiled kernels."""
     use_kernel(monkeypatch, request.param)
     return request.param
 

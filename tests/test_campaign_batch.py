@@ -69,7 +69,7 @@ def arch_variants() -> list[NMCConfig]:
 # ----------------------------------------------------- bit-identity matrix
 
 class TestBatchedBitIdentity:
-    def test_simulate_batch_matches_per_point(self, phase_b_kernel):
+    def test_simulate_batch_matches_per_point(self, kernel_form):
         points = []
         for wname in ("atax", "bfs", "mvt"):
             trace = small_trace(wname)
@@ -103,7 +103,7 @@ class TestBatchedBitIdentity:
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_campaign_batched_matches_per_point(
-        self, phase_b_kernel, jobs, tmp_path
+        self, kernel_form, jobs, tmp_path
     ):
         workload = get_workload("atax")
         baseline = SimulationCampaign(

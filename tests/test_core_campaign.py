@@ -7,6 +7,7 @@ from repro import SimulationCampaign, active_schema
 from repro.core import CampaignCache
 from repro.core.dataset import TrainingSet
 from repro.errors import CampaignError
+from repro.obs import metrics
 
 
 class TestTrainingSet:
@@ -119,6 +120,23 @@ class TestCampaign:
         campaign = SimulationCampaign(scale=4.0)
         with pytest.raises(CampaignError):
             campaign.run(atax, [])
+
+    def test_profile_phase_split_timers(self, atax):
+        """Each profiled point records one ILP, reuse and other span,
+        nested inside its ``phase.profile`` span."""
+        before = metrics().snapshot()
+        training = SimulationCampaign(scale=4.0, jobs=1).run(atax)
+        timers = metrics().diff(before)["timers"]
+        parts = [
+            timers[f"phase.profile.{part}"]
+            for part in ("ilp", "reuse", "other")
+        ]
+        assert timers["phase.profile"]["count"] == len(training)
+        assert [t["count"] for t in parts] == [len(training)] * 3
+        assert (
+            sum(t["total_s"] for t in parts)
+            <= timers["phase.profile"]["total_s"]
+        )
 
     def test_doe_run_seconds_accumulates(self, small_campaign):
         campaign, _ = small_campaign

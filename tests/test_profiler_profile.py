@@ -5,12 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import TraceError
+from repro.errors import ConfigError, TraceError
 from repro.profiler import (
     ApplicationProfile,
     FEATURE_NAMES,
     TOTAL_FEATURES,
     analyze_trace,
+    data_reuse_features,
+    ilp_features,
+    instruction_reuse_features,
 )
 from _helpers import build_random_trace, build_stream_trace
 
@@ -62,6 +65,48 @@ class TestAnalyzeTrace:
         trace = atax.generate({"dimensions": 800, "threads": 8}, scale=3.0)
         profile = analyze_trace(trace)
         assert profile.thread_count == 8
+
+
+#: Entry points taking a sample limit: name -> call(trace, limit).
+SAMPLED = {
+    "ilp": lambda t, v: ilp_features(t, sample_limit=v),
+    "analyze_ilp": lambda t, v: analyze_trace(t, ilp_sample_limit=v),
+    "data_reuse": lambda t, v: data_reuse_features(t, sample_limit=v),
+    "instr_reuse": lambda t, v: instruction_reuse_features(t, sample_limit=v),
+    "analyze_reuse": lambda t, v: analyze_trace(t, reuse_sample_limit=v),
+}
+
+#: Entry points taking a cache-line size: name -> call(trace, line_bytes).
+LINED = {
+    "ilp": lambda t, v: ilp_features(t, line_bytes=v),
+    "data_reuse": lambda t, v: data_reuse_features(t, line_bytes=v),
+    "analyze": lambda t, v: analyze_trace(t, line_bytes=v),
+}
+
+
+class TestBadArguments:
+    """Bad profiler arguments fail loud instead of profiling silently wrong."""
+
+    @pytest.mark.parametrize("entry", ["ilp", "analyze_ilp"])
+    def test_negative_ilp_sample_limit(self, stream_trace, entry):
+        with pytest.raises(ConfigError, match="sample_limit"):
+            SAMPLED[entry](stream_trace, -5)
+
+    @pytest.mark.parametrize(
+        "entry", ["data_reuse", "instr_reuse", "analyze_reuse"]
+    )
+    def test_negative_reuse_sample_limit(self, stream_trace, entry):
+        with pytest.raises(ConfigError, match="sample_limit"):
+            SAMPLED[entry](stream_trace, -5)
+
+    @pytest.mark.parametrize("line_bytes", [0, -64, 3, 48])
+    @pytest.mark.parametrize("entry", sorted(LINED))
+    def test_line_bytes_not_power_of_two(self, stream_trace, entry, line_bytes):
+        with pytest.raises(ConfigError, match="line_bytes"):
+            LINED[entry](stream_trace, line_bytes)
+
+    def test_zero_sample_limit_still_allowed(self, stream_trace):
+        assert ilp_features(stream_trace, sample_limit=0)["ilp.total"] == 0.0
 
 
 class TestApplicationProfile:

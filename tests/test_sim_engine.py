@@ -11,12 +11,7 @@ ordered-dict reconstruction.
 """
 
 import json
-import os
-import shutil
-import subprocess
-import sys
 from collections import OrderedDict, defaultdict
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -40,7 +35,6 @@ from repro.nmcsim import (
     simulate_batch,
     simulation_memo_summary,
 )
-from repro.nmcsim import _native
 from repro.obs import activate_tracing, metrics, reset_tracing
 
 WORKLOADS = [
@@ -555,61 +549,6 @@ class TestJITEquivalence:
     def test_compiled_kernel_matches_reference(self, monkeypatch, case):
         use_kernel(monkeypatch, "cc")
         assert_engines_agree(case)
-
-
-requires_cc = pytest.mark.skipif(
-    not any(shutil.which(c) for c in ("cc", "gcc", "clang")),
-    reason="no C compiler available",
-)
-
-
-@requires_cc
-class TestKernelBuild:
-    """The C build is race-free and rebuilds damaged cached objects."""
-
-    @pytest.fixture
-    def cold_cache(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(_native.CACHE_ENV_VAR, str(tmp_path))
-        monkeypatch.setattr(_native, "_RESOLVED", None)
-        return tmp_path
-
-    def test_damaged_cached_object_is_rebuilt(self, cold_cache):
-        so_path = Path(_native._so_path())
-        so_path.write_bytes(b"\x00garbage, not a shared object\x00" * 8)
-        with pytest.warns(RuntimeWarning, match="failed to load"):
-            assert _native.resolve_kernel()[1] == "cc"
-        assert so_path.read_bytes()[:4] == b"\x7fELF"
-        # Only the rebuilt object remains: no temporary build files.
-        assert [p.name for p in cold_cache.iterdir()] == [so_path.name]
-        trace = small_trace("kme")
-        cfg = default_nmc_config()
-        fast = NMCSimulator(cfg, engine="fast").run(trace)
-        ref = NMCSimulator(cfg, engine="reference").run(trace)
-        assert result_dict(fast) == result_dict(ref)
-
-    def test_concurrent_cold_builds_both_compile(self, cold_cache):
-        import repro
-
-        env = {
-            **os.environ,
-            "PYTHONPATH": str(Path(repro.__file__).resolve().parents[1]),
-        }
-        code = (
-            "from repro.nmcsim import jit_status; "
-            "print(jit_status()['backend'])"
-        )
-        procs = [
-            subprocess.Popen(
-                [sys.executable, "-c", code],
-                env=env, stdout=subprocess.PIPE, text=True,
-            )
-            for _ in range(2)
-        ]
-        outs = [p.communicate(timeout=300)[0].strip() for p in procs]
-        assert outs == ["cc", "cc"]
-        assert [p.name for p in cold_cache.iterdir()] == [
-            Path(_native._so_path()).name
-        ]
 
 
 # -------------------------------------------------------- traced runs
