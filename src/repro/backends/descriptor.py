@@ -17,7 +17,7 @@ of the system consumes descriptor fields instead of device constants.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from ..config import DRAMTiming, NMCEnergyParams
@@ -199,7 +199,3 @@ class BackendDescriptor:
         desc = dataclasses.replace(self, **changes)  # type: ignore[arg-type]
         desc.validate()
         return desc
-
-
-def _descriptor_field_names() -> tuple[str, ...]:
-    return tuple(f.name for f in fields(BackendDescriptor))

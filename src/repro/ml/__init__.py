@@ -12,7 +12,6 @@ needs is implemented here on top of numpy:
 """
 
 from .ann import MLPRegressor
-from .extra_trees import ExtraTreesRegressor
 from .importance import PermutationImportance, permutation_importance
 from .cross_validation import KFold, LeaveOneGroupOut, cross_val_score
 from .forest import RandomForestRegressor
@@ -25,7 +24,6 @@ from .tuning import GridSearchResult, grid_search
 
 __all__ = [
     "RandomForestRegressor",
-    "ExtraTreesRegressor",
     "permutation_importance",
     "PermutationImportance",
     "RegressionTree",

@@ -16,13 +16,20 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import MLError, NotFittedError
+from ..obs import metrics
 from ..parallel import map_jobs, resolve_jobs
-from .tree import RegressionTree
+from .tree import RegressionTree, _check_fit_data, _dense_ranks
 
 
 def _fit_tree_chunk(job) -> list[RegressionTree]:
-    """Worker-side body: fit one chunk of pre-planned trees in order."""
+    """Worker-side body: fit one chunk of pre-planned trees in order.
+
+    ``X`` is transposed and ranked once per chunk; each tree gathers its
+    bootstrap samples' columns and ranks, so no tree sorts from scratch.
+    """
     X, y, params, plans = job
+    columns = np.ascontiguousarray(X.T)
+    ranks = _dense_ranks(columns)
     trees = []
     for seed, sample in plans:
         tree = RegressionTree(
@@ -32,10 +39,15 @@ def _fit_tree_chunk(job) -> list[RegressionTree]:
             rng=np.random.default_rng(seed),
         )
         if sample is None:
-            tree.fit(X, y)
+            tree._fit(columns, y, ranks)
         else:
-            tree.fit(X[sample], y[sample])
+            tree._fit(
+                columns.take(sample, axis=1), y[sample],
+                ranks.take(sample, axis=1),
+            )
         trees.append(tree)
+    metrics().inc("ml.trees.fitted", len(trees))
+    metrics().inc("ml.tree.nodes", sum(tree.n_nodes for tree in trees))
     return trees
 
 
@@ -102,13 +114,8 @@ class RandomForestRegressor:
         return RandomForestRegressor(**params)
 
     def fit(self, X, y) -> "RandomForestRegressor":
-        X = np.asarray(X, dtype=np.float64)
-        y = np.asarray(y, dtype=np.float64).ravel()
-        if X.ndim != 2 or len(X) != len(y):
-            raise MLError("X must be 2-D and aligned with y")
+        X, y = _check_fit_data(X, y)
         n = len(y)
-        if n == 0:
-            raise MLError("cannot fit on an empty dataset")
         rng = np.random.default_rng(self.random_state)
         # Pre-draw every tree's seed and bootstrap sample in tree order:
         # the RNG stream is consumed exactly as a serial loop would, so

@@ -2,9 +2,17 @@
 
 Standard variance-reduction splitting: at every node the best (feature,
 threshold) pair minimises the summed squared error of the two children.
-The split search is vectorised per feature with prefix sums, so fitting is
-O(features * n log n) per node.  ``max_features`` enables the random
-feature subsampling that random forests rely on.
+``max_features`` enables the random feature subsampling that random
+forests rely on.
+
+A whole tree is built by one call of the ``build_tree`` kernel of
+:mod:`repro.native`.  Its compiled form sorts every feature once per
+tree (a counting sort by the precomputed value ranks of
+:func:`_dense_ranks`) and keeps each node's samples in that order, so no
+node sorts again; its Python form, the recursive :func:`_best_split`
+search that argsorts every node, is the oracle the compiled form
+matches bit for bit and the fallback without a C compiler.  Both draw
+each node's candidate features from the tree's own ``rng``.
 
 Prediction over large matrices is vectorised too: rows traverse the tree
 lock-stepped level by level (one numpy gather per level) instead of one
@@ -14,10 +22,13 @@ the prediction server's microbatcher leans on.
 
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
+from .. import native
 from ..errors import MLError, NotFittedError
 
 
@@ -58,6 +69,217 @@ def _resolve_max_features(max_features, n_features: int) -> int:
     return min(value, n_features)
 
 
+def _check_fit_data(X, y) -> tuple[np.ndarray, np.ndarray]:
+    """``X`` and ``y`` as float64, validated for fitting.
+
+    Non-finite values fail loud: a NaN target would otherwise leak into
+    node means silently, and the presort ranks assume ordered values.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64).ravel()
+    if X.ndim != 2:
+        raise MLError("X must be 2-D")
+    if len(X) != len(y):
+        raise MLError("X and y length mismatch")
+    if len(y) == 0:
+        raise MLError("cannot fit on an empty dataset")
+    if not (np.isfinite(X).all() and np.isfinite(y).all()):
+        raise MLError("X and y must be finite (found NaN or inf)")
+    return X, y
+
+
+def _dense_ranks(columns: np.ndarray) -> np.ndarray:
+    """Dense ranks of every row of ``columns`` (equal values share one).
+
+    ``columns`` is a feature-major ``(p, n)`` matrix.  A stable sort of
+    any sample subset by rank is that subset's stable ``argsort`` by
+    value, which is how the compiled ``build_tree`` presorts a tree.
+    """
+    order = np.argsort(columns, axis=1, kind="stable")
+    xs = np.take_along_axis(columns, order, axis=1)
+    dense = np.zeros(columns.shape, dtype=np.int64)
+    np.cumsum(xs[:, 1:] != xs[:, :-1], axis=1, out=dense[:, 1:])
+    ranks = np.empty_like(dense)
+    np.put_along_axis(ranks, order, dense, axis=1)
+    return ranks
+
+
+def _best_split(
+    X, y, idx: np.ndarray, draw, min_leaf: int
+) -> tuple[int, float, float] | None:
+    """Best ``(feature, threshold, gain)`` cut of node ``idx`` over the
+    features ``draw()`` returns, or None when no cut reduces the SSE."""
+    n = len(idx)
+    y_node = y[idx]
+    sum_all = y_node.sum()
+    sq_all = float(np.sum(y_node**2))
+    sse_parent = sq_all - sum_all**2 / n
+    features = draw()
+
+    # Vectorised over the feature subset: sort each candidate feature's
+    # column, prefix-sum the targets, and score every admissible cut of
+    # every feature in one shot.
+    Xn = X[np.ix_(idx, features)]                       # (n, k)
+    order = np.argsort(Xn, axis=0, kind="stable")
+    xs = np.take_along_axis(Xn, order, axis=0)          # sorted values
+    ys = y_node[order]                                  # aligned targets
+    cum = np.cumsum(ys, axis=0)
+    cum2 = np.cumsum(ys**2, axis=0)
+    pos = np.arange(1, n)[:, None]                      # left-side sizes
+    valid = (
+        (xs[1:] != xs[:-1])
+        & (pos >= min_leaf)
+        & (n - pos >= min_leaf)
+    )
+    if not valid.any():
+        return None
+    left_sum = cum[:-1]
+    left_sq = cum2[:-1]
+    right_sum = sum_all - left_sum
+    right_sq = sq_all - left_sq
+    with np.errstate(invalid="ignore"):
+        sse = (
+            left_sq - left_sum**2 / pos
+            + right_sq - right_sum**2 / (n - pos)
+        )
+    sse[~valid] = np.inf
+    flat = int(np.argmin(sse))
+    cut, col = divmod(flat, sse.shape[1])
+    gain = sse_parent - float(sse[cut, col])
+    if gain <= 1e-12:
+        return None
+    # Split predicate is `x <= threshold` with the threshold at the left
+    # boundary value itself: the float midpoint of two adjacent values
+    # can round up to the right value and produce an empty child.
+    threshold = float(xs[cut, col])
+    return (int(features[col]), threshold, gain)
+
+
+def _build_tree_py(
+    columns, y, ranks, k, max_depth, min_samples_split, min_samples_leaf,
+    draw,
+) -> tuple[np.ndarray, ...]:
+    """Python form of the ``build_tree`` kernel (the oracle).
+
+    Fits the samples of the feature-major ``(p, n)`` matrix ``columns``
+    depth-first, calling ``draw()`` for the ``k`` candidate features of
+    every split search, and returns the preorder node arrays ``(feature,
+    threshold, left, right, value)`` plus the per-feature summed gains.
+    ``ranks`` (:func:`_dense_ranks` of ``columns``) only feeds the
+    compiled form.
+    """
+    X = columns.T
+    nodes: list[list] = []  # [feature, threshold, left, right, value]
+    importance = np.zeros(X.shape[1])
+
+    def _build(idx: np.ndarray, depth: int) -> int:
+        node_id = len(nodes)
+        node = [-1, 0.0, -1, -1, float(y[idx].mean())]
+        nodes.append(node)
+        if (
+            len(idx) < min_samples_split
+            or (max_depth is not None and depth >= max_depth)
+            or np.ptp(y[idx]) == 0.0
+        ):
+            return node_id
+        split = _best_split(X, y, idx, draw, min_samples_leaf)
+        if split is None:
+            return node_id
+        feature, threshold, gain = split
+        mask = X[idx, feature] <= threshold
+        importance[feature] += gain
+        node[0], node[1] = feature, threshold
+        node[2] = _build(idx[mask], depth + 1)
+        node[3] = _build(idx[~mask], depth + 1)
+        return node_id
+
+    _build(np.arange(len(y)), 0)
+    feature, threshold, left, right, value = zip(*nodes)
+    return (
+        np.array(feature, dtype=np.int64), np.array(threshold),
+        np.array(left, dtype=np.int64), np.array(right, dtype=np.int64),
+        np.array(value), importance,
+    )
+
+
+def _build_tree_cc(lib: native.Library) -> Callable:
+    fn = lib.build_tree
+    fn.restype = ctypes.c_int64
+    draw_type = ctypes.CFUNCTYPE(ctypes.c_int)
+    fn.argtypes = (
+        [ctypes.c_void_p] * 3 + [ctypes.c_int64] * 7
+        + [draw_type] + [ctypes.c_void_p] * 7 + [ctypes.c_int64]
+    )
+
+    def kernel(
+        columns, y, ranks, k, max_depth, min_samples_split,
+        min_samples_leaf, draw,
+    ) -> tuple[np.ndarray, ...]:
+        p, n = columns.shape
+        if ranks.shape != (p, n) or np.shape(y) != (n,):
+            raise MLError("build_tree: columns, ranks and y do not align")
+        columns = np.ascontiguousarray(columns, dtype=np.float64)
+        y = np.ascontiguousarray(y, dtype=np.float64)
+        ranks = np.ascontiguousarray(ranks, dtype=np.int64)
+        drawn = np.empty(k, dtype=np.int64)
+        failed: list[BaseException] = []
+
+        # ctypes prints and swallows an exception raised in a callback,
+        # so it is kept here, the build aborts, and it is re-raised.
+        @draw_type
+        def on_draw() -> int:
+            try:
+                drawn[:] = draw()
+            except BaseException as exc:  # noqa: BLE001 - re-raised below
+                failed.append(exc)
+                return 1
+            return 0
+
+        cap = 2 * n - 1  # a binary tree over n samples, no empty leaf
+        feature, left, right = (np.empty(cap, dtype=np.int64) for _ in range(3))
+        threshold, value = np.empty(cap), np.empty(cap)
+        importance = np.zeros(p)
+        count = fn(
+            columns.ctypes.data, y.ctypes.data, ranks.ctypes.data, n, p,
+            int(ranks.max(initial=0)) + 1, k,
+            -1 if max_depth is None else max_depth,
+            min_samples_split, min_samples_leaf, on_draw, drawn.ctypes.data,
+            feature.ctypes.data, threshold.ctypes.data, left.ctypes.data,
+            right.ctypes.data, value.ctypes.data, importance.ctypes.data, cap,
+        )
+        if failed:
+            raise failed[0]
+        if count == -3:
+            raise MemoryError("build_tree: scratch allocation failed")
+        if count < 0:
+            raise MLError(f"build_tree: more than {cap} nodes")
+        return (
+            feature[:count], threshold[:count], left[:count], right[:count],
+            value[:count], importance,
+        )
+
+    return kernel
+
+
+native.register("build_tree", _build_tree_py, _build_tree_cc)
+
+
+def _compact_arrays(feature, threshold, left, right, value) -> tuple:
+    """Preorder node fields as the level-wise traversal's arrays.
+
+    Leaves are made self-referential (``left == right == self``) and
+    given feature 0, so the traversal can gather blindly: a row already
+    at a leaf just stays there.
+    """
+    leaf = left < 0
+    self_idx = np.arange(len(left), dtype=np.int64)
+    return (
+        np.where(leaf, 0, feature), threshold,
+        np.where(leaf, self_idx, left), np.where(leaf, self_idx, right),
+        value, leaf,
+    )
+
+
 class RegressionTree:
     """A CART regression tree.
 
@@ -73,20 +295,16 @@ class RegressionTree:
         min_samples_leaf: int = 1,
         min_samples_split: int = 2,
         max_features=None,
-        splitter: str = "best",
         rng: np.random.Generator | None = None,
     ) -> None:
         if max_depth is not None and max_depth < 1:
             raise MLError("max_depth must be >= 1 or None")
         if min_samples_leaf < 1 or min_samples_split < 2:
             raise MLError("invalid min_samples_leaf / min_samples_split")
-        if splitter not in ("best", "random"):
-            raise MLError("splitter must be 'best' or 'random'")
         self.max_depth = max_depth
         self.min_samples_leaf = min_samples_leaf
         self.min_samples_split = min_samples_split
         self.max_features = max_features
-        self.splitter = splitter
         self.rng = rng or np.random.default_rng()
         self._nodes: list[_Node] = []
         self.n_features_: int | None = None
@@ -95,138 +313,37 @@ class RegressionTree:
     # --------------------------------------------------------------- fit
 
     def fit(self, X, y) -> "RegressionTree":
-        X = np.asarray(X, dtype=np.float64)
-        y = np.asarray(y, dtype=np.float64).ravel()
-        if X.ndim != 2:
-            raise MLError("X must be 2-D")
-        if len(X) != len(y):
-            raise MLError("X and y length mismatch")
-        if len(y) == 0:
-            raise MLError("cannot fit on an empty dataset")
-        self.n_features_ = X.shape[1]
-        self._k = _resolve_max_features(self.max_features, self.n_features_)
-        self._nodes = []
-        self._importance = np.zeros(self.n_features_)
-        self._build(X, y, np.arange(len(y)), depth=0)
-        total = self._importance.sum()
+        X, y = _check_fit_data(X, y)
+        columns = np.ascontiguousarray(X.T)
+        return self._fit(columns, y, _dense_ranks(columns))
+
+    def _fit(
+        self, columns: np.ndarray, y: np.ndarray, ranks: np.ndarray
+    ) -> "RegressionTree":
+        """Fit validated feature-major ``(p, n)`` data and its ranks."""
+        self.n_features_ = len(columns)
+        k = _resolve_max_features(self.max_features, self.n_features_)
+        build, _backend = native.resolve("build_tree")
+        feature, threshold, left, right, value, importance = build(
+            columns, y, ranks, k, self.max_depth, self.min_samples_split,
+            self.min_samples_leaf,
+            lambda: self.rng.choice(self.n_features_, size=k, replace=False),
+        )
+        self._nodes = [
+            _Node(*fields)
+            for fields in zip(
+                value.tolist(), feature.tolist(), threshold.tolist(),
+                left.tolist(), right.tolist(),
+            )
+        ]
+        self.__dict__["_arrays"] = _compact_arrays(
+            feature, threshold, left, right, value
+        )
+        total = importance.sum()
         self.feature_importances_ = (
-            self._importance / total if total > 0 else self._importance
+            importance / total if total > 0 else importance
         )
         return self
-
-    def _build(self, X, y, idx: np.ndarray, depth: int) -> int:
-        node_id = len(self._nodes)
-        value = float(y[idx].mean())
-        self._nodes.append(_Node(value=value))
-        n = len(idx)
-        if (
-            n < self.min_samples_split
-            or (self.max_depth is not None and depth >= self.max_depth)
-            or np.ptp(y[idx]) == 0.0
-        ):
-            return node_id
-        split = self._best_split(X, y, idx)
-        if split is None:
-            return node_id
-        feature, threshold, gain = split
-        mask = X[idx, feature] <= threshold
-        left_idx = idx[mask]
-        right_idx = idx[~mask]
-        self._importance[feature] += gain
-        node = self._nodes[node_id]
-        node.feature = feature
-        node.threshold = threshold
-        node.left = self._build(X, y, left_idx, depth + 1)
-        node.right = self._build(X, y, right_idx, depth + 1)
-        return node_id
-
-    def _best_split(
-        self, X, y, idx: np.ndarray
-    ) -> tuple[int, float, float] | None:
-        n = len(idx)
-        y_node = y[idx]
-        sum_all = y_node.sum()
-        sq_all = float(np.sum(y_node**2))
-        sse_parent = sq_all - sum_all**2 / n
-        features = self.rng.choice(
-            self.n_features_, size=self._k, replace=False
-        )
-        min_leaf = self.min_samples_leaf
-        if self.splitter == "random":
-            return self._random_split(
-                X, y_node, idx, features, sse_parent, min_leaf
-            )
-
-        # Vectorised over the feature subset: sort each candidate feature's
-        # column, prefix-sum the targets, and score every admissible cut of
-        # every feature in one shot.
-        Xn = X[np.ix_(idx, features)]                       # (n, k)
-        order = np.argsort(Xn, axis=0, kind="stable")
-        xs = np.take_along_axis(Xn, order, axis=0)          # sorted values
-        ys = y_node[order]                                  # aligned targets
-        cum = np.cumsum(ys, axis=0)
-        cum2 = np.cumsum(ys**2, axis=0)
-        pos = np.arange(1, n)[:, None]                      # left-side sizes
-        valid = (
-            (xs[1:] != xs[:-1])
-            & (pos >= min_leaf)
-            & (n - pos >= min_leaf)
-        )
-        if not valid.any():
-            return None
-        left_sum = cum[:-1]
-        left_sq = cum2[:-1]
-        right_sum = sum_all - left_sum
-        right_sq = sq_all - left_sq
-        with np.errstate(invalid="ignore"):
-            sse = (
-                left_sq - left_sum**2 / pos
-                + right_sq - right_sum**2 / (n - pos)
-            )
-        sse[~valid] = np.inf
-        flat = int(np.argmin(sse))
-        cut, col = divmod(flat, sse.shape[1])
-        gain = sse_parent - float(sse[cut, col])
-        if gain <= 1e-12:
-            return None
-        # Split predicate is `x <= threshold` with the threshold at the left
-        # boundary value itself: the float midpoint of two adjacent values
-        # can round up to the right value and produce an empty child.
-        threshold = float(xs[cut, col])
-        return (int(features[col]), threshold, gain)
-
-    def _random_split(
-        self, X, y_node, idx, features, sse_parent, min_leaf
-    ) -> tuple[int, float, float] | None:
-        """Extra-Trees-style splitting: one uniform random threshold per
-        candidate feature, best-scoring feature wins."""
-        n = len(idx)
-        best: tuple[int, float, float] | None = None
-        best_gain = 1e-12
-        for feature in features:
-            x = X[idx, feature]
-            lo, hi = float(x.min()), float(x.max())
-            if lo == hi:
-                continue
-            threshold = float(self.rng.uniform(lo, hi))
-            # uniform(lo, hi) can return hi itself; nudge inside.
-            if threshold >= hi:
-                threshold = lo + (hi - lo) / 2.0
-            mask = x <= threshold
-            n_left = int(mask.sum())
-            if n_left < min_leaf or n - n_left < min_leaf:
-                continue
-            left = y_node[mask]
-            right = y_node[~mask]
-            sse = (
-                float(np.sum(left**2)) - left.sum() ** 2 / n_left
-                + float(np.sum(right**2)) - right.sum() ** 2 / (n - n_left)
-            )
-            gain = sse_parent - sse
-            if gain > best_gain:
-                best_gain = gain
-                best = (int(feature), threshold, gain)
-        return best
 
     # ----------------------------------------------------------- predict
 
@@ -243,31 +360,17 @@ class RegressionTree:
         return state
 
     def _compact(self):
-        """Node fields as flat arrays (lazily built, cached, unpickled).
-
-        Leaves are made self-referential (``left == right == self``) and
-        given feature 0, so the level-wise traversal can gather blindly:
-        a row already at a leaf just stays there.
-        """
+        """Node fields as flat arrays (set by fit, rebuilt after unpickling)."""
         arrays = self.__dict__.get("_arrays")
         if arrays is None:
             nodes = self._nodes
-            self_idx = np.arange(len(nodes), dtype=np.int64)
-            left = np.array([n.left for n in nodes], dtype=np.int64)
-            right = np.array([n.right for n in nodes], dtype=np.int64)
-            leaf = left < 0
-            arrays = (
-                np.where(
-                    leaf, 0,
-                    np.array([n.feature for n in nodes], dtype=np.int64),
-                ),
+            arrays = self.__dict__["_arrays"] = _compact_arrays(
+                np.array([n.feature for n in nodes], dtype=np.int64),
                 np.array([n.threshold for n in nodes]),
-                np.where(leaf, self_idx, left),
-                np.where(leaf, self_idx, right),
+                np.array([n.left for n in nodes], dtype=np.int64),
+                np.array([n.right for n in nodes], dtype=np.int64),
                 np.array([n.value for n in nodes]),
-                leaf,
             )
-            self.__dict__["_arrays"] = arrays
         return arrays
 
     def _apply_batch(self, X: np.ndarray) -> np.ndarray:

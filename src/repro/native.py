@@ -11,7 +11,9 @@ that own a loop :func:`register` both forms under one name:
   distances (:mod:`repro.ir.stackdist`), shared by the profiler's
   reuse-distance families and phase A's set-associative classifier;
 * ``ilp_depths`` — the profiler's dependence-DAG depths
-  (:mod:`repro.profiler.ilp`).
+  (:mod:`repro.profiler.ilp`);
+* ``build_tree`` — one whole CART regression tree per call, the
+  random forest's base learner (:mod:`repro.ml.tree`).
 
 :func:`resolve` hands out one form per call.  The C source is built on
 the first kernel call of a process (never at import) with the system C
@@ -27,8 +29,10 @@ Bit-equivalence contract: each C function keeps its Python form's exact
 arithmetic.  The profiler kernels are integer-only; phase B keeps the
 floating-point operation order of ``StackedMemory.access`` (C ``double``
 and CPython ``float`` are both IEEE-754 binary64, and
-``-ffp-contract=off`` forbids FMA contraction).  The differential suites
-assert this, it is not assumed.
+``-ffp-contract=off`` forbids FMA contraction); the tree builder
+replays numpy's: pairwise summation for node sums, libm ``pow`` for a
+scalar square, sequential prefix sums and ``argmin``'s tie and NaN
+rules.  The differential suites assert this, it is not assumed.
 """
 
 from __future__ import annotations
@@ -50,9 +54,10 @@ log = get_logger("repro.native")
 CACHE_ENV_VAR = "REPRO_SIM_JIT_CACHE"
 
 _C_SOURCE = r"""
-#include <stdint.h>
-#include <string.h>
 #include <math.h>
+#include <stdint.h>
+#include <stdlib.h>
+#include <string.h>
 
 typedef int64_t i64;
 
@@ -386,6 +391,257 @@ void ilp_depths(
             reg_level, reg_stamp, store_level, store_stamp, NULL, NULL,
             &epoch, NULL);
 }
+
+/* ------------------------------------------------ CART tree fitting */
+
+/* numpy's pairwise summation (the float64 add-reduce inner loop). */
+static double pairwise(const double *a, i64 n)
+{
+    if (n < 8) {
+        double res = 0.0;
+        for (i64 i = 0; i < n; i++) res += a[i];
+        return res;
+    }
+    if (n <= 128) {
+        double r[8];
+        for (int j = 0; j < 8; j++) r[j] = a[j];
+        i64 i;
+        for (i = 8; i < n - n % 8; i += 8)
+            for (int j = 0; j < 8; j++) r[j] += a[i + j];
+        double res = ((r[0] + r[1]) + (r[2] + r[3]))
+                   + ((r[4] + r[5]) + (r[6] + r[7]));
+        for (; i < n; i++) res += a[i];
+        return res;
+    }
+    i64 n2 = n / 2;
+    n2 -= n2 % 8;
+    return pairwise(a, n2) + pairwise(a + n2, n - n2);
+}
+
+/* np.sum of a contiguous float64 array: the reduction starts from the
+   add identity 0.0 (so an all -0.0 sum is +0.0). */
+double np_sum(const double *a, i64 n)
+{
+    return 0.0 + pairwise(a, n);
+}
+
+/* A volatile exponent keeps the compiler from folding pow(x, 2.0) into
+   x * x: numpy's scalar x**2 calls libm pow, which rounds differently
+   on a few inputs. */
+static volatile double two = 2.0;
+
+typedef struct {
+    const double *X, *y;        /* p x n: column f is X[f * n ..] */
+    i64 n, p, k, max_depth, min_split, min_leaf;
+    int (*draw)(void);          /* fills drawn[0..k); nonzero: abort */
+    const i64 *drawn;
+    i64 *order;                 /* (p + 1) x n, see build_tree */
+    i64 *feats, *slot;          /* feature permutation and its inverse */
+    i64 *tmp;                   /* n */
+    double *ybuf;               /* n */
+    unsigned char *goes_left;   /* n, by sample row */
+    i64 *feature, *left, *right;
+    double *threshold, *value, *importance;
+    i64 cap, count;
+    i64 status;
+} Tree;
+
+/* Row-major rank of sse entry (cut, col) decides ties, and the first
+   NaN wins outright: np.argmin over the (cut, col) matrix. */
+static inline int sse_before(double v, i64 r, double best, i64 best_r)
+{
+    if (best_r < 0) return 1;
+    if (best != best) return v != v && r < best_r;
+    if (v != v) return 1;
+    return v < best || (v == best && r < best_r);
+}
+
+/* Grow the node over order segment [lo, hi) at `depth`; returns its
+   preorder id.  Mirrors the Python form's _build/_best_split: every
+   order row restricted to a node keeps its presorted order, which is
+   the node's stable argsort. */
+static i64 grow(Tree *t, i64 lo, i64 hi, i64 depth, i64 n_const)
+{
+    if (t->count >= t->cap) { t->status = -2; return -1; }
+    i64 id = t->count++;
+    i64 n = hi - lo, N = t->n, p = t->p;
+    const double *X = t->X, *y = t->y;
+    const i64 *rows = t->order + p * N + lo;
+    double *yb = t->ybuf;
+    for (i64 i = 0; i < n; i++) yb[i] = y[rows[i]];
+    double sum = np_sum(yb, n);
+    t->value[id] = sum / (double)n;
+    t->feature[id] = -1;
+    t->threshold[id] = 0.0;
+    t->left[id] = t->right[id] = -1;
+    if (n < t->min_split || (t->max_depth >= 0 && depth >= t->max_depth))
+        return id;
+    double mn = yb[0], mx = yb[0];
+    for (i64 i = 1; i < n; i++) {
+        if (yb[i] < mn) mn = yb[i];
+        if (yb[i] > mx) mx = yb[i];
+    }
+    if (mx - mn == 0.0) return id;
+
+    for (i64 i = 0; i < n; i++) yb[i] = yb[i] * yb[i];
+    double sq = np_sum(yb, n);
+    double sse_parent = sq - pow(sum, two) / (double)n;
+    if (t->draw()) { t->status = -1; return -1; }
+    if (n < 2 * t->min_leaf) return id;   /* no cut is valid */
+
+    /* feats[0..n_const) are constant over the node: all their cuts are
+       ties.  A feature found constant here joins them, and stays
+       there for every descendant. */
+    for (i64 i = n_const; i < p; i++) {
+        i64 f = t->feats[i];
+        const i64 *o = t->order + f * N + lo;
+        if (X[f * N + o[0]] == X[f * N + o[n - 1]]) {
+            i64 g = t->feats[n_const];
+            t->feats[n_const] = f;
+            t->feats[i] = g;
+            t->slot[f] = n_const++;
+            t->slot[g] = i;
+        }
+    }
+
+    /* Cut scan: sequential prefix sums along each drawn feature's
+       order, the SSE of every cut in numpy's expression order. */
+    int any_valid = 0;
+    double best = 0.0;
+    i64 best_r = -1;
+    for (i64 j = 0; j < t->k; j++) {
+        i64 f = t->drawn[j];
+        if (t->slot[f] < n_const) {
+            /* all +inf: the column's first entry is its argmin */
+            if (sse_before(INFINITY, j, best, best_r)) {
+                best = INFINITY;
+                best_r = j;
+            }
+            continue;
+        }
+        const i64 *o = t->order + f * N + lo;
+        const double *xf = X + f * N;
+        double ls = 0.0, lq = 0.0;
+        for (i64 c = 0; c + 1 < n; c++) {
+            double yv = y[o[c]];
+            if (c == 0) { ls = yv; lq = yv * yv; }
+            else { ls = ls + yv; lq = lq + yv * yv; }
+            i64 pos = c + 1;
+            double sse = INFINITY;
+            if (xf[o[c + 1]] != xf[o[c]]
+                    && pos >= t->min_leaf && n - pos >= t->min_leaf) {
+                any_valid = 1;
+                double rs = sum - ls, rq = sq - lq;
+                sse = ((lq - ls * ls / (double)pos) + rq)
+                    - rs * rs / (double)(n - pos);
+            }
+            i64 r = c * t->k + j;
+            if (sse_before(sse, r, best, best_r)) { best = sse; best_r = r; }
+        }
+    }
+    if (!any_valid) return id;
+    double gain = sse_parent - best;
+    if (gain <= 1e-12) return id;
+    i64 f = t->drawn[best_r % t->k];
+    const double *xf = X + f * N;
+    double thr = xf[t->order[f * N + lo + best_r / t->k]];
+    t->importance[f] += gain;
+    t->feature[id] = f;
+    t->threshold[id] = thr;
+
+    /* Stable partition of the rows and the non-constant feature order
+       rows, `x <= threshold` first. */
+    i64 n_left = 0;
+    for (i64 i = 0; i < n; i++) {
+        unsigned char l = xf[rows[i]] <= thr;
+        t->goes_left[rows[i]] = l;
+        n_left += l;
+    }
+    for (i64 q = n_const; q <= p; q++) {
+        i64 *seg = t->order + (q < p ? t->feats[q] : p) * N + lo;
+        i64 a = 0, b = 0;
+        for (i64 i = 0; i < n; i++) {   /* branch-free */
+            i64 r = seg[i];
+            i64 g = t->goes_left[r];
+            seg[a] = r;
+            t->tmp[b] = r;
+            a += g;
+            b += 1 - g;
+        }
+        memcpy(seg + a, t->tmp, (size_t)b * sizeof *seg);
+    }
+    i64 l_id = grow(t, lo, lo + n_left, depth + 1, n_const);
+    if (t->status) return -1;
+    i64 r_id = grow(t, lo + n_left, hi, depth + 1, n_const);
+    if (t->status) return -1;
+    t->left[id] = l_id;
+    t->right[id] = r_id;
+    return id;
+}
+
+/* Fit one regression tree over n samples of p features.  X and ranks
+   are feature-major (X[f * n + i] is sample i's feature f); ranks are
+   dense per-feature value ranks (ties share a rank, all below
+   n_ranks), so a stable counting sort by rank gives each feature's
+   np.argsort(kind="stable") order once per tree.  order holds those p
+   rows plus a (p + 1)-th row of ascending sample indices, and every
+   node owns the same [lo, hi) segment of each row.  max_depth < 0 is
+   unbounded.  Each split search calls draw(), which writes k distinct
+   features into drawn.  The nodes land in preorder in the output
+   arrays (cap entries each, leaves: feature -1, children -1) and
+   importance[f] accumulates every split's gain.  Returns the node
+   count; -1 when draw failed, -2 past cap nodes, -3 out of memory. */
+i64 build_tree(
+    const double *X, const double *y, const i64 *ranks, i64 n, i64 p,
+    i64 n_ranks, i64 k, i64 max_depth, i64 min_split, i64 min_leaf,
+    int (*draw)(void), const i64 *drawn,
+    i64 *feature, double *threshold, i64 *left, i64 *right, double *value,
+    double *importance, i64 cap)
+{
+    Tree t = {
+        .X = X, .y = y, .n = n, .p = p, .k = k, .max_depth = max_depth,
+        .min_split = min_split, .min_leaf = min_leaf, .draw = draw,
+        .drawn = drawn, .feature = feature, .left = left, .right = right,
+        .threshold = threshold, .value = value, .importance = importance,
+        .cap = cap,
+    };
+    t.order = malloc((size_t)(p + 1) * (size_t)n * sizeof *t.order);
+    /* p + 1: malloc(0) may return NULL */
+    t.feats = malloc((size_t)(p + 1) * sizeof *t.feats);
+    t.slot = malloc((size_t)(p + 1) * sizeof *t.slot);
+    t.tmp = malloc((size_t)n * sizeof *t.tmp);
+    t.ybuf = malloc((size_t)n * sizeof *t.ybuf);
+    t.goes_left = malloc((size_t)n);
+    i64 *cnt = malloc((size_t)n_ranks * sizeof *cnt);
+    i64 result = -3;
+    if (t.order && t.feats && t.slot && t.tmp && t.ybuf && t.goes_left
+            && cnt) {
+        for (i64 f = 0; f < p; f++) {
+            memset(cnt, 0, (size_t)n_ranks * sizeof *cnt);
+            const i64 *rf = ranks + f * n;
+            for (i64 i = 0; i < n; i++) cnt[rf[i]]++;
+            for (i64 r = 0, acc = 0; r < n_ranks; r++) {
+                i64 c = cnt[r];
+                cnt[r] = acc;
+                acc += c;
+            }
+            i64 *row = t.order + f * n;
+            for (i64 i = 0; i < n; i++) row[cnt[rf[i]]++] = i;
+        }
+        for (i64 f = 0; f < p; f++) t.feats[f] = t.slot[f] = f;
+        for (i64 i = 0; i < n; i++) t.order[p * n + i] = i;
+        grow(&t, 0, n, 0, 0);
+        result = t.status ? t.status : t.count;
+    }
+    free(t.order);
+    free(t.feats);
+    free(t.slot);
+    free(t.tmp);
+    free(t.ybuf);
+    free(t.goes_left);
+    free(cnt);
+    return result;
+}
 """
 
 #: The loaded shared object handed to each kernel's C-form builder.
@@ -493,6 +749,7 @@ def _compile(compiler: str, so_path: str) -> None:
                 [
                     compiler, "-O2", "-fPIC", "-shared",
                     "-ffp-contract=off", "-o", str(tmp_path), src_path,
+                    "-lm",
                 ],
                 check=True,
                 capture_output=True,

@@ -43,7 +43,7 @@ from __future__ import annotations
 import contextvars
 import threading
 import time
-from typing import Iterator, Mapping
+from typing import Mapping
 
 from .histogram import DEFAULT_LATENCY_BOUNDS_S, Histogram
 from .trace import tracer
@@ -433,7 +433,3 @@ def phase_timings(snapshot: dict) -> dict[str, float]:
         if name.startswith("phase."):
             out[name.removeprefix("phase.")] = round(stat["total_s"], 6)
     return out
-
-
-def iter_counters(snapshot: dict) -> Iterator[tuple[str, int]]:
-    yield from snapshot.get("counters", {}).items()

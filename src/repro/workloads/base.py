@@ -259,8 +259,3 @@ def config_seed(name: str, config: Mapping[str, float]) -> int:
     )
     digest = hashlib.sha256(text.encode()).digest()
     return int.from_bytes(digest[:8], "little")
-
-
-def thread_sizes(sizes: Mapping[str, int], key: str = "threads") -> int:
-    """Effective thread count from a size mapping (>= 1)."""
-    return max(1, int(sizes.get(key, 1)))

@@ -17,6 +17,7 @@ from repro.core.predictor import NapelModel
 from repro.schema import active_schema
 from repro.errors import MLError
 from repro.ml import mean_relative_error
+from repro.obs import metrics
 
 
 @pytest.fixture(scope="module")
@@ -72,6 +73,18 @@ class TestTrainer:
         result = NapelTrainer(n_estimators=10, tune=True).train(training)
         assert result.ipc_tuning is not None
         assert len(result.ipc_tuning.scores) >= 2
+
+    def test_tree_fits_are_counted(self, small_campaign_module):
+        """Per target, a tuned forest fits every grid combination and then
+        refits the winner: all of it shows up as counted trees."""
+        _, training = small_campaign_module
+        trainer = NapelTrainer(n_estimators=4, jobs=1)
+        combos = int(np.prod([len(v) for v in trainer.grid.values()]))
+        before = metrics().snapshot()
+        trainer.train(training)
+        counters = metrics().diff(before)["counters"]
+        assert counters["ml.trees.fitted"] == 2 * (combos + 1) * 4
+        assert counters["ml.tree.nodes"] >= counters["ml.trees.fitted"]
 
     def test_all_model_kinds_train(self, small_campaign_module):
         _, training = small_campaign_module

@@ -185,3 +185,19 @@ class TestRandomForest:
         X, y = step_data(300)
         forest = RandomForestRegressor(n_estimators=20, random_state=0).fit(X, y)
         assert int(np.argmax(forest.feature_importances_)) == 0
+
+
+@pytest.mark.parametrize(
+    "make", [RegressionTree, lambda: RandomForestRegressor(n_estimators=3)],
+    ids=["tree", "forest"],
+)
+@pytest.mark.parametrize("target", ["X", "y"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_training_data_rejected(make, target, bad):
+    X, y = step_data(40)
+    if target == "X":
+        X[5, 2] = bad
+    else:
+        y[3] = bad
+    with pytest.raises(MLError, match="finite"):
+        make().fit(X, y)

@@ -3,12 +3,14 @@
 Every kernel's C form must equal its pure-Python form (the oracle) on
 drawn inputs: the ILP depths over drawn traces, the LRU stack distances
 over drawn keys (both sides of the oracle's move-to-front / Fenwick
-switch) and the grouped distances over one or many groups.  Whole
-profiles of all twelve workloads must be identical under both forms.
+switch), the grouped distances over one or many groups, and whole
+regression trees over drawn tie-heavy matrices.  Whole profiles of all
+twelve workloads and whole forests must be identical under both forms.
 The build tests check that a damaged cached object is rebuilt and that
 concurrent cold processes share one object.
 """
 
+import ctypes
 import os
 import shutil
 import subprocess
@@ -23,6 +25,7 @@ from hypothesis import strategies as st
 from _helpers import use_kernel
 from repro import NMCSimulator, default_nmc_config, get_workload, native
 from repro.ir import Opcode, grouped_reuse_distances, reuse_distances
+from repro.ml import RandomForestRegressor, RegressionTree
 from repro.profiler import analyze_trace
 from repro.profiler.features import ILP_WINDOWS
 
@@ -164,6 +167,138 @@ class TestReuseDistanceKernel:
         np.testing.assert_array_equal(
             compiled[1], grouped_reuse_distances(keys, groups)
         )
+
+
+# ------------------------------------------------------------ CART trees
+
+@st.composite
+def tree_inputs(draw):
+    """A training set plus tree parameters.  Columns are drawn to be
+    tie-heavy: small integers, a mix of 0.0 / -0.0 / 1.0, constants, or
+    continuous; rows may be a bootstrap resample (duplicates)."""
+    n = draw(st.integers(1, 200))
+    p = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    column = {
+        "normal": lambda: rng.normal(size=n),
+        "ints": lambda: rng.integers(0, 4, size=n).astype(np.float64),
+        "zeros": lambda: rng.choice([0.0, -0.0, 1.0], size=n),
+        "const": lambda: np.full(n, rng.normal()),
+    }
+    kinds = st.sampled_from(sorted(column))
+    X = np.column_stack([
+        column[kind]() for kind in draw(st.lists(kinds, min_size=p, max_size=p))
+    ])
+    y = column[draw(st.sampled_from(["normal", "ints", "const"]))]()
+    if draw(st.booleans()):
+        sample = rng.integers(0, n, size=n)
+        X, y = X[sample], y[sample]
+    params = {
+        "min_samples_leaf": draw(st.sampled_from([1, 2, 5])),
+        "max_depth": draw(st.sampled_from([None, 1, 3])),
+        "max_features": draw(st.sampled_from(
+            [None, "sqrt", "third", "log2", 1, 3, 0.5, 1.0]
+        )),
+    }
+    return X, y, params, draw(st.integers(0, 2**32 - 1))
+
+
+def tree_key(tree):
+    """Everything a fitted tree is: node fields (with their Python types
+    and float bits), importances and the RNG's end state."""
+    nodes = [
+        (type(n.value), n.value.hex(), type(n.feature), n.feature,
+         type(n.threshold), n.threshold.hex(), n.left, n.right)
+        for n in tree._nodes
+    ]
+    return (
+        nodes, tree.feature_importances_.tobytes(), tree.rng.bit_generator.state
+    )
+
+
+def fit_tree(monkeypatch, form, X, y, params, seed):
+    with monkeypatch.context() as patch:
+        use_kernel(patch, form)
+        return RegressionTree(rng=np.random.default_rng(seed), **params).fit(X, y)
+
+
+class TestTreeKernel:
+    @DIFF_SETTINGS
+    @given(args=tree_inputs())
+    def test_matches_python_oracle(self, monkeypatch, args):
+        forms("build_tree")
+        X, y, params, seed = args
+        assert tree_key(fit_tree(monkeypatch, "cc", X, y, params, seed)) == (
+            tree_key(fit_tree(monkeypatch, "python", X, y, params, seed))
+        )
+
+    def test_sums_match_numpy(self):
+        """The C node sums are np.sum's pairwise summation, bit for bit,
+        across its sequential (< 8), unrolled (<= 128) and split forms."""
+        forms("build_tree")
+        np_sum = native._library().np_sum
+        np_sum.restype = ctypes.c_double
+        np_sum.argtypes = [ctypes.c_void_p, ctypes.c_int64]
+        rng = np.random.default_rng(11)
+        for n in range(301):
+            for a in (
+                rng.normal(size=n) * 10.0 ** rng.integers(-8, 9, size=n),
+                np.full(n, -0.0),
+            ):
+                got = np.float64(np_sum(a.ctypes.data, n))
+                assert got.tobytes() == a.sum().tobytes(), n
+
+    def test_parent_sse_squares_with_pow(self):
+        """The parent SSE squares the node sum as numpy's scalar ``**``
+        does (libm ``pow``), which differs from ``s * s`` in the last bit
+        on about one draw in a thousand.  Nearly constant targets make
+        ``sq - s**2 / n`` cancel, so that bit reaches the root gain (the
+        raw importance) of a stump."""
+        cc, python = forms("build_tree")
+        rng = np.random.default_rng(3)
+        columns = np.arange(13.0)[None, :]
+        for _ in range(4000):
+            y = 1000.0 + 1e-3 * rng.normal(size=13)
+            got, want = (
+                form(columns, y, columns.astype(np.int64), 1, 1, 2, 1,
+                     lambda: np.zeros(1, dtype=np.int64))[5]
+                for form in (cc, python)
+            )
+            assert got.tobytes() == want.tobytes()
+
+    def test_draw_exception_propagates(self, capfd):
+        cc, _python = forms("build_tree")
+        columns = np.arange(12.0).reshape(2, 6)
+
+        def draw():
+            raise ValueError("draw failed")
+
+        with pytest.raises(ValueError, match="draw failed"):
+            cc(columns, np.arange(6.0), columns.astype(np.int64), 2, None, 2, 1,
+               draw)
+        assert "Exception" not in capfd.readouterr().err
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_forest_identical_under_both_forms(self, monkeypatch, jobs):
+        forms("build_tree")
+        rng = np.random.default_rng(2)
+        X = np.column_stack([
+            rng.normal(size=120), rng.integers(0, 3, size=120),
+            np.zeros(120), rng.normal(size=120),
+        ])
+        y = X[:, 0] * (X[:, 1] + 1) + 0.1 * rng.normal(size=120)
+        keys = []
+        for form in ("cc", "python"):
+            with monkeypatch.context() as patch:
+                use_kernel(patch, form)
+                forest = RandomForestRegressor(
+                    n_estimators=8, random_state=5, jobs=jobs
+                ).fit(X, y)
+            keys.append((
+                [tree_key(tree)[:2] for tree in forest.trees_],
+                forest.oob_prediction_.tobytes(),
+            ))
+        assert keys[0] == keys[1]
 
 
 # --------------------------------------------------------- whole profiles
