@@ -186,8 +186,8 @@ class NMCConfig:
             raise ConfigError("L1 geometry must be >= 1 way and >= 1 line")
         if self.l1_lines % self.l1_ways:
             raise ConfigError("l1_lines must be a multiple of l1_ways")
-        if self.line_bytes & (self.line_bytes - 1):
-            raise ConfigError("line_bytes must be a power of two")
+        if self.line_bytes < 1 or self.line_bytes & (self.line_bytes - 1):
+            raise ConfigError("line_bytes must be a positive power of two")
         # Device-level validation is per-descriptor: the registered
         # backend owns the DRAM-organisation, link and timing rules.
         from .backends import get_backend

@@ -29,12 +29,7 @@ from .instructions import (
 )
 from .trace import InstructionTrace, concat_traces
 from .builder import LoopTemplate, TraceBuilder, TemplateOp
-from .stackdist import (
-    COLD_DISTANCE,
-    grouped_reuse_distances,
-    lru_hit_mask,
-    reuse_distances,
-)
+from .stackdist import COLD_DISTANCE, grouped_reuse_distances, reuse_distances
 from .validate import validate_trace
 
 __all__ = [
@@ -55,5 +50,4 @@ __all__ = [
     "COLD_DISTANCE",
     "reuse_distances",
     "grouped_reuse_distances",
-    "lru_hit_mask",
 ]

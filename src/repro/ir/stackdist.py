@@ -8,15 +8,16 @@ It is the canonical hardware-independent description of temporal locality
 set-associative LRU cache of ``W`` ways hits exactly the accesses whose
 *per-set* reuse distance is < ``W``.
 
-This module holds the shared kernels: :func:`reuse_distances` (the classic
-Fenwick-tree formulation, O(M log M) over M accesses) and
-:func:`grouped_reuse_distances`, its per-set generalisation used by the
-profiler's locality features and by the vectorized L1 classifier of the
-fast simulation engine (:mod:`repro.nmcsim.classify`).  Both run as one
-call into the compiled kernel library (:mod:`repro.native`) over dense
-element ids; the pure-Python forms (a move-to-front list for small
-alphabets, a Fenwick tree otherwise, and a loop over groups) are the
-oracles and the fallback on hosts without a C compiler.
+This module holds the profiler's kernels: :func:`reuse_distances` (the
+classic Fenwick-tree formulation, O(M log M) over M accesses) and
+:func:`grouped_reuse_distances`, its per-set generalisation behind the
+locality features.  Both run as one call into the compiled kernel
+library (:mod:`repro.native`) over dense element ids; the pure-Python
+forms (a move-to-front list for small alphabets, a Fenwick tree
+otherwise, and a loop over groups) are the oracles and the fallback on
+hosts without a C compiler.  The simulator's L1 classification (phase
+A, :mod:`repro.nmcsim.classify`) walks its caches directly and does not
+use them.
 """
 
 from __future__ import annotations
@@ -109,24 +110,6 @@ def _reuse_distances_py(keys: np.ndarray) -> np.ndarray:
         update(t, +1)
         last_seen[key] = t
     return out
-
-
-def lru_hit_mask(
-    keys: np.ndarray, groups: np.ndarray, ways: int
-) -> np.ndarray:
-    """Hit mask of a ``ways``-way set-associative LRU cache.
-
-    Mattson's inclusion property turned into a classifier: access ``t``
-    hits if and only if its per-group (per-set) stack distance is a real
-    reuse (not :data:`COLD_DISTANCE`) and smaller than the associativity.
-    This is the exact hit/miss oracle for *any* ``ways`` — the fast
-    simulation engine's phase-A classifier builds on it
-    (:mod:`repro.nmcsim.classify`).
-    """
-    if ways < 1:
-        raise ValueError("ways must be >= 1")
-    dist = grouped_reuse_distances(keys, groups)
-    return (dist != COLD_DISTANCE) & (dist < ways)
 
 
 def grouped_reuse_distances(

@@ -7,9 +7,12 @@ that own a loop :func:`register` both forms under one name:
 
 * ``contend_packed_multi`` — the fast engine's phase-B contention
   (:mod:`repro.nmcsim._native`);
+* ``classify_streams`` — the fast engine's phase A: every PE stream
+  of a design point through its own LRU L1 in one call
+  (:mod:`repro.nmcsim.classify`);
 * ``reuse_distances`` / ``grouped_reuse_distances`` — LRU stack
-  distances (:mod:`repro.ir.stackdist`), shared by the profiler's
-  reuse-distance families and phase A's set-associative classifier;
+  distances (:mod:`repro.ir.stackdist`) for the profiler's
+  reuse-distance families;
 * ``ilp_depths`` — the profiler's dependence-DAG depths
   (:mod:`repro.profiler.ilp`);
 * ``build_tree`` — one whole CART regression tree per call, the
@@ -26,9 +29,9 @@ compiler is found or the build fails, every kernel runs its Python form.
 :func:`jit_status` says which.
 
 Bit-equivalence contract: each C function keeps its Python form's exact
-arithmetic.  The profiler kernels are integer-only; phase B keeps the
-floating-point operation order of ``StackedMemory.access`` (C ``double``
-and CPython ``float`` are both IEEE-754 binary64, and
+arithmetic.  The profiler and phase-A kernels are integer-only; phase
+B keeps the floating-point operation order of ``StackedMemory.access``
+(C ``double`` and CPython ``float`` are both IEEE-754 binary64, and
 ``-ffp-contract=off`` forbids FMA contraction); the tree builder
 replays numpy's: pairwise summation for node sums, libm ``pow`` for a
 scalar square, sequential prefix sums and ``argmin``'s tie and NaN
@@ -256,6 +259,88 @@ void contend_packed_multi(
             ip[0], ip[1], mshr_buf, mshr_len,
             key, lose, pos, n);
         finish += n;
+    }
+}
+
+/* ------------------------------------------------ phase-A L1 walk */
+
+static int cmp_i64(const void *a, const void *b)
+{
+    i64 x = *(const i64 *)a, y = *(const i64 *)b;
+    return (x > y) - (x < y);
+}
+
+/* Walk each stream lines/writes[off[s] .. off[s + 1]) through its own
+   fresh n_sets x ways write-back, write-allocate LRU cache, as
+   Cache.access does: the set is Python's floor modulo line % n_sets,
+   each set keeps its lines least recent first, a hit moves its line to
+   the back and ORs in the write, and a miss on a full set evicts slot
+   0, reported in wb_line only when dirty (-1 otherwise).  Each stream's
+   dirty residents are then appended to flush, sorted, ending at
+   flush_off[s + 1], and stats[4 s ..] gets its hits, misses,
+   writebacks (evictions plus flushes) and flushes.  set_line and
+   set_dirty hold n_sets * ways slots, set_len n_sets. */
+void classify_streams(
+    const i64 *lines, const unsigned char *writes, const i64 *off,
+    i64 n_streams, i64 n_sets, i64 ways,
+    unsigned char *hit, i64 *wb_line, i64 *flush, i64 *flush_off,
+    i64 *stats, i64 *set_line, unsigned char *set_dirty, i64 *set_len)
+{
+    i64 nf = 0;
+    flush_off[0] = 0;
+    for (i64 s = 0; s < n_streams; s++) {
+        memset(set_len, 0, (size_t)n_sets * sizeof *set_len);
+        i64 hits = 0, evicted = 0;
+        for (i64 k = off[s]; k < off[s + 1]; k++) {
+            i64 line = lines[k];
+            i64 si = line % n_sets;
+            if (si < 0) si += n_sets;
+            i64 *sl = set_line + si * ways;
+            unsigned char *sd = set_dirty + si * ways;
+            i64 len = set_len[si];
+            i64 q = len - 1;
+            while (q >= 0 && sl[q] != line) q--;
+            wb_line[k] = -1;
+            if (q >= 0) {
+                unsigned char d = sd[q] | writes[k];
+                for (; q + 1 < len; q++) {
+                    sl[q] = sl[q + 1];
+                    sd[q] = sd[q + 1];
+                }
+                sl[q] = line;
+                sd[q] = d;
+                hit[k] = 1;
+                hits++;
+                continue;
+            }
+            hit[k] = 0;
+            if (len >= ways) {
+                if (sd[0]) {
+                    wb_line[k] = sl[0];
+                    evicted++;
+                }
+                for (q = 0; q + 1 < len; q++) {
+                    sl[q] = sl[q + 1];
+                    sd[q] = sd[q + 1];
+                }
+                len--;
+            }
+            sl[len] = line;
+            sd[len] = writes[k];
+            set_len[si] = len + 1;
+        }
+        i64 first = nf;
+        for (i64 si = 0; si < n_sets; si++)
+            for (i64 q = 0; q < set_len[si]; q++)
+                if (set_dirty[si * ways + q])
+                    flush[nf++] = set_line[si * ways + q];
+        qsort(flush + first, (size_t)(nf - first), sizeof *flush, cmp_i64);
+        flush_off[s + 1] = nf;
+        i64 *st = stats + 4 * s;
+        st[0] = hits;
+        st[1] = off[s + 1] - off[s] - hits;
+        st[2] = evicted + nf - first;
+        st[3] = nf - first;
     }
 }
 

@@ -10,12 +10,7 @@ Figure 7.
 """
 
 from .cache import Cache, CacheStats
-from .classify import (
-    LRUClassification,
-    classify_lru,
-    classify_steps,
-    classify_vectorized,
-)
+from .classify import LRUClassification, classify_steps, classify_streams
 from .energy import EnergyBreakdown, compute_energy
 from ..native import jit_status
 from ..store import MemoStore
@@ -55,9 +50,8 @@ __all__ = [
     "store_dir",
     "store_status",
     "LRUClassification",
-    "classify_lru",
     "classify_steps",
-    "classify_vectorized",
+    "classify_streams",
     "SimulationResult",
     "Cache",
     "CacheStats",

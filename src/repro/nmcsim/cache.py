@@ -8,12 +8,12 @@ would benefit from a larger NMC cache).
 Policy: write-back, write-allocate, LRU replacement.
 
 Role in the engines: the *reference* simulation engine steps this model
-per access, and the classifier tests use the step-wise walk
-(:func:`repro.nmcsim.classify.classify_steps`) as the golden oracle.
-The fast engine never consults it — its vectorized stack-distance
-classifier (:mod:`repro.nmcsim.classify`) is exact for any geometry —
-so this class is the readable statement of the cache semantics, not a
-production fallback.
+per access, and the fast engine's phase-A classifier
+(:mod:`repro.nmcsim.classify`) has it as its Python form:
+:func:`~repro.nmcsim.classify.classify_steps` walks one instance per PE
+stream.  That walk is the oracle the compiled classifier is tested
+against and the fallback on hosts without a C compiler; the C walk
+follows :meth:`Cache.access` step for step.
 """
 
 from __future__ import annotations
@@ -122,8 +122,8 @@ class Cache:
         ``(hit, wb_line)``: a boolean hit mask and the dirty victim line
         evicted by each access (-1 when none).  The cache state and
         statistics advance exactly as if :meth:`access` had been called
-        per element — this is the array API the simulation engines and
-        the vectorized-classifier golden tests build on.
+        per element — this is the array API the Python form of the
+        phase-A classifier builds on.
         """
         n = len(lines)
         hit = np.empty(n, dtype=bool)

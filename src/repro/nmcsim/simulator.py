@@ -18,10 +18,11 @@ Two engines implement this model with identical results:
 * ``reference`` — one heap event per memory access, stepping the
   :class:`~repro.nmcsim.cache.Cache` model per access (the original,
   obviously-correct formulation);
-* ``fast`` (default) — two-phase: **phase A** classifies every PE
-  stream's hits, misses, writebacks and end-of-kernel flushes up front
-  with the vectorized stack-distance classifier
-  (:mod:`repro.nmcsim.classify`, exact for any associativity), then
+* ``fast`` (default) — two-phase: **phase A** is one pass per design
+  point over all its PE streams, concatenated: one classifier call
+  (:mod:`repro.nmcsim.classify`) walks every stream through its own L1
+  for hits, misses, writebacks and end-of-kernel flushes, and one
+  vectorized packer turns the misses into phase-B events; then
   **phase B** runs the exact contention loop over *only* the
   miss/writeback events, with hit latencies folded into the compute
   segments.
@@ -39,13 +40,14 @@ Two further levers sit on top of the fast engine:
   clock as well.  Each is cached on the trace's ``_memo`` side table
   under its own key, so DoE campaign points that share a slice skip the
   corresponding work entirely (``sim.memo.*`` counters).
-* **compiled phase B** — the contention loop is one multi-point kernel
+* **compiled kernels** — the L1 walk is one kernel call per point, and
+  the contention loop one multi-point kernel
   (:mod:`repro.nmcsim._native`), invoked once per
-  :func:`simulate_batch` call (a single run is a batch of one).  It
-  runs from the shared kernel library :mod:`repro.native` builds with
+  :func:`simulate_batch` call (a single run is a batch of one).  Both
+  run from the shared kernel library :mod:`repro.native` builds with
   the system C compiler on first use whenever one is found (cached
-  under ``$REPRO_SIM_JIT_CACHE``) and falls back to a pure-Python loop
-  otherwise; the two are byte-identical.
+  under ``$REPRO_SIM_JIT_CACHE``) and fall back to pure-Python loops
+  otherwise; the two forms are byte-identical.
 
 The simulator returns IPC (total instructions / makespan cycles),
 execution time and the full energy breakdown — the labels NAPEL trains
@@ -71,7 +73,7 @@ from ..obs import get_logger, metrics, tracer
 from .. import native
 from . import _native  # noqa: F401  (registers the phase-B kernel)
 from .cache import Cache, CacheStats
-from .classify import classify_lru
+from .classify import LRUClassification, classify_streams
 from .dram import StackedMemory
 from .energy import compute_energy
 from ..store import FORMAT_VERSION, MemoStore, discard, lru_get_or_build
@@ -407,6 +409,50 @@ def _stream_digest(
     )
 
 
+class _Streams:
+    """Every PE stream of one (trace, PE slice), concatenated.
+
+    Stream ``i`` runs on PE ``pe[i]`` and owns memory ops
+    ``off[i]:off[i + 1]`` of ``lines`` / ``writes``; its
+    ``n_mem + 1`` compute segments start at ``compute_ns[off[i] + i]``
+    and its ``n_mem + 2`` prefix sums at ``pref[off[i] + 2 * i]`` (see
+    :class:`_PEStream`).  Immutable — the streams memo caches it, and
+    phase A reads the concatenated columns in one pass per point.
+    """
+
+    __slots__ = (
+        "pe", "n_instructions", "off", "lines", "writes", "compute_ns",
+        "pref",
+    )
+
+    def __init__(self, digests: Sequence[tuple]) -> None:
+        self.pe = [d[0] for d in digests]
+        self.n_instructions = [d[5] for d in digests]
+        self.off = np.zeros(len(digests) + 1, dtype=np.int64)
+        np.cumsum(
+            [len(d[3]) for d in digests], dtype=np.int64, out=self.off[1:]
+        )
+        self.compute_ns = np.concatenate([d[1] for d in digests])
+        self.pref = np.concatenate([d[2] for d in digests])
+        self.lines = np.concatenate([d[3] for d in digests])
+        self.writes = np.concatenate([d[4] for d in digests])
+
+    def __len__(self) -> int:
+        return len(self.pe)
+
+    def stream(self, i: int) -> _PEStream:
+        """A fresh per-run :class:`_PEStream` over stream ``i``'s views."""
+        lo, hi = int(self.off[i]), int(self.off[i + 1])
+        return _PEStream(
+            self.pe[i],
+            self.compute_ns[lo + i:hi + i + 1],
+            self.pref[lo + 2 * i:hi + 2 * i + 2],
+            self.lines[lo:hi],
+            self.writes[lo:hi],
+            self.n_instructions[i],
+        )
+
+
 class _EventBundle:
     """Packed phase-B inputs for one (trace, architecture-slice) pair.
 
@@ -425,10 +471,6 @@ class _EventBundle:
     )
 
     def __init__(self) -> None:
-        # Built as a list, normalised to an int64 array at the end of
-        # _build_events (and on store decode) — batched replay indexes
-        # and concatenates it.
-        self.sidx: list[int] | np.ndarray = []
         self.finish0: dict[int, float] = {}
         self.n_reads = 0
         self.n_writes = 0
@@ -633,7 +675,7 @@ class NMCSimulator:
 
     # ----------------------------------------------------------- shared
 
-    def _stream_digests(self, trace: InstructionTrace) -> list[tuple]:
+    def _stream_digests(self, trace: InstructionTrace) -> _Streams:
         """Round-robin threads onto PEs; threads sharing a PE execute
         back-to-back (time multiplexed)."""
         cfg = self.config
@@ -663,18 +705,22 @@ class NMCSimulator:
                     issue_width=cfg.issue_width,
                 )
             )
-        return digests
+        return _Streams(digests)
 
-    def _build_streams(self, trace: InstructionTrace) -> list[_PEStream]:
+    def _streams(self, trace: InstructionTrace) -> _Streams:
+        """The trace's PE streams on this architecture, via the memo."""
         cfg = self.config
-        digests = _memo_lookup(
+        return _memo_lookup(
             trace,
             "streams",
             (cfg.n_pes, cfg.issue_width, cfg.frequency_ghz, cfg.line_bytes),
             lambda: self._stream_digests(trace),
         )
+
+    def _build_streams(self, trace: InstructionTrace) -> list[_PEStream]:
         # Fresh per-run wrappers around the shared (immutable) columns.
-        return [_PEStream(*d) for d in digests]
+        streams = self._streams(trace)
+        return [streams.stream(i) for i in range(len(streams))]
 
     def _run_reference(
         self,
@@ -896,97 +942,83 @@ class NMCSimulator:
 
     def _build_events(
         self,
-        streams: list[_PEStream],
-        cls_list: list,
+        streams: _Streams,
+        cls: LRUClassification,
         memory: StackedMemory,
     ) -> _EventBundle:
         """Pack every stream's miss/writeback events into flat arrays.
 
-        Everything deterministic is computed here, vectorized: issue-gap
-        deltas (the exact :meth:`_PEStream.issue_ns` operations), DRAM
+        One vectorized pass over the concatenated streams computes
+        everything deterministic: issue-gap deltas (the exact
+        :meth:`_PEStream.issue_ns` operations, element by element), DRAM
         routing (the Fibonacci hash is stateless, so ``route_array``
         covers misses and victims alike) and the order-independent
         traffic totals.  Only bank/bus timing is left for phase B.
         """
         cfg = self.config
-        line_shift = cfg.line_bytes.bit_length() - 1
+        shift = np.uint64(cfg.line_bytes.bit_length() - 1)
         l1_cycle_ns = cfg.cycle_ns
         banks_pv = cfg.banks_per_vault
-        shift = np.uint64(line_shift)
-        bundle = _EventBundle()
-        vault_counts = np.zeros(cfg.n_vaults, dtype=np.int64)
-        cols: list[tuple] = []
-        t0: list[float] = []
-        tail: list[float] = []
-        for i, s in enumerate(streams):
-            cls = cls_list[i]
-            mp = np.flatnonzero(~cls.hit)
-            if not len(mp):
-                # No misses: purely deterministic stream (base_t = 0).
-                bundle.finish0[i] = (
-                    float(s.compute_ns[0]) if s.n_mem == 0
-                    else float(s.issue_ns(s.n_mem, l1_cycle_ns))
-                )
-                continue
-            # Deterministic gap from the previous miss completion to this
-            # miss's issue: the in-between compute segments plus one L1
-            # cycle per intervening hit — evaluated with the exact
-            # operations of issue_ns().
-            mp1 = mp + 1
-            comp = s.pref[mp1] - s.pref[np.concatenate(([0], mp1[:-1]))]
-            gaps = np.diff(np.concatenate(([-1], mp))) - 1
-            delta = comp + gaps * l1_cycle_ns
-            dnext = np.empty(len(mp), dtype=np.float64)
-            dnext[:-1] = delta[1:]
-            dnext[-1] = 0.0
-            mv, mb, mblk = memory.route_array(
-                s.lines[mp].astype(np.uint64) << shift
-            )
-            wb = cls.wb_line[mp]
-            has_wb = wb >= 0
-            wv, wbk, wblk = memory.route_array(
-                np.where(has_wb, wb, 0).astype(np.uint64) << shift
-            )
-            bundle.sidx.append(i)
-            t0.append(float(delta[0]))
-            tail.append(float(
-                (s.pref[s.n_mem + 1] - s.pref[mp[-1] + 1])
-                + (s.n_mem - 1 - mp[-1]) * l1_cycle_ns
-            ))
-            cols.append((
-                mblk, mv, mv * banks_pv + mb,
-                wblk, wv, np.where(has_wb, wv * banks_pv + wbk, -1),
-                dnext,
-            ))
-            # DRAM traffic totals are order-independent: count them once
-            # here rather than per event.
-            miss_writes = int(np.count_nonzero(s.writes[mp]))
-            n_wb = int(np.count_nonzero(has_wb))
-            bundle.n_reads += len(mp) - miss_writes
-            bundle.n_writes += miss_writes + n_wb
-            vault_counts += np.bincount(mv, minlength=len(vault_counts))
-            vault_counts += np.bincount(
-                wv[has_wb], minlength=len(vault_counts)
-            )
-        bundle.vault_counts = vault_counts
-        n_events = [len(c[0]) for c in cols]
-        bundle.off = np.concatenate(
-            ([0], np.cumsum(np.asarray(n_events, dtype=np.int64)))
-        ).astype(np.int64)
-        names = ("block", "vault", "bank", "wblock", "wvault", "wbank")
-        for col, name in enumerate(names):
-            packed = (
-                np.concatenate([c[col] for c in cols]).astype(np.int64)
-                if cols else np.empty(0, dtype=np.int64)
-            )
-            setattr(bundle, name, packed)
-        bundle.dnext = (
-            np.concatenate([c[6] for c in cols])
-            if cols else np.empty(0, dtype=np.float64)
+        off, pref = streams.off, streams.pref
+        # Misses by concatenated op index k, and the stream i owning
+        # each; op k's prefix sum pref[k - off[i] + 1] of stream i sits
+        # at pref[k + 2 i + 1] of the concatenation.
+        miss = np.flatnonzero(~cls.hit)
+        owner = np.searchsorted(off, miss, side="right") - 1
+        n_miss = np.bincount(owner, minlength=len(streams))
+        sidx = np.flatnonzero(n_miss)
+        ev_off = np.zeros(len(sidx) + 1, dtype=np.int64)
+        np.cumsum(n_miss[sidx], out=ev_off[1:])
+        first, last = ev_off[:-1], ev_off[1:] - 1
+
+        # Deterministic gap from the previous miss completion (op -1 for
+        # a stream's first miss) to this miss's issue: the in-between
+        # compute segments plus one L1 cycle per intervening hit.
+        prev = np.empty_like(miss)
+        prev[1:] = miss[:-1]
+        prev[first] = off[sidx] - 1
+        comp = pref[miss + 2 * owner + 1] - pref[prev + 2 * owner + 1]
+        delta = comp + (miss - prev - 1) * l1_cycle_ns
+        dnext = np.empty(len(miss), dtype=np.float64)
+        dnext[:-1] = delta[1:]
+        dnext[last] = 0.0
+        last_miss = miss[last]
+        tail = (
+            pref[off[sidx + 1] + 2 * sidx + 1]
+            - pref[last_miss + 2 * sidx + 1]
+        ) + (off[sidx + 1] - 1 - last_miss) * l1_cycle_ns
+
+        # Every L1 starts empty, so only a stream without memory ops has
+        # no miss; it finishes after its one compute segment.
+        quiet = np.flatnonzero(n_miss == 0)
+        finish0 = streams.compute_ns[off[quiet] + quiet]
+
+        mv, mb, mblk = memory.route_array(
+            streams.lines[miss].astype(np.uint64) << shift
         )
-        bundle.t0 = np.asarray(t0, dtype=np.float64)
-        bundle.tail = np.asarray(tail, dtype=np.float64)
-        bundle.sidx = np.asarray(bundle.sidx, dtype=np.int64)
+        wb = cls.wb_line[miss]
+        has_wb = wb >= 0
+        wv, wbk, wblk = memory.route_array(
+            np.where(has_wb, wb, 0).astype(np.uint64) << shift
+        )
+        bundle = _EventBundle()
+        bundle.sidx = sidx
+        bundle.off = ev_off
+        bundle.block, bundle.vault, bundle.bank = mblk, mv, mv * banks_pv + mb
+        bundle.wblock, bundle.wvault = wblk, wv
+        bundle.wbank = np.where(has_wb, wv * banks_pv + wbk, -1)
+        bundle.dnext = dnext
+        bundle.t0 = delta[first]
+        bundle.tail = tail
+        bundle.finish0 = dict(zip(quiet.tolist(), finish0.tolist()))
+        # DRAM traffic totals are order-independent: count them once
+        # here rather than per event.
+        miss_writes = int(np.count_nonzero(streams.writes[miss]))
+        bundle.n_reads = len(miss) - miss_writes
+        bundle.n_writes = miss_writes + int(np.count_nonzero(has_wb))
+        bundle.vault_counts = np.bincount(
+            mv, minlength=cfg.n_vaults
+        ) + np.bincount(wv[has_wb], minlength=cfg.n_vaults)
         return bundle
 
     def _compute_phase_a(self, trace: InstructionTrace) -> _PhaseA:
@@ -994,40 +1026,36 @@ class NMCSimulator:
 
         Phase A classifies every stream's accesses against its L1 (hits,
         misses, dirty-victim writebacks, flush set) without any timing
-        and packs the miss events.  Phase B then replays only the misses
-        through the global-time heap — the same issue-time expressions
-        and the same sequence of memory-pipeline updates as the
-        reference engine, because hits never touch shared state.
+        and packs the miss events, one pass over all streams per step.
+        Phase B then replays only the misses through the global-time
+        heap — the same issue-time expressions and the same sequence of
+        memory-pipeline updates as the reference engine, because hits
+        never touch shared state.  The three steps are timed as
+        ``phase.simulate.classify.{digest,lru,pack}``.
         """
         cfg = self.config
-        streams = self._build_streams(trace)
-        cls_list = _memo_lookup(
-            trace,
-            "classify",
-            (cfg.n_pes, cfg.line_bytes, cfg.l1_sets, cfg.l1_ways),
-            lambda: [
-                classify_lru(
-                    s.lines, s.writes,
+        m = metrics()
+        with m.timer("phase.simulate.classify.digest"):
+            streams = self._streams(trace)
+        with m.timer("phase.simulate.classify.lru"):
+            cls = _memo_lookup(
+                trace,
+                "classify",
+                (cfg.n_pes, cfg.line_bytes, cfg.l1_sets, cfg.l1_ways),
+                lambda: classify_streams(
+                    streams.lines, streams.writes, streams.off,
                     n_sets=cfg.l1_sets, ways=cfg.l1_ways,
-                )
-                for s in streams
-            ],
-        )
-        cache_stats = CacheStats()
-        flush_writes = 0
-        for cls in cls_list:
-            cache_stats.merge(cls.stats)
-            flush_writes += len(cls.flush_lines)
-        # Routing only reads immutable geometry, so a throwaway memory
-        # instance serves.
-        bundle = self._build_events(streams, cls_list, StackedMemory(cfg))
+                ),
+            )
+        with m.timer("phase.simulate.classify.pack"):
+            # Routing only reads immutable geometry, so a throwaway
+            # memory instance serves.
+            bundle = self._build_events(streams, cls, StackedMemory(cfg))
+        stats = cls.total()
         return _PhaseA(
             bundle,
-            (
-                cache_stats.hits, cache_stats.misses,
-                cache_stats.writebacks, cache_stats.flushes,
-            ),
-            flush_writes,
+            (stats.hits, stats.misses, stats.writebacks, stats.flushes),
+            stats.flushes,
             len(streams),
         )
 

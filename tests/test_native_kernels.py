@@ -3,8 +3,9 @@
 Every kernel's C form must equal its pure-Python form (the oracle) on
 drawn inputs: the ILP depths over drawn traces, the LRU stack distances
 over drawn keys (both sides of the oracle's move-to-front / Fenwick
-switch), the grouped distances over one or many groups, and whole
-regression trees over drawn tie-heavy matrices.  Whole profiles of all
+switch), the grouped distances over one or many groups, phase A's L1
+walk over drawn multi-stream batches, and whole regression trees over
+drawn tie-heavy matrices.  Whole profiles of all
 twelve workloads and whole forests must be identical under both forms.
 The build tests check that a damaged cached object is rebuilt and that
 concurrent cold processes share one object.
@@ -24,6 +25,7 @@ from hypothesis import strategies as st
 
 from _helpers import use_kernel
 from repro import NMCSimulator, default_nmc_config, get_workload, native
+from repro.errors import ConfigError
 from repro.ir import Opcode, grouped_reuse_distances, reuse_distances
 from repro.ml import RandomForestRegressor, RegressionTree
 from repro.profiler import analyze_trace
@@ -167,6 +169,64 @@ class TestReuseDistanceKernel:
         np.testing.assert_array_equal(
             compiled[1], grouped_reuse_distances(keys, groups)
         )
+
+
+# ------------------------------------------------------- phase-A LRU walk
+
+@st.composite
+def classify_batches(draw):
+    """A point's PE streams: 0-6 of them, some empty, some all-read or
+    all-write, over a small line universe that includes negative ids."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_streams = draw(st.integers(0, 6))
+    universe = draw(st.integers(1, 80))
+    lines, writes = [], []
+    for _ in range(n_streams):
+        n = draw(st.sampled_from([0, 1, 5, 60, 300]))
+        lo = draw(st.sampled_from([0, -universe // 2, -(2**40)]))
+        lines.append(rng.integers(lo, lo + universe, size=n))
+        mode = draw(st.sampled_from(["read", "write", "mixed"]))
+        writes.append(
+            np.full(n, mode == "write") if mode != "mixed"
+            else rng.random(n) < 0.4
+        )
+    off = np.zeros(n_streams + 1, dtype=np.int64)
+    np.cumsum([len(x) for x in lines], dtype=np.int64, out=off[1:])
+    cat = (
+        lambda parts, dtype:
+        np.concatenate(parts).astype(dtype) if parts else np.empty(0, dtype)
+    )
+    return (
+        cat(lines, np.int64), cat(writes, bool), off,
+        draw(st.integers(1, 8)), draw(st.integers(1, 8)),
+    )
+
+
+class TestClassifyKernel:
+    @DIFF_SETTINGS
+    @given(batch=classify_batches())
+    def test_matches_python_oracle(self, batch):
+        cc, python = forms("classify_streams")
+        lines, writes, off, n_sets, ways = batch
+        got, want = (
+            form(lines, writes, off, n_sets=n_sets, ways=ways)
+            for form in (cc, python)
+        )
+        np.testing.assert_array_equal(got.hit, want.hit)
+        np.testing.assert_array_equal(got.wb_line, want.wb_line)
+        np.testing.assert_array_equal(got.flush_lines, want.flush_lines)
+        np.testing.assert_array_equal(got.flush_off, want.flush_off)
+        assert got.stats == want.stats
+        assert len(got.stats) == len(off) - 1
+
+    @pytest.mark.parametrize("n_sets, ways", [(0, 2), (2, 0), (-1, -1)])
+    def test_bad_geometry_raises_under_both_forms(self, n_sets, ways):
+        lines = np.arange(4, dtype=np.int64)
+        writes = np.zeros(4, dtype=bool)
+        off = np.array([0, 4], dtype=np.int64)
+        for form in forms("classify_streams"):
+            with pytest.raises(ConfigError):
+                form(lines, writes, off, n_sets=n_sets, ways=ways)
 
 
 # ------------------------------------------------------------ CART trees

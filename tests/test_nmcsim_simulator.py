@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.config import default_nmc_config
-from repro.errors import SimulationError
+from repro.errors import ConfigError, SimulationError
 from repro.ir import (
     Instruction,
     InstructionTrace,
@@ -22,6 +22,18 @@ class TestSimulatorBasics:
     def test_empty_trace_rejected(self):
         with pytest.raises(SimulationError):
             simulate(InstructionTrace.empty())
+
+    @pytest.mark.parametrize(
+        "line_bytes, ok",
+        [(0, False), (-64, False), (48, False), (1, True), (64, True)],
+    )
+    def test_line_bytes_must_be_a_positive_power_of_two(self, line_bytes, ok):
+        if ok:
+            cfg = default_nmc_config().replace(line_bytes=line_bytes)
+            assert NMCSimulator(cfg).config.line_bytes == line_bytes
+        else:
+            with pytest.raises(ConfigError, match="line_bytes"):
+                default_nmc_config().replace(line_bytes=line_bytes)
 
     def test_compute_only_trace_ipc_one(self):
         # Single-issue, 1-cycle IALUs on one PE: IPC == 1.

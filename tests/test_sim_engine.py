@@ -5,8 +5,8 @@ The fast (two-phase, vectorized) engine must produce *bit-identical*
 across workloads, cache geometries (any associativity), core models,
 campaign execution modes, the geometry memos, the compiled phase-B
 kernel and tracing.  These tests enforce that contract, plus golden and
-property tests of the vectorized LRU classifier against two independent
-oracles: the step-wise :class:`Cache` walk and a stack-distance +
+property tests of phase A's LRU classifier, under both kernel forms,
+against hand-traced expectations and an independent stack-distance +
 ordered-dict reconstruction.
 """
 
@@ -23,13 +23,11 @@ from repro import SimulationCampaign, default_nmc_config, get_workload
 from repro.backends import backend_names
 from repro.config import SIM_ENGINES, NMCConfig
 from repro.errors import ConfigError
-from repro.ir import lru_hit_mask
+from repro.ir import COLD_DISTANCE, TraceBuilder, grouped_reuse_distances
 from repro.nmcsim import (
     ENGINES,
     NMCSimulator,
-    classify_lru,
-    classify_steps,
-    classify_vectorized,
+    classify_streams,
     jit_status,
     resolve_engine,
     simulate_batch,
@@ -58,10 +56,29 @@ def small_trace(name, *, scale=6.0, seed=3):
 def assert_classifications_equal(a, b):
     np.testing.assert_array_equal(a.hit, b.hit)
     np.testing.assert_array_equal(a.wb_line, b.wb_line)
-    np.testing.assert_array_equal(
-        np.sort(np.asarray(a.flush_lines)), np.sort(np.asarray(b.flush_lines))
-    )
+    np.testing.assert_array_equal(a.flush_lines, b.flush_lines)
+    np.testing.assert_array_equal(a.flush_off, b.flush_off)
     assert a.stats == b.stats
+
+
+def classify_one(monkeypatch, lines, writes, *, n_sets, ways):
+    """One stream through :func:`classify_streams` under each kernel form
+    (what the ``kernel_form`` fixture selects: the Python form, and the
+    compiled one when a compiler exists), asserted equal; returns it."""
+    forms = ["python"]
+    if jit_status()["backend"] == "cc":
+        forms.append("cc")
+    results = []
+    for form in forms:
+        with monkeypatch.context() as patch:
+            use_kernel(patch, form)
+            results.append(classify_streams(
+                lines, writes, np.array([0, len(lines)]),
+                n_sets=n_sets, ways=ways,
+            ))
+    for other in results[1:]:
+        assert_classifications_equal(results[0], other)
+    return results[0]
 
 
 # ------------------------------------------------------- classifier golden
@@ -70,7 +87,7 @@ def assert_classifications_equal(a, b):
 class TestClassifierGolden:
     """Hand-traced streams with independently derived expectations."""
 
-    def test_two_way_single_set(self):
+    def test_two_way_single_set(self, monkeypatch):
         # W A, W B, R A, W C, R B against one 2-way set:
         #   W A miss; W B miss; R A hit (distance 1);
         #   W C miss, evicts LRU B (dirty)  -> writeback of B;
@@ -79,97 +96,84 @@ class TestClassifierGolden:
         a, b, c = 3, 5, 9
         lines = np.array([a, b, a, c, b], dtype=np.int64)
         writes = np.array([1, 1, 0, 1, 0], dtype=bool)
-        for fn in (classify_vectorized, classify_steps):
-            cls = fn(lines, writes, n_sets=1, ways=2)
-            np.testing.assert_array_equal(
-                cls.hit, [False, False, True, False, False]
-            )
-            np.testing.assert_array_equal(cls.wb_line, [-1, -1, -1, b, a])
-            np.testing.assert_array_equal(np.sort(cls.flush_lines), [c])
-            assert cls.stats.hits == 1
-            assert cls.stats.misses == 4
-            assert cls.stats.writebacks == 3  # two evictions + one flush
-            assert cls.stats.flushes == 1
-            assert cls.n_misses == 4
+        cls = classify_one(monkeypatch, lines, writes, n_sets=1, ways=2)
+        np.testing.assert_array_equal(
+            cls.hit, [False, False, True, False, False]
+        )
+        np.testing.assert_array_equal(cls.wb_line, [-1, -1, -1, b, a])
+        np.testing.assert_array_equal(cls.flush_lines, [c])
+        (stats,) = cls.stats
+        assert stats.hits == 1
+        assert stats.misses == 4
+        assert stats.writebacks == 3  # two evictions + one flush
+        assert stats.flushes == 1
 
-    def test_direct_mapped_single_set(self):
+    def test_direct_mapped_single_set(self, monkeypatch):
         # W 3, R 3, R 5, W 3 against one direct-mapped line:
         #   W 3 miss; R 3 hit (repeat); R 5 miss evicts dirty 3;
         #   W 3 miss evicts clean 5.  Flush {3}.
         lines = np.array([3, 3, 5, 3], dtype=np.int64)
         writes = np.array([1, 0, 0, 1], dtype=bool)
-        for fn in (classify_vectorized, classify_steps):
-            cls = fn(lines, writes, n_sets=1, ways=1)
-            np.testing.assert_array_equal(cls.hit, [False, True, False, False])
-            np.testing.assert_array_equal(cls.wb_line, [-1, -1, 3, -1])
-            np.testing.assert_array_equal(np.sort(cls.flush_lines), [3])
-            assert cls.stats.writebacks == 2
-            assert cls.stats.flushes == 1
+        cls = classify_one(monkeypatch, lines, writes, n_sets=1, ways=1)
+        np.testing.assert_array_equal(cls.hit, [False, True, False, False])
+        np.testing.assert_array_equal(cls.wb_line, [-1, -1, 3, -1])
+        np.testing.assert_array_equal(cls.flush_lines, [3])
+        assert cls.stats[0].writebacks == 2
+        assert cls.stats[0].flushes == 1
 
-    def test_two_way_thrash_never_hits(self):
+    def test_two_way_thrash_never_hits(self, monkeypatch):
         # Cyclic A, B, C through a 2-way set: classic LRU worst case.
         lines = np.array([1, 2, 3] * 5, dtype=np.int64)
         writes = np.zeros(len(lines), dtype=bool)
-        cls = classify_vectorized(lines, writes, n_sets=1, ways=2)
+        cls = classify_one(monkeypatch, lines, writes, n_sets=1, ways=2)
         assert not cls.hit.any()
-        assert cls.stats.writebacks == 0
+        assert cls.stats[0].writebacks == 0
         assert len(cls.flush_lines) == 0
 
-    def test_sets_are_independent(self):
+    def test_sets_are_independent(self, monkeypatch):
         # Lines 0 and 1 land in different sets of a 2-set cache; the
         # interleaved stream hits on every revisit.
         lines = np.array([0, 1, 0, 1, 0, 1], dtype=np.int64)
         writes = np.zeros(6, dtype=bool)
-        cls = classify_vectorized(lines, writes, n_sets=2, ways=1)
+        cls = classify_one(monkeypatch, lines, writes, n_sets=2, ways=1)
         np.testing.assert_array_equal(
             cls.hit, [False, False, True, True, True, True]
         )
 
-    def test_empty_and_singleton_streams(self):
-        empty = classify_vectorized(
-            np.empty(0, dtype=np.int64), np.empty(0, dtype=bool),
+    def test_empty_and_singleton_streams(self, monkeypatch):
+        empty = classify_one(
+            monkeypatch, np.empty(0, dtype=np.int64), np.empty(0, dtype=bool),
             n_sets=2, ways=2,
         )
         assert len(empty.hit) == 0
-        assert empty.stats.misses == 0
-        one = classify_vectorized(
-            np.array([7], dtype=np.int64), np.array([True]),
+        assert empty.stats[0].misses == 0
+        one = classify_one(
+            monkeypatch, np.array([7], dtype=np.int64), np.array([True]),
             n_sets=2, ways=2,
         )
         np.testing.assert_array_equal(one.hit, [False])
-        np.testing.assert_array_equal(np.sort(one.flush_lines), [7])
-        assert one.stats.writebacks == 1  # the flush
+        np.testing.assert_array_equal(one.flush_lines, [7])
+        assert one.stats[0].writebacks == 1  # the flush
 
-    def test_vectorized_rejects_invalid_geometry(self):
+    def test_rejects_invalid_geometry(self, monkeypatch):
         lines = np.array([1, 2], dtype=np.int64)
         writes = np.zeros(2, dtype=bool)
-        with pytest.raises(ValueError):
-            classify_vectorized(lines, writes, n_sets=1, ways=0)
-        with pytest.raises(ValueError):
-            classify_vectorized(lines, writes, n_sets=0, ways=2)
+        with pytest.raises(ConfigError):
+            classify_one(monkeypatch, lines, writes, n_sets=1, ways=0)
+        with pytest.raises(ConfigError):
+            classify_one(monkeypatch, lines, writes, n_sets=0, ways=2)
 
-    def test_high_associativity_is_exact(self):
-        # ways > 2 runs the general stack-distance path (no step-wise
-        # fallback any more) and must agree with the Cache walk exactly.
+    def test_high_associativity_is_exact(self, monkeypatch):
+        # ways > 2 must agree with the Cache walk exactly.
         rng = np.random.default_rng(11)
         lines = rng.integers(0, 32, 400).astype(np.int64)
         writes = rng.random(400) < 0.3
         for ways in (3, 4, 8):
-            assert_classifications_equal(
-                classify_lru(lines, writes, n_sets=4, ways=ways),
-                classify_steps(lines, writes, n_sets=4, ways=ways),
-            )
-
-    def test_lru_dispatch_is_vectorized_for_all_ways(self):
-        # classify_lru IS the vectorized classifier at every geometry.
-        rng = np.random.default_rng(12)
-        lines = rng.integers(0, 48, 300).astype(np.int64)
-        writes = rng.random(300) < 0.3
-        for ways in (1, 2, 4):
-            assert_classifications_equal(
-                classify_lru(lines, writes, n_sets=2, ways=ways),
-                classify_vectorized(lines, writes, n_sets=2, ways=ways),
-            )
+            o_hit, o_wb, o_flush = stackdist_oracle(lines, writes, 4, ways)
+            cls = classify_one(monkeypatch, lines, writes, n_sets=4, ways=ways)
+            np.testing.assert_array_equal(cls.hit, o_hit)
+            np.testing.assert_array_equal(cls.wb_line, o_wb)
+            np.testing.assert_array_equal(cls.flush_lines, o_flush)
 
 
 # ----------------------------------------------------- classifier property
@@ -178,13 +182,16 @@ class TestClassifierGolden:
 def stackdist_oracle(lines, writes, n_sets, ways):
     """Independent oracle: stack-distance hits + ordered-dict LRU walk.
 
-    Hits come straight from the Mattson stack-distance criterion
-    (:func:`repro.ir.lru_hit_mask`); dirty/writeback/flush state from a
-    per-set ``OrderedDict`` walk that shares no code with either
-    production classifier.  The walk cross-asserts the hit mask, so the
-    two halves of the oracle also check each other.
+    Hits come straight from the Mattson stack-distance criterion — an
+    access hits iff its per-set reuse distance
+    (:func:`repro.ir.grouped_reuse_distances`) is a real reuse below
+    ``ways``; dirty/writeback/flush state from a per-set ``OrderedDict``
+    walk that shares no code with the classifier.  The walk
+    cross-asserts the hit mask, so the two halves of the oracle also
+    check each other.
     """
-    hit = lru_hit_mask(lines, lines % n_sets, ways)
+    dist = grouped_reuse_distances(lines, lines % n_sets)
+    hit = (dist != COLD_DISTANCE) & (dist < ways)
     sets = defaultdict(OrderedDict)  # per set: line -> dirty, LRU first
     wb_line = np.full(len(lines), -1, dtype=np.int64)
     for k, (ln, w) in enumerate(zip(lines.tolist(), writes.tolist())):
@@ -208,12 +215,12 @@ def stackdist_oracle(lines, writes, n_sets, ways):
 
 
 class TestClassifierProperty:
-    """Vectorized == step-wise == stack-distance oracle on random streams."""
+    """Both kernel forms == stack-distance oracle on random streams."""
 
     @pytest.mark.parametrize("n_sets", [1, 2, 4, 8])
     @pytest.mark.parametrize("ways", [1, 2, 3, 4, 8])
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_random_streams(self, n_sets, ways, seed):
+    def test_random_streams(self, monkeypatch, n_sets, ways, seed):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(1, 600))
         # A small line universe relative to the cache forces heavy
@@ -221,29 +228,26 @@ class TestClassifierProperty:
         universe = max(2, 3 * n_sets * ways)
         lines = rng.integers(0, universe, n).astype(np.int64)
         writes = rng.random(n) < 0.4
-        got = classify_vectorized(lines, writes, n_sets=n_sets, ways=ways)
-        assert_classifications_equal(
-            got, classify_steps(lines, writes, n_sets=n_sets, ways=ways)
-        )
-        # Second, code-independent oracle: stack-distance hit criterion
-        # plus an OrderedDict LRU reconstruction.
+        got = classify_one(monkeypatch, lines, writes, n_sets=n_sets, ways=ways)
         o_hit, o_wb, o_flush = stackdist_oracle(lines, writes, n_sets, ways)
         np.testing.assert_array_equal(got.hit, o_hit)
         np.testing.assert_array_equal(got.wb_line, o_wb)
-        np.testing.assert_array_equal(np.sort(got.flush_lines), o_flush)
-        assert got.stats.hits == int(o_hit.sum())
-        assert got.stats.misses == len(lines) - int(o_hit.sum())
-        assert got.stats.flushes == len(o_flush)
-        assert got.stats.writebacks == int((o_wb >= 0).sum()) + len(o_flush)
+        np.testing.assert_array_equal(got.flush_lines, o_flush)
+        (stats,) = got.stats
+        assert stats.hits == int(o_hit.sum())
+        assert stats.misses == len(lines) - int(o_hit.sum())
+        assert stats.flushes == len(o_flush)
+        assert stats.writebacks == int((o_wb >= 0).sum()) + len(o_flush)
 
-    def test_all_writes_and_all_reads(self):
+    def test_all_writes_and_all_reads(self, monkeypatch):
         rng = np.random.default_rng(5)
         lines = rng.integers(0, 12, 300).astype(np.int64)
         for writes in (np.zeros(300, dtype=bool), np.ones(300, dtype=bool)):
-            assert_classifications_equal(
-                classify_vectorized(lines, writes, n_sets=2, ways=2),
-                classify_steps(lines, writes, n_sets=2, ways=2),
-            )
+            got = classify_one(monkeypatch, lines, writes, n_sets=2, ways=2)
+            o_hit, o_wb, o_flush = stackdist_oracle(lines, writes, 2, 2)
+            np.testing.assert_array_equal(got.hit, o_hit)
+            np.testing.assert_array_equal(got.wb_line, o_wb)
+            np.testing.assert_array_equal(got.flush_lines, o_flush)
 
 
 # ------------------------------------------------------- engine selection
@@ -280,9 +284,9 @@ class TestEngineSelection:
 GEOMETRIES = {
     # Table 3 defaults: tiny 2-way L1, the high-miss regime.
     "default": {},
-    # Direct-mapped sweep point (vectorized ways==1 path).
+    # Direct-mapped sweep point.
     "direct_mapped": {"l1_lines": 16, "l1_ways": 1},
-    # High associativity: the general stack-distance classification path.
+    # High associativity: long recency lists per set.
     "four_way": {"l1_lines": 64, "l1_ways": 4},
     "eight_way": {"l1_lines": 64, "l1_ways": 8},
     # Different DRAM shape: routing, bank and bus state all change.
@@ -312,6 +316,30 @@ class TestEngineEquivalence:
     def test_swept_geometries(self, name, geometry):
         cfg = default_nmc_config().replace(**GEOMETRIES[geometry])
         self._compare(small_trace(name), cfg, name)
+
+    def test_streams_without_memory_ops(self):
+        """PE streams with no memory op (hence no miss: every L1 starts
+        empty) finish after their compute alone, next to streams that
+        miss and write back; the packer's quiet-stream branch agrees
+        with the reference engine."""
+        builder = TraceBuilder()
+        for i in range(40):
+            builder.ialu(1, 1, tid=0)
+            builder.fmul(2, 2, 2, tid=2)
+            builder.load(3, 0x1000 + 64 * (i % 5), tid=1)
+            builder.store(3, 0x8000 + 64 * (i % 3), tid=1)
+        builder.fdiv(4, 4, 4, tid=2)
+        trace = builder.finish()
+        cfg = default_nmc_config().replace(n_pes=4)
+        product = NMCSimulator(cfg)._compute_phase_a(trace)
+        assert sorted(product.bundle.finish0) == [0, 2]
+        assert product.bundle.sidx.tolist() == [1]
+        for pe_type, mshrs in (("inorder", 1), ("ooo", 4)):
+            self._compare(
+                trace,
+                cfg.replace(pe_type=pe_type, mshr_entries=mshrs),
+                "quiet",
+            )
 
     @pytest.mark.parametrize("name", WORKLOADS)
     def test_all_workloads_ooo(self, name):
@@ -446,6 +474,24 @@ class TestClassificationMemo:
         assert result_dict(second) == result_dict(first)
         for name, count in before.items():
             assert m.count(name) == count + 1, name
+
+    def test_cold_phase_a_records_sub_timers(self):
+        """A cold run splits ``phase.simulate.classify`` into its digest,
+        LRU and pack steps, each timed once, inside the parent span."""
+        trace = small_trace("kme", seed=7)
+        before = metrics().snapshot()
+        NMCSimulator(default_nmc_config().replace(n_pes=5)).run(trace)
+        timers = metrics().diff(before)["timers"]
+        parts = [
+            timers[f"phase.simulate.classify.{step}"]
+            for step in ("digest", "lru", "pack")
+        ]
+        assert [t["count"] for t in parts] == [1, 1, 1]
+        assert timers["phase.simulate.classify"]["count"] == 1
+        assert (
+            sum(t["total_s"] for t in parts)
+            <= timers["phase.simulate.classify"]["total_s"]
+        )
 
     def test_geometry_sharing_campaign_hits_classify_memo(self):
         # Same traces (campaign trace memo), same L1 geometry, different
