@@ -5,10 +5,11 @@ Two levels of API:
 * :class:`TraceBuilder` — scalar ``append``-style emission plus a bulk
   column append, used directly for small/irregular code regions.
 * :class:`LoopTemplate` — describes one loop-body of IR statements once;
-  :meth:`LoopTemplate.emit` then materialises ``n`` iterations in a handful
-  of numpy operations, with per-iteration memory addresses supplied as
-  arrays.  This keeps trace generation fast for the large regular loops of
-  the PolyBench-style kernels.
+  :meth:`LoopTemplate.emit` records ``n`` iterations of it as one run, with
+  per-iteration memory addresses supplied as arrays.  Each column is
+  allocated once, in :meth:`TraceBuilder.finish`, which writes a run by
+  broadcasting the body into an ``(iterations, k)`` view.  This keeps trace
+  generation fast for the large regular loops of the PolyBench-style kernels.
 
 Register-dependence semantics: virtual registers are *renamed* by the
 analyses, i.e. only read-after-write dependencies matter.  A loop template
@@ -34,7 +35,9 @@ class TraceBuilder:
     """Accumulates instructions and freezes them into an InstructionTrace."""
 
     def __init__(self) -> None:
-        self._chunks: list[dict[str, np.ndarray]] = []
+        # In emission order: column dicts, and LoopTemplate runs
+        # ``(template, iterations, address arrays, tid, pc_base)``.
+        self._chunks: list = []
         # Scalar staging buffers, flushed into a chunk when bulk data arrives
         # or at finish().
         self._scalar: dict[str, list[int]] = {name: [] for name in TRACE_COLUMNS}
@@ -100,13 +103,15 @@ class TraceBuilder:
 
         Missing columns default to zeros (``NO_REG`` for register columns).
         """
+        unknown = set(columns) - set(TRACE_COLUMNS)
+        if unknown:
+            raise TraceError(f"unknown trace columns: {sorted(unknown)}")
         lengths = {len(v) for v in columns.values()}
         if len(lengths) != 1:
             raise TraceError("bulk columns must have equal lengths")
         (n,) = lengths
         if n == 0:
             return
-        self._flush_scalar()
         chunk: dict[str, np.ndarray] = {}
         for name, dtype in TRACE_COLUMNS.items():
             if name in columns:
@@ -115,9 +120,10 @@ class TraceBuilder:
                 chunk[name] = np.full(n, NO_REG, dtype=dtype)
             else:
                 chunk[name] = np.zeros(n, dtype=dtype)
-        unknown = set(columns) - set(TRACE_COLUMNS)
-        if unknown:
-            raise TraceError(f"unknown trace columns: {sorted(unknown)}")
+        self._append(chunk, n)
+
+    def _append(self, chunk, n: int) -> None:
+        self._flush_scalar()
         self._chunks.append(chunk)
         self._count += n
 
@@ -136,12 +142,30 @@ class TraceBuilder:
     def finish(self) -> InstructionTrace:
         """Freeze the accumulated instructions into an immutable trace."""
         self._flush_scalar()
-        if not self._chunks:
+        if not self._count:
             return InstructionTrace.empty()
         cols = {
-            name: np.concatenate([c[name] for c in self._chunks])
-            for name in TRACE_COLUMNS
+            name: np.zeros(self._count, dtype=dtype)
+            for name, dtype in TRACE_COLUMNS.items()
         }
+        start = 0
+        for chunk in self._chunks:
+            if isinstance(chunk, dict):
+                stop = start + len(chunk["opcode"])
+                for name, col in cols.items():
+                    col[start:stop] = chunk[name]
+            else:
+                template, iterations, slots, tid, pc_base = chunk
+                shape = (iterations, len(template))
+                stop = start + iterations * shape[1]
+                for name, row in template._rows.items():
+                    cols[name][start:stop].reshape(shape)[:] = row
+                cols["pc"][start:stop].reshape(shape)[:] = template._pc + pc_base
+                cols["tid"][start:stop] = tid
+                addr = cols["addr"][start:stop].reshape(shape)
+                for (j, _), slot in zip(template._addr_slots, slots):
+                    addr[:, j] = slot
+            start = stop
         return InstructionTrace(**cols)
 
 
@@ -184,8 +208,18 @@ class LoopTemplate:
             raise TraceError("a loop template needs at least one op")
         self.ops = tuple(ops)
         self._addr_slots = tuple(
-            (j, op.addr, op.size) for j, op in enumerate(self.ops) if op.addr
+            (j, op.addr) for j, op in enumerate(self.ops) if op.addr
         )
+        rows = {
+            name: [getattr(op, name) for op in self.ops]
+            for name in ("opcode", "dst", "src1", "src2")
+        }
+        rows["size"] = [op.size if op.addr else 0 for op in self.ops]
+        self._rows = {
+            name: np.array(row, dtype=TRACE_COLUMNS[name])
+            for name, row in rows.items()
+        }
+        self._pc = np.arange(len(self.ops), dtype=np.uint32)
 
     def __len__(self) -> int:
         return len(self.ops)
@@ -193,7 +227,7 @@ class LoopTemplate:
     @property
     def address_slots(self) -> tuple[str, ...]:
         """Names of the address arrays :meth:`emit` expects."""
-        return tuple(sorted({key for _, key, _ in self._addr_slots}))
+        return tuple(sorted({key for _, key in self._addr_slots}))
 
     def emit(
         self,
@@ -204,34 +238,23 @@ class LoopTemplate:
         tid: int = 0,
         pc_base: int = 0,
     ) -> None:
-        """Materialise ``iterations`` copies of the body into ``builder``."""
+        """Record ``iterations`` copies of the body on ``builder``.
+
+        The columns are written by :meth:`TraceBuilder.finish`; the address
+        arrays are copied here, so the caller may reuse them.
+        """
         if iterations < 0:
             raise TraceError("iterations must be >= 0")
+        k = len(self.ops)
+        if not 0 <= tid <= 0xFFFF:
+            raise TraceError(f"tid {tid} is outside uint16")
+        if not 0 <= pc_base <= 0xFFFFFFFF - (k - 1):
+            raise TraceError(f"pc_base {pc_base} puts a pc outside uint32")
         if iterations == 0:
             return
-        addresses = dict(addresses or {})
-        k = len(self.ops)
-        n = iterations * k
-
-        opcode = np.tile(
-            np.asarray([int(op.opcode) for op in self.ops], dtype=np.uint8),
-            iterations,
-        )
-        dst = np.tile(
-            np.asarray([op.dst for op in self.ops], dtype=np.int32), iterations
-        )
-        src1 = np.tile(
-            np.asarray([op.src1 for op in self.ops], dtype=np.int32), iterations
-        )
-        src2 = np.tile(
-            np.asarray([op.src2 for op in self.ops], dtype=np.int32), iterations
-        )
-        pc = np.tile(
-            pc_base + np.arange(k, dtype=np.uint32), iterations
-        )
-        addr = np.zeros(n, dtype=np.uint64)
-        size = np.zeros(n, dtype=np.uint16)
-        for j, key, op_size in self._addr_slots:
+        addresses = addresses or {}
+        slots = []
+        for _, key in self._addr_slots:
             try:
                 slot = addresses[key]
             except KeyError:
@@ -241,15 +264,5 @@ class LoopTemplate:
                     f"address array {key!r} has length {len(slot)}, "
                     f"expected {iterations}"
                 )
-            addr[j::k] = np.asarray(slot, dtype=np.uint64)
-            size[j::k] = op_size
-        builder.bulk(
-            opcode=opcode,
-            dst=dst,
-            src1=src1,
-            src2=src2,
-            addr=addr,
-            size=size,
-            pc=pc,
-            tid=np.full(n, tid, dtype=np.uint16),
-        )
+            slots.append(np.array(slot, dtype=np.uint64))
+        builder._append((self, iterations, slots, tid, pc_base), iterations * k)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import TraceError
 from repro.ir import (
@@ -12,6 +14,8 @@ from repro.ir import (
     TraceBuilder,
     validate_trace,
 )
+from repro.ir.instructions import MEMORY_OPCODES
+from repro.ir.trace import TRACE_COLUMNS
 
 
 class TestTraceBuilder:
@@ -51,6 +55,11 @@ class TestTraceBuilder:
         b = TraceBuilder()
         with pytest.raises(TraceError, match="unknown"):
             b.bulk(opcode=np.zeros(1, dtype=np.uint8), bogus=np.zeros(1))
+
+    def test_bulk_rejects_unknown_columns_when_empty(self):
+        b = TraceBuilder()
+        with pytest.raises(TraceError, match="unknown"):
+            b.bulk(bogus=np.zeros(0))
 
     def test_scalar_and_bulk_interleave_in_order(self):
         b = TraceBuilder()
@@ -151,3 +160,160 @@ class TestLoopTemplate:
 
     def test_address_slots_property(self):
         assert self.make().address_slots == ("x",)
+
+    @pytest.mark.parametrize("tid", [-1, 70000])
+    def test_tid_outside_uint16_rejected(self, tid):
+        with pytest.raises(TraceError, match=f"tid {tid} "):
+            self.make().emit(TraceBuilder(), 2, {"x": np.zeros(2)}, tid=tid)
+
+    @pytest.mark.parametrize("pc_base", [-1, 2**32 - 1])
+    def test_pc_outside_uint32_rejected(self, pc_base):
+        with pytest.raises(TraceError, match=f"pc_base {pc_base} "):
+            self.make().emit(
+                TraceBuilder(), 2, {"x": np.zeros(2)}, pc_base=pc_base
+            )
+
+    def test_highest_pc_accepted(self):
+        b = TraceBuilder()
+        self.make().emit(b, 1, {"x": np.zeros(1)}, pc_base=2**32 - 3)
+        assert b.finish().pc.tolist() == [2**32 - 3, 2**32 - 2, 2**32 - 1]
+
+
+# ------------------------------------------------------- differential
+
+REGS = ("dst", "src1", "src2")
+MEMORY = sorted(MEMORY_OPCODES)
+NON_MEMORY = [op for op in Opcode if op not in MEMORY_OPCODES]
+registers = st.integers(-1, 2**31 - 1)
+#: Address arrays come in every dtype the workloads pass.
+ADDRESS_VALUES = {
+    np.int64: st.integers(-(2**63), 2**63 - 1),
+    np.uint64: st.integers(0, 2**64 - 1),
+    np.float64: st.floats(0, 2**63, allow_nan=False),
+}
+
+
+def eager_chunk(action):
+    """The eager algorithm the lazy builder replaced: every emit becomes a
+    chunk of finished columns at once (template bodies by ``np.tile``)."""
+    if action[0] == "scalar":
+        return {name: [value] for name, value in action[1].items()}
+    if action[0] == "bulk":
+        _, n, columns = action
+        return {
+            name: columns.get(name, np.full(n, NO_REG if name in REGS else 0))
+            for name in TRACE_COLUMNS
+        }
+    _, template, iterations, addresses, tid, pc_base = action
+    ops, k, n = template.ops, len(template), iterations * len(template)
+    chunk = {
+        name: np.tile([getattr(op, name) for op in ops], iterations)
+        for name in ("opcode", *REGS)
+    }
+    chunk["pc"] = np.tile(pc_base + np.arange(k), iterations)
+    chunk["tid"] = np.full(n, tid)
+    chunk["addr"], chunk["size"] = np.zeros(n, np.uint64), np.zeros(n, int)
+    for j, op in enumerate(ops):
+        if op.addr:
+            chunk["addr"][j::k] = np.asarray(addresses[op.addr], np.uint64)
+            chunk["size"][j::k] = op.size
+    return chunk
+
+
+def eager_finish(chunks):
+    return {
+        name: np.concatenate([np.zeros(0, dtype)] + [
+            np.asarray(chunk[name], dtype) for chunk in chunks
+        ])
+        for name, dtype in TRACE_COLUMNS.items()
+    }
+
+
+def column_values(name, n):
+    info = np.iinfo(TRACE_COLUMNS[name])
+    return st.lists(
+        st.integers(int(info.min), int(info.max)), min_size=n, max_size=n
+    )
+
+
+@st.composite
+def scalar_emits(draw):
+    if draw(st.booleans()):
+        opcode, size = draw(st.sampled_from(MEMORY)), draw(st.integers(1, 64))
+    else:
+        opcode, size = draw(st.sampled_from(NON_MEMORY)), 0
+    fields = {
+        name: draw(column_values(name, 1))[0]
+        for name in (*REGS, "addr", "pc", "tid")
+    }
+    return "scalar", dict(fields, opcode=opcode, size=size)
+
+
+@st.composite
+def bulk_chunks(draw):
+    n = draw(st.integers(0, 12))
+    names = draw(st.sets(st.sampled_from(list(TRACE_COLUMNS)), min_size=1))
+    return "bulk", n, {
+        name: np.asarray(draw(column_values(name, n)), TRACE_COLUMNS[name])
+        for name in names
+    }
+
+
+@st.composite
+def address_arrays(draw, n):
+    dtype = draw(st.sampled_from(list(ADDRESS_VALUES)))
+    values = st.lists(ADDRESS_VALUES[dtype], min_size=n, max_size=n)
+    return np.asarray(draw(values), dtype)
+
+
+@st.composite
+def template_emits(draw):
+    keys = ["a", "b", "c"][:draw(st.integers(0, 3))]
+    ops = []
+    for _ in range(draw(st.integers(1, 9))):
+        regs = {r: draw(registers) for r in REGS}
+        if keys and draw(st.booleans()):
+            ops.append(TemplateOp(
+                draw(st.sampled_from(MEMORY)), addr=draw(st.sampled_from(keys)),
+                size=draw(st.integers(1, 2**16 - 1)), **regs,
+            ))
+        else:
+            ops.append(TemplateOp(draw(st.sampled_from(NON_MEMORY)), **regs))
+    iterations = draw(st.integers(0, 40))
+    addresses = {key: draw(address_arrays(iterations)) for key in keys}
+    return (
+        "template", LoopTemplate(ops), iterations, addresses,
+        draw(st.integers(0, 2**16 - 1)),
+        draw(st.integers(0, 2**32 - len(ops))),
+    )
+
+
+class TestLazyMatchesEagerOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(
+        st.one_of(scalar_emits(), bulk_chunks(), template_emits()), max_size=12
+    ))
+    def test_random_interleavings(self, actions):
+        builder, chunks = TraceBuilder(), []
+        for action in actions:
+            if action[0] == "scalar":
+                builder.emit(**action[1])
+            elif action[0] == "bulk":
+                builder.bulk(**action[2])
+            else:
+                _, template, iterations, addresses, tid, pc_base = action
+                template.emit(
+                    builder, iterations, addresses, tid=tid, pc_base=pc_base
+                )
+            chunks.append(eager_chunk(action))
+            assert len(builder) == sum(len(c["opcode"]) for c in chunks)
+        # Emits copy their address arrays: later writes must not leak in.
+        for action in actions:
+            if action[0] == "template":
+                for array in action[3].values():
+                    array[...] = 0
+        trace, expected = builder.finish(), eager_finish(chunks)
+        for name, dtype in TRACE_COLUMNS.items():
+            column = getattr(trace, name)
+            assert column.dtype == dtype
+            np.testing.assert_array_equal(column, expected[name], err_msg=name)

@@ -1,4 +1,13 @@
-"""Tests for the twelve workload trace generators (paper Table 2)."""
+"""Tests for the twelve workload trace generators (paper Table 2).
+
+``python tests/test_workloads.py`` rewrites ``tests/data/golden_traces.json``
+(the per-column sha256 of every workload's central and test trace); do so
+only for a change that is meant to alter the traces.
+"""
+
+import hashlib
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +15,7 @@ import pytest
 from repro.doe import ParameterSpace, central_composite
 from repro.errors import WorkloadError
 from repro.ir import Opcode, validate_trace
+from repro.ir.trace import TRACE_COLUMNS
 from repro.workloads import (
     WORKLOAD_NAMES,
     all_workloads,
@@ -13,8 +23,12 @@ from repro.workloads import (
     partition_range,
 )
 from repro.workloads.base import SizeMapping, config_seed
+from repro.workloads.synthetic import Gups, PointerChase, Stream
 
 ALL = all_workloads()
+
+GOLDEN_TRACES = Path(__file__).parent / "data" / "golden_traces.json"
+GOLDEN_SCALE = 8.0
 
 #: Paper Table 4 DoE configuration counts.
 PAPER_DOE_COUNTS = {
@@ -101,6 +115,31 @@ class TestEveryWorkload:
         assert fp_ops > 0
 
 
+def golden_trace_digests() -> dict[str, dict[str, dict[str, str]]]:
+    """sha256 of each trace column, per workload and per configuration."""
+    digests: dict[str, dict[str, dict[str, str]]] = {}
+    for workload in [*ALL, Stream(), Gups(), PointerChase()]:
+        per_config = digests[workload.name] = {}
+        for label, config in (
+            ("central", workload.central_config()),
+            ("test", workload.test_config()),
+        ):
+            trace = workload.generate(config, scale=GOLDEN_SCALE)
+            per_config[label] = {
+                name: hashlib.sha256(
+                    np.ascontiguousarray(getattr(trace, name)).tobytes()
+                ).hexdigest()
+                for name in TRACE_COLUMNS
+            }
+    return digests
+
+
+def test_traces_match_golden_digests():
+    # Every column of every workload's trace, bit for bit, as recorded in
+    # the golden file: trace construction may change, the traces may not.
+    assert golden_trace_digests() == json.loads(GOLDEN_TRACES.read_text())
+
+
 class TestAccessPatternContrasts:
     """The qualitative signatures that drive the Figure 7 split."""
 
@@ -181,3 +220,9 @@ class TestConfigSeed:
 
     def test_sensitive_to_name(self):
         assert config_seed("atax", {"a": 1.0}) != config_seed("bfs", {"a": 1.0})
+
+
+if __name__ == "__main__":
+    GOLDEN_TRACES.write_text(
+        json.dumps(golden_trace_digests(), indent=1, sort_keys=True) + "\n"
+    )
