@@ -128,6 +128,15 @@ class InstructionTrace:
     def thread_count(self) -> int:
         return len(self.thread_ids)
 
+    def check_opcodes(self) -> None:
+        """Raise :class:`~repro.errors.TraceError` on an opcode byte past
+        ``Opcode.NOP`` (memoised; run before any opcode-indexed lookup)."""
+        if "opcodes_ok" not in self._memo:
+            top = int(self.opcode.max(initial=0))
+            if top > max(Opcode):
+                raise TraceError(f"unknown opcode value {top}")
+            self._memo["opcodes_ok"] = True
+
     def opcode_counts(self) -> dict[Opcode, int]:
         """Histogram of opcodes present in the trace (memoised)."""
         got = self._memo.get("opcode_counts")

@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import TraceError
-from .instructions import NO_REG, Opcode
+from .instructions import NO_REG
 from .trace import InstructionTrace
 
 
@@ -27,11 +27,7 @@ def validate_trace(trace: InstructionTrace, *, max_register: int = 1 << 20) -> N
     if len(trace) == 0:
         return
 
-    max_opcode = max(int(op) for op in Opcode)
-    if int(trace.opcode.max()) > max_opcode:
-        bad = int(trace.opcode.max())
-        raise TraceError(f"unknown opcode value {bad}")
-
+    trace.check_opcodes()
     mem = trace.memory_mask
     if mem.any():
         sizes = trace.size[mem]

@@ -7,6 +7,8 @@ that own a loop :func:`register` both forms under one name:
 
 * ``contend_packed_multi`` — the fast engine's phase-B contention
   (:mod:`repro.nmcsim._native`);
+* ``stream_digests`` — phase A's stream digestion: every PE stream of
+  a trace in one call (:mod:`repro.nmcsim.simulator`);
 * ``classify_streams`` — the fast engine's phase A: every PE stream
   of a design point through its own LRU L1 in one call
   (:mod:`repro.nmcsim.classify`);
@@ -29,13 +31,14 @@ compiler is found or the build fails, every kernel runs its Python form.
 :func:`jit_status` says which.
 
 Bit-equivalence contract: each C function keeps its Python form's exact
-arithmetic.  The profiler and phase-A kernels are integer-only; phase
-B keeps the floating-point operation order of ``StackedMemory.access``
-(C ``double`` and CPython ``float`` are both IEEE-754 binary64, and
-``-ffp-contract=off`` forbids FMA contraction); the tree builder
-replays numpy's: pairwise summation for node sums, libm ``pow`` for a
-scalar square, sequential prefix sums and ``argmin``'s tie and NaN
-rules.  The differential suites assert this, it is not assumed.
+arithmetic.  The profiler and phase-A L1 kernels are integer-only; the
+stream digests keep integer prefix sums and sequential double sums, as
+``np.cumsum`` does; phase B keeps the floating-point operation order of
+``StackedMemory.access`` (C ``double`` and CPython ``float`` are both
+IEEE-754 binary64, and ``-ffp-contract=off`` forbids FMA contraction);
+the tree builder replays numpy's: pairwise summation for node sums, libm
+``pow`` for a scalar square, sequential prefix sums and ``argmin``'s tie
+and NaN rules.  The differential suites assert this, it is not assumed.
 """
 
 from __future__ import annotations
@@ -260,6 +263,81 @@ void contend_packed_multi(
             key, lose, pos, n);
         finish += n;
     }
+}
+
+/* ------------------------------------------------ phase-A stream digests */
+
+/* Every PE stream of a trace: the thread of tid rank r runs on PE
+   r % n_pes, each used PE's stream (in PE order) runs its threads in
+   rank order.  kind[op]: bit 0 a memory op, bit 1 a write.  A first call
+   with lines NULL plans on the scratch (cnt: n_tid, rank: n_tid + 1,
+   order: n): sizes gets the stream and memory-op counts, rank[0..
+   streams] the stream bounds.  A second fills outputs of those exact
+   sizes (layout: _Streams).  Cycles sum as int64 at issue_width 1, else
+   as sequential doubles of lat / issue_width; time sums are sequential. */
+void stream_digests(
+    const unsigned char *opcode, const uint64_t *addr, const uint16_t *tid,
+    const i64 *lat, const unsigned char *kind,
+    i64 *cnt, i64 *rank, i64 *order, i64 *sizes, i64 *off, i64 *lines,
+    unsigned char *writes, double *compute_ns, double *pref,
+    i64 n, i64 n_tid, i64 n_pes, double cycle_ns, i64 line_shift,
+    i64 issue_width)
+{
+    if (!lines) {
+        memset(cnt, 0, (size_t)n_tid * sizeof *cnt);
+        sizes[1] = 0;
+        for (i64 i = 0; i < n; i++) {
+            cnt[tid[i]]++;
+            sizes[1] += kind[opcode[i]] & 1;
+        }
+        i64 nt = 0, pos = 0;
+        for (i64 t = 0; t < n_tid; t++)
+            if (cnt[t]) rank[nt++] = t;
+        sizes[0] = nt < n_pes ? nt : n_pes;
+        /* cnt[t] becomes thread t's first slot in stream order, rank[s]
+           (last read by stream s) stream s's first slot */
+        for (i64 s = 0; s < sizes[0]; s++) {
+            i64 first = pos;
+            for (i64 r = s; r < nt; r += n_pes) {
+                i64 c = cnt[rank[r]];
+                cnt[rank[r]] = pos;
+                pos += c;
+            }
+            rank[s] = first;
+        }
+        rank[sizes[0]] = pos;
+        return;
+    }
+    for (i64 i = 0; i < n; i++) order[cnt[tid[i]]++] = i;
+    i64 m = 0, c = 0;
+    for (i64 s = 0; s < sizes[0]; s++) {
+        off[s] = m;
+        i64 cyc = 0, cyc0 = 0;
+        double acc = 0.0, acc0 = 0.0, sum = 0.0;
+        pref[c + s] = 0.0;
+        for (i64 j = rank[s]; j <= rank[s + 1]; j++) {
+            i64 x = j < rank[s + 1] ? order[j] : -1;  /* -1: stream end */
+            unsigned char k = x < 0 ? 1 : kind[opcode[x]];
+            if (!(k & 1)) {
+                if (issue_width > 1)
+                    acc = acc + (double)lat[opcode[x]] / (double)issue_width;
+                else
+                    cyc += lat[opcode[x]];
+                continue;
+            }
+            compute_ns[c] = issue_width > 1 ? (acc - acc0) * cycle_ns
+                                            : (double)(cyc - cyc0) * cycle_ns;
+            acc0 = acc;
+            cyc0 = cyc;
+            sum = sum + compute_ns[c];
+            pref[c++ + s + 1] = sum;
+            if (x >= 0) {
+                lines[m] = (i64)(addr[x] >> line_shift);
+                writes[m++] = k >> 1;
+            }
+        }
+    }
+    off[sizes[0]] = m;
 }
 
 /* ------------------------------------------------ phase-A L1 walk */

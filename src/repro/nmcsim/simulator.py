@@ -40,10 +40,11 @@ Two further levers sit on top of the fast engine:
   clock as well.  Each is cached on the trace's ``_memo`` side table
   under its own key, so DoE campaign points that share a slice skip the
   corresponding work entirely (``sim.memo.*`` counters).
-* **compiled kernels** — the L1 walk is one kernel call per point, and
+* **compiled kernels** — stream digestion is one kernel call per
+  (trace, PE slice), the L1 walk one per point, and
   the contention loop one multi-point kernel
   (:mod:`repro.nmcsim._native`), invoked once per
-  :func:`simulate_batch` call (a single run is a batch of one).  Both
+  :func:`simulate_batch` call (a single run is a batch of one).  All
   run from the shared kernel library :mod:`repro.native` builds with
   the system C compiler on first use whenever one is found (cached
   under ``$REPRO_SIM_JIT_CACHE``) and fall back to pure-Python loops
@@ -56,12 +57,14 @@ on.
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
 import heapq
 import os
 import time
 import weakref
 from collections import OrderedDict
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -374,14 +377,13 @@ class _PEStream:
 
 
 def _stream_digest(
-    pe: int,
     opcode: np.ndarray,
     addr: np.ndarray,
     cycle_ns: float,
     line_shift: int,
-    issue_width: int = 1,
+    issue_width: int,
 ) -> tuple:
-    """The immutable array columns of one PE stream (memoizable)."""
+    """``(compute_ns, pref, lines, writes)`` of one PE stream."""
     lat = _LATENCY_LUT[opcode]
     is_mem = (opcode == _LOAD) | (opcode == _STORE) | (opcode == _ATOMIC)
     mem_pos = np.flatnonzero(is_mem)
@@ -399,16 +401,11 @@ def _stream_digest(
     lines = (addr[mem_pos] >> np.uint64(line_shift)).astype(np.int64)
     writes = (opcode[mem_pos] == _STORE) | (opcode[mem_pos] == _ATOMIC)
     compute_ns = compute_cycles.astype(np.float64) * cycle_ns
-    return (
-        pe,
-        compute_ns,
-        np.concatenate(([0.0], np.cumsum(compute_ns))),
-        lines,
-        writes,
-        len(opcode),
-    )
+    pref_ns = np.concatenate(([0.0], np.cumsum(compute_ns)))
+    return compute_ns, pref_ns, lines, writes
 
 
+@dataclass(frozen=True, eq=False, slots=True)
 class _Streams:
     """Every PE stream of one (trace, PE slice), concatenated.
 
@@ -416,26 +413,17 @@ class _Streams:
     ``off[i]:off[i + 1]`` of ``lines`` / ``writes``; its
     ``n_mem + 1`` compute segments start at ``compute_ns[off[i] + i]``
     and its ``n_mem + 2`` prefix sums at ``pref[off[i] + 2 * i]`` (see
-    :class:`_PEStream`).  Immutable — the streams memo caches it, and
-    phase A reads the concatenated columns in one pass per point.
+    :class:`_PEStream`).  Immutable — one ``stream_digests`` call builds
+    it, the streams memo caches it, and phase A reads it in one pass.
     """
 
-    __slots__ = (
-        "pe", "n_instructions", "off", "lines", "writes", "compute_ns",
-        "pref",
-    )
-
-    def __init__(self, digests: Sequence[tuple]) -> None:
-        self.pe = [d[0] for d in digests]
-        self.n_instructions = [d[5] for d in digests]
-        self.off = np.zeros(len(digests) + 1, dtype=np.int64)
-        np.cumsum(
-            [len(d[3]) for d in digests], dtype=np.int64, out=self.off[1:]
-        )
-        self.compute_ns = np.concatenate([d[1] for d in digests])
-        self.pref = np.concatenate([d[2] for d in digests])
-        self.lines = np.concatenate([d[3] for d in digests])
-        self.writes = np.concatenate([d[4] for d in digests])
+    pe: list[int]
+    n_instructions: list[int]
+    off: np.ndarray
+    lines: np.ndarray
+    writes: np.ndarray
+    compute_ns: np.ndarray
+    pref: np.ndarray
 
     def __len__(self) -> int:
         return len(self.pe)
@@ -451,6 +439,59 @@ class _Streams:
             self.writes[lo:hi],
             self.n_instructions[i],
         )
+
+
+def _digest_streams(
+    opcode: np.ndarray, addr: np.ndarray, tid: np.ndarray, *,
+    n_pes: int, cycle_ns: float, line_shift: int, issue_width: int,
+) -> _Streams:
+    """Python form of the ``stream_digests`` kernel.  Threads go
+    round-robin onto PEs in tid order; threads sharing a PE execute back
+    to back (time multiplexed), each in program order."""
+    rank = np.unique(tid, return_inverse=True)[1]
+    pe_of = rank % n_pes
+    order = np.lexsort((rank, pe_of))  # stable: PE, thread rank, program
+    n_instructions = np.bincount(pe_of).tolist()
+    digests = [
+        _stream_digest(opcode[sel], addr[sel], cycle_ns, line_shift, issue_width)
+        for sel in np.split(order, np.cumsum(n_instructions)[:-1])
+    ]
+    off = np.cumsum([0] + [len(d[2]) for d in digests], dtype=np.int64)
+    compute_ns, pref, lines, writes = map(np.concatenate, zip(*digests))
+    return _Streams(list(range(len(digests))), n_instructions, off,
+                    lines, writes, compute_ns, pref)
+
+
+#: Per-opcode bits of the C form: 1 a memory op, 2 a memory write.
+_DIGEST_KIND = np.zeros(len(_LATENCY_LUT), dtype=np.uint8)
+_DIGEST_KIND[[_LOAD, _STORE, _ATOMIC]] = (1, 3, 3)
+
+
+def _digest_streams_cc(lib: native.Library):
+    fn = lib.stream_digests
+    fn.restype = None
+    fn.argtypes = [ctypes.c_void_p] * 14 + [ctypes.c_int64] * 3 + [
+        ctypes.c_double, ctypes.c_int64, ctypes.c_int64]
+
+    def kernel(opcode, addr, tid, *, n_pes, cycle_ns, line_shift, issue_width):
+        n, n_tid = len(opcode), int(tid.max()) + 1  # scratch sized by the trace
+        rank, sizes = np.empty(n_tid + 1, np.int64), np.empty(2, np.int64)
+        ins = [opcode, addr, tid, _LATENCY_LUT, _DIGEST_KIND,
+               np.empty(n_tid, np.int64), rank, np.empty(n, np.int64), sizes]
+        args = (n, n_tid, n_pes, cycle_ns, line_shift, issue_width)
+        fn(*[a.ctypes.data for a in ins], *[None] * 5, *args)  # the plan
+        ns, nm = sizes.tolist()
+        outs = [np.empty(ns + 1, np.int64), np.empty(nm, np.int64),
+                np.empty(nm, bool), np.empty(nm + ns), np.empty(nm + 2 * ns)]
+        fn(*[a.ctypes.data for a in ins + outs], *args)
+        return _Streams(
+            list(range(ns)), np.diff(rank[:ns + 1]).tolist(), *outs
+        )
+
+    return kernel
+
+
+native.register("stream_digests", _digest_streams, _digest_streams_cc)
 
 
 class _EventBundle:
@@ -675,46 +716,19 @@ class NMCSimulator:
 
     # ----------------------------------------------------------- shared
 
-    def _stream_digests(self, trace: InstructionTrace) -> _Streams:
-        """Round-robin threads onto PEs; threads sharing a PE execute
-        back-to-back (time multiplexed)."""
-        cfg = self.config
-        line_shift = cfg.line_bytes.bit_length() - 1
-        tids = trace.thread_ids
-        # One stable argsort groups the trace by thread id while keeping
-        # per-thread program order — same sub-arrays as a boolean mask
-        # per tid, without T full-column scans.
-        order = np.argsort(trace.tid, kind="stable")
-        sorted_tid = trace.tid[order]
-        starts = np.searchsorted(sorted_tid, tids, side="left")
-        ends = np.searchsorted(sorted_tid, tids, side="right")
-        per_pe_cols: dict[int, list[tuple[np.ndarray, np.ndarray]]] = {}
-        for idx, tid in enumerate(tids):
-            pe = idx % cfg.n_pes
-            sel = order[starts[idx]:ends[idx]]
-            per_pe_cols.setdefault(pe, []).append(
-                (trace.opcode[sel], trace.addr[sel])
-            )
-        digests: list[tuple] = []
-        for pe, parts in sorted(per_pe_cols.items()):
-            opcode = np.concatenate([p[0] for p in parts])
-            addr = np.concatenate([p[1] for p in parts])
-            digests.append(
-                _stream_digest(
-                    pe, opcode, addr, cfg.cycle_ns, line_shift,
-                    issue_width=cfg.issue_width,
-                )
-            )
-        return _Streams(digests)
-
     def _streams(self, trace: InstructionTrace) -> _Streams:
         """The trace's PE streams on this architecture, via the memo."""
         cfg = self.config
+        trace.check_opcodes()
         return _memo_lookup(
             trace,
             "streams",
             (cfg.n_pes, cfg.issue_width, cfg.frequency_ghz, cfg.line_bytes),
-            lambda: self._stream_digests(trace),
+            lambda: native.resolve("stream_digests")[0](
+                trace.opcode, trace.addr, trace.tid, n_pes=cfg.n_pes,
+                cycle_ns=cfg.cycle_ns, issue_width=cfg.issue_width,
+                line_shift=cfg.line_bytes.bit_length() - 1,
+            ),
         )
 
     def _build_streams(self, trace: InstructionTrace) -> list[_PEStream]:

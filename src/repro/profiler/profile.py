@@ -110,11 +110,13 @@ def analyze_trace(
     ``phase.profile.ilp`` and ``phase.profile.reuse`` (data plus
     instruction), every other family as ``phase.profile.other``.  A
     negative sample limit or a ``line_bytes`` that is not a positive
-    power of two raises :class:`~repro.errors.ConfigError`.
+    power of two raises :class:`~repro.errors.ConfigError`, an unknown
+    opcode value :class:`~repro.errors.TraceError`.
     """
     check_sample_limit(ilp_sample_limit, "ilp_sample_limit")
     check_sample_limit(reuse_sample_limit, "reuse_sample_limit")
     check_line_bytes(line_bytes)
+    trace.check_opcodes()
     m = metrics()
     features: dict[str, float] = {}
     with m.timer("phase.profile.ilp"):

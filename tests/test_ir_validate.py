@@ -6,6 +6,8 @@ import pytest
 from repro.errors import TraceError
 from repro.ir import Instruction, InstructionTrace, Opcode, validate_trace
 from repro.ir.trace import TRACE_COLUMNS
+from repro.nmcsim import simulate
+from repro.profiler import analyze_trace
 
 
 def raw_trace(**overrides):
@@ -72,3 +74,20 @@ class TestValidateTrace:
     def test_workload_traces_validate(self, atax):
         trace = atax.generate(atax.central_config(), scale=4.0)
         validate_trace(trace)
+
+
+class TestUnknownOpcodesFailLoud:
+    """An opcode byte past ``Opcode.NOP`` is rejected before any
+    opcode-indexed table (latencies, the digest kernel) reads it."""
+
+    @pytest.mark.parametrize("value", [16, 255])
+    @pytest.mark.parametrize("run", ["fast", "reference", "profile"])
+    def test_rejected(self, kernel_form, run, value):
+        bad = raw_trace(
+            opcode=np.array([int(Opcode.IALU), value], dtype=np.uint8)
+        )
+        with pytest.raises(TraceError, match=f"unknown opcode value {value}$"):
+            if run == "profile":
+                analyze_trace(bad)
+            else:
+                simulate(bad, engine=run)

@@ -3,9 +3,10 @@
 Every kernel's C form must equal its pure-Python form (the oracle) on
 drawn inputs: the ILP depths over drawn traces, the LRU stack distances
 over drawn keys (both sides of the oracle's move-to-front / Fenwick
-switch), the grouped distances over one or many groups, phase A's L1
-walk over drawn multi-stream batches, and whole regression trees over
-drawn tie-heavy matrices.  Whole profiles of all
+switch), the grouped distances over one or many groups, phase A's
+stream digests over drawn multi-thread traces and PE slices, phase A's
+L1 walk over drawn multi-stream batches, and whole regression trees
+over drawn tie-heavy matrices.  Whole profiles of all
 twelve workloads and whole forests must be identical under both forms.
 The build tests check that a damaged cached object is rebuilt and that
 concurrent cold processes share one object.
@@ -227,6 +228,69 @@ class TestClassifyKernel:
         for form in forms("classify_streams"):
             with pytest.raises(ConfigError):
                 form(lines, writes, off, n_sets=n_sets, ways=ways)
+
+
+# ------------------------------------------------- phase-A stream digests
+
+_MEMORY_OPS = [int(Opcode.LOAD), int(Opcode.STORE), int(Opcode.ATOMIC)]
+_COMPUTE_OPS = [int(op) for op in Opcode if int(op) not in _MEMORY_OPS]
+
+
+@st.composite
+def digest_inputs(draw):
+    """A trace's opcode/addr/tid columns and a PE slice: 1-80 sparse
+    thread ids (0 and 65535 among them, with gaps), threads interleaved
+    in the trace, each compute-only, all-memory or mixed, addresses over
+    the whole 64-bit space."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    tids = set(draw(st.sampled_from([(), (0,), (65535,), (0, 65535)])))
+    tids |= set(draw(st.lists(
+        st.integers(0, 65535),
+        min_size=max(0, 1 - len(tids)), max_size=80 - len(tids),
+    )))
+    tids = sorted(tids)
+    parts = []
+    for t in tids:
+        n = draw(st.sampled_from([1, 3, 40, 150]))
+        mode = draw(st.sampled_from(["compute", "memory", "mixed"]))
+        pool = {
+            "compute": _COMPUTE_OPS,
+            "memory": _MEMORY_OPS,
+            "mixed": _COMPUTE_OPS + _MEMORY_OPS,
+        }[mode]
+        parts.append((np.full(n, t), rng.choice(pool, size=n)))
+    # Interleave the threads, each keeping its own program order.
+    tid = rng.permutation(np.concatenate([p[0] for p in parts]))
+    tid = tid.astype(np.uint16)
+    opcode = np.empty(len(tid), dtype=np.uint8)
+    for t, (_, ops) in zip(tids, parts):
+        opcode[tid == t] = ops
+    addr = rng.integers(0, 2**64 - 1, size=len(tid), dtype=np.uint64,
+                        endpoint=True)
+    addr[rng.random(len(tid)) < 0.3] >>= np.uint64(40)
+    n_pes = draw(st.one_of(st.integers(1, 64), st.just(min(len(tids), 64))))
+    kwargs = dict(
+        n_pes=n_pes,
+        cycle_ns=1.0 / draw(st.sampled_from([1.1, 1.25, 3.0])),
+        line_shift=draw(st.integers(1, 256)).bit_length() - 1,
+        issue_width=draw(st.integers(1, 4)),
+    )
+    return (opcode, addr, tid), kwargs
+
+
+class TestStreamDigestKernel:
+    @DIFF_SETTINGS
+    @given(args=digest_inputs())
+    def test_matches_python_oracle(self, args):
+        cc, python = forms("stream_digests")
+        cols, kwargs = args
+        got, want = (form(*cols, **kwargs) for form in (cc, python))
+        assert got.pe == want.pe
+        assert got.n_instructions == want.n_instructions
+        for name in ("off", "lines", "writes", "compute_ns", "pref"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype, name
+            assert a.tobytes() == b.tobytes(), name
 
 
 # ------------------------------------------------------------ CART trees
