@@ -27,7 +27,7 @@ from .instructions import (
     Instruction,
     Opcode,
 )
-from .trace import InstructionTrace, concat_traces
+from .trace import InstructionTrace, TraceColumns, columns_of, concat_traces
 from .builder import LoopTemplate, TraceBuilder, TemplateOp
 from .stackdist import COLD_DISTANCE, grouped_reuse_distances, reuse_distances
 from .validate import validate_trace
@@ -36,6 +36,8 @@ __all__ = [
     "Opcode",
     "Instruction",
     "InstructionTrace",
+    "TraceColumns",
+    "columns_of",
     "TraceBuilder",
     "LoopTemplate",
     "TemplateOp",

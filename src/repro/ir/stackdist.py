@@ -28,6 +28,7 @@ from typing import Callable
 import numpy as np
 
 from .. import native
+from .trace import dense_ids
 
 #: Distance value used for cold (first-touch) accesses.
 COLD_DISTANCE = -1
@@ -48,12 +49,13 @@ def reuse_distances(keys: np.ndarray) -> np.ndarray:
     accessed since the previous access to the same element, or
     :data:`COLD_DISTANCE` for first touches.
     """
-    return native.resolve("reuse_distances")[0](np.asarray(keys))
+    uniq, _first, ids = dense_ids(np.asarray(keys))
+    return native.resolve("reuse_distances")[0](ids, len(uniq))
 
 
-def _reuse_distances_py(keys: np.ndarray) -> np.ndarray:
-    """Pure-Python :func:`reuse_distances` (the oracle)."""
-    n = len(keys)
+def _reuse_distances_py(ids: np.ndarray, n_ids: int) -> np.ndarray:
+    """Pure-Python :func:`reuse_distances` over dense ids (the oracle)."""
+    n = len(ids)
     out = np.empty(n, dtype=np.int64)
     if n == 0:
         return out
@@ -62,12 +64,12 @@ def _reuse_distances_py(keys: np.ndarray) -> np.ndarray:
     # move-to-front list — the stack distance of an access is simply the
     # key's position in the recency list.  O(n * |alphabet|) with small
     # constants beats the Fenwick tree up to a few hundred distinct keys.
-    if len(np.unique(keys)) <= 512:
+    if n_ids <= 512:
         recency: list[int] = []
         index = recency.index
         remove = recency.remove
         insert = recency.insert
-        for t, key in enumerate(keys.tolist()):
+        for t, key in enumerate(ids.tolist()):
             try:
                 pos = index(key)
             except ValueError:
@@ -98,8 +100,7 @@ def _reuse_distances_py(keys: np.ndarray) -> np.ndarray:
         return s
 
     last_seen: dict[int, int] = {}
-    keys_list = keys.tolist()
-    for t, key in enumerate(keys_list):
+    for t, key in enumerate(ids.tolist()):
         prev = last_seen.get(key)
         if prev is None:
             out[t] = COLD_DISTANCE
@@ -129,18 +130,19 @@ def grouped_reuse_distances(
     groups = np.asarray(groups)
     if keys.shape != groups.shape:
         raise ValueError("keys and groups must have the same shape")
-    return native.resolve("grouped_reuse_distances")[0](keys, groups)
+    uniq, _first, ids = dense_ids(keys)
+    return native.resolve("grouped_reuse_distances")[0](ids, len(uniq), groups)
 
 
 def _grouped_reuse_distances_py(
-    keys: np.ndarray, groups: np.ndarray
+    ids: np.ndarray, n_ids: int, groups: np.ndarray
 ) -> np.ndarray:
     """Pure-Python :func:`grouped_reuse_distances` (the oracle)."""
-    out = np.empty(len(keys), dtype=np.int64)
-    if len(keys) == 0:
+    out = np.empty(len(ids), dtype=np.int64)
+    if len(ids) == 0:
         return out
     if (groups == groups[0]).all():
-        out[:] = _reuse_distances_py(keys)
+        out[:] = _reuse_distances_py(ids, n_ids)
         return out
     # Stable sort by group keeps the access order within every group, so
     # each contiguous block is one group's sub-stream.
@@ -149,31 +151,30 @@ def _grouped_reuse_distances_py(
     starts = np.flatnonzero(
         np.concatenate(([True], grouped[1:] != grouped[:-1]))
     )
-    bounds = np.concatenate((starts, [len(keys)]))
+    bounds = np.concatenate((starts, [len(ids)]))
     for lo, hi in zip(bounds[:-1], bounds[1:]):
-        out[order[lo:hi]] = _reuse_distances_py(keys[order[lo:hi]])
+        out[order[lo:hi]] = _reuse_distances_py(ids[order[lo:hi]], n_ids)
     return out
 
 
 def _c_pass(lib: native.Library) -> Callable:
-    """The library's ``reuse_distances`` as ``run(keys, grouped=None)``.
+    """The library's ``reuse_distances`` as ``run(ids, n_ids, grouped=None)``.
 
-    Keys are remapped to dense ids in numpy; ``grouped`` (int64, sorted
-    so every group is one contiguous block) keeps distances inside
-    their block.
+    ``ids`` are dense element ids below ``n_ids``; ``grouped`` (int64,
+    sorted so every group is one contiguous block) keeps distances
+    inside their block.
     """
     fn = lib.reuse_distances
     fn.restype = None
     fn.argtypes = [ctypes.c_void_p] * 2 + [ctypes.c_int64] + [ctypes.c_void_p] * 3
 
-    def run(keys: np.ndarray, grouped: np.ndarray | None = None) -> np.ndarray:
-        n = len(keys)
+    def run(ids: np.ndarray, n_ids: int, grouped=None) -> np.ndarray:
+        n = len(ids)
         out = np.empty(n, dtype=np.int64)
         if n == 0:
             return out
-        uniq, ids = np.unique(keys, return_inverse=True)
-        ids = ids.astype(np.int64, copy=False)
-        last = np.full(len(uniq), -1, dtype=np.int64)
+        ids = np.ascontiguousarray(ids, dtype=np.int64)
+        last = np.full(n_ids, -1, dtype=np.int64)
         tree = np.zeros(n + 1, dtype=np.int64)
         fn(
             ids.ctypes.data, None if grouped is None else grouped.ctypes.data,
@@ -187,13 +188,13 @@ def _c_pass(lib: native.Library) -> Callable:
 def _grouped_reuse_distances_cc(lib: native.Library) -> Callable:
     run = _c_pass(lib)
 
-    def kernel(keys: np.ndarray, groups: np.ndarray) -> np.ndarray:
+    def kernel(ids: np.ndarray, n_ids: int, groups: np.ndarray) -> np.ndarray:
         # One pass over the stream stably sorted by group (each group's
         # sub-stream stays in access order), scattered back by order.
         order = np.argsort(groups, kind="stable")
         grouped = np.ascontiguousarray(groups[order], dtype=np.int64)
-        out = np.empty(len(keys), dtype=np.int64)
-        out[order] = run(keys[order], grouped)
+        out = np.empty(len(ids), dtype=np.int64)
+        out[order] = run(ids[order], n_ids, grouped)
         return out
 
     return kernel

@@ -8,6 +8,7 @@ immutable once built (use :class:`repro.ir.builder.TraceBuilder` to build).
 from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
+from functools import cached_property
 
 import numpy as np
 
@@ -26,7 +27,33 @@ TRACE_COLUMNS: dict[str, np.dtype] = {
     "tid": np.dtype(np.uint16),
 }
 
-_MEMORY_CODES = np.array(sorted(int(op) for op in MEMORY_OPCODES), dtype=np.uint8)
+#: Opcode byte -> is a memory instruction / writes memory (ATOMIC, a
+#: read and a write, counts as a write).
+_IS_MEMORY = np.zeros(256, dtype=bool)
+_IS_MEMORY[[int(op) for op in MEMORY_OPCODES]] = True
+_IS_WRITE = np.zeros(256, dtype=bool)
+_IS_WRITE[[int(Opcode.STORE), int(Opcode.ATOMIC)]] = True
+
+#: dense_ids sorts a column whose value range exceeds this many times its length.
+_TABLE_SPAN = 4
+
+
+def dense_ids(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``np.unique(values, return_index=True, return_inverse=True)``, in O(n)
+    from a presence table ranked by ``cumsum`` if the value range is small."""
+    n = len(values)
+    if n:
+        lo = values.min()
+        span = int(values.max()) - int(lo) + 1
+    if n == 0 or span > _TABLE_SPAN * n:
+        return np.unique(values, return_index=True, return_inverse=True)
+    off = (values - lo).astype(np.intp)
+    first = np.full(span, n, dtype=np.intp)
+    np.minimum.at(first, off, np.arange(n))
+    present = first < n
+    rank = np.cumsum(present) - 1
+    uniq = np.flatnonzero(present).astype(values.dtype) + lo
+    return uniq, first[present], rank[off]
 
 
 class InstructionTrace:
@@ -113,7 +140,7 @@ class InstructionTrace:
     @property
     def memory_mask(self) -> np.ndarray:
         """Boolean mask selecting memory instructions."""
-        return np.isin(self.opcode, _MEMORY_CODES)
+        return _IS_MEMORY[self.opcode]
 
     @property
     def memory_op_count(self) -> int:
@@ -126,7 +153,10 @@ class InstructionTrace:
 
     @property
     def thread_count(self) -> int:
-        return len(self.thread_ids)
+        got = self._memo.get("thread_count")
+        if got is None:
+            got = self._memo["thread_count"] = len(dense_ids(self.tid)[0])
+        return got
 
     def check_opcodes(self) -> None:
         """Raise :class:`~repro.errors.TraceError` on an opcode byte past
@@ -141,8 +171,8 @@ class InstructionTrace:
         """Histogram of opcodes present in the trace (memoised)."""
         got = self._memo.get("opcode_counts")
         if got is None:
-            values, counts = np.unique(self.opcode, return_counts=True)
-            got = {Opcode(int(v)): int(c) for v, c in zip(values, counts)}
+            counts = np.bincount(self.opcode).tolist()
+            got = {Opcode(v): c for v, c in enumerate(counts) if c}
             self._memo["opcode_counts"] = got
         return dict(got)
 
@@ -191,10 +221,7 @@ class InstructionTrace:
     def memory_accesses(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(addresses, sizes, is_write) of memory instructions, in order."""
         mask = self.memory_mask
-        is_write = self.opcode[mask] == int(Opcode.STORE)
-        # ATOMIC counts as both read and write; report it as a write here.
-        is_write |= self.opcode[mask] == int(Opcode.ATOMIC)
-        return self.addr[mask], self.size[mask], is_write
+        return self.addr[mask], self.size[mask], _IS_WRITE[self.opcode[mask]]
 
     # ------------------------------------------------------ construction
 
@@ -224,6 +251,52 @@ class InstructionTrace:
             cols["pc"][i] = ins.pc
             cols["tid"][i] = ins.tid
         return cls(**cols)
+
+
+class TraceColumns:
+    """Derived columns of one trace, each built once on first use; they
+    live as long as the table (only scalars go on the trace's memo)."""
+
+    def __init__(self, trace: InstructionTrace) -> None:
+        self.trace = trace
+        self._lines: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+
+    @cached_property
+    def memory_mask(self) -> np.ndarray:
+        return self.trace.memory_mask
+
+    @cached_property
+    def accesses(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(addresses, sizes, is_write) of the memory instructions."""
+        return self.trace.memory_accesses()
+
+    @cached_property
+    def registers(self) -> tuple[np.ndarray, int, int]:
+        """Dense dst/src1/src2 ids (rows; -1: none), table size, distinct regs."""
+        t = self.trace
+        uniq, _first, ids = dense_ids(np.concatenate((t.dst, t.src1, t.src2)))
+        negative = int(np.searchsorted(uniq, 0))
+        ids = np.maximum(ids - negative, -1).reshape(3, -1)
+        return ids, len(uniq) - negative, int(np.count_nonzero(uniq != NO_REG))
+
+    @cached_property
+    def pcs(self) -> tuple[np.ndarray, int]:
+        """Dense pc ids and the number of distinct pcs."""
+        uniq, _first, ids = dense_ids(self.trace.pc)
+        return ids, len(uniq)
+
+    def lines(self, line_bytes: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """dense_ids of the accesses' cache lines; memoises footprint_lines."""
+        shift = line_bytes.bit_length() - 1
+        if shift not in self._lines:
+            got = self._lines[shift] = dense_ids(self.accesses[0] >> np.uint64(shift))
+            self.trace._memo[("footprint_lines", shift)] = len(got[0])
+        return self._lines[shift]
+
+
+def columns_of(trace: InstructionTrace | TraceColumns) -> TraceColumns:
+    """The derived-column table of ``trace`` (a table is its own)."""
+    return trace if isinstance(trace, TraceColumns) else TraceColumns(trace)
 
 
 def concat_traces(traces: Sequence[InstructionTrace]) -> InstructionTrace:

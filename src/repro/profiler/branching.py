@@ -10,23 +10,25 @@ import math
 
 import numpy as np
 
-from ..ir import CONTROL_OPCODES, InstructionTrace
+from ..ir import CONTROL_OPCODES, InstructionTrace, TraceColumns, columns_of
+from .features import BRANCH_NAMES
+
+#: Opcode byte -> is a control-flow instruction.
+_IS_CONTROL = np.zeros(256, dtype=bool)
+_IS_CONTROL[[int(op) for op in CONTROL_OPCODES]] = True
 
 
-def branch_features(trace: InstructionTrace) -> dict[str, float]:
+def branch_features(trace: InstructionTrace | TraceColumns) -> dict[str, float]:
+    cols = columns_of(trace)
+    trace = cols.trace
     n = len(trace)
     if n == 0:
-        return {
-            "branch.density": 0.0,
-            "branch.avg_basic_block": 0.0,
-            "branch.unique_branch_sites": 0.0,
-            "branch.per_memory_op": 0.0,
-        }
-    control_codes = np.array(sorted(int(op) for op in CONTROL_OPCODES), dtype=np.uint8)
-    is_control = np.isin(trace.opcode, control_codes)
+        return dict.fromkeys(BRANCH_NAMES, 0.0)
+    is_control = _IS_CONTROL[trace.opcode]
     n_control = int(is_control.sum())
-    mem_ops = trace.memory_op_count
-    unique_sites = len(np.unique(trace.pc[is_control])) if n_control else 0
+    mem_ops = len(cols.accesses[0])
+    pcs, n_pcs = cols.pcs
+    unique_sites = np.count_nonzero(np.bincount(pcs[is_control], minlength=n_pcs))
     return {
         "branch.density": n_control / n,
         "branch.avg_basic_block": n / n_control if n_control else float(n),

@@ -12,7 +12,9 @@ import math
 
 import numpy as np
 
-from ..ir import InstructionTrace
+from ..errors import ConfigError
+from ..ir import InstructionTrace, TraceColumns, columns_of
+from .features import FOOTPRINT_NAMES, check_line_bytes
 
 
 def _log_bytes(value: float) -> float:
@@ -20,25 +22,23 @@ def _log_bytes(value: float) -> float:
 
 
 def footprint_features(
-    trace: InstructionTrace,
+    trace: InstructionTrace | TraceColumns,
     *,
     line_bytes: int = 64,
     page_bytes: int = 4096,
 ) -> dict[str, float]:
-    addrs, sizes, is_write = trace.memory_accesses()
+    check_line_bytes(line_bytes)
+    if page_bytes < line_bytes or page_bytes & (page_bytes - 1):
+        msg = f"page_bytes must be a power of two >= {line_bytes}, got {page_bytes}"
+        raise ConfigError(msg)
+    cols = columns_of(trace)
+    addrs, sizes, is_write = cols.accesses
     if len(addrs) == 0:
-        return {
-            "footprint.data_bytes": 0.0,
-            "footprint.data_lines": 0.0,
-            "footprint.data_pages": 0.0,
-            "footprint.instr_bytes": 0.0,
-            "footprint.read_bytes": 0.0,
-            "footprint.write_bytes": 0.0,
-        }
-    line_shift = np.uint64(line_bytes.bit_length() - 1)
-    page_shift = np.uint64(page_bytes.bit_length() - 1)
-    lines = np.unique(addrs >> line_shift)
-    pages = np.unique(addrs >> page_shift)
+        return dict.fromkeys(FOOTPRINT_NAMES, 0.0)
+    lines = cols.lines(line_bytes)[0]
+    # Pages from the sorted distinct lines: count where the page changes.
+    pages = lines >> np.uint64(page_bytes.bit_length() - line_bytes.bit_length())
+    n_pages = 1 + int(np.count_nonzero(pages[1:] != pages[:-1]))
     # Distinct bytes approximated from distinct lines weighted by the mean
     # access size (exact byte tracking would cost O(footprint) memory).
     mean_size = float(sizes.mean())
@@ -46,11 +46,11 @@ def footprint_features(
     read_bytes = float(sizes[~is_write].sum())
     write_bytes = float(sizes[is_write].sum())
     # Static code footprint: one IR statement is ~4 bytes of "code".
-    instr_bytes = 4.0 * len(np.unique(trace.pc))
+    instr_bytes = 4.0 * cols.pcs[1]
     return {
         "footprint.data_bytes": _log_bytes(data_bytes),
         "footprint.data_lines": _log_bytes(float(len(lines))),
-        "footprint.data_pages": _log_bytes(float(len(pages))),
+        "footprint.data_pages": _log_bytes(float(n_pages)),
         "footprint.instr_bytes": _log_bytes(instr_bytes),
         "footprint.read_bytes": _log_bytes(read_bytes),
         "footprint.write_bytes": _log_bytes(write_bytes),

@@ -12,9 +12,9 @@ per-class dependence-chain ILP (integer, floating-point, memory) are
 reported, mirroring PISA's ILP sub-features.
 
 All of it is one call into the compiled kernel library
-(:mod:`repro.native`) per trace: registers and cache lines are remapped
-to dense ids in numpy and the C kernel walks the sample once per window
-(per-chunk epoch stamps stand in for clearing the level tables).
+(:mod:`repro.native`) per trace over the dense register and line ids
+of its derived-column table: the C kernel walks the sample once per
+window (per-chunk epoch stamps stand in for clearing the level tables).
 :func:`_chunk_depths`, the pure-Python walk, is the oracle and the
 fallback on hosts without a C compiler.
 """
@@ -27,7 +27,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .. import native
-from ..ir import InstructionTrace, Opcode
+from ..ir import InstructionTrace, Opcode, TraceColumns, columns_of
 from .features import ILP_WINDOWS, check_line_bytes, check_sample_limit
 
 #: Default cap on the number of instructions analysed; ILP converges quickly
@@ -147,6 +147,8 @@ def _ilp_depths_py(
     src1s: np.ndarray,
     src2s: np.ndarray,
     lines: np.ndarray,
+    n_regs: int,
+    n_lines: int,
     windows: Sequence[int],
 ) -> list[int]:
     """Every depth :func:`ilp_features` needs, in one list.
@@ -175,14 +177,6 @@ _KIND[[_LOAD, _ATOMIC]] |= 4
 _KIND[[_STORE, _ATOMIC]] |= 8
 
 
-def _dense_regs(*cols: np.ndarray) -> tuple[int, list[np.ndarray]]:
-    """Remap register ids to ``0..k-1`` across the columns (-1: none)."""
-    flat = np.concatenate(cols).astype(np.int64)
-    uniq, ids = np.unique(flat, return_inverse=True)
-    ids = np.where(flat < 0, -1, ids)
-    return len(uniq), np.split(ids, len(cols))
-
-
 def _ilp_depths_cc(lib: native.Library) -> Callable:
     fn = lib.ilp_depths
     fn.restype = None
@@ -191,21 +185,18 @@ def _ilp_depths_cc(lib: native.Library) -> Callable:
         + [ctypes.c_void_p] * 7
     )
 
-    def kernel(opcodes, dsts, src1s, src2s, lines, windows) -> list[int]:
-        n = len(opcodes)
-        n_regs, (dst, src1, src2) = _dense_regs(dsts, src1s, src2s)
-        uniq_lines, line = np.unique(lines, return_inverse=True)
-        line = line.astype(np.int64, copy=False)
-        kind = _KIND[opcodes]
+    def kernel(ops, dsts, src1s, src2s, lines, n_regs, n_lines, windows) -> list[int]:
+        n = len(ops)
+        cols = (_KIND[ops], dsts, src1s, src2s, lines)
+        cols = [np.ascontiguousarray(c, dtype=np.int64) for c in cols]
         win = np.asarray(windows, dtype=np.int64)
         # The register and store level tables, each followed by its
         # epoch stamps, then the int- and fp-chain level tables.
-        sizes = (n_regs, n_regs, len(uniq_lines), len(uniq_lines))
-        tables = [np.zeros(k, dtype=np.int64) for k in sizes + (n_regs,) * 2]
+        sizes = (n_regs, n_regs, n_lines, n_lines, n_regs, n_regs)
+        tables = [np.zeros(k, dtype=np.int64) for k in sizes]
         out = np.empty(7 + len(win), dtype=np.int64)
         fn(
-            kind.ctypes.data, dst.ctypes.data, src1.ctypes.data,
-            src2.ctypes.data, line.ctypes.data, n, win.ctypes.data, len(win),
+            *(c.ctypes.data for c in cols), n, win.ctypes.data, len(win),
             *(t.ctypes.data for t in tables), out.ctypes.data,
         )
         return out.tolist()
@@ -217,7 +208,7 @@ native.register("ilp_depths", _ilp_depths_py, _ilp_depths_cc)
 
 
 def ilp_features(
-    trace: InstructionTrace,
+    trace: InstructionTrace | TraceColumns,
     *,
     sample_limit: int = DEFAULT_SAMPLE_LIMIT,
     line_bytes: int = 64,
@@ -225,12 +216,18 @@ def ilp_features(
     """ILP feature family: total, windowed, and per-class chain ILP."""
     check_sample_limit(sample_limit)
     check_line_bytes(line_bytes)
+    cols = columns_of(trace)
+    trace = cols.trace
     n = min(len(trace), sample_limit)
-    shift = line_bytes.bit_length() - 1
+    regs, n_regs, _distinct = cols.registers
+    uniq, _first, line_ids = cols.lines(line_bytes)
+    # Each sampled memory op's line id; other ops never read theirs.
+    mem = cols.memory_mask[:n]
+    lines = np.zeros(n, dtype=np.int64)
+    lines[mem] = line_ids[:np.count_nonzero(mem)]
     depth, int_chain, fp_chain, mem_chain, n_int, n_fp, n_mem, *windowed = (
         native.resolve("ilp_depths")[0](
-            trace.opcode[:n], trace.dst[:n], trace.src1[:n], trace.src2[:n],
-            trace.addr[:n] >> shift, ILP_WINDOWS,
+            trace.opcode[:n], *regs[:, :n], lines, n_regs, len(uniq), ILP_WINDOWS
         )
     )
     out = {"ilp.total": n / depth if depth else 0.0}

@@ -6,8 +6,6 @@ are in [0, 1] and hardware-independent.
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..ir import InstructionTrace, Opcode
 from .features import MIX_CATEGORIES, N_OPCODES
 
@@ -42,16 +40,13 @@ def instruction_mix_features(trace: InstructionTrace) -> dict[str, float]:
     An empty trace yields all-zero fractions.
     """
     n = len(trace)
-    counts = np.zeros(N_OPCODES, dtype=np.int64)
-    if n:
-        values, per = np.unique(trace.opcode, return_counts=True)
-        counts[values.astype(np.int64)] = per
+    counts = trace.opcode_counts()
 
     out: dict[str, float] = {}
     for category in MIX_CATEGORIES:
         opcodes = _CATEGORY_OPCODES[category]
-        total = int(sum(counts[int(op)] for op in opcodes))
+        total = sum(counts.get(op, 0) for op in opcodes)
         out[f"mix.{category}"] = total / n if n else 0.0
     for code in range(N_OPCODES):
-        out[f"opcode.{code}"] = int(counts[code]) / n if n else 0.0
+        out[f"opcode.{code}"] = counts.get(Opcode(code), 0) / n if n else 0.0
     return out

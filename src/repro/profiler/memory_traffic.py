@@ -15,6 +15,9 @@ from ..ir import InstructionTrace
 from .features import TRAFFIC_CACHE_SIZES
 from .reuse_distance import ReuseDistanceHistogram
 
+#: (feature kind, reuse-distance stream) of each traffic feature.
+_KINDS = (("read_miss", "read"), ("write_miss", "write"), ("bytes", "all"))
+
 
 def memory_traffic_features(
     trace: InstructionTrace,
@@ -22,24 +25,11 @@ def memory_traffic_features(
     *,
     line_bytes: int = 64,
 ) -> dict[str, float]:
-    """Traffic escape fractions at :data:`TRAFFIC_CACHE_SIZES` cache sizes."""
+    """Traffic escape fractions at :data:`TRAFFIC_CACHE_SIZES` cache sizes
+    (cold misses included: they always go to memory)."""
     out: dict[str, float] = {}
-    read_hist = hists["read"]
-    write_hist = hists["write"]
-    all_hist = hists["all"]
     for size in TRAFFIC_CACHE_SIZES:
         capacity_lines = max(1, size // line_bytes)
-        read_miss = _miss_with_cold(read_hist, capacity_lines)
-        write_miss = _miss_with_cold(write_hist, capacity_lines)
-        bytes_frac = _miss_with_cold(all_hist, capacity_lines)
-        out[f"traffic.read_miss_{size}"] = read_miss
-        out[f"traffic.write_miss_{size}"] = write_miss
-        out[f"traffic.bytes_{size}"] = bytes_frac
+        for kind, stream in _KINDS:
+            out[f"traffic.{kind}_{size}"] = hists[stream].miss_ratio(capacity_lines)
     return out
-
-
-def _miss_with_cold(hist: ReuseDistanceHistogram, capacity_lines: int) -> float:
-    """Miss ratio including cold misses (they always go to memory)."""
-    if hist.total == 0:
-        return 0.0
-    return hist.miss_ratio(capacity_lines)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import TraceError
-from ..ir import InstructionTrace
+from ..ir import InstructionTrace, TraceColumns
 from ..obs import metrics
 from .branching import branch_features
 from .features import (
@@ -106,6 +106,8 @@ def analyze_trace(
     is purely a function of the instruction stream and contains no
     NMC-architecture knowledge.
 
+    The families read one :class:`~repro.ir.trace.TraceColumns`
+    table, built first as ``phase.profile.columns`` and dropped on return.
     The ILP and reuse-distance families are timed as
     ``phase.profile.ilp`` and ``phase.profile.reuse`` (data plus
     instruction), every other family as ``phase.profile.other``.  A
@@ -119,28 +121,33 @@ def analyze_trace(
     trace.check_opcodes()
     m = metrics()
     features: dict[str, float] = {}
+    with m.timer("phase.profile.columns"):
+        # Every column the families read, and the trace's memoised scalars.
+        cols = TraceColumns(trace)
+        _ = cols.memory_mask, cols.registers, cols.pcs, cols.lines(line_bytes)
+        _ = trace.thread_count, trace.opcode_counts()
     with m.timer("phase.profile.ilp"):
         features.update(ilp_features(
-            trace, sample_limit=ilp_sample_limit, line_bytes=line_bytes
+            cols, sample_limit=ilp_sample_limit, line_bytes=line_bytes
         ))
     with m.timer("phase.profile.reuse"):
         data_feats, hists = data_reuse_features(
-            trace, line_bytes=line_bytes, sample_limit=reuse_sample_limit
+            cols, line_bytes=line_bytes, sample_limit=reuse_sample_limit
         )
         features.update(data_feats)
         features.update(
-            instruction_reuse_features(trace, sample_limit=reuse_sample_limit)
+            instruction_reuse_features(cols, sample_limit=reuse_sample_limit)
         )
     with m.timer("phase.profile.other"):
         features.update(instruction_mix_features(trace))
         features.update(
             memory_traffic_features(trace, hists, line_bytes=line_bytes)
         )
-        features.update(register_traffic_features(trace))
-        features.update(footprint_features(trace, line_bytes=line_bytes))
-        features.update(stride_features(trace))
-        features.update(branch_features(trace))
-        features.update(working_set_features(trace, line_bytes=line_bytes))
+        features.update(register_traffic_features(cols))
+        features.update(footprint_features(cols, line_bytes=line_bytes))
+        features.update(stride_features(cols))
+        features.update(branch_features(cols))
+        features.update(working_set_features(cols, line_bytes=line_bytes))
 
     missing = [name for name in FEATURE_NAMES if name not in features]
     if missing:

@@ -6,24 +6,21 @@ number of distinct virtual registers the kernel uses.
 
 from __future__ import annotations
 
-import numpy as np
+from ..ir import NO_REG, InstructionTrace, TraceColumns, columns_of
+from .features import REGISTER_NAMES
 
-from ..ir import NO_REG, InstructionTrace
 
-
-def register_traffic_features(trace: InstructionTrace) -> dict[str, float]:
+def register_traffic_features(
+    trace: InstructionTrace | TraceColumns,
+) -> dict[str, float]:
+    cols = columns_of(trace)
+    trace = cols.trace
     n = len(trace)
     if n == 0:
-        return {
-            "reg.reads_per_instr": 0.0,
-            "reg.writes_per_instr": 0.0,
-            "reg.operands_per_instr": 0.0,
-            "reg.unique_registers": 0.0,
-        }
+        return dict.fromkeys(REGISTER_NAMES, 0.0)
     reads = int((trace.src1 != NO_REG).sum()) + int((trace.src2 != NO_REG).sum())
     writes = int((trace.dst != NO_REG).sum())
-    regs = np.concatenate([trace.dst, trace.src1, trace.src2])
-    unique = len(np.unique(regs[regs != NO_REG]))
+    unique = cols.registers[2]
     return {
         "reg.reads_per_instr": reads / n,
         "reg.writes_per_instr": writes / n,

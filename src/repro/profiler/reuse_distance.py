@@ -18,10 +18,12 @@ extraction.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from ..ir import InstructionTrace
+from .. import native
+from ..ir import InstructionTrace, TraceColumns, columns_of
 from ..ir.stackdist import (  # noqa: F401  (re-exported public API)
     COLD_DISTANCE,
     grouped_reuse_distances,
@@ -56,15 +58,15 @@ class ReuseDistanceHistogram:
     ) -> "ReuseDistanceHistogram":
         cold = int((distances == COLD_DISTANCE).sum())
         seen = distances[distances >= 0]
-        # Bucket b holds distances d with 2^(b-1) <= d < 2^b; bucket 0 is d=0.
-        buckets = np.zeros(n_buckets, dtype=np.int64)
-        if len(seen):
-            idx = np.zeros(len(seen), dtype=np.int64)
-            nz = seen > 0
-            idx[nz] = np.floor(np.log2(seen[nz])).astype(np.int64) + 1
-            idx = np.minimum(idx, n_buckets - 1)
-            np.add.at(buckets, idx, 1)
+        # Bucket b holds distances d with 2^(b-1) <= d < 2^b; bucket 0 is d=0
+        # (read as 0.5, one bucket below 1).
+        idx = np.floor(np.log2(np.maximum(seen, 0.5))).astype(np.int64) + 1
+        buckets = np.bincount(np.minimum(idx, n_buckets - 1), minlength=n_buckets)
         return cls(counts=buckets, cold=cold, total=len(distances))
+
+    @cached_property
+    def _cumulative(self) -> np.ndarray:
+        return np.cumsum(self.counts)
 
     def cdf(self) -> np.ndarray:
         """P(distance < 2^i) over reused accesses plus cold misses.
@@ -75,9 +77,8 @@ class ReuseDistanceHistogram:
         """
         if self.total == 0:
             return np.zeros(len(self.counts))
-        cum = np.cumsum(self.counts)
         # cdf[i] = P(d < 2^i) = buckets 0..i  (bucket i covers up to 2^i - 1)
-        return cum / self.total
+        return self._cumulative / self.total
 
     def pdf(self) -> np.ndarray:
         """Fraction of all accesses per distance bucket."""
@@ -92,7 +93,7 @@ class ReuseDistanceHistogram:
         if capacity <= 0:
             return 1.0
         cutoff = capacity.bit_length() - 1  # largest i with 2^i <= capacity
-        hits = int(np.cumsum(self.counts)[min(cutoff, len(self.counts) - 1)])
+        hits = int(self._cumulative[min(cutoff, len(self.counts) - 1)])
         # Approximation within the cutoff bucket is conservative: bucket
         # boundaries are powers of two, capacity is rounded down.
         return 1.0 - hits / self.total
@@ -111,12 +112,11 @@ class ReuseDistanceHistogram:
         if reused == 0:
             return float(len(self.counts))
         half = reused / 2.0
-        cum = np.cumsum(self.counts)
-        return float(np.searchsorted(cum, half, side="left"))
+        return float(np.searchsorted(self._cumulative, half, side="left"))
 
 
 def data_reuse_features(
-    trace: InstructionTrace,
+    trace: InstructionTrace | TraceColumns,
     *,
     line_bytes: int = 64,
     sample_limit: int = 200_000,
@@ -132,13 +132,10 @@ def data_reuse_features(
     """
     check_sample_limit(sample_limit)
     check_line_bytes(line_bytes)
-    addrs, _sizes, is_write = trace.memory_accesses()
-    if len(addrs) > sample_limit:
-        addrs = addrs[:sample_limit]
-        is_write = is_write[:sample_limit]
-    shift = line_bytes.bit_length() - 1
-    lines = (addrs >> np.uint64(shift)).astype(np.int64)
-    dists = reuse_distances(lines)
+    cols = columns_of(trace)
+    is_write = cols.accesses[2][:sample_limit]
+    uniq, _first, lines = cols.lines(line_bytes)
+    dists = native.resolve("reuse_distances")[0](lines[:sample_limit], len(uniq))
 
     streams = {
         "read": dists[~is_write],
@@ -163,15 +160,14 @@ def data_reuse_features(
 
 
 def instruction_reuse_features(
-    trace: InstructionTrace,
+    trace: InstructionTrace | TraceColumns,
     *,
     sample_limit: int = 200_000,
 ) -> dict[str, float]:
     """Instruction reuse-distance features over the static PC stream."""
     check_sample_limit(sample_limit)
-    n = min(len(trace), sample_limit)
-    pcs = trace.pc[:n].astype(np.int64)
-    dists = reuse_distances(pcs)
+    pcs, n_pcs = columns_of(trace).pcs
+    dists = native.resolve("reuse_distances")[0](pcs[:sample_limit], n_pcs)
     hist = ReuseDistanceHistogram.from_distances(dists, INSTR_REUSE_CDF_BUCKETS)
     cdf = hist.cdf()
     out: dict[str, float] = {}

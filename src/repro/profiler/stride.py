@@ -12,26 +12,23 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..ir import InstructionTrace, Opcode
-from .features import STRIDE_BUCKETS
+from ..ir import InstructionTrace, TraceColumns, columns_of
+from .features import STRIDE_BUCKETS, STRIDE_NAMES
 
 #: Element size used to express stride buckets (8-byte doubles).
 ELEMENT_BYTES = 8
 
 
-def stride_features(trace: InstructionTrace) -> dict[str, float]:
-    names = (
-        [f"stride.frac_le_{s}" for s in STRIDE_BUCKETS]
-        + ["stride.regular_read", "stride.regular_write",
-           "stride.dominant_frac", "stride.entropy"]
-    )
-    mask = trace.memory_mask
-    addrs = trace.addr[mask].astype(np.int64)
-    pcs = trace.pc[mask].astype(np.int64)
-    opcodes = trace.opcode[mask]
+def stride_features(trace: InstructionTrace | TraceColumns) -> dict[str, float]:
+    cols = columns_of(trace)
+    addrs, _sizes, is_write = cols.accesses
+    addrs = addrs.astype(np.int64)
+    ids, n_pcs = cols.pcs
+    # The narrowest dtype for the ids: numpy radix-sorts 8- and 16-bit keys.
+    pcs = ids[cols.memory_mask].astype(np.min_scalar_type(n_pcs))
     n = len(addrs)
     if n == 0:
-        return {name: 0.0 for name in names}
+        return dict.fromkeys(STRIDE_NAMES, 0.0)
 
     # Group accesses by PC (stable order keeps per-PC streams in time order).
     order = np.argsort(pcs, kind="stable")
@@ -49,12 +46,8 @@ def stride_features(trace: InstructionTrace) -> dict[str, float]:
     out: dict[str, float] = {}
     n_valid = int(valid.sum())
     for s in STRIDE_BUCKETS:
-        if n_valid == 0:
-            out[f"stride.frac_le_{s}"] = 0.0
-        else:
-            out[f"stride.frac_le_{s}"] = float(
-                (abs_strides <= s * ELEMENT_BYTES).sum() / n_valid
-            )
+        le = (abs_strides <= s * ELEMENT_BYTES).sum()
+        out[f"stride.frac_le_{s}"] = float(le / n_valid) if n_valid else 0.0
 
     # Predictability: stride equals the previous stride of the same PC.
     predictable = np.zeros(n, dtype=bool)
@@ -63,10 +56,7 @@ def stride_features(trace: InstructionTrace) -> dict[str, float]:
     predictable[1:][both[1:]] = (
         strides[1:][both[1:]] == strides[:-1][both[1:]]
     )
-    is_write_sorted = (
-        (opcodes[order] == int(Opcode.STORE))
-        | (opcodes[order] == int(Opcode.ATOMIC))
-    )
+    is_write_sorted = is_write[order]
     reads = ~is_write_sorted
     writes = is_write_sorted
     out["stride.regular_read"] = _fraction(predictable & reads, valid & reads)

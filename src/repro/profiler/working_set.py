@@ -10,28 +10,23 @@ behaviour that complements the reuse-distance CDF.
 
 from __future__ import annotations
 
-import numpy as np
-
-from ..ir import InstructionTrace
-from .features import WORKING_SET_CHECKPOINTS
+from ..ir import InstructionTrace, TraceColumns, columns_of
+from .features import WORKING_SET_CHECKPOINTS, check_line_bytes
 
 
 def working_set_features(
-    trace: InstructionTrace, *, line_bytes: int = 64
+    trace: InstructionTrace | TraceColumns, *, line_bytes: int = 64
 ) -> dict[str, float]:
+    check_line_bytes(line_bytes)
+    cols = columns_of(trace)
     names = [f"wset.frac_{i}" for i in range(WORKING_SET_CHECKPOINTS)]
-    addrs, _sizes, _w = trace.memory_accesses()
-    n = len(addrs)
+    n = len(cols.accesses[0])
     if n == 0:
-        return {name: 0.0 for name in names}
-    shift = np.uint64(line_bytes.bit_length() - 1)
-    lines = (addrs >> shift).astype(np.int64)
-    # First-touch positions of each distinct line.
-    _unique, first_idx = np.unique(lines, return_index=True)
-    total = len(first_idx)
+        return dict.fromkeys(names, 0.0)
+    # First-touch positions of each distinct line (at least one).
+    first_idx = cols.lines(line_bytes)[1]
     out: dict[str, float] = {}
     for i in range(WORKING_SET_CHECKPOINTS):
         cutoff = (i + 1) * n // WORKING_SET_CHECKPOINTS
-        touched = int((first_idx < cutoff).sum())
-        out[names[i]] = touched / total if total else 0.0
+        out[names[i]] = int((first_idx < cutoff).sum()) / len(first_idx)
     return out

@@ -122,17 +122,17 @@ class TestCampaign:
             campaign.run(atax, [])
 
     def test_profile_phase_split_timers(self, atax):
-        """Each profiled point records one ILP, reuse and other span,
-        nested inside its ``phase.profile`` span."""
+        """Each profiled point records one column-table, ILP, reuse and
+        other span, nested inside its ``phase.profile`` span."""
         before = metrics().snapshot()
         training = SimulationCampaign(scale=4.0, jobs=1).run(atax)
         timers = metrics().diff(before)["timers"]
         parts = [
             timers[f"phase.profile.{part}"]
-            for part in ("ilp", "reuse", "other")
+            for part in ("columns", "ilp", "reuse", "other")
         ]
         assert timers["phase.profile"]["count"] == len(training)
-        assert [t["count"] for t in parts] == [len(training)] * 3
+        assert [t["count"] for t in parts] == [len(training)] * 4
         assert (
             sum(t["total_s"] for t in parts)
             <= timers["phase.profile"]["total_s"]

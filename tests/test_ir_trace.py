@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import TraceError
 from repro.ir import Instruction, InstructionTrace, Opcode, concat_traces
+from repro.ir.trace import _TABLE_SPAN, dense_ids
 
 
 def make_trace(n=10, tid=0):
@@ -110,3 +113,58 @@ class TestConcat:
 
     def test_repr(self):
         assert "n=10" in repr(make_trace(10))
+
+
+#: Column kinds for dense_ids: dtype and the lowest values drawn
+#: (registers from NO_REG, pcs, cache-line ids at and above 2**63).
+DENSE_COLUMNS = {
+    "registers": (np.int32, (-1, 0, 2**31 - 10**6)),
+    "pcs": (np.uint32, (0, 4096, 2**32 - 10**6)),
+    "lines": (np.uint64, (0, 2**63, 2**64 - 10**6)),
+}
+
+
+@st.composite
+def dense_columns(draw):
+    """A column whose value range sits on either side of the table /
+    sort switch (``_TABLE_SPAN * n`` vs one more), or is far wider."""
+    dtype, lows = DENSE_COLUMNS[draw(st.sampled_from(sorted(DENSE_COLUMNS)))]
+    low = draw(st.sampled_from(lows))
+    n = draw(st.integers(0, 60))
+    table = max(1, _TABLE_SPAN * n)
+    span = draw(st.sampled_from([1, 2, table, table + 1, 10**6]))
+    offsets = draw(st.lists(st.integers(0, span - 1), min_size=n, max_size=n))
+    if n >= 2:  # pin the range: both ends present, at drawn positions
+        i, j = draw(st.permutations(range(n)))[:2]
+        offsets[i], offsets[j] = 0, span - 1
+    return np.array([low + o for o in offsets], dtype=dtype)
+
+
+class TestDenseIds:
+    """dense_ids is np.unique(return_index=True, return_inverse=True)."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(values=dense_columns())
+    def test_matches_np_unique(self, values):
+        got = dense_ids(values)
+        want = np.unique(values, return_index=True, return_inverse=True)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype
+            np.testing.assert_array_equal(g, w)
+
+    @pytest.mark.parametrize("extra, sorts", [(0, False), (1, True)])
+    def test_branch_follows_value_range(self, monkeypatch, extra, sorts):
+        n = 10
+        values = np.arange(n, dtype=np.uint32) * 3
+        values[-1] = _TABLE_SPAN * n - 1 + extra  # range = table size + extra
+        calls = []
+        real = np.unique
+        monkeypatch.setattr(
+            np, "unique", lambda *a, **k: calls.append(1) or real(*a, **k)
+        )
+        got = dense_ids(values)
+        monkeypatch.undo()
+        assert bool(calls) == sorts
+        want = np.unique(values, return_index=True, return_inverse=True)
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g, w)

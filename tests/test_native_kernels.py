@@ -28,6 +28,7 @@ from _helpers import use_kernel
 from repro import NMCSimulator, default_nmc_config, get_workload, native
 from repro.errors import ConfigError
 from repro.ir import Opcode, grouped_reuse_distances, reuse_distances
+from repro.ir.trace import dense_ids
 from repro.ml import RandomForestRegressor, RegressionTree
 from repro.profiler import analyze_trace
 from repro.profiler.features import ILP_WINDOWS
@@ -92,17 +93,38 @@ def ilp_inputs(draw):
     return (opcodes, *regs, lines, windows)
 
 
+def dense_ilp_args(opcodes, dst, src1, src2, lines, windows):
+    """Raw ILP inputs as the kernel forms take them: dense register ids
+    (every negative id is -1, no register), dense line ids and the two
+    table sizes."""
+    uniq, _first, ids = dense_ids(np.concatenate((dst, src1, src2)))
+    negative = int(np.searchsorted(uniq, 0))
+    regs = np.maximum(ids - negative, -1).reshape(3, -1)
+    line_uniq, _first, line_ids = dense_ids(lines)
+    return (
+        opcodes, *regs, line_ids, len(uniq) - negative, len(line_uniq),
+        windows,
+    )
+
+
+def dense_keys(keys):
+    """Raw keys as the reuse kernels take them: dense ids and their count."""
+    uniq, _first, ids = dense_ids(keys)
+    return ids, len(uniq)
+
+
 class TestILPKernel:
     @DIFF_SETTINGS
     @given(args=ilp_inputs())
     def test_matches_python_oracle(self, args):
         cc, python = forms("ilp_depths")
+        args = dense_ilp_args(*args)
         assert cc(*args) == python(*args)
 
     @pytest.mark.parametrize("n", [0, 1])
     def test_tiny_traces(self, n):
         cc, python = forms("ilp_depths")
-        args = (
+        args = dense_ilp_args(
             np.full(n, int(Opcode.ATOMIC), np.uint8),
             np.full(n, 3, np.int32), np.full(n, 3, np.int32),
             np.full(n, -1, np.int32), np.zeros(n, np.uint64), ILP_WINDOWS,
@@ -113,7 +135,7 @@ class TestILPKernel:
         """A register last written by an FP op keeps its int-chain level."""
         cc, python = forms("ilp_depths")
         ops = [Opcode.IALU, Opcode.IALU, Opcode.FALU, Opcode.IALU]
-        args = (
+        args = dense_ilp_args(
             np.array([int(op) for op in ops], np.uint8),
             np.array([1, 1, 1, 2], np.int32),
             np.array([-1, 1, 1, 1], np.int32),
@@ -143,13 +165,14 @@ class TestReuseDistanceKernel:
     def test_matches_python_oracle(self, stream):
         cc, python = forms("reuse_distances")
         _rng, keys = stream
-        np.testing.assert_array_equal(cc(keys), python(keys))
+        args = dense_keys(keys)
+        np.testing.assert_array_equal(cc(*args), python(*args))
 
     @pytest.mark.parametrize("n", [0, 1, 600])
     def test_all_equal_keys(self, n):
         cc, python = forms("reuse_distances")
-        keys = np.full(n, 2**62, dtype=np.int64)
-        np.testing.assert_array_equal(cc(keys), python(keys))
+        args = dense_keys(np.full(n, 2**62, dtype=np.int64))
+        np.testing.assert_array_equal(cc(*args), python(*args))
 
     @DIFF_SETTINGS
     @given(stream=key_streams(), n_groups=st.sampled_from([1, 2, 5, 64]))
@@ -158,7 +181,8 @@ class TestReuseDistanceKernel:
         rng, keys = stream
         labels = rng.integers(-(2**40), 2**40, size=n_groups)
         groups = labels[rng.integers(0, n_groups, size=len(keys))]
-        np.testing.assert_array_equal(cc(keys, groups), python(keys, groups))
+        args = (*dense_keys(keys), groups)
+        np.testing.assert_array_equal(cc(*args), python(*args))
 
     def test_public_functions_dispatch(self, monkeypatch):
         rng = np.random.default_rng(5)
