@@ -12,7 +12,8 @@ Paper shape, all of which is asserted here:
 * atax sits just above the break-even line;
 * NAPEL identifies the same suitable set as the simulator.
 
-The paper's NAPEL-vs-Actual EDP MRE is 1.3%-26.3% (14.1% average).
+The paper's NAPEL-vs-Actual EDP MRE is 1.3%-26.3% (14.1% average); ours
+is asserted under a ceiling at the mean measured when it was set.
 """
 
 import numpy as np
@@ -84,6 +85,9 @@ def test_fig7_edp_reduction(benchmark, campaign, workloads, full_training_set):
             assert r.suitable_pred == r.suitable_actual, r.workload
     # atax is the borderline case (paper obs. 5).
     assert 1.0 < by_name["atax"].edp_reduction_actual < 3.0
+    # Ceiling: the mean EDP MRE measured when it was set (40.4 %),
+    # rounded up to the next 0.5 pp.
+    assert mean_mre <= 0.405, mean_mre
 
     # Benchmarked operation: the EDP analysis of one application given a
     # trained model and cached simulations.

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from ..config import DRAMTiming, NMCEnergyParams
+from ..config import DRAMTiming, NMCEnergyParams, _non_negative, _positive
 from ..errors import ConfigError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
@@ -55,11 +55,11 @@ class LinkParams:
         return self.width_bits * self.gbps / 8.0
 
     def validate(self) -> None:
-        if self.width_bits < 1 or self.gbps <= 0:
+        if self.width_bits < 1 or not _positive(self.gbps):
             raise ConfigError("link width and lane speed must be positive")
         if not 0.0 <= self.packet_overhead < 1.0:
             raise ConfigError("link packet_overhead must be in [0, 1)")
-        if self.setup_latency_s < 0:
+        if not _non_negative(self.setup_latency_s):
             raise ConfigError("link setup_latency_s must be >= 0")
 
 
@@ -138,7 +138,7 @@ class BackendDescriptor:
             raise ConfigError("DRAM organisation fields must be >= 1")
         if config.dram_bytes < config.n_vaults * config.row_buffer_bytes:
             raise ConfigError("dram_bytes too small for vault organisation")
-        if config.link_width_bits < 1 or config.link_gbps <= 0:
+        if config.link_width_bits < 1 or not _positive(config.link_gbps):
             raise ConfigError("link parameters must be positive")
         config.timing.validate()
         config.energy.validate()

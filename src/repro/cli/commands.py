@@ -75,15 +75,15 @@ def _parse_arch(args: argparse.Namespace) -> NMCConfig:
     error, never a silent rewrite.
     """
     changes: dict = {}
-    if getattr(args, "pes", None):
+    if getattr(args, "pes", None) is not None:
         changes["n_pes"] = args.pes
-    if getattr(args, "freq", None):
+    if getattr(args, "freq", None) is not None:
         changes["frequency_ghz"] = args.freq
-    if getattr(args, "l1_lines", None):
+    if getattr(args, "l1_lines", None) is not None:
         changes["l1_lines"] = args.l1_lines
-    if getattr(args, "l1_ways", None):
+    if getattr(args, "l1_ways", None) is not None:
         changes["l1_ways"] = args.l1_ways
-    if getattr(args, "vaults", None):
+    if getattr(args, "vaults", None) is not None:
         changes["n_vaults"] = args.vaults
     backend = getattr(args, "backend", None) or "hmc"
     if isinstance(backend, list):  # repeatable flags pick their own arch

@@ -19,6 +19,7 @@ reproduction only relies on their *relative* magnitudes (see DESIGN.md).
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 
 from . import schema
@@ -27,6 +28,17 @@ from .errors import ConfigError
 KIB = 1024
 MIB = 1024 * KIB
 GIB = 1024 * MIB
+
+
+def _positive(value: float) -> bool:
+    """True for a finite value > 0; NaN and inf are rejected."""
+    return math.isfinite(value) and value > 0
+
+
+def _non_negative(value: float) -> bool:
+    """True for a finite value >= 0; NaN and inf are rejected."""
+    return math.isfinite(value) and value >= 0
+
 
 #: Valid NMC simulation engines (see :mod:`repro.nmcsim.simulator`):
 #: ``fast`` is the two-phase vectorized engine, ``reference`` the
@@ -80,9 +92,9 @@ class DRAMTiming:
         for f in dataclasses.fields(self):
             value = getattr(self, f.name)
             if f.name in ("row_linger_ns", "t_wr_extra_ns"):
-                if value < 0:
+                if not _non_negative(value):
                     raise ConfigError(f"{f.name} must be >= 0")
-            elif value <= 0:
+            elif not _positive(value):
                 raise ConfigError(f"DRAM timing {f.name!r} must be positive")
 
 
@@ -117,7 +129,7 @@ class NMCEnergyParams:
 
     def validate(self) -> None:
         for f in dataclasses.fields(self):
-            if getattr(self, f.name) < 0:
+            if not _non_negative(getattr(self, f.name)):
                 raise ConfigError(f"NMC energy {f.name!r} must be >= 0")
 
 
@@ -174,7 +186,7 @@ class NMCConfig:
     def validate(self) -> None:
         if self.n_pes < 1:
             raise ConfigError("n_pes must be >= 1")
-        if self.frequency_ghz <= 0:
+        if not _positive(self.frequency_ghz):
             raise ConfigError("frequency_ghz must be positive")
         if self.pe_type not in ("inorder", "ooo"):
             raise ConfigError("pe_type must be 'inorder' or 'ooo'")
@@ -342,7 +354,7 @@ class HostEnergyParams:
 
     def validate(self) -> None:
         for f in dataclasses.fields(self):
-            if getattr(self, f.name) < 0:
+            if not _non_negative(getattr(self, f.name)):
                 raise ConfigError(f"Host energy {f.name!r} must be >= 0")
 
 
@@ -377,17 +389,18 @@ class HostConfig:
     def validate(self) -> None:
         if self.n_cores < 1 or self.smt < 1:
             raise ConfigError("n_cores and smt must be >= 1")
-        if self.frequency_ghz <= 0:
+        if not _positive(self.frequency_ghz):
             raise ConfigError("frequency_ghz must be positive")
         if not self.l1_bytes < self.l2_bytes < self.l3_bytes:
             raise ConfigError("cache sizes must be strictly increasing")
-        if self.cache_scale < 1.0:
+        if not (math.isfinite(self.cache_scale) and self.cache_scale >= 1.0):
             raise ConfigError("cache_scale must be >= 1")
         if self.issue_width < 1 or self.rob_window < 1:
             raise ConfigError("issue_width and rob_window must be >= 1")
-        if self.dram_latency_ns <= 0 or self.dram_bandwidth_gbs <= 0:
+        if not (_positive(self.dram_latency_ns)
+                and _positive(self.dram_bandwidth_gbs)):
             raise ConfigError("DRAM latency and bandwidth must be positive")
-        if self.max_mlp <= 0 or self.prefetch_mlp <= 0:
+        if not (_positive(self.max_mlp) and _positive(self.prefetch_mlp)):
             raise ConfigError("MLP factors must be positive")
         self.energy.validate()
 

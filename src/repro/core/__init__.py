@@ -32,9 +32,7 @@ from .dse import (
     format_exploration,
     grid_space,
     pareto_front,
-    random_space,
 )
-from .search import SearchResult, genetic_search
 
 __all__ = [
     "SimulationCampaign",
@@ -57,10 +55,7 @@ __all__ = [
     "load_model",
     "explore",
     "grid_space",
-    "random_space",
     "pareto_front",
     "format_exploration",
     "DesignPoint",
-    "genetic_search",
-    "SearchResult",
 ]

@@ -4,8 +4,8 @@ The paper's goal is "fast early-stage design space exploration of NMC
 architectures" (Section 1).  This module is the loop an architect actually
 runs on top of a trained NAPEL model:
 
-* :func:`grid_space` / :func:`random_space` enumerate candidate
-  architectures from per-knob value lists;
+* :func:`grid_space` enumerates candidate architectures from per-knob
+  value lists;
 * :func:`explore` predicts every candidate in one batched model pass
   (milliseconds per design, vs. a simulation each);
 * :func:`pareto_front` extracts the time/energy Pareto-optimal designs —
@@ -70,28 +70,6 @@ def grid_space(
     out = []
     for values in itertools.product(*(knobs[name] for name in names)):
         out.append(base.replace(**dict(zip(names, values))))
-    return out
-
-
-def random_space(
-    knobs: Mapping[str, Sequence],
-    n: int,
-    rng: np.random.Generator,
-    *,
-    base: NMCConfig | None = None,
-) -> list[NMCConfig]:
-    """``n`` random combinations of the knob values (with replacement)."""
-    if n < 1:
-        raise MLError("random_space needs n >= 1")
-    base = base or default_nmc_config()
-    names = list(knobs)
-    out = []
-    for _ in range(n):
-        choice = {
-            name: knobs[name][int(rng.integers(0, len(knobs[name])))]
-            for name in names
-        }
-        out.append(base.replace(**choice))
     return out
 
 

@@ -2,18 +2,16 @@
 
 The central piece is the Box-Wilson :func:`central_composite` design (CCD)
 used by NAPEL to pick the application-input configurations to simulate for
-training data.  Full-factorial, Latin-hypercube and uniform-random designs
-are provided as baselines for the DoE ablation benchmarks.
+training data.  Box-Behnken, D-optimal, Latin-hypercube and uniform-random
+designs are provided as baselines for the DoE ablation benchmarks.
 """
 
 from .space import ParameterSpace, cross_backends
-from .box_behnken import box_behnken, box_behnken_run_count
+from .box_behnken import box_behnken
 from .ccd import central_composite, ccd_run_count
 from .doptimal import d_optimal, quadratic_basis
-from .factorial import full_factorial
 from .lhs import latin_hypercube
 from .random_sampling import random_design
-from .rsm import ResponseSurface
 
 __all__ = [
     "ParameterSpace",
@@ -21,11 +19,8 @@ __all__ = [
     "central_composite",
     "ccd_run_count",
     "box_behnken",
-    "box_behnken_run_count",
     "d_optimal",
     "quadratic_basis",
-    "full_factorial",
     "latin_hypercube",
     "random_design",
-    "ResponseSurface",
 ]

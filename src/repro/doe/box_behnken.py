@@ -43,10 +43,3 @@ def box_behnken(
         configs.append(space.central())
     return configs
 
-
-def box_behnken_run_count(n_parameters: int) -> int:
-    """Number of Box-Behnken runs: 4*C(k,2) + (2k-1)."""
-    if n_parameters < 2:
-        raise DoEError("Box-Behnken needs at least two parameters")
-    k = n_parameters
-    return 4 * (k * (k - 1) // 2) + (2 * k - 1)

@@ -27,7 +27,7 @@ from .instructions import (
     Instruction,
     Opcode,
 )
-from .trace import InstructionTrace, TraceColumns, columns_of, concat_traces
+from .trace import InstructionTrace, TraceColumns, columns_of
 from .builder import LoopTemplate, TraceBuilder, TemplateOp
 from .stackdist import COLD_DISTANCE, grouped_reuse_distances, reuse_distances
 from .validate import validate_trace
@@ -41,7 +41,6 @@ __all__ = [
     "TraceBuilder",
     "LoopTemplate",
     "TemplateOp",
-    "concat_traces",
     "validate_trace",
     "NO_REG",
     "OPCODE_LATENCY",

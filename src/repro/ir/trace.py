@@ -299,21 +299,5 @@ def columns_of(trace: InstructionTrace | TraceColumns) -> TraceColumns:
     return trace if isinstance(trace, TraceColumns) else TraceColumns(trace)
 
 
-def concat_traces(traces: Sequence[InstructionTrace]) -> InstructionTrace:
-    """Concatenate traces in program order.
-
-    Thread ids are preserved, so concatenating per-phase traces of the same
-    multithreaded kernel keeps the per-thread sub-traces in order.
-    """
-    if not traces:
-        return InstructionTrace.empty()
-    return InstructionTrace(
-        **{
-            name: np.concatenate([getattr(t, name) for t in traces])
-            for name in TRACE_COLUMNS
-        }
-    )
-
-
 # Re-export for convenience in type checking.
-__all__ = ["InstructionTrace", "concat_traces", "TRACE_COLUMNS", "NO_REG"]
+__all__ = ["InstructionTrace", "TRACE_COLUMNS", "NO_REG"]

@@ -12,33 +12,28 @@ needs is implemented here on top of numpy:
 """
 
 from .ann import MLPRegressor
-from .importance import PermutationImportance, permutation_importance
-from .cross_validation import KFold, LeaveOneGroupOut, cross_val_score
+from .cross_validation import KFold, cross_val_score
 from .forest import RandomForestRegressor
 from .linear import RidgeRegression
 from .linear_model_tree import ModelTree
-from .metrics import mean_absolute_error, mean_relative_error, r2_score, rmse
+from .metrics import mean_relative_error, r2_score, rmse
 from .preprocessing import StandardScaler, VarianceThreshold
 from .tree import RegressionTree
 from .tuning import GridSearchResult, grid_search
 
 __all__ = [
     "RandomForestRegressor",
-    "permutation_importance",
-    "PermutationImportance",
     "RegressionTree",
     "MLPRegressor",
     "ModelTree",
     "RidgeRegression",
     "KFold",
-    "LeaveOneGroupOut",
     "cross_val_score",
     "grid_search",
     "GridSearchResult",
     "StandardScaler",
     "VarianceThreshold",
     "mean_relative_error",
-    "mean_absolute_error",
     "rmse",
     "r2_score",
 ]

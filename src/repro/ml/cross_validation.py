@@ -38,28 +38,6 @@ class KFold:
             yield train, test
 
 
-class LeaveOneGroupOut:
-    """Leave-one-group-out splitter.
-
-    This is the paper's Section 3.3 evaluation protocol: each *application*
-    is one group; the model is trained on all other applications' data and
-    tested on the held-out application.
-    """
-
-    def split(
-        self, groups
-    ) -> Iterator[tuple[np.ndarray, np.ndarray, object]]:
-        groups = np.asarray(groups)
-        unique = list(dict.fromkeys(groups.tolist()))  # stable order
-        if len(unique) < 2:
-            raise MLError("LeaveOneGroupOut needs at least two groups")
-        idx = np.arange(len(groups))
-        for group in unique:
-            test = idx[groups == group]
-            train = idx[groups != group]
-            yield train, test, group
-
-
 def cross_val_score(
     model_factory: Callable[[], object],
     X,

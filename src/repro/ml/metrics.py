@@ -29,11 +29,6 @@ def mean_relative_error(y_true, y_pred) -> float:
     return float(np.mean(np.abs(y_pred - y_true) / np.abs(y_true)))
 
 
-def mean_absolute_error(y_true, y_pred) -> float:
-    y_true, y_pred = _check(y_true, y_pred)
-    return float(np.mean(np.abs(y_pred - y_true)))
-
-
 def rmse(y_true, y_pred) -> float:
     """Root mean squared error."""
     y_true, y_pred = _check(y_true, y_pred)

@@ -19,7 +19,6 @@ from .executor import (
     ParallelError,
     ProcessExecutor,
     SerialExecutor,
-    derive_seeds,
     in_worker,
     map_jobs,
     process_pool_available,
@@ -30,7 +29,6 @@ __all__ = [
     "ParallelError",
     "ProcessExecutor",
     "SerialExecutor",
-    "derive_seeds",
     "in_worker",
     "map_jobs",
     "process_pool_available",

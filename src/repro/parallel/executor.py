@@ -22,8 +22,6 @@ import traceback
 import warnings
 from typing import Callable, Iterable, Sequence, TypeVar
 
-import numpy as np
-
 from ..errors import ParallelError
 from ..obs import get_logger, metrics, tracer
 from ..obs.trace import HW_PID as _HW_PID
@@ -82,19 +80,6 @@ def resolve_jobs(jobs: int | None = None) -> int:
     if jobs == 0:
         return os.cpu_count() or 1
     return max(1, int(jobs))
-
-
-def derive_seeds(base_seed: int | None, n: int) -> list[int]:
-    """``n`` independent, order-stable seeds derived from ``base_seed``.
-
-    Uses :class:`numpy.random.SeedSequence` spawning, so the i-th seed
-    depends only on ``(base_seed, i)`` — never on which worker draws it
-    or in which order jobs finish.
-    """
-    if n < 0:
-        raise ParallelError("cannot derive a negative number of seeds")
-    children = np.random.SeedSequence(base_seed).spawn(n)
-    return [int(child.generate_state(1)[0]) for child in children]
 
 
 def _call_job(payload):

@@ -17,13 +17,6 @@ profile ``p(k, d)`` of exactly :data:`~repro.profiler.features.TOTAL_FEATURES`
 
 from .features import FEATURE_NAMES, TOTAL_FEATURES, feature_groups
 from .profile import ApplicationProfile, analyze_trace
-from .report import (
-    FeatureDelta,
-    compare_profiles,
-    format_comparison,
-    nearest_profiles,
-    profile_distance,
-)
 from .ilp import ilp_features
 from .instruction_mix import instruction_mix_features
 from .reuse_distance import (
@@ -42,11 +35,6 @@ from .working_set import working_set_features
 __all__ = [
     "ApplicationProfile",
     "analyze_trace",
-    "compare_profiles",
-    "profile_distance",
-    "nearest_profiles",
-    "format_comparison",
-    "FeatureDelta",
     "FEATURE_NAMES",
     "TOTAL_FEATURES",
     "feature_groups",

@@ -50,19 +50,6 @@ def dual_dot() -> LoopTemplate:
     ])
 
 
-def axpy() -> LoopTemplate:
-    """y[i] = y[i] + alpha * x[i]  — independent iterations."""
-    return LoopTemplate([
-        TemplateOp(Opcode.LOAD, dst=1, addr="x"),
-        TemplateOp(Opcode.LOAD, dst=2, addr="y"),
-        TemplateOp(Opcode.FMUL, dst=3, src1=1, src2=7),
-        TemplateOp(Opcode.FALU, dst=4, src1=2, src2=3),
-        TemplateOp(Opcode.STORE, src1=4, addr="y_out"),
-        TemplateOp(Opcode.IALU, dst=_IV, src1=_IV),
-        TemplateOp(Opcode.BRANCH, src1=_IV),
-    ])
-
-
 def stream_update() -> LoopTemplate:
     """a[i] = f(a[i])  — read-modify-write stream."""
     return LoopTemplate([

@@ -91,6 +91,27 @@ class TestSimulateCommand:
         assert code == 0
         assert "8 PEs @ 2.0 GHz" in out
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--pes", "0", "n_pes"),
+            ("--freq", "0", "frequency_ghz"),
+            ("--l1-lines", "0", "L1 geometry"),
+            ("--l1-ways", "0", "L1 geometry"),
+            ("--vaults", "0", "DRAM organisation"),
+            ("--freq", "inf", "frequency_ghz"),
+            ("--freq", "nan", "frequency_ghz"),
+        ],
+    )
+    def test_invalid_arch_flag_is_a_config_error(
+        self, capsys, flag, value, message
+    ):
+        code, out, err = run_cli(
+            capsys, "simulate", "gemv", "--scale", "8", flag, value
+        )
+        assert code == 2, (out, err)
+        assert message in err
+
 
 class TestTrainPredictRoundtrip:
     def test_train_then_predict(self, capsys, tmp_path):

@@ -1,6 +1,5 @@
 """Tests for the design-space-exploration driver (repro.core.dse)."""
 
-import numpy as np
 import pytest
 
 from repro import (
@@ -16,7 +15,6 @@ from repro.core.dse import (
     format_exploration,
     grid_space,
     pareto_front,
-    random_space,
 )
 from repro.core.predictor import NapelPrediction
 from repro.errors import MLError
@@ -46,17 +44,6 @@ class TestSpaces:
     def test_grid_space_empty_knobs(self):
         with pytest.raises(MLError):
             grid_space({})
-
-    def test_random_space(self):
-        archs = random_space(
-            {"n_pes": [8, 16, 32]}, 10, np.random.default_rng(0)
-        )
-        assert len(archs) == 10
-        assert all(a.n_pes in (8, 16, 32) for a in archs)
-
-    def test_random_space_invalid_n(self):
-        with pytest.raises(MLError):
-            random_space({"n_pes": [8]}, 0, np.random.default_rng(0))
 
 
 class TestParetoFront:

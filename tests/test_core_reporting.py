@@ -3,10 +3,12 @@
 
 import pytest
 
+from repro.backends import LinkParams
 from repro.config import (
     DRAMTiming,
     HostConfig,
     NMCConfig,
+    NMCEnergyParams,
     arch_feature_names,
     default_host_config,
     default_nmc_config,
@@ -118,3 +120,29 @@ class TestHostConfig:
         assert cfg.n_cores == 8
         with pytest.raises(ConfigError):
             default_host_config().replace(cache_scale=0.5)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda v: default_nmc_config().replace(frequency_ghz=v),
+        lambda v: default_nmc_config().replace(link_gbps=v),
+        lambda v: default_nmc_config().replace(timing=DRAMTiming(t_rcd_ns=v)),
+        lambda v: NMCConfig(timing=DRAMTiming(row_linger_ns=v)).validate(),
+        lambda v: NMCConfig(energy=NMCEnergyParams(link_pj_per_bit=v)).validate(),
+        lambda v: default_host_config().replace(frequency_ghz=v),
+        lambda v: default_host_config().replace(dram_latency_ns=v),
+        lambda v: default_host_config().replace(cache_scale=v),
+        lambda v: LinkParams(gbps=v).validate(),
+        lambda v: LinkParams(setup_latency_s=v).validate(),
+    ],
+    ids=[
+        "nmc-frequency", "nmc-link-gbps", "dram-t-rcd", "dram-row-linger",
+        "nmc-energy", "host-frequency", "host-dram-latency",
+        "host-cache-scale", "link-gbps", "link-setup",
+    ],
+)
+def test_non_finite_config_values_rejected(build, value):
+    with pytest.raises(ConfigError):
+        build(value)

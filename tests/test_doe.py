@@ -9,7 +9,6 @@ from repro.doe import (
     ParameterSpace,
     ccd_run_count,
     central_composite,
-    full_factorial,
     latin_hypercube,
     random_design,
 )
@@ -118,13 +117,6 @@ class TestCcd:
 
 
 class TestBaselineDesigns:
-    def test_full_factorial_size(self):
-        assert len(full_factorial(make_space(3))) == 5**3
-
-    def test_full_factorial_two_levels(self):
-        configs = full_factorial(make_space(2), levels=("low", "high"))
-        assert len(configs) == 4
-
     def test_lhs_properties(self):
         space = make_space(2)
         rng = np.random.default_rng(0)

@@ -1,12 +1,13 @@
 """Tests for the D-optimal and Box-Behnken designs."""
 
+import math
+
 import numpy as np
 import pytest
 
 from repro.doe import (
     ParameterSpace,
     box_behnken,
-    box_behnken_run_count,
     central_composite,
     d_optimal,
     quadratic_basis,
@@ -85,10 +86,9 @@ class TestDOptimal:
 
 class TestBoxBehnken:
     def test_run_count(self):
-        assert box_behnken_run_count(2) == 4 + 3
-        assert box_behnken_run_count(3) == 12 + 5
-        assert box_behnken_run_count(4) == 24 + 7
-        assert len(box_behnken(make_space(3))) == box_behnken_run_count(3)
+        # 4*C(k,2) edge midpoints plus 2k-1 centre replicates.
+        for k in (2, 3, 4):
+            assert len(box_behnken(make_space(k))) == 4 * math.comb(k, 2) + 2 * k - 1
 
     def test_no_extreme_points(self):
         """Box-Behnken never visits minimum/maximum levels — CCD does."""
@@ -115,8 +115,6 @@ class TestBoxBehnken:
     def test_needs_two_parameters(self):
         with pytest.raises(DoEError):
             box_behnken(make_space(1))
-        with pytest.raises(DoEError):
-            box_behnken_run_count(1)
 
     def test_invalid_center_replicates(self):
         with pytest.raises(DoEError):

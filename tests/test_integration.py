@@ -171,3 +171,23 @@ class TestSuitabilityFailLoud:
         assert result.edp_reduction_actual == pytest.approx(1.0)
         assert result.edp_reduction_pred == pytest.approx(1.0)
         assert result.edp_mre == pytest.approx(0.0)
+
+
+def test_every_public_name_resolves():
+    """No stale export: each module's ``__all__`` names exist."""
+    import importlib
+    import pkgutil
+
+    import repro
+
+    modules = [repro] + [
+        importlib.import_module(info.name)
+        for info in pkgutil.walk_packages(repro.__path__, "repro.")
+    ]
+    missing = [
+        f"{module.__name__}.{name}"
+        for module in modules
+        for name in getattr(module, "__all__", ())
+        if not hasattr(module, name)
+    ]
+    assert not missing

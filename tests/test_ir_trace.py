@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import TraceError
-from repro.ir import Instruction, InstructionTrace, Opcode, concat_traces
+from repro.ir import Instruction, InstructionTrace, Opcode
 from repro.ir.trace import _TABLE_SPAN, dense_ids
 
 
@@ -76,7 +76,7 @@ class TestViews:
     def test_for_thread(self):
         t0 = make_trace(4, tid=0)
         t1 = make_trace(6, tid=1)
-        both = concat_traces([t0, t1])
+        both = InstructionTrace.from_instructions(list(t0) + list(t1))
         assert both.thread_count == 2
         assert len(both.for_thread(1)) == 6
         assert len(both.for_thread(0)) == 4
@@ -102,15 +102,6 @@ class TestViews:
 
 
 class TestConcat:
-    def test_concat_preserves_order(self):
-        a, b = make_trace(3), make_trace(2)
-        merged = concat_traces([a, b])
-        assert len(merged) == 5
-        assert merged[3].addr == 0
-
-    def test_concat_empty_list(self):
-        assert len(concat_traces([])) == 0
-
     def test_repr(self):
         assert "n=10" in repr(make_trace(10))
 

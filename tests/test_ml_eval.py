@@ -8,12 +8,10 @@ from hypothesis import strategies as st
 from repro.errors import MLError
 from repro.ml import (
     KFold,
-    LeaveOneGroupOut,
     RandomForestRegressor,
     RidgeRegression,
     cross_val_score,
     grid_search,
-    mean_absolute_error,
     mean_relative_error,
     r2_score,
     rmse,
@@ -36,10 +34,9 @@ class TestMetrics:
         with pytest.raises(MLError):
             mean_relative_error([0.0, 1.0], [1.0, 1.0])
 
-    def test_mae_rmse(self):
+    def test_rmse(self):
         y = np.array([0.0, 0.0])
         p = np.array([3.0, 4.0])
-        assert mean_absolute_error(y, p) == pytest.approx(3.5)
         assert rmse(y, p) == pytest.approx(np.sqrt(12.5))
 
     def test_r2(self):
@@ -55,9 +52,7 @@ class TestMetrics:
         assert r2_score(y, y + 1.0) == 0.0
 
     def test_shape_mismatch(self):
-        for metric in (
-            mean_relative_error, mean_absolute_error, rmse, r2_score
-        ):
+        for metric in (mean_relative_error, rmse, r2_score):
             with pytest.raises(MLError):
                 metric([1.0], [1.0, 2.0])
 
@@ -96,21 +91,6 @@ class TestKFold:
     def test_invalid_splits(self):
         with pytest.raises(MLError):
             KFold(1)
-
-
-class TestLeaveOneGroupOut:
-    def test_each_group_held_out_once(self):
-        groups = np.array(["a", "a", "b", "c", "c", "c"])
-        held = []
-        for train, test, group in LeaveOneGroupOut().split(groups):
-            held.append(group)
-            assert set(groups[test]) == {group}
-            assert group not in set(groups[train])
-        assert held == ["a", "b", "c"]
-
-    def test_single_group_rejected(self):
-        with pytest.raises(MLError):
-            list(LeaveOneGroupOut().split(np.array(["x", "x"])))
 
 
 class TestCrossValScore:

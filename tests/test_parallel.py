@@ -18,7 +18,6 @@ from repro.ml import RandomForestRegressor, grid_search
 from repro.parallel import (
     ProcessExecutor,
     SerialExecutor,
-    derive_seeds,
     map_jobs,
     process_pool_available,
     resolve_jobs,
@@ -94,18 +93,6 @@ class TestResolveJobs:
         monkeypatch.setenv("REPRO_JOBS", "many")
         with pytest.warns(RuntimeWarning):
             assert resolve_jobs(None) == 1
-
-
-class TestDeriveSeeds:
-    def test_stable_and_distinct(self):
-        a = derive_seeds(42, 8)
-        assert a == derive_seeds(42, 8)
-        assert len(set(a)) == 8
-        assert a[:4] == derive_seeds(42, 4)  # prefix-stable
-
-    def test_negative_count_rejected(self):
-        with pytest.raises(ParallelError):
-            derive_seeds(0, -1)
 
 
 @pytest.fixture(scope="module")

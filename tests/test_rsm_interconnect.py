@@ -1,90 +1,11 @@
-"""Tests for the response-surface model and the off-chip link model."""
+"""Tests for the off-chip link model."""
 
-import numpy as np
 import pytest
 
-from repro import SimulationCampaign, default_nmc_config, get_workload
-from repro.doe import ParameterSpace, ResponseSurface, central_composite
-from repro.errors import ConfigError, DoEError
+from repro import default_nmc_config
+from repro.errors import ConfigError
 from repro.nmcsim import LinkModel, offload_adjusted_edp
 from repro.nmcsim.interconnect import PACKET_OVERHEAD, SETUP_LATENCY_S
-from repro.workloads.base import DoEParameter
-
-
-def make_space():
-    return ParameterSpace([
-        DoEParameter("x", (0, 25, 50, 75, 100), 50),
-        DoEParameter("y", (0, 25, 50, 75, 100), 50),
-    ])
-
-
-class TestResponseSurface:
-    def quadratic_truth(self, cfg):
-        # y = 2 + 3u - 4v + uv + 5u^2 in coded space.
-        u, v = cfg["x"] / 100.0, cfg["y"] / 100.0
-        return 2 + 3 * u - 4 * v + u * v + 5 * u * u
-
-    def test_recovers_known_surface(self):
-        space = make_space()
-        configs = central_composite(space)
-        y = [self.quadratic_truth(c) for c in configs]
-        surface = ResponseSurface(space).fit(configs, y)
-        assert surface.r2_ > 0.9999
-        coeffs = surface.coefficients()
-        assert coeffs["1"] == pytest.approx(2.0, abs=1e-6)
-        assert coeffs["x"] == pytest.approx(3.0, abs=1e-6)
-        assert coeffs["y"] == pytest.approx(-4.0, abs=1e-6)
-        assert coeffs["x*y"] == pytest.approx(1.0, abs=1e-6)
-        assert coeffs["x^2"] == pytest.approx(5.0, abs=1e-6)
-
-    def test_prediction_interpolates(self):
-        space = make_space()
-        configs = central_composite(space)
-        y = [self.quadratic_truth(c) for c in configs]
-        surface = ResponseSurface(space).fit(configs, y)
-        probe = {"x": 60.0, "y": 30.0}
-        assert surface.predict([probe])[0] == pytest.approx(
-            self.quadratic_truth(probe), abs=1e-6
-        )
-
-    def test_curvature_and_nonlinearity(self):
-        space = make_space()
-        configs = central_composite(space)
-        y = [self.quadratic_truth(c) for c in configs]
-        surface = ResponseSurface(space).fit(configs, y)
-        assert surface.curvature()["x"] == pytest.approx(5.0, abs=1e-6)
-        assert surface.nonlinearity_ratio() == pytest.approx(5.0 / 7.0, abs=1e-6)
-
-    def test_ccd_provides_enough_runs(self):
-        """CCD run counts always identify the quadratic model."""
-        space = make_space()
-        # quadratic terms for k=2: 6 <= 11 CCD runs.
-        configs = central_composite(space)
-        ResponseSurface(space).fit(configs, np.arange(len(configs)))
-
-    def test_too_few_runs_rejected(self):
-        space = make_space()
-        with pytest.raises(DoEError, match="cannot identify"):
-            ResponseSurface(space).fit(
-                [space.central()] * 3, np.zeros(3)
-            )
-
-    def test_unfitted_predict(self):
-        with pytest.raises(DoEError):
-            ResponseSurface(make_space()).predict([{"x": 1, "y": 1}])
-
-    def test_fits_real_campaign_ipc(self):
-        """A quadratic surface explains most of a workload's CCD response."""
-        workload = get_workload("mvt")
-        campaign = SimulationCampaign(scale=3.0)
-        space = ParameterSpace.of_workload(workload)
-        configs = central_composite(space)
-        training = campaign.run(workload, configs)
-        y = np.log(training.y_ipc())
-        surface = ResponseSurface(space).fit(
-            [row.parameters for row in training], y
-        )
-        assert surface.r2_ > 0.7
 
 
 class TestLinkModel:

@@ -20,7 +20,6 @@ def emit_once(template, n=10):
 ALL_TEMPLATES = {
     "dot_product": pat.dot_product,
     "dual_dot": pat.dual_dot,
-    "axpy": pat.axpy,
     "stream_update": pat.stream_update,
     "gather_reduce": pat.gather_reduce,
     "gather_update": pat.gather_update,
