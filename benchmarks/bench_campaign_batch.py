@@ -149,25 +149,25 @@ def test_campaign_batch_speedup():
             # Untimed warm-up: traces into the process memo, profiles
             # into the cache, phase-A products into the store.
             seed_cache = CampaignCache()
+            configure_store(warm_dir)
             warm_set = SimulationCampaign(
-                cache=seed_cache, scale=SCALE, jobs=1, memo_dir=warm_dir,
+                cache=seed_cache, scale=SCALE, jobs=1,
             ).run(workload)
             expected = _canonical(row.result for row in warm_set.rows)
             points = _ccd_points(workload)
             times = {}
             for key, jobs, store in VARIANTS:
                 if store == "off":
-                    configure_store("")  # explicitly disabled
-                    store_dir = None
+                    store_dir = ""  # explicitly disabled
                 elif store == "cold":
                     store_dir = tempfile.mkdtemp(
                         prefix=f"cold-{name}-", dir=warm_root
                     )
                 else:
                     store_dir = warm_dir
+                configure_store(store_dir)
                 campaign = SimulationCampaign(
-                    cache=_profile_cache(seed_cache), scale=SCALE,
-                    jobs=jobs, memo_dir=store_dir,
+                    cache=_profile_cache(seed_cache), scale=SCALE, jobs=jobs,
                 )
                 _drop_sim_memos()
                 start = time.perf_counter()

@@ -67,9 +67,7 @@ def test_fig4_prediction_speedup(
 
         # Simulator side: time one representative simulation, extrapolate.
         start = time.perf_counter()
-        NMCSimulator(campaign.arch, engine=campaign.engine).run(
-            trace, workload=w.name
-        )
+        NMCSimulator(campaign.arch).run(trace, workload=w.name)
         sim_one = time.perf_counter() - start
         sim_total = sim_one * N_CONFIGS
 

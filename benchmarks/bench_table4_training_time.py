@@ -39,9 +39,7 @@ def test_table4_training_and_prediction_time(
         if doe_seconds.get(w.name, 0.0) == 0.0:
             trace = w.generate(w.central_config())
             start = _time.perf_counter()
-            NMCSimulator(campaign.arch, engine=campaign.engine).run(
-                trace, workload=w.name
-            )
+            NMCSimulator(campaign.arch).run(trace, workload=w.name)
             per_config = _time.perf_counter() - start
             n_conf = len(full_training_set.filter(w.name))
             doe_seconds[w.name] = per_config * n_conf

@@ -62,7 +62,7 @@ from .errors import ReproError, SchemaMismatchError
 from .hostsim import HostSimulator
 from .obs import RunManifest, configure_logging, get_logger, metrics
 from .schema import FeatureBlock, FeatureSchema, active_schema
-from .nmcsim import NMCSimulator, SimulationResult, simulate
+from .nmcsim import NMCSimulator, SimulationResult
 from .profiler import ApplicationProfile, analyze_trace
 from .workloads import WORKLOAD_NAMES, all_workloads, get_workload
 
@@ -84,7 +84,6 @@ __all__ = [
     "ApplicationProfile",
     # simulators
     "NMCSimulator",
-    "simulate",
     "SimulationResult",
     "HostSimulator",
     # DoE

@@ -8,7 +8,7 @@ import time
 from pathlib import Path
 
 from ..backends import backend_summaries, get_backend
-from ..config import NMCConfig, default_nmc_config
+from ..config import NMCConfig
 from ..core import (
     CampaignCache,
     NapelTrainer,
@@ -85,22 +85,18 @@ def _parse_arch(args: argparse.Namespace) -> NMCConfig:
         changes["l1_ways"] = args.l1_ways
     if getattr(args, "vaults", None) is not None:
         changes["n_vaults"] = args.vaults
-    backend = getattr(args, "backend", None) or "hmc"
-    if isinstance(backend, list):  # repeatable flags pick their own arch
-        backend = backend[0]
-    return NMCConfig.from_backend(backend).replace(**changes)
+    return NMCConfig.from_backend(args.backend).replace(**changes)
 
 
-def _campaign(args: argparse.Namespace, arch: NMCConfig | None = None):
-    cache = CampaignCache(args.cache) if getattr(args, "cache", None) else None
-    return SimulationCampaign(
-        arch or default_nmc_config(),
-        cache=cache,
-        scale=getattr(args, "scale", 1.0),
-        jobs=getattr(args, "jobs", None),
-        engine=getattr(args, "engine", None),
-        memo_dir=getattr(args, "memo_dir", None),
-    )
+def _campaigns(
+    args: argparse.Namespace, archs: list[NMCConfig]
+) -> list[SimulationCampaign]:
+    """One campaign per architecture, sharing the ``--cache`` cache."""
+    cache = CampaignCache(args.cache)
+    return [
+        SimulationCampaign(arch, cache=cache, scale=args.scale, jobs=args.jobs)
+        for arch in archs
+    ]
 
 
 def _manifest_update(args: argparse.Namespace, **fields) -> None:
@@ -108,6 +104,19 @@ def _manifest_update(args: argparse.Namespace, **fields) -> None:
     manifest = getattr(args, "_run_manifest", None)
     if manifest is not None:
         manifest.update(**fields)
+
+
+def _record_simulation(
+    args: argparse.Namespace, campaign: SimulationCampaign
+) -> None:
+    """Manifest fields every campaign-running command records."""
+    _manifest_update(
+        args,
+        jobs=campaign.jobs,
+        sim_memo=simulation_memo_summary(),
+        sim_batch=simulation_batch_summary(),
+        sim_jit=jit_status(),
+    )
 
 
 def _cache_summary(cache: CampaignCache) -> dict:
@@ -247,13 +256,11 @@ def cmd_simulate(args: argparse.Namespace) -> None:
     start = time.perf_counter()
     from ..nmcsim import NMCSimulator
 
-    simulator = NMCSimulator(arch, engine=getattr(args, "engine", None))
-    result = simulator.run(trace, workload=workload.name)
+    result = NMCSimulator(arch).run(trace, workload=workload.name)
     elapsed = time.perf_counter() - start
     print(f"workload: {workload.name}  config: {config}")
     print(f"architecture: {arch.n_pes} PEs @ {arch.frequency_ghz} GHz, "
-          f"L1 {arch.l1_bytes} B, {arch.n_vaults} vaults  "
-          f"(engine: {simulator.engine})")
+          f"L1 {arch.l1_bytes} B, {arch.n_vaults} vaults")
     print(format_table(
         ["metric", "value"],
         [
@@ -273,7 +280,7 @@ def cmd_simulate(args: argparse.Namespace) -> None:
 
 def cmd_campaign(args: argparse.Namespace) -> None:
     workload = get_workload(args.workload)
-    campaign = _campaign(args, _parse_arch(args))
+    (campaign,) = _campaigns(args, [_parse_arch(args)])
     start = time.perf_counter()
     training = campaign.run(workload)
     campaign.cache.save()
@@ -288,12 +295,8 @@ def cmd_campaign(args: argparse.Namespace) -> None:
         schema_hash=active_schema().content_hash,
         cache=_cache_summary(campaign.cache),
         doe_run_seconds=campaign.doe_run_seconds,
-        jobs=campaign.jobs,
-        sim_engine=campaign.engine,
-        sim_memo=simulation_memo_summary(),
-        sim_batch=simulation_batch_summary(),
-        sim_jit=jit_status(),
     )
+    _record_simulation(args, campaign)
     rows = [
         [
             ", ".join(f"{k}={v:g}" for k, v in row.parameters.items()),
@@ -311,21 +314,10 @@ def cmd_campaign(args: argparse.Namespace) -> None:
 
 
 def cmd_train(args: argparse.Namespace) -> None:
-    backends = getattr(args, "backend", None) or ["hmc"]
-    cache = (
-        CampaignCache(args.cache) if getattr(args, "cache", None)
-        else CampaignCache()
+    backends = args.backend or ["hmc"]
+    campaigns = _campaigns(
+        args, [NMCConfig.from_backend(name) for name in backends]
     )
-    campaigns = [
-        SimulationCampaign(
-            NMCConfig.from_backend(name),
-            cache=cache,
-            scale=getattr(args, "scale", 1.0),
-            jobs=getattr(args, "jobs", None),
-            engine=getattr(args, "engine", None),
-        )
-        for name in backends
-    ]
     campaign = campaigns[0]
     sets = []
     for name in args.apps:
@@ -357,12 +349,8 @@ def cmd_train(args: argparse.Namespace) -> None:
         cache=_cache_summary(campaign.cache),
         model=_model_fit_summary(trained, training),
         output=str(args.output),
-        jobs=campaign.jobs,
-        sim_engine=campaign.engine,
-        sim_memo=simulation_memo_summary(),
-        sim_batch=simulation_batch_summary(),
-        sim_jit=jit_status(),
     )
+    _record_simulation(args, campaign)
     print(
         f"trained {args.model} on {len(training)} rows "
         f"({trained.train_tune_seconds:.1f} s); model saved to {args.output}"
@@ -612,11 +600,14 @@ def cmd_suitability(args: argparse.Namespace) -> None:
             "suitability needs at least two workloads (the NAPEL model is "
             "trained on the other applications)"
         )
-    backends = getattr(args, "backend", None) or ["hmc"]
-    if len(backends) > 1:
-        _suitability_by_backend(args, workloads, backends)
+    backends = args.backend or ["hmc"]
+    campaigns = _campaigns(
+        args, [NMCConfig.from_backend(name) for name in backends]
+    )
+    if len(campaigns) > 1:
+        _suitability_by_backend(args, workloads, campaigns)
         return
-    campaign = _campaign(args, NMCConfig.from_backend(backends[0]))
+    (campaign,) = campaigns
     print(f"running CCD campaigns for {', '.join(args.apps)} ...")
     training = campaign.run_all(workloads)
     campaign.cache.save()
@@ -638,12 +629,8 @@ def cmd_suitability(args: argparse.Namespace) -> None:
                 sum(r.edp_mre for r in results) / len(results), 6
             ),
         },
-        jobs=campaign.jobs,
-        sim_engine=campaign.engine,
-        sim_memo=simulation_memo_summary(),
-        sim_batch=simulation_batch_summary(),
-        sim_jit=jit_status(),
     )
+    _record_simulation(args, campaign)
     rows = [
         [
             r.workload,
@@ -662,25 +649,18 @@ def cmd_suitability(args: argparse.Namespace) -> None:
 
 
 def _suitability_by_backend(
-    args: argparse.Namespace, workloads: list[Workload], backends: list[str]
+    args: argparse.Namespace,
+    workloads: list[Workload],
+    campaigns: list[SimulationCampaign],
 ) -> None:
     """Multi-backend suitability: rank backends per kernel by EDP."""
-    cache = (
-        CampaignCache(args.cache) if getattr(args, "cache", None)
-        else CampaignCache()
-    )
+    backends = args.backend
+    cache = campaigns[0].cache
     print(
         f"running CCD campaigns for {', '.join(args.apps)} on "
         f"{', '.join(backends)} ..."
     )
-    results = analyze_backend_suitability(
-        workloads,
-        backends,
-        cache=cache,
-        scale=getattr(args, "scale", 1.0),
-        jobs=getattr(args, "jobs", None),
-        engine=getattr(args, "engine", None),
-    )
+    results = analyze_backend_suitability(workloads, campaigns)
     cache.save()
     best = {
         r.workload: r.backend for r in results if r.rank == 1
@@ -693,8 +673,6 @@ def _suitability_by_backend(
         schema_hash=active_schema().content_hash,
         cache=_cache_summary(cache),
         best_backend=best,
-        sim_memo=simulation_memo_summary(),
-        sim_batch=simulation_batch_summary(),
-        sim_jit=jit_status(),
     )
+    _record_simulation(args, campaigns[0])
     print(format_backend_suitability(results))

@@ -11,6 +11,7 @@ from typing import Sequence
 from .. import __version__
 from ..backends import backend_names
 from ..errors import ReproError
+from ..nmcsim import configure_store
 from ..obs import RunManifest, configure_logging, get_logger, metrics
 from ..obs.trace import (
     TRACE_ENV_VAR,
@@ -106,14 +107,6 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument("--vaults", type=int, help="DRAM vaults")
 
-    def add_engine_arg(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--engine", choices=("fast", "reference"), default=None,
-            help="simulation engine (default: $REPRO_SIM_ENGINE or fast); "
-                 "fast = vectorized two-phase, reference = per-access "
-                 "event loop; results are identical either way",
-        )
-
     def add_jobs_arg(p: argparse.ArgumentParser) -> None:
         p.add_argument(
             "--jobs", "-j", type=int, default=None, metavar="N",
@@ -148,7 +141,8 @@ def build_parser() -> argparse.ArgumentParser:
             "--trace-hw", action="store_true",
             help="also record the simulated NMC hardware timeline "
                  "(per-PE busy/stall, vault occupancy, cache counters) on "
-                 "the simulated clock; needs --trace (or "
+                 "the simulated clock, by running the per-access reference "
+                 "engine (identical results, slower); needs --trace (or "
                  f"${TRACE_ENV_VAR}) to have somewhere to go",
         )
 
@@ -184,7 +178,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = new_command("simulate", help="phase 2: simulate on the NMC system")
     add_workload_args(p)
     add_arch_args(p)
-    add_engine_arg(p)
     add_trace_args(p)
     p.set_defaults(func=commands.cmd_simulate)
 
@@ -192,7 +185,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_workload_args(p)
     add_arch_args(p)
     p.add_argument("--cache", help="campaign cache file (JSON)")
-    add_engine_arg(p)
     add_jobs_arg(p)
     add_memo_dir_arg(p)
     add_manifest_arg(p)
@@ -224,7 +216,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--scale", type=float, default=1.0, help="trace shrink factor"
     )
-    add_engine_arg(p)
     add_jobs_arg(p)
     add_memo_dir_arg(p)
     add_manifest_arg(p)
@@ -332,7 +323,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--scale", type=float, default=1.0, help="trace shrink factor"
     )
-    add_engine_arg(p)
     add_jobs_arg(p)
     add_memo_dir_arg(p)
     add_manifest_arg(p)
@@ -397,6 +387,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         list(argv) if argv is not None else sys.argv[1:],
     )
     args._run_manifest = manifest
+    if "memo_dir" in args:
+        configure_store(args.memo_dir)
     # Event tracing: --trace PATH or $REPRO_TRACE activates; the `trace`
     # subcommand never self-activates (it *inspects* trace files, and
     # tracing its own run could clobber the file being inspected).

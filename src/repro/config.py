@@ -40,12 +40,6 @@ def _non_negative(value: float) -> bool:
     return math.isfinite(value) and value >= 0
 
 
-#: Valid NMC simulation engines (see :mod:`repro.nmcsim.simulator`):
-#: ``fast`` is the two-phase vectorized engine, ``reference`` the
-#: per-access event loop.  Both produce identical results.
-SIM_ENGINES = ("fast", "reference")
-
-
 @dataclass(frozen=True)
 class DRAMTiming:
     """Timing parameters (nanoseconds) of one memory backend.

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import functools
 import json
-import os
 import time
 from collections import OrderedDict
 from pathlib import Path
@@ -27,7 +26,6 @@ from ..ir import InstructionTrace
 from ..nmcsim import (
     SimulationResult,
     configure_store,
-    resolve_engine,
     simulate_batch,
     store_dir,
 )
@@ -231,7 +229,7 @@ class CampaignCache:
 
 
 def _simulate_batch_job(
-    job: tuple[Workload, list, NMCConfig, float, str, dict],
+    job: tuple[Workload, list, NMCConfig, float, dict],
 ) -> tuple[list, list, float]:
     """Simulate one contiguous chunk of campaign points (picklable).
 
@@ -246,7 +244,7 @@ def _simulate_batch_job(
     a pure function of the payload, so results are identical at any
     worker count.
     """
-    workload, chunk, arch, scale, engine, known_profiles = job
+    workload, chunk, arch, scale, known_profiles = job
     start = time.perf_counter()
     m = metrics()
     profiles: list[ApplicationProfile] = []
@@ -267,7 +265,7 @@ def _simulate_batch_job(
             sim_points.append(
                 (trace, arch, workload.name, dict(config))
             )
-    results = simulate_batch(sim_points, engine=engine)
+    results = simulate_batch(sim_points)
     for result in results:
         m.inc("campaign.points.simulated")
         # Simulated (deterministic) kernel time, not wall-clock: the
@@ -286,17 +284,14 @@ class SimulationCampaign:
 
     ``jobs`` selects the worker-process count for campaign runs (1 =
     serial, 0 = all CPUs, None = honour ``REPRO_JOBS``); see
-    :mod:`repro.parallel` for the determinism guarantee.  ``engine``
-    selects the simulation engine (None = honour ``REPRO_SIM_ENGINE``,
-    default fast); both engines produce identical results.
+    :mod:`repro.parallel` for the determinism guarantee.
 
     :meth:`run`, :meth:`run_point` and ``jobs > 1`` share one simulation
     path: uncached points are split into contiguous chunks (one per
     worker), same-trace points run phase A back to back against warm
     memos, and each chunk's phase B replays in one kernel invocation.
-    ``memo_dir`` points the persistent phase-A memo store at a directory
-    (None = honour ``REPRO_SIM_MEMO_DIR``); pool workers adopt the same
-    store.
+    Pool workers adopt the process's persistent phase-A memo store
+    (:func:`repro.nmcsim.configure_store`).
     """
 
     def __init__(
@@ -306,17 +301,12 @@ class SimulationCampaign:
         cache: CampaignCache | None = None,
         scale: float = 1.0,
         jobs: int | None = None,
-        engine: str | None = None,
-        memo_dir: str | os.PathLike | None = None,
     ) -> None:
         self.arch = arch or default_nmc_config()
         self.arch.validate()
         self.cache = cache if cache is not None else CampaignCache()
         self.scale = scale
         self.jobs = resolve_jobs(jobs)
-        self.engine = resolve_engine(engine)
-        if memo_dir is not None:
-            configure_store(memo_dir)
         # The canonical arch hash covers every config field; computing it
         # per point was measurable (~0.7 ms each) at campaign scale.
         self._arch_key = _arch_key(self.arch)
@@ -348,7 +338,7 @@ class SimulationCampaign:
         replicates of a classical CCD are meant to estimate.
         """
         config = workload.validate_config(config)
-        return self._run_points(workload, [(config, replicate)], 1)[0]
+        return self._run_points(workload, [(config, replicate)])[0]
 
     # --------------------------------------------------------- campaigns
 
@@ -356,15 +346,12 @@ class SimulationCampaign:
         self,
         workload: Workload,
         configs: Sequence[Mapping[str, float]] | None = None,
-        *,
-        jobs: int | None = None,
     ) -> TrainingSet:
         """Run a workload's DoE campaign (default: its CCD, Table 4 sizes).
 
-        With ``jobs > 1`` (or a campaign-level ``jobs`` setting) the
-        uncached points are simulated in worker processes and merged back
-        into the cache in configuration order, producing a
-        :class:`TrainingSet` identical to a serial run.
+        With ``jobs > 1`` the uncached points are simulated in worker
+        processes and merged back into the cache in configuration order,
+        producing a :class:`TrainingSet` identical to a serial run.
         """
         if configs is None:
             with metrics().timer("phase.doe"):
@@ -372,7 +359,6 @@ class SimulationCampaign:
                 configs = central_composite(space)
         if not configs:
             raise CampaignError("campaign needs at least one configuration")
-        jobs_n = self.jobs if jobs is None else resolve_jobs(jobs)
         points: list[tuple[dict, int]] = []
         seen: dict[str, int] = {}
         for config in configs:
@@ -386,12 +372,12 @@ class SimulationCampaign:
             extra={"ctx": {
                 "workload": workload.name,
                 "points": len(points),
-                "jobs": jobs_n,
+                "jobs": self.jobs,
                 "cached": len(self.cache),
             }},
         )
         start = time.perf_counter()
-        rows = self._run_points(workload, points, jobs_n)
+        rows = self._run_points(workload, points)
         elapsed = time.perf_counter() - start
         self.wall_seconds[workload.name] = elapsed
         log.info(
@@ -450,11 +436,10 @@ class SimulationCampaign:
         self,
         workload: Workload,
         points: Sequence[tuple[dict, int]],
-        jobs_n: int,
     ) -> list[TrainingRow]:
         """Simulate the uncached points, then return every point's row.
 
-        Pending points are split into (at most) ``jobs_n`` contiguous
+        Pending points are split into (at most) ``jobs`` contiguous
         chunks, each simulated by :func:`_simulate_batch_job`, and merged
         back into the cache in point order, so cache contents and timing
         tallies are independent of worker completion order.  When the
@@ -469,7 +454,7 @@ class SimulationCampaign:
                 profile = self.cache.get_profile(point_key)
                 if profile is not None:
                     known_profiles[point_key] = profile
-            n_chunks = max(1, min(jobs_n, len(pending)))
+            n_chunks = max(1, min(self.jobs, len(pending)))
             base, extra = divmod(len(pending), n_chunks)
             chunks: list[list[tuple[str, dict, int]]] = []
             lo = 0
@@ -479,7 +464,7 @@ class SimulationCampaign:
                 lo = hi
             payloads = [
                 (
-                    workload, chunk, self.arch, self.scale, self.engine,
+                    workload, chunk, self.arch, self.scale,
                     {
                         pk: known_profiles[pk]
                         for pk, _cfg, _seed in chunk
@@ -492,7 +477,7 @@ class SimulationCampaign:
             outputs = map_jobs(
                 _simulate_batch_job,
                 payloads,
-                jobs_n=jobs_n,
+                jobs_n=self.jobs,
                 chunk=1,
                 worker_init=(
                     functools.partial(configure_store, sdir)
@@ -523,11 +508,6 @@ class SimulationCampaign:
                 )
         return self._rows_from_cache(workload, points, keys)
 
-    def run_all(
-        self,
-        workloads: Sequence[Workload],
-        *,
-        jobs: int | None = None,
-    ) -> TrainingSet:
+    def run_all(self, workloads: Sequence[Workload]) -> TrainingSet:
         """CCD campaigns for several workloads, concatenated."""
-        return TrainingSet.concat(self.run(w, jobs=jobs) for w in workloads)
+        return TrainingSet.concat(self.run(w) for w in workloads)

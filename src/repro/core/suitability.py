@@ -13,11 +13,10 @@ An application is NMC-suitable when its EDP reduction (host EDP / NMC EDP)
 exceeds 1.
 
 :func:`analyze_backend_suitability` extends the analysis with the memory
-backend as a design axis: every registered (or requested) backend is
-simulated at each application's test input and the backends are ranked per
-kernel by actual EDP reduction, with the held-out model — trained on the
-multi-backend campaign data, so one model spans backends — predicting the
-same ranking.
+backend as a design axis: every requested backend is simulated at each
+application's test input and the backends are ranked per kernel by actual
+EDP reduction, with the held-out model — trained on the multi-backend
+campaign data, so one model spans backends — predicting the same ranking.
 """
 
 from __future__ import annotations
@@ -26,12 +25,12 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from ..config import HostConfig, NMCConfig
+from ..config import HostConfig
 from ..errors import ReproError
 from ..hostsim import HostSimulator
 from ..obs import get_logger, metrics
 from ..workloads import Workload
-from .campaign import CampaignCache, SimulationCampaign
+from .campaign import SimulationCampaign
 from .dataset import TrainingSet
 from .pipeline import NapelTrainer
 from .reporting import format_table
@@ -212,44 +211,29 @@ class BackendSuitability:
 
 def analyze_backend_suitability(
     workloads: list[Workload],
-    backends: Sequence[str] | None = None,
+    campaigns: Sequence[SimulationCampaign],
     *,
-    cache: CampaignCache | None = None,
-    scale: float = 1.0,
-    jobs: int | None = None,
-    engine: str | None = None,
     host_config: HostConfig | None = None,
     trainer_kwargs: dict | None = None,
 ) -> list[BackendSuitability]:
     """Rank memory backends per kernel by EDP reduction over the host.
 
-    One CCD campaign runs per backend (all sharing ``cache``; profiles
-    are backend-independent, so only the simulations repeat), the
-    campaigns concatenate into a single multi-backend training set (the
+    ``campaigns`` holds one CCD campaign per backend, named by its
+    ``arch.backend``; they should share one cache (profiles are
+    backend-independent, so only the simulations repeat).  The campaigns
+    concatenate into a single multi-backend training set (the
     ``arch.backend.*`` one-hot keeps the backends apart), and for each
     workload a held-out model predicts the EDP of every backend.  Results
     come back grouped by workload, best backend first.
     """
-    from ..backends import backend_names
-
-    if backends is None:
-        backends = backend_names()
     host = HostSimulator(host_config)
-    cache = cache if cache is not None else CampaignCache()
-    campaigns = {
-        name: SimulationCampaign(
-            NMCConfig.from_backend(name),
-            cache=cache, scale=scale, jobs=jobs, engine=engine,
-        )
-        for name in backends
-    }
-    training = TrainingSet.concat(
-        campaigns[name].run_all(workloads) for name in backends
-    )
+    backends = [c.arch.backend for c in campaigns]
+    by_backend = dict(zip(backends, campaigns))
+    training = TrainingSet.concat(c.run_all(workloads) for c in campaigns)
     # Test rows per (workload, backend): the Figure 7 "Actual" data,
     # which also joins the training pool (see analyze_suitability).
     test_rows = {
-        (w.name, name): campaigns[name].run_point(w, w.test_config())
+        (w.name, name): by_backend[name].run_point(w, w.test_config())
         for w in workloads
         for name in backends
     }
@@ -268,7 +252,7 @@ def analyze_backend_suitability(
         for name in backends:
             test_row = test_rows[(workload.name, name)]
             prediction = trained.model.predict(
-                test_row.profile, campaigns[name].arch
+                test_row.profile, by_backend[name].arch
             )
             for component, value in (
                 ("simulated NMC time", test_row.result.time_s),

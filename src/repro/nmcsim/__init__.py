@@ -16,12 +16,9 @@ from ..native import jit_status
 from ..store import MemoStore
 from .results import SimulationResult
 from .simulator import (
-    ENGINES,
     NMCSimulator,
     active_store,
     configure_store,
-    resolve_engine,
-    simulate,
     simulate_batch,
     simulation_batch_summary,
     simulation_memo_bytes,
@@ -36,9 +33,6 @@ from .stats import SimulationStats, derive_stats, format_stats
 
 __all__ = [
     "NMCSimulator",
-    "simulate",
-    "ENGINES",
-    "resolve_engine",
     "jit_status",
     "simulate_batch",
     "simulation_batch_summary",

@@ -17,9 +17,13 @@ Two engines implement this model with identical results:
 
 * ``reference`` — one heap event per memory access, stepping the
   :class:`~repro.nmcsim.cache.Cache` model per access (the original,
-  obviously-correct formulation);
-* ``fast`` (default) — two-phase: **phase A** is one pass per design
-  point over all its PE streams, concatenated: one classifier call
+  obviously-correct formulation).  It is the oracle the tests hold the
+  fast engine to (``NMCSimulator(config, engine="reference")``) and the
+  path of hardware-traced runs, whose timeline needs one event per
+  access;
+* ``fast`` (the default, and the engine of every campaign) — two-phase:
+  **phase A** is one pass per design point over all its PE streams,
+  concatenated: one classifier call
   (:mod:`repro.nmcsim.classify`) walks every stream through its own L1
   for hits, misses, writebacks and end-of-kernel flushes, and one
   vectorized packer turns the misses into phase-B events; then
@@ -69,7 +73,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from ..config import SIM_ENGINES, NMCConfig, default_nmc_config
+from ..config import NMCConfig, default_nmc_config
 from ..errors import ConfigError, SimulationError
 from ..ir import OPCODE_LATENCY, InstructionTrace, Opcode
 from ..obs import get_logger, metrics, tracer
@@ -83,25 +87,6 @@ from ..store import FORMAT_VERSION, MemoStore, discard, lru_get_or_build
 from .results import SimulationResult
 
 log = get_logger("repro.nmcsim")
-
-#: Environment variable selecting the simulation engine.
-ENGINE_ENV_VAR = "REPRO_SIM_ENGINE"
-
-#: Valid engine names; ``fast`` is the default.
-ENGINES = SIM_ENGINES
-
-
-def resolve_engine(engine: str | None = None) -> str:
-    """The effective engine name: argument, ``$REPRO_SIM_ENGINE``, or fast."""
-    if engine is None:
-        engine = os.environ.get(ENGINE_ENV_VAR, "").strip() or "fast"
-    if engine not in ENGINES:
-        raise ConfigError(
-            f"unknown simulation engine {engine!r}; "
-            f"expected one of {', '.join(ENGINES)}"
-        )
-    return engine
-
 
 # --------------------------------------------------------------- memos
 
@@ -671,9 +656,9 @@ def _decode_phase_a(data: Mapping[str, np.ndarray]) -> _PhaseA | None:
 class NMCSimulator:
     """Simulates kernel traces on one NMC architecture configuration.
 
-    ``engine`` selects the execution engine (``"fast"`` two-phase or
-    ``"reference"`` per-access; ``None`` honours ``$REPRO_SIM_ENGINE``,
-    default fast).  Both engines produce identical
+    ``engine`` selects the execution engine: ``"fast"`` (two-phase, the
+    default) or ``"reference"`` (per-access, the oracle the fast engine
+    is tested against).  Both engines produce identical
     :class:`SimulationResult` values; see :mod:`repro.nmcsim.classify`.
     """
 
@@ -681,11 +666,16 @@ class NMCSimulator:
         self,
         config: NMCConfig | None = None,
         *,
-        engine: str | None = None,
+        engine: str = "fast",
     ) -> None:
         self.config = config or default_nmc_config()
         self.config.validate()
-        self.engine = resolve_engine(engine)
+        if engine not in ("fast", "reference"):
+            raise ConfigError(
+                f"unknown simulation engine {engine!r}; "
+                "expected fast or reference"
+            )
+        self.engine = engine
 
     def run(
         self,
@@ -696,11 +686,12 @@ class NMCSimulator:
     ) -> SimulationResult:
         """Simulate one trace; returns IPC, time and energy.
 
-        A batch of one through :func:`simulate_batch`.
+        A batch of one through :func:`simulate_batch`'s implementation.
         """
         start = time.perf_counter()
-        (result,) = simulate_batch(
-            [(trace, self.config, workload, parameters)], engine=self.engine
+        (result,) = _simulate(
+            [(trace, self.config, workload, parameters)],
+            per_access=self.engine == "reference",
         )
         log.debug(
             "simulation done",
@@ -1117,20 +1108,6 @@ class NMCSimulator:
             return product
 
 
-def simulate(
-    trace: InstructionTrace,
-    config: NMCConfig | None = None,
-    *,
-    workload: str = "",
-    parameters: Mapping[str, float] | None = None,
-    engine: str | None = None,
-) -> SimulationResult:
-    """Convenience wrapper: simulate ``trace`` on ``config`` (Table 3 default)."""
-    return NMCSimulator(config, engine=engine).run(
-        trace, workload=workload, parameters=parameters
-    )
-
-
 # ------------------------------------------------------- batched replay
 
 #: Bucket bounds of the ``sim.batch.points_per_call`` histogram (batch
@@ -1187,15 +1164,13 @@ def simulate_batch(
     points: Sequence[
         tuple[InstructionTrace, NMCConfig | None, str, Mapping[str, float] | None]
     ],
-    *,
-    engine: str | None = None,
 ) -> list[SimulationResult]:
     """Simulate design points; the one place a simulation is orchestrated.
 
     ``points`` holds ``(trace, config, workload, parameters)`` tuples
     (``config=None`` means the Table 3 default); results come back in
-    input order.  :meth:`NMCSimulator.run` is a batch of one.  On the
-    fast engine every point's phase B is replayed in one kernel
+    input order.  :meth:`NMCSimulator.run` is a batch of one.  Every
+    point's phase B is replayed in one kernel
     invocation — the batching only amortises kernel dispatch, never
     changes event order (points are independent: each replays against
     its own idle memory state), so a batch of many is bit-identical to
@@ -1206,26 +1181,36 @@ def simulate_batch(
     count are emitted; the shared phase-B invocation is instrumented
     with ``sim.batch.*`` counters/histograms only.
 
-    The reference engine, and every run while the simulated-hardware
-    timeline is enabled, steps each point through the per-access model
-    instead (identical results, no batching).
+    While the simulated-hardware timeline is enabled, every point steps
+    through the per-access reference engine instead (identical results,
+    no batching): the timeline needs one event per access.
     """
+    return _simulate(points, per_access=False)
+
+
+def _simulate(
+    points: Sequence[
+        tuple[InstructionTrace, NMCConfig | None, str, Mapping[str, float] | None]
+    ],
+    *,
+    per_access: bool,
+) -> list[SimulationResult]:
+    """:func:`simulate_batch`, on the reference engine if ``per_access``."""
     if not points:
         return []
     if any(len(trace) == 0 for trace, _c, _w, _p in points):
         raise SimulationError("cannot simulate an empty trace")
-    resolved = resolve_engine(engine)
     m = metrics()
     sims: dict[int, NMCSimulator] = {}
 
     def sim_for(cfg: NMCConfig | None) -> NMCSimulator:
         sim = sims.get(id(cfg))
         if sim is None:
-            sim = NMCSimulator(cfg, engine=resolved)
+            sim = NMCSimulator(cfg)
             sims[id(cfg)] = sim
         return sim
 
-    if resolved != "fast" or tracer().hw_enabled:
+    if per_access or tracer().hw_enabled:
         results: list[SimulationResult] = []
         for trace, cfg, workload, parameters in points:
             with m.timer("phase.simulate"):

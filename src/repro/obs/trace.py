@@ -20,14 +20,14 @@ Two timelines, two clock domains:
   kept on a separate synthetic process (:data:`HW_PID`) so the two clock
   domains never share a lane.  Per-PE busy/stall slices, DRAM vault
   occupancy windows and L1 miss counter tracks; an event-count sampling
-  cap (:data:`DEFAULT_HW_CAP`, overridable via ``REPRO_TRACE_HW_CAP``)
-  per simulation keeps store-heavy kernels from blowing up the buffer.
+  cap (:data:`DEFAULT_HW_CAP`) per simulation keeps store-heavy kernels
+  from blowing up the buffer.
 
 Activation is explicit (``repro ... --trace PATH`` or ``REPRO_TRACE=PATH``
 in the environment); with tracing disabled every recording call is a
 single attribute check.  The buffer is bounded (:data:`DEFAULT_MAX_EVENTS`
-events, ``REPRO_TRACE_BUFFER`` overrides); overflowing events are counted
-in :attr:`Tracer.dropped`, never silently lost.
+events); overflowing events are counted in :attr:`Tracer.dropped`, never
+silently lost.
 
 Parallel runs reuse the executor's delta-shipping channel: a pool worker
 :meth:`marks <Tracer.mark>` its buffer before a job, ships
@@ -54,12 +54,8 @@ from .. import store
 TRACE_ENV_VAR = "REPRO_TRACE"
 #: Set truthy to include the simulated-hardware (nmcsim) timeline.
 TRACE_HW_ENV_VAR = "REPRO_TRACE_HW"
-#: Per-simulation event cap of the hardware timeline.
-TRACE_HW_CAP_ENV_VAR = "REPRO_TRACE_HW_CAP"
 #: Shared monotonic epoch so worker processes align with the parent.
 TRACE_EPOCH_ENV_VAR = "REPRO_TRACE_EPOCH"
-#: Overall event-buffer bound.
-TRACE_BUFFER_ENV_VAR = "REPRO_TRACE_BUFFER"
 
 #: Default bound on the in-memory event buffer (per process).
 DEFAULT_MAX_EVENTS = 1_000_000
@@ -80,16 +76,6 @@ KNOWN_PHASES = frozenset({"X", "B", "E", "i", "I", "C", "M"})
 
 #: pid stride separating the lanes of different files in a merged trace.
 MERGE_PID_STRIDE = 1 << 28
-
-
-def _env_int(name: str, default: int) -> int:
-    raw = os.environ.get(name, "").strip()
-    if not raw:
-        return default
-    try:
-        return max(0, int(raw))
-    except ValueError:
-        return default
 
 
 class TraceSpan:
@@ -157,9 +143,7 @@ class Tracer:
         self.hw_dropped = 0
         self.path: Path | None = None
         self.max_events = (
-            max_events
-            if max_events is not None
-            else _env_int(TRACE_BUFFER_ENV_VAR, DEFAULT_MAX_EVENTS)
+            max_events if max_events is not None else DEFAULT_MAX_EVENTS
         )
         if epoch is None:
             raw = os.environ.get(TRACE_EPOCH_ENV_VAR, "").strip()
@@ -307,9 +291,7 @@ class Tracer:
         """A fresh per-simulation hardware timeline, or None when off."""
         if not self.hw_enabled:
             return None
-        return HardwareTimeline(
-            self, cap=_env_int(TRACE_HW_CAP_ENV_VAR, DEFAULT_HW_CAP)
-        )
+        return HardwareTimeline(self, cap=DEFAULT_HW_CAP)
 
     # ----------------------------------------------------- delta shipping
 

@@ -22,7 +22,7 @@ import traceback
 import warnings
 from typing import Callable, Iterable, Sequence, TypeVar
 
-from ..errors import ParallelError
+from ..errors import ConfigError, ParallelError
 from ..obs import get_logger, metrics, tracer
 from ..obs.trace import HW_PID as _HW_PID
 
@@ -60,9 +60,9 @@ def _mark_worker(worker_init: Callable[[], None] | None = None) -> None:
 def resolve_jobs(jobs: int | None = None) -> int:
     """Effective worker count: explicit value > ``REPRO_JOBS`` env > 1.
 
-    ``jobs=0`` / ``REPRO_JOBS=0`` means "all CPUs".  Values are clamped
-    to >= 1; a malformed environment value falls back to serial with a
-    warning instead of raising.
+    ``jobs=0`` / ``REPRO_JOBS=0`` means "all CPUs"; a negative count
+    (argument or environment) raises :class:`ConfigError`.  A
+    non-integer environment value falls back to serial with a warning.
     """
     if jobs is None:
         raw = os.environ.get(JOBS_ENV_VAR, "").strip()
@@ -77,9 +77,11 @@ def resolve_jobs(jobs: int | None = None) -> int:
                 stacklevel=2,
             )
             return 1
+    if jobs < 0:
+        raise ConfigError(f"job count must be >= 0, got {jobs}")
     if jobs == 0:
         return os.cpu_count() or 1
-    return max(1, int(jobs))
+    return int(jobs)
 
 
 def _call_job(payload):

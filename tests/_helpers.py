@@ -51,3 +51,18 @@ def use_kernel(monkeypatch, name: str) -> None:
         monkeypatch.setattr(native, "_library", lambda: None)
     elif native.jit_status()["backend"] != "cc":
         pytest.skip("no C compiler available")
+
+
+def reference_result(workload, row, *, scale: float, arch=None):
+    """A campaign row's point re-simulated on the per-access reference
+    engine, from a freshly generated trace (centre replicate 0)."""
+    from repro.nmcsim import NMCSimulator
+    from repro.workloads.base import config_seed
+
+    params = dict(row.parameters)
+    trace = workload.generate(
+        params, scale=scale, seed=config_seed(workload.name, params)
+    )
+    return NMCSimulator(arch, engine="reference").run(
+        trace, workload=workload.name, parameters=params
+    )

@@ -1,7 +1,7 @@
 """Batched campaign replay + the persistent phase-A memo store.
 
 Covers the bit-identity matrix (batched vs per-point simulation and the
-reference-engine campaign, across workloads, backends, job counts and
+reference-engine runs, across workloads, backends, job counts and
 phase-B kernels), the persistent store's corruption /
 version-skew tolerance, concurrent-writer safety, the in-process memo
 caps, and benchmark-record placement.
@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from _helpers import reference_result
 from repro.config import NMCConfig, default_nmc_config
 from repro.core.campaign import CampaignCache, SimulationCampaign
 from repro.errors import SimulationError
@@ -32,7 +33,7 @@ from repro.nmcsim import (
 from repro import store as store_mod
 from repro.nmcsim import simulator as simulator_mod
 from repro.nmcsim.simulator import store_key
-from repro.obs import metrics
+from repro.obs import activate_tracing, metrics, reset_tracing
 from repro.store import MemoStore
 from repro.workloads import get_workload
 
@@ -83,16 +84,24 @@ class TestBatchedBitIdentity:
             )
             for trace, cfg, w, p in points
         ]
-        got = simulate_batch(points, engine="fast")
+        got = simulate_batch(points)
         assert [canonical(r) for r in got] == expected
 
-    def test_reference_engine_falls_back_per_point(self):
+    def test_reference_engine_falls_back_per_point(self, tmp_path):
+        # The hardware timeline needs one event per access: a traced
+        # batch runs the reference engine point by point.
         trace = small_trace("atax", scale=8.0)
         points = [(trace, None, "atax", {})]
-        (ref,) = simulate_batch(points, engine="reference")
         fast = NMCSimulator(engine="fast").run(
             trace, workload="atax", parameters={}
         )
+        calls = simulation_batch_summary()["calls"]
+        try:
+            activate_tracing(tmp_path / "hw.json", hw=True)
+            (ref,) = simulate_batch(points)
+        finally:
+            reset_tracing()
+        assert simulation_batch_summary()["calls"] == calls
         assert canonical(ref) == canonical(fast)
 
     def test_empty_trace_rejected(self):
@@ -106,18 +115,11 @@ class TestBatchedBitIdentity:
         self, kernel_form, jobs, tmp_path
     ):
         workload = get_workload("atax")
-        baseline = SimulationCampaign(
-            scale=8.0, jobs=1, engine="reference"
-        ).run(workload)
-        expected = [canonical(row.result) for row in baseline.rows]
-        batched = SimulationCampaign(
-            scale=8.0, jobs=jobs, engine="fast",
-            memo_dir=tmp_path / "store",
-        ).run(workload)
-        assert [canonical(row.result) for row in batched.rows] == expected
-        assert [row.parameters for row in batched.rows] == [
-            row.parameters for row in baseline.rows
-        ]
+        configure_store(tmp_path / "store")
+        batched = SimulationCampaign(scale=8.0, jobs=jobs).run(workload)
+        for row in batched.rows:
+            expected = reference_result(workload, row, scale=8.0)
+            assert canonical(row.result) == canonical(expected)
 
     def test_campaign_batched_reuses_cache(self, tmp_path):
         workload = get_workload("atax")
@@ -258,9 +260,8 @@ class TestMemoStore:
             ]:
                 del trace._memo[key]
         before = store_status()
-        shared = SimulationCampaign(
-            scale=8.0, jobs=2, memo_dir=tmp_path
-        ).run(workload)
+        configure_store(tmp_path)
+        shared = SimulationCampaign(scale=8.0, jobs=2).run(workload)
         assert [canonical(r.result) for r in shared.rows] == [
             canonical(r.result) for r in baseline.rows
         ]

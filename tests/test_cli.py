@@ -5,6 +5,8 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
+from repro.core import campaign as campaign_mod
+from repro.nmcsim import configure_store
 
 
 def run_cli(capsys, *argv):
@@ -218,6 +220,58 @@ class TestCampaignCommand:
         )
         assert code == 0
         assert "11 configurations" in out
+
+    @pytest.mark.parametrize("jobs", ["-1", "-2"])
+    def test_negative_jobs_rejected(self, capsys, jobs):
+        code, _, err = run_cli(
+            capsys, "campaign", "gemv", "--scale", "8", "--jobs", jobs
+        )
+        assert code == 2
+        assert "job count must be >= 0" in err
+
+
+@pytest.fixture
+def store_off():
+    """The persistent memo store is process-global: leave it off.  Fresh
+    traces, too: a trace memoised by an earlier test carries warm
+    in-process phase-A memos, which never consult the store."""
+    campaign_mod._TRACE_MEMO.clear()
+    configure_store(None)
+    yield
+    configure_store(None)
+
+
+class TestMemoDirFlag:
+    """Every command that takes --memo-dir writes its store there."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["campaign", "gemv"],
+            ["train", "gemv", "atax", "--no-tune", "--trees", "5"],
+            ["suitability", "gemv", "atax", "--backend", "hmc"],
+            ["suitability", "gemv", "atax",
+             "--backend", "hmc", "--backend", "hbm2"],
+        ],
+        ids=["campaign", "train", "suitability", "suitability-2-backends"],
+    )
+    def test_store_written_and_recorded(
+        self, capsys, tmp_path, monkeypatch, store_off, argv
+    ):
+        monkeypatch.delenv("REPRO_JOBS", raising=False)
+        store = tmp_path / "store"
+        man = tmp_path / "m.json"
+        if argv[0] == "train":
+            argv = argv + ["-o", str(tmp_path / "m.pkl")]
+        code, _, err = run_cli(
+            capsys, *argv, "--scale", "8", "--memo-dir", str(store),
+            "--manifest", str(man),
+        )
+        assert code == 0, err
+        assert list(store.rglob("*.bin"))
+        data = json.loads(man.read_text())
+        assert data["sim_memo"]["store"]["dir"] == str(store)
+        assert data["jobs"] == 1
 
 
 class TestSuitabilityCommand:

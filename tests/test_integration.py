@@ -6,12 +6,12 @@ import pytest
 from repro import (
     HostSimulator,
     NapelTrainer,
+    NMCSimulator,
     SimulationCampaign,
     analyze_suitability,
     analyze_trace,
     default_nmc_config,
     get_workload,
-    simulate,
 )
 from repro.core.dataset import TrainingSet
 from repro.core.suitability import SuitabilityResult
@@ -85,10 +85,10 @@ class TestFullPipeline:
         w = get_workload("mvt")
         trace = w.generate(w.central_config(), scale=3.0)
         p = analyze_trace(trace)
-        r_small = simulate(trace, default_nmc_config())
-        r_big = simulate(
-            trace, default_nmc_config().replace(l1_lines=256, l1_ways=4)
-        )
+        r_small = NMCSimulator(default_nmc_config()).run(trace)
+        r_big = NMCSimulator(
+            default_nmc_config().replace(l1_lines=256, l1_ways=4)
+        ).run(trace)
         # Same profile, different labels: the architecture only enters
         # through simulation.
         assert r_small.ipc != r_big.ipc
@@ -191,3 +191,28 @@ def test_every_public_name_resolves():
         if not hasattr(module, name)
     ]
     assert not missing
+
+
+def test_environment_variables_match_docs():
+    """The ``REPRO_*`` names in the source are exactly the ones the
+    environment-variable table of docs/API.md documents."""
+    import ast
+    import re
+    from pathlib import Path
+
+    root = Path(__file__).resolve().parent.parent
+    in_source = {
+        node.value
+        for path in (root / "src" / "repro").rglob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Constant)
+        and isinstance(node.value, str)
+        and re.fullmatch(r"REPRO_[A-Z0-9_]+", node.value)
+    }
+    api = (root / "docs" / "API.md").read_text()
+    section = api.split("## Environment variables\n", 1)[1]
+    section = section.split("\n## ", 1)[0]
+    documented = set(
+        re.findall(r"^\| `(REPRO_[A-Z0-9_]+)` \|", section, re.M)
+    )
+    assert in_source == documented

@@ -6,7 +6,7 @@ import pytest
 from repro.errors import TraceError
 from repro.ir import Instruction, InstructionTrace, Opcode, validate_trace
 from repro.ir.trace import TRACE_COLUMNS
-from repro.nmcsim import simulate
+from repro.nmcsim import NMCSimulator
 from repro.profiler import analyze_trace
 
 
@@ -90,4 +90,4 @@ class TestUnknownOpcodesFailLoud:
             if run == "profile":
                 analyze_trace(bad)
             else:
-                simulate(bad, engine=run)
+                NMCSimulator(engine=run).run(bad)

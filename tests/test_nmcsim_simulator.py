@@ -13,7 +13,7 @@ from repro.ir import (
     TemplateOp,
     TraceBuilder,
 )
-from repro.nmcsim import NMCSimulator, compute_energy, simulate
+from repro.nmcsim import NMCSimulator, compute_energy
 from repro.nmcsim.energy import EnergyBreakdown
 from _helpers import build_stream_trace
 
@@ -21,7 +21,7 @@ from _helpers import build_stream_trace
 class TestSimulatorBasics:
     def test_empty_trace_rejected(self):
         with pytest.raises(SimulationError):
-            simulate(InstructionTrace.empty())
+            NMCSimulator().run(InstructionTrace.empty())
 
     @pytest.mark.parametrize(
         "line_bytes, ok",
@@ -40,7 +40,7 @@ class TestSimulatorBasics:
         trace = InstructionTrace.from_instructions(
             [Instruction(Opcode.IALU, dst=1)] * 100
         )
-        result = simulate(trace)
+        result = NMCSimulator().run(trace)
         assert result.ipc == pytest.approx(1.0, rel=0.02)
         assert result.cycles == pytest.approx(100, abs=2)
 
@@ -51,15 +51,20 @@ class TestSimulatorBasics:
         slow = InstructionTrace.from_instructions(
             [Instruction(Opcode.FDIV, dst=1)] * 100
         )
-        assert simulate(slow).time_s > simulate(fast).time_s
+        sim = NMCSimulator()
+        assert sim.run(slow).time_s > sim.run(fast).time_s
 
     def test_misses_stall_the_pe(self, random_trace, stream_trace):
-        irregular = simulate(random_trace)
-        regular = simulate(build_stream_trace(len(random_trace) // 3))
+        irregular = NMCSimulator().run(random_trace)
+        regular = NMCSimulator().run(
+            build_stream_trace(len(random_trace) // 3)
+        )
         assert irregular.cache.miss_ratio > regular.cache.miss_ratio
 
     def test_result_consistency(self, stream_trace):
-        result = simulate(stream_trace, workload="s", parameters={"n": 1})
+        result = NMCSimulator().run(
+            stream_trace, workload="s", parameters={"n": 1}
+        )
         assert result.instructions == len(stream_trace)
         assert result.ipc == pytest.approx(
             result.instructions / result.cycles
@@ -70,13 +75,13 @@ class TestSimulatorBasics:
         assert result.edp == pytest.approx(result.energy_j * result.time_s)
 
     def test_deterministic(self, stream_trace):
-        a = simulate(stream_trace)
-        b = simulate(stream_trace)
+        a = NMCSimulator().run(stream_trace)
+        b = NMCSimulator().run(stream_trace)
         assert a.cycles == b.cycles
         assert a.energy_j == b.energy_j
 
     def test_cache_accesses_equal_memory_ops(self, stream_trace):
-        result = simulate(stream_trace)
+        result = NMCSimulator().run(stream_trace)
         assert result.cache.accesses == stream_trace.memory_op_count
 
 
@@ -94,14 +99,14 @@ class TestMultiPE:
         return builder.finish()
 
     def test_parallel_speedup(self):
-        t1 = simulate(self._threaded_trace(1, 2000))
-        t8 = simulate(self._threaded_trace(8, 250))
+        t1 = NMCSimulator().run(self._threaded_trace(1, 2000))
+        t8 = NMCSimulator().run(self._threaded_trace(8, 250))
         # Same total work, 8 PEs: substantially faster.
         assert t8.time_s < t1.time_s / 3
 
     def test_aggregate_ipc_scales_with_pes(self):
-        r1 = simulate(self._threaded_trace(1, 1000))
-        r8 = simulate(self._threaded_trace(8, 1000))
+        r1 = NMCSimulator().run(self._threaded_trace(1, 1000))
+        r8 = NMCSimulator().run(self._threaded_trace(8, 1000))
         assert r8.ipc > 3 * r1.ipc
 
     def test_threads_beyond_pes_time_multiplex(self):
@@ -110,7 +115,7 @@ class TestMultiPE:
         assert result.n_pes_used == 4
 
     def test_n_pes_used_reported(self):
-        result = simulate(self._threaded_trace(6, 100))
+        result = NMCSimulator().run(self._threaded_trace(6, 100))
         assert result.n_pes_used == 6
 
 
@@ -169,8 +174,8 @@ class TestEnergy:
     def test_dram_heavy_trace_spends_more_dram_energy(
         self, random_trace, stream_trace
     ):
-        irregular = simulate(random_trace)
-        regular = simulate(stream_trace)
+        irregular = NMCSimulator().run(random_trace)
+        regular = NMCSimulator().run(stream_trace)
         irr_frac = irregular.energy.dram_dynamic_j / irregular.energy_j
         reg_frac = regular.energy.dram_dynamic_j / regular.energy_j
         assert irr_frac > reg_frac
@@ -178,7 +183,9 @@ class TestEnergy:
     def test_result_json_roundtrip(self, stream_trace):
         from repro.nmcsim import SimulationResult
 
-        result = simulate(stream_trace, workload="w", parameters={"d": 2})
+        result = NMCSimulator().run(
+            stream_trace, workload="w", parameters={"d": 2}
+        )
         restored = SimulationResult.from_json_dict(result.to_json_dict())
         assert restored.ipc == pytest.approx(result.ipc)
         assert restored.energy_j == pytest.approx(result.energy_j)
@@ -202,7 +209,9 @@ class TestFlushAccounting:
     def test_store_heavy_writebacks_include_flush(self):
         cfg = default_nmc_config()  # tiny 2-line L1, single set
         n = 64
-        result = simulate(self._store_sweep_trace(n, cfg.line_bytes), cfg)
+        result = NMCSimulator(cfg).run(
+            self._store_sweep_trace(n, cfg.line_bytes)
+        )
         # Every distinct stored line returns to DRAM exactly once:
         # n - l1_lines dirty evictions during the sweep, plus the
         # l1_lines still-resident dirty lines flushed at kernel end.
@@ -216,7 +225,9 @@ class TestFlushAccounting:
         from repro.nmcsim import SimulationResult
 
         cfg = default_nmc_config()
-        result = simulate(self._store_sweep_trace(16, cfg.line_bytes), cfg)
+        result = NMCSimulator(cfg).run(
+            self._store_sweep_trace(16, cfg.line_bytes)
+        )
         restored = SimulationResult.from_json_dict(result.to_json_dict())
         assert restored.cache.flushes == result.cache.flushes > 0
         assert restored.cache.writebacks == result.cache.writebacks
@@ -225,7 +236,9 @@ class TestFlushAccounting:
         from repro.nmcsim import SimulationResult
 
         cfg = default_nmc_config()
-        result = simulate(self._store_sweep_trace(8, cfg.line_bytes), cfg)
+        result = NMCSimulator(cfg).run(
+            self._store_sweep_trace(8, cfg.line_bytes)
+        )
         data = result.to_json_dict()
         del data["cache"]["flushes"]  # pre-flush-accounting cache file
         restored = SimulationResult.from_json_dict(data)

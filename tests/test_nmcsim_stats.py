@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import default_nmc_config, simulate
+from repro import NMCSimulator, default_nmc_config
 from repro.errors import SimulationError
 from repro.nmcsim import derive_stats, format_stats
 from _helpers import build_random_trace, build_stream_trace
@@ -10,12 +10,12 @@ from _helpers import build_random_trace, build_stream_trace
 
 @pytest.fixture(scope="module")
 def stream_result():
-    return simulate(build_stream_trace(3000), workload="stream")
+    return NMCSimulator().run(build_stream_trace(3000), workload="stream")
 
 
 @pytest.fixture(scope="module")
 def random_result():
-    return simulate(build_random_trace(3000), workload="random")
+    return NMCSimulator().run(build_random_trace(3000), workload="random")
 
 
 class TestDeriveStats:

@@ -13,7 +13,7 @@ import pytest
 
 from repro import SimulationCampaign
 from repro.core import evaluate_loocv
-from repro.errors import ParallelError
+from repro.errors import ConfigError, ParallelError
 from repro.ml import RandomForestRegressor, grid_search
 from repro.parallel import (
     ProcessExecutor,
@@ -94,6 +94,14 @@ class TestResolveJobs:
         with pytest.warns(RuntimeWarning):
             assert resolve_jobs(None) == 1
 
+    @pytest.mark.parametrize("source", ["argument", "env"])
+    @pytest.mark.parametrize("value", [-1, -2])
+    def test_negative_count_rejected(self, monkeypatch, source, value):
+        env = "2" if source == "argument" else str(value)
+        monkeypatch.setenv("REPRO_JOBS", env)
+        with pytest.raises(ConfigError, match="job count"):
+            resolve_jobs(value if source == "argument" else None)
+
 
 @pytest.fixture(scope="module")
 def tiny_configs():
@@ -129,13 +137,6 @@ class TestCampaignEquivalence:
         before = campaign.doe_run_seconds["atax"]
         campaign.run(atax, tiny_configs)
         assert campaign.doe_run_seconds["atax"] == before
-
-    def test_per_call_jobs_overrides_campaign_setting(
-        self, atax, tiny_configs
-    ):
-        campaign = SimulationCampaign(scale=4.0, jobs=2)
-        serial_set = campaign.run(atax, tiny_configs, jobs=1)
-        assert len(serial_set) == len(tiny_configs)
 
 
 class TestCampaignJobsFallback:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import default_nmc_config, simulate
+from repro import NMCSimulator, default_nmc_config
 from repro.ir import (
     Instruction,
     InstructionTrace,
@@ -55,7 +55,7 @@ class TestSimulatorInvariants:
     @given(random_traces())
     def test_basic_invariants(self, trace):
         validate_trace(trace)
-        result = simulate(trace)
+        result = NMCSimulator().run(trace)
         cfg = default_nmc_config()
         # Aggregate IPC cannot exceed one per active PE (single issue).
         assert result.ipc <= result.n_pes_used + 1e-9
@@ -103,8 +103,8 @@ class TestSimulatorInvariants:
         )
         base = default_nmc_config()
         double = base.replace(frequency_ghz=base.frequency_ghz * 2)
-        t1 = simulate(trace, base).time_s
-        t2 = simulate(trace, double).time_s
+        t1 = NMCSimulator(base).run(trace).time_s
+        t2 = NMCSimulator(double).run(trace).time_s
         assert t2 == pytest.approx(t1 / 2, rel=0.05)
 
 

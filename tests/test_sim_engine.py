@@ -10,6 +10,7 @@ against hand-traced expectations and an independent stack-distance +
 ordered-dict reconstruction.
 """
 
+import contextlib
 import json
 from collections import OrderedDict, defaultdict
 
@@ -18,18 +19,16 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from _helpers import use_kernel
+from _helpers import reference_result, use_kernel
 from repro import SimulationCampaign, default_nmc_config, get_workload
 from repro.backends import backend_names
-from repro.config import SIM_ENGINES, NMCConfig
+from repro.config import NMCConfig
 from repro.errors import ConfigError
 from repro.ir import COLD_DISTANCE, TraceBuilder, grouped_reuse_distances
 from repro.nmcsim import (
-    ENGINES,
     NMCSimulator,
     classify_streams,
     jit_status,
-    resolve_engine,
     simulate_batch,
     simulation_memo_summary,
 )
@@ -254,29 +253,13 @@ class TestClassifierProperty:
 
 
 class TestEngineSelection:
-    def test_default_is_fast(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SIM_ENGINE", raising=False)
-        assert resolve_engine() == "fast"
+    def test_default_is_fast(self):
         assert NMCSimulator().engine == "fast"
+        assert NMCSimulator(engine="reference").engine == "reference"
 
-    def test_env_selects_reference(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SIM_ENGINE", "reference")
-        assert resolve_engine() == "reference"
-        assert NMCSimulator().engine == "reference"
-
-    def test_argument_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SIM_ENGINE", "reference")
-        assert resolve_engine("fast") == "fast"
-
-    def test_invalid_engine_rejected(self, monkeypatch):
-        with pytest.raises(ConfigError):
-            resolve_engine("turbo")
-        monkeypatch.setenv("REPRO_SIM_ENGINE", "turbo")
-        with pytest.raises(ConfigError):
-            resolve_engine()
-
-    def test_engine_names_shared_with_config(self):
-        assert ENGINES == SIM_ENGINES == ("fast", "reference")
+    def test_invalid_engine_rejected(self):
+        with pytest.raises(ConfigError, match="turbo"):
+            NMCSimulator(engine="turbo")
 
 
 # ---------------------------------------------------- engine equivalence
@@ -400,11 +383,31 @@ ATAX_CONFIGS = [
 ]
 
 
-def run_campaign(engine, jobs, arch=None):
-    campaign = SimulationCampaign(
-        arch, scale=4.0, jobs=jobs, engine=engine
-    )
-    return campaign.run(get_workload("atax"), ATAX_CONFIGS, jobs=jobs)
+@contextlib.contextmanager
+def campaign_engine(engine, tmp_path):
+    """Campaigns run the fast engine; hardware tracing is what routes
+    their points through the per-access reference engine."""
+    if engine == "fast":
+        yield
+        return
+    activate_tracing(tmp_path / "hw.json", hw=True)
+    try:
+        yield
+    finally:
+        reset_tracing()
+
+
+def run_campaign(jobs, arch=None):
+    campaign = SimulationCampaign(arch, scale=4.0, jobs=jobs)
+    return campaign.run(get_workload("atax"), ATAX_CONFIGS)
+
+
+def assert_rows_match_reference(training, arch=None):
+    """Each row equals a reference-engine run of its own trace."""
+    atax = get_workload("atax")
+    for row in training.rows:
+        expected = reference_result(atax, row, scale=4.0, arch=arch)
+        assert result_dict(row.result) == result_dict(expected)
 
 
 def assert_rows_equal(got, expected):
@@ -420,33 +423,33 @@ class TestCampaignEquivalence:
     @pytest.mark.parametrize(
         "engine,jobs", [("fast", 1), ("fast", 2), ("reference", 2)]
     )
-    def test_matches_reference_serial(self, engine, jobs):
-        assert_rows_equal(
-            run_campaign(engine, jobs), run_campaign("reference", 1)
-        )
+    def test_matches_reference_serial(self, engine, jobs, tmp_path):
+        with campaign_engine(engine, tmp_path):
+            batches_before = metrics().count("sim.batch.calls")
+            training = run_campaign(jobs)
+            batched = metrics().count("sim.batch.calls") > batches_before
+        assert batched == (engine == "fast")
+        assert_rows_match_reference(training)
 
     @pytest.mark.parametrize("engine", ["fast", "reference"])
-    def test_run_point_matches_run_row(self, engine):
+    def test_run_point_matches_run_row(self, engine, tmp_path):
         # run() and run_point() share one simulation path: a lone point
         # reproduces its campaign row bit for bit.
         atax = get_workload("atax")
-        rows = run_campaign(engine, 1).rows
-        for config, row in zip(ATAX_CONFIGS, rows):
-            single = SimulationCampaign(
-                scale=4.0, engine=engine
-            ).run_point(atax, config)
-            assert single.parameters == row.parameters
-            np.testing.assert_array_equal(single.features, row.features)
-            assert result_dict(single.result) == result_dict(row.result)
+        rows = run_campaign(1).rows
+        with campaign_engine(engine, tmp_path):
+            for config, row in zip(ATAX_CONFIGS, rows):
+                single = SimulationCampaign(scale=4.0).run_point(atax, config)
+                assert single.parameters == row.parameters
+                np.testing.assert_array_equal(single.features, row.features)
+                assert result_dict(single.result) == result_dict(row.result)
 
     def test_trace_reused_across_architectures(self):
         # Two campaigns over the same input points but different
         # architectures: the second must reuse the memoized traces.
-        run_campaign("fast", 1)
+        run_campaign(1)
         before = metrics().count("campaign.trace_reuse")
-        run_campaign(
-            "fast", 1, arch=default_nmc_config().replace(n_vaults=8)
-        )
+        run_campaign(1, arch=default_nmc_config().replace(n_vaults=8))
         after = metrics().count("campaign.trace_reuse")
         assert after >= before + len(ATAX_CONFIGS)
 
@@ -498,19 +501,19 @@ class TestClassificationMemo:
         # DRAM shape: classification is served from the memo while the
         # DRAM-dependent event build re-runs — and results still match
         # the reference engine exactly.
-        run_campaign("fast", 1)
+        run_campaign(1)
         hits_before = metrics().count("sim.memo.classify.hits")
         narrow = default_nmc_config().replace(n_vaults=8)
-        got = run_campaign("fast", 1, arch=narrow)
+        got = run_campaign(1, arch=narrow)
         assert (
             metrics().count("sim.memo.classify.hits")
             >= hits_before + len(ATAX_CONFIGS)
         )
-        assert_rows_equal(got, run_campaign("reference", 1, arch=narrow))
+        assert_rows_match_reference(got, narrow)
 
     def test_parallel_memo_campaign_matches_serial(self):
-        serial = run_campaign("fast", 1)
-        assert_rows_equal(run_campaign("fast", 2), serial)
+        serial = run_campaign(1)
+        assert_rows_equal(run_campaign(2), serial)
 
 
 # ------------------------------------------------- compiled phase-B kernel
@@ -560,9 +563,7 @@ def assert_engines_agree(case):
         )
         assert result_dict(fast) == result_dict(ref), cfg
         per_point.append(result_dict(fast))
-    batched = simulate_batch(
-        [(trace, cfg, name, params) for cfg in archs], engine="fast"
-    )
+    batched = simulate_batch([(trace, cfg, name, params) for cfg in archs])
     assert [result_dict(r) for r in batched] == per_point
 
 

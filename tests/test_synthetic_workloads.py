@@ -7,7 +7,7 @@ serial — the canonical memory-system corner cases.
 
 import pytest
 
-from repro import HostSimulator, analyze_trace, default_nmc_config, simulate
+from repro import HostSimulator, analyze_trace, default_nmc_config
 from repro.ir import validate_trace
 from repro.nmcsim import NMCSimulator
 from repro.workloads.synthetic import Gups, Stream, SYNTHETIC_WORKLOADS
@@ -54,8 +54,8 @@ class TestSimulatorCalibration:
         (With the Table 3 two-line L1, STREAM's three streams thrash the
         cache completely — every access misses — so the row-buffer hit is
         the only locality the NMC system can exploit for it.)"""
-        r_stream = simulate(traces["stream"])
-        r_gups = simulate(traces["gups"])
+        r_stream = NMCSimulator().run(traces["stream"])
+        r_gups = NMCSimulator().run(traces["gups"])
         assert r_stream.cache.miss_ratio > 0.95  # the 2-line L1 is useless
         t_stream = r_stream.time_s / r_stream.cache.misses
         t_gups = r_gups.time_s / r_gups.cache.misses
@@ -63,7 +63,7 @@ class TestSimulatorCalibration:
 
     def test_chase_latency_bound(self, traces):
         """Pointer chasing pays ~full DRAM latency per hop."""
-        result = simulate(traces["chase"])
+        result = NMCSimulator().run(traces["chase"])
         cfg = default_nmc_config()
         # Hops are serial *within* a thread; threads run in parallel.
         hops_per_thread = result.cache.misses / result.n_pes_used
@@ -84,9 +84,9 @@ class TestSimulatorCalibration:
         gups = Gups()
         cfg = dict(gups.central_config())
         cfg["threads"] = 1
-        t1 = simulate(gups.generate(cfg, scale=2.0)).time_s
+        t1 = NMCSimulator().run(gups.generate(cfg, scale=2.0)).time_s
         cfg["threads"] = 16
-        t16 = simulate(gups.generate(cfg, scale=2.0)).time_s
+        t16 = NMCSimulator().run(gups.generate(cfg, scale=2.0)).time_s
         assert t16 < t1 / 4
 
     def test_host_prefers_stream_over_gups(self, traces):

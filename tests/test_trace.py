@@ -17,6 +17,7 @@ from repro.obs import (
     summarize_trace,
     validate_trace,
 )
+from repro.obs import trace as trace_mod
 from repro.obs.trace import (
     HW_PID,
     MERGE_PID_STRIDE,
@@ -330,7 +331,7 @@ class TestCliTracing:
     def test_hw_timeline_respects_sampling_cap(
         self, capsys, tmp_path, monkeypatch
     ):
-        monkeypatch.setenv("REPRO_TRACE_HW_CAP", "50")
+        monkeypatch.setattr(trace_mod, "DEFAULT_HW_CAP", 50)
         trace_path = tmp_path / "hw.json"
         code, _, _ = run_cli(
             capsys, "simulate", "atax", "--scale", "8",
