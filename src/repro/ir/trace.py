@@ -181,8 +181,8 @@ class InstructionTrace:
         key = ("footprint_lines", line_shift)
         got = self._memo.get(key)
         if got is None:
-            addrs, _sizes, _is_write = self.memory_accesses()
-            got = int(len(np.unique(addrs >> np.uint64(line_shift))))
+            lines = np.sort(self.addr[self.memory_mask] >> np.uint64(line_shift))
+            got = int(np.count_nonzero(lines[1:] != lines[:-1])) + bool(len(lines))
             self._memo[key] = got
         return got
 

@@ -5,6 +5,8 @@ function in :data:`_C_SOURCE` and a pure-Python form, which is both the
 test oracle and the fallback on hosts without a compiler.  The modules
 that own a loop :func:`register` both forms under one name:
 
+* ``fill_trace`` — every column of every template group of a trace
+  in one call (:mod:`repro.ir.builder`);
 * ``contend_packed_multi`` — the fast engine's phase-B contention
   (:mod:`repro.nmcsim._native`);
 * ``stream_digests`` — phase A's stream digestion: every PE stream of
@@ -31,9 +33,9 @@ compiler is found or the build fails, every kernel runs its Python form.
 :func:`jit_status` says which.
 
 Bit-equivalence contract: each C function keeps its Python form's exact
-arithmetic.  The profiler and phase-A L1 kernels are integer-only; the
-stream digests keep integer prefix sums and sequential double sums, as
-``np.cumsum`` does; phase B keeps the floating-point operation order of
+arithmetic.  The trace fill, the profiler and phase-A L1 kernels are
+integer-only; the stream digests keep integer prefix sums and
+sequential double sums, as ``np.cumsum`` does; phase B keeps the floating-point operation order of
 ``StackedMemory.access`` (C ``double`` and CPython ``float`` are both
 IEEE-754 binary64, and ``-ffp-contract=off`` forbids FMA contraction);
 the tree builder replays numpy's: pairwise summation for node sums, libm
@@ -66,6 +68,53 @@ _C_SOURCE = r"""
 #include <string.h>
 
 typedef int64_t i64;
+
+/* ---------------------------------------------------- trace fill */
+
+/* Every TraceBuilder.threads() group into the eight trace columns.
+   groups: per group (first position, segments, first tid, first run,
+   runs); runs: per run (first body row, ops, pc base, first count,
+   first slot); body: per op (opcode, dst, src1, src2, size, slot
+   ordinal or -1); slots: each run's address arrays, one per addressed
+   op.  For each segment, each run emits its count of iterations under
+   the segment's tid; cursor (one per run) walks its address arrays. */
+void fill_trace(
+    uint8_t *opcode, int32_t *dst, int32_t *src1, int32_t *src2,
+    uint64_t *addr, uint16_t *size, uint32_t *pc, uint16_t *tid,
+    const i64 *groups, i64 n_groups, const uint16_t *tids,
+    const i64 *runs, const i64 *counts, const i64 *body,
+    const uint64_t *const *slots, i64 *cursor)
+{
+    for (const i64 *g = groups; g < groups + 5 * n_groups; g += 5) {
+        i64 at = g[0];
+        const i64 *grun = runs + 5 * g[3];
+        for (i64 r = 0; r < g[4]; r++) cursor[r] = 0;
+        for (i64 s = 0; s < g[1]; s++) {
+            for (i64 r = 0; r < g[4]; r++) {
+                const i64 *run = grun + 5 * r;
+                const i64 *ops = body + 6 * run[0];
+                const uint64_t *const *sl = slots + run[4];
+                i64 k = run[1], first = cursor[r];
+                i64 last = first + counts[run[3] + s];
+                uint32_t pc0 = (uint32_t)run[2];
+                uint16_t t = tids[g[2] + s];
+                for (i64 i = first; i < last; i++)
+                    for (i64 j = 0; j < k; j++, at++) {
+                        const i64 *op = ops + 6 * j;
+                        opcode[at] = (uint8_t)op[0];
+                        dst[at] = (int32_t)op[1];
+                        src1[at] = (int32_t)op[2];
+                        src2[at] = (int32_t)op[3];
+                        size[at] = (uint16_t)op[4];
+                        addr[at] = op[5] < 0 ? 0 : sl[op[5]][i];
+                        pc[at] = pc0 + (uint32_t)j;
+                        tid[at] = t;
+                    }
+                cursor[r] = last;
+            }
+        }
+    }
+}
 
 /* ------------------------------------------------ phase-B contention */
 

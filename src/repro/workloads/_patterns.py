@@ -179,3 +179,9 @@ def tile_ij(i_values: np.ndarray, j_count: int) -> tuple[np.ndarray, np.ndarray]
     i = np.repeat(i_values.astype(np.int64), j_count)
     j = np.tile(np.arange(j_count, dtype=np.int64), len(i_values))
     return i, j
+
+
+def ragged_arange(counts: np.ndarray) -> np.ndarray:
+    """``concatenate([arange(c) for c in counts])`` without a Python loop."""
+    counts = np.asarray(counts, dtype=np.int64)
+    return np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)

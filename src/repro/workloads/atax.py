@@ -16,7 +16,7 @@ import numpy as np
 
 from ..ir import InstructionTrace, TraceBuilder
 from . import _patterns as pat
-from .base import AddressSpace, DoEParameter, SizeMapping, Workload, partition_range
+from .base import AddressSpace, DoEParameter, SizeMapping, Workload, partition_counts
 
 
 class Atax(Workload):
@@ -55,59 +55,29 @@ class Atax(Workload):
         dot = pat.dot_product()
         update = pat.stream_update()
         builder = TraceBuilder()
+        tids = np.arange(threads)
+        counts = partition_counts(n, threads)
+        rows = np.arange(n)
+        i, j = pat.tile_ij(rows, n)
+        tmp = pat.vector_addr(tmp_base, rows)
+        y = pat.vector_addr(y_base, rows)
         # Phase 1: tmp[i] = sum_j A[i][j] * x[j] — row-parallel, each thread
         # streams its rows with unit stride (prefetch-friendly).
-        for tid, (r0, r1) in enumerate(partition_range(n, threads)):
-            if r0 == r1:
-                continue
-            rows = np.arange(r0, r1)
-            i, j = pat.tile_ij(rows, n)
-            dot.emit(
-                builder,
-                len(i),
-                {
-                    "a": pat.row_major(a_base, i, j, v),
-                    "x": pat.vector_addr(x_base, j),
-                },
-                tid=tid,
-                pc_base=0,
-            )
-            update.emit(
-                builder,
-                len(rows),
-                {
-                    "a": pat.vector_addr(tmp_base, rows),
-                    "a_out": pat.vector_addr(tmp_base, rows),
-                },
-                tid=tid,
-                pc_base=16,
-            )
+        builder.threads(tids, [
+            (dot, counts * n, {
+                "a": pat.row_major(a_base, i, j, v),
+                "x": pat.vector_addr(x_base, j),
+            }, 0),
+            (update, counts, {"a": tmp, "a_out": tmp}, 16),
+        ])
         # Phase 2: y[j] = sum_i A[i][j] * tmp[i] — column-parallel: every
         # thread walks whole columns of A top to bottom, striding by the
         # full-scale row pitch (v * 8 bytes) at every step.
-        for tid, (c0, c1) in enumerate(partition_range(n, threads)):
-            if c0 == c1:
-                continue
-            cols = np.arange(c0, c1)
-            jj, ii = pat.tile_ij(cols, n)
-            dot.emit(
-                builder,
-                len(jj),
-                {
-                    "a": pat.row_major(a_base, ii, jj, v),
-                    "x": pat.vector_addr(tmp_base, ii),
-                },
-                tid=tid,
-                pc_base=32,
-            )
-            update.emit(
-                builder,
-                len(cols),
-                {
-                    "a": pat.vector_addr(y_base, cols),
-                    "a_out": pat.vector_addr(y_base, cols),
-                },
-                tid=tid,
-                pc_base=48,
-            )
+        builder.threads(tids, [
+            (dot, counts * n, {
+                "a": pat.row_major(a_base, j, i, v),
+                "x": pat.vector_addr(tmp_base, j),
+            }, 32),
+            (update, counts, {"a": y, "a_out": y}, 48),
+        ])
         return builder.finish()

@@ -135,23 +135,21 @@ class AddressSpace:
         return addr
 
 
+def partition_counts(n: int, parts: int) -> np.ndarray:
+    """Chunk sizes of :func:`partition_range`, as an int64 array."""
+    if parts < 1:
+        raise WorkloadError("parts must be >= 1")
+    return n // parts + (np.arange(parts) < n % parts)
+
+
 def partition_range(n: int, parts: int) -> list[tuple[int, int]]:
     """Split ``range(n)`` into ``parts`` contiguous chunks (OpenMP-static).
 
     Returns ``parts`` (start, end) pairs; trailing chunks may be empty when
     ``parts > n``.
     """
-    if parts < 1:
-        raise WorkloadError("parts must be >= 1")
-    base = n // parts
-    rem = n % parts
-    out = []
-    start = 0
-    for p in range(parts):
-        size = base + (1 if p < rem else 0)
-        out.append((start, start + size))
-        start += size
-    return out
+    ends = np.cumsum(partition_counts(n, parts)).tolist()
+    return list(zip([0, *ends[:-1]], ends))
 
 
 class Workload(abc.ABC):

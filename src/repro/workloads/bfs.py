@@ -19,7 +19,7 @@ import numpy as np
 
 from ..ir import InstructionTrace, TraceBuilder
 from . import _patterns as pat
-from .base import AddressSpace, DoEParameter, SizeMapping, Workload, partition_range
+from .base import AddressSpace, DoEParameter, SizeMapping, Workload, partition_counts
 
 
 class Bfs(Workload):
@@ -68,41 +68,28 @@ class Bfs(Workload):
         gather = pat.gather_reduce()
         scatter = pat.atomic_update()
         builder = TraceBuilder()
+        tids = np.arange(threads)
+        counts = partition_counts(n_nodes, threads) * degree
         for _rep in range(repeats):
             # Node visit order is a BFS wavefront over the virtual graph:
             # a random sample of node ids from the full id space.
             order = rng.integers(0, v, size=n_nodes).astype(np.int64)
-            for tid, (r0, r1) in enumerate(partition_range(n_nodes, threads)):
-                if r0 == r1:
-                    continue
-                frontier = order[r0:r1]
-                # Expand each frontier node's `degree` neighbours.
-                src = np.repeat(frontier, degree)
-                neighbors = rng.integers(0, v, size=len(src)).astype(np.int64)
-                # Edge-array walk (sequential within a node's edge list).
-                edge_idx = (
-                    src.astype(np.int64) * degree
-                    + np.tile(np.arange(degree, dtype=np.int64), len(frontier))
-                )
-                gather.emit(
-                    builder,
-                    len(src),
-                    {
-                        "idx": edges_base + edge_idx * 4,
-                        "data": pat.vector_addr(visited_base, neighbors, elem=4),
-                    },
-                    tid=tid,
-                    pc_base=0,
-                )
+            # Expand each frontier node's `degree` neighbours.
+            src = np.repeat(order, degree)
+            neighbors = rng.integers(0, v, size=len(src)).astype(np.int64)
+            # Edge-array walk (sequential within a node's edge list).
+            edges = edges_base + 4 * (
+                src * degree + np.tile(np.arange(degree, dtype=np.int64), n_nodes)
+            )
+            builder.threads(tids, [
+                (gather, counts, {
+                    "idx": edges,
+                    "data": pat.vector_addr(visited_base, neighbors, elem=4),
+                }, 0),
                 # Update cost of newly discovered nodes (random scatter).
-                scatter.emit(
-                    builder,
-                    len(src),
-                    {
-                        "idx": edges_base + edge_idx * 4,
-                        "data": pat.vector_addr(cost_base, neighbors),
-                    },
-                    tid=tid,
-                    pc_base=16,
-                )
+                (scatter, counts, {
+                    "idx": edges,
+                    "data": pat.vector_addr(cost_base, neighbors),
+                }, 16),
+            ])
         return builder.finish()

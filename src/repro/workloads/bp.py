@@ -19,7 +19,7 @@ import numpy as np
 
 from ..ir import InstructionTrace, TraceBuilder
 from . import _patterns as pat
-from .base import AddressSpace, DoEParameter, SizeMapping, Workload, partition_range
+from .base import AddressSpace, DoEParameter, SizeMapping, Workload, partition_counts
 
 #: Hidden-layer width of the Rodinia bp network (fixed at 16 in the suite;
 #: scaled to 4 here to keep traces tractable).
@@ -77,39 +77,26 @@ class Bp(Workload):
         dot = pat.dot_product()
         update = pat.scaled_update()
         builder = TraceBuilder()
+        units = partition_counts(layer, threads)
+        counts = units * HIDDEN
+        # Each thread walks its units once per hidden neuron (h outer,
+        # unit inner): its q-th step visits h = q // units, unit
+        # first + q % units.
+        q = pat.ragged_arange(counts)
+        per = np.repeat(units, counts)
+        h = q // per
+        i = np.repeat(np.cumsum(units) - units, counts) + q % per
+        i = np.minimum(i * stride + (seed_offset % HIDDEN), v - 1)
+        weights = pat.row_major(weights_base, i, h, HIDDEN, elem=ELEM)
+        x = pat.vector_addr(input_base, i)
+        phase = [
+            # Forward: hidden[h] += w[i][h] * in[i]; the weight matrix is
+            # walked column-major (h outer, i inner) => stride HIDDEN*8.
+            (dot, counts, {"a": weights, "x": x}, 0),
+            # Backward: w[i][h] += delta[h] * in[i]; same column walk,
+            # now a read-modify-write of the huge weight matrix.
+            (update, counts, {"b": x, "a": weights, "a_out": weights}, 16),
+        ]
         for _it in range(iters):
-            for tid, (r0, r1) in enumerate(partition_range(layer, threads)):
-                if r0 == r1:
-                    continue
-                units = np.arange(r0, r1)
-                # Forward: hidden[h] += w[i][h] * in[i]; the weight matrix is
-                # walked column-major (h outer, i inner) => stride HIDDEN*8.
-                h, i = pat.tile_ij(
-                    np.arange(HIDDEN, dtype=np.int64), len(units)
-                )
-                i = units[i % len(units)] * stride + (seed_offset % HIDDEN)
-                i = np.minimum(i, v - 1)
-                dot.emit(
-                    builder,
-                    len(h),
-                    {
-                        "a": pat.row_major(weights_base, i, h, HIDDEN, elem=ELEM),
-                        "x": pat.vector_addr(input_base, i),
-                    },
-                    tid=tid,
-                    pc_base=0,
-                )
-                # Backward: w[i][h] += delta[h] * in[i]; same column walk,
-                # now a read-modify-write of the huge weight matrix.
-                update.emit(
-                    builder,
-                    len(h),
-                    {
-                        "b": pat.vector_addr(input_base, i),
-                        "a": pat.row_major(weights_base, i, h, HIDDEN, elem=ELEM),
-                        "a_out": pat.row_major(weights_base, i, h, HIDDEN, elem=ELEM),
-                    },
-                    tid=tid,
-                    pc_base=16,
-                )
+            builder.threads(np.arange(threads), phase)
         return builder.finish()

@@ -21,7 +21,7 @@ import numpy as np
 
 from ..ir import InstructionTrace, TraceBuilder
 from . import _patterns as pat
-from .base import AddressSpace, DoEParameter, SizeMapping, Workload, partition_range
+from .base import AddressSpace, DoEParameter, SizeMapping, Workload, partition_counts
 
 #: Byte spacing of scaled matrix elements (one 64 B line per element).
 ELEM = 64
@@ -65,32 +65,26 @@ class Cholesky(Workload):
         for _rep in range(repeats):
             for k in range(n - 1):
                 below = np.arange(k + 1, n, dtype=np.int64)
-                # Column scaling: A[i][k] /= A[k][k] — stride-n column walk.
-                col_k = pat.row_major(a_base, below, np.full(len(below), k), n, elem=ELEM)
-                divide.emit(
-                    builder, len(below),
-                    {"x": col_k, "x_out": col_k},
-                    tid=k % threads, pc_base=0,
+                # Column scaling: A[i][k] /= A[k][k] — stride-n column walk,
+                # on thread k % threads alone.
+                col_k = a_base + (below * n + k) * ELEM
+                # Trailing rank-1 update of the lower triangle, row-parallel
+                # (one segment per row): A[i][j] -= A[i][k] * A[j][k]  for
+                # k < j <= i < n; row i updates columns k+1 .. i.
+                owner = np.repeat(
+                    np.arange(threads), partition_counts(len(below), threads)
                 )
-                # Trailing rank-1 update of the lower triangle, row-parallel:
-                # A[i][j] -= A[i][k] * A[j][k]  for k < j <= i < n.
-                for tid, (r0, r1) in enumerate(partition_range(len(below), threads)):
-                    if r0 == r1:
-                        continue
-                    rows = below[r0:r1]
-                    counts = rows - k  # row i updates columns k+1 .. i
-                    i = np.repeat(rows, counts)
-                    j = np.concatenate(
-                        [np.arange(k + 1, r + 1, dtype=np.int64) for r in rows]
-                    )
-                    update.emit(
-                        builder, len(i),
-                        {
-                            "l": pat.row_major(a_base, i, np.full(len(i), k), n, elem=ELEM),
-                            "u": pat.row_major(a_base, j, np.full(len(i), k), n, elem=ELEM),
-                            "a": pat.row_major(a_base, i, j, n, elem=ELEM),
-                            "a_out": pat.row_major(a_base, i, j, n, elem=ELEM),
-                        },
-                        tid=tid, pc_base=16,
-                    )
+                i = np.repeat(below, below - k)
+                j = k + 1 + pat.ragged_arange(below - k)
+                a_ij = pat.row_major(a_base, i, j, n, elem=ELEM)
+                builder.threads(np.r_[k % threads, owner], [
+                    (divide, np.r_[len(below), np.zeros_like(below)],
+                     {"x": col_k, "x_out": col_k}, 0),
+                    (update, np.r_[0, below - k], {
+                        "l": a_base + (i * n + k) * ELEM,
+                        "u": a_base + (j * n + k) * ELEM,
+                        "a": a_ij,
+                        "a_out": a_ij,
+                    }, 16),
+                ])
         return builder.finish()

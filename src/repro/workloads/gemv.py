@@ -16,7 +16,7 @@ import numpy as np
 
 from ..ir import InstructionTrace, TraceBuilder
 from . import _patterns as pat
-from .base import AddressSpace, DoEParameter, SizeMapping, Workload, partition_range
+from .base import AddressSpace, DoEParameter, SizeMapping, Workload, partition_counts
 
 
 class Gemv(Workload):
@@ -54,32 +54,21 @@ class Gemv(Workload):
         rank1 = pat.rank1_update()
         dot = pat.dot_product()
         builder = TraceBuilder()
+        counts = partition_counts(n, threads) * n
+        i, j = pat.tile_ij(np.arange(n), n)
+        a_addrs = pat.row_major(a_base, i, j, n)
+        phase = [
+            # Phase 1: A[i][j] += u[i] * v[j]  (row-major RMW stream).
+            (rank1, counts, {
+                "l": pat.vector_addr(u_base, i),
+                "u": pat.vector_addr(v_base, j),
+                "a": a_addrs,
+                "a_out": a_addrs,
+            }, 0),
+            # Phase 2: x[i] += A[i][j] * w[j]  (row-major read stream,
+            # w vector fully cache-resident).
+            (dot, counts, {"a": a_addrs, "x": pat.vector_addr(w_base, j)}, 16),
+        ]
         for _rep in range(repeats):
-            for tid, (r0, r1) in enumerate(partition_range(n, threads)):
-                if r0 == r1:
-                    continue
-                rows = np.arange(r0, r1)
-                i, j = pat.tile_ij(rows, n)
-                a_addrs = pat.row_major(a_base, i, j, n)
-                # Phase 1: A[i][j] += u[i] * v[j]  (row-major RMW stream).
-                rank1.emit(
-                    builder, len(i),
-                    {
-                        "l": pat.vector_addr(u_base, i),
-                        "u": pat.vector_addr(v_base, j),
-                        "a": a_addrs,
-                        "a_out": a_addrs,
-                    },
-                    tid=tid, pc_base=0,
-                )
-                # Phase 2: x[i] += A[i][j] * w[j]  (row-major read stream,
-                # w vector fully cache-resident).
-                dot.emit(
-                    builder, len(i),
-                    {
-                        "a": a_addrs,
-                        "x": pat.vector_addr(w_base, j),
-                    },
-                    tid=tid, pc_base=16,
-                )
+            builder.threads(np.arange(threads), phase)
         return builder.finish()

@@ -16,7 +16,7 @@ import numpy as np
 
 from ..ir import InstructionTrace, TraceBuilder
 from . import _patterns as pat
-from .base import AddressSpace, DoEParameter, SizeMapping, Workload, partition_range
+from .base import AddressSpace, DoEParameter, SizeMapping, Workload, partition_counts
 
 
 class Gesummv(Workload):
@@ -53,28 +53,20 @@ class Gesummv(Workload):
         dual = pat.dual_dot()
         update = pat.stream_update()
         builder = TraceBuilder()
+        counts = partition_counts(n, threads)
+        rows = np.arange(n)
+        i, j = pat.tile_ij(rows, n)
+        y_addrs = pat.vector_addr(y_base, rows)
+        phase = [
+            # Fused: tmp[i] += A[i][j]*x[j]; y[i] += B[i][j]*x[j]
+            (dual, counts * n, {
+                "a": pat.row_major(a_base, i, j, n),
+                "b": pat.row_major(b_base, i, j, n),
+                "x": pat.vector_addr(x_base, j),
+            }, 0),
+            # y[i] = alpha * tmp[i] + beta * y[i]
+            (update, counts, {"a": y_addrs, "a_out": y_addrs}, 32),
+        ]
         for _rep in range(repeats):
-            for tid, (r0, r1) in enumerate(partition_range(n, threads)):
-                if r0 == r1:
-                    continue
-                rows = np.arange(r0, r1)
-                i, j = pat.tile_ij(rows, n)
-                x_addrs = pat.vector_addr(x_base, j)
-                # Fused: tmp[i] += A[i][j]*x[j]; y[i] += B[i][j]*x[j]
-                dual.emit(
-                    builder, len(i),
-                    {
-                        "a": pat.row_major(a_base, i, j, n),
-                        "b": pat.row_major(b_base, i, j, n),
-                        "x": x_addrs,
-                    },
-                    tid=tid, pc_base=0,
-                )
-                # y[i] = alpha * tmp[i] + beta * y[i]
-                y_addrs = pat.vector_addr(y_base, rows)
-                update.emit(
-                    builder, len(rows),
-                    {"a": y_addrs, "a_out": y_addrs},
-                    tid=tid, pc_base=32,
-                )
+            builder.threads(np.arange(threads), phase)
         return builder.finish()

@@ -20,7 +20,7 @@ import numpy as np
 
 from ..ir import InstructionTrace, TraceBuilder
 from . import _patterns as pat
-from .base import AddressSpace, DoEParameter, SizeMapping, Workload, partition_range
+from .base import AddressSpace, DoEParameter, SizeMapping, Workload, partition_counts
 
 #: Byte spacing of scaled matrix elements (one 64 B line per element).
 ELEM = 64
@@ -61,39 +61,26 @@ class GramSchmidt(Workload):
         divide = pat.scalar_divide()
         update = pat.scaled_update()
         builder = TraceBuilder()
+        tids = np.arange(threads)
         rows = np.arange(ni, dtype=np.int64)
         for k in range(nj):
-            col_k = pat.row_major(a_base, rows, np.full(ni, k), nj, elem=ELEM)
-            # Norm of column k (column-major stride-nj walk).
-            dot.emit(
-                builder, ni, {"a": col_k, "x": col_k},
-                tid=k % threads, pc_base=0,
-            )
-            # Normalise column k.
-            divide.emit(
-                builder, ni, {"x": col_k, "x_out": col_k},
-                tid=k % threads, pc_base=16,
-            )
-            # Project column k out of all later columns, column-parallel.
+            col_k = a_base + (rows * nj + k) * ELEM
+            # Project column k out of all later columns, column-parallel:
+            # A[i][j] -= r[k][j] * A[i][k]; r[k][j] stays in a register
+            # across the i loop.
             later = np.arange(k + 1, nj, dtype=np.int64)
-            for tid, (c0, c1) in enumerate(partition_range(len(later), threads)):
-                if c0 == c1:
-                    continue
-                cols = later[c0:c1]
-                j, i = pat.tile_ij(cols, ni)
-                i = rows[i % ni]
-                col_j = pat.row_major(a_base, i, j, nj, elem=ELEM)
-                col_kk = pat.row_major(a_base, i, np.full(len(i), k), nj, elem=ELEM)
-                # r[k][j] += A[i][k] * A[i][j]; then A[i][j] -= r * A[i][k]
-                # A[i][j] -= r[k][j] * A[i][k]; r[k][j] stays in a register
-                # across the i loop.
-                update.emit(
-                    builder, len(i),
-                    {
-                        "b": col_kk,
-                        "a": col_j,
-                        "a_out": col_j,
-                    },
-                    tid=tid, pc_base=32,
-                )
+            j, i = pat.tile_ij(later, ni)
+            col_j = pat.row_major(a_base, i, j, nj, elem=ELEM)
+            idle = np.zeros_like(tids)
+            builder.threads(np.r_[k % threads, tids], [
+                # Norm of column k (column-major stride-nj walk), then its
+                # normalisation, on thread k % threads alone.
+                (dot, np.r_[ni, idle], {"a": col_k, "x": col_k}, 0),
+                (divide, np.r_[ni, idle], {"x": col_k, "x_out": col_k}, 16),
+                (update, np.r_[0, partition_counts(len(later), threads) * ni], {
+                    "b": a_base + (i * nj + k) * ELEM,
+                    "a": col_j,
+                    "a_out": col_j,
+                }, 32),
+            ])
         return builder.finish()

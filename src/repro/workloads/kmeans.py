@@ -20,7 +20,7 @@ import numpy as np
 
 from ..ir import InstructionTrace, TraceBuilder
 from . import _patterns as pat
-from .base import AddressSpace, DoEParameter, SizeMapping, Workload, partition_range
+from .base import AddressSpace, DoEParameter, SizeMapping, Workload, partition_counts
 
 #: Feature dimensionality of each point (Rodinia kdd_cup uses 34; scaled).
 FEATURES = 2
@@ -72,34 +72,23 @@ class KMeans(Workload):
         dist = pat.distance_accumulate()
         scatter = pat.atomic_update()
         builder = TraceBuilder()
+        tids = np.arange(threads)
+        counts = partition_counts(n_points, threads)
+        # Distance to every centroid over every feature.
+        c = np.tile(np.arange(k * FEATURES, dtype=np.int64), n_points)
         for _it in range(iters):
             order = rng.integers(0, v, size=n_points).astype(np.int64)
-            for tid, (r0, r1) in enumerate(partition_range(n_points, threads)):
-                if r0 == r1:
-                    continue
-                pts = order[r0:r1]
-                # Distance to every centroid over every feature.
-                p = np.repeat(pts, k * FEATURES)
-                c = np.tile(np.arange(k * FEATURES, dtype=np.int64), len(pts))
-                f = np.tile(
-                    np.tile(np.arange(FEATURES, dtype=np.int64), k), len(pts)
-                )
-                dist.emit(
-                    builder, len(p),
-                    {
-                        "p": points_base + (p * FEATURES + f) * 8,
-                        "c": centroids_base + c * 8,
-                    },
-                    tid=tid, pc_base=0,
-                )
+            p = np.repeat(order, k * FEATURES)
+            nearest = rng.integers(0, k, size=n_points)
+            builder.threads(tids, [
+                (dist, counts * k * FEATURES, {
+                    "p": points_base + (p * FEATURES + c % FEATURES) * 8,
+                    "c": centroids_base + c * 8,
+                }, 0),
                 # Assignment write + scatter-accumulate into centroid sums.
-                nearest = rng.integers(0, k, size=len(pts))
-                scatter.emit(
-                    builder, len(pts),
-                    {
-                        "idx": pat.vector_addr(membership_base, pts, elem=4),
-                        "data": sums_base + nearest * FEATURES * 8,
-                    },
-                    tid=tid, pc_base=16,
-                )
+                (scatter, counts, {
+                    "idx": pat.vector_addr(membership_base, order, elem=4),
+                    "data": sums_base + nearest * FEATURES * 8,
+                }, 16),
+            ])
         return builder.finish()

@@ -18,7 +18,7 @@ import numpy as np
 
 from ..ir import InstructionTrace, TraceBuilder
 from . import _patterns as pat
-from .base import AddressSpace, DoEParameter, SizeMapping, Workload, partition_range
+from .base import AddressSpace, DoEParameter, SizeMapping, Workload, partition_counts
 
 
 class Lu(Workload):
@@ -52,31 +52,26 @@ class Lu(Workload):
         divide = pat.scalar_divide()
         update = pat.rank1_update()
         builder = TraceBuilder()
+        tids = np.arange(threads)
         for _rep in range(repeats):
             for k in range(n - 1):
                 below = np.arange(k + 1, n, dtype=np.int64)
-                # Row-major pivot-row scaling A[k][j] /= A[k][k]: unit stride.
-                row_k = pat.row_major(a_base, np.full(len(below), k), below, n)
-                divide.emit(
-                    builder, len(below), {"x": row_k, "x_out": row_k},
-                    tid=k % threads, pc_base=0,
-                )
+                m = len(below)
+                # Row-major pivot-row scaling A[k][j] /= A[k][k]: unit
+                # stride, on thread k % threads alone.
+                row_k = a_base + (k * n + below) * 8
                 # Trailing update, row-parallel, inner loop over j (unit
                 # stride): A[i][j] -= A[i][k] * A[k][j].
-                for tid, (r0, r1) in enumerate(partition_range(len(below), threads)):
-                    if r0 == r1:
-                        continue
-                    rows = below[r0:r1]
-                    i, j = pat.tile_ij(rows, len(below))
-                    j = below[j % len(below)]
-                    update.emit(
-                        builder, len(i),
-                        {
-                            "l": pat.row_major(a_base, i, np.full(len(i), k), n),
-                            "u": pat.row_major(a_base, np.full(len(i), k), j, n),
-                            "a": pat.row_major(a_base, i, j, n),
-                            "a_out": pat.row_major(a_base, i, j, n),
-                        },
-                        tid=tid, pc_base=16,
-                    )
+                i, j = pat.tile_ij(below, m)
+                j = below[j]
+                a_ij = pat.row_major(a_base, i, j, n)
+                builder.threads(np.r_[k % threads, tids], [
+                    (divide, np.r_[m, np.zeros_like(tids)], {"x": row_k, "x_out": row_k}, 0),
+                    (update, np.r_[0, partition_counts(m, threads) * m], {
+                        "l": a_base + (i * n + k) * 8,
+                        "u": a_base + (k * n + j) * 8,
+                        "a": a_ij,
+                        "a_out": a_ij,
+                    }, 16),
+                ])
         return builder.finish()

@@ -16,7 +16,7 @@ import numpy as np
 
 from ..ir import InstructionTrace, TraceBuilder
 from . import _patterns as pat
-from .base import AddressSpace, DoEParameter, SizeMapping, Workload, partition_range
+from .base import AddressSpace, DoEParameter, SizeMapping, Workload, partition_counts
 
 
 class Mvt(Workload):
@@ -51,28 +51,15 @@ class Mvt(Workload):
 
         dot = pat.dot_product()
         builder = TraceBuilder()
+        counts = partition_counts(n, threads) * n
+        i, j = pat.tile_ij(np.arange(n), n)
+        a_addrs = pat.row_major(a_base, i, j, n)
+        phase = [
+            # x1[i] += A[i][j] * y1[j]
+            (dot, counts, {"a": a_addrs, "x": pat.vector_addr(y1_base, j)}, 0),
+            # x2[i] += A[j][i] * y2[j], interchanged to stream row-major.
+            (dot, counts, {"a": a_addrs, "x": pat.vector_addr(y2_base, j)}, 16),
+        ]
         for _rep in range(repeats):
-            for tid, (r0, r1) in enumerate(partition_range(n, threads)):
-                if r0 == r1:
-                    continue
-                rows = np.arange(r0, r1)
-                i, j = pat.tile_ij(rows, n)
-                # x1[i] += A[i][j] * y1[j]
-                dot.emit(
-                    builder, len(i),
-                    {
-                        "a": pat.row_major(a_base, i, j, n),
-                        "x": pat.vector_addr(y1_base, j),
-                    },
-                    tid=tid, pc_base=0,
-                )
-                # x2[i] += A[j][i] * y2[j], interchanged to stream row-major.
-                dot.emit(
-                    builder, len(i),
-                    {
-                        "a": pat.row_major(a_base, i, j, n),
-                        "x": pat.vector_addr(y2_base, j),
-                    },
-                    tid=tid, pc_base=16,
-                )
+            builder.threads(np.arange(threads), phase)
         return builder.finish()

@@ -23,7 +23,7 @@ import numpy as np
 
 from ..ir import InstructionTrace, LoopTemplate, Opcode, TemplateOp, TraceBuilder
 from . import _patterns as pat
-from .base import AddressSpace, DoEParameter, SizeMapping, Workload, partition_range
+from .base import AddressSpace, DoEParameter, SizeMapping, Workload, partition_counts
 
 _THREADS = SizeMapping(alpha=1.0, beta=1.0, minimum=1, apply_scale=False)
 
@@ -67,19 +67,14 @@ class Stream(Workload):
             TemplateOp(Opcode.BRANCH, src1=9),
         ])
         builder = TraceBuilder()
-        for tid, (r0, r1) in enumerate(partition_range(n, threads)):
-            if r0 == r1:
-                continue
-            i = np.arange(r0, r1, dtype=np.int64)
-            triad.emit(
-                builder, len(i),
-                {
-                    "a": pat.vector_addr(a, i),
-                    "b": pat.vector_addr(b, i),
-                    "c": pat.vector_addr(c, i),
-                },
-                tid=tid, pc_base=0,
-            )
+        i = np.arange(n, dtype=np.int64)
+        builder.threads(np.arange(threads), [
+            (triad, partition_counts(n, threads), {
+                "a": pat.vector_addr(a, i),
+                "b": pat.vector_addr(b, i),
+                "c": pat.vector_addr(c, i),
+            }, 0),
+        ])
         return builder.finish()
 
 
@@ -119,17 +114,12 @@ class Gups(Workload):
         update = pat.gather_update()
         builder = TraceBuilder()
         n_slots = table_bytes // 8
-        for tid, (r0, r1) in enumerate(partition_range(updates, threads)):
-            if r0 == r1:
-                continue
-            count = r1 - r0
-            slots = rng.integers(0, n_slots, size=count).astype(np.int64)
-            addrs = table + slots * 8
-            update.emit(
-                builder, count,
-                {"idx": addrs, "data": addrs, "data_out": addrs},
-                tid=tid, pc_base=0,
-            )
+        slots = rng.integers(0, n_slots, size=updates).astype(np.int64)
+        addrs = table + slots * 8
+        builder.threads(np.arange(threads), [
+            (update, partition_counts(updates, threads),
+             {"idx": addrs, "data": addrs, "data_out": addrs}, 0),
+        ])
         return builder.finish()
 
 
@@ -174,14 +164,12 @@ class PointerChase(Workload):
             TemplateOp(Opcode.BRANCH, src1=1),
         ])
         per_thread = max(1, hops // max(1, threads))
-        for tid in range(threads):
-            ring = space.alloc(ring_bytes)
-            nodes = rng.integers(0, n_nodes, size=per_thread).astype(np.int64)
-            chain.emit(
-                builder, per_thread,
-                {"p": ring + nodes * 64},
-                tid=tid, pc_base=0,
-            )
+        rings = [space.alloc(ring_bytes) for _ in range(threads)]
+        nodes = rng.integers(0, n_nodes, size=threads * per_thread).astype(np.int64)
+        builder.threads(np.arange(threads), [
+            (chain, np.full(threads, per_thread),
+             {"p": np.repeat(rings, per_thread) + nodes * 64}, 0),
+        ])
         return builder.finish()
 
 

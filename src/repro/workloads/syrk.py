@@ -15,7 +15,7 @@ import numpy as np
 
 from ..ir import InstructionTrace, TraceBuilder
 from . import _patterns as pat
-from .base import AddressSpace, DoEParameter, SizeMapping, Workload, partition_range
+from .base import AddressSpace, DoEParameter, SizeMapping, Workload, partition_counts
 
 
 class Syrk(Workload):
@@ -50,27 +50,22 @@ class Syrk(Workload):
         dot = pat.dot_product()
         update = pat.stream_update()
         builder = TraceBuilder()
-        for tid, (r0, r1) in enumerate(partition_range(n, threads)):
-            if r0 == r1:
-                continue
-            for i in range(r0, r1):
-                # C[i][j] += sum_l A[i][l] * A[j][l]  for j <= i
-                js = np.arange(i + 1, dtype=np.int64)
-                jj = np.repeat(js, k)
-                ll = np.tile(np.arange(k, dtype=np.int64), len(js))
-                ii = np.full(len(jj), i, dtype=np.int64)
-                dot.emit(
-                    builder, len(jj),
-                    {
-                        "a": pat.row_major(a_base, ii, ll, k),
-                        "x": pat.row_major(a_base, jj, ll, k),
-                    },
-                    tid=tid, pc_base=0,
-                )
-                # Scale and write the C row: C[i][j] = alpha*acc + beta*C[i][j]
-                c_row = pat.row_major(c_base, np.full(len(js), i), js, n)
-                update.emit(
-                    builder, len(js), {"a": c_row, "a_out": c_row},
-                    tid=tid, pc_base=16,
-                )
+        # One segment per row i of C, on the thread that owns the row.
+        owner = np.repeat(np.arange(threads), partition_counts(n, threads))
+        width = np.arange(1, n + 1)  # row i updates C[i][0..i]
+        js = pat.ragged_arange(width)
+        i_of_j = np.repeat(np.arange(n), width)
+        # C[i][j] += sum_l A[i][l] * A[j][l]  for j <= i
+        jj = np.repeat(js, k)
+        ll = np.tile(np.arange(k, dtype=np.int64), len(js))
+        ii = np.repeat(i_of_j, k)
+        # Scale and write the C row: C[i][j] = alpha*acc + beta*C[i][j]
+        c_row = pat.row_major(c_base, i_of_j, js, n)
+        builder.threads(owner, [
+            (dot, width * k, {
+                "a": pat.row_major(a_base, ii, ll, k),
+                "x": pat.row_major(a_base, jj, ll, k),
+            }, 0),
+            (update, width, {"a": c_row, "a_out": c_row}, 16),
+        ])
         return builder.finish()

@@ -14,7 +14,7 @@ import numpy as np
 
 from ..ir import InstructionTrace, TraceBuilder
 from . import _patterns as pat
-from .base import AddressSpace, DoEParameter, SizeMapping, Workload, partition_range
+from .base import AddressSpace, DoEParameter, SizeMapping, Workload, partition_counts
 
 
 class Trmm(Workload):
@@ -48,26 +48,21 @@ class Trmm(Workload):
 
         rank1 = pat.rank1_update()
         builder = TraceBuilder()
-        for tid, (r0, r1) in enumerate(partition_range(ni, threads)):
-            if r0 == r1:
-                continue
-            for i in range(r0, r1):
-                # B[i][j] += A[i][k] * B[k][j]  for k < i, all j (row stream)
-                ks = np.arange(i, dtype=np.int64)
-                if len(ks) == 0:
-                    continue
-                kk = np.repeat(ks, nj)
-                jj = np.tile(np.arange(nj, dtype=np.int64), len(ks))
-                ii = np.full(len(kk), i, dtype=np.int64)
-                b_row = pat.row_major(b_base, ii, jj, nj)
-                rank1.emit(
-                    builder, len(kk),
-                    {
-                        "l": pat.row_major(a_base, ii, kk, ni),
-                        "u": pat.row_major(b_base, kk, jj, nj),
-                        "a": b_row,
-                        "a_out": b_row,
-                    },
-                    tid=tid, pc_base=0,
-                )
+        # One segment per row i of B, on the thread that owns the row:
+        # B[i][j] += A[i][k] * B[k][j]  for k < i, all j (row stream).
+        owner = np.repeat(np.arange(threads), partition_counts(ni, threads))
+        rows = np.arange(ni)
+        ks = pat.ragged_arange(rows)
+        kk = np.repeat(ks, nj)
+        jj = np.tile(np.arange(nj, dtype=np.int64), len(ks))
+        ii = np.repeat(np.repeat(rows, rows), nj)
+        b_row = pat.row_major(b_base, ii, jj, nj)
+        builder.threads(owner, [
+            (rank1, rows * nj, {
+                "l": pat.row_major(a_base, ii, kk, ni),
+                "u": pat.row_major(b_base, kk, jj, nj),
+                "a": b_row,
+                "a_out": b_row,
+            }, 0),
+        ])
         return builder.finish()

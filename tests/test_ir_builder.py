@@ -22,7 +22,7 @@ class TestTraceBuilder:
     def test_scalar_emission(self):
         b = TraceBuilder()
         b.load(1, addr=0x1000)
-        b.fmul(2, 1, 3)
+        b.emit(Opcode.FMUL, dst=2, src1=1, src2=3)
         b.store(2, addr=0x2000)
         trace = b.finish()
         assert len(trace) == 3
@@ -63,7 +63,7 @@ class TestTraceBuilder:
 
     def test_scalar_and_bulk_interleave_in_order(self):
         b = TraceBuilder()
-        b.ialu(1)
+        b.emit(Opcode.IALU, dst=1)
         b.bulk(opcode=np.full(2, int(Opcode.NOP), dtype=np.uint8))
         b.branch(1)
         trace = b.finish()
@@ -74,8 +74,8 @@ class TestTraceBuilder:
 
     def test_len_tracks_pending(self):
         b = TraceBuilder()
-        b.ialu(1)
-        b.ialu(2)
+        b.emit(Opcode.IALU, dst=1)
+        b.emit(Opcode.IALU, dst=2)
         assert len(b) == 2
 
     def test_empty_finish(self):
@@ -158,9 +158,6 @@ class TestLoopTemplate:
         with pytest.raises(TraceError):
             LoopTemplate([])
 
-    def test_address_slots_property(self):
-        assert self.make().address_slots == ("x",)
-
     @pytest.mark.parametrize("tid", [-1, 70000])
     def test_tid_outside_uint16_rejected(self, tid):
         with pytest.raises(TraceError, match=f"tid {tid} "):
@@ -179,18 +176,137 @@ class TestLoopTemplate:
         assert b.finish().pc.tolist() == [2**32 - 3, 2**32 - 2, 2**32 - 1]
 
 
+class TestBadInputsFailLoud:
+    """Values a column cannot hold raise instead of wrapping or truncating."""
+
+    def template(self):
+        return LoopTemplate([TemplateOp(Opcode.LOAD, dst=1, addr="x")])
+
+    @pytest.mark.parametrize("column, values, match", [
+        ("tid", [70000], "tid 70000 is outside uint16"),
+        ("tid", [-1], "tid -1 is outside uint16"),
+        ("opcode", [300], "opcode 300 is outside uint8"),
+        ("dst", [2**31], "dst 2147483648 is outside int32"),
+        ("addr", [-64], "addr -64 is outside uint64"),
+        ("addr", [1.7], "addr values must be integers"),
+        ("addr", [float("nan")], "addr values must be integers"),
+        ("addr", [2.0**64], "is outside uint64"),
+        ("size", ["8"], "size values must be integers"),
+    ])
+    def test_bulk(self, column, values, match):
+        with pytest.raises(TraceError, match=match):
+            TraceBuilder().bulk(**{column: np.asarray(values)})
+
+    @pytest.mark.parametrize("addr, match", [
+        ([8, -64], "addr -64 is outside uint64"),
+        ([8, 1.7], "addr values must be integers"),
+        ([8, float("inf")], "addr values must be integers"),
+    ])
+    def test_emit_and_threads_addresses(self, addr, match):
+        with pytest.raises(TraceError, match=match):
+            self.template().emit(TraceBuilder(), 2, {"x": np.asarray(addr)})
+        with pytest.raises(TraceError, match=match):
+            TraceBuilder().threads([0, 1], [
+                (self.template(), [1, 1], {"x": np.asarray(addr)}, 0),
+            ])
+
+    @pytest.mark.parametrize("column, value, match", [
+        ("opcode", 300, "opcode 300 is outside uint8"),
+        ("tid", 70000, "tid 70000 is outside uint16"),
+        ("dst", -2**31 - 1, "dst -2147483649 is outside int32"),
+        ("pc", -1, "pc -1 is outside uint32"),
+        ("addr", -64, "addr -64 is outside uint64"),
+        ("addr", 2**64, "addr 18446744073709551616 is outside uint64"),
+        ("addr", 1.7, "addr values must be integers"),
+        ("addr", float("nan"), "addr values must be integers"),
+        ("size", "8", "size values must be integers"),
+    ])
+    def test_scalar_emit(self, column, value, match):
+        b = TraceBuilder()
+        b.emit(Opcode.LOAD, dst=1, addr=8, size=8)
+        fields = {"opcode": Opcode.LOAD, "dst": 1, "addr": 8, "size": 8}
+        with pytest.raises(TraceError, match=match):
+            b.emit(**{**fields, column: value})
+        # The rejected emit left nothing behind.
+        assert len(b) == 1
+        assert b.finish().addr.tolist() == [8]
+
+    def test_scalar_emit_exact_near_uint64_max(self):
+        b = TraceBuilder()
+        for addr in (0, 2**64 - 1024, 2**63 + 1, 64.0):
+            b.emit(Opcode.LOAD, dst=1, addr=addr, size=8)
+        assert b.finish().addr.tolist() == [0, 2**64 - 1024, 2**63 + 1, 64]
+
+    def test_bulk_memory_op_needs_size(self):
+        with pytest.raises(TraceError, match="size > 0"):
+            TraceBuilder().bulk(
+                opcode=np.array([int(Opcode.IALU), int(Opcode.LOAD)]),
+                size=np.array([0, 0]),
+            )
+
+    def test_integral_floats_accepted(self):
+        b = TraceBuilder()
+        self.template().emit(b, 2, {"x": np.array([64.0, 2.0**63])})
+        assert b.finish().addr.tolist() == [64, 2**63]
+
+    def test_threads_rejects_bad_tids_and_counts(self):
+        t = self.template()
+        with pytest.raises(TraceError, match="tid 70000 "):
+            TraceBuilder().threads([0, 70000], [(t, [1, 1], {"x": [0, 8]}, 0)])
+        with pytest.raises(TraceError, match="one iteration count"):
+            TraceBuilder().threads([0, 1], [(t, [2], {"x": [0, 8]}, 0)])
+        with pytest.raises(TraceError, match=">= 0"):
+            TraceBuilder().threads([0, 1], [(t, [3, -1], {"x": [0, 8]}, 0)])
+        with pytest.raises(TraceError, match="length 2, expected 3"):
+            TraceBuilder().threads([0, 1], [(t, [1, 2], {"x": [0, 8]}, 0)])
+
+
+class TestThreads:
+    def test_segments_then_runs_order(self):
+        load = LoopTemplate([TemplateOp(Opcode.LOAD, dst=1, addr="x")])
+        nop = LoopTemplate([TemplateOp(Opcode.NOP)])
+        b = TraceBuilder()
+        # Tids repeat; thread 7's load run is empty.
+        b.threads([5, 7, 5], [
+            (load, [2, 0, 1], {"x": [8, 16, 24]}, 10),
+            (nop, [1, 1, 0], {}, 20),
+        ])
+        trace = b.finish()
+        assert trace.tid.tolist() == [5, 5, 5, 7, 5]
+        assert trace.pc.tolist() == [10, 10, 20, 20, 10]
+        assert trace.addr.tolist() == [8, 16, 0, 0, 24]
+
+    def test_all_zero_counts_is_noop(self):
+        load = LoopTemplate([TemplateOp(Opcode.LOAD, dst=1, addr="x")])
+        b = TraceBuilder()
+        b.threads([0, 1], [(load, [0, 0], {"x": []}, 0)])
+        b.threads([], [(load, [], {"x": []}, 0)])
+        assert len(b) == 0
+        assert len(b.finish()) == 0
+
+
 # ------------------------------------------------------- differential
 
 REGS = ("dst", "src1", "src2")
 MEMORY = sorted(MEMORY_OPCODES)
 NON_MEMORY = [op for op in Opcode if op not in MEMORY_OPCODES]
 registers = st.integers(-1, 2**31 - 1)
-#: Address arrays come in every dtype the workloads pass.
+#: Address arrays come in every dtype the workloads pass (any address
+#: the uint64 column holds, as integral values).
 ADDRESS_VALUES = {
-    np.int64: st.integers(-(2**63), 2**63 - 1),
+    np.int64: st.integers(0, 2**63 - 1),
     np.uint64: st.integers(0, 2**64 - 1),
-    np.float64: st.floats(0, 2**63, allow_nan=False),
+    np.float64: st.floats(0, 2**63).map(lambda x: float(int(x))),
 }
+
+
+def segment_emits(tids, runs):
+    """A threads() call as the one-segment emits it stands for, in order."""
+    for s, tid in enumerate(tids):
+        for template, counts, addresses, pc_base in runs:
+            lo = sum(counts[:s])
+            part = {key: a[lo:lo + counts[s]] for key, a in addresses.items()}
+            yield template, counts[s], part, tid, pc_base
 
 
 def eager_chunk(action):
@@ -204,6 +320,10 @@ def eager_chunk(action):
             name: columns.get(name, np.full(n, NO_REG if name in REGS else 0))
             for name in TRACE_COLUMNS
         }
+    if action[0] == "threads":
+        return eager_finish([
+            eager_chunk(("template", *emit)) for emit in segment_emits(*action[1:])
+        ])
     _, template, iterations, addresses, tid, pc_base = action
     ops, k, n = template.ops, len(template), iterations * len(template)
     chunk = {
@@ -253,12 +373,16 @@ def scalar_emits(draw):
 def bulk_chunks(draw):
     n = draw(st.integers(0, 12))
     names = draw(st.sets(st.sampled_from(list(TRACE_COLUMNS)), min_size=1))
-    return "bulk", n, {
+    columns = {
         name: np.asarray(draw(column_values(name, n)), TRACE_COLUMNS[name])
         for name in names
     }
-
-
+    # A memory opcode needs a size.
+    memory = np.isin(columns.get("opcode", np.zeros(n)), MEMORY)
+    if memory.any():
+        size = columns.setdefault("size", np.zeros(n, TRACE_COLUMNS["size"]))
+        size[memory & (size == 0)] = draw(st.integers(1, 2**16 - 1))
+    return "bulk", n, columns
 @st.composite
 def address_arrays(draw, n):
     dtype = draw(st.sampled_from(list(ADDRESS_VALUES)))
@@ -267,7 +391,8 @@ def address_arrays(draw, n):
 
 
 @st.composite
-def template_emits(draw):
+def loop_templates(draw):
+    """A template (possibly without any address slot) and its keys."""
     keys = ["a", "b", "c"][:draw(st.integers(0, 3))]
     ops = []
     for _ in range(draw(st.integers(1, 9))):
@@ -279,41 +404,107 @@ def template_emits(draw):
             ))
         else:
             ops.append(TemplateOp(draw(st.sampled_from(NON_MEMORY)), **regs))
+    return LoopTemplate(ops), keys
+
+
+@st.composite
+def template_emits(draw):
+    template, keys = draw(loop_templates())
     iterations = draw(st.integers(0, 40))
     addresses = {key: draw(address_arrays(iterations)) for key in keys}
     return (
-        "template", LoopTemplate(ops), iterations, addresses,
+        "template", template, iterations, addresses,
         draw(st.integers(0, 2**16 - 1)),
-        draw(st.integers(0, 2**32 - len(ops))),
+        draw(st.integers(0, 2**32 - len(template))),
     )
+
+
+@st.composite
+def thread_groups(draw):
+    """One threads() call: repeated tids and zero counts are common."""
+    n_seg = draw(st.integers(0, 5))
+    tid = st.one_of(st.integers(0, 3), st.integers(0, 2**16 - 1))
+    tids = draw(st.lists(tid, min_size=n_seg, max_size=n_seg))
+    runs = []
+    for _ in range(draw(st.integers(1, 3))):
+        template, keys = draw(loop_templates())
+        counts = draw(st.lists(
+            st.integers(0, 8), min_size=n_seg, max_size=n_seg
+        ))
+        addresses = {key: draw(address_arrays(sum(counts))) for key in keys}
+        pc_base = draw(st.integers(0, 2**32 - len(template)))
+        runs.append((template, counts, addresses, pc_base))
+    return "threads", tids, runs
+
+
+def builder_actions():
+    """Scalar emits, bulk chunks, one-segment emits and threads() calls."""
+    return st.one_of(
+        scalar_emits(), bulk_chunks(), template_emits(), thread_groups()
+    )
+
+
+def apply(builder: TraceBuilder, action) -> None:
+    """Give ``builder`` one drawn action."""
+    if action[0] == "scalar":
+        builder.emit(**action[1])
+    elif action[0] == "bulk":
+        builder.bulk(**action[2])
+    elif action[0] == "threads":
+        builder.threads(*action[1:])
+    else:
+        _, template, iterations, addresses, tid, pc_base = action
+        template.emit(builder, iterations, addresses, tid=tid, pc_base=pc_base)
+
+
+def replay(actions) -> TraceBuilder:
+    """A builder that received ``actions`` in order."""
+    builder = TraceBuilder()
+    for action in actions:
+        apply(builder, action)
+    return builder
+
+
+def assert_columns_equal(trace, expected):
+    for name, dtype in TRACE_COLUMNS.items():
+        column = getattr(trace, name)
+        assert column.dtype == dtype
+        np.testing.assert_array_equal(column, expected[name], err_msg=name)
 
 
 class TestLazyMatchesEagerOracle:
     @settings(max_examples=200, deadline=None)
-    @given(st.lists(
-        st.one_of(scalar_emits(), bulk_chunks(), template_emits()), max_size=12
-    ))
+    @given(st.lists(builder_actions(), max_size=12))
     def test_random_interleavings(self, actions):
-        builder, chunks = TraceBuilder(), []
+        builder = TraceBuilder()
+        chunks, expected = [], 0
         for action in actions:
-            if action[0] == "scalar":
-                builder.emit(**action[1])
-            elif action[0] == "bulk":
-                builder.bulk(**action[2])
-            else:
-                _, template, iterations, addresses, tid, pc_base = action
-                template.emit(
-                    builder, iterations, addresses, tid=tid, pc_base=pc_base
-                )
+            apply(builder, action)
             chunks.append(eager_chunk(action))
-            assert len(builder) == sum(len(c["opcode"]) for c in chunks)
+            expected += len(chunks[-1]["opcode"])
+            assert len(builder) == expected
         # Emits copy their address arrays: later writes must not leak in.
         for action in actions:
             if action[0] == "template":
                 for array in action[3].values():
                     array[...] = 0
-        trace, expected = builder.finish(), eager_finish(chunks)
-        for name, dtype in TRACE_COLUMNS.items():
-            column = getattr(trace, name)
-            assert column.dtype == dtype
-            np.testing.assert_array_equal(column, expected[name], err_msg=name)
+            elif action[0] == "threads":
+                for run in action[2]:
+                    for array in run[2].values():
+                        array[...] = 0
+        assert_columns_equal(builder.finish(), eager_finish(chunks))
+
+    @settings(max_examples=100, deadline=None)
+    @given(thread_groups())
+    def test_threads_equals_one_segment_emits(self, group):
+        _, tids, runs = group
+        one_by_one = TraceBuilder()
+        for template, n, addresses, tid, pc_base in segment_emits(tids, runs):
+            template.emit(one_by_one, n, addresses, tid=tid, pc_base=pc_base)
+        expected = one_by_one.finish()
+        builder = TraceBuilder()
+        builder.threads(tids, runs)
+        assert len(builder) == len(expected)
+        assert_columns_equal(builder.finish(), {
+            name: getattr(expected, name) for name in TRACE_COLUMNS
+        })

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import TraceError
-from repro.ir import Instruction, InstructionTrace, Opcode
-from repro.ir.trace import _TABLE_SPAN, dense_ids
+from repro.ir import Instruction, InstructionTrace, Opcode, TraceColumns
+from repro.ir.trace import _TABLE_SPAN, TRACE_COLUMNS, dense_ids
 
 
 def make_trace(n=10, tid=0):
@@ -99,6 +99,34 @@ class TestViews:
         assert addrs.tolist() == [0, 64, 128]
         assert sizes.tolist() == [8, 8, 8]
         assert is_write.tolist() == [False, True, True]
+
+
+class TestFootprintLines:
+    """footprint_lines is len(np.unique(...)) of the accessed lines."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        accesses=st.lists(st.tuples(
+            st.sampled_from(
+                [Opcode.LOAD, Opcode.STORE, Opcode.ATOMIC, Opcode.IALU]
+            ),
+            st.one_of(st.integers(0, 4096), st.integers(0, 2**64 - 1)),
+        ), max_size=60),
+        shift=st.integers(0, 12),
+    )
+    def test_matches_np_unique(self, accesses, shift):
+        trace = InstructionTrace.from_instructions([
+            Instruction(op, addr=addr, size=0 if op == Opcode.IALU else 8)
+            for op, addr in accesses
+        ])
+        want = len(np.unique(trace.addr[trace.memory_mask] >> np.uint64(shift)))
+        assert trace.footprint_lines(shift) == want
+        # The profiler's line table memoises the same count.
+        fresh = InstructionTrace(
+            **{name: getattr(trace, name) for name in TRACE_COLUMNS}
+        )
+        TraceColumns(fresh).lines(1 << shift)
+        assert fresh._memo[("footprint_lines", shift)] == want
 
 
 class TestConcat:

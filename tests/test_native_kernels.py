@@ -5,9 +5,10 @@ drawn inputs: the ILP depths over drawn traces, the LRU stack distances
 over drawn keys (both sides of the oracle's move-to-front / Fenwick
 switch), the grouped distances over one or many groups, phase A's
 stream digests over drawn multi-thread traces and PE slices, phase A's
-L1 walk over drawn multi-stream batches, and whole regression trees
-over drawn tie-heavy matrices.  Whole profiles of all
-twelve workloads and whole forests must be identical under both forms.
+L1 walk over drawn multi-stream batches, whole regression trees over
+drawn tie-heavy matrices, and the trace fill over drawn builder
+actions.  Whole traces and profiles of all twelve workloads and whole
+forests must be identical under both forms.
 The build tests check that a damaged cached object is rebuilt and that
 concurrent cold processes share one object.
 """
@@ -25,10 +26,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from _helpers import use_kernel
+from test_ir_builder import builder_actions, replay
 from repro import NMCSimulator, default_nmc_config, get_workload, native
 from repro.errors import ConfigError
 from repro.ir import Opcode, grouped_reuse_distances, reuse_distances
-from repro.ir.trace import dense_ids
+from repro.ir.trace import TRACE_COLUMNS, dense_ids
 from repro.ml import RandomForestRegressor, RegressionTree
 from repro.profiler import analyze_trace
 from repro.profiler.features import ILP_WINDOWS
@@ -447,6 +449,41 @@ class TestTreeKernel:
                 forest.oob_prediction_.tobytes(),
             ))
         assert keys[0] == keys[1]
+
+
+# ------------------------------------------------------------ trace fill
+
+def finished(monkeypatch, form, make):
+    """The trace ``make()`` builds, filled by kernel form ``form``."""
+    with monkeypatch.context() as patch:
+        use_kernel(patch, form)
+        return make()
+
+
+class TestFillTraceKernel:
+    @DIFF_SETTINGS
+    @given(st.lists(builder_actions(), max_size=10))
+    def test_matches_python_oracle(self, monkeypatch, actions):
+        """Random templates (some with no address slot), repeated tids and
+        zero counts, between scalar and bulk chunks."""
+        forms("fill_trace")
+        cc, py = (
+            finished(monkeypatch, form, lambda: replay(actions).finish())
+            for form in ("cc", "python")
+        )
+        for name in TRACE_COLUMNS:
+            np.testing.assert_array_equal(
+                getattr(cc, name), getattr(py, name), err_msg=name
+            )
+
+    @pytest.mark.parametrize("name", WORKLOADS)
+    def test_workload_traces_identical_under_both_forms(self, monkeypatch, name):
+        forms("fill_trace")
+        cc, py = (
+            finished(monkeypatch, form, lambda: small_trace(name))
+            for form in ("cc", "python")
+        )
+        assert cc.content_hash() == py.content_hash()
 
 
 # --------------------------------------------------------- whole profiles

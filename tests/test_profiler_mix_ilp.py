@@ -57,7 +57,7 @@ class TestIlp:
         t = LoopTemplate(ops)
         addrs = {
             slot: np.arange(n, dtype=np.int64) * 64
-            for slot in t.address_slots
+            for slot in {op.addr for op in t.ops if op.addr}
         }
         t.emit(b, n, addrs)
         return b.finish()

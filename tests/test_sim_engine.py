@@ -24,7 +24,7 @@ from repro import SimulationCampaign, default_nmc_config, get_workload
 from repro.backends import backend_names
 from repro.config import NMCConfig
 from repro.errors import ConfigError
-from repro.ir import COLD_DISTANCE, TraceBuilder, grouped_reuse_distances
+from repro.ir import COLD_DISTANCE, Opcode, TraceBuilder, grouped_reuse_distances
 from repro.nmcsim import (
     NMCSimulator,
     classify_streams,
@@ -307,11 +307,11 @@ class TestEngineEquivalence:
         with the reference engine."""
         builder = TraceBuilder()
         for i in range(40):
-            builder.ialu(1, 1, tid=0)
-            builder.fmul(2, 2, 2, tid=2)
+            builder.emit(Opcode.IALU, dst=1, src1=1, tid=0)
+            builder.emit(Opcode.FMUL, dst=2, src1=2, src2=2, tid=2)
             builder.load(3, 0x1000 + 64 * (i % 5), tid=1)
             builder.store(3, 0x8000 + 64 * (i % 3), tid=1)
-        builder.fdiv(4, 4, 4, tid=2)
+        builder.emit(Opcode.FDIV, dst=4, src1=4, src2=4, tid=2)
         trace = builder.finish()
         cfg = default_nmc_config().replace(n_pes=4)
         product = NMCSimulator(cfg)._compute_phase_a(trace)

@@ -11,7 +11,7 @@ def emit_once(template, n=10):
     builder = TraceBuilder()
     addrs = {
         slot: np.arange(n, dtype=np.int64) * 64
-        for slot in template.address_slots
+        for slot in {op.addr for op in template.ops if op.addr}
     }
     template.emit(builder, n, addrs)
     return builder.finish()
