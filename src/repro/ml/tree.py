@@ -12,7 +12,15 @@ tree (a counting sort by the precomputed value ranks of
 node sorts again; its Python form, the recursive :func:`_best_split`
 search that argsorts every node, is the oracle the compiled form
 matches bit for bit and the fallback without a C compiler.  Both draw
-each node's candidate features from the tree's own ``rng``.
+each node's candidate features from the tree's own ``rng``, which must
+be a :class:`numpy.random.Generator` (anything else raises
+:class:`~repro.errors.MLError`): the Python form calls
+``rng.choice(p, size=k, replace=False)`` and the compiled form replays
+that call in C through the generator's public ``bitgen_t`` interface.
+The first build of the compiled form in a process checks the replay
+against ``choice`` (:func:`_replays_choice`); should a numpy release
+change ``choice``, a warning is logged and trees are built by the
+Python form.
 
 Prediction over large matrices is vectorised too: rows traverse the tree
 lock-stepped level by level (one numpy gather per level) instead of one
@@ -30,6 +38,9 @@ import numpy as np
 
 from .. import native
 from ..errors import MLError, NotFittedError
+from ..obs import get_logger
+
+log = get_logger("repro.ml.tree")
 
 
 @dataclass
@@ -105,16 +116,15 @@ def _dense_ranks(columns: np.ndarray) -> np.ndarray:
 
 
 def _best_split(
-    X, y, idx: np.ndarray, draw, min_leaf: int
+    X, y, idx: np.ndarray, features: np.ndarray, min_leaf: int
 ) -> tuple[int, float, float] | None:
     """Best ``(feature, threshold, gain)`` cut of node ``idx`` over the
-    features ``draw()`` returns, or None when no cut reduces the SSE."""
+    candidate ``features``, or None when no cut reduces the SSE."""
     n = len(idx)
     y_node = y[idx]
     sum_all = y_node.sum()
     sq_all = float(np.sum(y_node**2))
     sse_parent = sq_all - sum_all**2 / n
-    features = draw()
 
     # Vectorised over the feature subset: sort each candidate feature's
     # column, prefix-sum the targets, and score every admissible cut of
@@ -157,20 +167,21 @@ def _best_split(
 
 def _build_tree_py(
     columns, y, ranks, k, max_depth, min_samples_split, min_samples_leaf,
-    draw,
+    rng,
 ) -> tuple[np.ndarray, ...]:
     """Python form of the ``build_tree`` kernel (the oracle).
 
     Fits the samples of the feature-major ``(p, n)`` matrix ``columns``
-    depth-first, calling ``draw()`` for the ``k`` candidate features of
-    every split search, and returns the preorder node arrays ``(feature,
-    threshold, left, right, value)`` plus the per-feature summed gains.
-    ``ranks`` (:func:`_dense_ranks` of ``columns``) only feeds the
-    compiled form.
+    depth-first, drawing the ``k`` candidate features of every split
+    search with ``rng.choice(p, size=k, replace=False)``, and returns the
+    preorder node arrays ``(feature, threshold, left, right, value)``
+    plus the per-feature summed gains.  ``ranks`` (:func:`_dense_ranks`
+    of ``columns``) only feeds the compiled form.
     """
     X = columns.T
+    p = X.shape[1]
     nodes: list[list] = []  # [feature, threshold, left, right, value]
-    importance = np.zeros(X.shape[1])
+    importance = np.zeros(p)
 
     def _build(idx: np.ndarray, depth: int) -> int:
         node_id = len(nodes)
@@ -182,7 +193,8 @@ def _build_tree_py(
             or np.ptp(y[idx]) == 0.0
         ):
             return node_id
-        split = _best_split(X, y, idx, draw, min_samples_leaf)
+        features = rng.choice(p, size=k, replace=False)
+        split = _best_split(X, y, idx, features, min_samples_leaf)
         if split is None:
             return node_id
         feature, threshold, gain = split
@@ -202,18 +214,65 @@ def _build_tree_py(
     )
 
 
-def _build_tree_cc(lib: native.Library) -> Callable:
+def _choice_cc(lib: native.Library) -> Callable:
+    """The C replay of ``rng.choice(p, size=k, replace=False)``."""
+    fn = lib.choice
+    fn.restype = None
+    fn.argtypes = (
+        [ctypes.c_void_p] + [ctypes.c_int64] * 2 + [ctypes.c_void_p] * 3
+    )
+
+    def choice(rng: np.random.Generator, p: int, k: int) -> np.ndarray:
+        out, pool = np.empty(k, dtype=np.int64), np.empty(p, dtype=np.int64)
+        seen = np.zeros(p, dtype=np.uint8)
+        bitgen = rng.bit_generator
+        with bitgen.lock:
+            fn(bitgen.ctypes.bit_generator, p, k, out.ctypes.data,
+               seen.ctypes.data, pool.ctypes.data)
+        return out
+
+    return choice
+
+
+#: ``(p, k)`` shapes the build-time check draws both ways: the forests'
+#: p = 395 with the k of "sqrt", "third" and None, and both branches of
+#: numpy's ``choice`` for p > 10000 (Floyd's algorithm, tail shuffle).
+_CHECK_SHAPES = ((395, 19), (395, 131), (395, 395), (20000, 1000), (20000, 5))
+
+
+def _replays_choice(choice: Callable) -> bool:
+    """Whether ``choice`` returns what ``Generator.choice`` does and
+    leaves the generator in the same state, on :data:`_CHECK_SHAPES`."""
+    for seed, (p, k) in enumerate(_CHECK_SHAPES):
+        want, got = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(3):
+            if not np.array_equal(
+                want.choice(p, size=k, replace=False), choice(got, p, k)
+            ):
+                return False
+        if want.bit_generator.state != got.bit_generator.state:
+            return False
+    return True
+
+
+def _build_tree_cc(lib: native.Library) -> Callable | None:
+    if not _replays_choice(_choice_cc(lib)):
+        log.warning(
+            "the C feature draw does not replay this numpy's "
+            "Generator.choice; trees are built by the Python form",
+            extra={"ctx": {"numpy": np.__version__}},
+        )
+        return None
     fn = lib.build_tree
     fn.restype = ctypes.c_int64
-    draw_type = ctypes.CFUNCTYPE(ctypes.c_int)
     fn.argtypes = (
         [ctypes.c_void_p] * 3 + [ctypes.c_int64] * 7
-        + [draw_type] + [ctypes.c_void_p] * 7 + [ctypes.c_int64]
+        + [ctypes.c_void_p] * 7 + [ctypes.c_int64]
     )
 
     def kernel(
         columns, y, ranks, k, max_depth, min_samples_split,
-        min_samples_leaf, draw,
+        min_samples_leaf, rng,
     ) -> tuple[np.ndarray, ...]:
         p, n = columns.shape
         if ranks.shape != (p, n) or np.shape(y) != (n,):
@@ -221,34 +280,21 @@ def _build_tree_cc(lib: native.Library) -> Callable:
         columns = np.ascontiguousarray(columns, dtype=np.float64)
         y = np.ascontiguousarray(y, dtype=np.float64)
         ranks = np.ascontiguousarray(ranks, dtype=np.int64)
-        drawn = np.empty(k, dtype=np.int64)
-        failed: list[BaseException] = []
-
-        # ctypes prints and swallows an exception raised in a callback,
-        # so it is kept here, the build aborts, and it is re-raised.
-        @draw_type
-        def on_draw() -> int:
-            try:
-                drawn[:] = draw()
-            except BaseException as exc:  # noqa: BLE001 - re-raised below
-                failed.append(exc)
-                return 1
-            return 0
-
         cap = 2 * n - 1  # a binary tree over n samples, no empty leaf
         feature, left, right = (np.empty(cap, dtype=np.int64) for _ in range(3))
         threshold, value = np.empty(cap), np.empty(cap)
         importance = np.zeros(p)
-        count = fn(
-            columns.ctypes.data, y.ctypes.data, ranks.ctypes.data, n, p,
-            int(ranks.max(initial=0)) + 1, k,
-            -1 if max_depth is None else max_depth,
-            min_samples_split, min_samples_leaf, on_draw, drawn.ctypes.data,
-            feature.ctypes.data, threshold.ctypes.data, left.ctypes.data,
-            right.ctypes.data, value.ctypes.data, importance.ctypes.data, cap,
-        )
-        if failed:
-            raise failed[0]
+        bitgen = rng.bit_generator
+        with bitgen.lock:
+            count = fn(
+                columns.ctypes.data, y.ctypes.data, ranks.ctypes.data, n, p,
+                int(ranks.max(initial=0)) + 1, k,
+                -1 if max_depth is None else max_depth,
+                min_samples_split, min_samples_leaf,
+                bitgen.ctypes.bit_generator, feature.ctypes.data,
+                threshold.ctypes.data, left.ctypes.data, right.ctypes.data,
+                value.ctypes.data, importance.ctypes.data, cap,
+            )
         if count == -3:
             raise MemoryError("build_tree: scratch allocation failed")
         if count < 0:
@@ -305,7 +351,11 @@ class RegressionTree:
         self.min_samples_leaf = min_samples_leaf
         self.min_samples_split = min_samples_split
         self.max_features = max_features
-        self.rng = rng or np.random.default_rng()
+        if rng is not None and not isinstance(rng, np.random.Generator):
+            raise MLError(
+                f"rng must be a numpy.random.Generator or None, not {rng!r}"
+            )
+        self.rng = np.random.default_rng() if rng is None else rng
         self._nodes: list[_Node] = []
         self.n_features_: int | None = None
         self.feature_importances_: np.ndarray | None = None
@@ -326,8 +376,7 @@ class RegressionTree:
         build, _backend = native.resolve("build_tree")
         feature, threshold, left, right, value, importance = build(
             columns, y, ranks, k, self.max_depth, self.min_samples_split,
-            self.min_samples_leaf,
-            lambda: self.rng.choice(self.n_features_, size=k, replace=False),
+            self.min_samples_leaf, self.rng,
         )
         self._nodes = [
             _Node(*fields)

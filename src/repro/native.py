@@ -20,7 +20,8 @@ that own a loop :func:`register` both forms under one name:
 * ``ilp_depths`` — the profiler's dependence-DAG depths
   (:mod:`repro.profiler.ilp`);
 * ``build_tree`` — one whole CART regression tree per call, the
-  random forest's base learner (:mod:`repro.ml.tree`).
+  random forest's base learner, each split's candidate features drawn
+  in C from the tree's generator (:mod:`repro.ml.tree`).
 
 :func:`resolve` hands out one form per call.  The C source is built on
 the first kernel call of a process (never at import) with the system C
@@ -40,7 +41,13 @@ sequential double sums, as ``np.cumsum`` does; phase B keeps the floating-point 
 IEEE-754 binary64, and ``-ffp-contract=off`` forbids FMA contraction);
 the tree builder replays numpy's: pairwise summation for node sums, libm
 ``pow`` for a scalar square, sequential prefix sums and ``argmin``'s tie
-and NaN rules.  The differential suites assert this, it is not assumed.
+and NaN rules.  It also replays ``Generator.choice(p, k, replace=False)``
+(Floyd's algorithm or a tail shuffle over Lemire-bounded draws) through
+the generator's public ``bitgen_t`` interface, so a tree consumes its
+generator exactly as the Python form does; that replay is checked
+against ``choice`` when the kernel is built, and on a mismatch trees
+are built by the Python form.  The differential suites assert all of
+this, it is not assumed.
 """
 
 from __future__ import annotations
@@ -604,6 +611,71 @@ void ilp_depths(
             &epoch, NULL);
 }
 
+/* -------------------------------------- numpy's Generator.choice */
+
+/* The leading fields of numpy's bitgen_t (numpy/random/bitgen.h), the
+   public C interface of a BitGenerator: what
+   rng.bit_generator.ctypes.bit_generator points to. */
+typedef struct {
+    void *state;
+    uint64_t (*next_uint64)(void *st);
+    uint32_t (*next_uint32)(void *st);
+} bitgen_t;
+
+/* A uniform integer in [0, rng] for rng < 2^32 - 1: numpy's
+   random_bounded_uint64, i.e. Lemire's multiply-and-reject over
+   uint32 draws (rng = 0 draws nothing). */
+static uint64_t bounded(bitgen_t *g, uint64_t rng)
+{
+    if (rng == 0) return 0;
+    uint32_t excl = (uint32_t)rng + 1;
+    uint64_t m = (uint64_t)g->next_uint32(g->state) * excl;
+    uint32_t leftover = (uint32_t)m;
+    if (leftover < excl) {
+        uint32_t threshold = (UINT32_MAX - (uint32_t)rng) % excl;
+        while (leftover < threshold) {
+            m = (uint64_t)g->next_uint32(g->state) * excl;
+            leftover = (uint32_t)m;
+        }
+    }
+    return m >> 32;
+}
+
+/* numpy's _shuffle_int: swap data[i] with data[bounded(i)] for
+   i = n - 1 down to first. */
+static void shuffle_tail(bitgen_t *g, i64 n, i64 first, i64 *data)
+{
+    for (i64 i = n - 1; i >= first; i--) {
+        i64 j = (i64)bounded(g, (uint64_t)i);
+        i64 tmp = data[j];
+        data[j] = data[i];
+        data[i] = tmp;
+    }
+}
+
+/* rng.choice(p, size=k, replace=False) into out[0..k), 1 <= k <= p <
+   2^32 - 1.  Large populations tail-shuffle arange(p) (pool, p
+   entries); the others run Floyd's algorithm (seen: p zeroed bytes,
+   left zeroed) and shuffle the sample. */
+void choice(
+    bitgen_t *g, i64 p, i64 k, i64 *out, unsigned char *seen, i64 *pool)
+{
+    if (p > 10000 && k > p / 50) {
+        for (i64 i = 0; i < p; i++) pool[i] = i;
+        shuffle_tail(g, p, p - k > 1 ? p - k : 1, pool);
+        memcpy(out, pool + (p - k), (size_t)k * sizeof *out);
+        return;
+    }
+    for (i64 j = p - k; j < p; j++) {
+        i64 v = (i64)bounded(g, (uint64_t)j);
+        if (seen[v]) v = j;   /* every earlier pick is below j */
+        seen[v] = 1;
+        out[j - (p - k)] = v;
+    }
+    for (i64 i = 0; i < k; i++) seen[out[i]] = 0;
+    shuffle_tail(g, k, 1, out);
+}
+
 /* ------------------------------------------------ CART tree fitting */
 
 /* numpy's pairwise summation (the float64 add-reduce inner loop). */
@@ -645,8 +717,10 @@ static volatile double two = 2.0;
 typedef struct {
     const double *X, *y;        /* p x n: column f is X[f * n ..] */
     i64 n, p, k, max_depth, min_split, min_leaf;
-    int (*draw)(void);          /* fills drawn[0..k); nonzero: abort */
-    const i64 *drawn;
+    bitgen_t *bitgen;           /* draws each split's k features */
+    i64 *drawn;                 /* k */
+    unsigned char *seen;        /* p, zeroed: choice's scratch */
+    i64 *pool;                  /* p, choice's scratch */
     i64 *order;                 /* (p + 1) x n, see build_tree */
     i64 *feats, *slot;          /* feature permutation and its inverse */
     i64 *tmp;                   /* n */
@@ -698,7 +772,7 @@ static i64 grow(Tree *t, i64 lo, i64 hi, i64 depth, i64 n_const)
     for (i64 i = 0; i < n; i++) yb[i] = yb[i] * yb[i];
     double sq = np_sum(yb, n);
     double sse_parent = sq - pow(sum, two) / (double)n;
-    if (t->draw()) { t->status = -1; return -1; }
+    choice(t->bitgen, p, t->k, t->drawn, t->seen, t->pool);
     if (n < 2 * t->min_leaf) return id;   /* no cut is valid */
 
     /* feats[0..n_const) are constant over the node: all their cuts are
@@ -798,22 +872,23 @@ static i64 grow(Tree *t, i64 lo, i64 hi, i64 depth, i64 n_const)
    np.argsort(kind="stable") order once per tree.  order holds those p
    rows plus a (p + 1)-th row of ascending sample indices, and every
    node owns the same [lo, hi) segment of each row.  max_depth < 0 is
-   unbounded.  Each split search calls draw(), which writes k distinct
-   features into drawn.  The nodes land in preorder in the output
-   arrays (cap entries each, leaves: feature -1, children -1) and
-   importance[f] accumulates every split's gain.  Returns the node
-   count; -1 when draw failed, -2 past cap nodes, -3 out of memory. */
+   unbounded.  Each split search draws its k candidate features from
+   bitgen as rng.choice(p, size=k, replace=False) would.  The nodes
+   land in preorder in the output arrays (cap entries each, leaves:
+   feature -1, children -1) and importance[f] accumulates every
+   split's gain.  Returns the node count; -2 past cap nodes, -3 out of
+   memory. */
 i64 build_tree(
     const double *X, const double *y, const i64 *ranks, i64 n, i64 p,
     i64 n_ranks, i64 k, i64 max_depth, i64 min_split, i64 min_leaf,
-    int (*draw)(void), const i64 *drawn,
+    bitgen_t *bitgen,
     i64 *feature, double *threshold, i64 *left, i64 *right, double *value,
     double *importance, i64 cap)
 {
     Tree t = {
         .X = X, .y = y, .n = n, .p = p, .k = k, .max_depth = max_depth,
-        .min_split = min_split, .min_leaf = min_leaf, .draw = draw,
-        .drawn = drawn, .feature = feature, .left = left, .right = right,
+        .min_split = min_split, .min_leaf = min_leaf, .bitgen = bitgen,
+        .feature = feature, .left = left, .right = right,
         .threshold = threshold, .value = value, .importance = importance,
         .cap = cap,
     };
@@ -824,10 +899,13 @@ i64 build_tree(
     t.tmp = malloc((size_t)n * sizeof *t.tmp);
     t.ybuf = malloc((size_t)n * sizeof *t.ybuf);
     t.goes_left = malloc((size_t)n);
+    t.drawn = malloc((size_t)k * sizeof *t.drawn);
+    t.seen = calloc((size_t)p + 1, 1);
+    t.pool = malloc((size_t)(p + 1) * sizeof *t.pool);
     i64 *cnt = malloc((size_t)n_ranks * sizeof *cnt);
     i64 result = -3;
     if (t.order && t.feats && t.slot && t.tmp && t.ybuf && t.goes_left
-            && cnt) {
+            && t.drawn && t.seen && t.pool && cnt) {
         for (i64 f = 0; f < p; f++) {
             memset(cnt, 0, (size_t)n_ranks * sizeof *cnt);
             const i64 *rf = ranks + f * n;
@@ -851,6 +929,9 @@ i64 build_tree(
     free(t.tmp);
     free(t.ybuf);
     free(t.goes_left);
+    free(t.drawn);
+    free(t.seen);
+    free(t.pool);
     free(cnt);
     return result;
 }
@@ -860,22 +941,25 @@ i64 build_tree(
 Library = ctypes.CDLL
 
 #: Kernel name -> (Python form, builder of the C form from the library).
-_REGISTRY: dict[str, tuple[Callable, Callable[[Library], Callable]]] = {}
+_REGISTRY: dict[str, tuple[Callable, Callable[[Library], Callable | None]]] = {}
 
 _UNSET = object()
 #: The loaded shared object, None once a build proved impossible.
 _LIB: Library | None | object = _UNSET
-#: C forms already wrapped over :data:`_LIB`, by kernel name.
-_CC: dict[str, Callable] = {}
+#: C forms already wrapped over :data:`_LIB`, by kernel name (None: the
+#: C form was refused and the Python form runs).
+_CC: dict[str, Callable | None] = {}
 
 
 def register(
-    name: str, python: Callable, cc: Callable[[Library], Callable]
+    name: str, python: Callable, cc: Callable[[Library], Callable | None]
 ) -> None:
     """Register kernel ``name``: its Python form and its C-form builder.
 
     ``cc(lib)`` declares the ctypes signature of the C function in the
-    loaded library and returns a callable with ``python``'s signature.
+    loaded library and returns a callable with ``python``'s signature,
+    or None when the C form cannot be trusted on this host (the Python
+    form then runs).
     """
     _REGISTRY[name] = (python, cc)
 
@@ -896,17 +980,19 @@ def resolve(name: str) -> tuple[Callable, str]:
     lib = _library()
     if lib is None:
         return python, "python"
-    fn = _CC.get(name)
-    if fn is None:
-        fn = _CC[name] = cc(lib)
-    return fn, "cc"
+    if name not in _CC:
+        _CC[name] = cc(lib)
+    fn = _CC[name]
+    return (python, "python") if fn is None else (fn, "cc")
 
 
 def jit_status() -> dict:
     """Kernel provenance for manifests and benchmark records.
 
-    ``backend`` is ``"cc"`` when every kernel runs compiled and
-    ``"python"`` on hosts where the shared object could not be built.
+    ``backend`` is ``"cc"`` when the shared object is built and
+    ``"python"`` on hosts where it could not be.  Under ``"cc"`` a kernel
+    whose C form fails its build-time check still runs its Python form
+    (with a warning; only ``build_tree`` has such a check).
     """
     return {"backend": "python" if _library() is None else "cc"}
 

@@ -1,4 +1,13 @@
-"""Tests for the CART tree and random forest (repro.ml.tree / .forest)."""
+"""Tests for the CART tree and random forest (repro.ml.tree / .forest).
+
+Running this file as a script rewrites ``tests/data/golden_forests.json``
+(a sha256 per fitted tree of a few fixed-seed forests and a model tree);
+do so only for a change that is meant to alter fitted trees.
+"""
+
+import hashlib
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,7 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import MLError, NotFittedError
-from repro.ml import RandomForestRegressor, RegressionTree, r2_score
+from repro.ml import ModelTree, RandomForestRegressor, RegressionTree, r2_score
+
+GOLDEN_FORESTS = Path(__file__).parent / "data" / "golden_forests.json"
 
 
 def step_data(n=200, seed=0):
@@ -111,6 +122,16 @@ class TestRegressionTree:
         with pytest.raises(MLError):
             RegressionTree(max_features="bogus").fit(X, y)
 
+    @pytest.mark.parametrize(
+        "rng", [0, 5, np.random.RandomState(0), np.random.PCG64(0)],
+        ids=["zero", "int", "RandomState", "BitGenerator"],
+    )
+    def test_rng_must_be_a_generator(self, rng):
+        # An int is not a seed here (rng=0 would be falsy, rng=5 has no
+        # choice), and a RandomState draws from another stream.
+        with pytest.raises(MLError, match="numpy.random.Generator"):
+            RegressionTree(rng=rng)
+
     @settings(max_examples=20, deadline=None)
     @given(st.integers(0, 1000))
     def test_predictions_within_target_range(self, seed):
@@ -201,3 +222,59 @@ def test_non_finite_training_data_rejected(make, target, bad):
         y[3] = bad
     with pytest.raises(MLError, match="finite"):
         make().fit(X, y)
+
+
+# ---------------------------------------------------------- golden forests
+
+def golden_data(n=90, p=24, seed=4):
+    """Tie-heavy columns (small integers) beside continuous ones."""
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, p))
+    X[:, ::3] = rng.integers(0, 4, size=(n, len(range(0, p, 3))))
+    y = X[:, 0] * X[:, 1] + np.sin(3 * X[:, 2]) + 0.1 * rng.normal(size=n)
+    return X, y
+
+
+def tree_digest(tree) -> str:
+    """sha256 of a fitted tree's node arrays, importances and RNG end state."""
+    nodes = tree._nodes
+    h = hashlib.sha256()
+    for field, dtype in (
+        ("feature", np.int64), ("threshold", np.float64),
+        ("left", np.int64), ("right", np.int64), ("value", np.float64),
+    ):
+        h.update(np.array([getattr(n, field) for n in nodes], dtype).tobytes())
+    h.update(tree.feature_importances_.tobytes())
+    h.update(json.dumps(tree.rng.bit_generator.state, sort_keys=True).encode())
+    return h.hexdigest()
+
+
+def golden_forest_digests() -> dict[str, list[str]]:
+    """Every tree's digest, per fixed-seed fit."""
+    X, y = golden_data()
+    fits = {
+        f"forest-{mf}": RandomForestRegressor(
+            n_estimators=4, max_features=mf, random_state=7, jobs=1
+        )
+        for mf in ("third", "sqrt", None)
+    }
+    digests = {
+        name: [tree_digest(tree) for tree in model.fit(X, y).trees_]
+        for name, model in fits.items()
+    }
+    model_tree = ModelTree(max_depth=3, random_state=7).fit(X, y)
+    digests["model-tree"] = [tree_digest(model_tree.tree_)]
+    return digests
+
+
+def test_forests_match_golden_digests():
+    # Every tree's nodes, importances and RNG end state, bit for bit, as
+    # recorded in the golden file: the tree builder's internals may
+    # change, the trees it fits may not.
+    assert golden_forest_digests() == json.loads(GOLDEN_FORESTS.read_text())
+
+
+if __name__ == "__main__":
+    GOLDEN_FORESTS.write_text(
+        json.dumps(golden_forest_digests(), indent=1, sort_keys=True) + "\n"
+    )

@@ -6,7 +6,8 @@ over drawn keys (both sides of the oracle's move-to-front / Fenwick
 switch), the grouped distances over one or many groups, phase A's
 stream digests over drawn multi-thread traces and PE slices, phase A's
 L1 walk over drawn multi-stream batches, whole regression trees over
-drawn tie-heavy matrices, and the trace fill over drawn builder
+drawn tie-heavy matrices (and their C replay of ``Generator.choice``
+over every numpy bit generator), and the trace fill over drawn builder
 actions.  Whole traces and profiles of all twelve workloads and whole
 forests must be identical under both forms.
 The build tests check that a damaged cached object is rebuilt and that
@@ -14,6 +15,7 @@ concurrent cold processes share one object.
 """
 
 import ctypes
+import logging
 import os
 import shutil
 import subprocess
@@ -32,6 +34,7 @@ from repro.errors import ConfigError
 from repro.ir import Opcode, grouped_reuse_distances, reuse_distances
 from repro.ir.trace import TRACE_COLUMNS, dense_ids
 from repro.ml import RandomForestRegressor, RegressionTree
+from repro.ml import tree as tree_module
 from repro.profiler import analyze_trace
 from repro.profiler.features import ILP_WINDOWS
 
@@ -411,22 +414,10 @@ class TestTreeKernel:
             y = 1000.0 + 1e-3 * rng.normal(size=13)
             got, want = (
                 form(columns, y, columns.astype(np.int64), 1, 1, 2, 1,
-                     lambda: np.zeros(1, dtype=np.int64))[5]
+                     np.random.default_rng(0))[5]
                 for form in (cc, python)
             )
             assert got.tobytes() == want.tobytes()
-
-    def test_draw_exception_propagates(self, capfd):
-        cc, _python = forms("build_tree")
-        columns = np.arange(12.0).reshape(2, 6)
-
-        def draw():
-            raise ValueError("draw failed")
-
-        with pytest.raises(ValueError, match="draw failed"):
-            cc(columns, np.arange(6.0), columns.astype(np.int64), 2, None, 2, 1,
-               draw)
-        assert "Exception" not in capfd.readouterr().err
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_forest_identical_under_both_forms(self, monkeypatch, jobs):
@@ -449,6 +440,96 @@ class TestTreeKernel:
                 forest.oob_prediction_.tobytes(),
             ))
         assert keys[0] == keys[1]
+
+
+# ------------------------------------------------ the trees' feature draw
+
+BIT_GENERATORS = ["PCG64", "PCG64DXSM", "MT19937", "Philox", "SFC64"]
+
+
+def state_key(state):
+    """A bit generator's state with its arrays as lists (comparable)."""
+    if isinstance(state, dict):
+        return {key: state_key(value) for key, value in state.items()}
+    if isinstance(state, np.ndarray):
+        return state.tolist()
+    return state
+
+
+@st.composite
+def choice_shapes(draw):
+    """``(p, k)`` on both branches of ``Generator.choice``: Floyd's
+    algorithm (p <= 10000, or k <= p // 50) and the tail shuffle."""
+    branch = draw(st.sampled_from(["small", "large-floyd", "large-tail"]))
+    if branch == "small":
+        p = draw(st.integers(1, 10000))
+        lo, hi = 1, p
+    else:
+        p = draw(st.integers(10001, 30000))
+        lo, hi = (1, p // 50) if branch == "large-floyd" else (p // 50 + 1, p)
+    k = draw(st.one_of(st.just(lo), st.just(hi), st.integers(lo, hi)))
+    return p, k
+
+
+class TestChoiceReplay:
+    @DIFF_SETTINGS
+    @given(
+        name=st.sampled_from(BIT_GENERATORS),
+        shape=choice_shapes(),
+        seed=st.integers(0, 2**64 - 1),
+        draws=st.integers(1, 3),
+    )
+    def test_matches_generator_choice(self, name, shape, seed, draws):
+        """Equal indices and an equal generator state after each draw,
+        for every numpy bit generator (some buffer a spare uint32)."""
+        forms("build_tree")
+        choice = tree_module._choice_cc(native._library())
+        p, k = shape
+        want, got = (
+            np.random.Generator(getattr(np.random, name)(seed)) for _ in "ab"
+        )
+        for _ in range(draws):
+            np.testing.assert_array_equal(
+                choice(got, p, k), want.choice(p, size=k, replace=False)
+            )
+            assert state_key(got.bit_generator.state) == state_key(
+                want.bit_generator.state
+            )
+
+    def test_failed_self_check_falls_back_to_python(self, monkeypatch):
+        """A C draw that disagrees with ``choice`` (as after a numpy
+        change to it) is caught when the kernel is built: one warning,
+        and the trees are the Python form's."""
+        forms("build_tree")
+        real = tree_module._choice_cc
+        monkeypatch.setattr(
+            tree_module, "_choice_cc",
+            lambda lib: (lambda rng, p, k: real(lib)(rng, p, k)[::-1]),
+        )
+        monkeypatch.setattr(native, "_CC", {})
+        records = []
+        handler = logging.Handler(logging.WARNING)
+        handler.emit = records.append
+        tree_module.log.addHandler(handler)
+        try:
+            fn, backend = native.resolve("build_tree")
+            native.resolve("build_tree")
+        finally:
+            tree_module.log.removeHandler(handler)
+        assert [r.getMessage() for r in records] == [
+            "the C feature draw does not replay this numpy's "
+            "Generator.choice; trees are built by the Python form"
+        ]
+        assert (fn, backend) == (native.python_form("build_tree"), "python")
+        X, y, params, seed = (
+            np.random.default_rng(4).normal(size=(60, 9)),
+            np.random.default_rng(5).normal(size=60),
+            {"max_features": "third"}, 6,
+        )
+        fallback = tree_key(fit_tree(monkeypatch, "cc", X, y, params, seed))
+        assert fallback == tree_key(
+            fit_tree(monkeypatch, "python", X, y, params, seed)
+        )
 
 
 # ------------------------------------------------------------ trace fill
