@@ -248,10 +248,6 @@ class TrainingSet:
 
     # ----------------------------------------------------------- matrices
 
-    @property
-    def feature_names(self) -> tuple[str, ...]:
-        return self.schema.names
-
     def _matrix(self) -> np.ndarray:
         """The root's full feature matrix, assembled once."""
         root = self._root if self._root is not None else self

@@ -1,17 +1,18 @@
 """Saving and loading trained NAPEL models.
 
-Trained models are plain Python object graphs (forests of
-:class:`~repro.ml.tree.RegressionTree` nodes, numpy arrays), so standard
-pickling round-trips them exactly.  :func:`save_model` wraps the pickle
-with a format header so stale model files fail loudly instead of
-mispredicting silently.
+Trained models are plain Python object graphs (forests whose trees are
+numpy node arrays), so standard pickling round-trips them exactly.
+:func:`save_model` wraps the pickle with a format header so stale model
+files fail loudly instead of mispredicting silently.
 
-Format version 2 makes artifacts *self-describing*: the header embeds
-the model's full :class:`~repro.schema.FeatureSchema` (as plain JSON, so
-the column identity is inspectable without unpickling) plus its content
-hash and the package version.  :func:`load_model` verifies the header
-before trusting the payload, rejects v1 files (they carry no schema, so
-their column meaning cannot be checked) with an actionable message, and
+Artifacts are *self-describing*: the header embeds the model's full
+:class:`~repro.schema.FeatureSchema` (as plain JSON, so the column
+identity is inspectable without unpickling) plus its content hash and
+the package version.  Format version 3 stores every fitted tree as its
+node arrays.  :func:`load_model` verifies the header before trusting the
+payload and rejects older files with an actionable "retrain" message:
+v1 files carry no schema, so their column meaning cannot be checked,
+and v2 files pickle tree node objects this version no longer has.  It
 warns when the saving package version or the runtime feature schema
 differs from the current one.
 """
@@ -32,11 +33,33 @@ from ..store import replacing
 from .predictor import NapelModel
 
 _MAGIC = "napel-model"
-_FORMAT_VERSION = 2
+_FORMAT_VERSION = 3
+
+#: Why each retired format cannot be loaded.
+_RETIRED_FORMATS = {
+    1: "predates the feature schema and cannot be validated against the "
+       "current feature layout",
+    2: "stores its trees as node objects this version no longer reads",
+}
+
+
+#: Classes that retired formats pickled and this version no longer has.
+_RETIRED_CLASSES = {("repro.ml.tree", "_Node")}
+
+
+class _Unpickler(pickle.Unpickler):
+    """Stands an empty class in for each of :data:`_RETIRED_CLASSES`, so
+    a stale file's header is still read and its format check names it.
+    Any other missing class fails the load as corrupt."""
+
+    def find_class(self, module: str, name: str):
+        if (module, name) in _RETIRED_CLASSES:
+            return type(name, (), {})
+        return super().find_class(module, name)
 
 
 def save_model(model: NapelModel, path: str | Path) -> None:
-    """Serialise a trained model (format v2: schema-embedding) to ``path``.
+    """Serialise a trained model (format v3) to ``path``.
 
     Written through :func:`repro.store.replacing`: a failed save leaves
     the previous artifact at ``path`` intact, so a serving process can
@@ -69,7 +92,7 @@ def load_model(path: str | Path) -> NapelModel:
         raise MLError(f"no model file at {path}")
     with path.open("rb") as fh:
         try:
-            payload = pickle.load(fh)
+            payload = _Unpickler(fh).load()
         except Exception as exc:
             raise MLError(
                 f"{path} is corrupt or truncated and cannot be unpickled "
@@ -78,11 +101,10 @@ def load_model(path: str | Path) -> NapelModel:
     if not isinstance(payload, dict) or payload.get("magic") != _MAGIC:
         raise MLError(f"{path} is not a NAPEL model file")
     fmt = payload.get("format")
-    if fmt == 1:
+    if fmt in _RETIRED_FORMATS:
         raise MLError(
-            f"{path} uses model format 1, which predates the feature "
-            "schema and cannot be validated against the current feature "
-            "layout; retrain and re-save it with this version "
+            f"{path} uses model format {fmt}, which {_RETIRED_FORMATS[fmt]}; "
+            "retrain and re-save it with this version "
             "(`repro train ... -o <file>`)"
         )
     if fmt != _FORMAT_VERSION:

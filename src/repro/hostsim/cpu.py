@@ -59,11 +59,6 @@ class HostResult:
         """Energy-delay product (J * s), the Figure 7 metric."""
         return self.energy_j * self.time_s
 
-    @property
-    def gips(self) -> float:
-        """Aggregate throughput in giga-instructions per second."""
-        return self.instructions / self.time_s * 1e-9
-
 
 class HostSimulator:
     """Estimates host execution time and energy from a profile."""

@@ -44,24 +44,12 @@ class Opcode(IntEnum):
         return self in MEMORY_OPCODES
 
     @property
-    def is_read(self) -> bool:
-        return self in (Opcode.LOAD, Opcode.ATOMIC)
-
-    @property
     def is_write(self) -> bool:
         return self in (Opcode.STORE, Opcode.ATOMIC)
 
     @property
     def is_control(self) -> bool:
         return self in CONTROL_OPCODES
-
-    @property
-    def is_float(self) -> bool:
-        return self in FP_OPCODES
-
-    @property
-    def is_int(self) -> bool:
-        return self in INT_OPCODES
 
 
 #: Opcodes that access memory.
@@ -121,11 +109,3 @@ class Instruction(NamedTuple):
     @property
     def is_memory(self) -> bool:
         return self.opcode.is_memory
-
-    def registers_read(self) -> tuple[int, ...]:
-        """Virtual registers read by this instruction."""
-        return tuple(r for r in (self.src1, self.src2) if r != NO_REG)
-
-    def registers_written(self) -> tuple[int, ...]:
-        """Virtual registers written by this instruction."""
-        return (self.dst,) if self.dst != NO_REG else ()

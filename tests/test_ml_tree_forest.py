@@ -83,14 +83,14 @@ class TestRegressionTree:
             RegressionTree().fit(np.zeros((0, 3)), np.zeros(0))
 
     def test_vectorized_batch_matches_per_row_walk(self):
-        """The level-wise lock-stepped batch traversal (used for >= 16
-        rows) must be bit-identical to the scalar per-row walk — it is
-        what makes served batch predictions equal single-row ones."""
+        """A whole matrix descends to the same leaves as each of its rows
+        alone — what makes served batch predictions equal single-row
+        ones — and a pickled tree predicts what it did."""
         import pickle
 
         X, y = smooth_data(400)
         tree = RegressionTree(max_depth=10).fit(X, y)
-        batch = tree.predict(X)  # vectorized path (>= 16 rows)
+        batch = tree.predict(X)
         scalar = np.array(
             [tree.predict(row[np.newaxis, :])[0] for row in X]
         )
@@ -100,10 +100,7 @@ class TestRegressionTree:
             [tree.apply(row[np.newaxis, :])[0] for row in X]
         )
         assert np.array_equal(leaves_batch, leaves_scalar)
-        # The compiled node arrays are a runtime cache and must not be
-        # pickled into artifacts (the clone rebuilds them on demand).
         clone = pickle.loads(pickle.dumps(tree))
-        assert "_arrays" not in clone.__dict__
         assert np.array_equal(clone.predict(X), batch)
 
     def test_feature_importances_identify_signal(self):
@@ -224,6 +221,85 @@ def test_non_finite_training_data_rejected(make, target, bad):
         make().fit(X, y)
 
 
+# ------------------------------------------------- one descent, many trees
+
+def walk(tree, row) -> int:
+    """Leaf reached by one row, walked node by node (the oracle)."""
+    feature, threshold, left, right = tree.nodes_
+    node = 0
+    while left[node] >= 0:
+        node = left[node] if row[feature[node]] <= threshold[node] else right[node]
+    return node
+
+
+FOREST_CASES = {
+    "bootstrap": {},
+    "no-bootstrap": {"bootstrap": False},
+    "stumps": {"max_depth": 1},
+    "constant-y": {},
+}
+
+
+@pytest.mark.parametrize("case", sorted(FOREST_CASES))
+@pytest.mark.parametrize("rows", [0, 1, 15, 16, 17, 64])
+def test_forest_descent_matches_per_tree_predictions(monkeypatch, case, rows):
+    """One descent over the forest's node table predicts what its trees
+    predict one by one, stacked: at every row count, for ``predict`` and
+    for the out-of-bag score."""
+    X, y = smooth_data(max(rows, 1), seed=rows)
+    if case == "constant-y":
+        y = np.full(len(y), 3.0)
+    params = dict(n_estimators=7, random_state=rows, jobs=1, **FOREST_CASES[case])
+    forest = RandomForestRegressor(**params).fit(X, y)
+    Xq = np.random.default_rng(99).random((rows, X.shape[1]))
+    stacked = np.stack([tree.predict(Xq) for tree in forest.trees_])
+    assert np.array_equal(forest.predict(Xq), stacked.mean(axis=0))
+    for tree in forest.trees_:
+        assert tree.apply(Xq).tolist() == [walk(tree, row) for row in Xq]
+
+    monkeypatch.setattr(
+        RandomForestRegressor, "_tree_predictions",
+        lambda self, X: np.stack([tree.predict(X) for tree in self.trees_]),
+    )
+    oob = RandomForestRegressor(**params).fit(X, y).oob_prediction_
+    if oob is None:
+        assert forest.oob_prediction_ is None
+    else:
+        assert np.array_equal(forest.oob_prediction_, oob, equal_nan=True)
+
+
+def test_descent_spans_row_blocks():
+    """Matrices longer than one block of rows descend as their rows do
+    alone: a forest's across block edges that its single trees' walks do
+    not share, for C- and Fortran-ordered rows alike."""
+    from repro.ml.tree import _DESCEND_BLOCK
+
+    X, y = smooth_data(200)
+    forest = RandomForestRegressor(n_estimators=7, random_state=0, jobs=1)
+    forest.fit(X, y)
+    rng = np.random.default_rng(1)
+    Xq = rng.random((2 * (_DESCEND_BLOCK // 7) + 5, X.shape[1]))
+    stacked = np.stack([tree.predict(Xq) for tree in forest.trees_])
+    for order in "CF":
+        assert np.array_equal(
+            forest.predict(np.asarray(Xq, order=order)), stacked.mean(axis=0)
+        )
+    tree = forest.trees_[0]
+    Xq = rng.random((_DESCEND_BLOCK + 5, X.shape[1]))
+    assert tree.apply(Xq).tolist() == [walk(tree, row) for row in Xq]
+
+
+@pytest.mark.parametrize("rows", [0, 1, 15, 16, 17, 64])
+def test_model_tree_apply_matches_row_walk(rows):
+    X, y = smooth_data(120)
+    model = ModelTree(max_depth=3, random_state=5).fit(X, y)
+    Xq = np.random.default_rng(rows).random((rows, X.shape[1]))
+    assert model.tree_.apply(Xq).tolist() == [
+        walk(model.tree_, row) for row in Xq
+    ]
+    assert model.predict(Xq).shape == (rows,)
+
+
 # ---------------------------------------------------------- golden forests
 
 def golden_data(n=90, p=24, seed=4):
@@ -237,13 +313,13 @@ def golden_data(n=90, p=24, seed=4):
 
 def tree_digest(tree) -> str:
     """sha256 of a fitted tree's node arrays, importances and RNG end state."""
-    nodes = tree._nodes
     h = hashlib.sha256()
-    for field, dtype in (
-        ("feature", np.int64), ("threshold", np.float64),
-        ("left", np.int64), ("right", np.int64), ("value", np.float64),
+    for array, dtype in zip(
+        (*tree.nodes_, tree.value_),
+        (np.int64, np.float64, np.int64, np.int64, np.float64),
     ):
-        h.update(np.array([getattr(n, field) for n in nodes], dtype).tobytes())
+        assert array.dtype == dtype
+        h.update(array.tobytes())
     h.update(tree.feature_importances_.tobytes())
     h.update(json.dumps(tree.rng.bit_generator.state, sort_keys=True).encode())
     return h.hexdigest()

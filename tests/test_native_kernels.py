@@ -357,13 +357,9 @@ def tree_inputs(draw):
 
 
 def tree_key(tree):
-    """Everything a fitted tree is: node fields (with their Python types
-    and float bits), importances and the RNG's end state."""
-    nodes = [
-        (type(n.value), n.value.hex(), type(n.feature), n.feature,
-         type(n.threshold), n.threshold.hex(), n.left, n.right)
-        for n in tree._nodes
-    ]
+    """Everything a fitted tree is: node arrays (their dtypes and bytes),
+    importances and the RNG's end state."""
+    nodes = [(a.dtype.str, a.tobytes()) for a in (*tree.nodes_, tree.value_)]
     return (
         nodes, tree.feature_importances_.tobytes(), tree.rng.bit_generator.state
     )

@@ -107,8 +107,8 @@ class TestMetricsRegistry:
                 assert reg.current_spans() == ("outer", "inner")
             assert span.elapsed_s is not None and span.elapsed_s >= 0
         assert reg.current_spans() == ()
-        outer = reg.timer_stats("outer")
-        inner = reg.timer_stats("inner")
+        outer = reg.snapshot()["timers"]["outer"]
+        inner = reg.snapshot()["timers"]["inner"]
         assert outer["count"] == 1 and inner["count"] == 1
         assert outer["total_s"] >= inner["total_s"] >= 0.0
         assert outer["min_s"] == outer["max_s"] == outer["total_s"]
@@ -146,8 +146,8 @@ class TestMetricsRegistry:
         assert seen["span0"] == ("span0",)
         assert seen["span1"] == ("span1",)
         assert reg.current_spans() == ()
-        assert reg.timer_stats("span0")["count"] == 1
-        assert reg.timer_stats("span1")["count"] == 1
+        assert reg.snapshot()["timers"]["span0"]["count"] == 1
+        assert reg.snapshot()["timers"]["span1"]["count"] == 1
 
     def test_span_stack_is_task_local(self):
         """Two coroutines interleaved on ONE event loop each see only
@@ -183,8 +183,8 @@ class TestMetricsRegistry:
         asyncio.run(main())
         assert seen["req-a"] == ("req-a",)
         assert seen["req-b"] == ("req-b",)
-        assert reg.timer_stats("req-a")["count"] == 1
-        assert reg.timer_stats("req-b")["count"] == 1
+        assert reg.snapshot()["timers"]["req-a"]["count"] == 1
+        assert reg.snapshot()["timers"]["req-b"]["count"] == 1
 
     def test_snapshot_diff_merge_roundtrip(self):
         a = MetricsRegistry()
@@ -203,9 +203,9 @@ class TestMetricsRegistry:
         b.merge_snapshot(base)
         b.merge_snapshot(delta)
         assert b.snapshot()["counters"] == a.snapshot()["counters"]
-        assert b.timer_stats("t")["count"] == 2
-        assert b.timer_stats("t")["total_s"] == pytest.approx(
-            a.timer_stats("t")["total_s"]
+        assert b.snapshot()["timers"]["t"]["count"] == 2
+        assert b.snapshot()["timers"]["t"]["total_s"] == pytest.approx(
+            a.snapshot()["timers"]["t"]["total_s"]
         )
 
     def test_snapshot_is_json_serializable(self):

@@ -61,7 +61,7 @@ class TestSimulatorInvariants:
         assert result.ipc <= result.n_pes_used + 1e-9
         # The makespan is at least the longest thread's instruction count.
         longest = max(
-            len(trace.for_thread(t)) for t in trace.thread_ids
+            len(trace.for_thread(t)) for t in np.unique(trace.tid)
         )
         assert result.cycles >= longest
         # Energy components are non-negative and total consistently.
