@@ -9,13 +9,21 @@ A fitted forest keeps its trees' node arrays as one node table
 (:func:`~repro.ml.tree.node_table`), so a prediction or the OOB score
 is one :func:`~repro.ml.tree.descend` of every tree at once.
 
-Tree fitting parallelizes over worker processes (``jobs``): every tree's
-RNG seed and bootstrap sample are pre-drawn from the forest RNG in tree
-order *before* dispatch, so serial and parallel fits consume the random
-stream identically and produce bit-identical forests.
+Every fit goes through :func:`fit_forests`, which fits any number of
+forests on the same data in one pass: a plain ``fit`` is the one-forest
+case, and the OOB grid search (:func:`~repro.ml.tuning.grid_search`)
+fits all of its combinations at once.  Every tree's RNG seed and
+bootstrap sample (its *plan*) are pre-drawn from the forest RNG in tree
+order before any tree is fitted, so serial and parallel fits consume
+the random stream identically and produce bit-identical forests.
+Forests with equal ``random_state``, ``bootstrap`` and ``n_estimators``
+draw equal plans, so they share one set: each plan's bootstrap gather
+is made once and fitted once per forest, tree by tree.
 """
 
 from __future__ import annotations
+
+from typing import Sequence
 
 import numpy as np
 
@@ -27,35 +35,112 @@ from .tree import (
     node_table,
 )
 
+#: A tree's *plan*: its RNG seed and bootstrap sample (None without
+#: bootstrap).
+Plan = tuple[int, np.ndarray | None]
 
-def _fit_tree_chunk(job) -> list[RegressionTree]:
-    """Worker-side body: fit one chunk of pre-planned trees in order.
 
-    ``X`` is transposed and ranked once per chunk; each tree gathers its
-    bootstrap samples' columns and ranks, so no tree sorts from scratch.
+def _fit_tree_chunk(job) -> list[list[RegressionTree]]:
+    """Worker-side body: fit one chunk of plans in order.
+
+    Each unit of the chunk is a plan and the tree parameters of every
+    forest that shares it.  The plan's bootstrap gather of the columns,
+    targets and precomputed ranks is made once and fitted once per
+    forest, so no tree sorts from scratch.
     """
-    X, y, params, plans = job
-    columns = np.ascontiguousarray(X.T)
-    ranks = _dense_ranks(columns)
-    trees = []
-    for seed, sample in plans:
-        tree = RegressionTree(
-            max_depth=params["max_depth"],
-            min_samples_leaf=params["min_samples_leaf"],
-            max_features=params["max_features"],
-            rng=np.random.default_rng(seed),
-        )
+    columns, y, ranks, units = job
+    fitted = []
+    for (seed, sample), params in units:
         if sample is None:
-            tree._fit(columns, y, ranks)
+            data = (columns, y, ranks)
         else:
-            tree._fit(
+            data = (
                 columns.take(sample, axis=1), y[sample],
                 ranks.take(sample, axis=1),
             )
-        trees.append(tree)
+        fitted.append([
+            RegressionTree(**tree_params, rng=np.random.default_rng(seed))
+            ._fit(*data)
+            for tree_params in params
+        ])
+    trees = [tree for unit in fitted for tree in unit]
     metrics().inc("ml.trees.fitted", len(trees))
     metrics().inc("ml.tree.nodes", sum(tree.n_nodes for tree in trees))
-    return trees
+    return fitted
+
+
+def _draw_plans(forest: "RandomForestRegressor", n: int) -> list[Plan]:
+    """Every tree's plan, drawn in tree order as a serial loop would."""
+    rng = np.random.default_rng(forest.random_state)
+    plans: list[Plan] = []
+    for _ in range(forest.n_estimators):
+        seed = int(rng.integers(0, 2**63))
+        sample = rng.integers(0, n, size=n) if forest.bootstrap else None
+        plans.append((seed, sample))
+    return plans
+
+
+def _oob_mask(plans: list[Plan], n: int) -> np.ndarray | None:
+    """(trees, samples) mask of the samples each plan leaves out of bag,
+    or None without bootstrap."""
+    if plans[0][1] is None:
+        return None
+    mask = np.ones((len(plans), n), dtype=bool)
+    for t, (_seed, sample) in enumerate(plans):
+        mask[t, sample] = False
+    return mask
+
+
+def fit_forests(
+    forests: Sequence["RandomForestRegressor"], X, y, jobs: int | None = None
+) -> None:
+    """Fit every forest in ``forests`` on the same ``X``, ``y`` in one pass.
+
+    ``X`` is transposed and ranked once.  Forests that share
+    ``random_state``, ``bootstrap`` and ``n_estimators`` share one set of
+    plans (one draw from ``random_state``, also when it is None) and one
+    out-of-bag mask.  Each forest comes out bit-identical to its own
+    ``fit`` from a fresh draw of its ``random_state``.  ``jobs`` spreads
+    contiguous chunks of plans, across all forests, over worker processes
+    (1 = serial, 0 = all CPUs, None = honour ``REPRO_JOBS``).
+    """
+    X, y = _check_fit_data(X, y)
+    columns = np.ascontiguousarray(X.T)
+    ranks = _dense_ranks(columns)
+    groups: dict[tuple, list[RandomForestRegressor]] = {}
+    for forest in forests:
+        key = (forest.random_state, forest.bootstrap, forest.n_estimators)
+        groups.setdefault(key, []).append(forest)
+    shared = [
+        (members, _draw_plans(members[0], len(y)))
+        for members in groups.values()
+    ]
+    units = [
+        (plan, [forest._tree_params() for forest in members])
+        for members, plans in shared
+        for plan in plans
+    ]
+    # One contiguous chunk per worker keeps the data's pickling to one
+    # round trip each; map_jobs returns the chunks in order, so the
+    # trees come back in plan order.
+    jobs_n = max(1, min(resolve_jobs(jobs), len(units)))
+    bounds = np.linspace(0, len(units), jobs_n + 1).astype(int)
+    chunks = [
+        (columns, y, ranks, units[lo:hi])
+        for lo, hi in zip(bounds[:-1], bounds[1:])
+    ]
+    fitted = [
+        unit
+        for chunk in map_jobs(_fit_tree_chunk, chunks, jobs_n=jobs_n, chunk=1)
+        for unit in chunk
+    ]
+    start = 0
+    for members, plans in shared:
+        per_plan = fitted[start:start + len(plans)]
+        start += len(plans)
+        oob_mask = _oob_mask(plans, len(y))
+        for i, forest in enumerate(members):
+            forest._set_trees([trees[i] for trees in per_plan], X, oob_mask)
 
 
 class RandomForestRegressor:
@@ -76,8 +161,8 @@ class RandomForestRegressor:
         Seed for reproducibility.
     jobs:
         Worker processes for tree fitting (1 = serial, 0 = all CPUs,
-        None = honour ``REPRO_JOBS``).  Serial and parallel fits are
-        bit-identical.
+        None = honour ``REPRO_JOBS``; an OOB grid search uses its own
+        ``jobs``).  Serial and parallel fits are bit-identical.
     """
 
     def __init__(
@@ -122,75 +207,45 @@ class RandomForestRegressor:
         return RandomForestRegressor(**params)
 
     def fit(self, X, y) -> "RandomForestRegressor":
-        X, y = _check_fit_data(X, y)
-        n = len(y)
-        rng = np.random.default_rng(self.random_state)
-        # Pre-draw every tree's seed and bootstrap sample in tree order:
-        # the RNG stream is consumed exactly as a serial loop would, so
-        # the fitted forest is independent of the worker count.
-        plans: list[tuple[int, np.ndarray | None]] = []
-        for _ in range(self.n_estimators):
-            seed = int(rng.integers(0, 2**63))
-            sample = rng.integers(0, n, size=n) if self.bootstrap else None
-            plans.append((seed, sample))
-        self.trees_ = self._fit_trees(X, y, plans)
-        self.n_features_ = X.shape[1]
-        self.nodes_, self.roots_, self.values_ = node_table(self.trees_)
-        importances = np.zeros(X.shape[1])
-        for tree in self.trees_:
-            importances += tree.feature_importances_
-        self.feature_importances_ = importances / self.n_estimators
-        self._aggregate_oob(X, [sample for _, sample in plans])
+        fit_forests([self], X, y, self.jobs)
         return self
 
-    def _fit_trees(
-        self, X: np.ndarray, y: np.ndarray,
-        plans: list[tuple[int, np.ndarray | None]],
-    ) -> list[RegressionTree]:
-        jobs_n = resolve_jobs(self.jobs)
-        params = {
+    def _tree_params(self) -> dict:
+        """Constructor arguments of every base tree but its RNG."""
+        return {
             "max_depth": self.max_depth,
             "min_samples_leaf": self.min_samples_leaf,
             "max_features": self.max_features,
         }
-        if jobs_n <= 1 or len(plans) <= 1:
-            return _fit_tree_chunk((X, y, params, plans))
-        # One contiguous chunk per worker keeps X/y pickling to jobs_n
-        # round trips; chunk order is restored by map_jobs, so the tree
-        # list comes back in plan order.
-        jobs_n = min(jobs_n, len(plans))
-        bounds = np.linspace(0, len(plans), jobs_n + 1).astype(int)
-        chunks = [
-            (X, y, params, plans[lo:hi])
-            for lo, hi in zip(bounds[:-1], bounds[1:])
-            if hi > lo
-        ]
-        fitted = map_jobs(_fit_tree_chunk, chunks, jobs_n=jobs_n, chunk=1)
-        return [tree for chunk_trees in fitted for tree in chunk_trees]
+
+    def _set_trees(
+        self, trees: list[RegressionTree], X: np.ndarray,
+        oob_mask: np.ndarray | None,
+    ) -> None:
+        """Take ``trees``, fitted on ``X``, as the fitted forest."""
+        self.trees_ = trees
+        self.n_features_ = X.shape[1]
+        self.nodes_, self.roots_, self.values_ = node_table(trees)
+        importances = np.zeros(X.shape[1])
+        for tree in trees:
+            importances += tree.feature_importances_
+        self.feature_importances_ = importances / self.n_estimators
+        self._aggregate_oob(X, oob_mask)
 
     def _tree_predictions(self, X: np.ndarray) -> np.ndarray:
         """(n_trees, n_samples) matrix of per-tree predictions, from one
         descent of every tree over the forest's node table."""
         return self.values_[descend(self.nodes_, self.roots_, X)]
 
-    def _aggregate_oob(
-        self, X: np.ndarray, samples: list[np.ndarray | None]
-    ) -> None:
+    def _aggregate_oob(self, X: np.ndarray, oob_mask: np.ndarray | None) -> None:
         """Per-sample OOB prediction from the per-tree predictions."""
-        if not self.bootstrap:
-            self.oob_prediction_ = None
-            return
-        n = len(X)
-        oob_mask = np.ones((len(self.trees_), n), dtype=bool)
-        for t, sample in enumerate(samples):
-            oob_mask[t, np.unique(sample)] = False
-        if not oob_mask.any():
+        if oob_mask is None or not oob_mask.any():
             self.oob_prediction_ = None
             return
         preds = self._tree_predictions(X)
         oob_count = oob_mask.sum(axis=0)
         oob_sum = np.where(oob_mask, preds, 0.0).sum(axis=0)
-        oob = np.full(n, np.nan)
+        oob = np.full(len(X), np.nan)
         seen = oob_count > 0
         oob[seen] = oob_sum[seen] / oob_count[seen]
         self.oob_prediction_ = oob

@@ -284,9 +284,11 @@ def _build_tree_cc(lib: native.Library) -> Callable | None:
             raise MemoryError("build_tree: scratch allocation failed")
         if count < 0:
             raise MLError(f"build_tree: more than {cap} nodes")
+        # Copies, not views: a view would pin the whole 2n - 1 capacity
+        # of every buffer for as long as the tree lives.
         return (
-            feature[:count], threshold[:count], left[:count], right[:count],
-            value[:count], importance,
+            *(a[:count].copy() for a in (feature, threshold, left, right, value)),
+            importance,
         )
 
     return kernel

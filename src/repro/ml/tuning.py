@@ -3,16 +3,23 @@
 "First, we perform as many iterations of the cross-validation process as
 hyper-parameter combinations.  Second, we compare all the generated models
 ... and select the best one."  :func:`grid_search` does exactly that: one
-cross-validated score per combination, best model refitted on everything.
+score per combination, and the best combination's model is returned.
 
 For random forests the out-of-bag error can be used instead of k-fold CV
 (``use_oob=True``), which is substantially cheaper and statistically
-equivalent for bagged ensembles.
+equivalent for bagged ensembles.  Every combination's forest is then
+fitted on all the data in one pass (:func:`~repro.ml.forest.fit_forests`:
+combinations that share ``random_state``, ``bootstrap`` and
+``n_estimators`` share each tree's bootstrap sample), scored by its OOB
+error, and the winner is returned as it was scored, not refitted.  With
+k-fold CV each combination is scored on its folds and the winner is then
+refitted on everything.
 
-Combinations are independent, so with ``jobs > 1`` they are scored in
-worker processes.  Scores are deterministic functions of (params, data,
-seeds) and the best combination is picked by strict improvement in grid
-order, so parallel and serial searches select the same model.
+With ``jobs > 1`` the OOB search fits contiguous chunks of trees, across
+all combinations, in worker processes; the k-fold search scores whole
+combinations there.  Scores are deterministic functions of (params,
+data, seeds) and the best combination is picked by strict improvement
+in grid order, so parallel and serial searches select the same model.
 """
 
 from __future__ import annotations
@@ -27,7 +34,7 @@ from ..errors import MLError
 from ..obs import get_logger, metrics, tracer
 from ..parallel import map_jobs, resolve_jobs
 from .cross_validation import KFold, cross_val_score
-from .forest import RandomForestRegressor
+from .forest import RandomForestRegressor, fit_forests
 
 log = get_logger("repro.ml")
 
@@ -51,18 +58,13 @@ def _combinations(grid: Mapping[str, Sequence]) -> list[dict]:
 
 
 def _score_combo(job) -> float:
-    """Score one hyper-parameter combination (module-level: picklable)."""
-    base_model, params, X, y, use_oob, cv = job
+    """k-fold score of one hyper-parameter combination (module-level:
+    picklable)."""
+    base_model, params, X, y, cv = job
     metrics().inc("ml.tuning.combinations")
     with tracer().span(
         "ml.tuning.combo", params={k: str(v) for k, v in params.items()}
     ):
-        candidate = base_model.clone(**params)
-        if use_oob:
-            if not isinstance(candidate, RandomForestRegressor):
-                raise MLError("use_oob requires a RandomForestRegressor")
-            candidate.fit(X, y)
-            return candidate.oob_error(y)
         folds = cross_val_score(
             lambda: base_model.clone(**params), X, y,
             cv=cv or KFold(n_splits=3, random_state=0),
@@ -82,10 +84,13 @@ def grid_search(
 ) -> GridSearchResult:
     """Exhaustive search over ``grid``; lower score (MRE) is better.
 
-    ``base_model`` must expose ``clone(**params)``; the returned best model
-    is refitted on the full data with the winning parameters.  ``jobs``
-    spreads the combinations over worker processes (1 = serial, 0 = all
-    CPUs, None = honour ``REPRO_JOBS``) without changing the selection.
+    ``base_model`` must expose ``clone(**params)``.  With ``use_oob``
+    every combination's forest is fitted once on the full data and the
+    winner is returned as scored; with k-fold CV the winner is refitted
+    on the full data.  ``jobs`` spreads the work over worker processes
+    (1 = serial, 0 = all CPUs, None = honour ``REPRO_JOBS``): tree chunks
+    across all combinations with ``use_oob``, whole combinations with
+    k-fold CV.  Neither changes the selection.
     """
     combos = _combinations(grid)
     if not combos:
@@ -103,16 +108,22 @@ def grid_search(
         }},
     )
     with metrics().timer("ml.grid_search"):
-        combo_scores = map_jobs(
-            _score_combo,
-            [(base_model, params, X, y, use_oob, cv) for params in combos],
-            jobs_n=resolve_jobs(jobs),
-            chunk=1,
-        )
+        if use_oob:
+            forests = [base_model.clone(**params) for params in combos]
+            fit_forests(forests, X, y, jobs)
+            metrics().inc("ml.tuning.combinations", len(combos))
+            combo_scores = [forest.oob_error(y) for forest in forests]
+        else:
+            combo_scores = map_jobs(
+                _score_combo,
+                [(base_model, params, X, y, cv) for params in combos],
+                jobs_n=resolve_jobs(jobs),
+                chunk=1,
+            )
     scores: list[tuple[dict, float]] = []
-    best_params: dict | None = None
+    best = None
     best_score = np.inf
-    for params, score in zip(combos, combo_scores):
+    for i, (params, score) in enumerate(zip(combos, combo_scores)):
         scores.append((params, score))
         log.debug(
             "tuning iteration",
@@ -120,8 +131,9 @@ def grid_search(
         )
         if score < best_score:
             best_score = score
-            best_params = params
-    assert best_params is not None
+            best = i
+    assert best is not None
+    best_params = combos[best]
     log.info(
         "grid search done",
         extra={"ctx": {
@@ -129,8 +141,11 @@ def grid_search(
             "best_score": round(best_score, 6),
         }},
     )
-    best_model = base_model.clone(**best_params)
-    best_model.fit(X, y)
+    if use_oob:
+        best_model = forests[best]
+    else:
+        best_model = base_model.clone(**best_params)
+        best_model.fit(X, y)
     return GridSearchResult(
         best_model=best_model,
         best_params=best_params,

@@ -1,7 +1,8 @@
 """Tests for the CART tree and random forest (repro.ml.tree / .forest).
 
 Running this file as a script rewrites ``tests/data/golden_forests.json``
-(a sha256 per fitted tree of a few fixed-seed forests and a model tree);
+(a sha256 per fitted tree of a few fixed-seed forests, a model tree and
+the forest an OOB grid search returns, with that search's scores);
 do so only for a change that is meant to alter fitted trees.
 """
 
@@ -14,8 +15,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.pipeline import DEFAULT_RF_GRID
 from repro.errors import MLError, NotFittedError
-from repro.ml import ModelTree, RandomForestRegressor, RegressionTree, r2_score
+from repro.ml import (
+    ModelTree, RandomForestRegressor, RegressionTree, grid_search, r2_score,
+)
 
 GOLDEN_FORESTS = Path(__file__).parent / "data" / "golden_forests.json"
 
@@ -325,8 +329,9 @@ def tree_digest(tree) -> str:
     return h.hexdigest()
 
 
-def golden_forest_digests() -> dict[str, list[str]]:
-    """Every tree's digest, per fixed-seed fit."""
+def golden_forest_digests() -> dict[str, object]:
+    """Every tree's digest, per fixed-seed fit; for the default RF grid's
+    OOB search also its selection and every score's ``repr``."""
     X, y = golden_data()
     fits = {
         f"forest-{mf}": RandomForestRegressor(
@@ -340,6 +345,15 @@ def golden_forest_digests() -> dict[str, list[str]]:
     }
     model_tree = ModelTree(max_depth=3, random_state=7).fit(X, y)
     digests["model-tree"] = [tree_digest(model_tree.tree_)]
+    search = grid_search(
+        RandomForestRegressor(n_estimators=6, random_state=7, jobs=1),
+        DEFAULT_RF_GRID, X, y, use_oob=True, jobs=1,
+    )
+    digests["grid-oob"] = {
+        "best_params": search.best_params,
+        "scores": [repr(score) for _, score in search.scores],
+        "trees": [tree_digest(tree) for tree in search.best_model.trees_],
+    }
     return digests
 
 

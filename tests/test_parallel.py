@@ -8,13 +8,19 @@ skip gracefully on platforms where worker processes cannot start.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_ml_tree_forest import tree_digest
 
 from repro import SimulationCampaign
 from repro.core import evaluate_loocv
 from repro.errors import ConfigError, ParallelError
 from repro.ml import RandomForestRegressor, grid_search
+from repro.ml.forest import fit_forests
 from repro.parallel import (
     ProcessExecutor,
     SerialExecutor,
@@ -215,6 +221,68 @@ class TestGridSearchParallel:
         assert serial.best_params == parallel.best_params
         assert serial.best_score == parallel.best_score
         assert serial.scores == parallel.scores
+
+
+def _values(*choices):
+    return st.lists(st.sampled_from(choices), min_size=1, max_size=2, unique=True)
+
+
+#: Grids over the tree parameters, some also over the parameters that
+#: decide which combinations share their trees' plans.
+_GRIDS = st.fixed_dictionaries(
+    {
+        "max_features": _values("sqrt", "third", None, 3),
+        "min_samples_leaf": _values(1, 2, 4),
+        "max_depth": _values(None, 2, 5),
+    },
+    optional={
+        "n_estimators": _values(1, 2, 4),
+        "random_state": _values(0, 1, 9),
+        "bootstrap": _values(True, False),
+    },
+)
+
+
+def _fitted(forest):
+    """A fitted forest as its trees' digests and OOB prediction bytes."""
+    oob = forest.oob_prediction_
+    return (
+        [tree_digest(tree) for tree in forest.trees_],
+        None if oob is None else oob.tobytes(),
+    )
+
+
+@requires_pool
+@settings(max_examples=12, deadline=None)
+@given(grid=_GRIDS)
+def test_one_pass_fit_matches_separate_fits(regression_data, grid):
+    """Every forest of a one-pass fit is the forest its own ``fit``
+    makes, at any worker count, and an OOB search over them scores and
+    returns those forests."""
+    X, y, _ = regression_data
+    base = RandomForestRegressor(n_estimators=3, random_state=5, jobs=1)
+    combos = [
+        dict(zip(grid, values)) for values in itertools.product(*grid.values())
+    ]
+    separate = [base.clone(**combo).fit(X, y) for combo in combos]
+    for jobs in (1, 2):
+        forests = [base.clone(**combo) for combo in combos]
+        fit_forests(forests, X, y, jobs)
+        assert [_fitted(f) for f in forests] == [_fitted(f) for f in separate]
+    if False in grid.get("bootstrap", ()):
+        return
+    searches = [
+        grid_search(base, grid, X, y, use_oob=True, jobs=jobs)
+        for jobs in (1, 2)
+    ]
+    for search in searches:
+        assert [s for _, s in search.scores] == [
+            f.oob_error(y) for f in separate
+        ]
+        best = combos.index(search.best_params)
+        assert _fitted(search.best_model) == _fitted(separate[best])
+    assert searches[0].scores == searches[1].scores
+    assert searches[0].best_params == searches[1].best_params
 
 
 @requires_pool
