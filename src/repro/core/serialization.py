@@ -1,20 +1,21 @@
 """Saving and loading trained NAPEL models.
 
-Trained models are plain Python object graphs (forests whose trees are
-numpy node arrays), so standard pickling round-trips them exactly.
+Trained models are plain Python object graphs (forests that are one
+numpy node table each), so standard pickling round-trips them exactly.
 :func:`save_model` wraps the pickle with a format header so stale model
 files fail loudly instead of mispredicting silently.
 
 Artifacts are *self-describing*: the header embeds the model's full
 :class:`~repro.schema.FeatureSchema` (as plain JSON, so the column
 identity is inspectable without unpickling) plus its content hash and
-the package version.  Format version 3 stores every fitted tree as its
-node arrays.  :func:`load_model` verifies the header before trusting the
-payload and rejects older files with an actionable "retrain" message:
-v1 files carry no schema, so their column meaning cannot be checked,
-and v2 files pickle tree node objects this version no longer has.  It
-warns when the saving package version or the runtime feature schema
-differs from the current one.
+the package version.  Format version 4 stores every fitted forest once,
+as its node table.  :func:`load_model` verifies the header before
+trusting the payload and rejects older files with an actionable
+"retrain" message: v1 files carry no schema, so their column meaning
+cannot be checked, v2 files pickle tree node objects this version no
+longer has, and v3 files store every tree twice (tree objects beside the
+node table).  It warns when the saving package version or the runtime
+feature schema differs from the current one.
 """
 
 from __future__ import annotations
@@ -33,13 +34,14 @@ from ..store import replacing
 from .predictor import NapelModel
 
 _MAGIC = "napel-model"
-_FORMAT_VERSION = 3
+_FORMAT_VERSION = 4
 
 #: Why each retired format cannot be loaded.
 _RETIRED_FORMATS = {
     1: "predates the feature schema and cannot be validated against the "
        "current feature layout",
     2: "stores its trees as node objects this version no longer reads",
+    3: "stores each forest's trees as tree objects beside its node table",
 }
 
 
@@ -59,7 +61,7 @@ class _Unpickler(pickle.Unpickler):
 
 
 def save_model(model: NapelModel, path: str | Path) -> None:
-    """Serialise a trained model (format v3) to ``path``.
+    """Serialise a trained model (format v4) to ``path``.
 
     Written through :func:`repro.store.replacing`: a failed save leaves
     the previous artifact at ``path`` intact, so a serving process can

@@ -5,9 +5,10 @@ Besides prediction, the forest exposes out-of-bag (OOB) error — used by
 the hyper-parameter tuner as a cheap internal validation signal — and
 aggregated feature importances for analysis.
 
-A fitted forest keeps its trees' node arrays as one node table
-(:func:`~repro.ml.tree.node_table`), so a prediction or the OOB score
-is one :func:`~repro.ml.tree.descend` of every tree at once.
+A fitted forest is its trees' node arrays as one node table
+(:func:`~repro.ml.tree.node_table`), their mean importances and the OOB
+prediction; no tree object outlives the fit.  A prediction or the OOB
+score is one :func:`~repro.ml.tree.descend` of every tree at once.
 
 Every fit goes through :func:`fit_forests`, which fits any number of
 forests on the same data in one pass: a plain ``fit`` is the one-forest
@@ -140,7 +141,13 @@ def fit_forests(
         start += len(plans)
         oob_mask = _oob_mask(plans, len(y))
         for i, forest in enumerate(members):
-            forest._set_trees([trees[i] for trees in per_plan], X, oob_mask)
+            trees = [unit[i] for unit in per_plan]
+            forest.n_features_ = X.shape[1]
+            forest.nodes_, forest.roots_, forest.values_ = node_table(trees)
+            forest.feature_importances_ = sum(
+                tree.feature_importances_ for tree in trees
+            ) / forest.n_estimators
+            forest._aggregate_oob(X, oob_mask)
 
 
 class RandomForestRegressor:
@@ -184,7 +191,6 @@ class RandomForestRegressor:
         self.bootstrap = bootstrap
         self.random_state = random_state
         self.jobs = jobs
-        self.trees_: list[RegressionTree] = []
         self.n_features_: int | None = None
         self.oob_prediction_: np.ndarray | None = None
         self.feature_importances_: np.ndarray | None = None
@@ -217,20 +223,6 @@ class RandomForestRegressor:
             "min_samples_leaf": self.min_samples_leaf,
             "max_features": self.max_features,
         }
-
-    def _set_trees(
-        self, trees: list[RegressionTree], X: np.ndarray,
-        oob_mask: np.ndarray | None,
-    ) -> None:
-        """Take ``trees``, fitted on ``X``, as the fitted forest."""
-        self.trees_ = trees
-        self.n_features_ = X.shape[1]
-        self.nodes_, self.roots_, self.values_ = node_table(trees)
-        importances = np.zeros(X.shape[1])
-        for tree in trees:
-            importances += tree.feature_importances_
-        self.feature_importances_ = importances / self.n_estimators
-        self._aggregate_oob(X, oob_mask)
 
     def _tree_predictions(self, X: np.ndarray) -> np.ndarray:
         """(n_trees, n_samples) matrix of per-tree predictions, from one

@@ -1,4 +1,5 @@
-"""Trace-building and kernel-selection helpers shared by the test suite."""
+"""Trace-building, kernel-selection and fitted-forest helpers shared by
+the test suite."""
 
 from __future__ import annotations
 
@@ -66,3 +67,39 @@ def reference_result(workload, row, *, scale: float, arch=None):
     return NMCSimulator(arch, engine="reference").run(
         trace, workload=workload.name, parameters=params
     )
+
+
+def forest_trees(forest):
+    """A fitted forest's trees, sliced back out of its node table.
+
+    Each is a :class:`~repro.ml.tree.RegressionTree` holding only its
+    ``nodes_`` (child indices made tree-local again) and ``value_``, so
+    it predicts, applies and walks as the tree did before the forest
+    dropped it; it has no importances and no RNG.
+    """
+    from repro.ml import RegressionTree
+
+    bounds = [*forest.roots_.tolist(), len(forest.values_)]
+    trees = []
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        feature, threshold, left, right = (a[lo:hi] for a in forest.nodes_)
+        leaf = left < 0
+        tree = RegressionTree()
+        tree.nodes_ = (
+            feature, threshold,
+            np.where(leaf, left, left - lo), np.where(leaf, right, right - lo),
+        )
+        tree.value_ = forest.values_[lo:hi]
+        tree.n_features_ = forest.n_features_
+        trees.append(tree)
+    return trees
+
+
+def forest_key(forest):
+    """Everything a fitted forest is: the dtypes and bytes of its node
+    table, its importances and its OOB prediction (None without one)."""
+    arrays = (
+        *forest.nodes_, forest.roots_, forest.values_,
+        forest.feature_importances_, forest.oob_prediction_,
+    )
+    return [None if a is None else (a.dtype.str, a.tobytes()) for a in arrays]

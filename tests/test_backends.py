@@ -8,7 +8,6 @@ contract.
 """
 
 import json
-import warnings
 from pathlib import Path
 
 import numpy as np

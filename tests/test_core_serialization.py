@@ -1,6 +1,7 @@
 """Tests for model save/load (repro.core.serialization)."""
 
 import pickle
+import pickletools
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from repro import NapelTrainer, load_model, save_model
 from repro.core.predictor import NapelModel
 from repro.errors import MLError, SchemaMismatchError
+from repro.ml import RandomForestRegressor
 from repro.schema import FeatureSchema
 
 
@@ -72,17 +74,18 @@ class TestSaveLoad:
         with pytest.raises(MLError, match="format"):
             load_model(path)
 
+    @pytest.mark.parametrize("fmt", [1, 3])
     def test_rejects_v1_format_with_retrain_advice(
-        self, tmp_path, trained_model
+        self, tmp_path, trained_model, fmt
     ):
         trained, _ = trained_model
-        path = tmp_path / "v1.pkl"
+        path = tmp_path / f"v{fmt}.pkl"
         with path.open("wb") as fh:
             pickle.dump(
-                {"magic": "napel-model", "format": 1, "model": trained.model},
+                {"magic": "napel-model", "format": fmt, "model": trained.model},
                 fh,
             )
-        with pytest.raises(MLError, match="format 1") as err:
+        with pytest.raises(MLError, match=f"format {fmt}") as err:
             load_model(path)
         assert "retrain" in str(err.value)
 
@@ -124,6 +127,26 @@ class TestSaveLoad:
         path.write_bytes(payload)
         with pytest.raises(MLError, match="corrupt or truncated"):
             load_model(path)
+
+    def test_artifact_stores_each_forest_once(self, tmp_path, trained_model):
+        """A fitted forest pickles to little more than its node table, and
+        a saved artifact names no per-tree class."""
+        rng = np.random.default_rng(0)
+        X = rng.random((200, 8))
+        y = X[:, 0] + np.sin(4 * X[:, 1]) + 0.1 * rng.normal(size=200)
+        forest = RandomForestRegressor(n_estimators=20, random_state=0, jobs=1)
+        forest.fit(X, y)
+        table = (forest.nodes_, forest.roots_, forest.values_)
+        assert len(pickle.dumps(forest)) <= 1.05 * len(pickle.dumps(table))
+        trained, _ = trained_model
+        path = tmp_path / "model.pkl"
+        save_model(trained.model, path)
+        strings = [
+            arg for _op, arg, _pos in pickletools.genops(path.read_bytes())
+            if isinstance(arg, str)
+        ]
+        assert any("RandomForestRegressor" in s for s in strings)
+        assert not any("RegressionTree" in s for s in strings)
 
     def test_rejects_truncated_file(self, tmp_path, trained_model):
         trained, _ = trained_model

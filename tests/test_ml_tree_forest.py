@@ -2,8 +2,10 @@
 
 Running this file as a script rewrites ``tests/data/golden_forests.json``
 (a sha256 per fitted tree of a few fixed-seed forests, a model tree and
-the forest an OOB grid search returns, with that search's scores);
-do so only for a change that is meant to alter fitted trees.
+the forest an OOB grid search returns, with that search's scores; each
+forest tree is refitted alone from its forest's plan, and the forest's
+node table must hold exactly those trees); do so only for a change that
+is meant to alter fitted trees.
 """
 
 import hashlib
@@ -15,11 +17,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _helpers import forest_trees
 from repro.core.pipeline import DEFAULT_RF_GRID
 from repro.errors import MLError, NotFittedError
 from repro.ml import (
     ModelTree, RandomForestRegressor, RegressionTree, grid_search, r2_score,
 )
+from repro.ml.forest import _draw_plans
+from repro.ml.tree import _dense_ranks
 
 GOLDEN_FORESTS = Path(__file__).parent / "data" / "golden_forests.json"
 
@@ -256,14 +261,15 @@ def test_forest_descent_matches_per_tree_predictions(monkeypatch, case, rows):
     params = dict(n_estimators=7, random_state=rows, jobs=1, **FOREST_CASES[case])
     forest = RandomForestRegressor(**params).fit(X, y)
     Xq = np.random.default_rng(99).random((rows, X.shape[1]))
-    stacked = np.stack([tree.predict(Xq) for tree in forest.trees_])
+    trees = forest_trees(forest)
+    stacked = np.stack([tree.predict(Xq) for tree in trees])
     assert np.array_equal(forest.predict(Xq), stacked.mean(axis=0))
-    for tree in forest.trees_:
+    for tree in trees:
         assert tree.apply(Xq).tolist() == [walk(tree, row) for row in Xq]
 
     monkeypatch.setattr(
         RandomForestRegressor, "_tree_predictions",
-        lambda self, X: np.stack([tree.predict(X) for tree in self.trees_]),
+        lambda self, X: np.stack([t.predict(X) for t in forest_trees(self)]),
     )
     oob = RandomForestRegressor(**params).fit(X, y).oob_prediction_
     if oob is None:
@@ -283,12 +289,13 @@ def test_descent_spans_row_blocks():
     forest.fit(X, y)
     rng = np.random.default_rng(1)
     Xq = rng.random((2 * (_DESCEND_BLOCK // 7) + 5, X.shape[1]))
-    stacked = np.stack([tree.predict(Xq) for tree in forest.trees_])
+    trees = forest_trees(forest)
+    stacked = np.stack([tree.predict(Xq) for tree in trees])
     for order in "CF":
         assert np.array_equal(
             forest.predict(np.asarray(Xq, order=order)), stacked.mean(axis=0)
         )
-    tree = forest.trees_[0]
+    tree = trees[0]
     Xq = rng.random((_DESCEND_BLOCK + 5, X.shape[1]))
     assert tree.apply(Xq).tolist() == [walk(tree, row) for row in Xq]
 
@@ -329,9 +336,39 @@ def tree_digest(tree) -> str:
     return h.hexdigest()
 
 
+def replay_trees(forest, X, y) -> list[RegressionTree]:
+    """A fitted forest's trees, refitted one by one from its plans.
+
+    Each plan's tree is fitted alone on the plan's bootstrap gather, with
+    the plan's RNG seed; the forest's node table slices and importances
+    must equal those trees', byte for byte.
+    """
+    columns = np.ascontiguousarray(X.T)
+    ranks = _dense_ranks(columns)
+    trees = []
+    for seed, sample in _draw_plans(forest, len(y)):
+        data = (columns, y, ranks) if sample is None else (
+            columns.take(sample, axis=1), y[sample], ranks.take(sample, axis=1)
+        )
+        trees.append(
+            RegressionTree(**forest._tree_params(), rng=np.random.default_rng(seed))
+            ._fit(*data)
+        )
+    sliced = forest_trees(forest)
+    assert len(sliced) == len(trees)
+    for got, want in zip(sliced, trees):
+        assert [(a.dtype.str, a.tobytes()) for a in (*got.nodes_, got.value_)] == [
+            (a.dtype.str, a.tobytes()) for a in (*want.nodes_, want.value_)
+        ]
+    importances = sum(tree.feature_importances_ for tree in trees) / len(trees)
+    assert forest.feature_importances_.tobytes() == importances.tobytes()
+    return trees
+
+
 def golden_forest_digests() -> dict[str, object]:
-    """Every tree's digest, per fixed-seed fit; for the default RF grid's
-    OOB search also its selection and every score's ``repr``."""
+    """Every tree's digest, per fixed-seed fit, from each forest's
+    replayed trees; for the default RF grid's OOB search also its
+    selection and every score's ``repr``."""
     X, y = golden_data()
     fits = {
         f"forest-{mf}": RandomForestRegressor(
@@ -340,7 +377,7 @@ def golden_forest_digests() -> dict[str, object]:
         for mf in ("third", "sqrt", None)
     }
     digests = {
-        name: [tree_digest(tree) for tree in model.fit(X, y).trees_]
+        name: [tree_digest(tree) for tree in replay_trees(model.fit(X, y), X, y)]
         for name, model in fits.items()
     }
     model_tree = ModelTree(max_depth=3, random_state=7).fit(X, y)
@@ -352,7 +389,9 @@ def golden_forest_digests() -> dict[str, object]:
     digests["grid-oob"] = {
         "best_params": search.best_params,
         "scores": [repr(score) for _, score in search.scores],
-        "trees": [tree_digest(tree) for tree in search.best_model.trees_],
+        "trees": [
+            tree_digest(tree) for tree in replay_trees(search.best_model, X, y)
+        ],
     }
     return digests
 

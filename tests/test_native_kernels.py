@@ -27,7 +27,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from _helpers import use_kernel
+from _helpers import forest_key, use_kernel
 from test_ir_builder import builder_actions, replay
 from repro import NMCSimulator, default_nmc_config, get_workload, native
 from repro.errors import ConfigError
@@ -431,10 +431,7 @@ class TestTreeKernel:
                 forest = RandomForestRegressor(
                     n_estimators=8, random_state=5, jobs=jobs
                 ).fit(X, y)
-            keys.append((
-                [tree_key(tree)[:2] for tree in forest.trees_],
-                forest.oob_prediction_.tobytes(),
-            ))
+            keys.append(forest_key(forest))
         assert keys[0] == keys[1]
 
 

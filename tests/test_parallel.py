@@ -14,7 +14,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_ml_tree_forest import tree_digest
+
+from _helpers import forest_key, forest_trees
 
 from repro import SimulationCampaign
 from repro.core import evaluate_loocv
@@ -189,7 +190,7 @@ class TestForestParallel:
         forest = RandomForestRegressor(n_estimators=8, random_state=1).fit(
             X, y
         )
-        stacked = np.stack([t.predict(Xt) for t in forest.trees_])
+        stacked = np.stack([t.predict(Xt) for t in forest_trees(forest)])
         assert np.array_equal(forest.predict(Xt), stacked.mean(axis=0))
 
     def test_jobs_survives_clone(self):
@@ -243,15 +244,6 @@ _GRIDS = st.fixed_dictionaries(
 )
 
 
-def _fitted(forest):
-    """A fitted forest as its trees' digests and OOB prediction bytes."""
-    oob = forest.oob_prediction_
-    return (
-        [tree_digest(tree) for tree in forest.trees_],
-        None if oob is None else oob.tobytes(),
-    )
-
-
 @requires_pool
 @settings(max_examples=12, deadline=None)
 @given(grid=_GRIDS)
@@ -268,7 +260,9 @@ def test_one_pass_fit_matches_separate_fits(regression_data, grid):
     for jobs in (1, 2):
         forests = [base.clone(**combo) for combo in combos]
         fit_forests(forests, X, y, jobs)
-        assert [_fitted(f) for f in forests] == [_fitted(f) for f in separate]
+        assert [forest_key(f) for f in forests] == [
+            forest_key(f) for f in separate
+        ]
     if False in grid.get("bootstrap", ()):
         return
     searches = [
@@ -280,7 +274,7 @@ def test_one_pass_fit_matches_separate_fits(regression_data, grid):
             f.oob_error(y) for f in separate
         ]
         best = combos.index(search.best_params)
-        assert _fitted(search.best_model) == _fitted(separate[best])
+        assert forest_key(search.best_model) == forest_key(separate[best])
     assert searches[0].scores == searches[1].scores
     assert searches[0].best_params == searches[1].best_params
 

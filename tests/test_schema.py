@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import repro.schema as schema_mod
-from repro.config import NMCConfig, arch_feature_names
+from repro.config import arch_feature_names
 from repro.core.dataset import APP_FEATURE_NAMES, DERIVED_FEATURE_NAMES
 from repro.core.predictor import NapelModel
 from repro.errors import ConfigError, SchemaMismatchError
