@@ -118,7 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--memo-dir", metavar="DIR",
             help="persist the simulator's phase-A geometry products "
-                 "(packed event bundles + cache stats) as content-hash-"
+                 "(packed events + cache stats) as content-hash-"
                  "keyed entries under DIR, shared across processes and "
                  "runs (default: $REPRO_SIM_MEMO_DIR, or no persistence)",
         )

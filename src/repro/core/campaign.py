@@ -478,7 +478,6 @@ class SimulationCampaign:
                 _simulate_batch_job,
                 payloads,
                 jobs_n=self.jobs,
-                chunk=1,
                 worker_init=(
                     functools.partial(configure_store, sdir)
                     if sdir is not None else None

@@ -103,7 +103,7 @@ def evaluate_loocv(
         }},
     )
     for app, perf, energy, seconds in map_jobs(
-        _loocv_fold_job, fold_jobs, jobs_n=resolve_jobs(jobs), chunk=1
+        _loocv_fold_job, fold_jobs, jobs_n=resolve_jobs(jobs)
     ):
         result.perf_mre[app] = perf
         result.energy_mre[app] = energy

@@ -132,7 +132,7 @@ def fit_forests(
     ]
     fitted = [
         unit
-        for chunk in map_jobs(_fit_tree_chunk, chunks, jobs_n=jobs_n, chunk=1)
+        for chunk in map_jobs(_fit_tree_chunk, chunks, jobs_n=jobs_n)
         for unit in chunk
     ]
     start = 0

@@ -118,7 +118,6 @@ def grid_search(
                 _score_combo,
                 [(base_model, params, X, y, cv) for params in combos],
                 jobs_n=resolve_jobs(jobs),
-                chunk=1,
             )
     scores: list[tuple[dict, float]] = []
     best = None

@@ -4,10 +4,12 @@ Phase B of the fast engine (:mod:`repro.nmcsim.simulator`) replays the
 miss/writeback event stream in global time order.  Its one caller,
 :func:`~repro.nmcsim.simulate_batch` (a single
 :meth:`~repro.nmcsim.NMCSimulator.run` is a batch of one), hands this
-module one packed event bundle per design point (flat per-stream event columns, see
-:data:`COLUMNS`) and gets every packed stream's finish time back from
-one kernel call.  The compiled kernel reads the bundles' arrays in
-place; nothing is concatenated or copied per call.
+module one phase-A product per design point (two flat arrays whose
+segments include the per-stream event columns, see :data:`COLUMNS`)
+and gets every packed stream's finish time back from one kernel call.
+The compiled kernel reads the segments in place, at the addresses each
+product recorded when it was built; nothing is concatenated or copied
+per call.
 
 The kernel is registered with :mod:`repro.native` as
 ``contend_packed_multi`` in two forms: the C function of the shared
@@ -22,7 +24,6 @@ from __future__ import annotations
 
 import ctypes
 import heapq
-import weakref
 from typing import Callable, Sequence
 
 import numpy as np
@@ -41,7 +42,7 @@ PARAM_FIELDS = (
 #: point's packed-stream count.
 IPARAM_FIELDS = ("ooo", "mshrs", "n_banks", "n_vaults", "n_streams")
 
-#: The packed event columns the kernel reads from each point's bundle:
+#: The packed event columns the kernel reads from each point's product:
 #: per-stream event bounds (``off``, ``n_streams + 1`` entries), the
 #: per-event miss and writeback routing (``wbank < 0`` marks a clean
 #: eviction) and issue gap to the next miss, and the per-stream first
@@ -58,8 +59,10 @@ def contend_packed_multi(
 ) -> np.ndarray:
     """Pure-Python phase B over many design points.
 
-    ``points`` holds one packed event bundle per design point (any
-    object with the :data:`COLUMNS` attributes); ``params`` /
+    ``points`` holds one phase-A product per design point (any object
+    with the :data:`COLUMNS` attributes, which the compiled form reads
+    through its ``addresses``: the columns' base addresses in
+    :data:`COLUMNS` order); ``params`` /
     ``iparams`` hold one row per point, laid out as
     :data:`PARAM_FIELDS` / :data:`IPARAM_FIELDS`.  Returns the finish
     time of every packed stream, concatenated in point order.  Each
@@ -200,31 +203,6 @@ def _contend_point(
     return finish
 
 
-#: Per-bundle column addresses handed to the C kernel, computed once per
-#: bundle (bundles are immutable and reused across design points).
-_ADDRESSES: "weakref.WeakKeyDictionary[object, list[int]]" = (
-    weakref.WeakKeyDictionary()
-)
-
-
-def _addresses(point) -> list[int]:
-    """The :data:`COLUMNS` base addresses of one bundle (cached)."""
-    addr = _ADDRESSES.get(point)
-    if addr is None:
-        addr = []
-        for name in COLUMNS:
-            arr = getattr(point, name)
-            dtype = np.float64 if name in ("dnext", "t0", "tail") else np.int64
-            if arr.dtype != dtype or not arr.flags.c_contiguous:
-                raise ValueError(
-                    f"packed column {name!r} must be a contiguous {dtype.__name__} "
-                    f"array, got {arr.dtype} (contiguous={arr.flags.c_contiguous})"
-                )
-            addr.append(arr.ctypes.data)
-        _ADDRESSES[point] = addr
-    return addr
-
-
 def _build_cc(lib: native.Library) -> Callable:
     """The C kernel behind :func:`contend_packed_multi`'s signature."""
     fn = lib.contend_packed_multi
@@ -243,7 +221,7 @@ def _build_cc(lib: native.Library) -> Callable:
 
     def kernel(points, params, iparams) -> np.ndarray:
         cols = np.fromiter(
-            (a for point in points for a in _addresses(point)),
+            (a for point in points for a in point.addresses),
             dtype=np.uint64, count=len(points) * len(COLUMNS),
         )
         params = np.ascontiguousarray(params, dtype=np.float64)

@@ -56,6 +56,12 @@ class LRUClassification:
     flush_off: np.ndarray
     stats: tuple[CacheStats, ...]
 
+    @property
+    def nbytes(self) -> int:
+        return sum(a.nbytes for a in (
+            self.hit, self.wb_line, self.flush_lines, self.flush_off
+        ))
+
     def total(self) -> CacheStats:
         """The counters of every stream, summed."""
         out = CacheStats()

@@ -40,10 +40,13 @@ Two further levers sit on top of the fast engine:
 * **geometry memos** — phase A's products are pure functions of
   (trace, architecture-slice): PE streams depend only on the PE count /
   issue width / frequency / line size, classifications only on the L1
-  geometry, and the packed phase-B event arrays on the DRAM geometry and
-  clock as well.  Each is cached on the trace's ``_memo`` side table
-  under its own key, so DoE campaign points that share a slice skip the
-  corresponding work entirely (``sim.memo.*`` counters).
+  geometry, and the phase-A product (:class:`_PhaseA`: the packed
+  phase-B events and the aggregate counts, two flat arrays) on the DRAM
+  geometry and clock as well.  Each is cached on the trace's ``_memo``
+  side table under its own key, so DoE campaign points that share a
+  slice skip the corresponding work entirely (``sim.memo.*`` counters).
+  The product's arrays are also what the persistent memo store writes
+  and what the phase-B kernel reads, in the same layout.
 * **compiled kernels** — stream digestion is one kernel call per
   (trace, PE slice), the L1 walk one per point, and
   the contention loop one multi-point kernel
@@ -78,7 +81,7 @@ from ..errors import ConfigError, SimulationError
 from ..ir import OPCODE_LATENCY, InstructionTrace, Opcode
 from ..obs import get_logger, metrics, tracer
 from .. import native
-from . import _native  # noqa: F401  (registers the phase-B kernel)
+from . import _native
 from .cache import Cache, CacheStats
 from .classify import LRUClassification, classify_streams
 from .dram import StackedMemory
@@ -93,13 +96,14 @@ log = get_logger("repro.nmcsim")
 _MEMO_KINDS = ("streams", "classify", "events")
 
 #: Per-trace LRU capacity of each memo kind.  Streams only vary with the
-#: coarse PE slice (few distinct values per campaign); classification and
-#: event bundles track swept geometries, so they keep a few more entries.
+#: coarse PE slice (few distinct values per campaign); classifications
+#: and phase-A products track swept geometries, so they keep a few more
+#: entries.
 _MEMO_CAPS = {"streams": 2, "classify": 4, "events": 4}
 
 #: Traces carrying live memo side tables, tracked weakly so
-#: :func:`simulation_memo_summary` can report approximate byte sizes
-#: without extending any trace's lifetime.
+#: :func:`simulation_memo_summary` can report their array bytes without
+#: extending any trace's lifetime.
 _MEMO_TRACES: "weakref.WeakSet[InstructionTrace]" = weakref.WeakSet()
 
 
@@ -137,10 +141,10 @@ def _memo_touch(trace: InstructionTrace, kind: str, key: tuple) -> None:
 #
 # The in-process memos die with the process: every ``--jobs N`` worker,
 # and every fresh campaign process, would recompute the phase-A products
-# its siblings already built.  The final phase-A product (packed event
-# bundle plus aggregate cache statistics) is therefore also persisted as
-# one :class:`~repro.store.MemoStore` entry per (trace contents,
-# architecture slice) under a shared directory, off by default.
+# its siblings already built.  The final phase-A product (its ``lens``,
+# ``ints`` and ``floats`` arrays, see :class:`_PhaseA`) is therefore also
+# persisted as one :class:`~repro.store.MemoStore` entry per (trace
+# contents, architecture slice) under a shared directory, off by default.
 
 #: Environment variable pointing at the shared store directory.
 STORE_ENV_VAR = "REPRO_SIM_MEMO_DIR"
@@ -200,52 +204,14 @@ def store_status() -> dict:
     }
 
 
-def _approx_nbytes(obj, _depth: int = 0) -> int:
-    """Rough resident size of a memo value (arrays dominate by design).
-
-    Walks arrays, containers and slotted objects; long homogeneous lists
-    are extrapolated from their first element instead of walked, keeping
-    the report cheap.
-    """
-    if _depth > 6 or obj is None:
-        return 0
-    if isinstance(obj, np.ndarray):
-        return int(obj.nbytes)
-    if isinstance(obj, (str, bytes)):
-        return len(obj)
-    if isinstance(obj, (int, float, bool, np.generic)):
-        return 8
-    if isinstance(obj, dict):
-        return 16 * len(obj) + sum(
-            _approx_nbytes(v, _depth + 1) for v in obj.values()
-        )
-    if isinstance(obj, (list, tuple, set, frozenset)):
-        n = len(obj)
-        if n > 256:
-            first = next(iter(obj), None)
-            return 8 * n + n * _approx_nbytes(first, _depth + 1)
-        return 8 * n + sum(_approx_nbytes(v, _depth + 1) for v in obj)
-    slots = getattr(type(obj), "__slots__", None)
-    if slots:
-        return sum(
-            _approx_nbytes(getattr(obj, name, None), _depth + 1)
-            for name in slots
-            if name != "__weakref__"
-        )
-    attrs = getattr(obj, "__dict__", None)
-    if attrs is not None:
-        return sum(_approx_nbytes(v, _depth + 1) for v in attrs.values())
-    return 8
-
-
 def simulation_memo_bytes() -> dict[str, int]:
-    """Approximate resident bytes per memo kind across live traces."""
+    """Resident array bytes per memo kind across live traces."""
     totals = dict.fromkeys(_MEMO_KINDS, 0)
     for trace in list(_MEMO_TRACES):
         for kind in _MEMO_KINDS:
             memo = trace._memo.get(f"sim.{kind}")
             if memo:
-                totals[kind] += _approx_nbytes(memo)
+                totals[kind] += sum(value.nbytes for value in memo.values())
     return totals
 
 
@@ -256,7 +222,7 @@ def simulation_memo_summary() -> dict:
     simulation runs whose phase-A classification was served from the
     geometry memo instead of recomputed.  ``store`` carries the
     persistent cross-process store's counters (zero when disabled) and
-    ``bytes`` the approximate resident size of each in-process kind.
+    ``bytes`` the array bytes each in-process kind holds.
     """
     m = metrics()
     out: dict = {}
@@ -413,6 +379,12 @@ class _Streams:
     def __len__(self) -> int:
         return len(self.pe)
 
+    @property
+    def nbytes(self) -> int:
+        return sum(a.nbytes for a in (
+            self.off, self.lines, self.writes, self.compute_ns, self.pref
+        ))
+
     def stream(self, i: int) -> _PEStream:
         """A fresh per-run :class:`_PEStream` over stream ``i``'s views."""
         lo, hi = int(self.off[i]), int(self.off[i + 1])
@@ -479,58 +451,90 @@ def _digest_streams_cc(lib: native.Library):
 native.register("stream_digests", _digest_streams, _digest_streams_cc)
 
 
-class _EventBundle:
-    """Packed phase-B inputs for one (trace, architecture-slice) pair.
-
-    Miss/writeback events of all streams concatenated into flat arrays
-    (``off`` holds per-packed-stream bounds, ``sidx`` maps packed slots
-    back to stream indices), plus the order-independent aggregates that
-    phase A pre-counts (DRAM traffic, no-miss stream finish times).
-    Everything here is immutable across runs — the bundle is what the
-    events memo caches.
-    """
-
-    __slots__ = (
-        "sidx", "off", "block", "vault", "bank",
-        "wblock", "wvault", "wbank", "dnext", "t0", "tail",
-        "finish0", "n_reads", "n_writes", "vault_counts", "__weakref__",
-    )
-
-    def __init__(self) -> None:
-        self.finish0: dict[int, float] = {}
-        self.n_reads = 0
-        self.n_writes = 0
-
-    @property
-    def n_packed(self) -> int:
-        return len(self.sidx)
+#: The named segments of a phase-A product, in the order a store entry
+#: lays them out: the int64 ones fill ``ints``, the float64 ones
+#: ``floats``.  ``sidx`` maps each packed stream (one with at least one
+#: miss) to its stream index and ``off`` bounds its events; ``block``,
+#: ``vault``, ``bank``, the ``w`` writeback routing and ``dnext`` hold
+#: one entry per event, ``t0`` / ``tail`` one per packed stream (see
+#: :data:`repro.nmcsim._native.COLUMNS`).  ``f0_idx`` / ``f0_val`` are
+#: the streams without a miss and their finish times.
+_INT_SEGS = (
+    "sidx", "off", "block", "vault", "bank", "wblock", "wvault", "wbank",
+    "f0_idx", "vault_counts", "meta",
+)
+_FLOAT_SEGS = ("dnext", "t0", "tail", "f0_val")
+_SEGS = _INT_SEGS + _FLOAT_SEGS
+_EVENT_SEGS = ("block", "vault", "bank", "wblock", "wvault", "wbank", "dnext")
+#: ``meta``: n_streams, n_reads, n_writes, flush_writes, then the L1
+#: hits, misses, writebacks and flushes (CacheStats field order).
+_META_LEN = 8
 
 
 class _PhaseA:
-    """The complete phase-A product of one (trace, architecture-slice).
+    """The phase-A product of one (trace, architecture-slice): two arrays.
 
-    Everything the fast engine needs downstream of classification: the
-    packed event bundle, the aggregate L1 statistics, the end-of-kernel
-    flush write count and the stream count.  This is the unit both the
-    in-process events memo and the persistent cross-process store cache —
-    a warm hit skips stream digestion, classification *and* event
-    packing entirely.
+    Everything the fast engine needs downstream of classification lives
+    in ``ints`` (int64) and ``floats`` (float64); ``lens`` splits them
+    into the :data:`_SEGS` segments, exposed as attributes that are views
+    into the two arrays.  This one object is what the events memo holds,
+    what a :class:`~repro.store.MemoStore` entry stores (its three
+    arrays, as they are) and what phase B reads: ``addresses`` holds the
+    base addresses of the :data:`~repro.nmcsim._native.COLUMNS` segments
+    for the compiled kernel.  A warm hit skips stream digestion,
+    classification *and* event packing.
+
+    The constructor checks the layout and raises :class:`ValueError`
+    when the arrays cannot be such a product (a damaged store entry).
     """
 
-    __slots__ = ("bundle", "stats", "flush_writes", "n_streams")
+    __slots__ = ("lens", "ints", "floats", "addresses") + _SEGS
 
     def __init__(
-        self,
-        bundle: _EventBundle,
-        stats: tuple[int, int, int, int],
-        flush_writes: int,
-        n_streams: int,
+        self, lens: np.ndarray, ints: np.ndarray, floats: np.ndarray
     ) -> None:
-        self.bundle = bundle
-        #: (hits, misses, writebacks, flushes) — CacheStats field order.
-        self.stats = stats
-        self.flush_writes = flush_writes
-        self.n_streams = n_streams
+        # Checked on Python ints: numpy calls on these small arrays
+        # would cost more than the rest of a warm lookup.
+        n = lens.tolist()
+        if len(n) != len(_SEGS) or min(n) < 0:
+            raise ValueError(f"bad segment lengths {n}")
+        size = dict(zip(_SEGS, n))
+        if (
+            len({size[name] for name in _EVENT_SEGS}) != 1
+            or size["off"] != size["sidx"] + 1
+            or size["t0"] != size["sidx"] or size["tail"] != size["sidx"]
+            or size["f0_val"] != size["f0_idx"]
+            or size["meta"] != _META_LEN
+        ):
+            raise ValueError(f"inconsistent segment lengths {n}")
+        address = {}
+        for blob, names, dtype in (
+            (ints, _INT_SEGS, np.int64), (floats, _FLOAT_SEGS, np.float64)
+        ):
+            if (
+                blob.dtype != dtype or blob.ndim != 1
+                or not blob.flags.c_contiguous
+            ):
+                raise ValueError(
+                    f"segments need a contiguous 1-d {dtype.__name__} "
+                    f"array, got {blob.dtype} of shape {blob.shape}"
+                )
+            at, base = 0, blob.ctypes.data
+            for name in names:
+                k = size[name]
+                setattr(self, name, blob[at:at + k])
+                address[name] = base + 8 * at
+                at += k
+            if at != len(blob):
+                raise ValueError(
+                    f"segment lengths {n} do not cover {len(blob)} entries"
+                )
+        self.lens, self.ints, self.floats = lens, ints, floats
+        self.addresses = [address[name] for name in _native.COLUMNS]
+
+    @property
+    def nbytes(self) -> int:
+        return self.lens.nbytes + self.ints.nbytes + self.floats.nbytes
 
 
 def _events_key(cfg: NMCConfig) -> tuple:
@@ -541,116 +545,6 @@ def _events_key(cfg: NMCConfig) -> tuple:
         cfg.issue_width, cfg.frequency_ghz, cfg.n_vaults,
         cfg.banks_per_vault, cfg.row_buffer_bytes,
     )
-
-
-_BUNDLE_INT_COLS = (
-    "sidx", "off", "block", "vault", "bank", "wblock", "wvault", "wbank",
-)
-_BUNDLE_FLOAT_COLS = ("dnext", "t0", "tail")
-
-#: Segment order inside a store entry's two flat blobs.  Every int64
-#: array (bundle columns, finish0 indices, vault counts, scalar metadata)
-#: concatenates into ``ints`` and every float64 array into ``floats``,
-#: with a ``lens`` header to split them back — loading 3 archive members
-#: per entry instead of 16 keeps warm-store lookups cheap.
-_STORE_INT_SEGS = _BUNDLE_INT_COLS + ("f0_idx", "vault_counts", "meta")
-_STORE_FLOAT_SEGS = _BUNDLE_FLOAT_COLS + ("f0_val",)
-_META_LEN = 8  # n_streams, n_reads, n_writes, flush_writes, 4 stats
-
-
-def _encode_phase_a(product: _PhaseA) -> dict[str, np.ndarray]:
-    """Flatten a phase-A product into three arrays for the memo store."""
-    b = product.bundle
-    n0 = len(b.finish0)
-    parts = {name: getattr(b, name) for name in _BUNDLE_INT_COLS}
-    parts.update({name: getattr(b, name) for name in _BUNDLE_FLOAT_COLS})
-    parts["f0_idx"] = np.fromiter(b.finish0.keys(), dtype=np.int64, count=n0)
-    parts["f0_val"] = np.fromiter(b.finish0.values(), dtype=np.float64, count=n0)
-    parts["vault_counts"] = b.vault_counts
-    parts["meta"] = np.asarray(
-        [
-            product.n_streams, b.n_reads, b.n_writes,
-            product.flush_writes, *product.stats,
-        ],
-        dtype=np.int64,
-    )
-    ints = [
-        np.ascontiguousarray(parts[name], dtype=np.int64)
-        for name in _STORE_INT_SEGS
-    ]
-    floats = [
-        np.ascontiguousarray(parts[name], dtype=np.float64)
-        for name in _STORE_FLOAT_SEGS
-    ]
-    return {
-        "lens": np.asarray(
-            [len(a) for a in ints] + [len(a) for a in floats],
-            dtype=np.int64,
-        ),
-        "ints": np.concatenate(ints) if ints else np.empty(0, np.int64),
-        "floats": (
-            np.concatenate(floats) if floats else np.empty(0, np.float64)
-        ),
-    }
-
-
-def _split_segments(
-    blob: np.ndarray, lens: Sequence[int]
-) -> list[np.ndarray]:
-    """Split a flat blob back into its segments (views, no copies)."""
-    if len(lens) and min(lens) < 0:
-        raise ValueError(f"negative segment length in {list(lens)}")
-    if sum(lens) != len(blob):
-        raise ValueError(
-            f"segment lengths {list(lens)} do not cover blob of {len(blob)}"
-        )
-    bounds = np.cumsum([0, *lens])
-    return [blob[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
-
-
-def _decode_phase_a(data: Mapping[str, np.ndarray]) -> _PhaseA | None:
-    """Rebuild a phase-A product from store arrays (None on bad shape)."""
-    try:
-        lens = np.ascontiguousarray(data["lens"], dtype=np.int64)
-        if len(lens) != len(_STORE_INT_SEGS) + len(_STORE_FLOAT_SEGS):
-            raise ValueError(f"bad segment count {len(lens)}")
-        n_ints = len(_STORE_INT_SEGS)
-        ints = _split_segments(
-            np.ascontiguousarray(data["ints"], dtype=np.int64),
-            lens[:n_ints],
-        )
-        floats = _split_segments(
-            np.ascontiguousarray(data["floats"], dtype=np.float64),
-            lens[n_ints:],
-        )
-        parts = dict(zip(_STORE_INT_SEGS, ints))
-        parts.update(zip(_STORE_FLOAT_SEGS, floats))
-        bundle = _EventBundle()
-        for name in _BUNDLE_INT_COLS + _BUNDLE_FLOAT_COLS:
-            setattr(bundle, name, parts[name])
-        bundle.finish0 = {
-            int(i): float(v)
-            for i, v in zip(parts["f0_idx"], parts["f0_val"])
-        }
-        bundle.vault_counts = parts["vault_counts"]
-        meta = parts["meta"]
-        if len(meta) != _META_LEN:
-            raise ValueError(f"bad metadata length {len(meta)}")
-        bundle.n_reads = int(meta[1])
-        bundle.n_writes = int(meta[2])
-        return _PhaseA(
-            bundle,
-            (int(meta[4]), int(meta[5]), int(meta[6]), int(meta[7])),
-            int(meta[3]),
-            int(meta[0]),
-        )
-    except (KeyError, ValueError, IndexError, TypeError) as exc:
-        discard(
-            f"sim memo store entry decoded to an invalid phase-A product "
-            f"({exc!r}); recomputing",
-            counter="sim.memo.store.errors",
-        )
-        return None
 
 
 class NMCSimulator:
@@ -769,18 +663,21 @@ class NMCSimulator:
         batch size, so a batch of one and a batch of many share every
         line from phase A to the result.
         """
-        memory.writes += product.flush_writes
-        makespan_ns = 0.0
-        for v in product.bundle.finish0.values():
-            if v > makespan_ns:
-                makespan_ns = v
-        if packed_finish is not None and len(packed_finish):
-            peak = float(packed_finish.max())
-            if peak > makespan_ns:
-                makespan_ns = peak
+        n_streams, n_reads, n_writes, flush_writes, *stats = (
+            product.meta.tolist()
+        )
+        # DRAM traffic totals are order-independent: phase A counted them.
+        memory.add_counts(
+            reads=n_reads,
+            writes=n_writes + flush_writes,
+            vault_counts=product.vault_counts,
+        )
+        finish = product.f0_val
+        if packed_finish is not None:
+            finish = np.concatenate((finish, packed_finish))
         return self._result(
-            trace, memory, CacheStats(*product.stats), makespan_ns,
-            product.n_streams, workload, parameters,
+            trace, memory, CacheStats(*stats), float(finish.max(initial=0.0)),
+            n_streams, workload, parameters,
         )
 
     def _result(
@@ -950,8 +847,8 @@ class NMCSimulator:
         streams: _Streams,
         cls: LRUClassification,
         memory: StackedMemory,
-    ) -> _EventBundle:
-        """Pack every stream's miss/writeback events into flat arrays.
+    ) -> dict[str, np.ndarray]:
+        """Every :data:`_SEGS` segment of the phase-A product, by name.
 
         One vectorized pass over the concatenated streams computes
         everything deterministic: issue-gap deltas (the exact
@@ -1006,25 +903,27 @@ class NMCSimulator:
         wv, wbk, wblk = memory.route_array(
             np.where(has_wb, wb, 0).astype(np.uint64) << shift
         )
-        bundle = _EventBundle()
-        bundle.sidx = sidx
-        bundle.off = ev_off
-        bundle.block, bundle.vault, bundle.bank = mblk, mv, mv * banks_pv + mb
-        bundle.wblock, bundle.wvault = wblk, wv
-        bundle.wbank = np.where(has_wb, wv * banks_pv + wbk, -1)
-        bundle.dnext = dnext
-        bundle.t0 = delta[first]
-        bundle.tail = tail
-        bundle.finish0 = dict(zip(quiet.tolist(), finish0.tolist()))
         # DRAM traffic totals are order-independent: count them once
         # here rather than per event.
         miss_writes = int(np.count_nonzero(streams.writes[miss]))
-        bundle.n_reads = len(miss) - miss_writes
-        bundle.n_writes = miss_writes + int(np.count_nonzero(has_wb))
-        bundle.vault_counts = np.bincount(
-            mv, minlength=cfg.n_vaults
-        ) + np.bincount(wv[has_wb], minlength=cfg.n_vaults)
-        return bundle
+        stats = cls.total()
+        meta = [
+            len(streams), len(miss) - miss_writes,
+            miss_writes + int(np.count_nonzero(has_wb)), stats.flushes,
+            stats.hits, stats.misses, stats.writebacks, stats.flushes,
+        ]
+        return {
+            "sidx": sidx, "off": ev_off,
+            "block": mblk, "vault": mv, "bank": mv * banks_pv + mb,
+            "wblock": wblk, "wvault": wv,
+            "wbank": np.where(has_wb, wv * banks_pv + wbk, -1),
+            "f0_idx": quiet,
+            "vault_counts": np.bincount(mv, minlength=cfg.n_vaults)
+            + np.bincount(wv[has_wb], minlength=cfg.n_vaults),
+            "meta": np.array(meta, dtype=np.int64),
+            "dnext": dnext, "t0": delta[first], "tail": tail,
+            "f0_val": finish0,
+        }
 
     def _compute_phase_a(self, trace: InstructionTrace) -> _PhaseA:
         """Run phase A from scratch: digest, classify, pack events.
@@ -1055,14 +954,12 @@ class NMCSimulator:
         with m.timer("phase.simulate.classify.pack"):
             # Routing only reads immutable geometry, so a throwaway
             # memory instance serves.
-            bundle = self._build_events(streams, cls, StackedMemory(cfg))
-        stats = cls.total()
-        return _PhaseA(
-            bundle,
-            (stats.hits, stats.misses, stats.writebacks, stats.flushes),
-            stats.flushes,
-            len(streams),
-        )
+            seg = self._build_events(streams, cls, StackedMemory(cfg))
+            return _PhaseA(
+                np.array([len(seg[name]) for name in _SEGS], dtype=np.int64),
+                np.concatenate([seg[name] for name in _INT_SEGS]),
+                np.concatenate([seg[name] for name in _FLOAT_SEGS]),
+            )
 
     def _phase_a(self, trace: InstructionTrace) -> _PhaseA:
         """The phase-A product, via the memo stack.
@@ -1086,11 +983,20 @@ class NMCSimulator:
             skey = store_key(trace, key)
             data = store.get(skey)
             if data is not None:
-                product = _decode_phase_a(data)
-                if product is not None:
-                    return product
+                try:
+                    return _PhaseA(data["lens"], data["ints"], data["floats"])
+                except (KeyError, ValueError, TypeError) as exc:
+                    discard(
+                        f"sim memo store entry is not a phase-A product "
+                        f"({exc!r}); recomputing",
+                        counter="sim.memo.store.errors",
+                    )
             product = self._compute_phase_a(trace)
-            store.put(skey, _encode_phase_a(product))
+            store.put(skey, {
+                "lens": product.lens,
+                "ints": product.ints,
+                "floats": product.floats,
+            })
             return product
 
         with metrics().timer("phase.simulate.classify"):
@@ -1116,14 +1022,14 @@ _BATCH_SIZE_BOUNDS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0)
 
 
 def _contend_native_multi(
-    entries: Sequence[tuple[_EventBundle, StackedMemory, NMCConfig]],
+    entries: Sequence[tuple[_PhaseA, StackedMemory, NMCConfig]],
 ) -> list[np.ndarray]:
     """Replay every entry's phase B in ONE kernel invocation.
 
     Tabulates the per-point float/int parameters
     (:data:`repro.nmcsim._native.PARAM_FIELDS` /
     :data:`~repro.nmcsim._native.IPARAM_FIELDS`) and hands the kernel
-    the points' packed event bundles as they are.  The kernel replays
+    the points' phase-A products as they are.  The kernel replays
     each point from the idle-memory state a fresh :class:`StackedMemory`
     holds, so the batch is bit-identical to N separate calls.  Returns
     each point's finish-time slice.
@@ -1146,9 +1052,9 @@ def _contend_native_multi(
                 cfg.mshr_entries,
                 cfg.n_vaults * cfg.banks_per_vault,
                 cfg.n_vaults,
-                bundle.n_packed,
+                len(product.sidx),
             )
-            for bundle, _m, cfg in entries
+            for product, _m, cfg in entries
         ],
         dtype=np.int64,
     )
@@ -1246,23 +1152,17 @@ def _simulate(
         with m.timer("phase.simulate"):
             memory = StackedMemory(sim.config)
             product = sim._phase_a(trace)
-            bundle = product.bundle
-            memory.add_counts(
-                reads=bundle.n_reads,
-                writes=bundle.n_writes,
-                vault_counts=bundle.vault_counts,
-            )
         prepared[i] = (sim, memory, product)
 
     packed = [
         i for i in range(len(points))
-        if prepared[i][2].bundle.n_packed  # type: ignore[index]
+        if len(prepared[i][2].sidx)  # type: ignore[index]
     ]
     t_start = time.perf_counter()
     finishes: dict[int, np.ndarray] = {}
     if packed:
         entries = [
-            (prepared[i][2].bundle, prepared[i][1], prepared[i][0].config)
+            (prepared[i][2], prepared[i][1], prepared[i][0].config)
             for i in packed
         ]
         finishes = dict(zip(packed, _contend_native_multi(entries)))

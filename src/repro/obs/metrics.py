@@ -8,12 +8,8 @@ tuning combinations, LOOCV folds, prediction calls.  Two primitives:
 * **timer spans** — context managers around a phase (``timer(name)``),
   recording count / total / min / max seconds on a monotonic clock.
   Spans nest (a ``phase.train`` span may contain ``ml.grid_search``
-  spans); the registry tracks the active stack per *context*
-  (:mod:`contextvars`, so both concurrent threads and interleaved
-  asyncio tasks — e.g. two prediction-server requests on one event
-  loop — each see their own stack) so instrumentation can ask
-  :meth:`MetricsRegistry.current_spans` without concurrent work
-  interleaving on one shared stack.
+  spans) and may overlap across threads and asyncio tasks: each span
+  records once, when it exits, and keeps no shared state while open.
 
 Two more primitives round out the surface:
 
@@ -40,7 +36,6 @@ work (wall-clock totals naturally differ).
 
 from __future__ import annotations
 
-import contextvars
 import threading
 import time
 from typing import Mapping
@@ -155,14 +150,13 @@ class TimerSpan:
         self.elapsed_s: float | None = None
 
     def __enter__(self) -> "TimerSpan":
-        self.registry._push(self.name)
         self._start = time.monotonic()
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
         assert self._start is not None, "span exited before being entered"
         self.elapsed_s = time.monotonic() - self._start
-        self.registry._pop(self.name, self.elapsed_s)
+        self.registry._record(self.name, self.elapsed_s)
         # Mirror the span onto the event trace (no-op unless --trace /
         # REPRO_TRACE is active), so Perfetto lanes carry exactly the
         # phase.* names the run manifest reports as aggregate timings.
@@ -185,18 +179,6 @@ class MetricsRegistry:
         self._timers: dict[str, dict] = {}
         self._histograms: dict[str, Histogram] = {}
         self._gauges: dict[str, float] = {}
-        # The active-span stack is *context-local* (contextvars): spans
-        # entered from concurrent threads OR interleaved asyncio tasks
-        # would otherwise share one stack, making _pop's top-of-stack
-        # check silently leak entries and corrupting current_spans().
-        # A thread-local stack is not enough — two coroutines of the
-        # prediction server interleave on one thread, and each must see
-        # only its own spans.  The stack is an immutable tuple set per
-        # context: tasks inherit a snapshot at spawn and their pushes
-        # never leak back into the parent.
-        self._spans: contextvars.ContextVar[tuple[str, ...]] = (
-            contextvars.ContextVar(f"repro-metrics-spans-{id(self)}")
-        )
 
     # ----------------------------------------------------------- recording
 
@@ -276,13 +258,7 @@ class MetricsRegistry:
     ) -> float | None:
         return self._gauges.get(labeled_name(name, labels))
 
-    def _push(self, name: str) -> None:
-        self._spans.set(self._spans.get(()) + (name,))
-
-    def _pop(self, name: str, elapsed_s: float) -> None:
-        stack = self._spans.get(())
-        if stack and stack[-1] == name:
-            self._spans.set(stack[:-1])
+    def _record(self, name: str, elapsed_s: float) -> None:
         with self._lock:
             stat = self._timers.setdefault(name, _new_timer_stat())
             stat["count"] += 1
@@ -295,14 +271,6 @@ class MetricsRegistry:
                 elapsed_s if stat["max_s"] is None
                 else max(stat["max_s"], elapsed_s)
             )
-
-    def current_spans(self) -> tuple[str, ...]:
-        """The calling context's active span stack, outermost first.
-
-        "Context" is a :mod:`contextvars` context: each thread *and*
-        each asyncio task sees only the spans it entered itself.
-        """
-        return self._spans.get(())
 
     # ---------------------------------------------------------- snapshots
 
@@ -410,7 +378,6 @@ class MetricsRegistry:
             self._timers.clear()
             self._histograms.clear()
             self._gauges.clear()
-        self._spans.set(())
 
 
 #: The process-global registry all instrumentation records into.

@@ -34,6 +34,11 @@ R = TypeVar("R")
 #: Environment variable consulted when no explicit job count is given.
 JOBS_ENV_VAR = "REPRO_JOBS"
 
+#: Jobs per pool task.  Every caller hands ``map_jobs`` one job per
+#: worker-sized unit of work (a chunk of points, trees or folds), so
+#: each job is its own task.
+_CHUNK = 1
+
 #: Set in pool workers so nested ``map_jobs`` calls stay serial.
 _IN_WORKER = False
 
@@ -137,9 +142,7 @@ class SerialExecutor:
 
     jobs_n = 1
 
-    def map_jobs(
-        self, fn: Callable[[T], R], jobs: Sequence[T], *, chunk: int | None = None
-    ) -> list[R]:
+    def map_jobs(self, fn: Callable[[T], R], jobs: Sequence[T]) -> list[R]:
         return [fn(job) for job in jobs]
 
 
@@ -187,18 +190,14 @@ class ProcessExecutor:
         self,
         jobs_n: int,
         *,
-        chunk: int | None = None,
         worker_init: Callable[[], None] | None = None,
     ) -> None:
         if jobs_n < 1:
             raise ParallelError("jobs_n must be >= 1")
         self.jobs_n = jobs_n
-        self.chunk = chunk
         self.worker_init = worker_init
 
-    def map_jobs(
-        self, fn: Callable[[T], R], jobs: Sequence[T], *, chunk: int | None = None
-    ) -> list[R]:
+    def map_jobs(self, fn: Callable[[T], R], jobs: Sequence[T]) -> list[R]:
         jobs = list(jobs)
         if self.jobs_n <= 1 or len(jobs) <= 1 or in_worker():
             return SerialExecutor().map_jobs(fn, jobs)
@@ -213,17 +212,10 @@ class ProcessExecutor:
         import concurrent.futures
 
         workers = min(self.jobs_n, len(jobs))
-        chunk = chunk or self.chunk
-        if chunk is None:
-            # A few chunks per worker balances dispatch overhead against
-            # stragglers from uneven job cost.
-            chunk = max(1, len(jobs) // (workers * 4))
         payloads = [(i, fn, job) for i, job in enumerate(jobs)]
         log.debug(
             "pool dispatch",
-            extra={"ctx": {
-                "jobs": len(jobs), "workers": workers, "chunk": chunk,
-            }},
+            extra={"ctx": {"jobs": len(jobs), "workers": workers}},
         )
         try:
             with concurrent.futures.ProcessPoolExecutor(
@@ -232,7 +224,7 @@ class ProcessExecutor:
                 initializer=_mark_worker,
                 initargs=(self.worker_init,),
             ) as pool:
-                raw = list(pool.map(_call_job, payloads, chunksize=chunk))
+                raw = list(pool.map(_call_job, payloads, chunksize=_CHUNK))
         except ParallelError:
             raise
         except (OSError, RuntimeError, ImportError) as exc:
@@ -280,7 +272,6 @@ class ProcessExecutor:
 def get_executor(
     jobs: int | None = None,
     *,
-    chunk: int | None = None,
     worker_init: Callable[[], None] | None = None,
 ) -> SerialExecutor | ProcessExecutor:
     """Executor for the resolved job count (serial when it is 1).
@@ -292,7 +283,7 @@ def get_executor(
     jobs_n = resolve_jobs(jobs)
     if jobs_n <= 1:
         return SerialExecutor()
-    return ProcessExecutor(jobs_n, chunk=chunk, worker_init=worker_init)
+    return ProcessExecutor(jobs_n, worker_init=worker_init)
 
 
 def map_jobs(
@@ -300,7 +291,6 @@ def map_jobs(
     jobs: Iterable[T],
     *,
     jobs_n: int | None = None,
-    chunk: int | None = None,
     worker_init: Callable[[], None] | None = None,
 ) -> list[R]:
     """Apply ``fn`` to every job, in parallel when ``jobs_n`` allows it.
@@ -313,6 +303,6 @@ def map_jobs(
     ``worker_init`` is per-worker setup for pool runs (see
     :func:`get_executor`).
     """
-    return get_executor(
-        jobs_n, chunk=chunk, worker_init=worker_init
-    ).map_jobs(fn, list(jobs))
+    return get_executor(jobs_n, worker_init=worker_init).map_jobs(
+        fn, list(jobs)
+    )

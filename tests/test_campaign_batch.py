@@ -190,6 +190,47 @@ class TestMemoStore:
         assert store_status()["hits"] == hits_before + 1
         assert canonical(again) == canonical(rebuilt)
 
+    @pytest.mark.parametrize(
+        "damage",
+        ["lens-short", "lens-not-covering", "negative-length", "short-meta",
+         "floats-missing"],
+    )
+    def test_bad_layout_entry_warns_and_rebuilds(self, tmp_path, damage):
+        """An entry that reads back cleanly but cannot be a phase-A
+        product is warned about, recomputed and rewritten."""
+        configure_store(None)
+        expected = canonical(NMCSimulator(engine="fast").run(
+            small_trace("atax"), workload="atax", parameters={}
+        ))
+        self._run_with_store(tmp_path)
+        (entry,) = list(tmp_path.rglob("*.bin"))
+        store = MemoStore(tmp_path)
+        data = store.get(entry.stem)
+        lens = data["lens"].copy()
+        if damage == "lens-short":
+            data["lens"] = lens[:-1]
+        elif damage == "lens-not-covering":
+            data["ints"] = np.append(data["ints"], 0)
+        elif damage == "negative-length":
+            lens[0] = -1
+            data["lens"] = lens
+        elif damage == "short-meta":
+            lens[simulator_mod._INT_SEGS.index("meta")] -= 1
+            data["lens"], data["ints"] = lens, data["ints"][:-1]
+        else:
+            del data["floats"]
+        store.put(entry.stem, data)
+        errors_before = store_status()["errors"]
+        with pytest.warns(RuntimeWarning, match="not a phase-A product"):
+            _, rebuilt = self._run_with_store(tmp_path)
+        assert store_status()["errors"] == errors_before + 1
+        assert canonical(rebuilt) == expected
+        hits_before = store_status()["hits"]
+        _, again = self._run_with_store(tmp_path)
+        assert store_status()["hits"] == hits_before + 1
+        assert store_status()["errors"] == errors_before + 1
+        assert canonical(again) == expected
+
     def test_version_skew_discarded(self, tmp_path, monkeypatch):
         store = MemoStore(tmp_path)
         payload = {"x": np.arange(4, dtype=np.int64)}

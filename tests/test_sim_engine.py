@@ -315,8 +315,8 @@ class TestEngineEquivalence:
         trace = builder.finish()
         cfg = default_nmc_config().replace(n_pes=4)
         product = NMCSimulator(cfg)._compute_phase_a(trace)
-        assert sorted(product.bundle.finish0) == [0, 2]
-        assert product.bundle.sidx.tolist() == [1]
+        assert sorted(product.f0_idx.tolist()) == [0, 2]
+        assert product.sidx.tolist() == [1]
         for pe_type, mshrs in (("inorder", 1), ("ooo", 4)):
             self._compare(
                 trace,
