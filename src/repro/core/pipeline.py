@@ -78,8 +78,6 @@ class NapelTrainer:
         n_estimators: int = 60,
         grid: Mapping[str, Sequence] | None = None,
         tune: bool = True,
-        log_space: bool = True,
-        residual_to_prior: bool = True,
         random_state: int = 0,
         jobs: int | None = None,
     ) -> None:
@@ -88,8 +86,6 @@ class NapelTrainer:
         self.model = model
         self.n_estimators = n_estimators
         self.tune = tune
-        self.log_space = log_space
-        self.residual_to_prior = residual_to_prior
         self.random_state = random_state
         #: Worker processes for tuning and forest fitting (1 = serial,
         #: 0 = all CPUs, None = honour ``REPRO_JOBS``); parallel training
@@ -117,9 +113,8 @@ class NapelTrainer:
             return MLPRegressor(random_state=self.random_state)
         return ModelTree(random_state=self.random_state)
 
-    def _transform_targets(self, y: np.ndarray) -> np.ndarray:
-        if not self.log_space:
-            return y
+    @staticmethod
+    def _log_targets(y: np.ndarray) -> np.ndarray:
         if (y <= 0).any():
             raise MLError("log-space training requires positive targets")
         return np.log(y)
@@ -149,17 +144,14 @@ class NapelTrainer:
         if len(training_set) < 4:
             raise MLError("training needs at least a handful of rows")
         X = training_set.X()
-        y_ipc = self._transform_targets(training_set.y_ipc_per_pe())
-        y_epi = self._transform_targets(
-            training_set.y_energy_per_instruction()
+        # Targets are log-residuals to the mechanistic priors (see
+        # NapelModel): the forests learn only the correction.
+        ipc_off, epi_off = NapelModel.prior_offsets(X, training_set.schema)
+        y_ipc = self._log_targets(training_set.y_ipc_per_pe()) - ipc_off
+        y_epi = (
+            self._log_targets(training_set.y_energy_per_instruction())
+            - epi_off
         )
-        residual = self.residual_to_prior and self.log_space
-        if residual:
-            ipc_off, epi_off = NapelModel.prior_offsets(
-                X, training_set.schema
-            )
-            y_ipc = y_ipc - ipc_off
-            y_epi = y_epi - epi_off
         log.info(
             "training start",
             extra={"ctx": {
@@ -195,8 +187,6 @@ class NapelTrainer:
             ipc_model,
             energy_model,
             schema=training_set.schema,
-            log_space=self.log_space,
-            residual_to_prior=residual,
             ipc_bounds=(float(y_ipc.min()), float(y_ipc.max())),
             energy_bounds=(float(y_epi.min()), float(y_epi.max())),
         )

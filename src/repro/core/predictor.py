@@ -2,8 +2,7 @@
 
 Given a hardware-independent application profile and an NMC architecture
 configuration, the model predicts per-PE IPC and energy-per-instruction
-with two random forests (trained in log space — IPC and energy are
-ratio-scale quantities spanning decades across applications) and derives:
+with two random forests and derives:
 
 * aggregate IPC (per-PE IPC times the PEs the kernel's thread count uses),
 * execution time via the paper's formula
@@ -11,10 +10,17 @@ ratio-scale quantities spanning decades across applications) and derives:
 * total energy ``E = epi * I_offload``,
 * the energy-delay product used by the suitability analysis.
 
+Each forest predicts the log of its label relative to the label's
+mechanistic prior estimate (IPC and energy are ratio-scale quantities
+spanning decades across applications); :meth:`NapelModel.predict_labels`
+adds the prior back and exponentiates.
+
 Every model carries the :class:`~repro.schema.FeatureSchema` it was
-trained under.  ``predict`` / ``predict_labels`` validate incoming
-feature data against it: a drifted runtime schema (features added,
-renamed, removed or reordered since training) raises a
+trained under, and :meth:`NapelModel.align_features` is the one check a
+feature row meets: the column names of the incoming layout must equal
+the model's (how the source schema cuts them into blocks does not
+matter).  A drifted layout (features added, renamed, removed or
+reordered since training) raises a
 :class:`~repro.errors.SchemaMismatchError` naming the offending columns.
 When the drift is a pure reorder/superset, passing ``align=True`` opts
 in to projecting the incoming columns into the training layout by name.
@@ -87,11 +93,11 @@ class NapelModel:
     (min, max) of the training labels in model space, used for clamping
     (see module docstring).
 
-    With ``residual_to_prior`` the forests were trained on the log-ratio of
-    the label to its mechanistic prior estimate (the ``prior.*`` feature
-    columns); the prior offsets are added back at prediction time.  This
-    gray-box residual formulation transfers across applications much better
-    than raw labels: the physics carries the scale, the model carries the
+    The forests are trained on the log-ratio of each label to its
+    mechanistic prior estimate (the ``prior.*`` feature columns); the
+    prior offsets are added back at prediction time.  This gray-box
+    residual formulation transfers across applications much better than
+    raw labels: the physics carries the scale, the model carries the
     corrections.
     """
 
@@ -103,16 +109,12 @@ class NapelModel:
         energy_model,
         *,
         schema: FeatureSchema | None = None,
-        log_space: bool = True,
-        residual_to_prior: bool = True,
         ipc_bounds: tuple[float, float] | None = None,
         energy_bounds: tuple[float, float] | None = None,
     ) -> None:
         self.ipc_model = ipc_model
         self.energy_model = energy_model
         self.schema = schema if schema is not None else active_schema()
-        self.log_space = log_space
-        self.residual_to_prior = residual_to_prior
         self.ipc_bounds = ipc_bounds
         self.energy_bounds = energy_bounds
         self._alignments: dict[tuple[str, bool], "_Alignment"] = {}
@@ -152,44 +154,36 @@ class NapelModel:
     def _resolve_alignment(
         self, schema: FeatureSchema, align: bool
     ) -> "_Alignment":
-        """The (memoised) projection plan from ``schema`` into the model.
+        """The projection plan from ``schema`` into the model.
 
-        Schema comparison, diffing and projection resolution are O(number
-        of columns) — cheap once, but a long-lived server answering
-        N-row batches must not redo them per row (or even per request
-        once a layout has been seen).  The plan is resolved once per
-        (source schema hash, align) pair and cached on the model, so a
-        batch of any size does O(1) schema work after the first sighting.
+        The rules are :meth:`align_features`'.  The plan is memoised per
+        (source schema hash, align) pair on the model, so a long-lived
+        server does O(1) schema work per request once a layout has been
+        seen.
         """
         cache = self.__dict__.setdefault("_alignments", {})
         key = (schema.content_hash, align)
         plan = cache.get(key)
         if plan is not None:
             return plan
-        if schema.content_hash == self.schema.content_hash:
+        if schema.names == self.schema.names:
             plan = _Alignment(projection=None)
         elif align:
             projection = self.schema.projection_from(schema)
-            # Columns the projection silently drops.  A dropped backend
-            # one-hot is not survivable: a row whose identity lives in
-            # that column would be projected onto all-zero one-hots and
-            # mispredicted silently (see _check_dropped_backends).
-            kept = set(self.schema.names)
+            # Backend one-hots the projection drops: a row whose device
+            # identity lives in one of them is refused at predict time
+            # (see _check_dropped_backends).
             dropped = [
                 (name, i)
                 for i, name in enumerate(schema.names)
-                if name not in kept
+                if name not in self.schema
+                and name.startswith("arch.backend.")
             ]
             plan = _Alignment(
                 projection=projection,
-                dropped_backend_names=tuple(
-                    n for n, _ in dropped
-                    if n.startswith("arch.backend.")
-                ),
+                dropped_backend_names=tuple(n for n, _ in dropped),
                 dropped_backend_cols=np.asarray(
-                    [i for n, i in dropped
-                     if n.startswith("arch.backend.")],
-                    dtype=np.intp,
+                    [i for _, i in dropped], dtype=np.intp
                 ),
             )
         else:
@@ -238,32 +232,6 @@ class NapelModel:
             extra=names,
         )
 
-    def _align(
-        self,
-        X: np.ndarray,
-        schema: FeatureSchema | None,
-        align: bool,
-    ) -> np.ndarray:
-        """Validate ``X`` against the training schema; reorder if asked.
-
-        Without a source ``schema`` only the column count can be checked.
-        With one, any drift raises a :class:`SchemaMismatchError` naming
-        the missing/extra/moved columns — unless ``align=True`` and the
-        training features are all present, in which case the columns are
-        projected into the training layout by name.  Validation runs once
-        per *batch* and the projection plan is memoised per source schema
-        (see :meth:`_resolve_alignment`).
-        """
-        if schema is None:
-            self.schema.validate_matrix(X, context="model input")
-            return X
-        schema.validate_matrix(X, context="model input")
-        plan = self._resolve_alignment(schema, align)
-        if plan.projection is None:
-            return X
-        self._check_dropped_backends(X, plan)
-        return X[:, plan.projection]
-
     def _clamp(
         self, raw: np.ndarray, bounds: tuple[float, float] | None
     ) -> np.ndarray:
@@ -271,9 +239,6 @@ class NapelModel:
             return raw
         lo, hi = bounds
         return np.clip(raw, lo - CLAMP_MARGIN, hi + CLAMP_MARGIN)
-
-    def _invert(self, raw: np.ndarray) -> np.ndarray:
-        return np.exp(raw) if self.log_space else raw
 
     def align_features(
         self,
@@ -284,15 +249,31 @@ class NapelModel:
     ) -> np.ndarray:
         """Validate ``X`` and return it in the model's training layout.
 
-        The public face of :meth:`_align` for callers (the prediction
-        server) that need the aligned matrix itself — e.g. to read
-        ``app.threads`` / ``arch.n_pes`` columns back out — before a
-        separate :meth:`predict_labels` call on the pre-aligned rows.
+        The one place a feature layout is judged.  Without a source
+        ``schema`` only the column count can be checked.  With one, the
+        column names decide: the model's own names pass as they are, any
+        missing/extra/moved column raises a :class:`SchemaMismatchError`
+        naming them — unless ``align=True`` and every training feature is
+        present, in which case the columns are projected into the
+        training layout by name (refused if that would erase a live
+        ``arch.backend.*`` one-hot).  Validation runs once per *batch*
+        and the projection plan is memoised per source schema (see
+        :meth:`_resolve_alignment`).  The prediction server calls it to
+        read ``app.threads`` / ``arch.n_pes`` back out of the aligned
+        rows before its own :meth:`predict_labels` call.
         """
         X = np.asarray(X, dtype=np.float64)
         if X.ndim == 1:
             X = X[np.newaxis, :]
-        return self._align(X, schema, align)
+        if schema is None:
+            self.schema.validate_matrix(X, context="model input")
+            return X
+        schema.validate_matrix(X, context="model input")
+        plan = self._resolve_alignment(schema, align)
+        if plan.projection is None:
+            return X
+        self._check_dropped_backends(X, plan)
+        return X[:, plan.projection]
 
     def predict_labels(
         self,
@@ -305,14 +286,14 @@ class NapelModel:
 
         ``schema`` names the columns of ``X`` (pass it when ``X`` was
         assembled under a schema other than the model's own); see
-        :meth:`_align` for the validation rules.  Applies residual
-        clamping, the prior offsets and the inverse label transform; this
-        is the one path every evaluation (prediction, LOOCV, suitability)
-        goes through, so all models are compared under identical
-        conventions.
+        :meth:`align_features` for the validation rules.  Clamps the
+        forests' log-residuals, adds the prior offsets back and
+        exponentiates; this is the one path every evaluation
+        (prediction, LOOCV, suitability) goes through, so all models are
+        compared under identical conventions.
         """
-        X = np.asarray(X, dtype=np.float64)
-        X = self._align(X, schema, align)
+        X = self.align_features(X, schema=schema, align=align)
+        ipc_off, epi_off = self.prior_offsets(X, self.schema)
         ipc_raw = self._clamp(
             np.asarray(self.ipc_model.predict(X), dtype=np.float64),
             self.ipc_bounds,
@@ -321,11 +302,7 @@ class NapelModel:
             np.asarray(self.energy_model.predict(X), dtype=np.float64),
             self.energy_bounds,
         )
-        if self.residual_to_prior:
-            ipc_off, epi_off = self.prior_offsets(X, self.schema)
-            ipc_raw = ipc_raw + ipc_off
-            epi_raw = epi_raw + epi_off
-        return self._invert(ipc_raw), self._invert(epi_raw)
+        return np.exp(ipc_raw + ipc_off), np.exp(epi_raw + epi_off)
 
     # ------------------------------------------------------------ predict
 

@@ -8,14 +8,16 @@ files fail loudly instead of mispredicting silently.
 Artifacts are *self-describing*: the header embeds the model's full
 :class:`~repro.schema.FeatureSchema` (as plain JSON, so the column
 identity is inspectable without unpickling) plus its content hash and
-the package version.  Format version 4 stores every fitted forest once,
-as its node table.  :func:`load_model` verifies the header before
-trusting the payload and rejects older files with an actionable
-"retrain" message: v1 files carry no schema, so their column meaning
-cannot be checked, v2 files pickle tree node objects this version no
-longer has, and v3 files store every tree twice (tree objects beside the
-node table).  It warns when the saving package version or the runtime
-feature schema differs from the current one.
+the package version.  Format version 5 stores every fitted forest once,
+as its node table, and a model with no label-transform settings (every
+model is trained on log-residuals to the priors).  :func:`load_model`
+verifies the header before trusting the payload and rejects older files
+with an actionable "retrain" message: v1 files carry no schema, so their
+column meaning cannot be checked, v2 files pickle tree node objects this
+version no longer has, v3 files store every tree twice (tree objects
+beside the node table), and v4 files carry the retired ``log_space`` /
+``residual_to_prior`` settings.  It warns when the saving package
+version or the runtime feature schema differs from the current one.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from ..store import replacing
 from .predictor import NapelModel
 
 _MAGIC = "napel-model"
-_FORMAT_VERSION = 4
+_FORMAT_VERSION = 5
 
 #: Why each retired format cannot be loaded.
 _RETIRED_FORMATS = {
@@ -42,6 +44,7 @@ _RETIRED_FORMATS = {
        "current feature layout",
     2: "stores its trees as node objects this version no longer reads",
     3: "stores each forest's trees as tree objects beside its node table",
+    4: "carries the retired log_space/residual_to_prior model settings",
 }
 
 
@@ -61,7 +64,7 @@ class _Unpickler(pickle.Unpickler):
 
 
 def save_model(model: NapelModel, path: str | Path) -> None:
-    """Serialise a trained model (format v4) to ``path``.
+    """Serialise a trained model (format v5) to ``path``.
 
     Written through :func:`repro.store.replacing`: a failed save leaves
     the previous artifact at ``path`` intact, so a serving process can

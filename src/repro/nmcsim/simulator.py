@@ -537,6 +537,32 @@ class _PhaseA:
         return self.lens.nbytes + self.ints.nbytes + self.floats.nbytes
 
 
+def _check_routing(product: _PhaseA, cfg: NMCConfig) -> None:
+    """Raise :class:`ValueError` unless a loaded product fits ``cfg``.
+
+    Phase B indexes bank and bus state with the stored routing and walks
+    each stream's events by ``off``, unchecked, so a store entry with a
+    valid layout but damaged values would read and write out of bounds.
+    """
+    n_banks = cfg.n_vaults * cfg.banks_per_vault
+    # A ``wbank`` of -1 marks a clean eviction (no writeback).
+    for name, lo, hi in (
+        ("vault", 0, cfg.n_vaults), ("wvault", 0, cfg.n_vaults),
+        ("bank", 0, n_banks), ("wbank", -1, n_banks),
+    ):
+        values = getattr(product, name)
+        if values.size and (values.min() < lo or values.max() >= hi):
+            raise ValueError(f"{name} values outside [{lo}, {hi})")
+    off = product.off
+    if (
+        off[0] != 0 or off[-1] != len(product.block)
+        or (np.diff(off) <= 0).any()
+    ):
+        raise ValueError(
+            "event offsets do not rise strictly from 0 to the event count"
+        )
+
+
 def _events_key(cfg: NMCConfig) -> tuple:
     """The architecture slice phase A depends on (events-memo key)."""
     return (
@@ -984,7 +1010,11 @@ class NMCSimulator:
             data = store.get(skey)
             if data is not None:
                 try:
-                    return _PhaseA(data["lens"], data["ints"], data["floats"])
+                    product = _PhaseA(
+                        data["lens"], data["ints"], data["floats"]
+                    )
+                    _check_routing(product, cfg)
+                    return product
                 except (KeyError, ValueError, TypeError) as exc:
                     discard(
                         f"sim memo store entry is not a phase-A product "

@@ -101,7 +101,9 @@ class SchemaDiff:
 
     ``missing`` — reference features the other schema lacks;
     ``extra`` — features only the other schema has;
-    ``moved`` — features present in both but at different column indices.
+    ``moved`` — features present in both but in a different order among
+    the features the two share (a missing or extra column shifts the
+    columns after it without moving them).
     """
 
     missing: tuple[str, ...] = ()
@@ -281,10 +283,12 @@ class FeatureSchema:
         mine, theirs = set(self.names), set(other.names)
         missing = tuple(n for n in self.names if n not in theirs)
         extra = tuple(n for n in other.names if n not in mine)
+        shared = [n for n in other.names if n in mine]
+        rank = {n: i for i, n in enumerate(shared)}
         moved = tuple(
             n
-            for n in self.names
-            if n in theirs and self._index[n] != other._index[n]
+            for i, n in enumerate(n for n in self.names if n in theirs)
+            if rank[n] != i
         )
         return SchemaDiff(missing=missing, extra=extra, moved=moved)
 

@@ -13,14 +13,18 @@ One request shape, three row spellings:
       "meta": [{"workload": "atax", "instructions": 123}, ...]  // optional
     }
 
-Rows are validated against the served model's embedded
-:class:`~repro.schema.FeatureSchema` — the PR 2 drift machinery.  A
-mismatch is a structured **422** naming the missing/extra/moved columns;
-``align=true`` opts in to projecting a reordered/superset layout into
-the training layout by name (refused if it would erase a live
-``arch.backend.*`` one-hot).  Name-keyed (dict) rows are inherently
-order-free, so they are assembled directly in model order: missing
-features are always a 422, extra keys are a 422 unless ``align``.
+Every spelling becomes a positional matrix whose columns are named —
+by ``columns``, by the rows' keys, or (bare positional rows) by the
+model's own layout — and meets the served model through
+:meth:`~repro.core.predictor.NapelModel.align_features`, the one check
+of a feature layout.  Column names decide: ``columns`` equal to the
+model's feature names need no ``align``.  A mismatch is a structured
+**422** naming the missing/extra/moved columns; ``align=true`` opts in
+to projecting a reordered/superset layout into the training layout by
+name (refused if it would erase a live ``arch.backend.*`` one-hot).
+Name-keyed rows are laid out as the model's features in model order,
+then unknown keys sorted; a row lacking a model feature that another row
+carries is a 422, and an unknown key a row does not carry reads as 0.0.
 
 ``meta`` is per-row sidecar data: when ``instructions`` is present the
 response carries the paper's derived quantities (aggregate IPC, time,
@@ -91,7 +95,7 @@ def schema_mismatch_to_error(exc: SchemaMismatchError) -> ProtocolError:
 
 @lru_cache(maxsize=128)
 def schema_for_columns(columns: tuple[str, ...]) -> FeatureSchema:
-    """A single-block schema describing a request's positional layout.
+    """A single-block schema naming a request's columns.
 
     Cached per column tuple: a steady client sends the same layout on
     every request, and the schema (and the model-side alignment memo
@@ -103,7 +107,7 @@ def schema_for_columns(columns: tuple[str, ...]) -> FeatureSchema:
         )
     except ReproError as exc:
         raise ProtocolError(
-            422, "bad_columns", f"invalid \"columns\": {exc}"
+            422, "bad_columns", f"invalid feature columns: {exc}"
         ) from exc
 
 
@@ -193,14 +197,22 @@ def _matrix_from_lists(
 
 
 def _matrix_from_dicts(
-    rows: list, schema: FeatureSchema, align: bool
-) -> np.ndarray:
-    """Name-keyed rows assembled directly in the model's layout."""
-    names = schema.names
-    name_set = set(names)
-    X = np.empty((len(rows), len(names)), dtype=np.float64)
+    rows: list, model_names: tuple[str, ...]
+) -> tuple[np.ndarray, FeatureSchema]:
+    """Name-keyed rows as a positional matrix plus the schema naming it.
+
+    The columns are the union of the rows' keys: the model's features in
+    model order, then unknown keys sorted.  A row lacking a model feature
+    that another row carries is a 422; an unknown key a row does not
+    carry reads as 0.0.  Whether the layout fits the model is judged
+    afterwards, by the same call as positional rows.
+    """
+    keys = set().union(*rows)
+    known = [n for n in model_names if n in keys]
+    columns = known + sorted(keys.difference(known))
+    X = np.zeros((len(rows), len(columns)), dtype=np.float64)
     for i, row in enumerate(rows):
-        missing = [n for n in names if n not in row]
+        missing = [n for n in known if n not in row]
         if missing:
             raise ProtocolError(
                 422, "schema_mismatch",
@@ -208,38 +220,14 @@ def _matrix_from_dicts(
                 "was trained on",
                 details={"missing": missing[:32], "extra": [], "moved": []},
             )
-        extra = sorted(k for k in row if k not in name_set)
-        if extra and not align:
-            raise ProtocolError(
-                422, "schema_mismatch",
-                f"row {i} carries {len(extra)} feature(s) unknown "
-                "to the model; pass align=true to drop them by name",
-                details={"missing": [], "extra": extra[:32], "moved": []},
-            )
-        # align=true may drop unknown columns — but never a *live*
-        # backend one-hot: that row's device identity would be erased
-        # and the model would predict with stale all-zero one-hots.
-        hot_backends = [
-            k for k in extra
-            if k.startswith("arch.backend.") and float(row[k] or 0.0)
-        ]
-        if hot_backends:
-            raise ProtocolError(
-                422, "schema_mismatch",
-                f"row {i} selects memory backend(s) this model was not "
-                f"trained on ({', '.join(hot_backends)}); aligning would "
-                "silently zero the backend one-hot — retrain the model",
-                details={"missing": [], "extra": hot_backends,
-                         "moved": []},
-            )
         try:
-            X[i] = [float(row[n]) for n in names]
+            X[i] = [float(row.get(n, 0.0)) for n in columns]
         except (TypeError, ValueError) as exc:
             raise ProtocolError(
                 400, "bad_request",
                 f"row {i} contains non-numeric values: {exc}",
             ) from exc
-    return X
+    return X, schema_for_columns(tuple(columns))
 
 
 def build_matrix(
@@ -247,14 +235,16 @@ def build_matrix(
 ) -> np.ndarray:
     """A validated request -> rows aligned to the model's layout.
 
-    All schema work happens here, once per request — never per row, and
-    (thanks to the model's alignment memo) resolved per *layout* only on
-    first sighting.  The returned matrix is in the model's training
-    layout, so the batcher can concatenate it with other requests' rows
-    and run one width-checked ``predict_labels`` call.
+    Both row spellings become a positional matrix and go through
+    :meth:`NapelModel.align_features`, once per request — never per
+    row, and (thanks to the model's alignment memo) resolved per
+    *layout* only on first sighting.  The returned matrix is in the
+    model's training layout, so the batcher can concatenate it with
+    other requests' rows and run one width-checked ``predict_labels``
+    call.  A layout the model refuses raises
+    :class:`~repro.errors.SchemaMismatchError` (the server's 422).
     """
     rows = payload["rows"]
-    align = bool(payload.get("align", False))
     dict_rows = isinstance(rows[0], dict)
     if any(isinstance(r, dict) != dict_rows for r in rows):
         raise ProtocolError(
@@ -262,12 +252,12 @@ def build_matrix(
             "rows must be all positional lists or all name-keyed objects",
         )
     if dict_rows:
-        return _matrix_from_dicts(rows, model.schema, align)
-    X, source = _matrix_from_lists(rows, payload.get("columns"))
-    try:
-        return model.align_features(X, schema=source, align=align)
-    except SchemaMismatchError as exc:
-        raise schema_mismatch_to_error(exc) from exc
+        X, source = _matrix_from_dicts(rows, model.schema.names)
+    else:
+        X, source = _matrix_from_lists(rows, payload.get("columns"))
+    return model.align_features(
+        X, schema=source, align=bool(payload.get("align", False))
+    )
 
 
 def predictions_to_json(

@@ -45,7 +45,6 @@ from __future__ import annotations
 import asyncio
 import json
 import re
-import signal
 import threading
 import time
 import uuid
@@ -112,7 +111,6 @@ class PredictionServer:
         drain_timeout_s: float = 10.0,
         slow_request_ms: float = 0.0,
         instrument: bool = True,
-        debug_ring: int = DEBUG_RING_SIZE,
         trace_rotate_events: int = 0,
     ) -> None:
         self.registry = registry
@@ -145,7 +143,7 @@ class PredictionServer:
         self._inflight = 0
         self._conns: set[asyncio.StreamWriter] = set()
         self._reload_lock = asyncio.Lock()
-        self._recent: deque[dict] = deque(maxlen=max(1, int(debug_ring)))
+        self._recent: deque[dict] = deque(maxlen=DEBUG_RING_SIZE)
         self._rotating = False
         self.stats = {
             "requests": 0, "rows": 0, "errors": 0, "reloads": 0,
@@ -218,24 +216,6 @@ class PredictionServer:
 
     async def wait_done(self) -> None:
         await self._done.wait()
-
-    async def run(self, *, install_signals: bool = True,
-                  reload_on_sighup: bool = False) -> None:
-        """Start and serve until SIGTERM/SIGINT (the CLI entry)."""
-        await self.start()
-        if install_signals:
-            loop = asyncio.get_running_loop()
-            for sig in (signal.SIGTERM, signal.SIGINT):
-                loop.add_signal_handler(
-                    sig,
-                    lambda: asyncio.ensure_future(self.shutdown()),
-                )
-            if reload_on_sighup:
-                loop.add_signal_handler(
-                    signal.SIGHUP,
-                    lambda: asyncio.ensure_future(self.reload()),
-                )
-        await self.wait_done()
 
     def manifest_fields(self) -> dict:
         """Server fields for the run manifest (``--manifest``)."""

@@ -407,10 +407,7 @@ class TestOldSchemaRejection:
             )
             for b in schema.blocks
         ])
-        model = NapelModel(
-            _Stub(), _Stub(), schema=old_schema,
-            log_space=False, residual_to_prior=False,
-        )
+        model = NapelModel(_Stub(), _Stub(), schema=old_schema)
         X = np.ones((1, len(schema)))
         with pytest.raises(SchemaMismatchError) as err:
             model.predict_labels(X, schema=schema)

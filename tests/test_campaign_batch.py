@@ -193,11 +193,21 @@ class TestMemoStore:
     @pytest.mark.parametrize(
         "damage",
         ["lens-short", "lens-not-covering", "negative-length", "short-meta",
-         "floats-missing"],
+         "floats-missing", "bank-2**40", "vault-negative", "off-repeated"],
     )
     def test_bad_layout_entry_warns_and_rebuilds(self, tmp_path, damage):
         """An entry that reads back cleanly but cannot be a phase-A
         product is warned about, recomputed and rewritten."""
+        self._damage_and_rebuild(tmp_path, damage)
+
+    def test_bad_routing_entry_rebuilds_in_every_kernel_form(
+        self, tmp_path, kernel_form
+    ):
+        """Damaged routing is caught before either phase-B form indexes
+        bank state with it (the compiled one would write out of bounds)."""
+        self._damage_and_rebuild(tmp_path, "bank-2**40")
+
+    def _damage_and_rebuild(self, tmp_path, damage):
         configure_store(None)
         expected = canonical(NMCSimulator(engine="fast").run(
             small_trace("atax"), workload="atax", parameters={}
@@ -217,6 +227,20 @@ class TestMemoStore:
         elif damage == "short-meta":
             lens[simulator_mod._INT_SEGS.index("meta")] -= 1
             data["lens"], data["ints"] = lens, data["ints"][:-1]
+        elif damage in ("bank-2**40", "vault-negative", "off-repeated"):
+            # A valid layout with values phase B would index out of
+            # bounds (or, for a negative index, silently wrap) with.
+            segs = simulator_mod._INT_SEGS
+            name = damage.split("-")[0]
+            at = int(lens[:segs.index(name)].sum())
+            ints = data["ints"].copy()
+            if name == "off":
+                ints[at + 1] = ints[at]
+            else:
+                ints[at:at + lens[segs.index(name)]] = (
+                    2**40 if name == "bank" else -1
+                )
+            data["ints"] = ints
         else:
             del data["floats"]
         store.put(entry.stem, data)

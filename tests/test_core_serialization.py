@@ -40,7 +40,7 @@ class TestSaveLoad:
         assert np.array_equal(a_ipc, b_ipc)
         assert np.array_equal(a_epi, b_epi)
         assert restored.ipc_bounds == trained.model.ipc_bounds
-        assert restored.residual_to_prior == trained.model.residual_to_prior
+        assert restored.energy_bounds == trained.model.energy_bounds
 
     def test_creates_parent_directories(self, tmp_path, trained_model):
         trained, _ = trained_model
@@ -74,7 +74,7 @@ class TestSaveLoad:
         with pytest.raises(MLError, match="format"):
             load_model(path)
 
-    @pytest.mark.parametrize("fmt", [1, 3])
+    @pytest.mark.parametrize("fmt", [1, 3, 4])
     def test_rejects_v1_format_with_retrain_advice(
         self, tmp_path, trained_model, fmt
     ):
@@ -204,8 +204,6 @@ class TestVersionAndSchemaChecks:
             trained.model.ipc_model,
             trained.model.energy_model,
             schema=reordered,
-            log_space=trained.model.log_space,
-            residual_to_prior=trained.model.residual_to_prior,
             ipc_bounds=trained.model.ipc_bounds,
             energy_bounds=trained.model.energy_bounds,
         )

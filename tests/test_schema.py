@@ -143,6 +143,20 @@ class TestDiffAndProjection:
         text = diff.describe()
         assert "p.c" in text and "p.new" in text
 
+    def test_diff_missing_or_extra_column_moves_nothing(self, toy_schema):
+        shifted = FeatureSchema([
+            FeatureBlock("profile", ("p.new", "p.a", "p.c")),
+            FeatureBlock("arch", ("arch.x", "arch.y")),
+        ])
+        diff = toy_schema.diff(shifted)
+        assert (diff.missing, diff.extra, diff.moved) == (
+            ("p.b",), ("p.new",), ()
+        )
+        assert toy_schema.diff(FeatureSchema([
+            FeatureBlock("profile", ("p.b", "p.c")),
+            FeatureBlock("arch", ("arch.x", "arch.y")),
+        ])).moved == ()
+
     def test_projection_reorders_columns(self, toy_schema):
         source = FeatureSchema([
             FeatureBlock("arch", ("arch.y", "arch.x")),
@@ -212,6 +226,21 @@ class _ColumnPicker:
         return np.asarray(X)[:, self.column]
 
 
+#: The two prior columns every NapelModel reads its label offsets from.
+PRIOR = FeatureBlock("prior", ("prior.ipc_estimate", "prior.log_epi_estimate"))
+
+
+def _toy_rows(n, *blocks):
+    """``n`` rows over ``blocks`` plus the prior block: ``arange`` values
+    in the toy columns, and priors whose offsets are exactly zero."""
+    width = sum(len(b) for b in blocks)
+    X = np.empty((n, width + 2))
+    X[:, :width] = np.arange(n * width, dtype=np.float64).reshape(n, width)
+    X[:, width] = 1.0
+    X[:, width + 1] = NapelModel._LN_PJ_TO_J
+    return X
+
+
 class TestModelSchemaGuard:
     """A model trained before a feature reorder must refuse to predict."""
 
@@ -219,9 +248,7 @@ class TestModelSchemaGuard:
         return NapelModel(
             _ColumnPicker(0),
             _ColumnPicker(1),
-            schema=schema,
-            log_space=False,
-            residual_to_prior=False,
+            schema=FeatureSchema(schema.blocks + (PRIOR,)),
         )
 
     def test_reordered_input_refused_naming_moved_columns(self, toy_schema):
@@ -229,8 +256,9 @@ class TestModelSchemaGuard:
         reordered = FeatureSchema([
             FeatureBlock("profile", ("p.b", "p.a", "p.c")),
             FeatureBlock("arch", ("arch.x", "arch.y")),
+            PRIOR,
         ])
-        X = np.ones((2, 5))
+        X = np.ones((2, 7))
         with pytest.raises(SchemaMismatchError) as err:
             model.predict_labels(X, schema=reordered)
         assert set(err.value.moved) == {"p.a", "p.b"}
@@ -238,34 +266,49 @@ class TestModelSchemaGuard:
 
     def test_align_projects_reordered_input(self, toy_schema):
         model = self._model(toy_schema)
-        reordered = FeatureSchema([
+        blocks = (
             FeatureBlock("profile", ("p.b", "p.a", "p.c")),
             FeatureBlock("arch", ("arch.x", "arch.y")),
-        ])
-        X_src = np.arange(10.0).reshape(2, 5)
+        )
+        reordered = FeatureSchema(blocks + (PRIOR,))
+        X_src = _toy_rows(2, *blocks)
         ipc, epi = model.predict_labels(X_src, schema=reordered, align=True)
         # Model reads training columns 0 ("p.a") and 1 ("p.b"), which live
         # at source columns 1 and 0 respectively.
-        assert np.array_equal(ipc, X_src[:, 1])
-        assert np.array_equal(epi, X_src[:, 0])
+        assert np.array_equal(ipc, np.exp(X_src[:, 1]))
+        assert np.array_equal(epi, np.exp(X_src[:, 0]))
 
     def test_align_cannot_invent_missing_columns(self, toy_schema):
         model = self._model(toy_schema)
         narrow = FeatureSchema([
             FeatureBlock("profile", ("p.a", "p.b", "p.c")),
             FeatureBlock("arch", ("arch.x", "arch.z")),
+            PRIOR,
         ])
         with pytest.raises(SchemaMismatchError) as err:
-            model.predict_labels(np.ones((1, 5)), schema=narrow, align=True)
+            model.predict_labels(np.ones((1, 7)), schema=narrow, align=True)
         assert "arch.y" in err.value.missing
 
     def test_width_check_without_source_schema(self, toy_schema):
         model = self._model(toy_schema)
-        with pytest.raises(SchemaMismatchError, match="5 columns"):
-            model.predict_labels(np.ones((1, 4)))
+        with pytest.raises(SchemaMismatchError, match="7 columns"):
+            model.predict_labels(np.ones((1, 6)))
 
     def test_matching_schema_passes(self, toy_schema):
         model = self._model(toy_schema)
-        X = np.arange(10.0).reshape(2, 5)
-        ipc, _ = model.predict_labels(X, schema=toy_schema)
-        assert np.array_equal(ipc, X[:, 0])
+        X = _toy_rows(2, *toy_schema.blocks)
+        ipc, _ = model.predict_labels(X, schema=model.schema)
+        assert np.array_equal(ipc, np.exp(X[:, 0]))
+
+    def test_one_block_schema_with_the_model_names_needs_no_align(
+        self, toy_schema
+    ):
+        """The names decide, not the blocks: one block listing the
+        model's columns in order is the model's own layout."""
+        model = self._model(toy_schema)
+        flat = FeatureSchema([FeatureBlock("request", model.schema.names)])
+        X = _toy_rows(2, *toy_schema.blocks)
+        assert np.array_equal(model.align_features(X, schema=flat), X)
+        ipc, epi = model.predict_labels(X, schema=flat)
+        assert np.array_equal(ipc, np.exp(X[:, 0]))
+        assert np.array_equal(epi, np.exp(X[:, 1]))

@@ -164,6 +164,24 @@ class TestPredict:
         by_pos = client.predict([row])
         assert by_name["predictions"] == by_pos["predictions"]
 
+    def test_exact_columns_need_no_align(self, artifact, client):
+        """``columns`` naming the model's own layout is that layout: the
+        request is served as it is, with no ``align``."""
+        names = list(artifact.model.schema.names)
+        row = _row(artifact)
+        named = client.predict([row], columns=names)
+        assert named["predictions"] == client.predict([row])["predictions"]
+
+    def test_dict_rows_unknown_key_of_another_row_reads_zero(
+        self, artifact, client
+    ):
+        names = artifact.model.schema.names
+        rows = [dict(zip(names, _row(artifact, i))) for i in range(2)]
+        rows[1]["custom.extra_feature"] = 7.0
+        got = client.predict(rows, align=True)
+        want = client.predict([_row(artifact, i) for i in range(2)])
+        assert got["predictions"] == want["predictions"]
+
     def test_align_true_projects_reordered_layout_bit_identically(
         self, artifact, client
     ):
@@ -215,6 +233,18 @@ class TestPredictErrors:
             client.predict([row])
         assert err.value.status == 422
         assert names[0] in err.value.body["missing"]
+
+    def test_dict_row_lacking_a_feature_another_row_carries_is_422(
+        self, artifact, client
+    ):
+        names = artifact.model.schema.names
+        rows = [dict(zip(names, _row(artifact, i))) for i in range(2)]
+        del rows[1][names[5]]
+        with pytest.raises(ServeClientError) as err:
+            client.predict(rows)
+        assert err.value.status == 422
+        assert "row 1 lacks" in str(err.value)
+        assert err.value.body["missing"] == [names[5]]
 
     def test_align_refuses_live_unknown_backend_one_hot(
         self, artifact, client
@@ -927,8 +957,6 @@ class TestBatchSchemaHoisting:
             artifact.model.ipc_model,
             artifact.model.energy_model,
             schema=artifact.model.schema,
-            log_space=artifact.model.log_space,
-            residual_to_prior=artifact.model.residual_to_prior,
             ipc_bounds=artifact.model.ipc_bounds,
             energy_bounds=artifact.model.energy_bounds,
         )
