@@ -28,7 +28,7 @@ PAPER_SUITABLE = {"atax", "bfs", "bp", "chol", "gram", "kme"}
 
 def test_fig7_edp_reduction(benchmark, campaign, workloads, full_training_set):
     results = analyze_suitability(
-        workloads, campaign, training_set=full_training_set
+        workloads, [campaign], training_set=full_training_set
     )
     campaign.cache.save()
 
@@ -93,7 +93,7 @@ def test_fig7_edp_reduction(benchmark, campaign, workloads, full_training_set):
     # trained model and cached simulations.
     benchmark.pedantic(
         lambda: analyze_suitability(
-            workloads[:1], campaign, training_set=full_training_set,
+            workloads[:1], [campaign], training_set=full_training_set,
             trainer_kwargs={"n_estimators": 30, "tune": False},
         ),
         rounds=1, iterations=1,

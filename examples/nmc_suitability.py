@@ -33,7 +33,7 @@ def main() -> None:
     print(f"{len(training)} training rows collected\n")
 
     results = analyze_suitability(
-        workloads, campaign, training_set=training
+        workloads, [campaign], training_set=training
     )
     rows = []
     for r in results:

@@ -13,9 +13,7 @@ from ..core import (
     CampaignCache,
     NapelTrainer,
     SimulationCampaign,
-    analyze_backend_suitability,
     analyze_suitability,
-    format_backend_suitability,
     load_model,
     save_model,
 )
@@ -604,67 +602,16 @@ def cmd_suitability(args: argparse.Namespace) -> None:
     campaigns = _campaigns(
         args, [NMCConfig.from_backend(name) for name in backends]
     )
-    if len(campaigns) > 1:
-        _suitability_by_backend(args, workloads, campaigns)
-        return
-    (campaign,) = campaigns
-    print(f"running CCD campaigns for {', '.join(args.apps)} ...")
-    training = campaign.run_all(workloads)
-    campaign.cache.save()
-    results = analyze_suitability(workloads, campaign, training_set=training)
-    _manifest_update(
-        args,
-        workloads=list(args.apps),
-        n_points=len(training),
-        scale=args.scale,
-        backend=campaign.arch.backend,
-        arch_config_hash=config_hash(campaign.arch),
-        schema_hash=active_schema().content_hash,
-        cache=_cache_summary(campaign.cache),
-        model={
-            "edp_mre": {
-                r.workload: round(r.edp_mre, 6) for r in results
-            },
-            "mean_edp_mre": round(
-                sum(r.edp_mre for r in results) / len(results), 6
-            ),
-        },
-    )
-    _record_simulation(args, campaign)
-    rows = [
-        [
-            r.workload,
-            f"{r.edp_reduction_actual:8.2f}",
-            f"{r.edp_reduction_pred:8.2f}",
-            "NMC-suitable" if r.suitable_actual else "host wins",
-            f"{r.edp_mre:6.1%}",
-        ]
-        for r in results
-    ]
-    print(format_table(
-        ["app", "EDP red (sim)", "EDP red (NAPEL)", "verdict", "EDP MRE"],
-        rows,
-        title="NMC-suitability analysis (cf. paper Figure 7)",
-    ))
-
-
-def _suitability_by_backend(
-    args: argparse.Namespace,
-    workloads: list[Workload],
-    campaigns: list[SimulationCampaign],
-) -> None:
-    """Multi-backend suitability: rank backends per kernel by EDP."""
-    backends = args.backend
-    cache = campaigns[0].cache
     print(
         f"running CCD campaigns for {', '.join(args.apps)} on "
         f"{', '.join(backends)} ..."
     )
-    results = analyze_backend_suitability(workloads, campaigns)
+    results = analyze_suitability(workloads, campaigns)
+    cache = campaigns[0].cache
     cache.save()
-    best = {
-        r.workload: r.backend for r in results if r.rank == 1
-    }
+    edp_mre: dict[str, dict[str, float]] = {}
+    for r in results:
+        edp_mre.setdefault(r.workload, {})[r.backend] = round(r.edp_mre, 6)
     _manifest_update(
         args,
         workloads=list(args.apps),
@@ -672,7 +619,31 @@ def _suitability_by_backend(
         scale=args.scale,
         schema_hash=active_schema().content_hash,
         cache=_cache_summary(cache),
-        best_backend=best,
+        model={
+            "edp_mre": edp_mre,
+            "mean_edp_mre": round(
+                sum(r.edp_mre for r in results) / len(results), 6
+            ),
+        },
+        best_backend={r.workload: r.backend for r in results if r.rank == 1},
     )
     _record_simulation(args, campaigns[0])
-    print(format_backend_suitability(results))
+    rows = [
+        [
+            r.workload if r.rank == 1 else "",
+            r.backend,
+            str(r.rank),
+            f"{r.edp_reduction_actual:8.4f}",
+            f"{r.edp_reduction_pred:8.4f}",
+            "NMC-suitable" if r.suitable_actual else "host wins",
+            f"{r.edp_mre:6.1%}",
+        ]
+        for r in results
+    ]
+    print(format_table(
+        ["app", "backend", "rank", "EDP red (sim)", "EDP red (NAPEL)",
+         "verdict", "EDP MRE"],
+        rows,
+        title="NMC-suitability analysis (cf. paper Figure 7; "
+              "rank 1 = best backend)",
+    ))

@@ -17,13 +17,7 @@ from .dataset import TrainingRow, TrainingSet
 from .loocv import LoocvResult, evaluate_loocv
 from .pipeline import NapelTrainer, TrainedNapel
 from .predictor import NapelModel, NapelPrediction
-from .suitability import (
-    BackendSuitability,
-    SuitabilityResult,
-    analyze_backend_suitability,
-    analyze_suitability,
-    format_backend_suitability,
-)
+from .suitability import SuitabilityResult, analyze_suitability
 from .reporting import format_table
 from .serialization import load_model, save_model
 from .dse import (
@@ -46,10 +40,7 @@ __all__ = [
     "evaluate_loocv",
     "LoocvResult",
     "analyze_suitability",
-    "analyze_backend_suitability",
-    "format_backend_suitability",
     "SuitabilityResult",
-    "BackendSuitability",
     "format_table",
     "save_model",
     "load_model",

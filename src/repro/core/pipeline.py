@@ -125,16 +125,12 @@ class NapelTrainer:
         if not self.tune:
             base.fit(X, y)
             return base, None
-        if self.model == "rf":
-            result = grid_search(
-                base, self.grid, X, y, use_oob=True, jobs=self.jobs
-            )
-        else:
-            cv = KFold(
-                n_splits=min(3, max(2, len(y) // 4)),
-                random_state=self.random_state,
-            )
-            result = grid_search(base, self.grid, X, y, cv=cv, jobs=self.jobs)
+        # A forest is scored out of bag and ignores ``cv``.
+        cv = KFold(
+            n_splits=min(3, max(2, len(y) // 4)),
+            random_state=self.random_state,
+        )
+        result = grid_search(base, self.grid, X, y, cv=cv, jobs=self.jobs)
         return result.best_model, result
 
     # -------------------------------------------------------------- main

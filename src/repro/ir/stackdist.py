@@ -8,10 +8,11 @@ It is the canonical hardware-independent description of temporal locality
 set-associative LRU cache of ``W`` ways hits exactly the accesses whose
 *per-set* reuse distance is < ``W``.
 
-This module holds the profiler's kernels: :func:`reuse_distances` (the
-classic Fenwick-tree formulation, O(M log M) over M accesses) and
-:func:`grouped_reuse_distances`, its per-set generalisation behind the
-locality features.  Both run as one call into the compiled kernel
+This module holds two kernels: :func:`reuse_distances` (the classic
+Fenwick-tree formulation, O(M log M) over M accesses), behind the
+profiler's locality features, and :func:`grouped_reuse_distances`, its
+per-set generalisation, which the set-associative L1 oracle of the
+simulator tests uses to derive hits independently.  Both run as one call into the compiled kernel
 library (:mod:`repro.native`) over dense element ids; the pure-Python
 forms (a move-to-front list for small alphabets, a Fenwick tree
 otherwise, and a loop over groups) are the oracles and the fallback on

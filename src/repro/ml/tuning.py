@@ -5,15 +5,14 @@ hyper-parameter combinations.  Second, we compare all the generated models
 ... and select the best one."  :func:`grid_search` does exactly that: one
 score per combination, and the best combination's model is returned.
 
-For random forests the out-of-bag error can be used instead of k-fold CV
-(``use_oob=True``), which is substantially cheaper and statistically
-equivalent for bagged ensembles.  Every combination's forest is then
-fitted on all the data in one pass (:func:`~repro.ml.forest.fit_forests`:
-combinations that share ``random_state``, ``bootstrap`` and
-``n_estimators`` share each tree's bootstrap sample), scored by its OOB
-error, and the winner is returned as it was scored, not refitted.  With
-k-fold CV each combination is scored on its folds and the winner is then
-refitted on everything.
+A random forest is scored by its out-of-bag error instead of k-fold CV,
+which is substantially cheaper and statistically equivalent for bagged
+ensembles.  Every combination's forest is fitted on all the data in one
+pass (:func:`~repro.ml.forest.fit_forests`: combinations that share
+``random_state``, ``bootstrap`` and ``n_estimators`` share each tree's
+bootstrap sample), scored by its OOB error, and the winner is returned
+as it was scored, not refitted.  With k-fold CV each combination is
+scored on its folds and the winner is then refitted on everything.
 
 With ``jobs > 1`` the OOB search fits contiguous chunks of trees, across
 all combinations, in worker processes; the k-fold search scores whole
@@ -79,24 +78,24 @@ def grid_search(
     y,
     *,
     cv: KFold | None = None,
-    use_oob: bool = False,
     jobs: int | None = None,
 ) -> GridSearchResult:
     """Exhaustive search over ``grid``; lower score (MRE) is better.
 
-    ``base_model`` must expose ``clone(**params)``.  With ``use_oob``
+    ``base_model`` must expose ``clone(**params)``.  A
+    :class:`~repro.ml.forest.RandomForestRegressor` is scored out of bag:
     every combination's forest is fitted once on the full data and the
-    winner is returned as scored; with k-fold CV the winner is refitted
-    on the full data.  ``jobs`` spreads the work over worker processes
-    (1 = serial, 0 = all CPUs, None = honour ``REPRO_JOBS``): tree chunks
-    across all combinations with ``use_oob``, whole combinations with
-    k-fold CV.  Neither changes the selection.
+    winner is returned as scored.  Any other estimator is scored by
+    k-fold CV (``cv``) and the winner is refitted on the full data.
+    ``jobs`` spreads the work over worker processes (1 = serial, 0 = all
+    CPUs, None = honour ``REPRO_JOBS``): tree chunks across all
+    combinations for a forest, whole combinations for k-fold CV.  Neither
+    changes the selection.
     """
     combos = _combinations(grid)
     if not combos:
         raise MLError("empty hyper-parameter grid")
-    if use_oob and not isinstance(base_model, RandomForestRegressor):
-        raise MLError("use_oob requires a RandomForestRegressor")
+    use_oob = isinstance(base_model, RandomForestRegressor)
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64).ravel()
     log.info(

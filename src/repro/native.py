@@ -15,8 +15,8 @@ that own a loop :func:`register` both forms under one name:
   of a design point through its own LRU L1 in one call
   (:mod:`repro.nmcsim.classify`);
 * ``reuse_distances`` / ``grouped_reuse_distances`` — LRU stack
-  distances (:mod:`repro.ir.stackdist`) for the profiler's
-  reuse-distance families;
+  distances (:mod:`repro.ir.stackdist`), whole-stream for the
+  profiler's reuse-distance families and per set;
 * ``ilp_depths`` — the profiler's dependence-DAG depths
   (:mod:`repro.profiler.ilp`);
 * ``build_tree`` — one whole CART regression tree per call, the
@@ -398,30 +398,21 @@ void stream_digests(
 
 /* ------------------------------------------------ phase-A L1 walk */
 
-static int cmp_i64(const void *a, const void *b)
-{
-    i64 x = *(const i64 *)a, y = *(const i64 *)b;
-    return (x > y) - (x < y);
-}
-
 /* Walk each stream lines/writes[off[s] .. off[s + 1]) through its own
    fresh n_sets x ways write-back, write-allocate LRU cache, as
    Cache.access does: the set is Python's floor modulo line % n_sets,
    each set keeps its lines least recent first, a hit moves its line to
    the back and ORs in the write, and a miss on a full set evicts slot
-   0, reported in wb_line only when dirty (-1 otherwise).  Each stream's
-   dirty residents are then appended to flush, sorted, ending at
-   flush_off[s + 1], and stats[4 s ..] gets its hits, misses,
-   writebacks (evictions plus flushes) and flushes.  set_line and
+   0, reported in wb_line only when dirty (-1 otherwise).  stats[4 s ..]
+   gets each stream's hits, misses, writebacks (evictions plus flushes)
+   and flushes (its dirty residents at the end).  set_line and
    set_dirty hold n_sets * ways slots, set_len n_sets. */
 void classify_streams(
     const i64 *lines, const unsigned char *writes, const i64 *off,
     i64 n_streams, i64 n_sets, i64 ways,
-    unsigned char *hit, i64 *wb_line, i64 *flush, i64 *flush_off,
-    i64 *stats, i64 *set_line, unsigned char *set_dirty, i64 *set_len)
+    unsigned char *hit, i64 *wb_line, i64 *stats,
+    i64 *set_line, unsigned char *set_dirty, i64 *set_len)
 {
-    i64 nf = 0;
-    flush_off[0] = 0;
     for (i64 s = 0; s < n_streams; s++) {
         memset(set_len, 0, (size_t)n_sets * sizeof *set_len);
         i64 hits = 0, evicted = 0;
@@ -463,18 +454,16 @@ void classify_streams(
             sd[len] = writes[k];
             set_len[si] = len + 1;
         }
-        i64 first = nf;
+        i64 flushes = 0;
         for (i64 si = 0; si < n_sets; si++)
             for (i64 q = 0; q < set_len[si]; q++)
                 if (set_dirty[si * ways + q])
-                    flush[nf++] = set_line[si * ways + q];
-        qsort(flush + first, (size_t)(nf - first), sizeof *flush, cmp_i64);
-        flush_off[s + 1] = nf;
+                    flushes++;
         i64 *st = stats + 4 * s;
         st[0] = hits;
         st[1] = off[s + 1] - off[s] - hits;
-        st[2] = evicted + nf - first;
-        st[3] = nf - first;
+        st[2] = evicted + flushes;
+        st[3] = flushes;
     }
 }
 

@@ -138,30 +138,6 @@ class Cache:
                 wb_line[k] = wb
         return hit, wb_line
 
-    def dirty_lines(self) -> np.ndarray:
-        """Line addresses of the dirty resident lines (sorted).
-
-        The set :meth:`flush` would write back; read-only census like
-        :meth:`flush_dirty_count`, but as an address array.
-        """
-        dirty = [
-            entry[0] * self.n_sets + set_idx
-            for set_idx, entries in enumerate(self._sets)
-            for entry in entries
-            if entry[1]
-        ]
-        return np.sort(np.asarray(dirty, dtype=np.int64))
-
-    def flush_dirty_count(self) -> int:
-        """Number of dirty lines still resident (flushed at kernel end).
-
-        Read-only census; :meth:`flush` actually performs the flush and
-        records it in the statistics.
-        """
-        return sum(
-            1 for entries in self._sets for entry in entries if entry[1]
-        )
-
     def flush(self) -> int:
         """Write back all resident dirty lines (end-of-kernel flush).
 

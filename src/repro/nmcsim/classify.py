@@ -1,11 +1,11 @@
 """L1 classification of every PE stream of a design point (phase A).
 
 A PE's L1 outcome — hit or miss, the dirty victim a miss evicts, the
-dirty lines left for the end-of-kernel flush — depends on the order of
-its own accesses alone, never on timing.  The fast engine therefore
-classifies every PE stream up front and leaves only the (typically
-small) miss and writeback event set for the exact global-time
-contention loop (phase B, :mod:`repro.nmcsim.simulator`).
+number of dirty lines left for the end-of-kernel flush — depends on the
+order of its own accesses alone, never on timing.  The fast engine
+therefore classifies every PE stream up front and leaves only the
+(typically small) miss and writeback event set for the exact
+global-time contention loop (phase B, :mod:`repro.nmcsim.simulator`).
 
 :func:`classify_streams` walks all of a point's streams, concatenated,
 through one private W-way, write-back, write-allocate LRU L1 each, in
@@ -42,25 +42,19 @@ class LRUClassification:
     concatenated access arrays the classifier was given.  ``hit[k]``
     tells whether access ``k`` hits; ``wb_line[k]`` is the line of the
     dirty victim access ``k`` evicts (-1 when it hits, misses without
-    eviction, or evicts a clean line).  Stream ``i``'s dirty residents
-    at kernel end — each flushed back exactly once — are
-    ``flush_lines[flush_off[i]:flush_off[i + 1]]``, sorted.
-    ``stats[i]`` matches stream ``i``'s step-wise :class:`Cache`
-    counters *after* its end-of-kernel
-    :meth:`~repro.nmcsim.cache.Cache.flush`.
+    eviction, or evicts a clean line).  ``stats[i]`` matches stream
+    ``i``'s step-wise :class:`Cache` counters *after* its end-of-kernel
+    :meth:`~repro.nmcsim.cache.Cache.flush`, so ``stats[i].flushes``
+    counts its dirty residents at kernel end, each flushed back once.
     """
 
     hit: np.ndarray
     wb_line: np.ndarray
-    flush_lines: np.ndarray
-    flush_off: np.ndarray
     stats: tuple[CacheStats, ...]
 
     @property
     def nbytes(self) -> int:
-        return sum(a.nbytes for a in (
-            self.hit, self.wb_line, self.flush_lines, self.flush_off
-        ))
+        return self.hit.nbytes + self.wb_line.nbytes
 
     def total(self) -> CacheStats:
         """The counters of every stream, summed."""
@@ -112,25 +106,15 @@ def classify_steps(
     _check_geometry(n_sets, ways)
     hit = np.empty(len(lines), dtype=bool)
     wb_line = np.empty(len(lines), dtype=np.int64)
-    flush: list[np.ndarray] = []
     stats: list[CacheStats] = []
     for lo, hi in zip(off[:-1].tolist(), off[1:].tolist()):
         cache = Cache(n_lines=n_sets * ways, ways=ways)
         hit[lo:hi], wb_line[lo:hi] = cache.classify(
             lines[lo:hi], writes[lo:hi]
         )
-        flush.append(cache.dirty_lines())
         cache.flush()
         stats.append(cache.stats)
-    flush_off = np.zeros(len(flush) + 1, dtype=np.int64)
-    np.cumsum([len(f) for f in flush], dtype=np.int64, out=flush_off[1:])
-    return LRUClassification(
-        hit,
-        wb_line,
-        np.concatenate(flush) if flush else np.empty(0, dtype=np.int64),
-        flush_off,
-        tuple(stats),
-    )
+    return LRUClassification(hit, wb_line, tuple(stats))
 
 
 def _classify_streams_cc(lib: native.Library) -> Callable:
@@ -138,17 +122,13 @@ def _classify_streams_cc(lib: native.Library) -> Callable:
     fn.restype = None
     fn.argtypes = [ctypes.c_void_p] * 3 + [ctypes.c_int64] * 3 + [
         ctypes.c_void_p
-    ] * 8
+    ] * 6
 
     def kernel(lines, writes, off, *, n_sets, ways):
         _check_geometry(n_sets, ways)
         n, n_streams = len(lines), len(off) - 1
         hit = np.empty(n, dtype=bool)
         wb_line = np.empty(n, dtype=np.int64)
-        # A stream's residents are distinct lines it accessed, so the
-        # flush sets of all streams fit in n entries.
-        flush = np.empty(n, dtype=np.int64)
-        flush_off = np.empty(n_streams + 1, dtype=np.int64)
         stats = np.empty((n_streams, 4), dtype=np.int64)
         set_line = np.empty(n_sets * ways, dtype=np.int64)
         set_dirty = np.empty(n_sets * ways, dtype=np.uint8)
@@ -156,16 +136,11 @@ def _classify_streams_cc(lib: native.Library) -> Callable:
         fn(
             lines.ctypes.data, writes.ctypes.data, off.ctypes.data,
             n_streams, n_sets, ways,
-            hit.ctypes.data, wb_line.ctypes.data, flush.ctypes.data,
-            flush_off.ctypes.data, stats.ctypes.data,
+            hit.ctypes.data, wb_line.ctypes.data, stats.ctypes.data,
             set_line.ctypes.data, set_dirty.ctypes.data, set_len.ctypes.data,
         )
         return LRUClassification(
-            hit,
-            wb_line,
-            flush[: flush_off[-1]].copy(),
-            flush_off,
-            tuple(CacheStats(*row) for row in stats.tolist()),
+            hit, wb_line, tuple(CacheStats(*row) for row in stats.tolist())
         )
 
     return kernel

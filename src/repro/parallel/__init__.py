@@ -5,9 +5,8 @@ leave-one-application-out retraining, bootstrap-tree fitting and
 hyper-parameter grid search — is an embarrassingly parallel loop over
 independent jobs.  This subpackage provides the one abstraction they all
 share: :func:`map_jobs`, an ordered, deterministic, exception-annotating
-map over a job list, backed either by the calling process
-(:class:`SerialExecutor`) or by a pool of worker processes
-(:class:`ProcessExecutor`).
+map over a job list, run either in the calling process or in a pool of
+worker processes.
 
 Determinism is a hard guarantee: callers pre-compute any random state
 (per-job seeds, bootstrap samples) *before* dispatch, workers are pure
@@ -17,8 +16,6 @@ functions of their job payload, and results are merged back in job order
 
 from .executor import (
     ParallelError,
-    ProcessExecutor,
-    SerialExecutor,
     in_worker,
     map_jobs,
     process_pool_available,
@@ -27,8 +24,6 @@ from .executor import (
 
 __all__ = [
     "ParallelError",
-    "ProcessExecutor",
-    "SerialExecutor",
     "in_worker",
     "map_jobs",
     "process_pool_available",

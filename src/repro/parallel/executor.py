@@ -1,16 +1,16 @@
-"""Executor abstraction: ordered map over independent jobs.
+"""Ordered map over independent jobs, in-process or in a worker pool.
 
 :func:`map_jobs` is the single entry point.  It resolves the requested
 worker count (explicit argument > ``REPRO_JOBS`` environment variable >
-serial), picks :class:`SerialExecutor` or :class:`ProcessExecutor`, and
-returns results in job order.  Worker-side exceptions are captured with
-their traceback and re-raised in the caller as :class:`ParallelError`
-carrying the job index and repr, so a failure deep inside a pool points
-at the job that caused it.
+serial), runs the jobs in the calling process or in a pool of worker
+processes, and returns results in job order.  Worker-side exceptions are
+captured with their traceback and re-raised in the caller as
+:class:`ParallelError` carrying the job index and repr, so a failure
+deep inside a pool points at the job that caused it.
 
-The process backend degrades gracefully: it falls back to serial when
-only one job (or one worker) is requested, when the interpreter is
-already inside a pool worker (no nested pools), or when the platform
+The pool degrades gracefully: :func:`map_jobs` runs serially when only
+one job (or one worker) is requested, when the interpreter is already
+inside a pool worker (no nested pools), or when the platform
 cannot start worker processes at all (missing ``fork``/semaphores, e.g.
 restricted sandboxes) — emitting a warning rather than failing.
 """
@@ -20,7 +20,7 @@ from __future__ import annotations
 import os
 import traceback
 import warnings
-from typing import Callable, Iterable, Sequence, TypeVar
+from typing import Callable, Iterable, TypeVar
 
 from ..errors import ConfigError, ParallelError
 from ..obs import get_logger, metrics, tracer
@@ -34,17 +34,12 @@ R = TypeVar("R")
 #: Environment variable consulted when no explicit job count is given.
 JOBS_ENV_VAR = "REPRO_JOBS"
 
-#: Jobs per pool task.  Every caller hands ``map_jobs`` one job per
-#: worker-sized unit of work (a chunk of points, trees or folds), so
-#: each job is its own task.
-_CHUNK = 1
-
 #: Set in pool workers so nested ``map_jobs`` calls stay serial.
 _IN_WORKER = False
 
 
 def in_worker() -> bool:
-    """True when running inside a :class:`ProcessExecutor` pool worker."""
+    """True when running inside a :func:`map_jobs` pool worker."""
     return _IN_WORKER
 
 
@@ -131,21 +126,6 @@ def _raise_failure(index: int, job, failure) -> None:
     )
 
 
-class SerialExecutor:
-    """Runs jobs one after another in the calling process.
-
-    Exceptions propagate unchanged: in-process the original traceback is
-    intact, so wrapping would only obscure it.  Only pool workers (whose
-    tracebacks die with the worker) wrap failures in
-    :class:`ParallelError`.
-    """
-
-    jobs_n = 1
-
-    def map_jobs(self, fn: Callable[[T], R], jobs: Sequence[T]) -> list[R]:
-        return [fn(job) for job in jobs]
-
-
 def process_pool_available() -> bool:
     """Whether this platform can actually start pool worker processes.
 
@@ -178,114 +158,6 @@ def _mp_context():
     return multiprocessing.get_context(method)
 
 
-class ProcessExecutor:
-    """``concurrent.futures.ProcessPoolExecutor``-backed job map.
-
-    Results come back in job order regardless of completion order.
-    Falls back to :class:`SerialExecutor` (with a warning where that is
-    surprising) whenever a pool cannot or should not be used.
-    """
-
-    def __init__(
-        self,
-        jobs_n: int,
-        *,
-        worker_init: Callable[[], None] | None = None,
-    ) -> None:
-        if jobs_n < 1:
-            raise ParallelError("jobs_n must be >= 1")
-        self.jobs_n = jobs_n
-        self.worker_init = worker_init
-
-    def map_jobs(self, fn: Callable[[T], R], jobs: Sequence[T]) -> list[R]:
-        jobs = list(jobs)
-        if self.jobs_n <= 1 or len(jobs) <= 1 or in_worker():
-            return SerialExecutor().map_jobs(fn, jobs)
-        if not process_pool_available():
-            warnings.warn(
-                "worker processes are unavailable on this platform; "
-                "running jobs serially",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            return SerialExecutor().map_jobs(fn, jobs)
-        import concurrent.futures
-
-        workers = min(self.jobs_n, len(jobs))
-        payloads = [(i, fn, job) for i, job in enumerate(jobs)]
-        log.debug(
-            "pool dispatch",
-            extra={"ctx": {"jobs": len(jobs), "workers": workers}},
-        )
-        try:
-            with concurrent.futures.ProcessPoolExecutor(
-                max_workers=workers,
-                mp_context=_mp_context(),
-                initializer=_mark_worker,
-                initargs=(self.worker_init,),
-            ) as pool:
-                raw = list(pool.map(_call_job, payloads, chunksize=_CHUNK))
-        except ParallelError:
-            raise
-        except (OSError, RuntimeError, ImportError) as exc:
-            warnings.warn(
-                f"process pool failed ({exc}); re-running jobs serially",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            log.warning(
-                "process pool failed; re-running jobs serially",
-                extra={"ctx": {"error": repr(exc)}},
-            )
-            return SerialExecutor().map_jobs(fn, jobs)
-        out: list[R] = [None] * len(jobs)  # type: ignore[list-item]
-        # Merge every worker's metrics delta and trace events (including
-        # failed jobs': the work they did before dying still happened)
-        # before raising.  Each distinct worker pid gets a stable lane in
-        # job-index order, so the trace shows one timeline per worker.
-        lanes: dict[int, int] = {}
-        for _index, _ok, _result, delta, events in raw:
-            metrics().merge_snapshot(delta)
-            if events:
-                worker_pid = next(
-                    (
-                        e["pid"] for e in events
-                        if isinstance(e.get("pid"), int)
-                        and e["pid"] < _HW_PID
-                    ),
-                    None,
-                )
-                lane = None
-                if worker_pid is not None:
-                    lane = lanes.setdefault(worker_pid, len(lanes) + 1)
-                tracer().adopt(events, lane=lane)
-        for index, ok, result, _delta, _events in raw:
-            if not ok:
-                _raise_failure(index, jobs[index], result)
-            out[index] = result
-        log.debug(
-            "pool drained", extra={"ctx": {"jobs": len(jobs)}}
-        )
-        return out
-
-
-def get_executor(
-    jobs: int | None = None,
-    *,
-    worker_init: Callable[[], None] | None = None,
-) -> SerialExecutor | ProcessExecutor:
-    """Executor for the resolved job count (serial when it is 1).
-
-    ``worker_init`` (picklable, zero-argument) runs once in every pool
-    worker before any job; serial execution skips it — the caller's own
-    process state already applies.
-    """
-    jobs_n = resolve_jobs(jobs)
-    if jobs_n <= 1:
-        return SerialExecutor()
-    return ProcessExecutor(jobs_n, worker_init=worker_init)
-
-
 def map_jobs(
     fn: Callable[[T], R],
     jobs: Iterable[T],
@@ -296,13 +168,80 @@ def map_jobs(
     """Apply ``fn`` to every job, in parallel when ``jobs_n`` allows it.
 
     The one-call API used by all hot loops: results are returned in job
-    order, pool-worker exceptions re-raise as :class:`ParallelError` with
-    the failing job's index and repr (serial runs propagate the original
-    exception with its intact traceback), and ``jobs_n=None`` consults
-    the ``REPRO_JOBS`` environment variable (absent -> serial).
-    ``worker_init`` is per-worker setup for pool runs (see
-    :func:`get_executor`).
+    order, and ``jobs_n=None`` consults the ``REPRO_JOBS`` environment
+    variable (absent -> serial).  One job, one worker or a call from
+    inside a pool worker runs serially in the calling process, where
+    exceptions propagate unchanged with their traceback intact; pool
+    workers' exceptions re-raise as :class:`ParallelError` with the
+    failing job's index and repr.  ``worker_init`` (picklable,
+    zero-argument) runs once in every pool worker before any job; serial
+    execution skips it — the caller's own process state already applies.
     """
-    return get_executor(jobs_n, worker_init=worker_init).map_jobs(
-        fn, list(jobs)
+    jobs = list(jobs)
+    jobs_n = resolve_jobs(jobs_n)
+    if jobs_n <= 1 or len(jobs) <= 1 or in_worker():
+        return [fn(job) for job in jobs]
+    if not process_pool_available():
+        warnings.warn(
+            "worker processes are unavailable on this platform; "
+            "running jobs serially",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+        return [fn(job) for job in jobs]
+    import concurrent.futures
+
+    workers = min(jobs_n, len(jobs))
+    payloads = [(i, fn, job) for i, job in enumerate(jobs)]
+    log.debug(
+        "pool dispatch",
+        extra={"ctx": {"jobs": len(jobs), "workers": workers}},
     )
+    try:
+        with concurrent.futures.ProcessPoolExecutor(
+            max_workers=workers,
+            mp_context=_mp_context(),
+            initializer=_mark_worker,
+            initargs=(worker_init,),
+        ) as pool:
+            raw = list(pool.map(_call_job, payloads))
+    except (OSError, RuntimeError, ImportError) as exc:
+        warnings.warn(
+            f"process pool failed ({exc}); re-running jobs serially",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+        log.warning(
+            "process pool failed; re-running jobs serially",
+            extra={"ctx": {"error": repr(exc)}},
+        )
+        return [fn(job) for job in jobs]
+    out: list[R] = [None] * len(jobs)  # type: ignore[list-item]
+    # Merge every worker's metrics delta and trace events (including
+    # failed jobs': the work they did before dying still happened)
+    # before raising.  Each distinct worker pid gets a stable lane in
+    # job-index order, so the trace shows one timeline per worker.
+    lanes: dict[int, int] = {}
+    for _index, _ok, _result, delta, events in raw:
+        metrics().merge_snapshot(delta)
+        if events:
+            worker_pid = next(
+                (
+                    e["pid"] for e in events
+                    if isinstance(e.get("pid"), int)
+                    and e["pid"] < _HW_PID
+                ),
+                None,
+            )
+            lane = None
+            if worker_pid is not None:
+                lane = lanes.setdefault(worker_pid, len(lanes) + 1)
+            tracer().adopt(events, lane=lane)
+    for index, ok, result, _delta, _events in raw:
+        if not ok:
+            _raise_failure(index, jobs[index], result)
+        out[index] = result
+    log.debug(
+        "pool drained", extra={"ctx": {"jobs": len(jobs)}}
+    )
+    return out

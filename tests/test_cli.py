@@ -1,9 +1,14 @@
 """Tests for the command-line interface (repro.cli)."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.cli import build_parser, main
 from repro.core import campaign as campaign_mod
 from repro.nmcsim import configure_store
@@ -113,6 +118,31 @@ class TestSimulateCommand:
         )
         assert code == 2, (out, err)
         assert message in err
+
+    def test_fast_and_reference_engines_print_the_same(self, tmp_path):
+        """A single run prints the same through the fast engine and,
+        with ``--trace-hw`` (the CLI's route to the per-access reference
+        engine), through the reference engine, apart from wall-clock."""
+        env = {
+            **os.environ,
+            "PYTHONPATH": str(Path(repro.__file__).resolve().parents[1]),
+        }
+        argv = [sys.executable, "-m", "repro", "simulate", "atax",
+                "--scale", "8"]
+        outs = [
+            subprocess.run(
+                argv + extra, env=env, capture_output=True, text=True,
+                check=True, timeout=300,
+            ).stdout
+            for extra in (
+                [], ["--trace", str(tmp_path / "t.json"), "--trace-hw"]
+            )
+        ]
+        fast, reference = (
+            [line for line in out.splitlines() if "wall-clock" not in line]
+            for out in outs
+        )
+        assert fast and fast == reference
 
 
 class TestTrainPredictRoundtrip:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro import (
+    CampaignCache,
     NapelTrainer,
     SimulationCampaign,
     analyze_suitability,
@@ -11,6 +12,7 @@ from repro import (
     evaluate_loocv,
     get_workload,
 )
+from repro.config import NMCConfig
 from repro.core.predictor import NapelModel
 from repro.schema import active_schema
 from repro.errors import MLError
@@ -196,7 +198,7 @@ class TestSuitability:
         mvt = get_workload("mvt")
         results = analyze_suitability(
             [atax_module, mvt],
-            campaign,
+            [campaign],
             training_set=training,
             trainer_kwargs={"n_estimators": 15, "tune": False},
         )
@@ -210,9 +212,42 @@ class TestSuitability:
     def test_suitable_flag_consistency(self, small_campaign_module, atax_module):
         campaign, training = small_campaign_module
         (result,) = analyze_suitability(
-            [atax_module], campaign,
+            [atax_module], [campaign],
             training_set=training,
             trainer_kwargs={"n_estimators": 15, "tune": False},
         )
         assert result.suitable_actual == (result.edp_reduction_actual > 1)
         assert result.suitable_pred == (result.edp_reduction_pred > 1)
+
+    def test_backends_are_ranked_cells_of_one_analysis(self):
+        """Several backends go through the same analysis: per workload the
+        cells rank 1..N by falling actual EDP reduction, each carries a
+        finite EDP MRE, and its actual EDP reduction is the one a
+        one-backend run on its campaign reports."""
+        workloads = [get_workload("atax"), get_workload("gemv")]
+        cache = CampaignCache()
+        campaigns = [
+            SimulationCampaign(
+                NMCConfig.from_backend(name), cache=cache, scale=8.0
+            )
+            for name in ("hmc", "hbm2")
+        ]
+        trainer_kwargs = {"n_estimators": 5, "tune": False}
+        results = analyze_suitability(
+            workloads, campaigns, trainer_kwargs=trainer_kwargs
+        )
+        assert [r.workload for r in results] == ["atax"] * 2 + ["gemv"] * 2
+        for workload in workloads:
+            cells = [r for r in results if r.workload == workload.name]
+            assert [r.rank for r in cells] == [1, 2]
+            assert {r.backend for r in cells} == {"hmc", "hbm2"}
+            assert cells[0].edp_reduction_actual >= cells[1].edp_reduction_actual
+        assert all(np.isfinite(r.edp_mre) for r in results)
+        by_cell = {(r.workload, r.backend): r for r in results}
+        for campaign in campaigns:
+            for one in analyze_suitability(
+                workloads, [campaign], trainer_kwargs=trainer_kwargs
+            ):
+                assert (one.backend, one.rank) == (campaign.arch.backend, 1)
+                cell = by_cell[(one.workload, one.backend)]
+                assert cell.edp_reduction_actual == one.edp_reduction_actual

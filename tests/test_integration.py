@@ -67,7 +67,7 @@ class TestFullPipeline:
     def test_suitability_end_to_end(self, mini_pipeline):
         campaign, apps, training, _ = mini_pipeline
         results = analyze_suitability(
-            apps, campaign, training_set=training,
+            apps, [campaign], training_set=training,
             trainer_kwargs={"n_estimators": 20, "tune": False},
         )
         assert len(results) == 2
@@ -110,7 +110,7 @@ class TestFullPipeline:
 
         monkeypatch.setattr(TrainingSet, "_matrix", spy)
         results = analyze_suitability(
-            apps, campaign, training_set=training,
+            apps, [campaign], training_set=training,
             trainer_kwargs={"n_estimators": 5, "tune": False},
         )
         assert len(results) == len(apps)
@@ -136,7 +136,7 @@ class TestSuitabilityFailLoud:
 
     def make_result(self, **overrides):
         fields = dict(
-            workload="gemv",
+            workload="gemv", backend="hmc", rank=1,
             host_time_s=1.0, host_energy_j=1.0,
             nmc_time_actual_s=1.0, nmc_energy_actual_j=1.0,
             nmc_time_pred_s=1.0, nmc_energy_pred_j=1.0,

@@ -117,7 +117,7 @@ class TestGridSearch:
         result = grid_search(
             RandomForestRegressor(n_estimators=15, random_state=0),
             {"min_samples_leaf": [1, 30]},
-            X, y, use_oob=True,
+            X, y,
         )
         # A 30-sample leaf floor cannot isolate the step: leaf=1 must win.
         assert result.best_params == {"min_samples_leaf": 1}
@@ -132,23 +132,17 @@ class TestGridSearch:
         )
         assert "alpha" in result.best_params
 
-    def test_oob_requires_forest(self):
-        X, y = self.make_data()
-        with pytest.raises(MLError):
-            grid_search(RidgeRegression(), {"alpha": [1.0]}, X, y, use_oob=True)
-
     def test_empty_grid(self):
         X, y = self.make_data()
         with pytest.raises(MLError):
             grid_search(
-                RandomForestRegressor(), {"min_samples_leaf": []}, X, y,
-                use_oob=True,
+                RandomForestRegressor(), {"min_samples_leaf": []}, X, y
             )
 
     def test_best_model_is_fitted(self):
         X, y = self.make_data()
         result = grid_search(
             RandomForestRegressor(n_estimators=5, random_state=0),
-            {"min_samples_leaf": [1]}, X, y, use_oob=True,
+            {"min_samples_leaf": [1]}, X, y,
         )
         assert np.isfinite(result.best_model.predict(X[:3])).all()

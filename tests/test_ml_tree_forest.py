@@ -384,7 +384,7 @@ def golden_forest_digests() -> dict[str, object]:
     digests["model-tree"] = [tree_digest(model_tree.tree_)]
     search = grid_search(
         RandomForestRegressor(n_estimators=6, random_state=7, jobs=1),
-        DEFAULT_RF_GRID, X, y, use_oob=True, jobs=1,
+        DEFAULT_RF_GRID, X, y, jobs=1,
     )
     digests["grid-oob"] = {
         "best_params": search.best_params,

@@ -244,8 +244,6 @@ class TestClassifyKernel:
         )
         np.testing.assert_array_equal(got.hit, want.hit)
         np.testing.assert_array_equal(got.wb_line, want.wb_line)
-        np.testing.assert_array_equal(got.flush_lines, want.flush_lines)
-        np.testing.assert_array_equal(got.flush_off, want.flush_off)
         assert got.stats == want.stats
         assert len(got.stats) == len(off) - 1
 

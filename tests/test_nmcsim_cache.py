@@ -78,7 +78,7 @@ class TestCacheBasics:
         cache.access(0, True)
         cache.access(1, True)
         cache.access(2, False)
-        assert cache.flush_dirty_count() == 2
+        assert cache.flush() == 2
 
     def test_l1_for_config(self):
         cache = Cache.l1_for(default_nmc_config())
@@ -110,7 +110,7 @@ class TestCacheFlush:
         assert cache.flush() == 2
         assert cache.stats.writebacks == 2
         assert cache.stats.flushes == 2
-        assert cache.flush_dirty_count() == 0
+        assert cache.flush() == 0
 
     def test_flush_is_idempotent(self):
         cache = Cache(n_lines=2, ways=2)

@@ -22,13 +22,7 @@ from repro.core import evaluate_loocv
 from repro.errors import ConfigError, ParallelError
 from repro.ml import RandomForestRegressor, grid_search
 from repro.ml.forest import fit_forests
-from repro.parallel import (
-    ProcessExecutor,
-    SerialExecutor,
-    map_jobs,
-    process_pool_available,
-    resolve_jobs,
-)
+from repro.parallel import map_jobs, process_pool_available, resolve_jobs
 
 requires_pool = pytest.mark.skipif(
     not process_pool_available(),
@@ -49,21 +43,25 @@ def _fail_on_three(x):
 
 class TestExecutors:
     def test_serial_preserves_order(self):
-        assert SerialExecutor().map_jobs(_square, [3, 1, 2]) == [9, 1, 4]
+        assert map_jobs(_square, [3, 1, 2], jobs_n=1) == [9, 1, 4]
 
     @requires_pool
     def test_process_pool_matches_serial(self):
         jobs = list(range(17))
-        serial = SerialExecutor().map_jobs(_square, jobs)
-        parallel = ProcessExecutor(2).map_jobs(_square, jobs)
+        serial = map_jobs(_square, jobs, jobs_n=1)
+        parallel = map_jobs(_square, jobs, jobs_n=2)
         assert serial == parallel
 
     def test_map_jobs_defaults_to_serial(self):
         assert map_jobs(_square, [2, 4]) == [4, 16]
 
     def test_single_job_stays_serial(self):
-        # One job never pays pool start-up cost, even with jobs_n > 1.
-        assert ProcessExecutor(4).map_jobs(_square, [5]) == [25]
+        # One job never pays pool start-up cost, even with jobs_n > 1:
+        # it runs in this process, where a pool worker's own wrapping of
+        # exceptions does not apply.
+        assert map_jobs(_square, [5], jobs_n=4) == [25]
+        with pytest.raises(ValueError, match="three"):
+            map_jobs(_fail_on_three, [3], jobs_n=4)
 
     def test_serial_exception_propagates_unwrapped(self):
         # In-process the original traceback is intact; no wrapping.
@@ -74,10 +72,6 @@ class TestExecutors:
     def test_worker_exception_carries_job_context(self):
         with pytest.raises(ParallelError, match=r"job 2 \(3\).*three"):
             map_jobs(_fail_on_three, [1, 2, 3, 4], jobs_n=2)
-
-    def test_invalid_jobs_n_rejected(self):
-        with pytest.raises(ParallelError):
-            ProcessExecutor(0)
 
 
 class TestResolveJobs:
@@ -217,8 +211,8 @@ class TestGridSearchParallel:
         X, y, _ = regression_data
         grid = {"max_features": ["sqrt", "third"], "min_samples_leaf": [1, 2]}
         base = RandomForestRegressor(n_estimators=10, random_state=3)
-        serial = grid_search(base, grid, X, y, use_oob=True, jobs=1)
-        parallel = grid_search(base, grid, X, y, use_oob=True, jobs=2)
+        serial = grid_search(base, grid, X, y, jobs=1)
+        parallel = grid_search(base, grid, X, y, jobs=2)
         assert serial.best_params == parallel.best_params
         assert serial.best_score == parallel.best_score
         assert serial.scores == parallel.scores
@@ -266,7 +260,7 @@ def test_one_pass_fit_matches_separate_fits(regression_data, grid):
     if False in grid.get("bootstrap", ()):
         return
     searches = [
-        grid_search(base, grid, X, y, use_oob=True, jobs=jobs)
+        grid_search(base, grid, X, y, jobs=jobs)
         for jobs in (1, 2)
     ]
     for search in searches:

@@ -55,8 +55,6 @@ def small_trace(name, *, scale=6.0, seed=3):
 def assert_classifications_equal(a, b):
     np.testing.assert_array_equal(a.hit, b.hit)
     np.testing.assert_array_equal(a.wb_line, b.wb_line)
-    np.testing.assert_array_equal(a.flush_lines, b.flush_lines)
-    np.testing.assert_array_equal(a.flush_off, b.flush_off)
     assert a.stats == b.stats
 
 
@@ -100,7 +98,6 @@ class TestClassifierGolden:
             cls.hit, [False, False, True, False, False]
         )
         np.testing.assert_array_equal(cls.wb_line, [-1, -1, -1, b, a])
-        np.testing.assert_array_equal(cls.flush_lines, [c])
         (stats,) = cls.stats
         assert stats.hits == 1
         assert stats.misses == 4
@@ -116,7 +113,6 @@ class TestClassifierGolden:
         cls = classify_one(monkeypatch, lines, writes, n_sets=1, ways=1)
         np.testing.assert_array_equal(cls.hit, [False, True, False, False])
         np.testing.assert_array_equal(cls.wb_line, [-1, -1, 3, -1])
-        np.testing.assert_array_equal(cls.flush_lines, [3])
         assert cls.stats[0].writebacks == 2
         assert cls.stats[0].flushes == 1
 
@@ -127,7 +123,7 @@ class TestClassifierGolden:
         cls = classify_one(monkeypatch, lines, writes, n_sets=1, ways=2)
         assert not cls.hit.any()
         assert cls.stats[0].writebacks == 0
-        assert len(cls.flush_lines) == 0
+        assert cls.stats[0].flushes == 0
 
     def test_sets_are_independent(self, monkeypatch):
         # Lines 0 and 1 land in different sets of a 2-set cache; the
@@ -151,7 +147,7 @@ class TestClassifierGolden:
             n_sets=2, ways=2,
         )
         np.testing.assert_array_equal(one.hit, [False])
-        np.testing.assert_array_equal(one.flush_lines, [7])
+        assert one.stats[0].flushes == 1
         assert one.stats[0].writebacks == 1  # the flush
 
     def test_rejects_invalid_geometry(self, monkeypatch):
@@ -172,7 +168,7 @@ class TestClassifierGolden:
             cls = classify_one(monkeypatch, lines, writes, n_sets=4, ways=ways)
             np.testing.assert_array_equal(cls.hit, o_hit)
             np.testing.assert_array_equal(cls.wb_line, o_wb)
-            np.testing.assert_array_equal(cls.flush_lines, o_flush)
+            assert cls.stats[0].flushes == len(o_flush)
 
 
 # ----------------------------------------------------- classifier property
@@ -231,7 +227,6 @@ class TestClassifierProperty:
         o_hit, o_wb, o_flush = stackdist_oracle(lines, writes, n_sets, ways)
         np.testing.assert_array_equal(got.hit, o_hit)
         np.testing.assert_array_equal(got.wb_line, o_wb)
-        np.testing.assert_array_equal(got.flush_lines, o_flush)
         (stats,) = got.stats
         assert stats.hits == int(o_hit.sum())
         assert stats.misses == len(lines) - int(o_hit.sum())
@@ -246,7 +241,7 @@ class TestClassifierProperty:
             o_hit, o_wb, o_flush = stackdist_oracle(lines, writes, 2, 2)
             np.testing.assert_array_equal(got.hit, o_hit)
             np.testing.assert_array_equal(got.wb_line, o_wb)
-            np.testing.assert_array_equal(got.flush_lines, o_flush)
+            assert got.stats[0].flushes == len(o_flush)
 
 
 # ------------------------------------------------------- engine selection
