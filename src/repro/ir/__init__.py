@@ -29,7 +29,7 @@ from .instructions import (
 )
 from .trace import InstructionTrace, TraceColumns, columns_of
 from .builder import LoopTemplate, TraceBuilder, TemplateOp
-from .stackdist import COLD_DISTANCE, grouped_reuse_distances, reuse_distances
+from .stackdist import COLD_DISTANCE, reuse_distances
 from .validate import validate_trace
 
 __all__ = [
@@ -50,5 +50,4 @@ __all__ = [
     "FP_OPCODES",
     "COLD_DISTANCE",
     "reuse_distances",
-    "grouped_reuse_distances",
 ]

@@ -14,9 +14,9 @@ that own a loop :func:`register` both forms under one name:
 * ``classify_streams`` — the fast engine's phase A: every PE stream
   of a design point through its own LRU L1 in one call
   (:mod:`repro.nmcsim.classify`);
-* ``reuse_distances`` / ``grouped_reuse_distances`` — LRU stack
-  distances (:mod:`repro.ir.stackdist`), whole-stream for the
-  profiler's reuse-distance families and per set;
+* ``reuse_distances`` — LRU stack distances
+  (:mod:`repro.ir.stackdist`) for the profiler's reuse-distance
+  families;
 * ``ilp_depths`` — the profiler's dependence-DAG depths
   (:mod:`repro.profiler.ilp`);
 * ``build_tree`` — one whole CART regression tree per call, the
@@ -473,21 +473,14 @@ void classify_streams(
    number of distinct elements touched since the previous access to the
    same element, -1 on a first touch.  tree[1..n] is a Fenwick tree over
    access times counting each element's most recent access; it must be
-   zeroed, and last[] (one slot per id) filled with -1.  With grp
-   non-NULL the stream is a sequence of contiguous blocks (a new one
-   starts wherever grp changes) and distances never cross a block: an
-   element last seen in an earlier block is a first touch again.  Slots
-   left live in earlier blocks lie before every later reuse interval, so
-   they never count. */
+   zeroed, and last[] (one slot per id) filled with -1. */
 void reuse_distances(
-    const i64 *ids, const i64 *grp, i64 n, i64 *last, i64 *tree, i64 *out)
+    const i64 *ids, i64 n, i64 *last, i64 *tree, i64 *out)
 {
-    i64 block = 0;
     for (i64 t = 0; t < n; t++) {
-        if (grp && t > 0 && grp[t] != grp[t - 1]) block = t;
         i64 k = ids[t];
         i64 prev = last[k];
-        if (prev < block) {
+        if (prev < 0) {
             out[t] = -1;
         } else {
             /* live slots in (prev, t): prefix(t - 1) - prefix(prev) */

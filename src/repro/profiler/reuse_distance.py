@@ -10,9 +10,8 @@ reuse distance < ``C``.
 
 The computation kernel (the classic Fenwick-tree formulation of
 Mattson's stack algorithm, O(M log M) over M accesses, compiled through
-:mod:`repro.native`) lives in :mod:`repro.ir.stackdist`, shared with the
-fast simulation engine's L1 classifier; this module keeps the feature
-extraction.
+:mod:`repro.native`) lives in :mod:`repro.ir.stackdist`; this module
+keeps the feature extraction.
 """
 
 from __future__ import annotations
@@ -26,7 +25,6 @@ from .. import native
 from ..ir import InstructionTrace, TraceColumns, columns_of
 from ..ir.stackdist import (  # noqa: F401  (re-exported public API)
     COLD_DISTANCE,
-    grouped_reuse_distances,
     reuse_distances,
 )
 from .features import (

@@ -1,9 +1,10 @@
 """A small keep-alive client for the prediction server.
 
 Built on :mod:`http.client` (stdlib, synchronous) — exactly what the
-e2e tests, the serve benchmark and the CI smoke job need: one persistent
-connection per client thread, JSON in/out, and structured errors that
-carry the server's parsed error document.
+e2e tests (the ``repro serve`` process test among them) and the serve
+benchmark need: one persistent connection per client thread, JSON
+in/out, and structured errors that carry the server's parsed error
+document.
 """
 
 from __future__ import annotations

@@ -1,11 +1,18 @@
-"""Trace-building, kernel-selection and fitted-forest helpers shared by
-the test suite."""
+"""Trace-building, kernel-selection, CLI-process and fitted-forest
+helpers shared by the test suite."""
 
 from __future__ import annotations
+
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 from repro.ir import LoopTemplate, Opcode, TemplateOp, TraceBuilder
 from repro import native
 
@@ -42,6 +49,12 @@ def build_random_trace(n: int = 2000, *, seed: int = 0, span: int = 1 << 24):
     return builder.finish()
 
 
+def require_compiler() -> None:
+    """Skip the calling test on a host where the kernels do not compile."""
+    if native.jit_status()["backend"] != "cc":
+        pytest.skip("no C compiler available")
+
+
 def use_kernel(monkeypatch, name: str) -> None:
     """Run every compiled kernel (phase B, ILP, reuse distance) in one form.
 
@@ -50,8 +63,54 @@ def use_kernel(monkeypatch, name: str) -> None:
     """
     if name == "python":
         monkeypatch.setattr(native, "_library", lambda: None)
-    elif native.jit_status()["backend"] != "cc":
-        pytest.skip("no C compiler available")
+    else:
+        require_compiler()
+
+
+_TIMING = re.compile(r"\s*\(?[0-9.]+ s\)?$")
+
+
+def strip_wall_clock(text: str) -> list[str]:
+    """CLI output lines without wall-clock readings: a line naming one
+    is dropped, a trailing ``in 1.2 s`` or ``(1.2 s)`` is cut off."""
+    return [
+        _TIMING.sub("", line)
+        for line in text.splitlines() if "wall-clock" not in line
+    ]
+
+
+def repro_env(*, no_compiler: bool = False, **extra: str) -> dict[str, str]:
+    """The environment of a fresh process that imports this checkout's
+    ``repro`` (an absolute ``PYTHONPATH``), plus ``extra`` variables.
+    ``no_compiler`` empties ``PATH``, so no C compiler is found and
+    every kernel runs its pure-Python form."""
+    env = {
+        **os.environ,
+        "PYTHONPATH": str(Path(repro.__file__).resolve().parents[1]),
+        **extra,
+    }
+    if no_compiler:
+        env["PATH"] = "/nonexistent"
+    return env
+
+
+def run_repro(
+    *argv, cwd, no_compiler: bool = False, env: dict | None = None
+) -> list[str]:
+    """``python -m repro *argv`` in a fresh process, run in ``cwd``;
+    its stdout lines without wall-clock readings (:func:`strip_wall_clock`).
+
+    A fresh process starts with no in-process memos and, with
+    ``no_compiler``, without the compiled kernels (see
+    :func:`repro_env`).  A non-zero exit fails the test with stderr.
+    """
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro", *map(str, argv)],
+        cwd=cwd, env=repro_env(no_compiler=no_compiler, **(env or {})),
+        capture_output=True, text=True, timeout=600,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return strip_wall_clock(proc.stdout)
 
 
 def reference_result(workload, row, *, scale: float, arch=None):

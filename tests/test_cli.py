@@ -1,17 +1,17 @@
 """Tests for the command-line interface (repro.cli)."""
 
 import json
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
 
-import repro
+from _helpers import require_compiler, run_repro, strip_wall_clock
+from repro.backends import backend_names
 from repro.cli import build_parser, main
 from repro.core import campaign as campaign_mod
 from repro.nmcsim import configure_store
+from repro.nmcsim.simulator import _INT_SEGS
+from repro.store import MemoStore
 
 
 def run_cli(capsys, *argv):
@@ -123,26 +123,72 @@ class TestSimulateCommand:
         """A single run prints the same through the fast engine and,
         with ``--trace-hw`` (the CLI's route to the per-access reference
         engine), through the reference engine, apart from wall-clock."""
-        env = {
-            **os.environ,
-            "PYTHONPATH": str(Path(repro.__file__).resolve().parents[1]),
-        }
-        argv = [sys.executable, "-m", "repro", "simulate", "atax",
-                "--scale", "8"]
-        outs = [
-            subprocess.run(
-                argv + extra, env=env, capture_output=True, text=True,
-                check=True, timeout=300,
-            ).stdout
-            for extra in (
-                [], ["--trace", str(tmp_path / "t.json"), "--trace-hw"]
-            )
-        ]
-        fast, reference = (
-            [line for line in out.splitlines() if "wall-clock" not in line]
-            for out in outs
+        argv = ["simulate", "atax", "--scale", "8"]
+        fast = run_repro(*argv, cwd=tmp_path)
+        reference = run_repro(
+            *argv, "--trace", tmp_path / "t.json", "--trace-hw", cwd=tmp_path
         )
         assert fast and fast == reference
+
+
+class TestKernelFormsPrintTheSame:
+    """The compiled kernels, their pure-Python forms (no C compiler on
+    ``PATH``) and, for a simulation, the per-access reference engine
+    (``--trace-hw``) print the same, apart from wall-clock.
+
+    The no-compiler runs need a fresh process: this one has already
+    built and loaded the compiled kernels.  The runs they are compared
+    with take the same ``python -m repro`` route.
+    """
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # An L1 geometry off the Table 3 default: phase A's L1 walk.
+            ["atax", "--scale", "8", "--pes", "16",
+             "--l1-lines", "16", "--l1-ways", "4"],
+            # More threads than PEs and a non-dyadic cycle time: phase
+            # A's stream digests.
+            ["gemv", "--scale", "8", "--pes", "5", "--freq", "1.1"],
+        ],
+        ids=["l1-geometry", "stream-digests"],
+    )
+    def test_simulate(self, tmp_path, argv):
+        require_compiler()
+        compiled = run_repro("simulate", *argv, cwd=tmp_path)
+        python = run_repro("simulate", *argv, cwd=tmp_path, no_compiler=True)
+        reference = run_repro(
+            "simulate", *argv, "--trace", "x.json", "--trace-hw", cwd=tmp_path
+        )
+        assert compiled == python
+        assert compiled == reference
+
+    def test_train(self, capsys, tmp_path):
+        """Every tree of the tuned forests comes from the compiled or
+        the Python tree kernel, serially or in chunks of trees across
+        the grid's combinations on two workers: the three models predict
+        the same, and the two serial artifacts are byte-equal (a
+        ``--jobs 2`` model pickles ``jobs=2`` in its forests)."""
+        require_compiler()
+        models = {
+            form: tmp_path / f"model-{form}.pkl"
+            for form in ("cc", "python", "jobs2")
+        }
+        argv = ["train", "atax", "gemv", "--scale", "8", "--trees", "12"]
+        run_repro(*argv, "-o", models["cc"], cwd=tmp_path)
+        run_repro(*argv, "-o", models["python"], cwd=tmp_path, no_compiler=True)
+        run_repro(*argv, "--jobs", "2", "-o", models["jobs2"], cwd=tmp_path)
+        predictions = {}
+        for form, path in models.items():
+            code, out, err = run_cli(
+                capsys, "predict", "atax", "--test-input",
+                "--model-file", str(path),
+            )
+            assert code == 0, err
+            predictions[form] = strip_wall_clock(out)
+        assert predictions["cc"] == predictions["python"]
+        assert predictions["cc"] == predictions["jobs2"]
+        assert models["cc"].read_bytes() == models["python"].read_bytes()
 
 
 class TestTrainPredictRoundtrip:
@@ -251,6 +297,27 @@ class TestCampaignCommand:
         assert code == 0
         assert "11 configurations" in out
 
+    @pytest.mark.parametrize("backend", backend_names())
+    def test_runs_on_every_backend(self, capsys, tmp_path, backend):
+        man = tmp_path / "m.json"
+        code, _, err = run_cli(
+            capsys, "campaign", "atax", "--scale", "4",
+            "--backend", backend, "--manifest", str(man),
+        )
+        assert code == 0, err
+        data = json.loads(man.read_text())
+        assert data["exit_code"] == 0
+        assert data["backend"] == backend
+
+    def test_repro_jobs_runs_two_workers(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_JOBS", "2")
+        man = tmp_path / "m.json"
+        code, _, err = run_cli(
+            capsys, "campaign", "mvt", "--scale", "4", "--manifest", str(man)
+        )
+        assert code == 0, err
+        assert json.loads(man.read_text())["jobs"] == 2
+
     @pytest.mark.parametrize("jobs", ["-1", "-2"])
     def test_negative_jobs_rejected(self, capsys, jobs):
         code, _, err = run_cli(
@@ -302,6 +369,86 @@ class TestMemoDirFlag:
         data = json.loads(man.read_text())
         assert data["sim_memo"]["store"]["dir"] == str(store)
         assert data["jobs"] == 1
+
+
+def store_files(store: Path) -> dict[str, bytes]:
+    """Every file of a memo store by its path inside the store."""
+    return {
+        str(path.relative_to(store)): path.read_bytes()
+        for path in sorted(store.rglob("*")) if path.is_file()
+    }
+
+
+def damage_bank_segments(store: Path) -> int:
+    """Point every entry's bank routing far outside the device, keeping
+    each entry well-formed; return the number of entries."""
+    memo = MemoStore(store)
+    entries = sorted(store.rglob("*.bin"))
+    seg = _INT_SEGS.index("bank")
+    for entry in entries:
+        data = memo.get(entry.stem)
+        at = int(data["lens"][:seg].sum())
+        data["ints"] = data["ints"].copy()
+        data["ints"][at:at + int(data["lens"][seg])] = 2**40
+        memo.put(entry.stem, data)
+    return len(entries)
+
+
+class TestMemoStoreAcrossProcesses:
+    """A memo store carries phase-A products from one process to the
+    next, so every run here is a fresh process: the test process's own
+    in-process memos would answer before the store is asked."""
+
+    def test_cold_warm_and_damaged_runs(self, tmp_path):
+        require_compiler()
+        argv = ["campaign", "atax", "--scale", "4"]
+        store = tmp_path / "memo-store"
+        python_store = tmp_path / "memo-store-python"
+        cold = run_repro(
+            *argv, "--memo-dir", store, "--manifest", "cold.json", cwd=tmp_path
+        )
+        # The Python kernel forms write the same store, entry for entry.
+        run_repro(
+            *argv, "--memo-dir", python_store, cwd=tmp_path, no_compiler=True
+        )
+        assert store_files(store) == store_files(python_store)
+        # A second process, with pool workers, adopts the store from the
+        # environment and hits it.
+        run_repro(
+            *argv, "--jobs", "2", "--manifest", "warm.json", cwd=tmp_path,
+            env={"REPRO_SIM_MEMO_DIR": str(store)},
+        )
+        cold_man, warm_man = (
+            json.loads((tmp_path / name).read_text())
+            for name in ("cold.json", "warm.json")
+        )
+        assert cold_man["exit_code"] == 0 and warm_man["exit_code"] == 0
+        assert cold_man["sim_jit"]["backend"] == "cc", cold_man["sim_jit"]
+        assert cold_man["sim_memo"]["store"]["writes"] > 0
+        assert warm_man["sim_memo"]["store"]["hits"] > 0
+        assert (
+            warm_man["sim_batch"]["points"] == cold_man["sim_batch"]["points"]
+        )
+        # Damaged values in well-formed entries: the run warns, counts,
+        # recomputes and prints what the cold run printed.
+        assert damage_bank_segments(store) > 0
+        damaged = run_repro(
+            *argv, "--memo-dir", store, "--manifest", "damaged.json",
+            "--log-json", "damaged.log", cwd=tmp_path,
+        )
+        assert damaged == cold
+        damaged_man = json.loads((tmp_path / "damaged.json").read_text())
+        assert damaged_man["exit_code"] == 0
+        assert damaged_man["sim_memo"]["store"]["errors"] > 0
+        log = [
+            json.loads(line)
+            for line in (tmp_path / "damaged.log").read_text().splitlines()
+        ]
+        assert any(
+            entry["level"] == "warning"
+            and "not a phase-A product" in entry["message"]
+            for entry in log
+        )
 
 
 class TestSuitabilityCommand:

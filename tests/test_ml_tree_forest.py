@@ -396,10 +396,10 @@ def golden_forest_digests() -> dict[str, object]:
     return digests
 
 
-def test_forests_match_golden_digests():
+def test_forests_match_golden_digests(kernel_form):
     # Every tree's nodes, importances and RNG end state, bit for bit, as
-    # recorded in the golden file: the tree builder's internals may
-    # change, the trees it fits may not.
+    # recorded in the golden file, under both forms of the tree kernel:
+    # the tree builder's internals may change, the trees it fits may not.
     assert golden_forest_digests() == json.loads(GOLDEN_FORESTS.read_text())
 
 

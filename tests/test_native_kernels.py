@@ -3,20 +3,18 @@
 Every kernel's C form must equal its pure-Python form (the oracle) on
 drawn inputs: the ILP depths over drawn traces, the LRU stack distances
 over drawn keys (both sides of the oracle's move-to-front / Fenwick
-switch), the grouped distances over one or many groups, phase A's
-stream digests over drawn multi-thread traces and PE slices, phase A's
-L1 walk over drawn multi-stream batches, whole regression trees over
-drawn tie-heavy matrices (and their C replay of ``Generator.choice``
-over every numpy bit generator), and the trace fill over drawn builder
-actions.  Whole traces and profiles of all twelve workloads and whole
-forests must be identical under both forms.
+switch), phase A's stream digests over drawn multi-thread traces and PE
+slices, phase A's L1 walk over drawn multi-stream batches, whole
+regression trees over drawn tie-heavy matrices (and their C replay of
+``Generator.choice`` over every numpy bit generator), and the trace fill
+over drawn builder actions.  Whole traces and profiles of all twelve
+workloads and whole forests must be identical under both forms.
 The build tests check that a damaged cached object is rebuilt and that
 concurrent cold processes share one object.
 """
 
 import ctypes
 import logging
-import os
 import shutil
 import subprocess
 import sys
@@ -27,11 +25,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from _helpers import forest_key, use_kernel
+from _helpers import forest_key, repro_env, use_kernel
 from test_ir_builder import builder_actions, replay
 from repro import NMCSimulator, default_nmc_config, get_workload, native
 from repro.errors import ConfigError
-from repro.ir import Opcode, grouped_reuse_distances, reuse_distances
+from repro.ir import Opcode, reuse_distances
 from repro.ir.trace import TRACE_COLUMNS, dense_ids
 from repro.ml import RandomForestRegressor, RegressionTree
 from repro.ml import tree as tree_module
@@ -179,26 +177,12 @@ class TestReuseDistanceKernel:
         args = dense_keys(np.full(n, 2**62, dtype=np.int64))
         np.testing.assert_array_equal(cc(*args), python(*args))
 
-    @DIFF_SETTINGS
-    @given(stream=key_streams(), n_groups=st.sampled_from([1, 2, 5, 64]))
-    def test_grouped_matches_python_oracle(self, stream, n_groups):
-        cc, python = forms("grouped_reuse_distances")
-        rng, keys = stream
-        labels = rng.integers(-(2**40), 2**40, size=n_groups)
-        groups = labels[rng.integers(0, n_groups, size=len(keys))]
-        args = (*dense_keys(keys), groups)
-        np.testing.assert_array_equal(cc(*args), python(*args))
-
     def test_public_functions_dispatch(self, monkeypatch):
         rng = np.random.default_rng(5)
         keys = rng.integers(0, 700, size=3000)
-        groups = rng.integers(0, 9, size=3000)
-        compiled = (reuse_distances(keys), grouped_reuse_distances(keys, groups))
+        compiled = reuse_distances(keys)
         use_kernel(monkeypatch, "python")
-        np.testing.assert_array_equal(compiled[0], reuse_distances(keys))
-        np.testing.assert_array_equal(
-            compiled[1], grouped_reuse_distances(keys, groups)
-        )
+        np.testing.assert_array_equal(compiled, reuse_distances(keys))
 
 
 # ------------------------------------------------------- phase-A LRU walk
@@ -612,12 +596,6 @@ class TestKernelBuild:
         )
 
     def test_concurrent_cold_builds_both_compile(self, cold_cache):
-        import repro
-
-        env = {
-            **os.environ,
-            "PYTHONPATH": str(Path(repro.__file__).resolve().parents[1]),
-        }
         # Each cold process profiles and simulates: every kernel it
         # calls comes from the one shared object.
         code = (
@@ -631,7 +609,7 @@ class TestKernelBuild:
         procs = [
             subprocess.Popen(
                 [sys.executable, "-c", code],
-                env=env, stdout=subprocess.PIPE, text=True,
+                env=repro_env(), stdout=subprocess.PIPE, text=True,
             )
             for _ in range(2)
         ]

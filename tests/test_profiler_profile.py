@@ -219,9 +219,10 @@ def golden_profile_digests() -> dict[str, dict[str, dict[str, object]]]:
     return digests
 
 
-def test_profiles_match_golden_digests():
+def test_profiles_match_golden_digests(kernel_form):
     # Every feature of every workload's profile, bit for bit, as recorded in
-    # the golden file: the profiler's internals may change, its output may not.
+    # the golden file, under both kernel forms: the profiler's internals may
+    # change, its output may not.
     assert golden_profile_digests() == json.loads(GOLDEN_PROFILES.read_text())
 
 

@@ -5,6 +5,9 @@ import http.client
 import json
 import logging
 import re
+import signal
+import subprocess
+import sys
 import threading
 import time
 from types import SimpleNamespace
@@ -12,6 +15,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from _helpers import repro_env
 from repro import NapelTrainer, SimulationCampaign, get_workload, save_model
 from repro.core.predictor import NapelModel
 from repro.errors import ConfigError
@@ -745,6 +749,79 @@ class TestServeTracing:
         assert doc["otherData"]["rotated"] is True
         assert doc["otherData"]["events"] >= 5
         assert srv.server.stats["trace_rotations"] >= 1
+
+
+# ------------------------------------------------------ the serve process
+
+
+class TestServeProcess:
+    """``repro serve`` as a user runs it.  Reload and shutdown come by
+    signal, which only a process of its own can receive."""
+
+    def test_endpoints_signals_manifest_and_trace(self, artifact, tmp_path):
+        trace_path = tmp_path / "serve-trace.json"
+        manifest_path = tmp_path / "serve-manifest.json"
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve",
+             "--model", str(artifact.path), "--port", "0", "--reload",
+             "--trace", str(trace_path), "--slow-request-ms", "250",
+             "--manifest", str(manifest_path)],
+            cwd=tmp_path, env=repro_env(), stdout=subprocess.PIPE, text=True,
+        )
+        try:
+            port = next((
+                int(m.group(1)) for line in proc.stdout
+                if (m := re.search(r"listening on http://[^ ]+:(\d+)", line))
+            ), None)
+            assert port, "repro serve exited before it listened"
+            with ServeClient(port=port) as c:
+                health = c.healthz()
+                assert health["status"] == "ok", health
+                assert "default" in health["models"], health
+                row = _row(artifact)
+                assert len(c.predict([row])["predictions"]) == 1
+                raw = c.request_raw("GET", "/metrics")
+                doc = json.loads(raw)
+                assert raw == (json.dumps(doc, sort_keys=True) + "\n").encode()
+                assert doc["metrics"]["counters"].get("serve.requests", 0) >= 1
+                c.predict([row], request_id="ci-smoke-1")
+                # The exposition by query and by Accept header alone.
+                for path, headers in (
+                    ("/metrics?format=prom", None),
+                    ("/metrics", {"Accept": "text/plain"}),
+                ):
+                    text = c.request_raw("GET", path, headers=headers)
+                    families = parse_exposition(text.decode("utf-8"))["types"]
+                    assert {
+                        "repro_serve_requests_total",
+                        "repro_serve_request_latency_seconds",
+                        "repro_serve_generation",
+                    } <= set(families), sorted(families)
+                ids = [r["request_id"] for r in c.debug_requests()["requests"]]
+                assert "ci-smoke-1" in ids, ids
+                proc.send_signal(signal.SIGHUP)
+                deadline = time.monotonic() + 60
+                while (health := c.healthz())["generation"] < 2:
+                    assert time.monotonic() < deadline, health
+                    time.sleep(0.05)
+                assert health["generation"] == 2, health
+                assert health["reloads"] == 1, health
+            proc.send_signal(signal.SIGTERM)
+            assert proc.wait(timeout=60) == 0
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+            proc.stdout.close()
+        manifest = json.loads(manifest_path.read_text())
+        assert manifest["exit_code"] == 0, manifest
+        assert manifest["serve"]["requests"] >= 2, manifest
+        assert manifest["registry"]["reloads"] == 1, manifest
+        trace = load_trace(trace_path)
+        assert validate_trace(trace) > 0
+        summary = summarize_serve_requests(trace)
+        assert summary["batches"] >= 1, summary
+        assert summary["unlinked_requests"] == 0, summary
 
 
 # --------------------------------------------------------------- unit: CLI

@@ -24,7 +24,7 @@ from repro import SimulationCampaign, default_nmc_config, get_workload
 from repro.backends import backend_names
 from repro.config import NMCConfig
 from repro.errors import ConfigError
-from repro.ir import COLD_DISTANCE, Opcode, TraceBuilder, grouped_reuse_distances
+from repro.ir import COLD_DISTANCE, Opcode, TraceBuilder, reuse_distances
 from repro.nmcsim import (
     NMCSimulator,
     classify_streams,
@@ -179,13 +179,16 @@ def stackdist_oracle(lines, writes, n_sets, ways):
 
     Hits come straight from the Mattson stack-distance criterion — an
     access hits iff its per-set reuse distance
-    (:func:`repro.ir.grouped_reuse_distances`) is a real reuse below
-    ``ways``; dirty/writeback/flush state from a per-set ``OrderedDict``
-    walk that shares no code with the classifier.  The walk
-    cross-asserts the hit mask, so the two halves of the oracle also
-    check each other.
+    (:func:`repro.ir.reuse_distances` of its set's sub-stream) is a real
+    reuse below ``ways``; dirty/writeback/flush state from a per-set
+    ``OrderedDict`` walk that shares no code with the classifier.  The walk cross-asserts the hit
+    mask, so the two halves of the oracle also check each other.
     """
-    dist = grouped_reuse_distances(lines, lines % n_sets)
+    dist = np.empty(len(lines), dtype=np.int64)
+    set_of = lines % n_sets
+    for s in np.unique(set_of):
+        at = np.flatnonzero(set_of == s)
+        dist[at] = reuse_distances(lines[at])
     hit = (dist != COLD_DISTANCE) & (dist < ways)
     sets = defaultdict(OrderedDict)  # per set: line -> dirty, LRU first
     wb_line = np.full(len(lines), -1, dtype=np.int64)

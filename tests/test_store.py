@@ -10,10 +10,12 @@ from __future__ import annotations
 
 import contextlib
 from collections import OrderedDict
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 from repro.core.campaign import CampaignCache
 from repro.core.predictor import NapelModel
 from repro.core.serialization import save_model
@@ -111,3 +113,17 @@ class TestLruGetOrBuild:
         for key in "abc":
             lru_get_or_build(lru, key, lambda: key.upper(), 2)
         assert list(lru.items()) == [("b", "B"), ("c", "C")]
+
+
+def test_os_replace_only_in_repro_store():
+    """repro.store owns how a file reaches disk: every rewrite goes
+    through repro.store.replacing, never a hand-rolled os.replace."""
+    package = Path(repro.__file__).parent
+    found = [
+        f"{path.relative_to(package)}:{n}"
+        for path in sorted(package.rglob("*.py"))
+        if path != package / "store.py"
+        for n, line in enumerate(path.read_text().splitlines(), 1)
+        if "os.replace" in line
+    ]
+    assert found == [], "write through repro.store.replacing instead"

@@ -328,6 +328,32 @@ class TestCliTracing:
         }
         assert all(pid >= WORKER_PID_BASE for pid in worker_pids)
 
+    def test_parallel_campaign_and_hw_traces_validate(self, capsys, tmp_path):
+        """A two-worker campaign trace and a simulated-hardware timeline
+        pass ``repro trace --validate`` together, and the campaign's
+        manifest points at its trace."""
+        campaign_trace = tmp_path / "campaign.json"
+        hw_trace = tmp_path / "hw.json"
+        manifest_path = tmp_path / "man.json"
+        assert run_cli(
+            capsys, "campaign", "atax", "--scale", "4", "--jobs", "2",
+            "--trace", str(campaign_trace), "--manifest", str(manifest_path),
+        )[0] == 0
+        assert run_cli(
+            capsys, "simulate", "atax", "--scale", "8",
+            "--trace", str(hw_trace), "--trace-hw",
+        )[0] == 0
+        code, out, _ = run_cli(
+            capsys, "trace", str(campaign_trace), str(hw_trace), "--validate"
+        )
+        assert code == 0
+        assert out.count(": OK (") == 2
+        code, _, _ = run_cli(capsys, "trace", str(campaign_trace), "--top", "10")
+        assert code == 0
+        manifest = json.loads(manifest_path.read_text())
+        assert manifest["trace_path"] == str(campaign_trace)
+        assert manifest["trace"]["events"] > 0
+
     def test_hw_timeline_respects_sampling_cap(
         self, capsys, tmp_path, monkeypatch
     ):

@@ -134,9 +134,10 @@ def golden_trace_digests() -> dict[str, dict[str, dict[str, str]]]:
     return digests
 
 
-def test_traces_match_golden_digests():
+def test_traces_match_golden_digests(kernel_form):
     # Every column of every workload's trace, bit for bit, as recorded in
-    # the golden file: trace construction may change, the traces may not.
+    # the golden file, under both forms of the trace fill: trace
+    # construction may change, the traces may not.
     assert golden_trace_digests() == json.loads(GOLDEN_TRACES.read_text())
 
 
