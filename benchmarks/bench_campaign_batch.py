@@ -41,12 +41,7 @@ from repro.core import CampaignCache, SimulationCampaign
 from repro.core import campaign as campaign_mod
 from repro.core.reporting import format_table
 from repro.doe import ParameterSpace, central_composite
-from repro.nmcsim import (
-    NMCSimulator,
-    configure_store,
-    jit_status,
-    store_status,
-)
+from repro.nmcsim import NMCSimulator, configure_store, jit_status
 from repro.obs import metrics
 from repro.workloads.base import config_seed
 
@@ -221,10 +216,13 @@ def test_campaign_batch_speedup():
             "scale": SCALE, "smoke": SMOKE, "jobs": JOBS,
             "workloads": list(WORKLOADS),
             "jit_backend": backend,
-            "store": store_status(),
-            "batch_counters": {
-                "calls": metrics().count("sim.batch.calls"),
-                "points": metrics().count("sim.batch.points"),
+            "counters": {
+                name: metrics().count(name)
+                for name in (
+                    "sim.batch.calls", "sim.batch.points",
+                    "sim.memo.store.hits", "sim.memo.store.misses",
+                    "sim.memo.store.writes", "sim.memo.store.errors",
+                )
             },
         },
     )

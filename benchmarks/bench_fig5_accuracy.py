@@ -8,9 +8,9 @@ Paper shape: NAPEL averages 8.5% (perf) / 11.6% (energy); it is 1.7x /
 1.4x more accurate than the ANN and 3.2x / 3.5x more accurate than the
 linear decision tree; bfs, bp and kme show the highest NAPEL error.  We
 assert the *ordering* (NAPEL < ANN < tree on both targets) and ceilings on
-NAPEL's own mean MRE — absolute errors are higher here because twelve
-scaled applications cover the label space more sparsely than the paper's
-full-size runs.
+NAPEL's own mean MRE.  Absolute errors are ~2x the paper's; why is still
+open (ROADMAP item "Explain the accuracy gap before chasing it": a probe
+at larger inputs made the errors worse, not better).
 """
 
 

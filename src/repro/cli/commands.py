@@ -21,11 +21,7 @@ from ..core.dataset import TrainingSet
 from ..core.reporting import format_table
 from ..errors import ReproError, WorkloadError
 from ..ml import mean_relative_error, r2_score
-from ..nmcsim import (
-    jit_status,
-    simulation_batch_summary,
-    simulation_memo_summary,
-)
+from ..nmcsim import jit_status, simulation_memo_bytes, store_dir
 from ..obs import (
     config_hash,
     load_trace,
@@ -107,23 +103,15 @@ def _manifest_update(args: argparse.Namespace, **fields) -> None:
 def _record_simulation(
     args: argparse.Namespace, campaign: SimulationCampaign
 ) -> None:
-    """Manifest fields every campaign-running command records."""
+    """Manifest fields every campaign-running command records (its
+    counts are in the manifest's ``metrics``)."""
     _manifest_update(
         args,
         jobs=campaign.jobs,
-        sim_memo=simulation_memo_summary(),
-        sim_batch=simulation_batch_summary(),
+        cache={"entries": len(campaign.cache)},
+        sim_memo={"dir": store_dir(), "bytes": simulation_memo_bytes()},
         sim_jit=jit_status(),
     )
-
-
-def _cache_summary(cache: CampaignCache) -> dict:
-    return {
-        "hits": cache.hits,
-        "misses": cache.misses,
-        "hit_ratio": round(cache.hit_ratio, 6),
-        "entries": len(cache),
-    }
 
 
 def _model_fit_summary(trained, training: TrainingSet) -> dict:
@@ -291,7 +279,6 @@ def cmd_campaign(args: argparse.Namespace) -> None:
         backend=campaign.arch.backend,
         arch_config_hash=config_hash(campaign.arch),
         schema_hash=active_schema().content_hash,
-        cache=_cache_summary(campaign.cache),
         doe_run_seconds=campaign.doe_run_seconds,
     )
     _record_simulation(args, campaign)
@@ -344,7 +331,6 @@ def cmd_train(args: argparse.Namespace) -> None:
         backends=list(backends),
         arch_config_hash=config_hash(campaign.arch),
         schema_hash=trained.model.schema.content_hash,
-        cache=_cache_summary(campaign.cache),
         model=_model_fit_summary(trained, training),
         output=str(args.output),
     )
@@ -474,11 +460,14 @@ def cmd_serve(args: argparse.Namespace) -> None:
         await server.wait_done()
 
     asyncio.run(_serve())
-    _manifest_update(args, **server.manifest_fields())
+    fields = server.manifest_fields(
+        args._run_manifest.run_metrics()["counters"]
+    )
+    _manifest_update(args, **fields)
+    served = fields["serve"]
     print(
-        f"served {server.stats['requests']} request(s), "
-        f"{server.stats['rows']} row(s), "
-        f"{server.stats['reloads']} reload(s)"
+        f"served {served['requests']} request(s), {served['rows']} row(s), "
+        f"{served['reloads']} reload(s)"
     )
 
 
@@ -607,8 +596,7 @@ def cmd_suitability(args: argparse.Namespace) -> None:
         f"{', '.join(backends)} ..."
     )
     results = analyze_suitability(workloads, campaigns)
-    cache = campaigns[0].cache
-    cache.save()
+    campaigns[0].cache.save()
     edp_mre: dict[str, dict[str, float]] = {}
     for r in results:
         edp_mre.setdefault(r.workload, {})[r.backend] = round(r.edp_mre, 6)
@@ -618,7 +606,6 @@ def cmd_suitability(args: argparse.Namespace) -> None:
         backends=list(backends),
         scale=args.scale,
         schema_hash=active_schema().content_hash,
-        cache=_cache_summary(cache),
         model={
             "edp_mre": edp_mre,
             "mean_edp_mre": round(

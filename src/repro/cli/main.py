@@ -12,7 +12,7 @@ from .. import __version__
 from ..backends import backend_names
 from ..errors import ReproError
 from ..nmcsim import configure_store
-from ..obs import RunManifest, configure_logging, get_logger, metrics
+from ..obs import RunManifest, configure_logging, get_logger
 from ..obs.trace import (
     TRACE_ENV_VAR,
     TRACE_EPOCH_ENV_VAR,
@@ -30,6 +30,9 @@ DEBUG_ENV_VAR = "REPRO_DEBUG"
 
 #: Exit code for SIGINT, per POSIX convention (128 + SIGINT).
 EXIT_INTERRUPTED = 130
+
+#: Exit code for a closed stdout, per the same convention (128 + SIGPIPE).
+EXIT_BROKEN_PIPE = 141
 
 
 def _add_global_flags(p: argparse.ArgumentParser, *, root: bool) -> None:
@@ -127,7 +130,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--manifest", metavar="PATH",
             help="write a JSON run manifest (args, config/schema hashes, "
-                 "per-phase wall times, cache hit ratio, exit code) to PATH",
+                 "per-phase wall times, this run's counters, exit code) "
+                 "to PATH",
         )
 
     def add_trace_args(p: argparse.ArgumentParser) -> None:
@@ -369,6 +373,7 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     * expected framework errors (:class:`ReproError`) -> one line, exit 2;
     * SIGINT mid-run -> one line, exit 130;
+    * a closed stdout (``repro ... | head``) -> silence, exit 141;
     * anything else -> one-line exception summary, exit 1 (full traceback
       with ``--verbose`` or ``REPRO_DEBUG=1``).
 
@@ -410,6 +415,14 @@ def main(argv: Sequence[str] | None = None) -> int:
     code = 0
     try:
         args.func(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader stopped early.  Point fd 1 at the null device so
+        # the interpreter's exit flush of the dead pipe stays quiet.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        code = EXIT_BROKEN_PIPE
     except ReproError as exc:
         if _debug_enabled(verbosity):
             traceback.print_exc()
@@ -458,7 +471,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         manifest_path = getattr(args, "manifest", None)
         if manifest_path:
             try:
-                manifest.finish(code, registry=metrics())
+                manifest.finish(code)
                 manifest.write(manifest_path)
             except OSError as exc:
                 print(

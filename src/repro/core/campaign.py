@@ -109,49 +109,19 @@ class CampaignCache:
     def __init__(self, path: str | Path | None = None) -> None:
         self._profiles: dict[str, ApplicationProfile] = {}
         self._results: dict[tuple[str, str], SimulationResult] = {}
-        #: Lookup accounting (reset never; one cache = one campaign run's
-        #: worth of statistics for the run manifest).
-        self.hits = 0
-        self.misses = 0
         self.path = Path(path) if path is not None else None
         if self.path is not None and self.path.exists():
             self._load()
 
-    @property
-    def hit_ratio(self) -> float:
-        lookups = self.hits + self.misses
-        return self.hits / lookups if lookups else 0.0
-
     def get(
-        self, point_key: str, arch_key: str, *, record: bool = True
+        self, point_key: str, arch_key: str
     ) -> tuple[ApplicationProfile, SimulationResult] | None:
-        """One point lookup.  ``record=False`` skips the hit/miss
-        accounting — used by internal re-reads (e.g. the parallel merge
-        loop re-fetching points it just stored) so serial and parallel
-        campaigns report identical statistics."""
+        """One point's (profile, result), or None when either is absent."""
         profile = self._profiles.get(point_key)
         result = self._results.get((point_key, arch_key))
-        found = profile is not None and result is not None
-        if record:
-            if found:
-                self.hits += 1
-                metrics().inc("campaign.cache.hits")
-                tracer().instant(
-                    "campaign.cache.hit", args={"point": point_key}
-                )
-                log.debug(
-                    "cache hit", extra={"ctx": {"point": point_key}}
-                )
-            else:
-                self.misses += 1
-                metrics().inc("campaign.cache.misses")
-                tracer().instant(
-                    "campaign.cache.miss", args={"point": point_key}
-                )
-                log.debug(
-                    "cache miss", extra={"ctx": {"point": point_key}}
-                )
-        return (profile, result) if found else None
+        if profile is None or result is None:
+            return None
+        return profile, result
 
     def get_profile(self, point_key: str) -> ApplicationProfile | None:
         return self._profiles.get(point_key)
@@ -397,8 +367,9 @@ class SimulationCampaign:
     ) -> tuple[list[str], list[tuple[str, dict, int]]]:
         """Point keys of all points + the (key, config, seed) not cached.
 
-        Cache accounting (hits/misses, trace instants) happens here, once
-        per point, whatever the worker count.
+        The campaign's one accounted cache lookup: each point counts once
+        as ``campaign.cache.hits`` or ``.misses`` (with a trace instant
+        and a debug log), whatever the worker count.
         """
         keys: list[str] = []
         pending: list[tuple[str, dict, int]] = []
@@ -407,7 +378,17 @@ class SimulationCampaign:
             point_key = _config_key(workload.name, config, seed)
             keys.append(point_key)
             if self.cache.get(point_key, self._arch_key) is None:
+                outcome, counter = "miss", "campaign.cache.misses"
                 pending.append((point_key, config, seed))
+            else:
+                outcome, counter = "hit", "campaign.cache.hits"
+            metrics().inc(counter)
+            tracer().instant(
+                f"campaign.cache.{outcome}", args={"point": point_key}
+            )
+            log.debug(
+                f"cache {outcome}", extra={"ctx": {"point": point_key}}
+            )
         return keys, pending
 
     def _rows_from_cache(
@@ -418,9 +399,7 @@ class SimulationCampaign:
     ) -> list[TrainingRow]:
         rows: list[TrainingRow] = []
         for (config, _), point_key in zip(points, keys):
-            # record=False: accounting happened at the pending check above;
-            # this re-read is bookkeeping, not a campaign-level lookup.
-            cached = self.cache.get(point_key, self._arch_key, record=False)
+            cached = self.cache.get(point_key, self._arch_key)
             assert cached is not None
             profile, result = cached
             rows.append(TrainingRow(

@@ -20,11 +20,8 @@ from .simulator import (
     active_store,
     configure_store,
     simulate_batch,
-    simulation_batch_summary,
     simulation_memo_bytes,
-    simulation_memo_summary,
     store_dir,
-    store_status,
 )
 
 from .dram import StackedMemory, VaultStats
@@ -35,14 +32,11 @@ __all__ = [
     "NMCSimulator",
     "jit_status",
     "simulate_batch",
-    "simulation_batch_summary",
     "simulation_memo_bytes",
-    "simulation_memo_summary",
     "MemoStore",
     "active_store",
     "configure_store",
     "store_dir",
-    "store_status",
     "LRUClassification",
     "classify_steps",
     "classify_streams",

@@ -70,6 +70,17 @@ def contend_packed_multi(
     :class:`~repro.nmcsim.dram.StackedMemory` holds, so one batched call
     equals N separate ones.
 
+    Index contract, which the compiled form does not check (a product
+    read from the memo store is range-checked against its point first,
+    ``simulator._check_routing``): per point, ``off`` rises strictly
+    from 0 to the event count, so every stream owns at least one event,
+    and ``t0``/``tail`` hold ``n_streams`` entries; every event has
+    ``0 <= bank < n_banks`` and ``0 <= vault < n_vaults``; a writeback
+    (``wbank >= 0``; ``-1`` marks none) has ``wbank < n_banks`` and
+    ``0 <= wvault < n_vaults``; ``mshrs >= 1`` when ``ooo``; times are
+    finite and non-negative.  A point with zero streams is valid and
+    skipped; a batch holds at least one point.
+
     The columns are converted to Python scalars one point at a time
     (``.tolist()`` plus one tuple per event), which keeps the inner loop
     on cheap list indexing without holding a whole batch as tuples.

@@ -83,6 +83,13 @@ def classify_streams(
     accesses concatenated; ``off`` (int64, ``n_streams + 1`` entries)
     bounds each stream.  A geometry with fewer than one set or way
     raises :class:`~repro.errors.ConfigError`.
+
+    Index contract, which the compiled form does not check: ``writes``
+    is as long as ``lines``, and ``off`` rises (not strictly) from 0 to
+    ``len(lines)``.  Zero streams (``off == [0]``) and empty or
+    one-access streams are valid.  Any int64 line id is valid: its set
+    is the floor modulo ``line % n_sets``, in ``[0, n_sets)`` for
+    negative lines too, and indexes ``n_sets * ways`` slots of scratch.
     """
     return native.resolve("classify_streams")[0](
         np.ascontiguousarray(lines, dtype=np.int64),

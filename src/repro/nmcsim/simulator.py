@@ -102,7 +102,7 @@ _MEMO_KINDS = ("streams", "classify", "events")
 _MEMO_CAPS = {"streams": 2, "classify": 4, "events": 4}
 
 #: Traces carrying live memo side tables, tracked weakly so
-#: :func:`simulation_memo_summary` can report their array bytes without
+#: :func:`simulation_memo_bytes` can report their array bytes without
 #: extending any trace's lifetime.
 _MEMO_TRACES: "weakref.WeakSet[InstructionTrace]" = weakref.WeakSet()
 
@@ -192,18 +192,6 @@ def active_store() -> MemoStore | None:
     return MemoStore(root) if root is not None else None
 
 
-def store_status() -> dict:
-    """Store counters + configuration for manifests and bench records."""
-    m = metrics()
-    return {
-        "dir": store_dir(),
-        "hits": m.count("sim.memo.store.hits"),
-        "misses": m.count("sim.memo.store.misses"),
-        "writes": m.count("sim.memo.store.writes"),
-        "errors": m.count("sim.memo.store.errors"),
-    }
-
-
 def simulation_memo_bytes() -> dict[str, int]:
     """Resident array bytes per memo kind across live traces."""
     totals = dict.fromkeys(_MEMO_KINDS, 0)
@@ -213,43 +201,6 @@ def simulation_memo_bytes() -> dict[str, int]:
             if memo:
                 totals[kind] += sum(value.nbytes for value in memo.values())
     return totals
-
-
-def simulation_memo_summary() -> dict:
-    """Memo hit/miss counters as a manifest-ready mapping.
-
-    ``classification_hit_ratio`` is the headline number: the fraction of
-    simulation runs whose phase-A classification was served from the
-    geometry memo instead of recomputed.  ``store`` carries the
-    persistent cross-process store's counters (zero when disabled) and
-    ``bytes`` the array bytes each in-process kind holds.
-    """
-    m = metrics()
-    out: dict = {}
-    for kind in _MEMO_KINDS:
-        out[kind] = {
-            "hits": m.count(f"sim.memo.{kind}.hits"),
-            "misses": m.count(f"sim.memo.{kind}.misses"),
-        }
-    total = out["classify"]["hits"] + out["classify"]["misses"]
-    out["classification_hit_ratio"] = (
-        out["classify"]["hits"] / total if total else 0.0
-    )
-    out["store"] = store_status()
-    out["bytes"] = simulation_memo_bytes()
-    return out
-
-
-def simulation_batch_summary() -> dict:
-    """Batched-replay counters as a manifest-ready mapping."""
-    m = metrics()
-    calls = m.count("sim.batch.calls")
-    points = m.count("sim.batch.points")
-    return {
-        "calls": calls,
-        "points": points,
-        "points_per_call": points / calls if calls else 0.0,
-    }
 
 
 #: numpy lookup table: opcode value -> execute latency (cycles).

@@ -14,18 +14,23 @@ manifest (``--manifest PATH``) recording what ran and how it went:
       "arch_config_hash": "1b22...",
       "workloads": ["gemv"],
       "n_points": 11,
-      "cache": {"hits": 0, "misses": 11, "hit_ratio": 0.0},
+      "cache": {"entries": 11},
+      "sim_memo": {"dir": null, "bytes": {"streams": 0, ...}},
       "phases": {"trace": 1.2, "profile": 0.8, "simulate": 3.1},
       "model": {"name": "rf", "ipc_mre": 0.04, "ipc_r2": 0.99},
-      "metrics": {"counters": {...}, "timers": {...}},
+      "metrics": {"counters": {"campaign.cache.misses": 11, ...},
+                  "timers": {...}},
       "wall_seconds": 5.3,
       "exit_code": 0
     }
 
-``model``/``cache``/``workloads``/``n_points`` appear only when the
-command produced them; ``exit_code`` is always present (the manifest is
-written even when the run fails, so a batch driver can tell *which* phase
-died and after how long).  Writes are atomic
+``metrics`` is this run's share of the process's registry (its activity
+since the manifest was created) and holds every count of the run; the
+other sections hold only what is not a count.  ``model``/``cache``/
+``workloads``/``n_points`` appear only when the command produced them;
+``exit_code`` is always present (the manifest is written even when the
+run fails, so a batch driver can tell *which* phase died and after how
+long).  Writes are atomic
 (:func:`repro.store.atomic_write_text`).
 """
 
@@ -59,9 +64,22 @@ def _package_version() -> str:
 
 
 class RunManifest:
-    """Mutable manifest builder; commands fill it in, ``main`` writes it."""
+    """Mutable manifest builder; commands fill it in, ``main`` writes it.
 
-    def __init__(self, command: str, argv: list[str] | None = None) -> None:
+    Creating one snapshots ``registry`` (default: the process-wide
+    :func:`~repro.obs.metrics`); :meth:`run_metrics` and :meth:`finish`
+    report the activity since then.
+    """
+
+    def __init__(
+        self,
+        command: str,
+        argv: list[str] | None = None,
+        *,
+        registry: MetricsRegistry | None = None,
+    ) -> None:
+        self._registry = registry or metrics()
+        self._start = self._registry.snapshot()
         self.data: dict = {
             "repro_version": _package_version(),
             "command": command,
@@ -97,16 +115,15 @@ class RunManifest:
         }
         return self
 
-    def finish(
-        self,
-        exit_code: int,
-        *,
-        registry: MetricsRegistry | None = None,
-    ) -> dict:
+    def run_metrics(self) -> dict:
+        """The registry's activity since this manifest was created."""
+        return self._registry.diff(self._start)
+
+    def finish(self, exit_code: int) -> dict:
         """Stamp the end-of-run fields; returns the manifest dict."""
-        snapshot = (registry or metrics()).snapshot()
-        self.data["phases"] = phase_timings(snapshot)
-        self.data["metrics"] = snapshot
+        run = self.run_metrics()
+        self.data["phases"] = phase_timings(run)
+        self.data["metrics"] = run
         self.data["wall_seconds"] = round(time.monotonic() - self._t0, 6)
         self.data["exit_code"] = exit_code
         return self.data

@@ -365,12 +365,11 @@ class Tracer:
             })
         return out
 
-    def to_json_dict(self) -> dict:
-        """The complete trace document (Chrome trace-event JSON object)."""
+    def _document(self, events: list[dict], dropped: int, **other) -> dict:
+        """The trace document of ``events``; ``other`` adds to
+        ``otherData``."""
         from .. import __version__
 
-        with self._lock:
-            events = [dict(e) for e in self._events]
         return {
             "traceEvents": self._metadata_events(events) + events,
             "displayTimeUnit": "ms",
@@ -381,11 +380,18 @@ class Tracer:
                     "nmcsim": "simulated us since kernel start "
                               f"(pid {HW_PID})",
                 },
+                **other,
                 "events": len(events),
-                "dropped": self.dropped,
+                "dropped": dropped,
                 "hw_dropped": self.hw_dropped,
             },
         }
+
+    def to_json_dict(self) -> dict:
+        """The complete trace document (Chrome trace-event JSON object)."""
+        with self._lock:
+            events = [dict(e) for e in self._events]
+        return self._document(events, self.dropped)
 
     def write(self, path: str | Path | None = None) -> Path:
         """Atomically write the trace JSON; returns the path written."""
@@ -407,23 +413,11 @@ class Tracer:
         its bound, producing a numbered sequence of trace files that
         ``repro trace --merge`` can stitch back together.
         """
-        from .. import __version__
-
         with self._lock:
             events = self._events
             self._events = []
             dropped, self.dropped = self.dropped, 0
-        doc = {
-            "traceEvents": self._metadata_events(events) + events,
-            "displayTimeUnit": "ms",
-            "otherData": {
-                "repro_version": __version__,
-                "rotated": True,
-                "events": len(events),
-                "dropped": dropped,
-                "hw_dropped": self.hw_dropped,
-            },
-        }
+        doc = self._document(events, dropped, rotated=True)
         return store.atomic_write_text(path, json.dumps(doc) + "\n")
 
 

@@ -90,7 +90,6 @@ class ModelRegistry:
         self._lock = threading.Lock()
         self._models: dict[str, ServedModel] = {}
         self._generation = 0
-        self.reloads = 0
         self.last_reload_unix: float | None = None
 
     # ------------------------------------------------------------- loading
@@ -137,7 +136,6 @@ class ModelRegistry:
             loaded = self._load_generation(generation)
             self._models = loaded
             self._generation = generation
-            self.reloads += 1
             self.last_reload_unix = time.time()
             metrics().set_gauge("serve.generation", generation)
             return dict(loaded)
@@ -171,10 +169,13 @@ class ModelRegistry:
         return self._generation
 
     def summary(self) -> dict:
-        """JSON-ready state for /healthz and the server manifest."""
+        """JSON-ready state for /healthz and the server manifest.
+
+        Generation 1 is the startup load; each reload adds one.
+        """
         return {
             "generation": self._generation,
-            "reloads": self.reloads,
+            "reloads": max(self._generation - 1, 0),
             "last_reload_unix": self.last_reload_unix,
             "models": {
                 name: entry.summary()

@@ -85,6 +85,12 @@ _REQUEST_ID_OK = re.compile(r"^[A-Za-z0-9._:-]{1,128}$")
 #: How many finished requests ``GET /debug/requests`` retains.
 DEBUG_RING_SIZE = 256
 
+#: The ``serve.*`` counters a server manifest reports.
+MANIFEST_COUNTS = (
+    "requests", "rows", "errors", "reloads", "slow_requests",
+    "trace_rotations",
+)
+
 
 def new_request_id() -> str:
     return uuid.uuid4().hex[:16]
@@ -145,10 +151,8 @@ class PredictionServer:
         self._reload_lock = asyncio.Lock()
         self._recent: deque[dict] = deque(maxlen=DEBUG_RING_SIZE)
         self._rotating = False
-        self.stats = {
-            "requests": 0, "rows": 0, "errors": 0, "reloads": 0,
-            "slow_requests": 0, "trace_rotations": 0,
-        }
+        #: Numbers the trace rotation files.
+        self._rotations = 0
 
     # ------------------------------------------------------------ lifecycle
 
@@ -180,7 +184,6 @@ class PredictionServer:
             t0 = time.perf_counter()
             await loop.run_in_executor(None, self.registry.reload_all)
             elapsed = time.perf_counter() - t0
-            self.stats["reloads"] += 1
             metrics().inc("serve.reloads")
             summary = self.registry.summary()
             log.info(
@@ -211,14 +214,15 @@ class PredictionServer:
         await self.batcher.drain()
         for writer in list(self._conns):
             writer.close()
-        log.info("server stopped", extra={"ctx": dict(self.stats)})
+        log.info("server stopped", extra={"ctx": {"port": self.port}})
         self._done.set()
 
     async def wait_done(self) -> None:
         await self._done.wait()
 
-    def manifest_fields(self) -> dict:
-        """Server fields for the run manifest (``--manifest``)."""
+    def manifest_fields(self, counters: Mapping[str, int]) -> dict:
+        """Server fields for the run manifest (``--manifest``); the counts
+        are read from ``counters``, the run's metrics counters."""
         return {
             "serve": {
                 "host": self.host,
@@ -227,7 +231,10 @@ class PredictionServer:
                 "uptime_seconds": round(
                     time.time() - self.started_at, 3
                 ),
-                **self.stats,
+                **{
+                    name: counters.get(f"serve.{name}", 0)
+                    for name in MANIFEST_COUNTS
+                },
             },
             "registry": self.registry.summary(),
         }
@@ -388,7 +395,6 @@ class PredictionServer:
         body: bytes,
         info: dict,
     ) -> tuple[int, bytes]:
-        self.stats["requests"] += 1
         metrics().inc("serve.requests")
         self._inflight += 1
         self._idle.clear()
@@ -405,14 +411,12 @@ class PredictionServer:
             return status, payload
         except ProtocolError as exc:
             status = exc.status
-            self.stats["errors"] += 1
             metrics().inc("serve.errors")
             return exc.status, error_body(
                 exc.status, exc.code, str(exc), exc.details,
                 request_id=info["request_id"],
             )
         except Exception as exc:  # noqa: BLE001 - request boundary
-            self.stats["errors"] += 1
             metrics().inc("serve.errors")
             log.error(
                 "request failed", extra={"ctx": {
@@ -454,7 +458,7 @@ class PredictionServer:
         )
         exemplar = None
         if slow:
-            self.stats["slow_requests"] += 1
+            metrics().inc("serve.slow_requests")
             exemplar = {
                 "request_id": info["request_id"],
                 "ts": time.time(),
@@ -521,12 +525,13 @@ class PredictionServer:
         if base is None:
             self._rotating = False
             return
-        seq = self.stats["trace_rotations"] + 1
+        seq = self._rotations + 1
         target = base.with_name(f"{base.stem}.{seq:04d}{base.suffix}")
         loop = asyncio.get_running_loop()
         try:
             await loop.run_in_executor(None, t.rotate, target)
-            self.stats["trace_rotations"] = seq
+            self._rotations = seq
+            metrics().inc("serve.trace_rotations")
             log.info(
                 "trace rotated", extra={"ctx": {
                     "path": str(target), "sequence": seq,
@@ -654,7 +659,6 @@ class PredictionServer:
             raise schema_mismatch_to_error(exc) from exc
         n = X.shape[0]
         info["rows"] = n
-        self.stats["rows"] += n
         metrics().inc("serve.rows", n)
         ipc, epi, batched_rows, batch_id = await self.batcher.submit(
             served, X, info["request_id"]
@@ -684,27 +688,11 @@ class ServerThread:
     """
 
     def __init__(
-        self,
-        specs: Mapping[str, str],
-        *,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        batch_window_ms: float = 2.0,
-        max_batch_rows: int = 4096,
-        slow_request_ms: float = 0.0,
-        instrument: bool = True,
-        trace_rotate_events: int = 0,
+        self, specs: Mapping[str, str], *, port: int = 0, **server_kwargs
     ) -> None:
         self._specs = dict(specs)
-        self._kwargs = {
-            "host": host,
-            "port": port,
-            "batch_window_ms": batch_window_ms,
-            "max_batch_rows": max_batch_rows,
-            "slow_request_ms": slow_request_ms,
-            "instrument": instrument,
-            "trace_rotate_events": trace_rotate_events,
-        }
+        #: :class:`PredictionServer` keyword arguments, passed unchanged.
+        self._kwargs = {"port": port, **server_kwargs}
         self.server: PredictionServer | None = None
         self._loop: asyncio.AbstractEventLoop | None = None
         self._thread: threading.Thread | None = None

@@ -24,11 +24,8 @@ from repro.nmcsim import (
     NMCSimulator,
     configure_store,
     simulate_batch,
-    simulation_batch_summary,
     simulation_memo_bytes,
-    simulation_memo_summary,
     store_dir,
-    store_status,
 )
 from repro import store as store_mod
 from repro.nmcsim import simulator as simulator_mod
@@ -95,13 +92,13 @@ class TestBatchedBitIdentity:
         fast = NMCSimulator(engine="fast").run(
             trace, workload="atax", parameters={}
         )
-        calls = simulation_batch_summary()["calls"]
+        calls = metrics().count("sim.batch.calls")
         try:
             activate_tracing(tmp_path / "hw.json", hw=True)
             (ref,) = simulate_batch(points)
         finally:
             reset_tracing()
-        assert simulation_batch_summary()["calls"] == calls
+        assert metrics().count("sim.batch.calls") == calls
         assert canonical(ref) == canonical(fast)
 
     def test_empty_trace_rejected(self):
@@ -138,15 +135,19 @@ class TestBatchedBitIdentity:
 class TestBatchToggle:
     def test_batch_summary_counts(self):
         trace = small_trace("atax", scale=8.0)
-        before = simulation_batch_summary()
+        before = metrics().snapshot()
         simulate_batch([(trace, None, "atax", {})] * 3)
-        after = simulation_batch_summary()
-        assert after["calls"] == before["calls"] + 1
-        assert after["points"] == before["points"] + 3
-        assert after["points_per_call"] > 0
+        counters = metrics().diff(before)["counters"]
+        assert counters["sim.batch.calls"] == 1
+        assert counters["sim.batch.points"] == 3
 
 
 # ------------------------------------------------------- persistent store
+
+def store_count(name):
+    """The process's ``sim.memo.store.<name>`` count so far."""
+    return metrics().count(f"sim.memo.store.{name}")
+
 
 class TestMemoStore:
     def _run_with_store(self, path, *, scale=6.0, wname="atax"):
@@ -160,7 +161,7 @@ class TestMemoStore:
     def test_warm_hit_returns_identical_result(self, tmp_path):
         m = metrics()
         _, cold = self._run_with_store(tmp_path)
-        assert store_status()["writes"] >= 1
+        assert m.count("sim.memo.store.writes") >= 1
         hits_before = m.count("sim.memo.store.hits")
         # A fresh trace object has cold in-process memos: the product
         # must come from the store, not be recomputed.
@@ -172,22 +173,20 @@ class TestMemoStore:
 
     def test_disabled_without_configuration(self):
         assert store_dir() is None
-        status = store_status()
-        assert status["dir"] is None
 
     def test_corrupt_entry_warns_and_rebuilds(self, tmp_path):
         self._run_with_store(tmp_path)
         (entry,) = list(tmp_path.rglob("*.bin"))
         blob = entry.read_bytes()
         entry.write_bytes(blob[: len(blob) // 2])
-        errors_before = store_status()["errors"]
+        errors_before = store_count("errors")
         with pytest.warns(RuntimeWarning, match="corrupt|unreadable"):
             _, rebuilt = self._run_with_store(tmp_path)
-        assert store_status()["errors"] == errors_before + 1
+        assert store_count("errors") == errors_before + 1
         # The entry was recomputed and rewritten: next lookup hits.
-        hits_before = store_status()["hits"]
+        hits_before = store_count("hits")
         _, again = self._run_with_store(tmp_path)
-        assert store_status()["hits"] == hits_before + 1
+        assert store_count("hits") == hits_before + 1
         assert canonical(again) == canonical(rebuilt)
 
     @pytest.mark.parametrize(
@@ -244,15 +243,15 @@ class TestMemoStore:
         else:
             del data["floats"]
         store.put(entry.stem, data)
-        errors_before = store_status()["errors"]
+        errors_before = store_count("errors")
         with pytest.warns(RuntimeWarning, match="not a phase-A product"):
             _, rebuilt = self._run_with_store(tmp_path)
-        assert store_status()["errors"] == errors_before + 1
+        assert store_count("errors") == errors_before + 1
         assert canonical(rebuilt) == expected
-        hits_before = store_status()["hits"]
+        hits_before = store_count("hits")
         _, again = self._run_with_store(tmp_path)
-        assert store_status()["hits"] == hits_before + 1
-        assert store_status()["errors"] == errors_before + 1
+        assert store_count("hits") == hits_before + 1
+        assert store_count("errors") == errors_before + 1
         assert canonical(again) == expected
 
     def test_version_skew_discarded(self, tmp_path, monkeypatch):
@@ -278,9 +277,9 @@ class TestMemoStore:
 
     def test_missing_entry_is_a_miss(self, tmp_path):
         store = MemoStore(tmp_path)
-        misses = store_status()["misses"]
+        misses = store_count("misses")
         assert store.get("cc22") is None
-        assert store_status()["misses"] == misses + 1
+        assert store_count("misses") == misses + 1
 
     def test_stray_tmp_files_do_not_break_reads(self, tmp_path):
         store = MemoStore(tmp_path)
@@ -324,21 +323,22 @@ class TestMemoStore:
                 and (k.startswith("sim.") or k == "content_hash")
             ]:
                 del trace._memo[key]
-        before = store_status()
+        before = metrics().snapshot()
         configure_store(tmp_path)
         shared = SimulationCampaign(scale=8.0, jobs=2).run(workload)
         assert [canonical(r.result) for r in shared.rows] == [
             canonical(r.result) for r in baseline.rows
         ]
-        status = store_status()
-        assert status["errors"] == before["errors"]
+        counters = metrics().diff(before)["counters"]
+        assert "sim.memo.store.errors" not in counters
         assert (
-            status["writes"] + status["hits"]
-            > before["writes"] + before["hits"]
+            counters.get("sim.memo.store.writes", 0)
+            + counters.get("sim.memo.store.hits", 0)
+            > 0
         )
 
 
-# -------------------------------------------------- memo bounds + summary
+# ----------------------------------------------------------- memo bounds
 
 class TestMemoBounds:
     def test_memo_cap_env_bounds_side_tables(self, monkeypatch):
@@ -361,15 +361,6 @@ class TestMemoBounds:
         sizes = simulation_memo_bytes()
         assert set(sizes) == {"streams", "classify", "events"}
         assert sizes["events"] > 0
-
-    def test_summary_includes_store_and_bytes(self):
-        summary = simulation_memo_summary()
-        assert set(summary["store"]) == {
-            "dir", "hits", "misses", "writes", "errors",
-        }
-        assert set(summary["bytes"]) == {"streams", "classify", "events"}
-        for kind in ("streams", "classify", "events"):
-            assert set(summary[kind]) == {"hits", "misses"}
 
 
 # ------------------------------------------------- bench record placement

@@ -367,7 +367,11 @@ class TestMemoDirFlag:
         assert code == 0, err
         assert list(store.rglob("*.bin"))
         data = json.loads(man.read_text())
-        assert data["sim_memo"]["store"]["dir"] == str(store)
+        assert data["sim_memo"]["dir"] == str(store)
+        assert set(data["sim_memo"]["bytes"]) == {
+            "streams", "classify", "events",
+        }
+        assert data["metrics"]["counters"]["sim.memo.store.writes"] > 0
         assert data["jobs"] == 1
 
 
@@ -424,11 +428,12 @@ class TestMemoStoreAcrossProcesses:
         )
         assert cold_man["exit_code"] == 0 and warm_man["exit_code"] == 0
         assert cold_man["sim_jit"]["backend"] == "cc", cold_man["sim_jit"]
-        assert cold_man["sim_memo"]["store"]["writes"] > 0
-        assert warm_man["sim_memo"]["store"]["hits"] > 0
-        assert (
-            warm_man["sim_batch"]["points"] == cold_man["sim_batch"]["points"]
+        cold_counts, warm_counts = (
+            man["metrics"]["counters"] for man in (cold_man, warm_man)
         )
+        assert cold_counts["sim.memo.store.writes"] > 0
+        assert warm_counts["sim.memo.store.hits"] > 0
+        assert warm_counts["sim.batch.points"] == cold_counts["sim.batch.points"]
         # Damaged values in well-formed entries: the run warns, counts,
         # recomputes and prints what the cold run printed.
         assert damage_bank_segments(store) > 0
@@ -439,7 +444,7 @@ class TestMemoStoreAcrossProcesses:
         assert damaged == cold
         damaged_man = json.loads((tmp_path / "damaged.json").read_text())
         assert damaged_man["exit_code"] == 0
-        assert damaged_man["sim_memo"]["store"]["errors"] > 0
+        assert damaged_man["metrics"]["counters"]["sim.memo.store.errors"] > 0
         log = [
             json.loads(line)
             for line in (tmp_path / "damaged.log").read_text().splitlines()

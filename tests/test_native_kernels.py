@@ -33,6 +33,8 @@ from repro.ir import Opcode, reuse_distances
 from repro.ir.trace import TRACE_COLUMNS, dense_ids
 from repro.ml import RandomForestRegressor, RegressionTree
 from repro.ml import tree as tree_module
+from repro.nmcsim import classify_steps, classify_streams
+from repro.nmcsim._native import COLUMNS
 from repro.profiler import analyze_trace
 from repro.profiler.features import ILP_WINDOWS
 
@@ -216,6 +218,31 @@ def classify_batches(draw):
     )
 
 
+@st.composite
+def classify_boundaries(draw):
+    """Boundary batches of phase A's L1 walk: zero streams, one-access
+    streams, lines rewritten into the last set (``n_sets - 1``, from
+    negative line ids too) and the extreme int64 line ids."""
+    n_sets, ways = draw(st.integers(1, 8)), draw(st.integers(1, 4))
+    sizes = draw(st.lists(st.sampled_from([0, 1, 1, 2, 9]), max_size=4))
+    extremes = [np.iinfo(np.int64).min, np.iinfo(np.int64).max]
+    lines = []
+    for _ in range(sum(sizes)):
+        k = draw(st.integers(-20, 20))
+        lines.append(draw(st.sampled_from(
+            [k, k * n_sets + n_sets - 1, *extremes]
+        )))
+    writes = draw(st.lists(
+        st.booleans(), min_size=len(lines), max_size=len(lines)
+    ))
+    off = np.zeros(len(sizes) + 1, dtype=np.int64)
+    np.cumsum(sizes, dtype=np.int64, out=off[1:])
+    return (
+        np.array(lines, dtype=np.int64), np.array(writes, dtype=bool), off,
+        n_sets, ways,
+    )
+
+
 class TestClassifyKernel:
     @DIFF_SETTINGS
     @given(batch=classify_batches())
@@ -231,6 +258,18 @@ class TestClassifyKernel:
         assert got.stats == want.stats
         assert len(got.stats) == len(off) - 1
 
+    @DIFF_SETTINGS
+    @given(batch=classify_boundaries())
+    def test_boundary_inputs_match_python_form(self, batch):
+        forms("classify_streams")  # the public wrapper runs the C form
+        lines, writes, off, n_sets, ways = batch
+        got = classify_streams(lines, writes, off, n_sets=n_sets, ways=ways)
+        want = classify_steps(lines, writes, off, n_sets=n_sets, ways=ways)
+        np.testing.assert_array_equal(got.hit, want.hit)
+        np.testing.assert_array_equal(got.wb_line, want.wb_line)
+        assert got.stats == want.stats
+        assert len(got.stats) == len(off) - 1
+
     @pytest.mark.parametrize("n_sets, ways", [(0, 2), (2, 0), (-1, -1)])
     def test_bad_geometry_raises_under_both_forms(self, n_sets, ways):
         lines = np.arange(4, dtype=np.int64)
@@ -239,6 +278,79 @@ class TestClassifyKernel:
         for form in forms("classify_streams"):
             with pytest.raises(ConfigError):
                 form(lines, writes, off, n_sets=n_sets, ways=ways)
+
+
+# ------------------------------------------------------ phase-B contention
+
+class PhaseAProduct:
+    """What the phase-B kernel reads of a phase-A product: the
+    :data:`~repro.nmcsim._native.COLUMNS` arrays and their addresses."""
+
+    def __init__(self, columns):
+        self.__dict__.update(columns)
+        self.addresses = [columns[name].ctypes.data for name in COLUMNS]
+
+
+#: Few distinct times and latencies, so events tie and rows reopen.
+_TIMES = st.sampled_from([0.0, 0.5, 1.0, 2.5, 7.0])
+
+
+@st.composite
+def contend_boundaries(draw):
+    """Boundary batches of phase B: points with zero streams, one-event
+    streams, and routing rewritten to bank ``n_banks - 1`` and vault
+    ``n_vaults - 1``, the largest indices each point's bank and bus
+    state hold."""
+    points, params, iparams = [], [], []
+    for _ in range(draw(st.integers(1, 3))):
+        n_banks, n_vaults = draw(st.integers(1, 16)), draw(st.integers(1, 4))
+        sizes = draw(st.lists(st.sampled_from([1, 1, 2, 6]), max_size=4))
+        n = sum(sizes)
+
+        def column(values, size=n, dtype=np.int64):
+            return np.array(
+                draw(st.lists(values, min_size=size, max_size=size)), dtype
+            )
+
+        cols = {
+            "off": np.concatenate(([0], np.cumsum(sizes))).astype(np.int64),
+            "block": column(st.integers(0, 3)),
+            "vault": column(st.integers(0, n_vaults - 1)),
+            "bank": column(st.integers(0, n_banks - 1)),
+            "wblock": column(st.integers(0, 3)),
+            "wvault": column(st.integers(0, n_vaults - 1)),
+            "wbank": column(st.integers(-1, n_banks - 1)),
+            "dnext": column(_TIMES, dtype=np.float64),
+            "t0": column(_TIMES, len(sizes), np.float64),
+            "tail": column(_TIMES, len(sizes), np.float64),
+        }
+        edge = column(st.booleans(), dtype=bool)
+        cols["bank"][edge] = n_banks - 1
+        cols["vault"][edge] = n_vaults - 1
+        cols["wbank"][edge & (cols["wbank"] >= 0)] = n_banks - 1
+        cols["wvault"][edge] = n_vaults - 1
+        points.append(PhaseAProduct(cols))
+        params.append(draw(st.lists(_TIMES, min_size=9, max_size=9)))
+        iparams.append([
+            draw(st.integers(0, 1)), draw(st.integers(1, 4)),
+            n_banks, n_vaults, len(sizes),
+        ])
+    return (
+        points,
+        np.array(params, dtype=np.float64),
+        np.array(iparams, dtype=np.int64),
+    )
+
+
+class TestContendKernel:
+    @DIFF_SETTINGS
+    @given(batch=contend_boundaries())
+    def test_boundary_inputs_match_python_form(self, batch):
+        cc, python = forms("contend_packed_multi")
+        points, params, iparams = batch
+        got, want = (form(points, params, iparams) for form in (cc, python))
+        assert len(got) == iparams[:, 4].sum()
+        assert got.tobytes() == want.tobytes()
 
 
 # ------------------------------------------------- phase-A stream digests

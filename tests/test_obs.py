@@ -4,10 +4,14 @@ import asyncio
 import io
 import json
 import logging
+import os
+import subprocess
+import sys
 import threading
 
 import pytest
 
+from _helpers import repro_env
 from repro.cli import main
 from repro.obs import (
     DEFAULT_SIZE_BOUNDS,
@@ -465,12 +469,15 @@ class TestPrometheusExposition:
 class TestRunManifest:
     def test_roundtrip_through_file(self, tmp_path):
         reg = MetricsRegistry()
+        reg.inc("campaign.points.simulated", 5)  # not this run's
+        manifest = RunManifest(
+            "campaign", ["campaign", "gemv"], registry=reg
+        )
         reg.inc("campaign.points.simulated", 7)
         with reg.timer("phase.simulate"):
             pass
-        manifest = RunManifest("campaign", ["campaign", "gemv"])
         manifest.update(workloads=["gemv"], n_points=7)
-        manifest.finish(0, registry=reg)
+        manifest.finish(0)
         path = tmp_path / "m.json"
         manifest.write(path)
         loaded = RunManifest.load(path)
@@ -510,8 +517,10 @@ class TestCliManifestAndLogs:
         assert data["exit_code"] == 0
         assert data["workloads"] == ["atax"]
         assert {"doe", "trace", "profile", "simulate"} <= set(data["phases"])
-        assert 0.0 <= data["cache"]["hit_ratio"] <= 1.0
-        assert data["cache"]["misses"] == data["n_points"]
+        counters = data["metrics"]["counters"]
+        assert "campaign.cache.hits" not in counters
+        assert counters["campaign.cache.misses"] == data["n_points"]
+        assert data["cache"] == {"entries": data["n_points"]}
         entries = [
             json.loads(line) for line in logp.read_text().splitlines()
         ]
@@ -520,6 +529,25 @@ class TestCliManifestAndLogs:
                    for e in entries)
         assert any(e["message"] == "campaign done" for e in entries)
         assert "campaign start" in err  # -v progress on the console
+
+    def test_manifest_counts_only_its_own_run(self, capsys, tmp_path):
+        """Two runs in one process: each manifest holds that run's counts,
+        not the process's running totals."""
+        names = (
+            "campaign.points.simulated", "nmcsim.runs",
+            "campaign.cache.misses",
+        )
+        counts = []
+        for run in ("first", "second"):
+            man = tmp_path / f"{run}.json"
+            code, _, err = run_cli(
+                capsys, "campaign", "atax", "--scale", "8",
+                "--manifest", str(man),
+            )
+            assert code == 0, err
+            counters = json.loads(man.read_text())["metrics"]["counters"]
+            counts.append({name: counters[name] for name in names})
+        assert counts[0] == counts[1] == dict.fromkeys(names, 11)
 
     def test_quiet_console_by_default(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "campaign", "atax", "--scale", "8")
@@ -576,6 +604,28 @@ class TestCliManifestAndLogs:
 
 
 class TestCliErrorPaths:
+    def test_closed_stdout_exits_141_quietly(self, tmp_path):
+        """A reader that stops early (``repro ... | head``) is no error:
+        nothing on stderr, exit 128 + SIGPIPE, the manifest and the trace
+        still written."""
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # the reader is gone before the child writes
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "repro", "campaign", "atax",
+                 "--scale", "8", "--manifest", "m.json", "--trace", "t.json"],
+                cwd=tmp_path, env=repro_env(), stdout=write_end,
+                stderr=subprocess.PIPE, text=True, timeout=600,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.stderr == ""
+        assert proc.returncode == 141
+        manifest = json.loads((tmp_path / "m.json").read_text())
+        assert manifest["exit_code"] == 141
+        assert manifest["trace"]["events"] > 0
+        assert (tmp_path / "t.json").is_file()
+
     def test_keyboard_interrupt_exit_130(self, capsys, monkeypatch):
         from repro.cli import commands
 

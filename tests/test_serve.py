@@ -559,6 +559,7 @@ class TestObservability:
         try:
             # Threshold far below any real latency: every request is
             # "slow", so one predict must produce one exemplar.
+            slow_before = metrics().count("serve.slow_requests")
             with ServerThread(
                 {"default": str(artifact.path)}, batch_window_ms=1.0,
                 slow_request_ms=1e-6,
@@ -566,7 +567,7 @@ class TestObservability:
                 with ServeClient(port=srv.port) as c:
                     c.predict([_row(artifact)], request_id="slowpoke")
                     doc = c.metrics()
-                assert srv.server.stats["slow_requests"] >= 1
+                assert metrics().count("serve.slow_requests") >= slow_before + 1
         finally:
             logger.removeHandler(handler)
         hist = doc["metrics"]["histograms"][
@@ -730,6 +731,7 @@ class TestServeTracing:
     def test_trace_rotation_writes_numbered_files(
         self, artifact, tmp_path, _serve_tracer
     ):
+        rotations_before = metrics().count("serve.trace_rotations")
         with ServerThread(
             {"default": str(artifact.path)}, batch_window_ms=1.0,
             trace_rotate_events=5,
@@ -748,7 +750,10 @@ class TestServeTracing:
         assert validate_trace(doc) > 0
         assert doc["otherData"]["rotated"] is True
         assert doc["otherData"]["events"] >= 5
-        assert srv.server.stats["trace_rotations"] >= 1
+        assert metrics().count("serve.trace_rotations") >= rotations_before + 1
+        # A rotated file is the same document as a final one.
+        final = _serve_tracer.to_json_dict()["otherData"]
+        assert set(doc["otherData"]) - {"rotated"} == set(final)
 
 
 # ------------------------------------------------------ the serve process
@@ -816,6 +821,8 @@ class TestServeProcess:
         manifest = json.loads(manifest_path.read_text())
         assert manifest["exit_code"] == 0, manifest
         assert manifest["serve"]["requests"] >= 2, manifest
+        assert manifest["serve"]["reloads"] == 1, manifest
+        assert manifest["metrics"]["counters"]["serve.reloads"] == 1, manifest
         assert manifest["registry"]["reloads"] == 1, manifest
         trace = load_trace(trace_path)
         assert validate_trace(trace) > 0

@@ -30,7 +30,6 @@ from repro.nmcsim import (
     classify_streams,
     jit_status,
     simulate_batch,
-    simulation_memo_summary,
 )
 from repro.obs import activate_tracing, metrics, reset_tracing
 
@@ -456,13 +455,6 @@ class TestCampaignEquivalence:
 
 
 class TestClassificationMemo:
-    def test_memo_summary_shape(self):
-        summary = simulation_memo_summary()
-        for kind in ("streams", "classify", "events"):
-            assert set(summary[kind]) == {"hits", "misses"}
-        ratio = summary["classification_hit_ratio"]
-        assert 0.0 <= ratio <= 1.0
-
     def test_resimulating_a_trace_hits_every_memo(self):
         trace = small_trace("gemv")
         sim = NMCSimulator(default_nmc_config(), engine="fast")
