@@ -79,7 +79,7 @@ def contend_packed_multi(
     (``wbank >= 0``; ``-1`` marks none) has ``wbank < n_banks`` and
     ``0 <= wvault < n_vaults``; ``mshrs >= 1`` when ``ooo``; times are
     finite and non-negative.  A point with zero streams is valid and
-    skipped; a batch holds at least one point.
+    skipped, and an empty batch returns an empty array.
 
     The columns are converted to Python scalars one point at a time
     (``.tolist()`` plus one tuple per event), which keeps the inner loop
@@ -231,6 +231,8 @@ def _build_cc(lib: native.Library) -> Callable:
         return arr.ctypes.data_as(ptr_type)
 
     def kernel(points, params, iparams) -> np.ndarray:
+        if not len(points):
+            return np.empty(0, dtype=np.float64)
         cols = np.fromiter(
             (a for point in points for a in point.addresses),
             dtype=np.uint64, count=len(points) * len(COLUMNS),

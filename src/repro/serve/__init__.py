@@ -3,8 +3,9 @@
 The paper's headline claim is that a trained NAPEL model *replaces*
 simulation (~256x faster per prediction) — which only pays off when
 prediction is deployable as a long-lived concurrent service instead of
-a fork-load-predict-exit CLI call.  This package is that service, built
-entirely on the stdlib (asyncio; no ``http.server``, no dependencies):
+a fork-load-predict-exit CLI call.  This package is that service: HTTP
+on asyncio streams (no ``http.server``), request bodies decoded by
+``orjson``, which nothing outside this package imports:
 
 * :mod:`registry` — a name-keyed registry of preloaded, verified v2
   model artifacts (mirroring the memory-backend registry pattern), with

@@ -1,6 +1,10 @@
 """JSON request/response codec for the prediction server.
 
-One request shape, three row spellings:
+Request bodies are strict RFC 8259 JSON in UTF-8, decoded by
+:func:`orjson.loads`: ``NaN``/``Infinity`` tokens, number literals
+outside float64's range, a byte-order mark and nesting deeper than
+:data:`MAX_NESTING` are ``bad_json``.  Replies are written by
+:func:`json.dumps`.  One request shape, three row spellings:
 
 .. code-block:: json
 
@@ -39,6 +43,7 @@ import json
 from functools import lru_cache
 
 import numpy as np
+import orjson
 
 from ..core.predictor import NapelModel
 from ..errors import ReproError, SchemaMismatchError
@@ -111,11 +116,57 @@ def schema_for_columns(columns: tuple[str, ...]) -> FeatureSchema:
         ) from exc
 
 
+#: Deepest array/object nesting a request body may have.  orjson 3.8's
+#: decoder recurses once per level on the native stack with no limit of
+#: its own: a 400 KB body of 200,000 open brackets overflows a thread's
+#: 8 MiB stack and kills the process.  A valid request nests 3 deep.
+MAX_NESTING = 1024
+
+
+def nesting_depth(raw: bytes) -> int:
+    """How deeply arrays and objects nest in the JSON text ``raw``.
+
+    Brackets inside strings do not count.  A quote opens or closes a
+    string unless an odd run of backslashes precedes it.  On invalid
+    JSON the result is still at least the depth a parser reaches before
+    it fails: up to its first error the text is a valid prefix, which
+    this scan reads exactly.
+    """
+    body = np.frombuffer(raw, dtype=np.uint8)
+    quotes = np.flatnonzero(body == ord('"'))
+    if b"\\" in raw:
+        slashes = np.flatnonzero(body == ord("\\"))
+        starts = np.diff(slashes, prepend=-2) != 1
+        run_start = slashes[starts][np.cumsum(starts) - 1]
+        last = np.searchsorted(slashes, quotes) - 1
+        escaped = (
+            (last >= 0)
+            & (slashes[last] == quotes - 1)
+            & ((quotes - run_start[last]) % 2 == 1)
+        )
+        quotes = quotes[~escaped]
+    opens = (body == ord("[")) | (body == ord("{"))
+    closes = (body == ord("]")) | (body == ord("}"))
+    brackets = np.flatnonzero(opens | closes)
+    brackets = brackets[np.searchsorted(quotes, brackets) % 2 == 0]
+    steps = np.where(opens[brackets], 1, -1)
+    return int(np.cumsum(steps).max(initial=0))
+
+
 def decode_predict_request(raw: bytes, *, max_rows: int) -> dict:
     """Parse and structurally validate a ``POST /predict`` body."""
+    body = np.frombuffer(raw, dtype=np.uint8)
+    # No text nests deeper than it has opening brackets: a cheap bound
+    # that spares the full scan for bodies of up to ~1000 rows.
+    n_open = sum(np.count_nonzero(body == ord(c)) for c in "[{")
+    if n_open > MAX_NESTING and nesting_depth(raw) > MAX_NESTING:
+        raise ProtocolError(
+            400, "bad_json",
+            f"request body nests deeper than {MAX_NESTING} levels",
+        )
     try:
-        payload = json.loads(raw)
-    except (ValueError, UnicodeDecodeError) as exc:
+        payload = orjson.loads(raw)
+    except orjson.JSONDecodeError as exc:
         raise ProtocolError(
             400, "bad_json", f"request body is not valid JSON: {exc}"
         ) from exc
@@ -178,12 +229,7 @@ def _matrix_from_lists(
             400, "bad_request",
             "positional rows must all be equal-length lists of numbers",
         )
-    try:
-        X = np.asarray(rows, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        raise ProtocolError(
-            400, "bad_request", f"rows contain non-numeric values: {exc}"
-        ) from exc
+    X = _feature_matrix(rows)
     source = None
     if columns is not None:
         if len(columns) != X.shape[1]:
@@ -210,7 +256,6 @@ def _matrix_from_dicts(
     keys = set().union(*rows)
     known = [n for n in model_names if n in keys]
     columns = known + sorted(keys.difference(known))
-    X = np.zeros((len(rows), len(columns)), dtype=np.float64)
     for i, row in enumerate(rows):
         missing = [n for n in known if n not in row]
         if missing:
@@ -220,14 +265,36 @@ def _matrix_from_dicts(
                 "was trained on",
                 details={"missing": missing[:32], "extra": [], "moved": []},
             )
-        try:
-            X[i] = [float(row.get(n, 0.0)) for n in columns]
-        except (TypeError, ValueError) as exc:
-            raise ProtocolError(
-                400, "bad_request",
-                f"row {i} contains non-numeric values: {exc}",
-            ) from exc
+    X = _feature_matrix(
+        [[row.get(n, 0.0) for n in columns] for row in rows]
+    )
     return X, schema_for_columns(tuple(columns))
+
+
+def _feature_matrix(values: list) -> np.ndarray:
+    """Both row spellings' values as a float64 matrix, checked once.
+
+    The array is built without a target dtype, so a string value shows
+    as a string array instead of being parsed (``"1e3"`` would read as
+    1000.0); booleans read as 0/1, as ``float()`` reads them.  A value
+    that is not a finite number is a 400.
+    """
+    try:
+        X = np.asarray(values)
+    except ValueError as exc:  # ragged nesting
+        raise ProtocolError(
+            400, "bad_request", f"rows contain non-numeric values: {exc}"
+        ) from exc
+    if (
+        X.ndim != 2
+        or X.dtype.kind not in "biuf"
+        or not np.isfinite(X).all()
+    ):
+        raise ProtocolError(
+            400, "bad_request",
+            "every feature value must be a finite JSON number",
+        )
+    return X.astype(np.float64, copy=False)
 
 
 def build_matrix(
@@ -242,7 +309,9 @@ def build_matrix(
     model's training layout, so the batcher can concatenate it with
     other requests' rows and run one width-checked ``predict_labels``
     call.  A layout the model refuses raises
-    :class:`~repro.errors.SchemaMismatchError` (the server's 422).
+    :class:`~repro.errors.SchemaMismatchError` (the server's 422); a
+    value that is not a finite number (a string, ``null``, a nested
+    list) is a 400, under both spellings alike.
     """
     rows = payload["rows"]
     dict_rows = isinstance(rows[0], dict)

@@ -1,7 +1,7 @@
 """The asyncio HTTP/1.1 prediction server behind ``repro serve``.
 
-Stdlib-only: hand-rolled HTTP on :func:`asyncio.start_server` streams
-(no ``http.server``, whose thread-per-connection model defeats
+Hand-rolled HTTP on :func:`asyncio.start_server` streams (no
+``http.server``, whose thread-per-connection model defeats
 microbatching).  Endpoints:
 
 * ``POST /predict`` — single or batched rows; validated, aligned,

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from _helpers import forest_key, repro_env, use_kernel
@@ -297,12 +297,12 @@ _TIMES = st.sampled_from([0.0, 0.5, 1.0, 2.5, 7.0])
 
 @st.composite
 def contend_boundaries(draw):
-    """Boundary batches of phase B: points with zero streams, one-event
-    streams, and routing rewritten to bank ``n_banks - 1`` and vault
-    ``n_vaults - 1``, the largest indices each point's bank and bus
+    """Boundary batches of phase B: no points, points with zero streams,
+    one-event streams, and routing rewritten to bank ``n_banks - 1`` and
+    vault ``n_vaults - 1``, the largest indices each point's bank and bus
     state hold."""
     points, params, iparams = [], [], []
-    for _ in range(draw(st.integers(1, 3))):
+    for _ in range(draw(st.integers(0, 3))):
         n_banks, n_vaults = draw(st.integers(1, 16)), draw(st.integers(1, 4))
         sizes = draw(st.lists(st.sampled_from([1, 1, 2, 6]), max_size=4))
         n = sum(sizes)
@@ -337,14 +337,15 @@ def contend_boundaries(draw):
         ])
     return (
         points,
-        np.array(params, dtype=np.float64),
-        np.array(iparams, dtype=np.int64),
+        np.array(params, dtype=np.float64).reshape(-1, 9),
+        np.array(iparams, dtype=np.int64).reshape(-1, 5),
     )
 
 
 class TestContendKernel:
     @DIFF_SETTINGS
     @given(batch=contend_boundaries())
+    @example(batch=([], np.empty((0, 9)), np.empty((0, 5), np.int64)))
     def test_boundary_inputs_match_python_form(self, batch):
         cc, python = forms("contend_packed_multi")
         points, params, iparams = batch

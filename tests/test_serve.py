@@ -4,8 +4,10 @@ import asyncio
 import http.client
 import json
 import logging
+import math
 import re
 import signal
+import struct
 import subprocess
 import sys
 import threading
@@ -14,6 +16,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from _helpers import repro_env
 from repro import NapelTrainer, SimulationCampaign, get_workload, save_model
@@ -36,7 +40,12 @@ from repro.serve import (
     ServerThread,
     parse_model_specs,
 )
-from repro.serve.protocol import ProtocolError, decode_predict_request
+from repro.serve.protocol import (
+    MAX_NESTING,
+    ProtocolError,
+    decode_predict_request,
+    nesting_depth,
+)
 
 
 @pytest.fixture(scope="module")
@@ -69,6 +78,32 @@ def client(server):
 
 def _row(artifact, i=0):
     return [float(v) for v in artifact.training.X()[i]]
+
+
+def _post(port, body: bytes) -> tuple[int, dict]:
+    """``POST /predict`` with a raw body: (status, parsed reply)."""
+    conn = http.client.HTTPConnection("127.0.0.1", port)
+    try:
+        conn.request(
+            "POST", "/predict", body=body,
+            headers={"Content-Type": "application/json"},
+        )
+        response = conn.getresponse()
+        return response.status, json.loads(response.read())
+    finally:
+        conn.close()
+
+
+def _one_row_body(artifact, spelling, token):
+    """A one-row body in ``spelling`` whose first feature is the JSON
+    text ``token``, written as is."""
+    names = artifact.model.schema.names
+    texts = [json.dumps(v) for v in _row(artifact)]
+    texts[0] = token
+    if spelling == "positional":
+        return f'{{"rows": [[{", ".join(texts)}]]}}'.encode()
+    items = (f"{json.dumps(n)}: {t}" for n, t in zip(names, texts))
+    return f'{{"rows": [{{{", ".join(items)}}}]}}'.encode()
 
 
 # --------------------------------------------------------------- endpoints
@@ -279,18 +314,42 @@ class TestPredictErrors:
         assert err.value.code == "unknown_model"
 
     def test_malformed_json_is_400(self, server):
-        conn = http.client.HTTPConnection("127.0.0.1", server.port)
-        try:
-            conn.request(
-                "POST", "/predict", body=b"{not json",
-                headers={"Content-Type": "application/json"},
-            )
-            response = conn.getresponse()
-            doc = json.loads(response.read())
-        finally:
-            conn.close()
-        assert response.status == 400
+        status, doc = _post(server.port, b"{not json")
+        assert status == 400
         assert doc["error"] == "bad_json"
+
+    @pytest.mark.parametrize("spelling", ["positional", "named"])
+    @pytest.mark.parametrize("token, code", [
+        ("NaN", "bad_json"),
+        ("Infinity", "bad_json"),
+        ("-Infinity", "bad_json"),
+        ("1e400", "bad_json"),
+        ('"nan"', "bad_request"),
+        ('"1e3"', "bad_request"),
+        ('"inf"', "bad_request"),
+        ("null", "bad_request"),
+        ("[1.0]", "bad_request"),
+    ])
+    def test_value_that_is_not_a_finite_number_is_400(
+        self, artifact, server, spelling, token, code
+    ):
+        status, doc = _post(
+            server.port, _one_row_body(artifact, spelling, token)
+        )
+        assert (status, doc["error"]) == (400, code)
+
+    @pytest.mark.parametrize("spelling", ["positional", "named"])
+    def test_400_digit_integer_is_400(self, artifact, server, spelling):
+        status, doc = _post(
+            server.port, _one_row_body(artifact, spelling, "9" * 400)
+        )
+        assert (status, doc["error"]) == (400, "bad_json")
+
+    def test_body_nested_100000_deep_is_400(self, server):
+        deep = b"[" * 100_000 + b"]" * 100_000
+        status, doc = _post(server.port, b'{"rows": [' + deep + b"]}")
+        assert (status, doc["error"]) == (400, "bad_json")
+        assert str(MAX_NESTING) in doc["message"]
 
     def test_errors_do_not_kill_the_connection(self, artifact, client):
         with pytest.raises(ServeClientError):
@@ -902,6 +961,99 @@ class TestDecodePredictRequest:
             with pytest.raises(ProtocolError) as err:
                 self.decode(doc)
             assert err.value.status == 400
+
+    def test_nesting_is_refused_before_the_decoder_runs(self):
+        # A million levels would overflow the decoder's native stack and
+        # kill the process; the depth scan refuses it first.
+        def body(depth):  # the object and "rows" are two levels
+            inner = depth - 2
+            return b'{"rows": [' + b"[" * inner + b"]" * inner + b"]}"
+
+        for depth in (MAX_NESTING + 1, 1_000_000):
+            with pytest.raises(ProtocolError) as err:
+                self.decode(body(depth))
+            assert err.value.code == "bad_json"
+        assert self.decode(body(MAX_NESTING))["rows"]
+
+    def test_brackets_inside_strings_do_not_nest(self):
+        name = "[{" * MAX_NESTING + '\\"\\'
+        doc = self.decode({"rows": [[1.0]], "model": name})
+        assert doc["model"] == name
+
+    @settings(max_examples=300, deadline=None)
+    @given(doc=st.recursive(
+        st.none() | st.booleans() | st.floats(allow_nan=False)
+        | st.text(alphabet='[]{}"\\ a\n'),
+        lambda inner: st.lists(inner, max_size=4) | st.dictionaries(
+            st.text(alphabet='[]{}"\\ a', max_size=4), inner, max_size=4
+        ),
+        max_leaves=30,
+    ))
+    def test_nesting_depth_matches_the_parsed_document(self, doc):
+        def depth(value):
+            if isinstance(value, dict):
+                value = list(value.values())
+            if isinstance(value, list):
+                return 1 + max(map(depth, value), default=0)
+            return 0
+
+        assert nesting_depth(json.dumps(doc).encode()) == depth(doc)
+
+
+def _bits(values):
+    return [struct.pack("<d", v) for v in values]
+
+
+#: Decimal literals that are hard to round: subnormals, the smallest
+#: normal, DBL_MAX, and halfway points between neighbouring doubles.
+HARD_LITERALS = [
+    "5e-324", "4.9406564584124654e-324", "2.4703282292062327e-324",
+    "2.4703282292062328e-324", "2.225073858507201e-308",
+    "2.2250738585072011e-308", "2.2250738585072014e-308",
+    "1.7976931348623157e308", "1.7976931348623158e308", "-0.0", "0.1",
+    "1e23", "8.98846567431158e307", "9007199254740993.0",
+    "1.00000000000000011102230246251565404236316680908203125",
+    "1.00000000000000011102230246251565404236316680908203126",
+    "0.30000000000000004", "123456789012345678901234567890.0",
+]
+
+
+class TestDecoder:
+    """Every feature value decodes to the float64 the standard library
+    reads from the same text, so served predictions do not change; and
+    only serving loads the decoder."""
+
+    def test_hard_literals(self):
+        raw = f'{{"rows": [[{", ".join(HARD_LITERALS)}]]}}'.encode()
+        got = decode_predict_request(raw, max_rows=1)["rows"][0]
+        assert _bits(got) == _bits(json.loads(raw)["rows"][0])
+
+    @settings(
+        max_examples=300, deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(values=st.lists(
+        st.floats(allow_nan=False, allow_infinity=False)
+        | st.integers(0, 2**64 - 1)
+        .map(lambda b: struct.unpack("<d", struct.pack("<Q", b))[0])
+        .filter(math.isfinite),
+        min_size=1, max_size=64,
+    ))
+    def test_finite_floats_round_trip_as_the_stdlib_reads_them(
+        self, values
+    ):
+        raw = json.dumps({"rows": [values]}).encode()
+        got = decode_predict_request(raw, max_rows=1)["rows"][0]
+        assert _bits(got) == _bits(json.loads(raw)["rows"][0])
+        assert _bits(got) == _bits(values)
+
+    def test_import_repro_leaves_the_decoder_unloaded(self):
+        probe = "import repro, sys; print('orjson' in sys.modules)"
+        out = subprocess.run(
+            [sys.executable, "-c", probe], env=repro_env(),
+            capture_output=True, text=True, check=True,
+        ).stdout
+        assert out.strip() == "False"
 
 
 # ---------------------------------------------------------- unit: batcher
