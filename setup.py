@@ -1,9 +1,9 @@
-"""Setup shim.
+"""Setup shim for the legacy editable install.
 
-The environment is offline and has no ``wheel`` package, so PEP 517 editable
-builds (which require ``bdist_wheel``) fail.  This shim lets
-``pip install -e . --no-use-pep517 --no-build-isolation`` fall back to the
-legacy ``setup.py develop`` path.  All metadata lives in ``pyproject.toml``.
+Offline, ``python setup.py develop`` installs the package with setuptools
+alone.  ``pip install -e . --no-use-pep517 --no-build-isolation`` takes the
+same path but needs the ``wheel`` package installed as well (pip 23 refuses
+it otherwise).  All metadata lives in ``pyproject.toml``.
 """
 
 from setuptools import setup

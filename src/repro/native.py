@@ -14,6 +14,9 @@ that own a loop :func:`register` both forms under one name:
 * ``classify_streams`` — the fast engine's phase A: every PE stream
   of a design point through its own LRU L1 in one call
   (:mod:`repro.nmcsim.classify`);
+* ``pack_events`` — phase A's event packer: a design point's misses
+  and dirty victims, routed and timed, straight into its phase-A
+  product in one call (:mod:`repro.nmcsim.simulator`);
 * ``reuse_distances`` — LRU stack distances
   (:mod:`repro.ir.stackdist`) for the profiler's reuse-distance
   families;
@@ -36,7 +39,10 @@ compiler is found or the build fails, every kernel runs its Python form.
 Bit-equivalence contract: each C function keeps its Python form's exact
 arithmetic.  The trace fill, the profiler and phase-A L1 kernels are
 integer-only; the stream digests keep integer prefix sums and
-sequential double sums, as ``np.cumsum`` does; phase B keeps the floating-point operation order of
+sequential double sums, as ``np.cumsum`` does; the event packer hashes
+in uint64 (the Fibonacci routing wraps mod 2**64, as numpy's does) and
+evaluates each gap as the same sequential double expression, one
+element at a time; phase B keeps the floating-point operation order of
 ``StackedMemory.access`` (C ``double`` and CPython ``float`` are both
 IEEE-754 binary64, and ``-ffp-contract=off`` forbids FMA contraction);
 the tree builder replays numpy's: pairwise summation for node sums, libm
@@ -465,6 +471,98 @@ void classify_streams(
         st[2] = evicted + flushes;
         st[3] = flushes;
     }
+}
+
+/* ---------------------------------------------- phase-A event packer */
+
+/* The line's DRAM routing, as nmcsim.dram.route_addresses computes it:
+   the row-buffer block of its byte address, Fibonacci-hashed mod 2**64,
+   bits 17..48 spread over vaults, then banks. */
+static inline void route(
+    i64 line, i64 line_shift, i64 block_shift, i64 n_vaults, i64 banks_pv,
+    i64 *vault, i64 *bank, i64 *block)
+{
+    uint64_t b = ((uint64_t)line << line_shift) >> block_shift;
+    uint64_t folded = ((b * 0x9E3779B97F4A7C15ull) >> 17) & 0xFFFFFFFFull;
+    uint64_t q = folded / (uint64_t)n_vaults;
+    *vault = (i64)(folded - q * (uint64_t)n_vaults);
+    *bank = *vault * banks_pv + (i64)(q % (uint64_t)banks_pv);
+    *block = (i64)b;
+}
+
+/* One design point's phase-A product from its streams (layout:
+   _Streams) and their L1 classification: the op index k of stream s
+   reads its prefix sum at pref[k + 2 s + 1], and stats[4 s + 1] is the
+   stream's miss count.  lens holds the _SEGS lengths the miss counts
+   imply; the segments are filled in place of ints and floats, in _SEGS
+   order.  A stream without a miss is quiet: it finishes after its
+   first compute segment.  Gaps keep the Python form's expression,
+   (pref[k] - pref[prev]) + (double)(k - prev - 1) * l1_cycle_ns; a
+   clean eviction (wb_line < 0) routes address 0, with wbank -1. */
+void pack_events(
+    const i64 *off, const i64 *lines, const unsigned char *writes,
+    const double *compute_ns, const double *pref,
+    const unsigned char *hit, const i64 *wb_line, const i64 *stats,
+    i64 n_streams, i64 line_shift, i64 block_shift, i64 n_vaults,
+    i64 banks_pv, double l1_cycle_ns,
+    const i64 *lens, i64 *ints, double *floats)
+{
+    i64 *seg[11];
+    double *fseg[4];
+    for (i64 i = 0, at = 0; i < 11; at += lens[i++]) seg[i] = ints + at;
+    for (i64 i = 0, at = 0; i < 4; at += lens[11 + i++]) fseg[i] = floats + at;
+    i64 *sidx = seg[0], *eoff = seg[1], *block = seg[2], *vault = seg[3],
+        *bank = seg[4], *wblock = seg[5], *wvault = seg[6], *wbank = seg[7],
+        *f0_idx = seg[8], *vault_counts = seg[9], *meta = seg[10];
+    double *dnext = fseg[0], *t0 = fseg[1], *tail = fseg[2],
+           *f0_val = fseg[3];
+    i64 p = 0, q = 0, e = 0, writes_missed = 0, n_wb = 0,
+        total[4] = {0, 0, 0, 0};
+    memset(vault_counts, 0, (size_t)n_vaults * sizeof *vault_counts);
+    eoff[0] = 0;
+    for (i64 s = 0; s < n_streams; s++) {
+        const i64 *st = stats + 4 * s;
+        for (int c = 0; c < 4; c++) total[c] += st[c];
+        if (!st[1]) {
+            f0_idx[q] = s;
+            f0_val[q++] = compute_ns[off[s] + s];
+            continue;
+        }
+        const double *ps = pref + 2 * s + 1;
+        i64 prev = off[s] - 1;
+        for (i64 k = off[s]; k < off[s + 1]; k++) {
+            if (hit[k]) continue;
+            double delta = (ps[k] - ps[prev])
+                + (double)(k - prev - 1) * l1_cycle_ns;
+            if (prev < off[s]) t0[p] = delta;
+            else dnext[e - 1] = delta;
+            route(lines[k], line_shift, block_shift, n_vaults, banks_pv,
+                  vault + e, bank + e, block + e);
+            vault_counts[vault[e]]++;
+            writes_missed += writes[k];
+            i64 wb = wb_line[k] < 0 ? 0 : wb_line[k];
+            route(wb, line_shift, block_shift, n_vaults, banks_pv,
+                  wvault + e, wbank + e, wblock + e);
+            if (wb_line[k] < 0) {
+                wbank[e] = -1;
+            } else {
+                vault_counts[wvault[e]]++;
+                n_wb++;
+            }
+            prev = k;
+            e++;
+        }
+        dnext[e - 1] = 0.0;
+        tail[p] = (ps[off[s + 1]] - ps[prev])
+            + (double)(off[s + 1] - 1 - prev) * l1_cycle_ns;
+        sidx[p++] = s;
+        eoff[p] = e;
+    }
+    meta[0] = n_streams;
+    meta[1] = e - writes_missed;
+    meta[2] = writes_missed + n_wb;
+    meta[3] = total[3];
+    for (int c = 0; c < 4; c++) meta[4 + c] = total[c];
 }
 
 /* ------------------------------------------------ LRU stack distances */

@@ -24,7 +24,7 @@ Its two forms give identical results:
 from __future__ import annotations
 
 import ctypes
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import Callable
 
 import numpy as np
@@ -42,26 +42,25 @@ class LRUClassification:
     concatenated access arrays the classifier was given.  ``hit[k]``
     tells whether access ``k`` hits; ``wb_line[k]`` is the line of the
     dirty victim access ``k`` evicts (-1 when it hits, misses without
-    eviction, or evicts a clean line).  ``stats[i]`` matches stream
-    ``i``'s step-wise :class:`Cache` counters *after* its end-of-kernel
-    :meth:`~repro.nmcsim.cache.Cache.flush`, so ``stats[i].flushes``
-    counts its dirty residents at kernel end, each flushed back once.
+    eviction, or evicts a clean line).  ``stats`` (int64, one row per
+    stream) holds stream ``i``'s step-wise :class:`Cache` counters
+    *after* its end-of-kernel :meth:`~repro.nmcsim.cache.Cache.flush`,
+    in :class:`CacheStats` field order (hits, misses, writebacks,
+    flushes), so ``stats[i, 3]`` counts its dirty residents at kernel
+    end, each flushed back once.
     """
 
     hit: np.ndarray
     wb_line: np.ndarray
-    stats: tuple[CacheStats, ...]
+    stats: np.ndarray
 
     @property
     def nbytes(self) -> int:
-        return self.hit.nbytes + self.wb_line.nbytes
+        return self.hit.nbytes + self.wb_line.nbytes + self.stats.nbytes
 
     def total(self) -> CacheStats:
         """The counters of every stream, summed."""
-        out = CacheStats()
-        for s in self.stats:
-            out.merge(s)
-        return out
+        return CacheStats(*self.stats.sum(axis=0).tolist())
 
 
 def _check_geometry(n_sets: int, ways: int) -> None:
@@ -113,15 +112,15 @@ def classify_steps(
     _check_geometry(n_sets, ways)
     hit = np.empty(len(lines), dtype=bool)
     wb_line = np.empty(len(lines), dtype=np.int64)
-    stats: list[CacheStats] = []
-    for lo, hi in zip(off[:-1].tolist(), off[1:].tolist()):
+    stats = np.empty((len(off) - 1, 4), dtype=np.int64)
+    for i, (lo, hi) in enumerate(zip(off[:-1].tolist(), off[1:].tolist())):
         cache = Cache(n_lines=n_sets * ways, ways=ways)
         hit[lo:hi], wb_line[lo:hi] = cache.classify(
             lines[lo:hi], writes[lo:hi]
         )
         cache.flush()
-        stats.append(cache.stats)
-    return LRUClassification(hit, wb_line, tuple(stats))
+        stats[i] = astuple(cache.stats)
+    return LRUClassification(hit, wb_line, stats)
 
 
 def _classify_streams_cc(lib: native.Library) -> Callable:
@@ -146,9 +145,7 @@ def _classify_streams_cc(lib: native.Library) -> Callable:
             hit.ctypes.data, wb_line.ctypes.data, stats.ctypes.data,
             set_line.ctypes.data, set_dirty.ctypes.data, set_len.ctypes.data,
         )
-        return LRUClassification(
-            hit, wb_line, tuple(CacheStats(*row) for row in stats.tolist())
-        )
+        return LRUClassification(hit, wb_line, stats)
 
     return kernel
 

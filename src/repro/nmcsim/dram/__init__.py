@@ -1,5 +1,5 @@
 """3D-stacked DRAM model: vaults, banks, closed-row timing."""
 
-from .hmc import StackedMemory, VaultStats
+from .hmc import StackedMemory, VaultStats, route_addresses
 
-__all__ = ["StackedMemory", "VaultStats"]
+__all__ = ["StackedMemory", "VaultStats", "route_addresses"]

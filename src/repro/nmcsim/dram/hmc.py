@@ -31,6 +31,30 @@ from ...config import NMCConfig
 from ...obs.trace import HW_TID_VAULT_BASE
 
 
+def route_addresses(
+    addrs: np.ndarray, block_shift: int, n_vaults: int, banks_per_vault: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Map byte addresses to (vault, bank, block) int64 arrays.
+
+    The block id (``2 ** block_shift`` bytes, one row buffer) is hashed
+    with a Fibonacci multiplicative hash before interleaving, so
+    power-of-two strides do not camp on a single vault or bank.  Lines
+    within the same block share a row (the block id), enabling
+    row-buffer hits for streaming.  ``addrs`` must be non-negative byte
+    addresses.  The hash product is taken mod 2**64 (uint64
+    wrap-around); :meth:`StackedMemory.access` keeps only bits 17..48
+    of the exact product, so the two mappings agree.  ``bank`` is the
+    bank's index within its vault.
+    """
+    block = addrs.astype(np.uint64) >> np.uint64(block_shift)
+    folded = (
+        (block * np.uint64(0x9E3779B97F4A7C15)) >> np.uint64(17)
+    ) & np.uint64(0xFFFFFFFF)
+    vault = folded % np.uint64(n_vaults)
+    bank = (folded // np.uint64(n_vaults)) % np.uint64(banks_per_vault)
+    return vault.astype(np.int64), bank.astype(np.int64), block.astype(np.int64)
+
+
 @dataclass
 class VaultStats:
     """Aggregate DRAM statistics after a simulation."""
@@ -93,34 +117,6 @@ class StackedMemory:
         # on the hot path, so symmetric devices take no extra float ops.
         self._wr_extra = timing.t_wr_extra_ns
 
-    def route_array(
-        self, addrs: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Map byte addresses to (vault, bank, block) int64 arrays.
-
-        The block id (row-buffer-sized, 256 B) is hashed with a Fibonacci
-        multiplicative hash before interleaving, so power-of-two strides
-        do not camp on a single vault or bank.  Lines within the same
-        block share a row (the block id), enabling row-buffer hits for
-        streaming.  ``addrs`` must be non-negative byte addresses.  The
-        hash product is taken mod 2**64 (uint64 wrap-around);
-        :meth:`access` keeps only bits 17..48 of the exact product, so
-        the two mappings agree.
-        """
-        block = addrs.astype(np.uint64) >> np.uint64(self._block_shift)
-        folded = (
-            (block * np.uint64(0x9E3779B97F4A7C15)) >> np.uint64(17)
-        ) & np.uint64(0xFFFFFFFF)
-        vault = folded % np.uint64(self.config.n_vaults)
-        bank = (
-            folded // np.uint64(self.config.n_vaults)
-        ) % np.uint64(self.config.banks_per_vault)
-        return (
-            vault.astype(np.int64),
-            bank.astype(np.int64),
-            block.astype(np.int64),
-        )
-
     def add_counts(
         self, *, reads: int = 0, writes: int = 0, vault_counts=None
     ) -> None:
@@ -149,7 +145,7 @@ class StackedMemory:
 
         The logic-layer interconnect hop to the vault and back is added
         here (PEs and vault controllers share the logic layer).  The body
-        fuses routing (the :meth:`route_array` hash), the bank's
+        fuses routing (the :func:`route_addresses` hash), the bank's
         row-buffer timing and the vault bus into one frame.
 
         ``is_writeback`` marks a posted dirty-line writeback — the only

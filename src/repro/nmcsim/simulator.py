@@ -26,7 +26,7 @@ Two engines implement this model with identical results:
   concatenated: one classifier call
   (:mod:`repro.nmcsim.classify`) walks every stream through its own L1
   for hits, misses, writebacks and end-of-kernel flushes, and one
-  vectorized packer turns the misses into phase-B events; then
+  packer call turns the misses into phase-B events; then
   **phase B** runs the exact contention loop over *only* the
   miss/writeback events, with hit latencies folded into the compute
   segments.
@@ -48,8 +48,8 @@ Two further levers sit on top of the fast engine:
   The product's arrays are also what the persistent memo store writes
   and what the phase-B kernel reads, in the same layout.
 * **compiled kernels** — stream digestion is one kernel call per
-  (trace, PE slice), the L1 walk one per point, and
-  the contention loop one multi-point kernel
+  (trace, PE slice), the L1 walk and the event packing one each per
+  point, and the contention loop one multi-point kernel
   (:mod:`repro.nmcsim._native`), invoked once per
   :func:`simulate_batch` call (a single run is a batch of one).  All
   run from the shared kernel library :mod:`repro.native` builds with
@@ -84,7 +84,7 @@ from .. import native
 from . import _native
 from .cache import Cache, CacheStats
 from .classify import LRUClassification, classify_streams
-from .dram import StackedMemory
+from .dram import StackedMemory, route_addresses
 from .energy import compute_energy
 from ..store import FORMAT_VERSION, MemoStore, discard, lru_get_or_build
 from .results import SimulationResult
@@ -355,7 +355,18 @@ def _digest_streams(
 ) -> _Streams:
     """Python form of the ``stream_digests`` kernel.  Threads go
     round-robin onto PEs in tid order; threads sharing a PE execute back
-    to back (time multiplexed), each in program order."""
+    to back (time multiplexed), each in program order.  With more PEs
+    than threads, each thread gets a PE of its own and the rest stay
+    unused (one stream per thread).
+
+    Index contract, which the C form does not check: the three columns
+    have one entry per instruction, at least one (``_simulate`` refuses
+    an empty trace first); every opcode indexes :data:`_LATENCY_LUT`
+    (:meth:`~repro.ir.InstructionTrace.check_opcodes`); ``tid`` is
+    uint16, so the C form's per-thread scratch, sized ``tid.max() + 1``,
+    has at most 65536 slots however sparse the ids; ``n_pes >= 1``,
+    ``issue_width >= 1`` and ``0 <= line_shift < 64``.
+    """
     rank = np.unique(tid, return_inverse=True)[1]
     pe_of = rank % n_pes
     order = np.lexsort((rank, pe_of))  # stable: PE, thread rank, program
@@ -486,6 +497,144 @@ class _PhaseA:
     @property
     def nbytes(self) -> int:
         return self.lens.nbytes + self.ints.nbytes + self.floats.nbytes
+
+
+def _pack_events(
+    streams: _Streams, cls: LRUClassification, *, line_shift: int,
+    block_shift: int, n_vaults: int, banks_per_vault: int, l1_cycle_ns: float,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Python form of the ``pack_events`` kernel: one point's phase-A
+    product ``(lens, ints, floats)`` (see :class:`_PhaseA`).
+
+    One vectorized pass over the concatenated streams computes
+    everything deterministic: issue-gap deltas (the exact
+    :meth:`_PEStream.issue_ns` operations, element by element), DRAM
+    routing (the stateless Fibonacci hash of
+    :func:`~repro.nmcsim.dram.hmc.route_addresses`, for misses and
+    victims alike) and the order-independent traffic totals.  Only
+    bank/bus timing is left for phase B.  The C form sizes both arrays
+    from ``cls.stats`` and fills every segment in place, in one pass.
+
+    Index contract, which the C form does not check: ``streams`` has
+    the :class:`_Streams` layout (``off`` rises from 0 to
+    ``len(lines)``; ``writes`` is as long as ``lines``, ``compute_ns``
+    has ``len(lines) + n_streams`` entries and ``pref`` ``len(lines) +
+    2 * n_streams``) and ``cls`` is its classification: ``hit`` and
+    ``wb_line`` as long as ``lines``, ``stats`` one row per stream
+    whose misses column counts that stream's false ``hit`` entries.
+    ``0 <= line_shift, block_shift < 64`` and ``n_vaults``,
+    ``banks_per_vault >= 1``; every routed vault and bank is reduced
+    modulo those counts, so ``vault_counts`` (``n_vaults`` slots) and
+    the bank indices stay in range.  Zero streams, streams without
+    memory ops and one-access streams are valid.
+    """
+    shift = np.uint64(line_shift)
+    off, pref = streams.off, streams.pref
+    # Misses by concatenated op index k, and the stream i owning
+    # each; op k's prefix sum pref[k - off[i] + 1] of stream i sits
+    # at pref[k + 2 i + 1] of the concatenation.
+    miss = np.flatnonzero(~cls.hit)
+    owner = np.searchsorted(off, miss, side="right") - 1
+    n_miss = np.bincount(owner, minlength=len(streams))
+    sidx = np.flatnonzero(n_miss)
+    ev_off = np.zeros(len(sidx) + 1, dtype=np.int64)
+    np.cumsum(n_miss[sidx], out=ev_off[1:])
+    first, last = ev_off[:-1], ev_off[1:] - 1
+
+    # Deterministic gap from the previous miss completion (op -1 for
+    # a stream's first miss) to this miss's issue: the in-between
+    # compute segments plus one L1 cycle per intervening hit.
+    prev = np.empty_like(miss)
+    prev[1:] = miss[:-1]
+    prev[first] = off[sidx] - 1
+    comp = pref[miss + 2 * owner + 1] - pref[prev + 2 * owner + 1]
+    delta = comp + (miss - prev - 1) * l1_cycle_ns
+    dnext = np.empty(len(miss), dtype=np.float64)
+    dnext[:-1] = delta[1:]
+    dnext[last] = 0.0
+    last_miss = miss[last]
+    tail = (
+        pref[off[sidx + 1] + 2 * sidx + 1]
+        - pref[last_miss + 2 * sidx + 1]
+    ) + (off[sidx + 1] - 1 - last_miss) * l1_cycle_ns
+
+    # Every L1 starts empty, so only a stream without memory ops has
+    # no miss; it finishes after its one compute segment.
+    quiet = np.flatnonzero(n_miss == 0)
+    finish0 = streams.compute_ns[off[quiet] + quiet]
+
+    def route(lines):
+        addrs = lines.astype(np.uint64) << shift
+        return route_addresses(addrs, block_shift, n_vaults, banks_per_vault)
+
+    mv, mb, mblk = route(streams.lines[miss])
+    wb = cls.wb_line[miss]
+    has_wb = wb >= 0
+    wv, wbk, wblk = route(np.where(has_wb, wb, 0))
+    # DRAM traffic totals are order-independent: count them once
+    # here rather than per event.
+    miss_writes = int(np.count_nonzero(streams.writes[miss]))
+    stats = cls.total()
+    meta = [
+        len(streams), len(miss) - miss_writes,
+        miss_writes + int(np.count_nonzero(has_wb)), stats.flushes,
+        stats.hits, stats.misses, stats.writebacks, stats.flushes,
+    ]
+    seg = {
+        "sidx": sidx, "off": ev_off,
+        "block": mblk, "vault": mv, "bank": mv * banks_per_vault + mb,
+        "wblock": wblk, "wvault": wv,
+        "wbank": np.where(has_wb, wv * banks_per_vault + wbk, -1),
+        "f0_idx": quiet,
+        "vault_counts": np.bincount(mv, minlength=n_vaults)
+        + np.bincount(wv[has_wb], minlength=n_vaults),
+        "meta": np.array(meta, dtype=np.int64),
+        "dnext": dnext, "t0": delta[first], "tail": tail,
+        "f0_val": finish0,
+    }
+    return (
+        np.array([len(seg[name]) for name in _SEGS], dtype=np.int64),
+        np.concatenate([seg[name] for name in _INT_SEGS]),
+        np.concatenate([seg[name] for name in _FLOAT_SEGS]),
+    )
+
+
+def _pack_events_cc(lib: native.Library):
+    fn = lib.pack_events
+    fn.restype = None
+    fn.argtypes = [ctypes.c_void_p] * 8 + [ctypes.c_int64] * 5 + [
+        ctypes.c_double] + [ctypes.c_void_p] * 3
+
+    def kernel(streams, cls, *, line_shift, block_shift, n_vaults,
+               banks_per_vault, l1_cycle_ns):
+        misses = cls.stats[:, 1]
+        n_events = int(misses.sum())
+        n_packed = int(np.count_nonzero(misses))
+        n_quiet = len(misses) - n_packed
+        size = {
+            "sidx": n_packed, "off": n_packed + 1, "f0_idx": n_quiet,
+            "vault_counts": n_vaults, "meta": _META_LEN,
+            "t0": n_packed, "tail": n_packed, "f0_val": n_quiet,
+        }
+        n = [size.get(name, n_events) for name in _SEGS]
+        lens = np.array(n, dtype=np.int64)
+        ints = np.empty(sum(n[:len(_INT_SEGS)]), dtype=np.int64)
+        floats = np.empty(sum(n[len(_INT_SEGS):]), dtype=np.float64)
+        fn(
+            streams.off.ctypes.data, streams.lines.ctypes.data,
+            streams.writes.ctypes.data, streams.compute_ns.ctypes.data,
+            streams.pref.ctypes.data, cls.hit.ctypes.data,
+            cls.wb_line.ctypes.data, cls.stats.ctypes.data,
+            len(misses), line_shift, block_shift, n_vaults,
+            banks_per_vault, l1_cycle_ns,
+            lens.ctypes.data, ints.ctypes.data, floats.ctypes.data,
+        )
+        return lens, ints, floats
+
+    return kernel
+
+
+native.register("pack_events", _pack_events, _pack_events_cc)
 
 
 def _check_routing(product: _PhaseA, cfg: NMCConfig) -> None:
@@ -819,89 +968,6 @@ class NMCSimulator:
 
     # ------------------------------------------------------- fast engine
 
-    def _build_events(
-        self,
-        streams: _Streams,
-        cls: LRUClassification,
-        memory: StackedMemory,
-    ) -> dict[str, np.ndarray]:
-        """Every :data:`_SEGS` segment of the phase-A product, by name.
-
-        One vectorized pass over the concatenated streams computes
-        everything deterministic: issue-gap deltas (the exact
-        :meth:`_PEStream.issue_ns` operations, element by element), DRAM
-        routing (the Fibonacci hash is stateless, so ``route_array``
-        covers misses and victims alike) and the order-independent
-        traffic totals.  Only bank/bus timing is left for phase B.
-        """
-        cfg = self.config
-        shift = np.uint64(cfg.line_bytes.bit_length() - 1)
-        l1_cycle_ns = cfg.cycle_ns
-        banks_pv = cfg.banks_per_vault
-        off, pref = streams.off, streams.pref
-        # Misses by concatenated op index k, and the stream i owning
-        # each; op k's prefix sum pref[k - off[i] + 1] of stream i sits
-        # at pref[k + 2 i + 1] of the concatenation.
-        miss = np.flatnonzero(~cls.hit)
-        owner = np.searchsorted(off, miss, side="right") - 1
-        n_miss = np.bincount(owner, minlength=len(streams))
-        sidx = np.flatnonzero(n_miss)
-        ev_off = np.zeros(len(sidx) + 1, dtype=np.int64)
-        np.cumsum(n_miss[sidx], out=ev_off[1:])
-        first, last = ev_off[:-1], ev_off[1:] - 1
-
-        # Deterministic gap from the previous miss completion (op -1 for
-        # a stream's first miss) to this miss's issue: the in-between
-        # compute segments plus one L1 cycle per intervening hit.
-        prev = np.empty_like(miss)
-        prev[1:] = miss[:-1]
-        prev[first] = off[sidx] - 1
-        comp = pref[miss + 2 * owner + 1] - pref[prev + 2 * owner + 1]
-        delta = comp + (miss - prev - 1) * l1_cycle_ns
-        dnext = np.empty(len(miss), dtype=np.float64)
-        dnext[:-1] = delta[1:]
-        dnext[last] = 0.0
-        last_miss = miss[last]
-        tail = (
-            pref[off[sidx + 1] + 2 * sidx + 1]
-            - pref[last_miss + 2 * sidx + 1]
-        ) + (off[sidx + 1] - 1 - last_miss) * l1_cycle_ns
-
-        # Every L1 starts empty, so only a stream without memory ops has
-        # no miss; it finishes after its one compute segment.
-        quiet = np.flatnonzero(n_miss == 0)
-        finish0 = streams.compute_ns[off[quiet] + quiet]
-
-        mv, mb, mblk = memory.route_array(
-            streams.lines[miss].astype(np.uint64) << shift
-        )
-        wb = cls.wb_line[miss]
-        has_wb = wb >= 0
-        wv, wbk, wblk = memory.route_array(
-            np.where(has_wb, wb, 0).astype(np.uint64) << shift
-        )
-        # DRAM traffic totals are order-independent: count them once
-        # here rather than per event.
-        miss_writes = int(np.count_nonzero(streams.writes[miss]))
-        stats = cls.total()
-        meta = [
-            len(streams), len(miss) - miss_writes,
-            miss_writes + int(np.count_nonzero(has_wb)), stats.flushes,
-            stats.hits, stats.misses, stats.writebacks, stats.flushes,
-        ]
-        return {
-            "sidx": sidx, "off": ev_off,
-            "block": mblk, "vault": mv, "bank": mv * banks_pv + mb,
-            "wblock": wblk, "wvault": wv,
-            "wbank": np.where(has_wb, wv * banks_pv + wbk, -1),
-            "f0_idx": quiet,
-            "vault_counts": np.bincount(mv, minlength=cfg.n_vaults)
-            + np.bincount(wv[has_wb], minlength=cfg.n_vaults),
-            "meta": np.array(meta, dtype=np.int64),
-            "dnext": dnext, "t0": delta[first], "tail": tail,
-            "f0_val": finish0,
-        }
-
     def _compute_phase_a(self, trace: InstructionTrace) -> _PhaseA:
         """Run phase A from scratch: digest, classify, pack events.
 
@@ -929,14 +995,14 @@ class NMCSimulator:
                 ),
             )
         with m.timer("phase.simulate.classify.pack"):
-            # Routing only reads immutable geometry, so a throwaway
-            # memory instance serves.
-            seg = self._build_events(streams, cls, StackedMemory(cfg))
-            return _PhaseA(
-                np.array([len(seg[name]) for name in _SEGS], dtype=np.int64),
-                np.concatenate([seg[name] for name in _INT_SEGS]),
-                np.concatenate([seg[name] for name in _FLOAT_SEGS]),
-            )
+            return _PhaseA(*native.resolve("pack_events")[0](
+                streams, cls,
+                line_shift=cfg.line_bytes.bit_length() - 1,
+                block_shift=cfg.row_buffer_bytes.bit_length() - 1,
+                n_vaults=cfg.n_vaults,
+                banks_per_vault=cfg.banks_per_vault,
+                l1_cycle_ns=cfg.cycle_ns,
+            ))
 
     def _phase_a(self, trace: InstructionTrace) -> _PhaseA:
         """The phase-A product, via the memo stack.

@@ -4,7 +4,8 @@ Every kernel's C form must equal its pure-Python form (the oracle) on
 drawn inputs: the ILP depths over drawn traces, the LRU stack distances
 over drawn keys (both sides of the oracle's move-to-front / Fenwick
 switch), phase A's stream digests over drawn multi-thread traces and PE
-slices, phase A's L1 walk over drawn multi-stream batches, whole
+slices, phase A's L1 walk over drawn multi-stream batches, phase A's
+event packer over drawn boundary points, whole
 regression trees over drawn tie-heavy matrices (and their C replay of
 ``Generator.choice`` over every numpy bit generator), and the trace fill
 over drawn builder actions.  Whole traces and profiles of all twelve
@@ -14,6 +15,7 @@ concurrent cold processes share one object.
 """
 
 import ctypes
+import functools
 import logging
 import shutil
 import subprocess
@@ -35,6 +37,8 @@ from repro.ml import RandomForestRegressor, RegressionTree
 from repro.ml import tree as tree_module
 from repro.nmcsim import classify_steps, classify_streams
 from repro.nmcsim._native import COLUMNS
+from repro.nmcsim.dram import route_addresses
+from repro.nmcsim.simulator import _PhaseA, _Streams
 from repro.profiler import analyze_trace
 from repro.profiler.features import ILP_WINDOWS
 
@@ -255,7 +259,7 @@ class TestClassifyKernel:
         )
         np.testing.assert_array_equal(got.hit, want.hit)
         np.testing.assert_array_equal(got.wb_line, want.wb_line)
-        assert got.stats == want.stats
+        assert np.array_equal(got.stats, want.stats)
         assert len(got.stats) == len(off) - 1
 
     @DIFF_SETTINGS
@@ -267,7 +271,7 @@ class TestClassifyKernel:
         want = classify_steps(lines, writes, off, n_sets=n_sets, ways=ways)
         np.testing.assert_array_equal(got.hit, want.hit)
         np.testing.assert_array_equal(got.wb_line, want.wb_line)
-        assert got.stats == want.stats
+        assert np.array_equal(got.stats, want.stats)
         assert len(got.stats) == len(off) - 1
 
     @pytest.mark.parametrize("n_sets, ways", [(0, 2), (2, 0), (-1, -1)])
@@ -402,6 +406,40 @@ def digest_inputs(draw):
     return (opcode, addr, tid), kwargs
 
 
+@st.composite
+def digest_boundaries(draw):
+    """Boundary traces of the stream digests: one instruction, no memory
+    ops at all, sparse thread ids up to 65535 (the largest a uint16 tid
+    holds, which sizes the per-thread scratch), and PE slices of one PE
+    and of more PEs than threads."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["one", "compute", "sparse"]))
+    n_tids = 1 if kind == "one" else draw(st.integers(1, 6))
+    tids = set(draw(st.lists(
+        st.sampled_from([0, 1, 255, 256, 65534, 65535]),
+        min_size=n_tids, max_size=n_tids,
+    )))
+    if kind == "sparse":
+        tids.add(65535)
+    pool = _COMPUTE_OPS if kind == "compute" else _COMPUTE_OPS + _MEMORY_OPS
+    n = 1 if kind == "one" else draw(st.integers(len(tids), 60))
+    tid = rng.permutation(
+        np.concatenate((sorted(tids), rng.choice(sorted(tids), n - len(tids))))
+    ).astype(np.uint16)
+    opcode = rng.choice(pool, size=n).astype(np.uint8)
+    addr = rng.integers(0, 2**64 - 1, size=n, dtype=np.uint64, endpoint=True)
+    n_pes = draw(st.one_of(
+        st.just(1), st.integers(len(tids) + 1, len(tids) + 64)
+    ))
+    kwargs = dict(
+        n_pes=n_pes,
+        cycle_ns=1.0 / draw(st.sampled_from([1.1, 1.25, 3.0])),
+        line_shift=draw(st.integers(0, 63)),
+        issue_width=draw(st.integers(1, 4)),
+    )
+    return (opcode, addr, tid), kwargs
+
+
 class TestStreamDigestKernel:
     @DIFF_SETTINGS
     @given(args=digest_inputs())
@@ -415,6 +453,110 @@ class TestStreamDigestKernel:
             a, b = getattr(got, name), getattr(want, name)
             assert a.dtype == b.dtype, name
             assert a.tobytes() == b.tobytes(), name
+
+    @DIFF_SETTINGS
+    @given(args=digest_boundaries())
+    def test_boundary_inputs_match_python_form(self, args):
+        cc, python = forms("stream_digests")
+        cols, kwargs = args
+        got, want = (form(*cols, **kwargs) for form in (cc, python))
+        assert got.pe == want.pe
+        assert got.n_instructions == want.n_instructions
+        assert len(got) == min(kwargs["n_pes"], len(np.unique(cols[2])))
+        for name in ("off", "lines", "writes", "compute_ns", "pref"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype, name
+            assert a.tobytes() == b.tobytes(), name
+
+
+# ------------------------------------------------- phase-A event packer
+
+@functools.lru_cache(maxsize=None)
+def last_bank_lines(line_shift, block_shift, n_vaults, banks_per_vault):
+    """Lines that route to the last bank of the last vault."""
+    lines = np.arange(2**18, dtype=np.int64)
+    vault, bank, _ = route_addresses(
+        lines.astype(np.uint64) << np.uint64(line_shift), block_shift,
+        n_vaults, banks_per_vault,
+    )
+    edge = lines[(vault == n_vaults - 1) & (bank == banks_per_vault - 1)]
+    assert len(edge), "no line reaches the last bank"
+    return edge
+
+
+@st.composite
+def pack_boundaries(draw):
+    """Boundary points of the phase-A packer: zero streams, streams
+    without memory ops, one-access streams, streams whose every access
+    after the first hits, lines (and so dirty victims) routed to the
+    last vault and bank, and the extreme int64 line ids."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    line_shift = draw(st.integers(0, 8))
+    geometry = dict(
+        line_shift=line_shift,
+        block_shift=line_shift + draw(st.integers(0, 4)),
+        n_vaults=draw(st.integers(1, 32)),
+        banks_per_vault=draw(st.integers(1, 16)),
+        l1_cycle_ns=draw(st.sampled_from([0.0, 0.5, 0.8, 1.0 / 3.0])),
+    )
+    edge = last_bank_lines(*(geometry[k] for k in (
+        "line_shift", "block_shift", "n_vaults", "banks_per_vault"
+    )))
+    extremes = [np.iinfo(np.int64).min, np.iinfo(np.int64).max]
+    lines, writes, compute = [], [], []
+    for _ in range(draw(st.integers(0, 5))):
+        kind = draw(st.sampled_from(
+            ["quiet", "one", "repeat", "edge", "mixed"]
+        ))
+        n = {"quiet": 0, "one": 1}.get(kind, draw(st.integers(2, 40)))
+        if kind == "repeat":
+            part = np.full(n, draw(st.sampled_from([0, 7, *extremes])))
+        elif kind == "edge":
+            part = rng.choice(edge, size=n)
+        else:
+            part = rng.choice(
+                np.concatenate((edge[:4], np.arange(12), extremes)), size=n
+            )
+        lines.append(part)
+        writes.append(rng.random(n) < 0.5)
+        compute.append(rng.choice([0.0, 0.8, 2.5, 1.0 / 3.0], size=n + 1))
+    off = np.zeros(len(lines) + 1, dtype=np.int64)
+    np.cumsum([len(x) for x in lines], dtype=np.int64, out=off[1:])
+    cat = (
+        lambda parts, dtype:
+        np.concatenate(parts).astype(dtype) if parts else np.empty(0, dtype)
+    )
+    streams = _Streams(
+        list(range(len(lines))), [len(x) + 3 for x in lines], off,
+        cat(lines, np.int64), cat(writes, bool), cat(compute, np.float64),
+        cat([np.concatenate(([0.0], np.cumsum(c))) for c in compute],
+            np.float64),
+    )
+    cls = classify_steps(
+        streams.lines, streams.writes, off,
+        n_sets=draw(st.integers(1, 4)), ways=draw(st.integers(1, 4)),
+    )
+    return streams, cls, geometry
+
+
+class TestPackKernel:
+    @DIFF_SETTINGS
+    @given(point=pack_boundaries())
+    def test_boundary_inputs_match_python_form(self, point):
+        cc, python = forms("pack_events")
+        streams, cls, geometry = point
+        got, want = (form(streams, cls, **geometry) for form in (cc, python))
+        for a, b, name in zip(got, want, ("lens", "ints", "floats")):
+            assert a.dtype == b.dtype, name
+            assert a.tobytes() == b.tobytes(), name
+        product = _PhaseA(*got)
+        n_banks = geometry["n_vaults"] * geometry["banks_per_vault"]
+        assert product.vault_counts.sum() == (
+            len(product.block) + np.count_nonzero(product.wbank >= 0)
+        )
+        assert np.all((0 <= product.bank) & (product.bank < n_banks))
+        assert np.all((-1 <= product.wbank) & (product.wbank < n_banks))
+        assert len(product.sidx) + len(product.f0_idx) == len(streams)
 
 
 # ------------------------------------------------------------ CART trees

@@ -3,7 +3,7 @@
 Every access goes through ``StackedMemory.access``, which adds one
 logic-layer hop on the way to the vault and one on the way back, so a
 request issued at ``t`` sees bank/bus time plus ``2 * hop_ns``.
-Addresses are picked with ``route_array`` to land on the bank or vault
+Addresses are picked with ``route_addresses`` to land on the bank or vault
 each behaviour needs.
 """
 
@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from repro.config import DRAMTiming, default_nmc_config
-from repro.nmcsim.dram import StackedMemory
+from repro.nmcsim.dram import StackedMemory, route_addresses
 
 
 TIMING = DRAMTiming()
@@ -23,10 +23,19 @@ def memory(timing: DRAMTiming = TIMING) -> StackedMemory:
     return StackedMemory(default_nmc_config().replace(timing=timing))
 
 
+def route(mem: StackedMemory, addrs: np.ndarray):
+    """(vault, bank, block) of byte addresses on ``mem``'s geometry."""
+    cfg = mem.config
+    return route_addresses(
+        addrs, cfg.row_buffer_bytes.bit_length() - 1, cfg.n_vaults,
+        cfg.banks_per_vault,
+    )
+
+
 def routes(mem: StackedMemory, n_blocks: int = 4096):
     """(addrs, vault, bank, block) for the first ``n_blocks`` blocks."""
     addrs = np.arange(n_blocks, dtype=np.uint64) * np.uint64(BLOCK)
-    return (addrs, *mem.route_array(addrs))
+    return (addrs, *route(mem, addrs))
 
 
 def same_bank_pair(mem: StackedMemory) -> tuple[int, int]:
@@ -143,22 +152,22 @@ class TestStackedMemory:
         addrs = np.array(
             [0, 64, 4096, 1 << 20, (1 << 31) + 192], dtype=np.uint64
         )
-        vault, bank, row = self.mem.route_array(addrs)
+        vault, bank, row = route(self.mem, addrs)
         assert ((0 <= vault) & (vault < cfg.n_vaults)).all()
         assert ((0 <= bank) & (bank < cfg.banks_per_vault)).all()
-        for again, first in zip(self.mem.route_array(addrs), (vault, bank, row)):
+        for again, first in zip(route(self.mem, addrs), (vault, bank, row)):
             assert np.array_equal(again, first)
 
     def test_same_block_same_route(self):
         # Two lines in the same 256 B block share vault/bank/row.
-        routed = self.mem.route_array(np.array([0, 192], dtype=np.uint64))
+        routed = route(self.mem, np.array([0, 192], dtype=np.uint64))
         for column in routed:
             assert column[0] == column[1]
 
     def test_hashing_spreads_power_of_two_strides(self):
         """Strided access (the bp weight walk) must not camp on one vault."""
         addrs = np.arange(256, dtype=np.uint64) * np.uint64(48 * 1024)
-        vaults, _, _ = self.mem.route_array(addrs)
+        vaults, _, _ = route(self.mem, addrs)
         assert np.bincount(vaults).max() < 0.2 * len(vaults)
 
     def test_access_counts_reads_writes(self):

@@ -40,6 +40,9 @@ WORKLOADS = [
 
 BACKENDS = ["hmc", "hbm2", "ddr4-channel", "nand-nmc"]
 
+#: Columns of a classification's per-stream ``stats`` rows.
+HITS, MISSES, WRITEBACKS, FLUSHES = range(4)
+
 
 def result_dict(result):
     """Canonical JSON form — the strictest practical equality."""
@@ -54,7 +57,7 @@ def small_trace(name, *, scale=6.0, seed=3):
 def assert_classifications_equal(a, b):
     np.testing.assert_array_equal(a.hit, b.hit)
     np.testing.assert_array_equal(a.wb_line, b.wb_line)
-    assert a.stats == b.stats
+    assert np.array_equal(a.stats, b.stats)
 
 
 def classify_one(monkeypatch, lines, writes, *, n_sets, ways):
@@ -98,10 +101,10 @@ class TestClassifierGolden:
         )
         np.testing.assert_array_equal(cls.wb_line, [-1, -1, -1, b, a])
         (stats,) = cls.stats
-        assert stats.hits == 1
-        assert stats.misses == 4
-        assert stats.writebacks == 3  # two evictions + one flush
-        assert stats.flushes == 1
+        assert stats[HITS] == 1
+        assert stats[MISSES] == 4
+        assert stats[WRITEBACKS] == 3  # two evictions + one flush
+        assert stats[FLUSHES] == 1
 
     def test_direct_mapped_single_set(self, monkeypatch):
         # W 3, R 3, R 5, W 3 against one direct-mapped line:
@@ -112,8 +115,8 @@ class TestClassifierGolden:
         cls = classify_one(monkeypatch, lines, writes, n_sets=1, ways=1)
         np.testing.assert_array_equal(cls.hit, [False, True, False, False])
         np.testing.assert_array_equal(cls.wb_line, [-1, -1, 3, -1])
-        assert cls.stats[0].writebacks == 2
-        assert cls.stats[0].flushes == 1
+        assert cls.stats[0, WRITEBACKS] == 2
+        assert cls.stats[0, FLUSHES] == 1
 
     def test_two_way_thrash_never_hits(self, monkeypatch):
         # Cyclic A, B, C through a 2-way set: classic LRU worst case.
@@ -121,8 +124,8 @@ class TestClassifierGolden:
         writes = np.zeros(len(lines), dtype=bool)
         cls = classify_one(monkeypatch, lines, writes, n_sets=1, ways=2)
         assert not cls.hit.any()
-        assert cls.stats[0].writebacks == 0
-        assert cls.stats[0].flushes == 0
+        assert cls.stats[0, WRITEBACKS] == 0
+        assert cls.stats[0, FLUSHES] == 0
 
     def test_sets_are_independent(self, monkeypatch):
         # Lines 0 and 1 land in different sets of a 2-set cache; the
@@ -140,14 +143,14 @@ class TestClassifierGolden:
             n_sets=2, ways=2,
         )
         assert len(empty.hit) == 0
-        assert empty.stats[0].misses == 0
+        assert empty.stats[0, MISSES] == 0
         one = classify_one(
             monkeypatch, np.array([7], dtype=np.int64), np.array([True]),
             n_sets=2, ways=2,
         )
         np.testing.assert_array_equal(one.hit, [False])
-        assert one.stats[0].flushes == 1
-        assert one.stats[0].writebacks == 1  # the flush
+        assert one.stats[0, FLUSHES] == 1
+        assert one.stats[0, WRITEBACKS] == 1  # the flush
 
     def test_rejects_invalid_geometry(self, monkeypatch):
         lines = np.array([1, 2], dtype=np.int64)
@@ -167,7 +170,7 @@ class TestClassifierGolden:
             cls = classify_one(monkeypatch, lines, writes, n_sets=4, ways=ways)
             np.testing.assert_array_equal(cls.hit, o_hit)
             np.testing.assert_array_equal(cls.wb_line, o_wb)
-            assert cls.stats[0].flushes == len(o_flush)
+            assert cls.stats[0, FLUSHES] == len(o_flush)
 
 
 # ----------------------------------------------------- classifier property
@@ -230,10 +233,10 @@ class TestClassifierProperty:
         np.testing.assert_array_equal(got.hit, o_hit)
         np.testing.assert_array_equal(got.wb_line, o_wb)
         (stats,) = got.stats
-        assert stats.hits == int(o_hit.sum())
-        assert stats.misses == len(lines) - int(o_hit.sum())
-        assert stats.flushes == len(o_flush)
-        assert stats.writebacks == int((o_wb >= 0).sum()) + len(o_flush)
+        assert stats[HITS] == int(o_hit.sum())
+        assert stats[MISSES] == len(lines) - int(o_hit.sum())
+        assert stats[FLUSHES] == len(o_flush)
+        assert stats[WRITEBACKS] == int((o_wb >= 0).sum()) + len(o_flush)
 
     def test_all_writes_and_all_reads(self, monkeypatch):
         rng = np.random.default_rng(5)
@@ -243,7 +246,7 @@ class TestClassifierProperty:
             o_hit, o_wb, o_flush = stackdist_oracle(lines, writes, 2, 2)
             np.testing.assert_array_equal(got.hit, o_hit)
             np.testing.assert_array_equal(got.wb_line, o_wb)
-            assert got.stats[0].flushes == len(o_flush)
+            assert got.stats[0, FLUSHES] == len(o_flush)
 
 
 # ------------------------------------------------------- engine selection
