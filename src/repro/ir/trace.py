@@ -7,11 +7,14 @@ immutable once built (use :class:`repro.ir.builder.TraceBuilder` to build).
 
 from __future__ import annotations
 
+import ctypes
 from collections.abc import Iterator, Sequence
 from functools import cached_property
+from typing import Callable, NamedTuple
 
 import numpy as np
 
+from .. import native
 from ..errors import TraceError
 from .instructions import MEMORY_OPCODES, NO_REG, Instruction, Opcode
 
@@ -150,7 +153,7 @@ class InstructionTrace:
     def thread_count(self) -> int:
         got = self._memo.get("thread_count")
         if got is None:
-            got = self._memo["thread_count"] = len(dense_ids(self.tid)[0])
+            got = self._memo["thread_count"] = _thread_count(self.tid)
         return got
 
     def check_opcodes(self) -> None:
@@ -248,41 +251,131 @@ class InstructionTrace:
         return cls(**cols)
 
 
-class TraceColumns:
-    """Derived columns of one trace, each built once on first use; they
-    live as long as the table (only scalars go on the trace's memo)."""
+def _thread_count(tid: np.ndarray) -> int:
+    """Distinct thread ids of a uint16 ``tid`` column."""
+    return int(np.count_nonzero(np.bincount(tid)))
 
-    def __init__(self, trace: InstructionTrace) -> None:
+
+class _Columns(NamedTuple):
+    """Every derived column of one trace: the ``trace_columns`` kernel's
+    product (see :class:`TraceColumns` for each column)."""
+
+    memory_mask: np.ndarray
+    accesses: tuple[np.ndarray, np.ndarray, np.ndarray]
+    registers: tuple[np.ndarray, int, int]
+    pcs: tuple[np.ndarray, int]
+    lines: tuple[np.ndarray, np.ndarray, np.ndarray]
+    thread_count: int
+
+
+def _trace_columns_py(trace: InstructionTrace, line_shift: int) -> _Columns:
+    """Python form of the ``trace_columns`` kernel (the oracle)."""
+    accesses = trace.memory_accesses()
+    uniq, _first, ids = dense_ids(np.concatenate((trace.dst, trace.src1, trace.src2)))
+    negative = int(np.searchsorted(uniq, 0))
+    ids = np.maximum(ids - negative, -1).reshape(3, -1)
+    registers = (ids, len(uniq) - negative, int(np.count_nonzero(uniq != NO_REG)))
+    uniq, _first, ids = dense_ids(trace.pc)
+    return _Columns(
+        trace.memory_mask, accesses, registers, (ids, len(uniq)),
+        dense_ids(accesses[0] >> np.uint64(line_shift)), _thread_count(trace.tid),
+    )
+
+
+#: Per-opcode kind bits of the C kernel: bit 0 a memory op, bit 1 a write.
+_KIND = (_IS_MEMORY | (_IS_WRITE << 1)).astype(np.uint8)
+
+
+def _trace_columns_cc(lib: native.Library) -> Callable:
+    fn = lib.trace_columns
+    fn.restype = ctypes.c_int64
+    fn.argtypes = (
+        [ctypes.c_void_p] * 8 + [ctypes.c_int64, ctypes.c_void_p]
+        + [ctypes.c_int64] * 3 + [ctypes.c_void_p] * 10
+    )
+
+    def kernel(trace: InstructionTrace, line_shift: int) -> _Columns:
+        n = len(trace)
+        if line_shift > 63:
+            return _trace_columns_py(trace, line_shift)
+        mask, write = np.empty(n, dtype=bool), np.empty(n, dtype=bool)
+        addrs, uniq = np.empty(n, dtype=np.uint64), np.empty(n, dtype=np.uint64)
+        sizes = np.empty(n, dtype=np.uint16)
+        regs = np.empty((3, n), dtype=np.int64)
+        pcs, first, ids = (np.empty(n, dtype=np.int64) for _ in range(3))
+        counts = np.empty(6, dtype=np.int64)
+        status = fn(
+            *(getattr(trace, name).ctypes.data for name in TRACE_COLUMNS), n,
+            _KIND.ctypes.data, line_shift, _TABLE_SPAN * 3 * n, _TABLE_SPAN * n,
+            *(a.ctypes.data for a in (
+                mask, addrs, sizes, write, regs, pcs, uniq, first, ids, counts,
+            )),
+        )
+        if status:  # a span too wide for a table, or out of memory
+            return _trace_columns_py(trace, line_shift)
+        m, n_regs, distinct, n_pcs, n_lines, threads = counts.tolist()
+        return _Columns(
+            mask, (addrs[:m], sizes[:m], write[:m]), (regs, n_regs, distinct),
+            (pcs, n_pcs),
+            (uniq[:n_lines].copy(), first[:n_lines].copy(), ids[:m]), threads,
+        )
+
+    return kernel
+
+
+native.register("trace_columns", _trace_columns_py, _trace_columns_cc)
+
+
+class TraceColumns:
+    """Derived columns of one trace, all built together on first use by
+    the ``trace_columns`` kernel, cache lines at ``line_bytes``; they live
+    as long as the table (only scalars go on the trace's memo: the thread
+    count and the line count of each line size).
+
+    Index contract of the kernel, which its C form does not check: the
+    trace's columns are equally long and typed as :data:`TRACE_COLUMNS`
+    (an :class:`InstructionTrace` guarantees both).  Any register, pc,
+    tid and address value is valid; a register or pc range wider than
+    ``_TABLE_SPAN`` times its value count runs the Python form.
+    """
+
+    def __init__(self, trace: InstructionTrace, line_bytes: int = 64) -> None:
         self.trace = trace
+        self.line_shift = line_bytes.bit_length() - 1
         self._lines: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
     @cached_property
-    def memory_mask(self) -> np.ndarray:
-        return self.trace.memory_mask
+    def _table(self) -> _Columns:
+        got = native.resolve("trace_columns")[0](self.trace, self.line_shift)
+        memo = self.trace._memo
+        memo["thread_count"] = got.thread_count
+        memo[("footprint_lines", self.line_shift)] = len(got.lines[0])
+        return got
 
-    @cached_property
+    @property
+    def memory_mask(self) -> np.ndarray:
+        return self._table.memory_mask
+
+    @property
     def accesses(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(addresses, sizes, is_write) of the memory instructions."""
-        return self.trace.memory_accesses()
+        return self._table.accesses
 
-    @cached_property
+    @property
     def registers(self) -> tuple[np.ndarray, int, int]:
         """Dense dst/src1/src2 ids (rows; -1: none), table size, distinct regs."""
-        t = self.trace
-        uniq, _first, ids = dense_ids(np.concatenate((t.dst, t.src1, t.src2)))
-        negative = int(np.searchsorted(uniq, 0))
-        ids = np.maximum(ids - negative, -1).reshape(3, -1)
-        return ids, len(uniq) - negative, int(np.count_nonzero(uniq != NO_REG))
+        return self._table.registers
 
-    @cached_property
+    @property
     def pcs(self) -> tuple[np.ndarray, int]:
         """Dense pc ids and the number of distinct pcs."""
-        uniq, _first, ids = dense_ids(self.trace.pc)
-        return ids, len(uniq)
+        return self._table.pcs
 
     def lines(self, line_bytes: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """dense_ids of the accesses' cache lines; memoises footprint_lines."""
         shift = line_bytes.bit_length() - 1
+        if shift == self.line_shift:
+            return self._table.lines
         if shift not in self._lines:
             got = self._lines[shift] = dense_ids(self.accesses[0] >> np.uint64(shift))
             self.trace._memo[("footprint_lines", shift)] = len(got[0])

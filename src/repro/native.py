@@ -17,9 +17,14 @@ that own a loop :func:`register` both forms under one name:
 * ``pack_events`` — phase A's event packer: a design point's misses
   and dirty victims, routed and timed, straight into its phase-A
   product in one call (:mod:`repro.nmcsim.simulator`);
-* ``reuse_distances`` — LRU stack distances
-  (:mod:`repro.ir.stackdist`) for the profiler's reuse-distance
-  families;
+* ``trace_columns`` — every derived column the profiler reads (memory
+  mask, accesses, dense register, pc and cache-line ids, thread count)
+  of one trace in one call (:mod:`repro.ir.trace`);
+* ``reuse_distances`` — LRU stack distances, counted per stream by bit
+  length as they are found (:mod:`repro.ir.stackdist`), for the
+  profiler's reuse-distance families;
+* ``pc_strides`` — the profiler's per-PC stride walk
+  (:mod:`repro.profiler.stride`);
 * ``ilp_depths`` — the profiler's dependence-DAG depths
   (:mod:`repro.profiler.ilp`);
 * ``build_tree`` — one whole CART regression tree per call, the
@@ -38,7 +43,8 @@ compiler is found or the build fails, every kernel runs its Python form.
 
 Bit-equivalence contract: each C function keeps its Python form's exact
 arithmetic.  The trace fill, the profiler and phase-A L1 kernels are
-integer-only; the stream digests keep integer prefix sums and
+integer-only (the stride walk wraps mod 2**64, as numpy's int64
+differences do); the stream digests keep integer prefix sums and
 sequential double sums, as ``np.cumsum`` does; the event packer hashes
 in uint64 (the Fibonacci routing wraps mod 2**64, as numpy's does) and
 evaluates each gap as the same sequential double expression, one
@@ -565,32 +571,271 @@ void pack_events(
     for (int c = 0; c < 4; c++) meta[4 + c] = total[c];
 }
 
+/* ------------------------------------------------ profiler columns */
+
+/* Ranks a presence table of span slots (nonzero: value lo + s occurs)
+   in place, as np.unique does: each present slot gets its value's rank.
+   Returns the distinct count; *below gets the count of negative ones. */
+static i64 rank_table(i64 *table, i64 span, i64 lo, i64 *below)
+{
+    i64 r = 0;
+    *below = 0;
+    for (i64 s = 0; s < span; s++) {
+        if (!table[s]) continue;
+        table[s] = r++;
+        *below += lo + s < 0;
+    }
+    return r;
+}
+
+typedef struct { uint64_t line; i64 prov; } LineSlot;
+
+/* The slot of line in the 2^bits open-addressing table: its own, or
+   the empty one where it belongs. */
+static inline i64 *line_slot(
+    i64 *slots, i64 bits, const LineSlot *pairs, uint64_t line)
+{
+    uint64_t h = (line * 0x9E3779B97F4A7C15ull) >> (64 - bits);
+    uint64_t wrap = ((uint64_t)1 << bits) - 1;
+    while (slots[h] && pairs[slots[h] - 1].line != line) h = (h + 1) & wrap;
+    return slots + h;
+}
+
+static int by_line(const void *a, const void *b)
+{
+    uint64_t x = ((const LineSlot *)a)->line, y = ((const LineSlot *)b)->line;
+    return (x > y) - (x < y);
+}
+
+/* Every derived column of one n-instruction trace in one pass (layout:
+   repro.ir.trace._Columns).  kind[op]: bit 0 a memory op, bit 1 a write.
+   The m memory ops' mask, address, size and write flag; the dense ids
+   of dst/src1/src2 as three rows of regs (register ids -1 and below are
+   -1); dense pc ids; the accesses' cache lines (addr >> line_shift) as
+   sorted uniques, first access index and per-access id, found through
+   an open-addressing hash and a sort of the uniques.  counts gets m,
+   the register table size, the distinct register count (-1 excluded),
+   the pc count, the line count and the thread count.  Returns 0, or
+   -1 (-2) when the register (pc) values span more than max_reg_span
+   (max_pc_span) slots, or -3 out of memory; then no output is valid. */
+i64 trace_columns(
+    const unsigned char *opcode, const int32_t *dst, const int32_t *src1,
+    const int32_t *src2, const uint64_t *addr, const uint16_t *size,
+    const uint32_t *pc, const uint16_t *tid, i64 n,
+    const unsigned char *kind, i64 line_shift, i64 max_reg_span,
+    i64 max_pc_span,
+    unsigned char *mask, uint64_t *acc_addr, uint16_t *acc_size,
+    unsigned char *acc_write, i64 *regs, i64 *pcs, uint64_t *line_uniq,
+    i64 *line_first, i64 *line_ids, i64 *counts)
+{
+    memset(counts, 0, 6 * sizeof *counts);
+    if (n == 0) return 0;
+    i64 rlo = dst[0], rhi = dst[0], plo = pc[0], phi = pc[0];
+    for (i64 i = 0; i < n; i++) {
+        i64 a = dst[i], b = src1[i], c = src2[i], p = pc[i];
+        i64 lo = a < b ? a : b, hi = a < b ? b : a;
+        lo = c < lo ? c : lo;
+        hi = c > hi ? c : hi;
+        rlo = lo < rlo ? lo : rlo;
+        rhi = hi > rhi ? hi : rhi;
+        plo = p < plo ? p : plo;
+        phi = p > phi ? p : phi;
+    }
+    if (rhi - rlo + 1 > max_reg_span) return -1;
+    if (phi - plo + 1 > max_pc_span) return -2;
+
+    i64 status = -3, m = 0, n_lines = 0, threads = 0;
+    i64 *rtab = calloc((size_t)(rhi - rlo + 1), sizeof *rtab);
+    i64 *ptab = calloc((size_t)(phi - plo + 1), sizeof *ptab);
+    uint64_t seen[1024] = {0};   /* one bit per uint16 tid */
+    i64 *slots = NULL, *first = NULL, *rank = NULL;
+    LineSlot *pairs = NULL;
+    if (!rtab || !ptab) goto done;
+
+    for (i64 i = 0; i < n; i++) {
+        unsigned char k = kind[opcode[i]];
+        mask[i] = k & 1;
+        if (k & 1) {
+            acc_addr[m] = addr[i];
+            acc_size[m] = size[i];
+            acc_write[m++] = k >> 1;
+        }
+        uint64_t bit = (uint64_t)1 << (tid[i] & 63);
+        threads += !(seen[tid[i] >> 6] & bit);
+        seen[tid[i] >> 6] |= bit;
+        rtab[dst[i] - rlo] = rtab[src1[i] - rlo] = rtab[src2[i] - rlo] = 1;
+        ptab[pc[i] - plo] = 1;
+    }
+    counts[0] = m;
+    counts[5] = threads;
+
+    /* The three register rows rank as one concatenated column, shifted
+       down past the negative values (which all become -1). */
+    i64 rspan = rhi - rlo + 1, below;
+    i64 has_m1 = rlo <= -1 && -1 <= rhi && rtab[-1 - rlo];
+    i64 r = rank_table(rtab, rspan, rlo, &below);
+    for (i64 s = 0; s < rspan; s++)
+        rtab[s] = rtab[s] - below < -1 ? -1 : rtab[s] - below;
+    counts[1] = r - below;
+    counts[2] = r - has_m1;
+    counts[3] = rank_table(ptab, phi - plo + 1, plo, &below);
+    for (i64 i = 0; i < n; i++) {
+        regs[i] = rtab[dst[i] - rlo];
+        regs[n + i] = rtab[src1[i] - rlo];
+        regs[2 * n + i] = rtab[src2[i] - rlo];
+        pcs[i] = ptab[pc[i] - plo];
+    }
+
+    if (m) {
+        /* Open addressing over slots (provisional id + 1, 0: empty),
+           doubled whenever it would pass half full. */
+        i64 bits = 8;
+        slots = calloc((size_t)1 << bits, sizeof *slots);
+        first = malloc((size_t)m * sizeof *first);
+        rank = malloc((size_t)m * sizeof *rank);
+        pairs = malloc((size_t)m * sizeof *pairs);
+        if (!slots || !first || !rank || !pairs) goto done;
+        for (i64 j = 0; j < m; j++) {
+            if (2 * n_lines >= (i64)1 << bits) {
+                free(slots);
+                slots = calloc((size_t)1 << ++bits, sizeof *slots);
+                if (!slots) goto done;
+                for (i64 q = 0; q < n_lines; q++)
+                    *line_slot(slots, bits, pairs, pairs[q].line) = q + 1;
+            }
+            uint64_t line = acc_addr[j] >> line_shift;
+            i64 *slot = line_slot(slots, bits, pairs, line);
+            if (!*slot) {
+                pairs[n_lines].line = line;
+                pairs[n_lines].prov = n_lines;
+                first[n_lines] = j;
+                *slot = ++n_lines;
+            }
+            line_ids[j] = *slot - 1;
+        }
+        qsort(pairs, (size_t)n_lines, sizeof *pairs, by_line);
+        for (i64 q = 0; q < n_lines; q++) {
+            line_uniq[q] = pairs[q].line;
+            line_first[q] = first[pairs[q].prov];
+            rank[pairs[q].prov] = q;
+        }
+        for (i64 j = 0; j < m; j++) line_ids[j] = rank[line_ids[j]];
+    }
+    counts[4] = n_lines;
+    status = 0;
+done:
+    free(rtab);
+    free(ptab);
+    free(slots);
+    free(first);
+    free(rank);
+    free(pairs);
+    return status;
+}
+
 /* ------------------------------------------------ LRU stack distances */
 
-/* Stack distance of every access of ids[0..n) (dense element ids): the
-   number of distinct elements touched since the previous access to the
-   same element, -1 on a first touch.  tree[1..n] is a Fenwick tree over
-   access times counting each element's most recent access; it must be
-   zeroed, and last[] (one slot per id) filled with -1. */
-void reuse_distances(
-    const i64 *ids, i64 n, i64 *last, i64 *tree, i64 *out)
+static inline i64 bit_length(i64 d)
 {
-    for (i64 t = 0; t < n; t++) {
-        i64 k = ids[t];
-        i64 prev = last[k];
-        if (prev < 0) {
-            out[t] = -1;
-        } else {
-            /* live slots in (prev, t): prefix(t - 1) - prefix(prev) */
-            i64 s = 0;
-            for (i64 p = t; p > 0; p -= p & -p) s += tree[p];
-            for (i64 p = prev + 1; p > 0; p -= p & -p) s -= tree[p];
-            out[t] = s;
-            for (i64 p = prev + 1; p <= n; p += p & -p) tree[p]--;
-        }
-        for (i64 p = t + 1; p <= n; p += p & -p) tree[p]++;
-        last[k] = t;
+    return d ? 64 - __builtin_clzll((unsigned long long)d) : 0;
+}
+
+/* LRU stack distance of every access of ids[0..n) (dense element ids
+   below n_ids): the number of distinct elements touched since the
+   previous access to the same element, -1 on a first touch.  Access t
+   belongs to stream s = is_write[t] (s = 0 when is_write is NULL): its
+   distance d adds one to hist[64 s + bit_length(d)], a first touch one
+   to cold[s] (both zeroed here), and out[t] = d unless out is NULL.  Up
+   to 512 ids a move-to-front list in scratch[0..n_ids) gives each
+   distance as the element's list position; past that, last[] =
+   scratch[0..n_ids) holds each element's last access time and tree[] =
+   scratch[n_ids..n_ids + n + 1) a Fenwick tree over access times
+   counting each element's most recent access. */
+void reuse_distances(
+    const i64 *ids, i64 n, i64 n_ids, const unsigned char *is_write,
+    i64 *scratch, i64 *out, i64 *hist, i64 *cold)
+{
+    memset(hist, 0, (is_write ? 128 : 64) * sizeof *hist);
+    memset(cold, 0, (is_write ? 2 : 1) * sizeof *cold);
+    i64 *list = scratch, len = 0;
+    i64 *last = scratch, *tree = scratch + n_ids;
+    int mtf = n_ids <= 512;
+    if (!mtf) {
+        for (i64 k = 0; k < n_ids; k++) last[k] = -1;
+        memset(tree, 0, (size_t)(n + 1) * sizeof *tree);
     }
+    for (i64 t = 0; t < n; t++) {
+        i64 k = ids[t], d;
+        if (mtf) {
+            i64 p = 0;
+            while (p < len && list[p] != k) p++;
+            d = p < len ? p : -1;
+            if (p == len) len++;
+            memmove(list + 1, list, (size_t)p * sizeof *list);
+            list[0] = k;
+        } else {
+            i64 prev = last[k];
+            d = -1;
+            if (prev >= 0) {
+                /* live slots in (prev, t): prefix(t - 1) - prefix(prev) */
+                d = 0;
+                for (i64 p = t; p > 0; p -= p & -p) d += tree[p];
+                for (i64 p = prev + 1; p > 0; p -= p & -p) d -= tree[p];
+                for (i64 p = prev + 1; p <= n; p += p & -p) tree[p]--;
+            }
+            for (i64 p = t + 1; p <= n; p += p & -p) tree[p]++;
+            last[k] = t;
+        }
+        i64 s = is_write ? is_write[t] : 0;
+        if (d < 0) cold[s]++;
+        else hist[64 * s + bit_length(d)]++;
+        if (out) out[t] = d;
+    }
+}
+
+/* ------------------------------------------------ per-PC strides */
+
+/* The byte stride of every memory access against the previous access of
+   the same static instruction, in time order.  Access j is memory op j
+   of the n instructions (mask[i] set); pcs[i] is instruction i's dense
+   pc id below n_pcs.  Strides wrap mod 2**64 and |stride| keeps numpy's
+   abs(INT64_MIN) == INT64_MIN; abs_out gets every valid |stride| in
+   time order.  le[b] counts those <= bounds[b]; regular[0..4) gets the
+   read accesses whose stride repeats its pc's previous stride, the read
+   accesses with a stride, then the same two for writes.  last (2 n_pcs
+   slots: each pc's last address, then its last stride) and seen (n_pcs
+   bytes, zeroed here) are scratch.  Returns the valid stride count. */
+i64 pc_strides(
+    const i64 *pcs, const unsigned char *mask, i64 n,
+    const uint64_t *addrs, const unsigned char *is_write, i64 n_pcs,
+    const i64 *bounds, i64 n_bounds, i64 *le, i64 *regular, i64 *abs_out,
+    uint64_t *last, unsigned char *seen)
+{
+    uint64_t *stride = last + n_pcs;
+    memset(seen, 0, (size_t)n_pcs);
+    memset(le, 0, (size_t)n_bounds * sizeof *le);
+    memset(regular, 0, 4 * sizeof *regular);
+    i64 v = 0;
+    for (i64 i = 0, j = 0; i < n; i++) {
+        if (!mask[i]) continue;
+        i64 p = pcs[i];
+        uint64_t a = addrs[j];
+        unsigned char w = is_write[j++];
+        if (seen[p]) {
+            uint64_t s = a - last[p];
+            i64 mag = (i64)((i64)s < 0 ? 0 - s : s);
+            for (i64 b = 0; b < n_bounds; b++) le[b] += mag <= bounds[b];
+            abs_out[v++] = mag;
+            regular[2 * w + 1]++;
+            if (seen[p] > 1) regular[2 * w] += s == stride[p];
+            stride[p] = s;
+            seen[p] = 2;
+        } else {
+            seen[p] = 1;
+        }
+        last[p] = a;
+    }
+    return v;
 }
 
 /* ------------------------------------------------------ ILP depths */

@@ -27,9 +27,10 @@ def memory_traffic_features(
 ) -> dict[str, float]:
     """Traffic escape fractions at :data:`TRAFFIC_CACHE_SIZES` cache sizes
     (cold misses included: they always go to memory)."""
+    capacities = [max(1, size // line_bytes) for size in TRAFFIC_CACHE_SIZES]
     out: dict[str, float] = {}
-    for size in TRAFFIC_CACHE_SIZES:
-        capacity_lines = max(1, size // line_bytes)
-        for kind, stream in _KINDS:
-            out[f"traffic.{kind}_{size}"] = hists[stream].miss_ratio(capacity_lines)
+    for kind, stream in _KINDS:
+        ratios = hists[stream].miss_ratios(capacities).tolist()
+        for size, ratio in zip(TRAFFIC_CACHE_SIZES, ratios):
+            out[f"traffic.{kind}_{size}"] = ratio
     return out

@@ -107,7 +107,8 @@ def analyze_trace(
     NMC-architecture knowledge.
 
     The families read one :class:`~repro.ir.trace.TraceColumns`
-    table, built first as ``phase.profile.columns`` and dropped on return.
+    table, built first in one ``trace_columns`` kernel call as
+    ``phase.profile.columns`` and dropped on return.
     The ILP and reuse-distance families are timed as
     ``phase.profile.ilp`` and ``phase.profile.reuse`` (data plus
     instruction), every other family as ``phase.profile.other``.  A
@@ -123,9 +124,8 @@ def analyze_trace(
     features: dict[str, float] = {}
     with m.timer("phase.profile.columns"):
         # Every column the families read, and the trace's memoised scalars.
-        cols = TraceColumns(trace)
-        _ = cols.memory_mask, cols.registers, cols.pcs, cols.lines(line_bytes)
-        _ = trace.thread_count, trace.opcode_counts()
+        cols = TraceColumns(trace, line_bytes)
+        _ = cols.memory_mask, trace.opcode_counts()
     with m.timer("phase.profile.ilp"):
         features.update(ilp_features(
             cols, sample_limit=ilp_sample_limit, line_bytes=line_bytes

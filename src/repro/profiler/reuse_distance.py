@@ -8,14 +8,15 @@ canonical hardware-independent description of temporal locality: a fully
 associative LRU cache of capacity ``C`` lines hits exactly the accesses with
 reuse distance < ``C``.
 
-The computation kernel (the classic Fenwick-tree formulation of
-Mattson's stack algorithm, O(M log M) over M accesses, compiled through
-:mod:`repro.native`) lives in :mod:`repro.ir.stackdist`; this module
-keeps the feature extraction.
+The computation kernel (Mattson's stack algorithm as a move-to-front
+list or a Fenwick tree, compiled through :mod:`repro.native`) lives in
+:mod:`repro.ir.stackdist` and returns each stream's distances counted by
+bit length; this module folds those counts into feature histograms.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -25,6 +26,7 @@ from .. import native
 from ..ir import InstructionTrace, TraceColumns, columns_of
 from ..ir.stackdist import (  # noqa: F401  (re-exported public API)
     COLD_DISTANCE,
+    bit_length_counts,
     reuse_distances,
 )
 from .features import (
@@ -51,16 +53,23 @@ class ReuseDistanceHistogram:
     total: int
 
     @classmethod
+    def from_bit_lengths(
+        cls, counts: np.ndarray, cold: int, n_buckets: int
+    ) -> "ReuseDistanceHistogram":
+        """The histogram of :func:`bit_length_counts` ``counts`` and ``cold``
+        first touches; distances past the last bucket count in it."""
+        buckets = np.zeros(n_buckets, dtype=np.int64)
+        k = min(n_buckets, len(counts))
+        buckets[:k - 1] = counts[:k - 1]
+        buckets[k - 1] = counts[k - 1:].sum()
+        return cls(counts=buckets, cold=int(cold), total=int(cold + counts.sum()))
+
+    @classmethod
     def from_distances(
         cls, distances: np.ndarray, n_buckets: int
     ) -> "ReuseDistanceHistogram":
-        cold = int((distances == COLD_DISTANCE).sum())
-        seen = distances[distances >= 0]
-        # Bucket b holds distances d with 2^(b-1) <= d < 2^b; bucket 0 is d=0
-        # (read as 0.5, one bucket below 1).
-        idx = np.floor(np.log2(np.maximum(seen, 0.5))).astype(np.int64) + 1
-        buckets = np.bincount(np.minimum(idx, n_buckets - 1), minlength=n_buckets)
-        return cls(counts=buckets, cold=cold, total=len(distances))
+        cold = np.count_nonzero(distances == COLD_DISTANCE)
+        return cls.from_bit_lengths(bit_length_counts(distances), cold, n_buckets)
 
     @cached_property
     def _cumulative(self) -> np.ndarray:
@@ -86,15 +95,18 @@ class ReuseDistanceHistogram:
 
     def miss_ratio(self, capacity: int) -> float:
         """Miss ratio of a fully-associative LRU cache of ``capacity`` lines."""
+        return float(self.miss_ratios([capacity])[0])
+
+    def miss_ratios(self, capacities: Sequence[int]) -> np.ndarray:
+        """:meth:`miss_ratio` of each of ``capacities``, in one lookup."""
         if self.total == 0:
-            return 0.0
-        if capacity <= 0:
-            return 1.0
-        cutoff = capacity.bit_length() - 1  # largest i with 2^i <= capacity
-        hits = int(self._cumulative[min(cutoff, len(self.counts) - 1)])
+            return np.zeros(len(capacities))
+        # Largest i with 2^i <= capacity.
+        cutoff = [max(c, 1).bit_length() - 1 for c in capacities]
+        hits = self._cumulative[np.minimum(cutoff, len(self.counts) - 1)]
         # Approximation within the cutoff bucket is conservative: bucket
         # boundaries are powers of two, capacity is rounded down.
-        return 1.0 - hits / self.total
+        return np.where(np.less_equal(capacities, 0), 1.0, 1.0 - hits / self.total)
 
     def mean_log2(self) -> float:
         """Mean of log2(1 + distance) over reused accesses."""
@@ -133,18 +145,16 @@ def data_reuse_features(
     cols = columns_of(trace)
     is_write = cols.accesses[2][:sample_limit]
     uniq, _first, lines = cols.lines(line_bytes)
-    dists = native.resolve("reuse_distances")[0](lines[:sample_limit], len(uniq))
-
-    streams = {
-        "read": dists[~is_write],
-        "write": dists[is_write],
-        "all": dists,
-    }
+    hist, cold, _ = native.resolve("reuse_distances")[0](
+        lines[:sample_limit], len(uniq), is_write
+    )
+    counts = {"read": hist[0], "write": hist[1], "all": hist.sum(axis=0)}
+    colds = {"read": cold[0], "write": cold[1], "all": cold.sum()}
     out: dict[str, float] = {}
     hists: dict[str, ReuseDistanceHistogram] = {}
     for stream in REUSE_STREAMS:
-        hist = ReuseDistanceHistogram.from_distances(
-            streams[stream], DATA_REUSE_BUCKETS
+        hist = ReuseDistanceHistogram.from_bit_lengths(
+            counts[stream], colds[stream], DATA_REUSE_BUCKETS
         )
         hists[stream] = hist
         cdf = hist.cdf()
@@ -165,14 +175,18 @@ def instruction_reuse_features(
     """Instruction reuse-distance features over the static PC stream."""
     check_sample_limit(sample_limit)
     pcs, n_pcs = columns_of(trace).pcs
-    dists = native.resolve("reuse_distances")[0](pcs[:sample_limit], n_pcs)
-    hist = ReuseDistanceHistogram.from_distances(dists, INSTR_REUSE_CDF_BUCKETS)
+    (counts,), (cold,), _ = native.resolve("reuse_distances")[0](
+        pcs[:sample_limit], n_pcs
+    )
+    hist = ReuseDistanceHistogram.from_bit_lengths(
+        counts, cold, INSTR_REUSE_CDF_BUCKETS
+    )
     cdf = hist.cdf()
     out: dict[str, float] = {}
     for i in range(INSTR_REUSE_CDF_BUCKETS):
         out[f"ird.cdf_{i}"] = float(cdf[i])
-    pdf_hist = ReuseDistanceHistogram.from_distances(
-        dists, INSTR_REUSE_PDF_BUCKETS
+    pdf_hist = ReuseDistanceHistogram.from_bit_lengths(
+        counts, cold, INSTR_REUSE_PDF_BUCKETS
     )
     pdf = pdf_hist.pdf()
     for i in range(INSTR_REUSE_PDF_BUCKETS):

@@ -10,8 +10,12 @@ NMC-friendly irregular kernels (paper Section 3.4).
 
 from __future__ import annotations
 
+import ctypes
+from typing import Callable
+
 import numpy as np
 
+from .. import native
 from ..ir import InstructionTrace, TraceColumns, columns_of
 from .features import STRIDE_BUCKETS, STRIDE_NAMES
 
@@ -19,48 +23,24 @@ from .features import STRIDE_BUCKETS, STRIDE_NAMES
 ELEMENT_BYTES = 8
 
 
+#: The |stride| bound of each STRIDE_BUCKETS entry, in bytes.
+_BOUNDS = np.array([s * ELEMENT_BYTES for s in STRIDE_BUCKETS], dtype=np.int64)
+
+
 def stride_features(trace: InstructionTrace | TraceColumns) -> dict[str, float]:
     cols = columns_of(trace)
-    addrs, _sizes, is_write = cols.accesses
-    addrs = addrs.astype(np.int64)
     ids, n_pcs = cols.pcs
-    # The narrowest dtype for the ids: numpy radix-sorts 8- and 16-bit keys.
-    pcs = ids[cols.memory_mask].astype(np.min_scalar_type(n_pcs))
-    n = len(addrs)
-    if n == 0:
-        return dict.fromkeys(STRIDE_NAMES, 0.0)
-
-    # Group accesses by PC (stable order keeps per-PC streams in time order).
-    order = np.argsort(pcs, kind="stable")
-    sorted_pcs = pcs[order]
-    sorted_addrs = addrs[order]
-    same_pc = np.empty(n, dtype=bool)
-    same_pc[0] = False
-    same_pc[1:] = sorted_pcs[1:] == sorted_pcs[:-1]
-    strides = np.zeros(n, dtype=np.int64)
-    strides[1:] = sorted_addrs[1:] - sorted_addrs[:-1]
-    strides[~same_pc] = np.iinfo(np.int64).max  # first access of each PC
-    valid = same_pc
-    abs_strides = np.abs(strides[valid])
-
-    out: dict[str, float] = {}
-    n_valid = int(valid.sum())
-    for s in STRIDE_BUCKETS:
-        le = (abs_strides <= s * ELEMENT_BYTES).sum()
-        out[f"stride.frac_le_{s}"] = float(le / n_valid) if n_valid else 0.0
-
-    # Predictability: stride equals the previous stride of the same PC.
-    predictable = np.zeros(n, dtype=bool)
-    both = valid.copy()
-    both[1:] &= valid[:-1]
-    predictable[1:][both[1:]] = (
-        strides[1:][both[1:]] == strides[:-1][both[1:]]
+    addrs, _sizes, is_write = cols.accesses
+    le, regular, abs_strides = native.resolve("pc_strides")[0](
+        ids, cols.memory_mask, addrs, is_write, n_pcs
     )
-    is_write_sorted = is_write[order]
-    reads = ~is_write_sorted
-    writes = is_write_sorted
-    out["stride.regular_read"] = _fraction(predictable & reads, valid & reads)
-    out["stride.regular_write"] = _fraction(predictable & writes, valid & writes)
+    out: dict[str, float] = {}
+    n_valid = len(abs_strides)
+    for s, count in zip(STRIDE_BUCKETS, le):
+        out[f"stride.frac_le_{s}"] = float(count / n_valid) if n_valid else 0.0
+    pred_read, read, pred_write, write = regular.tolist()
+    out["stride.regular_read"] = pred_read / read if read else 0.0
+    out["stride.regular_write"] = pred_write / write if write else 0.0
 
     if n_valid:
         values, counts = np.unique(abs_strides, return_counts=True)
@@ -73,8 +53,102 @@ def stride_features(trace: InstructionTrace | TraceColumns) -> dict[str, float]:
     return out
 
 
-def _fraction(numer_mask: np.ndarray, denom_mask: np.ndarray) -> float:
-    denom = int(denom_mask.sum())
-    if denom == 0:
-        return 0.0
-    return float(numer_mask.sum() / denom)
+def _pc_strides_py(
+    ids: np.ndarray,
+    mask: np.ndarray,
+    addrs: np.ndarray,
+    is_write: np.ndarray,
+    n_pcs: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Python form of the ``pc_strides`` kernel (the oracle).
+
+    Over the memory ops (``mask``) of a trace with dense pc ``ids`` below
+    ``n_pcs`` and their ``addrs``/``is_write``: ``(le, regular,
+    abs_strides)`` — the count of valid |strides| within each
+    :data:`_BOUNDS` entry, the read accesses whose stride repeats their
+    pc's previous one, the read accesses with a stride, the same two
+    for writes, and every valid |stride| in time order (``int64``;
+    numpy's ``abs(INT64_MIN)`` stays negative).
+    """
+    addrs = addrs.astype(np.int64)
+    # The narrowest dtype for the ids: numpy radix-sorts 8- and 16-bit keys.
+    pcs = ids[mask].astype(np.min_scalar_type(n_pcs))
+    n = len(addrs)
+    if n == 0:
+        empty = np.zeros(0, dtype=np.int64)
+        return np.zeros(len(_BOUNDS), dtype=np.int64), np.zeros(4, np.int64), empty
+
+    # Group accesses by PC (stable order keeps per-PC streams in time order).
+    order = np.argsort(pcs, kind="stable")
+    sorted_pcs = pcs[order]
+    sorted_addrs = addrs[order]
+    same_pc = np.empty(n, dtype=bool)
+    same_pc[0] = False
+    same_pc[1:] = sorted_pcs[1:] == sorted_pcs[:-1]
+    strides = np.zeros(n, dtype=np.int64)
+    strides[1:] = sorted_addrs[1:] - sorted_addrs[:-1]
+    strides[~same_pc] = np.iinfo(np.int64).max  # first access of each PC
+    valid = same_pc
+    # The valid |strides| in time order.
+    in_time = np.empty(n, dtype=bool)
+    in_time[order] = valid
+    time_strides = np.empty(n, dtype=np.int64)
+    time_strides[order] = strides
+    abs_strides = np.abs(time_strides[in_time])
+    le = np.array([(abs_strides <= b).sum() for b in _BOUNDS], dtype=np.int64)
+
+    # Predictability: stride equals the previous stride of the same PC.
+    predictable = np.zeros(n, dtype=bool)
+    both = valid.copy()
+    both[1:] &= valid[:-1]
+    predictable[1:][both[1:]] = (
+        strides[1:][both[1:]] == strides[:-1][both[1:]]
+    )
+    writes = is_write[order]
+    reads = ~writes
+    regular = np.array([
+        np.count_nonzero(predictable & reads), np.count_nonzero(valid & reads),
+        np.count_nonzero(predictable & writes), np.count_nonzero(valid & writes),
+    ], dtype=np.int64)
+    return le, regular, abs_strides
+
+
+def _pc_strides_cc(lib: native.Library) -> Callable:
+    """The library's ``pc_strides`` with the Python form's signature.
+
+    Index contract, which the C form does not check: ``ids`` and ``mask``
+    cover the trace's instructions, every id is in ``[0, n_pcs)``, and
+    ``addrs`` and ``is_write`` hold one entry per set ``mask`` entry.
+    """
+    fn = lib.pc_strides
+    fn.restype = ctypes.c_int64
+    fn.argtypes = (
+        [ctypes.c_void_p] * 2 + [ctypes.c_int64] + [ctypes.c_void_p] * 2
+        + [ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64]
+        + [ctypes.c_void_p] * 5
+    )
+
+    def kernel(ids, mask, addrs, is_write, n_pcs):
+        le = np.empty(len(_BOUNDS), dtype=np.int64)
+        regular = np.empty(4, dtype=np.int64)
+        abs_strides = np.empty(len(addrs), dtype=np.int64)
+        last = np.empty(2 * n_pcs, dtype=np.uint64)
+        seen = np.empty(n_pcs, dtype=np.uint8)
+        cols = [
+            np.ascontiguousarray(ids, dtype=np.int64),
+            np.ascontiguousarray(mask, dtype=bool),
+        ]
+        addrs = np.ascontiguousarray(addrs, dtype=np.uint64)
+        is_write = np.ascontiguousarray(is_write, dtype=bool)
+        n_valid = fn(
+            *(c.ctypes.data for c in cols), len(mask), addrs.ctypes.data,
+            is_write.ctypes.data, n_pcs, _BOUNDS.ctypes.data, len(_BOUNDS),
+            le.ctypes.data, regular.ctypes.data, abs_strides.ctypes.data,
+            last.ctypes.data, seen.ctypes.data,
+        )
+        return le, regular, abs_strides[:n_valid]
+
+    return kernel
+
+
+native.register("pc_strides", _pc_strides_py, _pc_strides_cc)

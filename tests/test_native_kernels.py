@@ -2,14 +2,18 @@
 
 Every kernel's C form must equal its pure-Python form (the oracle) on
 drawn inputs: the ILP depths over drawn traces, the LRU stack distances
-over drawn keys (both sides of the oracle's move-to-front / Fenwick
-switch), phase A's stream digests over drawn multi-thread traces and PE
+and their per-stream bit-length counts over drawn keys (both sides of
+the 512-id move-to-front / Fenwick switch), the profiler's column table
+over drawn traces (register and pc spans past the table limit, addresses
+near 2**64), the per-PC strides over drawn memory ops (INT64_MIN
+strides), phase A's stream digests over drawn multi-thread traces and PE
 slices, phase A's L1 walk over drawn multi-stream batches, phase A's
 event packer over drawn boundary points, whole
 regression trees over drawn tie-heavy matrices (and their C replay of
 ``Generator.choice`` over every numpy bit generator), and the trace fill
-over drawn builder actions.  Whole traces and profiles of all twelve
-workloads and whole forests must be identical under both forms.
+over drawn builder actions.  Whole traces of all twelve workloads,
+profiles of their central and test inputs and of the synthetic
+microbenchmarks, and whole forests must be identical under both forms.
 The build tests check that a damaged cached object is rebuilt and that
 concurrent cold processes share one object.
 """
@@ -31,7 +35,8 @@ from _helpers import forest_key, repro_env, use_kernel
 from test_ir_builder import builder_actions, replay
 from repro import NMCSimulator, default_nmc_config, get_workload, native
 from repro.errors import ConfigError
-from repro.ir import Opcode, reuse_distances
+from repro.ir import InstructionTrace, Opcode, TraceColumns, reuse_distances
+from repro.ir import trace as trace_module
 from repro.ir.trace import TRACE_COLUMNS, dense_ids
 from repro.ml import RandomForestRegressor, RegressionTree
 from repro.ml import tree as tree_module
@@ -41,6 +46,7 @@ from repro.nmcsim.dram import route_addresses
 from repro.nmcsim.simulator import _PhaseA, _Streams
 from repro.profiler import analyze_trace
 from repro.profiler.features import ILP_WINDOWS
+from repro.workloads.synthetic import SYNTHETIC_WORKLOADS
 
 WORKLOADS = [
     "atax", "bfs", "bp", "chol", "gemv", "gesu",
@@ -168,20 +174,60 @@ def key_streams(draw):
     return rng, alphabet[rng.integers(0, size, size=n)]
 
 
+def reuse_key(result):
+    """A ``reuse_distances`` result as comparable lists (dtypes checked)."""
+    hist, cold, dists = result
+    assert hist.dtype == cold.dtype == np.int64
+    assert dists is None or dists.dtype == np.int64
+    return hist.tolist(), cold.tolist(), None if dists is None else dists.tolist()
+
+
 class TestReuseDistanceKernel:
     @DIFF_SETTINGS
-    @given(stream=key_streams())
-    def test_matches_python_oracle(self, stream):
+    @given(stream=key_streams(), split=st.booleans(), per_access=st.booleans())
+    def test_matches_python_oracle(self, stream, split, per_access):
+        """One stream or read/write streams, with or without the
+        per-access distances."""
         cc, python = forms("reuse_distances")
-        _rng, keys = stream
-        args = dense_keys(keys)
-        np.testing.assert_array_equal(cc(*args), python(*args))
+        rng, keys = stream
+        ids, n_ids = dense_keys(keys)
+        is_write = rng.random(len(ids)) < 0.4 if split else None
+        got, want = (
+            reuse_key(form(ids, n_ids, is_write, per_access=per_access))
+            for form in (cc, python)
+        )
+        assert got == want
+        hist, cold, _ = want
+        assert sum(map(sum, hist)) + sum(cold) == len(ids)
+
+    @pytest.mark.parametrize("n_ids", [511, 512, 513, 514])
+    def test_move_to_front_threshold(self, n_ids):
+        """Alphabets on both sides of the 512-id move-to-front limit,
+        every id present, the longest distance n_ids - 1."""
+        cc, python = forms("reuse_distances")
+        rng = np.random.default_rng(n_ids)
+        ids = np.concatenate(
+            [np.arange(n_ids), rng.integers(0, n_ids, 3000), np.arange(n_ids)]
+        )
+        is_write = rng.random(len(ids)) < 0.5
+        for flags in (None, is_write):
+            got, want = (
+                reuse_key(form(ids, n_ids, flags, per_access=True))
+                for form in (cc, python)
+            )
+            assert got == want
+        assert max(want[2]) == n_ids - 1
 
     @pytest.mark.parametrize("n", [0, 1, 600])
     def test_all_equal_keys(self, n):
         cc, python = forms("reuse_distances")
-        args = dense_keys(np.full(n, 2**62, dtype=np.int64))
-        np.testing.assert_array_equal(cc(*args), python(*args))
+        ids, n_ids = dense_keys(np.full(n, 2**62, dtype=np.int64))
+        for flags in (None, np.arange(n) % 2 == 1):
+            got, want = (
+                reuse_key(form(ids, n_ids, flags, per_access=True))
+                for form in (cc, python)
+            )
+            assert got == want
 
     def test_public_functions_dispatch(self, monkeypatch):
         rng = np.random.default_rng(5)
@@ -189,6 +235,222 @@ class TestReuseDistanceKernel:
         compiled = reuse_distances(keys)
         use_kernel(monkeypatch, "python")
         np.testing.assert_array_equal(compiled, reuse_distances(keys))
+
+
+# --------------------------------------------------------- trace columns
+
+#: Register operands: mostly a small file and NO_REG, some other
+#: negative ids, some far beyond any table.
+column_registers = st.one_of(
+    st.integers(-1, 12), st.just(-1), st.integers(-40, -2),
+    st.integers(2**30, 2**31 - 1),
+)
+
+#: Addresses near 0, 2**63 and 2**64, and anywhere.
+addresses = st.one_of(
+    st.integers(0, 4096), st.integers(2**63 - 4096, 2**63 + 4096),
+    st.integers(2**64 - 4096, 2**64 - 1), st.integers(0, 2**64 - 1),
+)
+
+
+@st.composite
+def column_traces(draw):
+    """Traces of 0-120 instructions over every opcode, tids up to 65535,
+    pcs in a small range or spread up to 2**32 - 1."""
+    n = draw(st.integers(0, 120))
+    memory = [int(Opcode.LOAD), int(Opcode.STORE), int(Opcode.ATOMIC)]
+    ops = st.one_of(st.sampled_from(memory), st.sampled_from(list(Opcode)))
+
+    def column(values, dtype):
+        return np.array(draw(st.lists(values, min_size=n, max_size=n)), dtype)
+
+    pcs = draw(st.sampled_from([st.integers(0, 30), st.integers(0, 2**32 - 1)]))
+    return InstructionTrace(
+        opcode=column(ops, np.uint8),
+        dst=column(column_registers, np.int32),
+        src1=column(column_registers, np.int32),
+        src2=column(column_registers, np.int32),
+        addr=column(addresses, np.uint64),
+        size=column(st.sampled_from([0, 1, 8, 65535]), np.uint16),
+        pc=column(pcs, np.uint32),
+        tid=column(st.sampled_from([0, 1, 7, 65535]), np.uint16),
+    )
+
+
+def assert_same_columns(got, want):
+    """Two ``trace_columns`` products are equal, field by field, dtype
+    included."""
+    for name, a, b in zip(want._fields, got, want):
+        for x, y in zip(*(v if isinstance(v, tuple) else (v,) for v in (a, b))):
+            if isinstance(y, np.ndarray):
+                assert x.dtype == y.dtype, name
+                assert x.shape == y.shape, name
+                assert x.tobytes() == y.tobytes(), name
+            else:
+                assert x == y, name
+
+
+def raw_status(trace, line_shift=6):
+    """The C ``trace_columns`` status on ``trace`` (0: filled, -1/-2:
+    register/pc span past its table limit)."""
+    forms("trace_columns")
+    n = len(trace)
+    outs = [
+        np.empty(n, bool), np.empty(n, np.uint64), np.empty(n, np.uint16),
+        np.empty(n, bool), np.empty((3, n), np.int64), np.empty(n, np.int64),
+        np.empty(n, np.uint64), np.empty(n, np.int64), np.empty(n, np.int64),
+        np.empty(6, np.int64),
+    ]
+    return native._library().trace_columns(
+        *(getattr(trace, name).ctypes.data for name in TRACE_COLUMNS), n,
+        trace_module._KIND.ctypes.data, line_shift,
+        trace_module._TABLE_SPAN * 3 * n, trace_module._TABLE_SPAN * n,
+        *(a.ctypes.data for a in outs),
+    )
+
+
+def simple_trace(
+    n, *, dst=None, src1=None, src2=None, pc=None, addr=None, memory=True
+):
+    """An n-instruction trace, loads and stores alternating (or all
+    IALU), with the given register, pc and address columns."""
+    ops = [Opcode.LOAD, Opcode.STORE] if memory else [Opcode.IALU]
+    fill = (lambda col: np.full(n, -1) if col is None else np.asarray(col))
+    return InstructionTrace(
+        opcode=np.resize(np.array([int(op) for op in ops]), n),
+        dst=fill(dst), src1=fill(src1), src2=fill(src2),
+        addr=np.arange(n, dtype=np.uint64) * np.uint64(24) if addr is None
+        else np.asarray(addr, dtype=np.uint64),
+        size=np.full(n, 8), pc=np.arange(n) if pc is None else pc,
+        tid=np.zeros(n),
+    )
+
+
+class TestTraceColumnsKernel:
+    @DIFF_SETTINGS
+    @given(
+        trace=column_traces(),
+        line_shift=st.one_of(st.sampled_from([0, 6, 12, 63]), st.integers(0, 63)),
+    )
+    def test_matches_python_oracle(self, trace, line_shift):
+        cc, python = forms("trace_columns")
+        assert_same_columns(cc(trace, line_shift), python(trace, line_shift))
+
+    @pytest.mark.parametrize("make", [
+        InstructionTrace.empty,
+        lambda: simple_trace(9, memory=False),
+        lambda: simple_trace(9),
+        lambda: simple_trace(1, dst=[3]),
+        lambda: simple_trace(6, src1=[0, 5, 5, 0, 2, 2]),
+        lambda: simple_trace(7, addr=np.uint64(2**64 - 1) - np.array(
+            [0, 64, 64, 0, 640, 1, 0], dtype=np.uint64
+        )),
+    ], ids=[
+        "empty", "no_memory_ops", "all_no_reg", "one", "sparse_regs",
+        "lines_first_touched_descending_near_2**64",
+    ])
+    def test_boundary_traces_match_python_form(self, make):
+        cc, python = forms("trace_columns")
+        trace = make()
+        for line_shift in (0, 6, 63):
+            assert_same_columns(cc(trace, line_shift), python(trace, line_shift))
+        assert raw_status(trace) == 0
+
+    @pytest.mark.parametrize("n", [2, 5])
+    def test_span_one_past_the_table_limit_runs_python_form(self, n):
+        """Register values spanning 12 n slots (pcs 4 n) fill in C; one
+        more slot returns the kernel's status and the Python form runs."""
+        cc, python = forms("trace_columns")
+        limit = trace_module._TABLE_SPAN
+        for extra, status in ((0, 0), (1, -1)):
+            regs = np.full(n, -1)
+            regs[0] = limit * 3 * n - 2 + extra
+            trace = simple_trace(n, src2=regs)
+            assert raw_status(trace) == status
+            assert_same_columns(cc(trace, 6), python(trace, 6))
+        for extra, status in ((0, 0), (1, -2)):
+            pcs = np.full(n, 2**32 - 1)
+            pcs[0] -= limit * n - 1 + extra
+            trace = simple_trace(n, pc=pcs)
+            assert raw_status(trace) == status
+            assert_same_columns(cc(trace, 6), python(trace, 6))
+
+    def test_table_reads_kernel_once_and_memoises_scalars(self, monkeypatch):
+        calls = []
+        python = native.python_form("trace_columns")
+        monkeypatch.setattr(native, "resolve", lambda name: (
+            lambda *a: calls.append(a) or python(*a), "python"
+        ))
+        trace = simple_trace(40, dst=np.arange(40) % 7)
+        cols = TraceColumns(trace, 32)
+        _ = cols.memory_mask, cols.registers, cols.pcs, cols.accesses
+        assert cols.lines(32) is cols.lines(32)
+        assert len(calls) == 1 and calls[0][1] == 5
+        assert trace._memo["thread_count"] == 1
+        assert trace._memo[("footprint_lines", 5)] == len(cols.lines(32)[0])
+        # Another line size is derived from the same accesses.
+        assert len(cols.lines(128)[0]) == trace.footprint_lines(7)
+        assert len(calls) == 1
+
+
+# ------------------------------------------------------- per-PC strides
+
+@st.composite
+def stride_inputs(draw):
+    """Memory ops of 1-6 pcs (mixed with compute ops), addresses around
+    0, 2**63 and 2**64 so strides wrap and reach INT64_MIN."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(0, 200))
+    n_pcs = draw(st.integers(1, 6))
+    mask = rng.random(n) < draw(st.sampled_from([0.0, 0.5, 1.0]))
+    ids = rng.integers(0, n_pcs, size=n)
+    m = int(mask.sum())
+    bases = np.array([0, 2**63, 2**64 - 8, 2**62], dtype=np.uint64)
+    addrs = bases[rng.integers(0, len(bases), size=m)] + rng.choice(
+        np.array([0, 8, 16, 64, 4096], dtype=np.uint64), size=m
+    )
+    if draw(st.booleans()):   # one pc walks with a fixed stride
+        addrs = np.arange(m, dtype=np.uint64) * np.uint64(24)
+    is_write = rng.random(m) < 0.4
+    return ids, mask, addrs, is_write, n_pcs
+
+
+def stride_key(result):
+    le, regular, abs_strides = result
+    assert le.dtype == regular.dtype == abs_strides.dtype == np.int64
+    return le.tolist(), regular.tolist(), abs_strides.tolist()
+
+
+class TestStrideKernel:
+    @DIFF_SETTINGS
+    @given(args=stride_inputs())
+    def test_matches_python_oracle(self, args):
+        cc, python = forms("pc_strides")
+        assert stride_key(cc(*args)) == stride_key(python(*args))
+
+    def test_int64_min_stride_and_wrap(self):
+        """Strides of +-2**63 are INT64_MIN and keep numpy's
+        abs(INT64_MIN) (< 0, so within every bound); 0 up to 2**64 - 8
+        wraps to -8, and back to +8."""
+        cc, python = forms("pc_strides")
+        addrs = np.array([0, 2**63, 0, 2**64 - 8, 0, 2**63], dtype=np.uint64)
+        args = (np.zeros(6, np.int64), np.ones(6, bool), addrs,
+                np.zeros(6, bool), 1)
+        got = stride_key(cc(*args))
+        assert got == stride_key(python(*args))
+        le, regular, abs_strides = got
+        int64_min = -(2**63)
+        assert abs_strides == [int64_min, int64_min, 8, 8, int64_min]
+        assert le[0] == 3   # every INT64_MIN stride counts as <= 0
+        assert regular == [1, 5, 0, 0]   # only the second INT64_MIN repeats
+
+    def test_no_memory_ops_and_last_pc(self):
+        cc, python = forms("pc_strides")
+        for mask in (np.zeros(5, bool), np.ones(5, bool)):
+            m = int(mask.sum())
+            args = (np.full(5, 9, np.int64), mask,
+                    np.arange(m, dtype=np.uint64), np.ones(m, bool), 10)
+            assert stride_key(cc(*args)) == stride_key(python(*args))
 
 
 # ------------------------------------------------------- phase-A LRU walk
@@ -799,19 +1061,47 @@ class TestFillTraceKernel:
 
 # --------------------------------------------------------- whole profiles
 
-def small_trace(name, *, scale=8.0, seed=1):
+def small_trace(name, *, scale=8.0, seed=1, config="central_config"):
     wl = get_workload(name)
-    return wl.generate(wl.central_config(), scale=scale, seed=seed)
+    return wl.generate(getattr(wl, config)(), scale=scale, seed=seed)
 
 
-@pytest.mark.parametrize("name", WORKLOADS)
-def test_profile_identical_under_both_forms(monkeypatch, name):
+def profile_traces():
+    """Every app's central (id: its name) and test input at scale 8, and
+    the synthetic microbenchmarks' central inputs."""
+    for name in WORKLOADS:
+        yield pytest.param(get_workload(name), "central_config", id=name)
+        yield pytest.param(get_workload(name), "test_config", id=f"{name}-test")
+    for cls in SYNTHETIC_WORKLOADS:
+        yield pytest.param(cls(), "central_config", id=cls().name)
+
+
+@pytest.mark.parametrize("wl, config", profile_traces())
+def test_profile_identical_under_both_forms(monkeypatch, wl, config):
     if native.jit_status()["backend"] != "cc":
         pytest.skip("no C compiler available")
-    trace = small_trace(name)
+    trace = wl.generate(getattr(wl, config)(), scale=8.0, seed=1)
     assert profile_json(monkeypatch, trace, "cc") == profile_json(
         monkeypatch, trace, "python"
     )
+
+
+@pytest.mark.parametrize("limit", [1, 333, 2**31])
+def test_sample_limits_cut_streams_identically(monkeypatch, limit):
+    """A reuse sample limit that cuts the access and pc streams mid-way
+    (and one past both) profiles identically under both forms."""
+    if native.jit_status()["backend"] != "cc":
+        pytest.skip("no C compiler available")
+    trace = small_trace("bfs", config="test_config")
+    assert 333 < int(trace.memory_mask.sum())
+    got = {}
+    for form in ("cc", "python"):
+        with monkeypatch.context() as patch:
+            use_kernel(patch, form)
+            got[form] = analyze_trace(
+                trace, reuse_sample_limit=limit, ilp_sample_limit=limit
+            ).to_json_dict()
+    assert got["cc"] == got["python"]
 
 
 # ----------------------------------------------------------------- build
