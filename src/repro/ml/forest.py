@@ -18,8 +18,9 @@ bootstrap sample (its *plan*) are pre-drawn from the forest RNG in tree
 order before any tree is fitted, so serial and parallel fits consume
 the random stream identically and produce bit-identical forests.
 Forests with equal ``random_state``, ``bootstrap`` and ``n_estimators``
-draw equal plans, so they share one set: each plan's bootstrap gather
-is made once and fitted once per forest, tree by tree.
+draw equal plans, so they share one set: each plan's trees, one per
+forest, are fitted by one ``build_trees`` kernel call over the ranks
+and rank classes of the columns, computed once per fit.
 """
 
 from __future__ import annotations
@@ -28,12 +29,13 @@ from typing import Sequence
 
 import numpy as np
 
+from .. import native
 from ..errors import MLError
 from ..obs import metrics
 from ..parallel import map_jobs, resolve_jobs
 from .tree import (
-    RegressionTree, _check_fit_data, _check_rows, _dense_ranks, descend,
-    node_table,
+    RegressionTree, _check_fit_data, _check_rows, _normalized,
+    _rank_classes, descend, node_table,
 )
 
 #: A tree's *plan*: its RNG seed and bootstrap sample (None without
@@ -41,32 +43,27 @@ from .tree import (
 Plan = tuple[int, np.ndarray | None]
 
 
-def _fit_tree_chunk(job) -> list[list[RegressionTree]]:
+def _fit_tree_chunk(job) -> list[list[tuple]]:
     """Worker-side body: fit one chunk of plans in order.
 
-    Each unit of the chunk is a plan and the tree parameters of every
-    forest that shares it.  The plan's bootstrap gather of the columns,
-    targets and precomputed ranks is made once and fitted once per
-    forest, so no tree sorts from scratch.
+    Each unit of the chunk is a plan and the tree settings of every
+    forest that shares it, fitted by one ``build_trees`` call: its
+    trees share one presort of the plan's rows, so no tree sorts from
+    scratch.
     """
-    columns, y, ranks, units = job
-    fitted = []
-    for (seed, sample), params in units:
-        if sample is None:
-            data = (columns, y, ranks)
-        else:
-            data = (
-                columns.take(sample, axis=1), y[sample],
-                ranks.take(sample, axis=1),
-            )
-        fitted.append([
-            RegressionTree(**tree_params, rng=np.random.default_rng(seed))
-            ._fit(*data)
-            for tree_params in params
-        ])
-    trees = [tree for unit in fitted for tree in unit]
-    metrics().inc("ml.trees.fitted", len(trees))
-    metrics().inc("ml.tree.nodes", sum(tree.n_nodes for tree in trees))
+    columns, y, ranks, classes, units = job
+    build, _backend = native.resolve("build_trees")
+    fitted = [
+        build(
+            columns, y, ranks, classes, sample,
+            [(*settings, np.random.default_rng(seed)) for settings in unit],
+        )
+        for (seed, sample), unit in units
+    ]
+    metrics().inc("ml.trees.fitted", sum(len(unit) for unit in fitted))
+    metrics().inc("ml.tree.nodes", sum(
+        len(tree[4]) for unit in fitted for tree in unit
+    ))
     return fitted
 
 
@@ -97,17 +94,18 @@ def fit_forests(
 ) -> None:
     """Fit every forest in ``forests`` on the same ``X``, ``y`` in one pass.
 
-    ``X`` is transposed and ranked once.  Forests that share
-    ``random_state``, ``bootstrap`` and ``n_estimators`` share one set of
-    plans (one draw from ``random_state``, also when it is None) and one
-    out-of-bag mask.  Each forest comes out bit-identical to its own
-    ``fit`` from a fresh draw of its ``random_state``.  ``jobs`` spreads
-    contiguous chunks of plans, across all forests, over worker processes
-    (1 = serial, 0 = all CPUs, None = honour ``REPRO_JOBS``).
+    ``X`` is transposed, ranked and grouped into rank classes once.
+    Forests that share ``random_state``, ``bootstrap`` and
+    ``n_estimators`` share one set of plans (one draw from
+    ``random_state``, also when it is None) and one out-of-bag mask.
+    Each forest comes out bit-identical to its own ``fit`` from a fresh
+    draw of its ``random_state``.  ``jobs`` spreads contiguous chunks of
+    plans, across all forests, over worker processes (1 = serial, 0 = all
+    CPUs, None = honour ``REPRO_JOBS``).
     """
     X, y = _check_fit_data(X, y)
     columns = np.ascontiguousarray(X.T)
-    ranks = _dense_ranks(columns)
+    ranks, classes = _rank_classes(columns)
     groups: dict[tuple, list[RandomForestRegressor]] = {}
     for forest in forests:
         key = (forest.random_state, forest.bootstrap, forest.n_estimators)
@@ -116,18 +114,20 @@ def fit_forests(
         (members, _draw_plans(members[0], len(y)))
         for members in groups.values()
     ]
-    units = [
-        (plan, [forest._tree_params() for forest in members])
-        for members, plans in shared
-        for plan in plans
-    ]
+    units = []
+    for members, plans in shared:
+        settings = [
+            RegressionTree(**forest._tree_params())._settings(len(columns))
+            for forest in members
+        ]
+        units += [(plan, settings) for plan in plans]
     # One contiguous chunk per worker keeps the data's pickling to one
     # round trip each; map_jobs returns the chunks in order, so the
     # trees come back in plan order.
     jobs_n = max(1, min(resolve_jobs(jobs), len(units)))
     bounds = np.linspace(0, len(units), jobs_n + 1).astype(int)
     chunks = [
-        (columns, y, ranks, units[lo:hi])
+        (columns, y, ranks, classes, units[lo:hi])
         for lo, hi in zip(bounds[:-1], bounds[1:])
     ]
     fitted = [
@@ -145,7 +145,7 @@ def fit_forests(
             forest.n_features_ = X.shape[1]
             forest.nodes_, forest.roots_, forest.values_ = node_table(trees)
             forest.feature_importances_ = sum(
-                tree.feature_importances_ for tree in trees
+                _normalized(tree[5]) for tree in trees
             ) / forest.n_estimators
             forest._aggregate_oob(X, oob_mask)
 

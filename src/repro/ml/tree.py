@@ -5,15 +5,21 @@ threshold) pair minimises the summed squared error of the two children.
 ``max_features`` enables the random feature subsampling that random
 forests rely on.
 
-A whole tree is built by one call of the ``build_tree`` kernel of
-:mod:`repro.native`.  Its compiled form sorts every feature once per
-tree (a counting sort by the precomputed value ranks of
-:func:`_dense_ranks`) and keeps each node's samples in that order, so no
-node sorts again; its Python form, the recursive :func:`_best_split`
-search that argsorts every node, is the oracle the compiled form
-matches bit for bit and the fallback without a C compiler.  Both draw
-each node's candidate features from the tree's own ``rng``, which must
-be a :class:`numpy.random.Generator` (anything else raises
+Trees are built by the ``build_trees`` kernel of :mod:`repro.native`,
+every tree of one bootstrap *plan* (the trees that share a sample) in
+one call; a lone tree is the one-tree case.  Its compiled form works
+over *rank classes*: columns whose dense value ranks
+(:func:`_rank_classes`) are equal row for row sort their samples the
+same way and share a class, so constant and duplicate columns cost one.
+It sorts every class once per plan (a counting sort by rank), copies
+that presort into each tree and keeps each node's samples in it, so no
+node sorts again, and it scans a class once per node however many of
+its columns were drawn.  Its Python form, the recursive
+:func:`_best_split` search that argsorts every drawn column at every
+node, tree by tree, is the oracle the compiled form matches bit for bit
+and the fallback without a C compiler.  Both draw each node's
+candidate features from the tree's own ``rng``, which must be a
+:class:`numpy.random.Generator` (anything else raises
 :class:`~repro.errors.MLError`): the Python form calls
 ``rng.choice(p, size=k, replace=False)`` and the compiled form replays
 that call in C through the generator's public ``bitgen_t`` interface.
@@ -31,6 +37,7 @@ down in fixed-size blocks of rows.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 from typing import Callable
 
@@ -79,6 +86,8 @@ def _check_fit_data(X, y) -> tuple[np.ndarray, np.ndarray]:
         raise MLError("X and y length mismatch")
     if len(y) == 0:
         raise MLError("cannot fit on an empty dataset")
+    if X.shape[1] == 0:
+        raise MLError("cannot fit without features")
     if not (np.isfinite(X).all() and np.isfinite(y).all()):
         raise MLError("X and y must be finite (found NaN or inf)")
     return X, y
@@ -89,7 +98,7 @@ def _dense_ranks(columns: np.ndarray) -> np.ndarray:
 
     ``columns`` is a feature-major ``(p, n)`` matrix.  A stable sort of
     any sample subset by rank is that subset's stable ``argsort`` by
-    value, which is how the compiled ``build_tree`` presorts a tree.
+    value, which is how the compiled ``build_trees`` presorts a plan.
     """
     order = np.argsort(columns, axis=1, kind="stable")
     xs = np.take_along_axis(columns, order, axis=1)
@@ -98,6 +107,23 @@ def _dense_ranks(columns: np.ndarray) -> np.ndarray:
     ranks = np.empty_like(dense)
     np.put_along_axis(ranks, order, dense, axis=1)
     return ranks
+
+
+def _rank_classes(columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rank classes of the columns of a feature-major ``(p, n)``
+    matrix: ``(ranks, classes)``, the ``(u, n)`` distinct rows of
+    :func:`_dense_ranks` and the class of each of the ``p`` columns.
+
+    Columns of one class have equal values wherever any of them does and
+    order every sample subset alike (constant columns form one class), so
+    everything a split search keeps per column but the threshold value
+    is the class's.
+    """
+    ranks, classes = np.unique(
+        _dense_ranks(columns), axis=0, return_inverse=True
+    )
+    # The inverse's shape differs across numpy 2.x releases.
+    return ranks, classes.ravel()
 
 
 def _best_split(
@@ -151,17 +177,15 @@ def _best_split(
 
 
 def _build_tree_py(
-    columns, y, ranks, k, max_depth, min_samples_split, min_samples_leaf,
-    rng,
+    columns, y, k, max_depth, min_samples_split, min_samples_leaf, rng,
 ) -> tuple[np.ndarray, ...]:
-    """Python form of the ``build_tree`` kernel (the oracle).
+    """One tree of the Python form of ``build_trees``.
 
     Fits the samples of the feature-major ``(p, n)`` matrix ``columns``
     depth-first, drawing the ``k`` candidate features of every split
     search with ``rng.choice(p, size=k, replace=False)``, and returns the
     preorder node arrays ``(feature, threshold, left, right, value)``
-    plus the per-feature summed gains.  ``ranks`` (:func:`_dense_ranks`
-    of ``columns``) only feeds the compiled form.
+    plus the per-feature summed gains.
     """
     X = columns.T
     p = X.shape[1]
@@ -199,6 +223,15 @@ def _build_tree_py(
     )
 
 
+def _build_trees_py(columns, y, ranks, classes, sample, trees) -> list[tuple]:
+    """Python form of the ``build_trees`` kernel (the oracle): the plan's
+    bootstrap gather, then :func:`_build_tree_py` for each of its trees
+    in turn.  ``ranks`` and ``classes`` only feed the compiled form."""
+    if sample is not None:
+        columns, y = columns.take(sample, axis=1), y[sample]
+    return [_build_tree_py(columns, y, *tree) for tree in trees]
+
+
 def _choice_cc(lib: native.Library) -> Callable:
     """The C replay of ``rng.choice(p, size=k, replace=False)``."""
     fn = lib.choice
@@ -220,9 +253,10 @@ def _choice_cc(lib: native.Library) -> Callable:
 
 
 #: ``(p, k)`` shapes the build-time check draws both ways: the forests'
-#: p = 395 with the k of "sqrt", "third" and None, and both branches of
-#: numpy's ``choice`` for p > 10000 (Floyd's algorithm, tail shuffle).
-_CHECK_SHAPES = ((395, 19), (395, 131), (395, 395), (20000, 1000), (20000, 5))
+#: p = 419 (395 profile features plus 24 arch and derived columns) with
+#: the k of "sqrt", "third" and None, and both branches of numpy's
+#: ``choice`` for p > 10000 (Floyd's algorithm, tail shuffle).
+_CHECK_SHAPES = ((419, 20), (419, 139), (419, 419), (20000, 1000), (20000, 5))
 
 
 def _replays_choice(choice: Callable) -> bool:
@@ -240,7 +274,26 @@ def _replays_choice(choice: Callable) -> bool:
     return True
 
 
-def _build_tree_cc(lib: native.Library) -> Callable | None:
+def _build_trees_cc(lib: native.Library) -> Callable | None:
+    """The compiled ``build_trees``, or None when its feature draw does
+    not replay this numpy's ``choice``.
+
+    Its arguments: the feature-major ``(p, N)`` ``columns`` and ``(N,)``
+    targets ``y`` of the whole data, the ``(u, N)`` class ``ranks`` and
+    the ``(p,)`` column ``classes`` of :func:`_rank_classes`, the plan's
+    ``sample`` (``n`` row indices, or None for all ``N`` rows) and one
+    ``(k, max_depth, min_samples_split, min_samples_leaf, rng)`` per
+    tree.  Index contract: every ``classes[f] < u``, every rank ``< N``
+    (dense ranks over ``N`` samples), every sample row ``< N``, ``n >=
+    1`` and ``1 <= k <= p``; the C side checks all of it before it reads
+    and returns a status, raised here as :class:`~repro.errors.MLError`.
+    Each node of a tree owns one ``[lo, hi)`` segment of every class's
+    order row.  Each tree gets ``2n - 1`` nodes of output capacity (no
+    empty leaf), which the C side checks too (MLError past it), as it
+    does its scratch allocation (MemoryError).  Returns one ``(feature,
+    threshold, left, right, value, importance)`` per tree, as the
+    Python form does.
+    """
     if not _replays_choice(_choice_cc(lib)):
         log.warning(
             "the C feature draw does not replay this numpy's "
@@ -248,70 +301,100 @@ def _build_tree_cc(lib: native.Library) -> Callable | None:
             extra={"ctx": {"numpy": np.__version__}},
         )
         return None
-    fn = lib.build_tree
+    fn = lib.build_trees
     fn.restype = ctypes.c_int64
     fn.argtypes = (
-        [ctypes.c_void_p] * 3 + [ctypes.c_int64] * 7
-        + [ctypes.c_void_p] * 7 + [ctypes.c_int64]
+        [ctypes.c_void_p] * 5 + [ctypes.c_int64] * 5
+        + [ctypes.c_void_p] * 9 + [ctypes.c_int64]
     )
 
-    def kernel(
-        columns, y, ranks, k, max_depth, min_samples_split,
-        min_samples_leaf, rng,
-    ) -> tuple[np.ndarray, ...]:
-        p, n = columns.shape
-        if ranks.shape != (p, n) or np.shape(y) != (n,):
-            raise MLError("build_tree: columns, ranks and y do not align")
+    def kernel(columns, y, ranks, classes, sample, trees) -> list[tuple]:
+        p, N = columns.shape
+        u = len(ranks)
+        if ranks.shape != (u, N) or np.shape(y) != (N,) or (
+            np.shape(classes) != (p,)
+        ):
+            raise MLError(
+                "build_trees: columns, ranks, classes and y do not align"
+            )
         columns = np.ascontiguousarray(columns, dtype=np.float64)
         y = np.ascontiguousarray(y, dtype=np.float64)
         ranks = np.ascontiguousarray(ranks, dtype=np.int64)
-        cap = 2 * n - 1  # a binary tree over n samples, no empty leaf
+        classes = np.ascontiguousarray(classes, dtype=np.int64)
+        sample = np.ascontiguousarray(
+            np.arange(N) if sample is None else sample, dtype=np.int64
+        )
+        n, m = len(sample), len(trees)
+        params = np.array(
+            [
+                (k, -1 if max_depth is None else max_depth, split, leaf)
+                for k, max_depth, split, leaf, _rng in trees
+            ],
+            dtype=np.int64,
+        ).reshape(m, 4)
+        bitgens = [tree[-1].bit_generator for tree in trees]
+        pointers = (ctypes.c_void_p * m)(
+            *(bitgen.ctypes.bit_generator.value for bitgen in bitgens)
+        )
+        # A binary tree over n samples with no empty leaf has at most
+        # 2n - 1 nodes; the kernel still checks it never writes past cap.
+        cap = m * max(2 * n - 1, 0)
         feature, left, right = (np.empty(cap, dtype=np.int64) for _ in range(3))
         threshold, value = np.empty(cap), np.empty(cap)
-        importance = np.zeros(p)
-        bitgen = rng.bit_generator
-        with bitgen.lock:
-            count = fn(
-                columns.ctypes.data, y.ctypes.data, ranks.ctypes.data, n, p,
-                int(ranks.max(initial=0)) + 1, k,
-                -1 if max_depth is None else max_depth,
-                min_samples_split, min_samples_leaf,
-                bitgen.ctypes.bit_generator, feature.ctypes.data,
+        importance = np.zeros((m, p))
+        counts = np.zeros(m, dtype=np.int64)
+        with contextlib.ExitStack() as stack:
+            for lock in {id(b.lock): b.lock for b in bitgens}.values():
+                stack.enter_context(lock)
+            status = fn(
+                columns.ctypes.data, y.ctypes.data, ranks.ctypes.data,
+                classes.ctypes.data, sample.ctypes.data, N, n, p, u, m,
+                params.ctypes.data, pointers, feature.ctypes.data,
                 threshold.ctypes.data, left.ctypes.data, right.ctypes.data,
-                value.ctypes.data, importance.ctypes.data, cap,
+                value.ctypes.data, importance.ctypes.data,
+                counts.ctypes.data, cap,
             )
-        if count == -3:
-            raise MemoryError("build_tree: scratch allocation failed")
-        if count < 0:
-            raise MLError(f"build_tree: more than {cap} nodes")
-        # Copies, not views: a view would pin the whole 2n - 1 capacity
-        # of every buffer for as long as the tree lives.
-        return (
-            *(a[:count].copy() for a in (feature, threshold, left, right, value)),
-            importance,
-        )
+        if status == -3:
+            raise MemoryError("build_trees: scratch allocation failed")
+        if status == -4:
+            raise MLError("build_trees: an index or a size is out of range")
+        if status < 0:
+            raise MLError(f"build_trees: more than {cap} nodes")
+        # One compact copy per array, split by tree: a view of the
+        # buffers would pin their whole capacity for as long as a tree
+        # lives.
+        ends = np.cumsum(counts).tolist()
+        compact = [
+            a[:ends[-1] if m else 0].copy()
+            for a in (feature, threshold, left, right, value)
+        ]
+        return [
+            (*(a[lo:hi] for a in compact), gains)
+            for lo, hi, gains in zip([0] + ends[:-1], ends, importance)
+        ]
 
     return kernel
 
 
-native.register("build_tree", _build_tree_py, _build_tree_cc)
+native.register("build_trees", _build_trees_py, _build_trees_cc)
 
 
 def node_table(trees) -> tuple[tuple[np.ndarray, ...], np.ndarray, np.ndarray]:
-    """Fitted ``trees`` as one ``(nodes, roots, values)`` table for
-    :func:`descend`: their node arrays concatenated in tree order, child
-    indices shifted by each tree's root offset (leaves keep ``left < 0``).
+    """Fitted ``trees``, each the kernel's ``(feature, threshold, left,
+    right, value, ...)`` arrays, as one ``(nodes, roots, values)`` table
+    for :func:`descend`: their node arrays concatenated in tree order,
+    child indices shifted by each tree's root offset (leaves keep
+    ``left < 0``).
     """
-    sizes = [len(tree.value_) for tree in trees]
+    sizes = [len(tree[4]) for tree in trees]
     roots = np.cumsum([0] + sizes[:-1], dtype=np.int64)
-    feature, threshold, left, right = (
-        np.concatenate(field) for field in zip(*(tree.nodes_ for tree in trees))
+    feature, threshold, left, right, values = (
+        np.concatenate(field) for field in list(zip(*trees))[:5]
     )
     shift = np.repeat(roots, sizes)
     leaf = left < 0
     left = np.where(leaf, left, left + shift)
     right = np.where(leaf, right, right + shift)
-    values = np.concatenate([tree.value_ for tree in trees])
     return (feature, threshold, left, right), roots, values
 
 
@@ -352,6 +435,12 @@ def descend(nodes: tuple[np.ndarray, ...], roots, X: np.ndarray) -> np.ndarray:
     return leaves
 
 
+def _normalized(importance: np.ndarray) -> np.ndarray:
+    """A tree's summed split gains as shares of their total."""
+    total = importance.sum()
+    return importance / total if total > 0 else importance
+
+
 def _check_rows(X, n_features: int | None, model: str) -> np.ndarray:
     """``X`` as float64 rows for a ``model`` fitted on ``n_features``."""
     if n_features is None:
@@ -372,7 +461,7 @@ class RegressionTree:
     child, ``max_features`` the per-split feature subsample ("sqrt",
     "third", "log2", an int, a float fraction, or None for all).
 
-    The fitted tree is the ``build_tree`` kernel's preorder arrays:
+    The fitted tree is the ``build_trees`` kernel's preorder arrays:
     ``nodes_ = (feature, threshold, left, right)``, where ``left < 0``
     marks a leaf, and the node means ``value_``.
     """
@@ -408,25 +497,24 @@ class RegressionTree:
     def fit(self, X, y) -> "RegressionTree":
         X, y = _check_fit_data(X, y)
         columns = np.ascontiguousarray(X.T)
-        return self._fit(columns, y, _dense_ranks(columns))
-
-    def _fit(
-        self, columns: np.ndarray, y: np.ndarray, ranks: np.ndarray
-    ) -> "RegressionTree":
-        """Fit validated feature-major ``(p, n)`` data and its ranks."""
-        self.n_features_ = len(columns)
-        k = _resolve_max_features(self.max_features, self.n_features_)
-        build, _backend = native.resolve("build_tree")
-        *nodes, self.value_, importance = build(
-            columns, y, ranks, k, self.max_depth, self.min_samples_split,
-            self.min_samples_leaf, self.rng,
+        build, _backend = native.resolve("build_trees")
+        ((*nodes, self.value_, importance),) = build(
+            columns, y, *_rank_classes(columns), None,
+            [(*self._settings(len(columns)), self.rng)],
         )
         self.nodes_ = tuple(nodes)
-        total = importance.sum()
-        self.feature_importances_ = (
-            importance / total if total > 0 else importance
-        )
+        self.n_features_ = len(columns)
+        self.feature_importances_ = _normalized(importance)
         return self
+
+    def _settings(self, n_features: int) -> tuple:
+        """This tree's ``(k, max_depth, min_samples_split,
+        min_samples_leaf)`` row of a ``build_trees`` call over
+        ``n_features`` columns."""
+        return (
+            _resolve_max_features(self.max_features, n_features),
+            self.max_depth, self.min_samples_split, self.min_samples_leaf,
+        )
 
     # ----------------------------------------------------------- predict
 

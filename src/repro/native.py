@@ -27,9 +27,11 @@ that own a loop :func:`register` both forms under one name:
   (:mod:`repro.profiler.stride`);
 * ``ilp_depths`` — the profiler's dependence-DAG depths
   (:mod:`repro.profiler.ilp`);
-* ``build_tree`` — one whole CART regression tree per call, the
-  random forest's base learner, each split's candidate features drawn
-  in C from the tree's generator (:mod:`repro.ml.tree`).
+* ``build_trees`` — every CART regression tree of one bootstrap plan
+  (the random forest's base learners that share a sample) in one call,
+  over one presort of the plan's rows per rank class of columns, each
+  split's candidate features drawn in C from its tree's generator
+  (:mod:`repro.ml.tree`).
 
 :func:`resolve` hands out one form per call.  The C source is built on
 the first kernel call of a process (never at import) with the system C
@@ -1040,18 +1042,24 @@ double np_sum(const double *a, i64 n)
 static volatile double two = 2.0;
 
 typedef struct {
-    const double *X, *y;        /* p x n: column f is X[f * n ..] */
-    i64 n, p, k, max_depth, min_split, min_leaf;
-    bitgen_t *bitgen;           /* draws each split's k features */
-    i64 *drawn;                 /* k */
+    const double *X;            /* p x N: column f is X[f * N ..] */
+    const i64 *sample;          /* n: the plan's rows of X */
+    const i64 *cls;             /* p: each column's rank class */
+    const i64 *R;               /* u x n: class ranks of the plan's rows */
+    const double *y;            /* n: the plan's targets */
+    i64 N, n, p, u;
+    i64 k, max_depth, min_split, min_leaf;  /* the tree being fitted */
+    bitgen_t *bitgen;           /* its generator: each split's k draws */
+    i64 *drawn;                 /* p (k used) */
     unsigned char *seen;        /* p, zeroed: choice's scratch */
     i64 *pool;                  /* p, choice's scratch */
-    i64 *order;                 /* (p + 1) x n, see build_tree */
-    i64 *feats, *slot;          /* feature permutation and its inverse */
+    i64 *order;                 /* (u + 1) x n, see build_trees */
+    i64 *cfeats, *cslot;        /* class permutation and its inverse */
+    i64 *scanned, visit;        /* u: the last node that scanned a class */
     i64 *tmp;                   /* n */
     double *ybuf;               /* n */
-    unsigned char *goes_left;   /* n, by sample row */
-    i64 *feature, *left, *right;
+    unsigned char *goes_left;   /* n, by plan row */
+    i64 *feature, *left, *right;  /* the tree's output, cap entries */
     double *threshold, *value, *importance;
     i64 cap, count;
     i64 status;
@@ -1069,15 +1077,15 @@ static inline int sse_before(double v, i64 r, double best, i64 best_r)
 
 /* Grow the node over order segment [lo, hi) at `depth`; returns its
    preorder id.  Mirrors the Python form's _build/_best_split: every
-   order row restricted to a node keeps its presorted order, which is
-   the node's stable argsort. */
+   class's order row restricted to a node keeps its presorted order,
+   which is the node's stable argsort of each column in the class. */
 static i64 grow(Tree *t, i64 lo, i64 hi, i64 depth, i64 n_const)
 {
     if (t->count >= t->cap) { t->status = -2; return -1; }
     i64 id = t->count++;
-    i64 n = hi - lo, N = t->n, p = t->p;
-    const double *X = t->X, *y = t->y;
-    const i64 *rows = t->order + p * N + lo;
+    i64 n = hi - lo, m = t->n, u = t->u;
+    const double *y = t->y;
+    const i64 *rows = t->order + u * m + lo;
     double *yb = t->ybuf;
     for (i64 i = 0; i < n; i++) yb[i] = y[rows[i]];
     double sum = np_sum(yb, n);
@@ -1097,32 +1105,40 @@ static i64 grow(Tree *t, i64 lo, i64 hi, i64 depth, i64 n_const)
     for (i64 i = 0; i < n; i++) yb[i] = yb[i] * yb[i];
     double sq = np_sum(yb, n);
     double sse_parent = sq - pow(sum, two) / (double)n;
-    choice(t->bitgen, p, t->k, t->drawn, t->seen, t->pool);
+    choice(t->bitgen, t->p, t->k, t->drawn, t->seen, t->pool);
     if (n < 2 * t->min_leaf) return id;   /* no cut is valid */
 
-    /* feats[0..n_const) are constant over the node: all their cuts are
-       ties.  A feature found constant here joins them, and stays
-       there for every descendant. */
-    for (i64 i = n_const; i < p; i++) {
-        i64 f = t->feats[i];
-        const i64 *o = t->order + f * N + lo;
-        if (X[f * N + o[0]] == X[f * N + o[n - 1]]) {
-            i64 g = t->feats[n_const];
-            t->feats[n_const] = f;
-            t->feats[i] = g;
-            t->slot[f] = n_const++;
-            t->slot[g] = i;
+    /* cfeats[0..n_const) are the classes constant over the node: all
+       their cuts are ties.  A class found constant here joins them, and
+       stays there for every descendant.  Equal ranks are equal values. */
+    for (i64 i = n_const; i < u; i++) {
+        i64 q = t->cfeats[i];
+        const i64 *o = t->order + q * m + lo, *rq = t->R + q * m;
+        if (rq[o[0]] == rq[o[n - 1]]) {
+            i64 g = t->cfeats[n_const];
+            t->cfeats[n_const] = q;
+            t->cfeats[i] = g;
+            t->cslot[q] = n_const++;
+            t->cslot[g] = i;
         }
     }
 
-    /* Cut scan: sequential prefix sums along each drawn feature's
-       order, the SSE of every cut in numpy's expression order. */
+    /* Cut scan: sequential prefix sums along each drawn column's class
+       order, the SSE of every cut in numpy's expression order.  A cut
+       is valid where the ranks (so the values) of its two sides
+       differ. */
     int any_valid = 0;
     double best = 0.0;
     i64 best_r = -1;
+    i64 visit = ++t->visit;
     for (i64 j = 0; j < t->k; j++) {
-        i64 f = t->drawn[j];
-        if (t->slot[f] < n_const) {
+        i64 q = t->cls[t->drawn[j]];
+        /* A class already scanned at this node has the same SSE at
+           every cut under a lower r = c * k + j, so it wins every tie
+           and comes first to any NaN: this column cannot be chosen. */
+        if (t->scanned[q] == visit) continue;
+        t->scanned[q] = visit;
+        if (t->cslot[q] < n_const) {
             /* all +inf: the column's first entry is its argmin */
             if (sse_before(INFINITY, j, best, best_r)) {
                 best = INFINITY;
@@ -1130,8 +1146,7 @@ static i64 grow(Tree *t, i64 lo, i64 hi, i64 depth, i64 n_const)
             }
             continue;
         }
-        const i64 *o = t->order + f * N + lo;
-        const double *xf = X + f * N;
+        const i64 *o = t->order + q * m + lo, *rq = t->R + q * m;
         double ls = 0.0, lq = 0.0;
         for (i64 c = 0; c + 1 < n; c++) {
             double yv = y[o[c]];
@@ -1139,11 +1154,11 @@ static i64 grow(Tree *t, i64 lo, i64 hi, i64 depth, i64 n_const)
             else { ls = ls + yv; lq = lq + yv * yv; }
             i64 pos = c + 1;
             double sse = INFINITY;
-            if (xf[o[c + 1]] != xf[o[c]]
+            if (rq[o[c + 1]] != rq[o[c]]
                     && pos >= t->min_leaf && n - pos >= t->min_leaf) {
                 any_valid = 1;
-                double rs = sum - ls, rq = sq - lq;
-                sse = ((lq - ls * ls / (double)pos) + rq)
+                double rs = sum - ls, rsq = sq - lq;
+                sse = ((lq - ls * ls / (double)pos) + rsq)
                     - rs * rs / (double)(n - pos);
             }
             i64 r = c * t->k + j;
@@ -1153,23 +1168,25 @@ static i64 grow(Tree *t, i64 lo, i64 hi, i64 depth, i64 n_const)
     if (!any_valid) return id;
     double gain = sse_parent - best;
     if (gain <= 1e-12) return id;
+    /* The threshold and the partition read the chosen column itself. */
     i64 f = t->drawn[best_r % t->k];
-    const double *xf = X + f * N;
-    double thr = xf[t->order[f * N + lo + best_r / t->k]];
+    const double *xf = t->X + f * t->N;
+    const i64 *s = t->sample;
+    double thr = xf[s[t->order[t->cls[f] * m + lo + best_r / t->k]]];
     t->importance[f] += gain;
     t->feature[id] = f;
     t->threshold[id] = thr;
 
-    /* Stable partition of the rows and the non-constant feature order
+    /* Stable partition of the rows and the non-constant class order
        rows, `x <= threshold` first. */
     i64 n_left = 0;
     for (i64 i = 0; i < n; i++) {
-        unsigned char l = xf[rows[i]] <= thr;
+        unsigned char l = xf[s[rows[i]]] <= thr;
         t->goes_left[rows[i]] = l;
         n_left += l;
     }
-    for (i64 q = n_const; q <= p; q++) {
-        i64 *seg = t->order + (q < p ? t->feats[q] : p) * N + lo;
+    for (i64 q = n_const; q <= u; q++) {
+        i64 *seg = t->order + (q < u ? t->cfeats[q] : u) * m + lo;
         i64 a = 0, b = 0;
         for (i64 i = 0; i < n; i++) {   /* branch-free */
             i64 r = seg[i];
@@ -1190,67 +1207,120 @@ static i64 grow(Tree *t, i64 lo, i64 hi, i64 depth, i64 n_const)
     return id;
 }
 
-/* Fit one regression tree over n samples of p features.  X and ranks
-   are feature-major (X[f * n + i] is sample i's feature f); ranks are
-   dense per-feature value ranks (ties share a rank, all below
-   n_ranks), so a stable counting sort by rank gives each feature's
-   np.argsort(kind="stable") order once per tree.  order holds those p
-   rows plus a (p + 1)-th row of ascending sample indices, and every
-   node owns the same [lo, hi) segment of each row.  max_depth < 0 is
-   unbounded.  Each split search draws its k candidate features from
-   bitgen as rng.choice(p, size=k, replace=False) would.  The nodes
-   land in preorder in the output arrays (cap entries each, leaves:
-   feature -1, children -1) and importance[f] accumulates every
-   split's gain.  Returns the node count; -2 past cap nodes, -3 out of
-   memory. */
-i64 build_tree(
-    const double *X, const double *y, const i64 *ranks, i64 n, i64 p,
-    i64 n_ranks, i64 k, i64 max_depth, i64 min_split, i64 min_leaf,
-    bitgen_t *bitgen,
+/* Fit the n_trees regression trees of one bootstrap plan: the n rows
+   sample[0..n) of the N samples of p features, one tree per params
+   row (k, max_depth, min_split, min_leaf; max_depth < 0 is unbounded)
+   and generator bitgens[t].
+
+   Index contract, checked before anything is read (-4 otherwise):
+   1 <= n, 1 <= k <= p, every sample[i] < N, every cls[f] < u and every
+   rank < N.  X (p x N) and y (N) are the whole data; ranks (u x N) are
+   the dense value ranks of each rank class (ties share a rank), and
+   column f belongs to class cls[f]: columns with equal rank rows share
+   a class, whose stable order is each member's np.argsort(kind=
+   "stable").  So one counting sort per class presorts the plan's rows
+   once into (u + 1) x n order rows, the last one the rows themselves,
+   and each tree starts from a copy; every node owns the same [lo, hi)
+   segment of each row.  Each split search draws its k candidate columns
+   from bitgens[t] as rng.choice(p, size=k, replace=False) would.
+
+   The trees' nodes land back to back in preorder in the output arrays
+   (cap entries in all, counts[t] for tree t, child ids tree-local,
+   leaves: feature -1, children -1); importance[t * p + f] accumulates
+   tree t's split gains on column f.  Returns 0; -2 past cap nodes, -3
+   out of memory, -4 an index out of range. */
+i64 build_trees(
+    const double *X, const double *y, const i64 *ranks, const i64 *cls,
+    const i64 *sample, i64 N, i64 n, i64 p, i64 u, i64 n_trees,
+    const i64 *params, bitgen_t *const *bitgens,
     i64 *feature, double *threshold, i64 *left, i64 *right, double *value,
-    double *importance, i64 cap)
+    double *importance, i64 *counts, i64 cap)
 {
+    if (n < 1 || p < 1 || u < 1) return -4;
+    for (i64 f = 0; f < p; f++)
+        if (cls[f] < 0 || cls[f] >= u) return -4;
+    for (i64 i = 0; i < n; i++)
+        if (sample[i] < 0 || sample[i] >= N) return -4;
+    for (i64 t = 0; t < n_trees; t++)
+        if (params[4 * t] < 1 || params[4 * t] > p) return -4;
     Tree t = {
-        .X = X, .y = y, .n = n, .p = p, .k = k, .max_depth = max_depth,
-        .min_split = min_split, .min_leaf = min_leaf, .bitgen = bitgen,
-        .feature = feature, .left = left, .right = right,
-        .threshold = threshold, .value = value, .importance = importance,
-        .cap = cap,
+        .X = X, .sample = sample, .cls = cls, .N = N, .n = n, .p = p,
+        .u = u,
     };
-    t.order = malloc((size_t)(p + 1) * (size_t)n * sizeof *t.order);
-    /* p + 1: malloc(0) may return NULL */
-    t.feats = malloc((size_t)(p + 1) * sizeof *t.feats);
-    t.slot = malloc((size_t)(p + 1) * sizeof *t.slot);
+    i64 *R = malloc((size_t)u * (size_t)n * sizeof *R);
+    double *yp = malloc((size_t)n * sizeof *yp);
+    i64 *presort = malloc((size_t)(u + 1) * (size_t)n * sizeof *presort);
+    t.order = malloc((size_t)(u + 1) * (size_t)n * sizeof *t.order);
+    t.cfeats = malloc((size_t)u * sizeof *t.cfeats);
+    t.cslot = malloc((size_t)u * sizeof *t.cslot);
+    t.scanned = calloc((size_t)u, sizeof *t.scanned);
     t.tmp = malloc((size_t)n * sizeof *t.tmp);
     t.ybuf = malloc((size_t)n * sizeof *t.ybuf);
     t.goes_left = malloc((size_t)n);
-    t.drawn = malloc((size_t)k * sizeof *t.drawn);
-    t.seen = calloc((size_t)p + 1, 1);
-    t.pool = malloc((size_t)(p + 1) * sizeof *t.pool);
-    i64 *cnt = malloc((size_t)n_ranks * sizeof *cnt);
+    t.drawn = malloc((size_t)p * sizeof *t.drawn);
+    t.seen = calloc((size_t)p, 1);
+    t.pool = malloc((size_t)p * sizeof *t.pool);
+    i64 *cnt = malloc((size_t)N * sizeof *cnt);
     i64 result = -3;
-    if (t.order && t.feats && t.slot && t.tmp && t.ybuf && t.goes_left
-            && t.drawn && t.seen && t.pool && cnt) {
-        for (i64 f = 0; f < p; f++) {
-            memset(cnt, 0, (size_t)n_ranks * sizeof *cnt);
-            const i64 *rf = ranks + f * n;
-            for (i64 i = 0; i < n; i++) cnt[rf[i]]++;
-            for (i64 r = 0, acc = 0; r < n_ranks; r++) {
-                i64 c = cnt[r];
-                cnt[r] = acc;
-                acc += c;
-            }
-            i64 *row = t.order + f * n;
-            for (i64 i = 0; i < n; i++) row[cnt[rf[i]]++] = i;
+    if (!(R && yp && presort && t.order && t.cfeats && t.cslot && t.scanned
+            && t.tmp && t.ybuf && t.goes_left && t.drawn && t.seen && t.pool
+            && cnt))
+        goto done;
+    result = -4;
+    for (i64 i = 0; i < n; i++) yp[i] = y[sample[i]];
+    for (i64 q = 0; q < u; q++) {
+        const i64 *rs = ranks + q * N;
+        i64 *rq = R + q * n;
+        for (i64 i = 0; i < n; i++) {
+            i64 r = rs[sample[i]];
+            if (r < 0 || r >= N) goto done;
+            rq[i] = r;
         }
-        for (i64 f = 0; f < p; f++) t.feats[f] = t.slot[f] = f;
-        for (i64 i = 0; i < n; i++) t.order[p * n + i] = i;
-        grow(&t, 0, n, 0, 0);
-        result = t.status ? t.status : t.count;
+        memset(cnt, 0, (size_t)N * sizeof *cnt);
+        for (i64 i = 0; i < n; i++) cnt[rq[i]]++;
+        for (i64 r = 0, acc = 0; r < N; r++) {
+            i64 c = cnt[r];
+            cnt[r] = acc;
+            acc += c;
+        }
+        i64 *row = presort + q * n;
+        for (i64 i = 0; i < n; i++) row[cnt[rq[i]]++] = i;
     }
+    for (i64 i = 0; i < n; i++) presort[u * n + i] = i;
+    t.R = R;
+    t.y = yp;
+    result = 0;
+    i64 start = 0;
+    for (i64 tree = 0; tree < n_trees && !result; tree++) {
+        const i64 *prm = params + 4 * tree;
+        t.k = prm[0];
+        t.max_depth = prm[1];
+        t.min_split = prm[2];
+        t.min_leaf = prm[3];
+        t.bitgen = bitgens[tree];
+        t.feature = feature + start;
+        t.threshold = threshold + start;
+        t.left = left + start;
+        t.right = right + start;
+        t.value = value + start;
+        t.importance = importance + tree * p;
+        t.cap = cap - start;
+        t.count = 0;
+        memcpy(t.order, presort, (size_t)(u + 1) * (size_t)n * sizeof *presort);
+        for (i64 q = 0; q < u; q++) t.cfeats[q] = t.cslot[q] = q;
+        grow(&t, 0, n, 0, 0);
+        result = t.status;
+        counts[tree] = t.count;
+        start += t.count;
+    }
+done:
+    free(R);
+    free(yp);
+    free(presort);
     free(t.order);
-    free(t.feats);
-    free(t.slot);
+    free(t.cfeats);
+    free(t.cslot);
+    free(t.scanned);
     free(t.tmp);
     free(t.ybuf);
     free(t.goes_left);
@@ -1317,7 +1387,7 @@ def jit_status() -> dict:
     ``backend`` is ``"cc"`` when the shared object is built and
     ``"python"`` on hosts where it could not be.  Under ``"cc"`` a kernel
     whose C form fails its build-time check still runs its Python form
-    (with a warning; only ``build_tree`` has such a check).
+    (with a warning; only ``build_trees`` has such a check).
     """
     return {"backend": "python" if _library() is None else "cc"}
 

@@ -24,7 +24,7 @@ from repro.ml import (
     ModelTree, RandomForestRegressor, RegressionTree, grid_search, r2_score,
 )
 from repro.ml.forest import _draw_plans
-from repro.ml.tree import _dense_ranks
+from repro.ml.tree import _dense_ranks, _rank_classes
 
 GOLDEN_FORESTS = Path(__file__).parent / "data" / "golden_forests.json"
 
@@ -90,6 +90,8 @@ class TestRegressionTree:
     def test_empty_rejected(self):
         with pytest.raises(MLError):
             RegressionTree().fit(np.zeros((0, 3)), np.zeros(0))
+        with pytest.raises(MLError, match="without features"):
+            RegressionTree().fit(np.zeros((4, 0)), np.zeros(4))
 
     def test_vectorized_batch_matches_per_row_walk(self):
         """A whole matrix descends to the same leaves as each of its rows
@@ -311,6 +313,25 @@ def test_model_tree_apply_matches_row_walk(rows):
     assert model.predict(Xq).shape == (rows,)
 
 
+def test_rank_classes_group_columns_by_order():
+    """Columns share a rank class exactly when their dense value ranks
+    are equal row for row: copies and order-preserving images do, a
+    negated copy does not, every constant column joins one class."""
+    rng = np.random.default_rng(0)
+    x = rng.normal(size=50)
+    ints = rng.integers(0, 3, size=50).astype(np.float64)
+    columns = np.array([
+        x, 2.0 * x, np.exp(x), -x, np.full(50, 3.0), np.zeros(50), ints,
+        np.round(x), ints.copy(),
+    ])
+    ranks, classes = _rank_classes(columns)
+    assert classes.shape == (9,) and len(ranks) == 5
+    assert classes[0] == classes[1] == classes[2] != classes[3]
+    assert classes[4] == classes[5] and not ranks[classes[4]].any()
+    assert classes[6] == classes[8] != classes[7]
+    assert np.array_equal(ranks[classes], _dense_ranks(columns))
+
+
 # ---------------------------------------------------------- golden forests
 
 def golden_data(n=90, p=24, seed=4):
@@ -343,16 +364,12 @@ def replay_trees(forest, X, y) -> list[RegressionTree]:
     the plan's RNG seed; the forest's node table slices and importances
     must equal those trees', byte for byte.
     """
-    columns = np.ascontiguousarray(X.T)
-    ranks = _dense_ranks(columns)
     trees = []
     for seed, sample in _draw_plans(forest, len(y)):
-        data = (columns, y, ranks) if sample is None else (
-            columns.take(sample, axis=1), y[sample], ranks.take(sample, axis=1)
-        )
+        rows = slice(None) if sample is None else sample
         trees.append(
             RegressionTree(**forest._tree_params(), rng=np.random.default_rng(seed))
-            ._fit(*data)
+            .fit(X[rows], y[rows])
         )
     sliced = forest_trees(forest)
     assert len(sliced) == len(trees)

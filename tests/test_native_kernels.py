@@ -34,7 +34,7 @@ from hypothesis import strategies as st
 from _helpers import forest_key, repro_env, use_kernel
 from test_ir_builder import builder_actions, replay
 from repro import NMCSimulator, default_nmc_config, get_workload, native
-from repro.errors import ConfigError
+from repro.errors import ConfigError, MLError
 from repro.ir import InstructionTrace, Opcode, TraceColumns, reuse_distances
 from repro.ir import trace as trace_module
 from repro.ir.trace import TRACE_COLUMNS, dense_ids
@@ -823,25 +823,53 @@ class TestPackKernel:
 
 # ------------------------------------------------------------ CART trees
 
+#: Columns drawn fresh: tie-heavy small integers, a mix of 0.0 / -0.0 /
+#: 1.0, constants, or continuous.
+FRESH_COLUMNS = {
+    "normal": lambda rng, n: rng.normal(size=n),
+    "ints": lambda rng, n: rng.integers(0, 4, size=n).astype(np.float64),
+    "zeros": lambda rng, n: rng.choice([0.0, -0.0, 1.0], size=n),
+    "const": lambda rng, n: np.full(n, rng.normal()),
+}
+
+#: Columns made from an earlier one: an exact copy and order-preserving
+#: images share its rank class, a negated copy must not (unless it is
+#: constant), and a rounded copy merges some of its values.
+DERIVED_COLUMNS = {
+    "copy": lambda x: x.copy(),
+    "scaled": lambda x: 2.0 * x,
+    "exp": np.exp,
+    "negated": lambda x: -x,
+    "rounded": lambda x: np.round(x, 1),
+}
+
+
+def draw_columns(draw, rng, n, p):
+    """An ``(n, p)`` matrix of :data:`FRESH_COLUMNS` and
+    :data:`DERIVED_COLUMNS` kinds (the first column fresh; a derived one
+    is made from a fresh one, so no chain of images overflows)."""
+    kinds = st.sampled_from(sorted(FRESH_COLUMNS) + sorted(DERIVED_COLUMNS))
+    columns, fresh = [], []
+    for kind in draw(st.lists(kinds, min_size=p, max_size=p)):
+        if kind in FRESH_COLUMNS or not fresh:
+            fresh.append(FRESH_COLUMNS.get(kind, FRESH_COLUMNS["normal"])(rng, n))
+            columns.append(fresh[-1])
+        else:
+            source = fresh[draw(st.integers(0, len(fresh) - 1))]
+            columns.append(DERIVED_COLUMNS[kind](source))
+    return np.column_stack(columns)
+
+
 @st.composite
 def tree_inputs(draw):
-    """A training set plus tree parameters.  Columns are drawn to be
-    tie-heavy: small integers, a mix of 0.0 / -0.0 / 1.0, constants, or
-    continuous; rows may be a bootstrap resample (duplicates)."""
+    """A training set plus tree parameters.  Columns are tie-heavy and
+    rank-class heavy (:func:`draw_columns`); rows may be a bootstrap
+    resample (duplicates)."""
     n = draw(st.integers(1, 200))
-    p = draw(st.integers(1, 8))
+    p = draw(st.integers(1, 24))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    column = {
-        "normal": lambda: rng.normal(size=n),
-        "ints": lambda: rng.integers(0, 4, size=n).astype(np.float64),
-        "zeros": lambda: rng.choice([0.0, -0.0, 1.0], size=n),
-        "const": lambda: np.full(n, rng.normal()),
-    }
-    kinds = st.sampled_from(sorted(column))
-    X = np.column_stack([
-        column[kind]() for kind in draw(st.lists(kinds, min_size=p, max_size=p))
-    ])
-    y = column[draw(st.sampled_from(["normal", "ints", "const"]))]()
+    X = draw_columns(draw, rng, n, p)
+    y = FRESH_COLUMNS[draw(st.sampled_from(["normal", "ints", "const"]))](rng, n)
     if draw(st.booleans()):
         sample = rng.integers(0, n, size=n)
         X, y = X[sample], y[sample]
@@ -870,20 +898,147 @@ def fit_tree(monkeypatch, form, X, y, params, seed):
         return RegressionTree(rng=np.random.default_rng(seed), **params).fit(X, y)
 
 
+@st.composite
+def plan_inputs(draw):
+    """One ``build_trees`` call: data, a plan's sample and its trees, at
+    the kernel's boundaries.  ``case`` forces one: one row, one column,
+    every column in one rank class, every column in its own class, k = p
+    everywhere, ``min_samples_leaf`` above half the plan's rows (no valid
+    cut), stumps; otherwise the data is :func:`draw_columns`'.  A plan
+    has one tree or many, on one seed (as a forest's) or on several."""
+    case = draw(st.sampled_from([
+        "mixed", "n=1", "p=1", "one class", "own classes", "k=p",
+        "wide leaf", "stumps",
+    ]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    p = 1 if case == "p=1" else draw(st.integers(2, 16))
+    N = 1 if case == "n=1" else draw(st.integers(p, 80))
+    if case == "one class":
+        base = FRESH_COLUMNS[draw(st.sampled_from(["normal", "ints", "const"]))](rng, N)
+        kinds = st.sampled_from(["copy", "scaled", "exp"])
+        X = np.column_stack([
+            DERIVED_COLUMNS[draw(kinds)](base) for _ in range(p)
+        ])
+    elif case == "own classes":
+        # column j peaks at row j: no two share a rank row
+        X = rng.normal(size=(N, p)) + 10.0 * np.eye(N, p)
+    else:
+        X = draw_columns(draw, rng, N, p)
+    y = rng.normal(size=N) if draw(st.booleans()) else (
+        rng.integers(0, 3, size=N).astype(np.float64)
+    )
+    sample = None
+    if draw(st.booleans()):
+        sample = rng.integers(0, N, size=draw(st.integers(1, 2 * N)))
+    n = N if sample is None else len(sample)
+    shared_seed = draw(st.integers(0, 2**32 - 1))
+    trees = []
+    for _ in range(draw(st.sampled_from([1, 2, 7]))):
+        k = p if case == "k=p" else draw(st.integers(1, p))
+        max_depth = 1 if case == "stumps" else draw(st.sampled_from([None, 1, 3]))
+        leaf = n // 2 + 1 if case == "wide leaf" else draw(st.sampled_from([1, 2, 5]))
+        split = draw(st.sampled_from([2, 3, 10]))
+        seed = shared_seed if draw(st.booleans()) else draw(st.integers(0, 2**32 - 1))
+        trees.append((k, max_depth, split, leaf, seed))
+    return case, X, y, sample, trees
+
+
+def build_plan(form, X, y, sample, trees):
+    """``form`` of ``build_trees`` over ``X``'s rank classes, each tree on
+    a fresh generator from its seed: the fitted arrays and the
+    generators' end states."""
+    columns = np.ascontiguousarray(X.T)
+    rngs = [np.random.default_rng(tree[-1]) for tree in trees]
+    fitted = form(
+        columns, y, *tree_module._rank_classes(columns), sample,
+        [(*tree[:-1], rng) for tree, rng in zip(trees, rngs)],
+    )
+    return fitted, [rng.bit_generator.state for rng in rngs]
+
+
+def plan_key(fitted):
+    return [[(a.dtype.str, a.tobytes()) for a in tree] for tree in fitted]
+
+
 class TestTreeKernel:
     @DIFF_SETTINGS
     @given(args=tree_inputs())
     def test_matches_python_oracle(self, monkeypatch, args):
-        forms("build_tree")
+        forms("build_trees")
         X, y, params, seed = args
         assert tree_key(fit_tree(monkeypatch, "cc", X, y, params, seed)) == (
             tree_key(fit_tree(monkeypatch, "python", X, y, params, seed))
         )
 
+    @DIFF_SETTINGS
+    @given(args=plan_inputs())
+    def test_plan_boundaries_match_python_form(self, args):
+        """Whole plans through both forms: equal trees, importances and
+        generator end states; every node index within its tree."""
+        cc, python = forms("build_trees")
+        case, X, y, sample, trees = args
+        N, p = X.shape
+        ranks, classes = tree_module._rank_classes(np.ascontiguousarray(X.T))
+        if case in ("n=1", "one class"):
+            assert len(ranks) == 1 and not classes.any()
+        if case == "own classes":
+            assert len(ranks) == p
+        got, got_states = build_plan(cc, X, y, sample, trees)
+        want, want_states = build_plan(python, X, y, sample, trees)
+        assert plan_key(got) == plan_key(want)
+        assert got_states == want_states
+        n = N if sample is None else len(sample)
+        for feature, threshold, left, right, value, importance in got:
+            count = len(value)
+            assert 1 <= count <= 2 * n - 1
+            split = left >= 0
+            assert np.all((feature >= -1) & (feature < p))
+            assert np.all(split == (feature >= 0)) and np.all(split == (right >= 0))
+            assert np.all((left[split] > np.flatnonzero(split))
+                          & (right[split] < count))
+            assert importance.shape == (p,)
+        if case == "wide leaf":
+            assert all(len(tree[4]) == 1 for tree in got)
+
+    @pytest.mark.parametrize("case", [
+        "class", "negative class", "sample", "negative sample", "rank",
+        "k", "no rows", "shape",
+    ])
+    def test_bad_indices_raise(self, case):
+        """The compiled form checks its index contract before it reads:
+        an out-of-range class, sample row, rank or k, or an empty plan,
+        raises MLError instead of reading out of bounds."""
+        cc, _python = forms("build_trees")
+        rng = np.random.default_rng(0)
+        columns = rng.normal(size=(3, 10))
+        ranks, classes = tree_module._rank_classes(columns)
+        y, sample, k = rng.normal(size=10), None, 2
+        if case == "class":
+            classes = classes.copy()
+            classes[1] = len(ranks)
+        elif case == "negative class":
+            classes = -np.ones_like(classes)
+        elif case == "sample":
+            sample = np.array([0, 10])
+        elif case == "negative sample":
+            sample = np.array([-1, 3])
+        elif case == "rank":
+            ranks = ranks.copy()
+            ranks[0, 4] = 10
+        elif case == "k":
+            k = 4
+        elif case == "no rows":
+            sample = np.zeros(0, dtype=np.int64)
+        else:
+            y = y[:9]
+        with pytest.raises(MLError):
+            cc(columns, y, ranks, classes, sample,
+               [(k, None, 2, 1, np.random.default_rng(0))])
+
     def test_sums_match_numpy(self):
         """The C node sums are np.sum's pairwise summation, bit for bit,
         across its sequential (< 8), unrolled (<= 128) and split forms."""
-        forms("build_tree")
+        forms("build_trees")
         np_sum = native._library().np_sum
         np_sum.restype = ctypes.c_double
         np_sum.argtypes = [ctypes.c_void_p, ctypes.c_int64]
@@ -902,25 +1057,31 @@ class TestTreeKernel:
         on about one draw in a thousand.  Nearly constant targets make
         ``sq - s**2 / n`` cancel, so that bit reaches the root gain (the
         raw importance) of a stump."""
-        cc, python = forms("build_tree")
+        cc, python = forms("build_trees")
         rng = np.random.default_rng(3)
         columns = np.arange(13.0)[None, :]
         for _ in range(4000):
             y = 1000.0 + 1e-3 * rng.normal(size=13)
             got, want = (
-                form(columns, y, columns.astype(np.int64), 1, 1, 2, 1,
-                     np.random.default_rng(0))[5]
+                form(columns, y, columns.astype(np.int64), np.zeros(1, int),
+                     None, [(1, 1, 2, 1, np.random.default_rng(0))])[0][5]
                 for form in (cc, python)
             )
             assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_forest_identical_under_both_forms(self, monkeypatch, jobs):
-        forms("build_tree")
+        """Duplicate, scaled and negated columns share or split rank
+        classes; the forest is the same under both forms either way."""
+        forms("build_trees")
         rng = np.random.default_rng(2)
-        X = np.column_stack([
+        base = np.column_stack([
             rng.normal(size=120), rng.integers(0, 3, size=120),
             np.zeros(120), rng.normal(size=120),
+        ])
+        X = np.column_stack([
+            base, base[:, 0], 2.0 * base[:, 3], -base[:, 1],
+            np.exp(base[:, 0]), -base[:, 3],
         ])
         y = X[:, 0] * (X[:, 1] + 1) + 0.1 * rng.normal(size=120)
         keys = []
@@ -928,7 +1089,8 @@ class TestTreeKernel:
             with monkeypatch.context() as patch:
                 use_kernel(patch, form)
                 forest = RandomForestRegressor(
-                    n_estimators=8, random_state=5, jobs=jobs
+                    n_estimators=8, max_features="sqrt", random_state=5,
+                    jobs=jobs,
                 ).fit(X, y)
             keys.append(forest_key(forest))
         assert keys[0] == keys[1]
@@ -974,7 +1136,7 @@ class TestChoiceReplay:
     def test_matches_generator_choice(self, name, shape, seed, draws):
         """Equal indices and an equal generator state after each draw,
         for every numpy bit generator (some buffer a spare uint32)."""
-        forms("build_tree")
+        forms("build_trees")
         choice = tree_module._choice_cc(native._library())
         p, k = shape
         want, got = (
@@ -992,7 +1154,7 @@ class TestChoiceReplay:
         """A C draw that disagrees with ``choice`` (as after a numpy
         change to it) is caught when the kernel is built: one warning,
         and the trees are the Python form's."""
-        forms("build_tree")
+        forms("build_trees")
         real = tree_module._choice_cc
         monkeypatch.setattr(
             tree_module, "_choice_cc",
@@ -1004,15 +1166,15 @@ class TestChoiceReplay:
         handler.emit = records.append
         tree_module.log.addHandler(handler)
         try:
-            fn, backend = native.resolve("build_tree")
-            native.resolve("build_tree")
+            fn, backend = native.resolve("build_trees")
+            native.resolve("build_trees")
         finally:
             tree_module.log.removeHandler(handler)
         assert [r.getMessage() for r in records] == [
             "the C feature draw does not replay this numpy's "
             "Generator.choice; trees are built by the Python form"
         ]
-        assert (fn, backend) == (native.python_form("build_tree"), "python")
+        assert (fn, backend) == (native.python_form("build_trees"), "python")
         X, y, params, seed = (
             np.random.default_rng(4).normal(size=(60, 9)),
             np.random.default_rng(5).normal(size=60),
