@@ -21,7 +21,7 @@ from ..core.dataset import TrainingSet
 from ..core.reporting import format_table
 from ..errors import ReproError, WorkloadError
 from ..ml import mean_relative_error, r2_score
-from ..nmcsim import jit_status, simulation_memo_bytes, store_dir
+from ..nmcsim import jit_status, simulation_memo_bytes
 from ..obs import (
     config_hash,
     load_trace,
@@ -109,7 +109,7 @@ def _record_simulation(
         args,
         jobs=campaign.jobs,
         cache={"entries": len(campaign.cache)},
-        sim_memo={"dir": store_dir(), "bytes": simulation_memo_bytes()},
+        sim_memo={"bytes": simulation_memo_bytes()},
         sim_jit=jit_status(),
     )
 

@@ -11,7 +11,6 @@ from typing import Sequence
 from .. import __version__
 from ..backends import backend_names
 from ..errors import ReproError
-from ..nmcsim import configure_store
 from ..obs import RunManifest, configure_logging, get_logger
 from ..obs.trace import (
     TRACE_ENV_VAR,
@@ -117,15 +116,6 @@ def build_parser() -> argparse.ArgumentParser:
                  "0 = all CPUs; results are identical at any job count)",
         )
 
-    def add_memo_dir_arg(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--memo-dir", metavar="DIR",
-            help="persist the simulator's phase-A geometry products "
-                 "(packed events + cache stats) as content-hash-"
-                 "keyed entries under DIR, shared across processes and "
-                 "runs (default: $REPRO_SIM_MEMO_DIR, or no persistence)",
-        )
-
     def add_manifest_arg(p: argparse.ArgumentParser) -> None:
         p.add_argument(
             "--manifest", metavar="PATH",
@@ -190,7 +180,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_arch_args(p)
     p.add_argument("--cache", help="campaign cache file (JSON)")
     add_jobs_arg(p)
-    add_memo_dir_arg(p)
     add_manifest_arg(p)
     add_trace_args(p)
     p.set_defaults(func=commands.cmd_campaign)
@@ -221,7 +210,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--scale", type=float, default=1.0, help="trace shrink factor"
     )
     add_jobs_arg(p)
-    add_memo_dir_arg(p)
     add_manifest_arg(p)
     add_trace_args(p)
     p.set_defaults(func=commands.cmd_train)
@@ -328,7 +316,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--scale", type=float, default=1.0, help="trace shrink factor"
     )
     add_jobs_arg(p)
-    add_memo_dir_arg(p)
     add_manifest_arg(p)
     add_trace_args(p)
     p.set_defaults(func=commands.cmd_suitability)
@@ -392,8 +379,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         list(argv) if argv is not None else sys.argv[1:],
     )
     args._run_manifest = manifest
-    if "memo_dir" in args:
-        configure_store(args.memo_dir)
     # Event tracing: --trace PATH or $REPRO_TRACE activates; the `trace`
     # subcommand never self-activates (it *inspects* trace files, and
     # tracing its own run could clobber the file being inspected).

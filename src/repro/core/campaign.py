@@ -12,7 +12,6 @@ evaluation and the benchmark harness revisit the same points many times.
 
 from __future__ import annotations
 
-import functools
 import json
 import time
 from collections import OrderedDict
@@ -23,12 +22,7 @@ from ..config import NMCConfig, default_nmc_config
 from ..doe import ParameterSpace, central_composite
 from ..errors import CampaignError
 from ..ir import InstructionTrace
-from ..nmcsim import (
-    SimulationResult,
-    configure_store,
-    simulate_batch,
-    store_dir,
-)
+from ..nmcsim import SimulationResult, simulate_batch
 from ..obs import get_logger, metrics, tracer
 from ..parallel import map_jobs, resolve_jobs
 from ..profiler import ApplicationProfile, analyze_trace
@@ -260,8 +254,6 @@ class SimulationCampaign:
     path: uncached points are split into contiguous chunks (one per
     worker), same-trace points run phase A back to back against warm
     memos, and each chunk's phase B replays in one kernel invocation.
-    Pool workers adopt the process's persistent phase-A memo store
-    (:func:`repro.nmcsim.configure_store`).
     """
 
     def __init__(
@@ -421,10 +413,7 @@ class SimulationCampaign:
         Pending points are split into (at most) ``jobs`` contiguous
         chunks, each simulated by :func:`_simulate_batch_job`, and merged
         back into the cache in point order, so cache contents and timing
-        tallies are independent of worker completion order.  When the
-        persistent memo store is configured, pool workers adopt the
-        parent's store directory via the executor's ``worker_init``
-        hook, so geometry work done by one worker is reused by all.
+        tallies are independent of worker completion order.
         """
         keys, pending = self._pending_split(workload, points)
         if pending:
@@ -452,15 +441,8 @@ class SimulationCampaign:
                 )
                 for chunk in chunks
             ]
-            sdir = store_dir()
             outputs = map_jobs(
-                _simulate_batch_job,
-                payloads,
-                jobs_n=self.jobs,
-                worker_init=(
-                    functools.partial(configure_store, sdir)
-                    if sdir is not None else None
-                ),
+                _simulate_batch_job, payloads, jobs_n=self.jobs
             )
             done = 0
             for chunk, (profiles, results, elapsed) in zip(

@@ -329,7 +329,21 @@ def _fill_trace_py(cols: dict[str, np.ndarray], groups: list) -> None:
 
 
 def _fill_trace_cc(lib: native.Library) -> Callable:
-    """The library's ``fill_trace`` over flat group/run/body tables."""
+    """The library's ``fill_trace`` over flat group/run/body tables.
+
+    Index contract, which the C form does not check: every group's
+    instructions, ``sum(counts) * len(template)`` per run from its
+    ``start``, end within the columns; each run has one count per
+    segment, every count is ``>= 0`` and each address array holds one
+    entry per iteration (``sum(counts)``); every body row's slot
+    ordinal is ``-1`` or below the template's slot count, and ``pc_base
+    + len(template) - 1`` fits uint32.  Every bound is known before the
+    call: :meth:`TraceBuilder.threads` checks the counts, the address
+    lengths and ``pc_base``, :class:`LoopTemplate` numbers its slots,
+    and :meth:`TraceBuilder.finish` sizes the columns and places each
+    group, so the C form returns no status.  Any value of a column's
+    dtype is valid in that column.
+    """
     fn = lib.fill_trace
     fn.restype = None
     fn.argtypes = [ctypes.c_void_p] * 9 + [ctypes.c_int64] + [ctypes.c_void_p] * 6

@@ -184,29 +184,6 @@ class InstructionTrace:
             self._memo[key] = got
         return got
 
-    def content_hash(self) -> str:
-        """Stable hex digest of the full column contents (memoised).
-
-        Keys cross-process caches (the persistent phase-A memo store):
-        two traces hash equal iff every column is byte-identical, so a
-        changed trace generator, seed or scale can never alias a stale
-        cache entry.
-        """
-        got = self._memo.get("content_hash")
-        if got is None:
-            import hashlib
-
-            h = hashlib.sha256()
-            for name in TRACE_COLUMNS:
-                col = getattr(self, name)
-                h.update(name.encode())
-                # Contiguous arrays expose the buffer protocol: hash the
-                # column bytes in place instead of copying via tobytes().
-                h.update(np.ascontiguousarray(col))
-            got = h.hexdigest()
-            self._memo["content_hash"] = got
-        return got
-
     # ------------------------------------------------------------ views
 
     def for_thread(self, tid: int) -> "InstructionTrace":

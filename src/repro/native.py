@@ -913,21 +913,29 @@ static i64 ilp_pass(
 
 /* out[0] the infinite-window depth, out[1..4) the int/fp/memory chain
    depths, out[4..7) the int/fp/memory op counts, out[7 + w] the depth
-   under windows[w].  Registers and lines are dense ids (-1: no
-   register); the tables hold n_regs / n_lines slots, all zeroed. */
-void ilp_depths(
+   under windows[w].  Registers and lines are dense ids (negative: no
+   register); the tables hold n_regs / n_lines slots, all zeroed.
+   Returns -1, before any table is touched, when a register id is
+   n_regs or more or a memory op's line id is outside [0, n_lines);
+   0 when done. */
+i64 ilp_depths(
     const i64 *kind, const i64 *dst, const i64 *src1, const i64 *src2,
-    const i64 *line, i64 n, const i64 *windows, i64 n_windows,
-    i64 *reg_level, i64 *reg_stamp, i64 *store_level, i64 *store_stamp,
-    i64 *int_level, i64 *fp_level, i64 *out)
+    const i64 *line, i64 n, i64 n_regs, i64 n_lines, const i64 *windows,
+    i64 n_windows, i64 *reg_level, i64 *reg_stamp, i64 *store_level,
+    i64 *store_stamp, i64 *int_level, i64 *fp_level, i64 *out)
 {
     i64 epoch = 0;
     memset(out, 0, (size_t)(7 + n_windows) * sizeof *out);
     for (i64 i = 0; i < n; i++) {
         i64 cls = kind[i] & K_CLASS;
+        if (dst[i] >= n_regs || src1[i] >= n_regs || src2[i] >= n_regs)
+            return -1;
+        if ((kind[i] & (K_READ | K_WRITE))
+                && (line[i] < 0 || line[i] >= n_lines))
+            return -1;
         if (cls) out[3 + cls]++;
     }
-    if (n == 0) return;
+    if (n == 0) return 0;
     out[0] = ilp_pass(
         n, n, kind, dst, src1, src2, line, reg_level, reg_stamp,
         store_level, store_stamp, int_level, fp_level, &epoch, out + 1);
@@ -936,6 +944,7 @@ void ilp_depths(
             n, windows[w] > 0 ? windows[w] : n, kind, dst, src1, src2, line,
             reg_level, reg_stamp, store_level, store_stamp, NULL, NULL,
             &epoch, NULL);
+    return 0;
 }
 
 /* -------------------------------------- numpy's Generator.choice */

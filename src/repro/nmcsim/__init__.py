@@ -13,16 +13,8 @@ from .cache import Cache, CacheStats
 from .classify import LRUClassification, classify_steps, classify_streams
 from .energy import EnergyBreakdown, compute_energy
 from ..native import jit_status
-from ..store import MemoStore
 from .results import SimulationResult
-from .simulator import (
-    NMCSimulator,
-    active_store,
-    configure_store,
-    simulate_batch,
-    simulation_memo_bytes,
-    store_dir,
-)
+from .simulator import NMCSimulator, simulate_batch, simulation_memo_bytes
 
 from .dram import StackedMemory, VaultStats
 from .interconnect import LinkModel, OffloadCost, offload_adjusted_edp
@@ -33,10 +25,6 @@ __all__ = [
     "jit_status",
     "simulate_batch",
     "simulation_memo_bytes",
-    "MemoStore",
-    "active_store",
-    "configure_store",
-    "store_dir",
     "LRUClassification",
     "classify_steps",
     "classify_streams",

@@ -70,12 +70,12 @@ def contend_packed_multi(
     :class:`~repro.nmcsim.dram.StackedMemory` holds, so one batched call
     equals N separate ones.
 
-    Index contract, which the compiled form does not check (a product
-    read from the memo store is range-checked against its point first,
-    ``simulator._check_routing``): per point, ``off`` rises strictly
-    from 0 to the event count, so every stream owns at least one event,
-    and ``t0``/``tail`` hold ``n_streams`` entries; every event has
-    ``0 <= bank < n_banks`` and ``0 <= vault < n_vaults``; a writeback
+    Index contract, which the compiled form does not check (both forms
+    of ``pack_events`` write products that keep it): per point, ``off``
+    rises strictly from 0 to the event count, so every stream owns at
+    least one event, and ``t0``/``tail`` hold ``n_streams`` entries;
+    every event has ``0 <= bank < n_banks`` and ``0 <= vault <
+    n_vaults``; a writeback
     (``wbank >= 0``; ``-1`` marks none) has ``wbank < n_banks`` and
     ``0 <= wvault < n_vaults``; ``mshrs >= 1`` when ``ooo``; times are
     finite and non-negative.  A point with zero streams is valid and

@@ -45,8 +45,7 @@ Two further levers sit on top of the fast engine:
   geometry and clock as well.  Each is cached on the trace's ``_memo``
   side table under its own key, so DoE campaign points that share a
   slice skip the corresponding work entirely (``sim.memo.*`` counters).
-  The product's arrays are also what the persistent memo store writes
-  and what the phase-B kernel reads, in the same layout.
+  The product's arrays are what the phase-B kernel reads, as they are.
 * **compiled kernels** — stream digestion is one kernel call per
   (trace, PE slice), the L1 walk and the event packing one each per
   point, and the contention loop one multi-point kernel
@@ -65,9 +64,7 @@ on.
 from __future__ import annotations
 
 import ctypes
-import hashlib
 import heapq
-import os
 import time
 import weakref
 from collections import OrderedDict
@@ -86,7 +83,7 @@ from .cache import Cache, CacheStats
 from .classify import LRUClassification, classify_streams
 from .dram import StackedMemory, route_addresses
 from .energy import compute_energy
-from ..store import FORMAT_VERSION, MemoStore, discard, lru_get_or_build
+from ..store import lru_get_or_build
 from .results import SimulationResult
 
 log = get_logger("repro.nmcsim")
@@ -128,68 +125,13 @@ def _memo_touch(trace: InstructionTrace, kind: str, key: tuple) -> None:
     The events memo subsumes the streams and classify products, so a hit
     on it means those kinds' work was skipped too — touching them keeps
     their LRU order and hit counters identical to the pre-batched flow,
-    which looked all three up every run.  Entries absent because the
-    product came from the persistent store are silently left absent.
+    which looked all three up every run.  Entries their own memo has
+    already evicted are left absent.
     """
     memo = trace._memo.get(f"sim.{kind}")
     if memo is not None and key in memo:
         memo.move_to_end(key)
         metrics().inc(f"sim.memo.{kind}.hits")
-
-
-# ------------------------------------------------- persistent memo store
-#
-# The in-process memos die with the process: every ``--jobs N`` worker,
-# and every fresh campaign process, would recompute the phase-A products
-# its siblings already built.  The final phase-A product (its ``lens``,
-# ``ints`` and ``floats`` arrays, see :class:`_PhaseA`) is therefore also
-# persisted as one :class:`~repro.store.MemoStore` entry per (trace
-# contents, architecture slice) under a shared directory, off by default.
-
-#: Environment variable pointing at the shared store directory.
-STORE_ENV_VAR = "REPRO_SIM_MEMO_DIR"
-
-#: Programmatic override of the store directory (wins over the env var).
-#: ``""`` means "explicitly disabled"; None means "not configured here".
-_OVERRIDE_DIR: str | None = None
-
-
-def store_key(trace: InstructionTrace, slice_key: tuple) -> str:
-    """Entry key of one (trace, architecture-slice) phase-A product.
-
-    A SHA-256 over the store format version, the trace's full column
-    contents (:meth:`~repro.ir.InstructionTrace.content_hash`) and the
-    events-memo key tuple (every architecture field phase A reads), so a
-    changed trace, geometry or layout never aliases a stale entry.
-    """
-    payload = f"{FORMAT_VERSION}|{trace.content_hash()}|{slice_key!r}"
-    return hashlib.sha256(payload.encode()).hexdigest()
-
-
-def configure_store(path: str | os.PathLike | None) -> None:
-    """Set (or clear, with None) the process-wide store directory.
-
-    Overrides ``$REPRO_SIM_MEMO_DIR``.  Picklable entry point for pool
-    ``worker_init`` hooks: the campaign ships
-    ``functools.partial(configure_store, dir)`` so workers join the
-    parent's store even under a spawn start method.
-    """
-    global _OVERRIDE_DIR
-    _OVERRIDE_DIR = os.fspath(path) if path is not None else None
-
-
-def store_dir() -> str | None:
-    """The effective store directory, or None when the store is off."""
-    if _OVERRIDE_DIR is not None:
-        return _OVERRIDE_DIR or None
-    env = os.environ.get(STORE_ENV_VAR, "").strip()
-    return env or None
-
-
-def active_store() -> MemoStore | None:
-    """The configured :class:`~repro.store.MemoStore`, or None when off."""
-    root = store_dir()
-    return MemoStore(root) if root is not None else None
 
 
 def simulation_memo_bytes() -> dict[str, int]:
@@ -413,7 +355,7 @@ def _digest_streams_cc(lib: native.Library):
 native.register("stream_digests", _digest_streams, _digest_streams_cc)
 
 
-#: The named segments of a phase-A product, in the order a store entry
+#: The named segments of a phase-A product, in the order ``pack_events``
 #: lays them out: the int64 ones fill ``ints``, the float64 ones
 #: ``floats``.  ``sidx`` maps each packed stream (one with at least one
 #: miss) to its stream index and ``off`` bounds its events; ``block``,
@@ -427,7 +369,6 @@ _INT_SEGS = (
 )
 _FLOAT_SEGS = ("dnext", "t0", "tail", "f0_val")
 _SEGS = _INT_SEGS + _FLOAT_SEGS
-_EVENT_SEGS = ("block", "vault", "bank", "wblock", "wvault", "wbank", "dnext")
 #: ``meta``: n_streams, n_reads, n_writes, flush_writes, then the L1
 #: hits, misses, writebacks and flushes (CacheStats field order).
 _META_LEN = 8
@@ -439,15 +380,12 @@ class _PhaseA:
     Everything the fast engine needs downstream of classification lives
     in ``ints`` (int64) and ``floats`` (float64); ``lens`` splits them
     into the :data:`_SEGS` segments, exposed as attributes that are views
-    into the two arrays.  This one object is what the events memo holds,
-    what a :class:`~repro.store.MemoStore` entry stores (its three
-    arrays, as they are) and what phase B reads: ``addresses`` holds the
-    base addresses of the :data:`~repro.nmcsim._native.COLUMNS` segments
-    for the compiled kernel.  A warm hit skips stream digestion,
-    classification *and* event packing.
-
-    The constructor checks the layout and raises :class:`ValueError`
-    when the arrays cannot be such a product (a damaged store entry).
+    into the two arrays.  This one object is what the events memo holds
+    and what phase B reads: ``addresses`` holds the base addresses of
+    the :data:`~repro.nmcsim._native.COLUMNS` segments for the compiled
+    kernel.  A warm hit skips stream digestion, classification *and*
+    event packing.  The arrays are taken as ``pack_events`` returns
+    them, unchecked: both of its forms write that layout.
     """
 
     __slots__ = ("lens", "ints", "floats", "addresses") + _SEGS
@@ -455,42 +393,15 @@ class _PhaseA:
     def __init__(
         self, lens: np.ndarray, ints: np.ndarray, floats: np.ndarray
     ) -> None:
-        # Checked on Python ints: numpy calls on these small arrays
-        # would cost more than the rest of a warm lookup.
-        n = lens.tolist()
-        if len(n) != len(_SEGS) or min(n) < 0:
-            raise ValueError(f"bad segment lengths {n}")
-        size = dict(zip(_SEGS, n))
-        if (
-            len({size[name] for name in _EVENT_SEGS}) != 1
-            or size["off"] != size["sidx"] + 1
-            or size["t0"] != size["sidx"] or size["tail"] != size["sidx"]
-            or size["f0_val"] != size["f0_idx"]
-            or size["meta"] != _META_LEN
-        ):
-            raise ValueError(f"inconsistent segment lengths {n}")
         address = {}
-        for blob, names, dtype in (
-            (ints, _INT_SEGS, np.int64), (floats, _FLOAT_SEGS, np.float64)
-        ):
-            if (
-                blob.dtype != dtype or blob.ndim != 1
-                or not blob.flags.c_contiguous
-            ):
-                raise ValueError(
-                    f"segments need a contiguous 1-d {dtype.__name__} "
-                    f"array, got {blob.dtype} of shape {blob.shape}"
-                )
+        n = iter(lens.tolist())
+        for blob, names in ((ints, _INT_SEGS), (floats, _FLOAT_SEGS)):
             at, base = 0, blob.ctypes.data
             for name in names:
-                k = size[name]
+                k = next(n)
                 setattr(self, name, blob[at:at + k])
                 address[name] = base + 8 * at
                 at += k
-            if at != len(blob):
-                raise ValueError(
-                    f"segment lengths {n} do not cover {len(blob)} entries"
-                )
         self.lens, self.ints, self.floats = lens, ints, floats
         self.addresses = [address[name] for name in _native.COLUMNS]
 
@@ -635,32 +546,6 @@ def _pack_events_cc(lib: native.Library):
 
 
 native.register("pack_events", _pack_events, _pack_events_cc)
-
-
-def _check_routing(product: _PhaseA, cfg: NMCConfig) -> None:
-    """Raise :class:`ValueError` unless a loaded product fits ``cfg``.
-
-    Phase B indexes bank and bus state with the stored routing and walks
-    each stream's events by ``off``, unchecked, so a store entry with a
-    valid layout but damaged values would read and write out of bounds.
-    """
-    n_banks = cfg.n_vaults * cfg.banks_per_vault
-    # A ``wbank`` of -1 marks a clean eviction (no writeback).
-    for name, lo, hi in (
-        ("vault", 0, cfg.n_vaults), ("wvault", 0, cfg.n_vaults),
-        ("bank", 0, n_banks), ("wbank", -1, n_banks),
-    ):
-        values = getattr(product, name)
-        if values.size and (values.min() < lo or values.max() >= hi):
-            raise ValueError(f"{name} values outside [{lo}, {hi})")
-    off = product.off
-    if (
-        off[0] != 0 or off[-1] != len(product.block)
-        or (np.diff(off) <= 0).any()
-    ):
-        raise ValueError(
-            "event offsets do not rise strictly from 0 to the event count"
-        )
 
 
 def _events_key(cfg: NMCConfig) -> tuple:
@@ -1005,13 +890,10 @@ class NMCSimulator:
             ))
 
     def _phase_a(self, trace: InstructionTrace) -> _PhaseA:
-        """The phase-A product, via the memo stack.
+        """The phase-A product, from the trace's events memo or fresh.
 
-        Lookup order: in-process events memo on the trace, then the
-        persistent cross-process store (when configured), then a fresh
-        computation (which also populates the store).  All three paths
-        yield the identical product — the store round-trips the exact
-        float64/int64 arrays.
+        A miss computes it (:meth:`_compute_phase_a`); a hit also
+        refreshes the streams and classify memos it subsumes.
         """
         cfg = self.config
         key = _events_key(cfg)
@@ -1020,31 +902,7 @@ class NMCSimulator:
         def build() -> _PhaseA:
             nonlocal built
             built = True
-            store = active_store()
-            if store is None:
-                return self._compute_phase_a(trace)
-            skey = store_key(trace, key)
-            data = store.get(skey)
-            if data is not None:
-                try:
-                    product = _PhaseA(
-                        data["lens"], data["ints"], data["floats"]
-                    )
-                    _check_routing(product, cfg)
-                    return product
-                except (KeyError, ValueError, TypeError) as exc:
-                    discard(
-                        f"sim memo store entry is not a phase-A product "
-                        f"({exc!r}); recomputing",
-                        counter="sim.memo.store.errors",
-                    )
-            product = self._compute_phase_a(trace)
-            store.put(skey, {
-                "lens": product.lens,
-                "ints": product.ints,
-                "floats": product.floats,
-            })
-            return product
+            return self._compute_phase_a(trace)
 
         with metrics().timer("phase.simulate.classify"):
             product = _memo_lookup(trace, "events", key, build)

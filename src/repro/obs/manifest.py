@@ -15,7 +15,7 @@ manifest (``--manifest PATH``) recording what ran and how it went:
       "workloads": ["gemv"],
       "n_points": 11,
       "cache": {"entries": 11},
-      "sim_memo": {"dir": null, "bytes": {"streams": 0, ...}},
+      "sim_memo": {"bytes": {"streams": 0, ...}},
       "phases": {"trace": 1.2, "profile": 0.8, "simulate": 3.1},
       "model": {"name": "rf", "ipc_mre": 0.04, "ipc_r2": 0.99},
       "metrics": {"counters": {"campaign.cache.misses": 11, ...},

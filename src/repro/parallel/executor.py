@@ -43,18 +43,12 @@ def in_worker() -> bool:
     return _IN_WORKER
 
 
-def _mark_worker(worker_init: Callable[[], None] | None = None) -> None:
+def _mark_worker() -> None:
     global _IN_WORKER
     _IN_WORKER = True
     log.debug(
         "pool worker started", extra={"ctx": {"pid": os.getpid()}}
     )
-    if worker_init is not None:
-        # Caller-supplied per-worker setup (must be picklable, e.g. a
-        # functools.partial): adopts parent-process configuration that
-        # does not travel through fork/spawn, like the simulator's
-        # persistent memo-store directory.
-        worker_init()
 
 
 def resolve_jobs(jobs: int | None = None) -> int:
@@ -163,7 +157,6 @@ def map_jobs(
     jobs: Iterable[T],
     *,
     jobs_n: int | None = None,
-    worker_init: Callable[[], None] | None = None,
 ) -> list[R]:
     """Apply ``fn`` to every job, in parallel when ``jobs_n`` allows it.
 
@@ -173,9 +166,7 @@ def map_jobs(
     inside a pool worker runs serially in the calling process, where
     exceptions propagate unchanged with their traceback intact; pool
     workers' exceptions re-raise as :class:`ParallelError` with the
-    failing job's index and repr.  ``worker_init`` (picklable,
-    zero-argument) runs once in every pool worker before any job; serial
-    execution skips it — the caller's own process state already applies.
+    failing job's index and repr.
     """
     jobs = list(jobs)
     jobs_n = resolve_jobs(jobs_n)
@@ -202,7 +193,6 @@ def map_jobs(
             max_workers=workers,
             mp_context=_mp_context(),
             initializer=_mark_worker,
-            initargs=(worker_init,),
         ) as pool:
             raw = list(pool.map(_call_job, payloads))
     except (OSError, RuntimeError, ImportError) as exc:

@@ -178,11 +178,22 @@ _KIND[[_STORE, _ATOMIC]] |= 8
 
 
 def _ilp_depths_cc(lib: native.Library) -> Callable:
+    """The library's ``ilp_depths`` with the Python form's signature.
+
+    Index contract: the five columns are equally long and every window
+    is positive (:data:`~repro.profiler.features.ILP_WINDOWS`), which
+    the C form does not check; every register id is below ``n_regs`` (a
+    negative id is no register) and every memory op's line id is in
+    ``[0, n_lines)``, which only a pass over the columns can tell, so
+    the C form checks both before it touches a table and returns a
+    status, raised here as :class:`ValueError`.  A non-memory op's line
+    id is never read.
+    """
     fn = lib.ilp_depths
-    fn.restype = None
+    fn.restype = ctypes.c_int64
     fn.argtypes = (
-        [ctypes.c_void_p] * 5 + [ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64]
-        + [ctypes.c_void_p] * 7
+        [ctypes.c_void_p] * 5 + [ctypes.c_int64] * 3
+        + [ctypes.c_void_p, ctypes.c_int64] + [ctypes.c_void_p] * 7
     )
 
     def kernel(ops, dsts, src1s, src2s, lines, n_regs, n_lines, windows) -> list[int]:
@@ -195,10 +206,16 @@ def _ilp_depths_cc(lib: native.Library) -> Callable:
         sizes = (n_regs, n_regs, n_lines, n_lines, n_regs, n_regs)
         tables = [np.zeros(k, dtype=np.int64) for k in sizes]
         out = np.empty(7 + len(win), dtype=np.int64)
-        fn(
-            *(c.ctypes.data for c in cols), n, win.ctypes.data, len(win),
-            *(t.ctypes.data for t in tables), out.ctypes.data,
+        status = fn(
+            *(c.ctypes.data for c in cols), n, n_regs, n_lines,
+            win.ctypes.data, len(win), *(t.ctypes.data for t in tables),
+            out.ctypes.data,
         )
+        if status:
+            raise ValueError(
+                f"ilp_depths: a register id is not below {n_regs} or a "
+                f"memory op's line id is outside [0, {n_lines})"
+            )
         return out.tolist()
 
     return kernel

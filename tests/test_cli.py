@@ -1,17 +1,12 @@
 """Tests for the command-line interface (repro.cli)."""
 
 import json
-from pathlib import Path
 
 import pytest
 
 from _helpers import require_compiler, run_repro, strip_wall_clock
 from repro.backends import backend_names
 from repro.cli import build_parser, main
-from repro.core import campaign as campaign_mod
-from repro.nmcsim import configure_store
-from repro.nmcsim.simulator import _INT_SEGS
-from repro.store import MemoStore
 
 
 def run_cli(capsys, *argv):
@@ -327,19 +322,9 @@ class TestCampaignCommand:
         assert "job count must be >= 0" in err
 
 
-@pytest.fixture
-def store_off():
-    """The persistent memo store is process-global: leave it off.  Fresh
-    traces, too: a trace memoised by an earlier test carries warm
-    in-process phase-A memos, which never consult the store."""
-    campaign_mod._TRACE_MEMO.clear()
-    configure_store(None)
-    yield
-    configure_store(None)
-
-
-class TestMemoDirFlag:
-    """Every command that takes --memo-dir writes its store there."""
+class TestSimMemoManifest:
+    """Every campaign-running command records its jobs and the resident
+    bytes of the simulator's in-process memos."""
 
     @pytest.mark.parametrize(
         "argv",
@@ -352,108 +337,21 @@ class TestMemoDirFlag:
         ],
         ids=["campaign", "train", "suitability", "suitability-2-backends"],
     )
-    def test_store_written_and_recorded(
-        self, capsys, tmp_path, monkeypatch, store_off, argv
-    ):
+    def test_sim_memo_recorded(self, capsys, tmp_path, monkeypatch, argv):
         monkeypatch.delenv("REPRO_JOBS", raising=False)
-        store = tmp_path / "store"
         man = tmp_path / "m.json"
         if argv[0] == "train":
             argv = argv + ["-o", str(tmp_path / "m.pkl")]
         code, _, err = run_cli(
-            capsys, *argv, "--scale", "8", "--memo-dir", str(store),
-            "--manifest", str(man),
+            capsys, *argv, "--scale", "8", "--manifest", str(man),
         )
         assert code == 0, err
-        assert list(store.rglob("*.bin"))
         data = json.loads(man.read_text())
-        assert data["sim_memo"]["dir"] == str(store)
+        assert set(data["sim_memo"]) == {"bytes"}
         assert set(data["sim_memo"]["bytes"]) == {
             "streams", "classify", "events",
         }
-        assert data["metrics"]["counters"]["sim.memo.store.writes"] > 0
         assert data["jobs"] == 1
-
-
-def store_files(store: Path) -> dict[str, bytes]:
-    """Every file of a memo store by its path inside the store."""
-    return {
-        str(path.relative_to(store)): path.read_bytes()
-        for path in sorted(store.rglob("*")) if path.is_file()
-    }
-
-
-def damage_bank_segments(store: Path) -> int:
-    """Point every entry's bank routing far outside the device, keeping
-    each entry well-formed; return the number of entries."""
-    memo = MemoStore(store)
-    entries = sorted(store.rglob("*.bin"))
-    seg = _INT_SEGS.index("bank")
-    for entry in entries:
-        data = memo.get(entry.stem)
-        at = int(data["lens"][:seg].sum())
-        data["ints"] = data["ints"].copy()
-        data["ints"][at:at + int(data["lens"][seg])] = 2**40
-        memo.put(entry.stem, data)
-    return len(entries)
-
-
-class TestMemoStoreAcrossProcesses:
-    """A memo store carries phase-A products from one process to the
-    next, so every run here is a fresh process: the test process's own
-    in-process memos would answer before the store is asked."""
-
-    def test_cold_warm_and_damaged_runs(self, tmp_path):
-        require_compiler()
-        argv = ["campaign", "atax", "--scale", "4"]
-        store = tmp_path / "memo-store"
-        python_store = tmp_path / "memo-store-python"
-        cold = run_repro(
-            *argv, "--memo-dir", store, "--manifest", "cold.json", cwd=tmp_path
-        )
-        # The Python kernel forms write the same store, entry for entry.
-        run_repro(
-            *argv, "--memo-dir", python_store, cwd=tmp_path, no_compiler=True
-        )
-        assert store_files(store) == store_files(python_store)
-        # A second process, with pool workers, adopts the store from the
-        # environment and hits it.
-        run_repro(
-            *argv, "--jobs", "2", "--manifest", "warm.json", cwd=tmp_path,
-            env={"REPRO_SIM_MEMO_DIR": str(store)},
-        )
-        cold_man, warm_man = (
-            json.loads((tmp_path / name).read_text())
-            for name in ("cold.json", "warm.json")
-        )
-        assert cold_man["exit_code"] == 0 and warm_man["exit_code"] == 0
-        assert cold_man["sim_jit"]["backend"] == "cc", cold_man["sim_jit"]
-        cold_counts, warm_counts = (
-            man["metrics"]["counters"] for man in (cold_man, warm_man)
-        )
-        assert cold_counts["sim.memo.store.writes"] > 0
-        assert warm_counts["sim.memo.store.hits"] > 0
-        assert warm_counts["sim.batch.points"] == cold_counts["sim.batch.points"]
-        # Damaged values in well-formed entries: the run warns, counts,
-        # recomputes and prints what the cold run printed.
-        assert damage_bank_segments(store) > 0
-        damaged = run_repro(
-            *argv, "--memo-dir", store, "--manifest", "damaged.json",
-            "--log-json", "damaged.log", cwd=tmp_path,
-        )
-        assert damaged == cold
-        damaged_man = json.loads((tmp_path / "damaged.json").read_text())
-        assert damaged_man["exit_code"] == 0
-        assert damaged_man["metrics"]["counters"]["sim.memo.store.errors"] > 0
-        log = [
-            json.loads(line)
-            for line in (tmp_path / "damaged.log").read_text().splitlines()
-        ]
-        assert any(
-            entry["level"] == "warning"
-            and "not a phase-A product" in entry["message"]
-            for entry in log
-        )
 
 
 class TestSuitabilityCommand:

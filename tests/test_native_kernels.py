@@ -8,7 +8,8 @@ over drawn traces (register and pc spans past the table limit, addresses
 near 2**64), the per-PC strides over drawn memory ops (INT64_MIN
 strides), phase A's stream digests over drawn multi-thread traces and PE
 slices, phase A's L1 walk over drawn multi-stream batches, phase A's
-event packer over drawn boundary points, whole
+event packer over drawn boundary points (every product also keeping
+the layout phase B reads unchecked) and over a whole campaign, whole
 regression trees over drawn tie-heavy matrices (and their C replay of
 ``Generator.choice`` over every numpy bit generator), and the trace fill
 over drawn builder actions.  Whole traces of all twelve workloads,
@@ -34,8 +35,12 @@ from hypothesis import strategies as st
 from _helpers import forest_key, repro_env, use_kernel
 from test_ir_builder import builder_actions, replay
 from repro import NMCSimulator, default_nmc_config, get_workload, native
+from repro.config import NMCConfig
+from repro.doe import ParameterSpace, central_composite
 from repro.errors import ConfigError, MLError
 from repro.ir import InstructionTrace, Opcode, TraceColumns, reuse_distances
+from repro.ir.builder import LoopTemplate, TemplateOp
+from repro.ir.instructions import MEMORY_OPCODES, NO_REG
 from repro.ir import trace as trace_module
 from repro.ir.trace import TRACE_COLUMNS, dense_ids
 from repro.ml import RandomForestRegressor, RegressionTree
@@ -43,9 +48,12 @@ from repro.ml import tree as tree_module
 from repro.nmcsim import classify_steps, classify_streams
 from repro.nmcsim._native import COLUMNS
 from repro.nmcsim.dram import route_addresses
-from repro.nmcsim.simulator import _PhaseA, _Streams
+from repro.nmcsim.simulator import (
+    _FLOAT_SEGS, _INT_SEGS, _META_LEN, _SEGS, _PhaseA, _Streams,
+)
 from repro.profiler import analyze_trace
 from repro.profiler.features import ILP_WINDOWS
+from repro.workloads.base import config_seed
 from repro.workloads.synthetic import SYNTHETIC_WORKLOADS
 
 WORKLOADS = [
@@ -128,6 +136,35 @@ def dense_keys(keys):
     return ids, len(uniq)
 
 
+@st.composite
+def ilp_boundaries(draw):
+    """Dense ILP inputs at the kernel's edges: one instruction, traces
+    one short of, at and one past every :data:`ILP_WINDOWS` edge, no
+    memory ops, register ids at 0 and at the top of their table (or no
+    register, or an empty table), line ids at 0 and at the top of
+    theirs, and non-memory ops whose line id no table holds (it is never
+    read)."""
+    w = draw(st.sampled_from(ILP_WINDOWS))
+    n = draw(st.sampled_from([1, w - 1, w, w + 1]))
+    memory = draw(st.booleans())
+    pool = [int(op) for op in Opcode if memory or op not in MEMORY_OPCODES]
+    opcodes = np.array(
+        draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n)), np.uint8
+    )
+    n_regs = draw(st.sampled_from([1, 2, 4096, 0]))
+    reg = st.sampled_from(sorted({-1, 0, n_regs - 1} if n_regs else {-1}))
+    regs = [
+        np.array(draw(st.lists(reg, min_size=n, max_size=n)), np.int64)
+        for _ in range(3)
+    ]
+    n_lines = draw(st.sampled_from([1, 2, 4096] + ([] if memory else [0])))
+    line = st.sampled_from(sorted({0, max(n_lines - 1, 0)}))
+    lines = np.array(draw(st.lists(line, min_size=n, max_size=n)), np.int64)
+    lines[~np.isin(opcodes, [int(op) for op in MEMORY_OPCODES])] = 2**62
+    windows = draw(st.sampled_from([ILP_WINDOWS, (w,), (max(w - 1, 1), w + 1)]))
+    return (opcodes, *regs, lines, n_regs, n_lines, windows)
+
+
 class TestILPKernel:
     @DIFF_SETTINGS
     @given(args=ilp_inputs())
@@ -145,6 +182,32 @@ class TestILPKernel:
             np.full(n, -1, np.int32), np.zeros(n, np.uint64), ILP_WINDOWS,
         )
         assert cc(*args) == python(*args)
+
+    @DIFF_SETTINGS
+    @given(args=ilp_boundaries())
+    def test_boundary_inputs_match_python_form(self, args):
+        cc, python = forms("ilp_depths")
+        assert cc(*args) == python(*args)
+
+    @pytest.mark.parametrize(
+        "case", ["dst", "src1", "src2", "line", "negative line"]
+    )
+    def test_bad_ids_raise(self, case):
+        """The compiled form checks its index contract before it touches
+        a table: a register id at n_regs or a memory op's line id outside
+        [0, n_lines) raises ValueError."""
+        cc, _python = forms("ilp_depths")
+        ops = np.array([int(Opcode.LOAD), int(Opcode.STORE)], np.uint8)
+        cols = {name: np.array([0, 1]) for name in ("dst", "src1", "src2")}
+        lines = np.array([0, 1])
+        if case == "line":
+            lines[1] = 2
+        elif case == "negative line":
+            lines[0] = -1
+        else:
+            cols[case][1] = 2
+        with pytest.raises(ValueError, match="ilp_depths"):
+            cc(ops, *cols.values(), lines, 2, 2, ILP_WINDOWS)
 
     def test_int_and_fp_chains_keep_separate_levels(self):
         """A register last written by an FP op keeps its int-chain level."""
@@ -801,6 +864,45 @@ def pack_boundaries(draw):
     return streams, cls, geometry
 
 
+#: The segments holding one entry per miss event.
+PACK_EVENT_SEGS = ("block", "vault", "bank", "wblock", "wvault", "wbank", "dnext")
+
+
+def check_phase_a(lens, ints, floats, *, n_streams, n_vaults, banks_per_vault):
+    """Assert the layout and index contract of one phase-A product, as
+    phase B reads it unchecked (:class:`_PhaseA` and
+    ``contend_packed_multi``); returns the product."""
+    for blob, dtype in ((lens, np.int64), (ints, np.int64), (floats, np.float64)):
+        assert blob.dtype == dtype and blob.ndim == 1
+        assert blob.flags.c_contiguous
+    n = lens.tolist()
+    assert len(n) == len(_SEGS) and min(n) >= 0, n
+    size = dict(zip(_SEGS, n))
+    assert len({size[name] for name in PACK_EVENT_SEGS}) == 1, n
+    assert size["off"] == size["sidx"] + 1, n
+    assert size["t0"] == size["tail"] == size["sidx"], n
+    assert size["f0_val"] == size["f0_idx"], n
+    assert size["meta"] == _META_LEN and size["vault_counts"] == n_vaults, n
+    assert sum(size[name] for name in _INT_SEGS) == len(ints)
+    assert sum(size[name] for name in _FLOAT_SEGS) == len(floats)
+    product = _PhaseA(lens, ints, floats)
+    n_banks = n_vaults * banks_per_vault
+    assert product.off[0] == 0 and product.off[-1] == len(product.block)
+    assert np.all(np.diff(product.off) > 0)
+    for name, lo, hi in (
+        ("vault", 0, n_vaults), ("wvault", 0, n_vaults),
+        ("bank", 0, n_banks), ("wbank", -1, n_banks),
+    ):
+        values = getattr(product, name)
+        assert np.all((lo <= values) & (values < hi)), name
+    assert product.vault_counts.sum() == (
+        len(product.block) + np.count_nonzero(product.wbank >= 0)
+    )
+    assert len(product.sidx) + len(product.f0_idx) == n_streams
+    assert product.meta[0] == n_streams
+    return product
+
+
 class TestPackKernel:
     @DIFF_SETTINGS
     @given(point=pack_boundaries())
@@ -811,14 +913,50 @@ class TestPackKernel:
         for a, b, name in zip(got, want, ("lens", "ints", "floats")):
             assert a.dtype == b.dtype, name
             assert a.tobytes() == b.tobytes(), name
-        product = _PhaseA(*got)
-        n_banks = geometry["n_vaults"] * geometry["banks_per_vault"]
-        assert product.vault_counts.sum() == (
-            len(product.block) + np.count_nonzero(product.wbank >= 0)
-        )
-        assert np.all((0 <= product.bank) & (product.bank < n_banks))
-        assert np.all((-1 <= product.wbank) & (product.wbank < n_banks))
-        assert len(product.sidx) + len(product.f0_idx) == len(streams)
+        for product in (got, want):
+            check_phase_a(
+                *product, n_streams=len(streams),
+                n_vaults=geometry["n_vaults"],
+                banks_per_vault=geometry["banks_per_vault"],
+            )
+
+    @pytest.mark.parametrize("arch", ["hmc", "dse-geometry", "hbm2"])
+    def test_campaign_products_identical_under_both_forms(
+        self, monkeypatch, arch
+    ):
+        """Every phase-A product of atax's CCD campaign at scale 4 (stream
+        digests, L1 walk and packer in one form end to end) is byte-equal
+        under both forms and keeps the layout phase B reads."""
+        forms("pack_events")
+        cfg = {
+            "hmc": default_nmc_config(),
+            "dse-geometry": default_nmc_config().replace(
+                n_pes=16, l1_lines=8, l1_ways=4
+            ),
+            "hbm2": NMCConfig.from_backend("hbm2"),
+        }[arch]
+        wl = get_workload("atax")
+        configs = central_composite(ParameterSpace.of_workload(wl))
+        products = {}
+        for form in ("cc", "python"):
+            with monkeypatch.context() as patch:
+                use_kernel(patch, form)
+                products[form] = [
+                    NMCSimulator(cfg)._compute_phase_a(wl.generate(
+                        config, scale=4.0, seed=config_seed(wl.name, config)
+                    ))
+                    for config in configs
+                ]
+        for got, want in zip(products["cc"], products["python"]):
+            for name in ("lens", "ints", "floats"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert a.tobytes() == b.tobytes(), name
+            for product in (got, want):
+                check_phase_a(
+                    product.lens, product.ints, product.floats,
+                    n_streams=int(product.meta[0]), n_vaults=cfg.n_vaults,
+                    banks_per_vault=cfg.banks_per_vault,
+                )
 
 
 # ------------------------------------------------------------ CART trees
@@ -1188,6 +1326,48 @@ class TestChoiceReplay:
 
 # ------------------------------------------------------------ trace fill
 
+@st.composite
+def fill_boundaries(draw):
+    """One ``threads()`` call at the trace fill's edges: one instruction,
+    one thread, templates without memory ops, register ids at both ends
+    of int32 (and no register), sizes of 1 and 65535, addresses of 0 and
+    2**64 - 1, tids of 0 and 65535, zero counts and pcs reaching
+    2**32 - 1."""
+    n_seg = draw(st.sampled_from([1, 2, 5]))
+    tid = st.sampled_from([0, 2**16 - 1])
+    tids = draw(st.lists(tid, min_size=n_seg, max_size=n_seg))
+    reg = st.sampled_from([NO_REG, 0, -(2**31), 2**31 - 1])
+    memory = draw(st.booleans())
+    runs = []
+    for _ in range(draw(st.integers(1, 2))):
+        ops = []
+        for _ in range(draw(st.sampled_from([1, 3]))):
+            regs = {r: draw(reg) for r in ("dst", "src1", "src2")}
+            if memory and draw(st.booleans()):
+                ops.append(TemplateOp(
+                    draw(st.sampled_from(sorted(MEMORY_OPCODES))), addr="a",
+                    size=draw(st.sampled_from([1, 2**16 - 1])), **regs,
+                ))
+            else:
+                ops.append(TemplateOp(draw(st.sampled_from(
+                    [op for op in Opcode if op not in MEMORY_OPCODES]
+                )), **regs))
+        template = LoopTemplate(ops)
+        counts = draw(st.lists(
+            st.sampled_from([1, 0, 3]), min_size=n_seg, max_size=n_seg
+        ))
+        address = st.sampled_from([0, 2**64 - 1])
+        addresses = {
+            key: np.array(draw(st.lists(
+                address, min_size=sum(counts), max_size=sum(counts)
+            )), np.uint64)
+            for key in dict.fromkeys(template._slot_keys)
+        }
+        pc_base = draw(st.sampled_from([0, 2**32 - len(template)]))
+        runs.append((template, counts, addresses, pc_base))
+    return "threads", tids, runs
+
+
 def finished(monkeypatch, form, make):
     """The trace ``make()`` builds, filled by kernel form ``form``."""
     with monkeypatch.context() as patch:
@@ -1211,6 +1391,21 @@ class TestFillTraceKernel:
                 getattr(cc, name), getattr(py, name), err_msg=name
             )
 
+    @DIFF_SETTINGS
+    @given(action=fill_boundaries())
+    def test_boundary_inputs_match_python_form(self, monkeypatch, action):
+        forms("fill_trace")
+        cc, py = (
+            finished(monkeypatch, form, lambda: replay([action]).finish())
+            for form in ("cc", "python")
+        )
+        _, _tids, runs = action
+        assert len(cc) == sum(sum(c) * len(t) for t, c, _a, _pc in runs)
+        for name in TRACE_COLUMNS:
+            a, b = getattr(cc, name), getattr(py, name)
+            assert a.dtype == b.dtype, name
+            assert a.tobytes() == b.tobytes(), name
+
     @pytest.mark.parametrize("name", WORKLOADS)
     def test_workload_traces_identical_under_both_forms(self, monkeypatch, name):
         forms("fill_trace")
@@ -1218,7 +1413,10 @@ class TestFillTraceKernel:
             finished(monkeypatch, form, lambda: small_trace(name))
             for form in ("cc", "python")
         )
-        assert cc.content_hash() == py.content_hash()
+        for col in TRACE_COLUMNS:
+            a, b = getattr(cc, col), getattr(py, col)
+            assert a.dtype == b.dtype, col
+            assert a.tobytes() == b.tobytes(), col
 
 
 # --------------------------------------------------------- whole profiles

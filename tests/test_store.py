@@ -12,7 +12,6 @@ import contextlib
 from collections import OrderedDict
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import repro
@@ -20,7 +19,7 @@ from repro.core.campaign import CampaignCache
 from repro.core.predictor import NapelModel
 from repro.core.serialization import save_model
 from repro.obs import RunManifest, Tracer
-from repro.store import MemoStore, lru_get_or_build
+from repro.store import lru_get_or_build
 
 
 class _Entry:
@@ -54,19 +53,12 @@ def _save_model(path, generation):
     save_model(NapelModel({"generation": generation}, None), path)
 
 
-def _put_memo_entry(path, generation):
-    MemoStore(path.parent.parent).put(
-        path.stem, {"v": np.arange(64 + generation, dtype=np.int64)}
-    )
-
-
 #: Writer name -> (write(path, generation), target file name).
 WRITERS = {
     "CampaignCache.save": (_save_cache, "cache.json"),
     "RunManifest.write": (_write_manifest, "manifest.json"),
     "Tracer.write": (_write_trace, "trace.json"),
     "save_model": (_save_model, "model.pkl"),
-    "MemoStore.put": (_put_memo_entry, "aa00.bin"),
 }
 
 
@@ -87,14 +79,7 @@ def test_failed_write_keeps_previous_file(tmp_path, writer):
     path = tmp_path / "aa" / name
     write(path, 0)
     before = path.read_bytes()
-    # A memo-store write failure must not fail the simulation that
-    # wanted the entry: it is discarded with a warning instead.
-    failure = (
-        pytest.warns(RuntimeWarning, match="failed")
-        if writer == "MemoStore.put"
-        else pytest.raises(OSError)
-    )
-    with failure, file_size_limit(16):
+    with pytest.raises(OSError), file_size_limit(16):
         write(path, 1)
     assert path.read_bytes() == before
     assert list(path.parent.iterdir()) == [path]
