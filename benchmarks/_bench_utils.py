@@ -23,9 +23,8 @@ DEFAULT_RESULTS_DIR = Path(__file__).resolve().parent / "results"
 def results_dir() -> Path:
     """Where benchmark tables and JSON records land.
 
-    ``$REPRO_BENCH_DIR`` (when set and non-empty) wins — CI uses it to
-    collect records from several legs into one artifact directory;
-    otherwise the default ``benchmarks/results/`` is used.  Resolved per
+    ``$REPRO_BENCH_DIR`` (when set and non-empty) wins; otherwise the
+    default ``benchmarks/results/`` is used.  Resolved per
     call, so a test can repoint it without reimporting.
     """
     env = os.environ.get(BENCH_DIR_ENV_VAR, "").strip()

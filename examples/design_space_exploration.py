@@ -61,8 +61,8 @@ def main() -> None:
     trained = NapelTrainer().train(training)
     print(f"train+tune: {trained.train_tune_seconds:.1f} s\n")
 
-    # One profile of the unseen application per architecture line size is
-    # enough: the profile is architecture-independent.
+    # One profile of the unseen application serves every architecture in
+    # the sweep: the profile is architecture-independent.
     profile = analyze_trace(
         bfs.generate(bfs.test_config()), workload="bfs"
     )

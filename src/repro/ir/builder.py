@@ -232,7 +232,9 @@ class TemplateOp:
     """One IR statement of a :class:`LoopTemplate`.
 
     ``addr`` may be ``None`` (non-memory op), or the string key of the
-    address array passed to :meth:`LoopTemplate.emit`.
+    address array passed to :meth:`LoopTemplate.emit`.  A register or
+    size its trace column cannot hold raises :class:`TraceError`, as in
+    :meth:`TraceBuilder.emit`.
     """
 
     opcode: Opcode
@@ -243,6 +245,8 @@ class TemplateOp:
     size: int = 8
 
     def __post_init__(self) -> None:
+        for name in ("dst", "src1", "src2", "size"):
+            object.__setattr__(self, name, _scalar(name, getattr(self, name)))
         if self.opcode in MEMORY_OPCODES and self.addr is None:
             raise TraceError(
                 f"memory opcode {self.opcode.name} requires an address slot"

@@ -273,8 +273,6 @@ def _trace_columns_cc(lib: native.Library) -> Callable:
 
     def kernel(trace: InstructionTrace, line_shift: int) -> _Columns:
         n = len(trace)
-        if line_shift > 63:
-            return _trace_columns_py(trace, line_shift)
         mask, write = np.empty(n, dtype=bool), np.empty(n, dtype=bool)
         addrs, uniq = np.empty(n, dtype=np.uint64), np.empty(n, dtype=np.uint64)
         sizes = np.empty(n, dtype=np.uint16)
@@ -305,9 +303,10 @@ native.register("trace_columns", _trace_columns_py, _trace_columns_cc)
 
 class TraceColumns:
     """Derived columns of one trace, all built together on first use by
-    the ``trace_columns`` kernel, cache lines at ``line_bytes``; they live
-    as long as the table (only scalars go on the trace's memo: the thread
-    count and the line count of each line size).
+    the ``trace_columns`` kernel, cache lines at the profile's
+    :data:`~repro.profiler.features.LINE_BYTES`; they live as long as
+    the table (only scalars go on the trace's memo: the thread count and
+    the footprint line count).
 
     Index contract of the kernel, which its C form does not check: the
     trace's columns are equally long and typed as :data:`TRACE_COLUMNS`
@@ -316,17 +315,19 @@ class TraceColumns:
     ``_TABLE_SPAN`` times its value count runs the Python form.
     """
 
-    def __init__(self, trace: InstructionTrace, line_bytes: int = 64) -> None:
+    def __init__(self, trace: InstructionTrace) -> None:
         self.trace = trace
-        self.line_shift = line_bytes.bit_length() - 1
-        self._lines: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
     @cached_property
     def _table(self) -> _Columns:
-        got = native.resolve("trace_columns")[0](self.trace, self.line_shift)
+        # Imported on use: repro.profiler imports this package.
+        from ..profiler.features import LINE_BYTES
+
+        shift = LINE_BYTES.bit_length() - 1
+        got = native.resolve("trace_columns")[0](self.trace, shift)
         memo = self.trace._memo
         memo["thread_count"] = got.thread_count
-        memo[("footprint_lines", self.line_shift)] = len(got.lines[0])
+        memo[("footprint_lines", shift)] = len(got.lines[0])
         return got
 
     @property
@@ -348,15 +349,10 @@ class TraceColumns:
         """Dense pc ids and the number of distinct pcs."""
         return self._table.pcs
 
-    def lines(self, line_bytes: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """dense_ids of the accesses' cache lines; memoises footprint_lines."""
-        shift = line_bytes.bit_length() - 1
-        if shift == self.line_shift:
-            return self._table.lines
-        if shift not in self._lines:
-            got = self._lines[shift] = dense_ids(self.accesses[0] >> np.uint64(shift))
-            self.trace._memo[("footprint_lines", shift)] = len(got[0])
-        return self._lines[shift]
+    @property
+    def lines(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """dense_ids of the accesses' cache lines."""
+        return self._table.lines
 
 
 def columns_of(trace: InstructionTrace | TraceColumns) -> TraceColumns:

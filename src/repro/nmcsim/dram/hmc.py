@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ...config import NMCConfig
+from ...config import DRAMTiming, NMCConfig
 from ...obs.trace import HW_TID_VAULT_BASE
 
 
@@ -53,6 +53,22 @@ def route_addresses(
     vault = folded % np.uint64(n_vaults)
     bank = (folded // np.uint64(n_vaults)) % np.uint64(banks_per_vault)
     return vault.astype(np.int64), bank.astype(np.int64), block.astype(np.int64)
+
+
+def timing_constants(timing: DRAMTiming) -> tuple[float, ...]:
+    """The per-access timing constants of :meth:`StackedMemory.access`,
+    in the order of the phase-B kernels' parameter table
+    (:data:`repro.nmcsim._native.PARAM_FIELDS` up to ``l1_cycle``):
+    tCL, tBL, tRP, the interconnect hop, the row-linger window, the
+    closed-row access latency, a bank's occupancy per activation and the
+    posted-write extra (0.0 on DRAM-class backends, the program penalty
+    on NAND-class ones)."""
+    return (
+        timing.t_cl_ns, timing.t_bl_ns, timing.t_rp_ns, timing.hop_ns,
+        timing.row_linger_ns, timing.closed_row_access_ns(),
+        max(timing.t_ras_ns, timing.t_rcd_ns + timing.t_cl_ns),
+        timing.t_wr_extra_ns,
+    )
 
 
 @dataclass
@@ -93,7 +109,6 @@ class StackedMemory:
         self.writes = 0
         n_vaults = config.n_vaults
         banks = config.banks_per_vault
-        timing = config.timing
         # Flat per-vault / per-bank timing state (bank i of vault v lives
         # at index v * banks_per_vault + i).
         self._vault_accesses = [0] * n_vaults
@@ -102,36 +117,13 @@ class StackedMemory:
         self._bank_row = [-1] * (n_vaults * banks)
         self._bank_until = [-1.0] * (n_vaults * banks)
         # Timing constants hoisted out of the per-access path; the
-        # phase-B kernels read the same floats.
-        self._t_cl = timing.t_cl_ns
-        self._t_bl = timing.t_bl_ns
-        self._t_rp = timing.t_rp_ns
-        self._hop = timing.hop_ns
-        self._linger = timing.row_linger_ns
-        self._closed = timing.closed_row_access_ns()
-        self._occupancy = max(
-            timing.t_ras_ns, timing.t_rcd_ns + timing.t_cl_ns
-        )
-        # Posted-write (writeback) asymmetry: 0.0 on DRAM-class backends,
-        # the program penalty on NAND-class ones.  Guarded by truthiness
-        # on the hot path, so symmetric devices take no extra float ops.
-        self._wr_extra = timing.t_wr_extra_ns
-
-    def add_counts(
-        self, *, reads: int = 0, writes: int = 0, vault_counts=None
-    ) -> None:
-        """Credit access totals computed out-of-band.
-
-        The fast simulation engine pre-counts its miss/writeback traffic
-        vectorized (totals are order-independent) and drives only the
-        timing state through the per-event loop.
-        """
-        self.reads += reads
-        self.writes += writes
-        if vault_counts is not None:
-            acc = self._vault_accesses
-            for vault, count in enumerate(vault_counts):
-                acc[vault] += int(count)
+        # phase-B kernels read the same floats.  The posted-write extra
+        # is guarded by truthiness on the hot path, so symmetric devices
+        # take no extra float ops.
+        (
+            self._t_cl, self._t_bl, self._t_rp, self._hop, self._linger,
+            self._closed, self._occupancy, self._wr_extra,
+        ) = timing_constants(config.timing)
 
     def access(
         self,

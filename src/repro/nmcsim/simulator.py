@@ -81,7 +81,8 @@ from .. import native
 from . import _native
 from .cache import Cache, CacheStats
 from .classify import LRUClassification, classify_streams
-from .dram import StackedMemory, route_addresses
+from .dram import StackedMemory, VaultStats, route_addresses
+from .dram.hmc import timing_constants
 from .energy import compute_energy
 from ..store import lru_get_or_build
 from .results import SimulationResult
@@ -655,14 +656,13 @@ class NMCSimulator:
         memory.writes += flush_writes
         makespan_ns = max(s.finish_ns for s in streams)
         return self._result(
-            trace, memory, cache_stats, makespan_ns, len(streams),
+            trace, memory.stats(), cache_stats, makespan_ns, len(streams),
             workload, parameters, hw=hw, streams=streams,
         )
 
     def _finalize(
         self,
         trace: InstructionTrace,
-        memory: StackedMemory,
         product: _PhaseA,
         packed_finish: np.ndarray | None,
         workload: str,
@@ -678,23 +678,23 @@ class NMCSimulator:
             product.meta.tolist()
         )
         # DRAM traffic totals are order-independent: phase A counted them.
-        memory.add_counts(
-            reads=n_reads,
-            writes=n_writes + flush_writes,
-            vault_counts=product.vault_counts,
+        writes = n_writes + flush_writes
+        dram_stats = VaultStats(
+            accesses=n_reads + writes, reads=n_reads, writes=writes,
+            max_vault_accesses=int(product.vault_counts.max(initial=0)),
         )
         finish = product.f0_val
         if packed_finish is not None:
             finish = np.concatenate((finish, packed_finish))
         return self._result(
-            trace, memory, CacheStats(*stats), float(finish.max(initial=0.0)),
+            trace, dram_stats, CacheStats(*stats), float(finish.max(initial=0.0)),
             n_streams, workload, parameters,
         )
 
     def _result(
         self,
         trace: InstructionTrace,
-        memory: StackedMemory,
+        dram_stats: VaultStats,
         cache_stats: CacheStats,
         makespan_ns: float,
         n_pes_used: int,
@@ -713,7 +713,6 @@ class NMCSimulator:
         instructions = len(trace)
         ipc = instructions / cycles
 
-        dram_stats = memory.stats()
         if hw is not None and streams is not None:
             for s in streams:
                 assert s.cache is not None
@@ -927,7 +926,7 @@ _BATCH_SIZE_BOUNDS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0)
 
 
 def _contend_native_multi(
-    entries: Sequence[tuple[_PhaseA, StackedMemory, NMCConfig]],
+    entries: Sequence[tuple[_PhaseA, NMCConfig]],
 ) -> list[np.ndarray]:
     """Replay every entry's phase B in ONE kernel invocation.
 
@@ -940,14 +939,7 @@ def _contend_native_multi(
     each point's finish-time slice.
     """
     params = np.array(
-        [
-            (
-                memory._t_cl, memory._t_bl, memory._t_rp, memory._hop,
-                memory._linger, memory._closed, memory._occupancy,
-                memory._wr_extra, cfg.cycle_ns,
-            )
-            for _b, memory, cfg in entries
-        ],
+        [(*timing_constants(cfg.timing), cfg.cycle_ns) for _p, cfg in entries],
         dtype=np.float64,
     )
     iparams = np.array(
@@ -959,7 +951,7 @@ def _contend_native_multi(
                 cfg.n_vaults,
                 len(product.sidx),
             )
-            for product, _m, cfg in entries
+            for product, cfg in entries
         ],
         dtype=np.int64,
     )
@@ -1048,28 +1040,22 @@ def _simulate(
             i,
         )
 
-    prepared: list[tuple[NMCSimulator, StackedMemory, _PhaseA] | None] = (
-        [None] * len(points)
-    )
+    prepared: list[tuple[NMCSimulator, _PhaseA] | None] = [None] * len(points)
     for i in sorted(range(len(points)), key=order_key):
         trace, cfg, _workload, _parameters = points[i]
         sim = sim_for(cfg)
         with m.timer("phase.simulate"):
-            memory = StackedMemory(sim.config)
             product = sim._phase_a(trace)
-        prepared[i] = (sim, memory, product)
+        prepared[i] = (sim, product)
 
     packed = [
         i for i in range(len(points))
-        if len(prepared[i][2].sidx)  # type: ignore[index]
+        if len(prepared[i][1].sidx)  # type: ignore[index]
     ]
     t_start = time.perf_counter()
     finishes: dict[int, np.ndarray] = {}
     if packed:
-        entries = [
-            (prepared[i][2], prepared[i][1], prepared[i][0].config)
-            for i in packed
-        ]
+        entries = [(prepared[i][1], prepared[i][0].config) for i in packed]
         finishes = dict(zip(packed, _contend_native_multi(entries)))
     m.inc("sim.batch.calls")
     m.inc("sim.batch.points", len(points))
@@ -1081,11 +1067,9 @@ def _simulate(
 
     results = []
     for i, (trace, _cfg, workload, parameters) in enumerate(points):
-        sim, memory, product = prepared[i]
+        sim, product = prepared[i]
         results.append(
-            sim._finalize(
-                trace, memory, product, finishes.get(i), workload, parameters
-            )
+            sim._finalize(trace, product, finishes.get(i), workload, parameters)
         )
         m.inc("nmcsim.runs")
     return results

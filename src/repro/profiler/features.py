@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from collections import OrderedDict
 
-from ..errors import ConfigError
 from ..schema import register_block
 
 #: Instruction-mix category fractions (see instruction_mix.py).
@@ -78,19 +77,13 @@ BRANCH_NAMES = (
 
 WORKING_SET_CHECKPOINTS = 8  # footprint growth measured at 8 trace fractions
 
-
-def check_sample_limit(value: int, name: str = "sample_limit") -> None:
-    """Reject a negative analysis sample limit (0 analyses nothing)."""
-    if value < 0:
-        raise ConfigError(f"{name} must be >= 0, got {value}")
-
-
-def check_line_bytes(line_bytes: int) -> None:
-    """Reject a cache-line size that is not a positive power of two."""
-    if line_bytes <= 0 or line_bytes & (line_bytes - 1):
-        raise ConfigError(
-            f"line_bytes must be a positive power of two, got {line_bytes}"
-        )
+# The granularities and sample sizes the catalog is measured at: part of
+# what a profile means, so fixed here rather than per call.  ILP
+# converges quickly for loop-dominated kernels, so its sample is short.
+LINE_BYTES = 64  #: cache line of the data reuse, traffic, footprint and ILP
+PAGE_BYTES = 4096  #: page of ``footprint.data_pages``
+ILP_SAMPLE_LIMIT = 15_000  #: leading instructions the ILP family schedules
+REUSE_SAMPLE_LIMIT = 200_000  #: leading accesses / pcs of the reuse families
 
 
 def feature_groups() -> "OrderedDict[str, tuple[str, ...]]":

@@ -12,37 +12,27 @@ import math
 
 import numpy as np
 
-from ..errors import ConfigError
 from ..ir import InstructionTrace, TraceColumns, columns_of
-from .features import FOOTPRINT_NAMES, check_line_bytes
+from .features import FOOTPRINT_NAMES, LINE_BYTES, PAGE_BYTES
 
 
 def _log_bytes(value: float) -> float:
     return math.log2(1.0 + value)
 
 
-def footprint_features(
-    trace: InstructionTrace | TraceColumns,
-    *,
-    line_bytes: int = 64,
-    page_bytes: int = 4096,
-) -> dict[str, float]:
-    check_line_bytes(line_bytes)
-    if page_bytes < line_bytes or page_bytes & (page_bytes - 1):
-        msg = f"page_bytes must be a power of two >= {line_bytes}, got {page_bytes}"
-        raise ConfigError(msg)
+def footprint_features(trace: InstructionTrace | TraceColumns) -> dict[str, float]:
     cols = columns_of(trace)
     addrs, sizes, is_write = cols.accesses
     if len(addrs) == 0:
         return dict.fromkeys(FOOTPRINT_NAMES, 0.0)
-    lines = cols.lines(line_bytes)[0]
+    lines = cols.lines[0]
     # Pages from the sorted distinct lines: count where the page changes.
-    pages = lines >> np.uint64(page_bytes.bit_length() - line_bytes.bit_length())
+    pages = lines >> np.uint64(PAGE_BYTES.bit_length() - LINE_BYTES.bit_length())
     n_pages = 1 + int(np.count_nonzero(pages[1:] != pages[:-1]))
     # Distinct bytes approximated from distinct lines weighted by the mean
     # access size (exact byte tracking would cost O(footprint) memory).
     mean_size = float(sizes.mean())
-    data_bytes = len(lines) * min(float(line_bytes), max(1.0, mean_size) * 2)
+    data_bytes = len(lines) * min(float(LINE_BYTES), max(1.0, mean_size) * 2)
     read_bytes = float(sizes[~is_write].sum())
     write_bytes = float(sizes[is_write].sum())
     # Static code footprint: one IR statement is ~4 bytes of "code".

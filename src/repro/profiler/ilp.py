@@ -28,11 +28,7 @@ import numpy as np
 
 from .. import native
 from ..ir import InstructionTrace, Opcode, TraceColumns, columns_of
-from .features import ILP_WINDOWS, check_line_bytes, check_sample_limit
-
-#: Default cap on the number of instructions analysed; ILP converges quickly
-#: for loop-dominated kernels, and the cap keeps profiling fast.
-DEFAULT_SAMPLE_LIMIT = 15_000
+from .features import ILP_SAMPLE_LIMIT, ILP_WINDOWS
 
 _INT_CODES = frozenset(
     int(op) for op in (Opcode.IALU, Opcode.IMUL, Opcode.IDIV, Opcode.CMP)
@@ -224,20 +220,15 @@ def _ilp_depths_cc(lib: native.Library) -> Callable:
 native.register("ilp_depths", _ilp_depths_py, _ilp_depths_cc)
 
 
-def ilp_features(
-    trace: InstructionTrace | TraceColumns,
-    *,
-    sample_limit: int = DEFAULT_SAMPLE_LIMIT,
-    line_bytes: int = 64,
-) -> dict[str, float]:
-    """ILP feature family: total, windowed, and per-class chain ILP."""
-    check_sample_limit(sample_limit)
-    check_line_bytes(line_bytes)
+def ilp_features(trace: InstructionTrace | TraceColumns) -> dict[str, float]:
+    """ILP feature family: total, windowed, and per-class chain ILP, over
+    the first :data:`~repro.profiler.features.ILP_SAMPLE_LIMIT`
+    instructions."""
     cols = columns_of(trace)
     trace = cols.trace
-    n = min(len(trace), sample_limit)
+    n = min(len(trace), ILP_SAMPLE_LIMIT)
     regs, n_regs, _distinct = cols.registers
-    uniq, _first, line_ids = cols.lines(line_bytes)
+    uniq, _first, line_ids = cols.lines
     # Each sampled memory op's line id; other ops never read theirs.
     mem = cols.memory_mask[:n]
     lines = np.zeros(n, dtype=np.int64)

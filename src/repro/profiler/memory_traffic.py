@@ -12,7 +12,7 @@ and the fraction of total accessed bytes that goes to memory.
 from __future__ import annotations
 
 from ..ir import InstructionTrace
-from .features import TRAFFIC_CACHE_SIZES
+from .features import LINE_BYTES, TRAFFIC_CACHE_SIZES
 from .reuse_distance import ReuseDistanceHistogram
 
 #: (feature kind, reuse-distance stream) of each traffic feature.
@@ -22,12 +22,10 @@ _KINDS = (("read_miss", "read"), ("write_miss", "write"), ("bytes", "all"))
 def memory_traffic_features(
     trace: InstructionTrace,
     hists: dict[str, ReuseDistanceHistogram],
-    *,
-    line_bytes: int = 64,
 ) -> dict[str, float]:
     """Traffic escape fractions at :data:`TRAFFIC_CACHE_SIZES` cache sizes
     (cold misses included: they always go to memory)."""
-    capacities = [max(1, size // line_bytes) for size in TRAFFIC_CACHE_SIZES]
+    capacities = [max(1, size // LINE_BYTES) for size in TRAFFIC_CACHE_SIZES]
     out: dict[str, float] = {}
     for kind, stream in _KINDS:
         ratios = hists[stream].miss_ratios(capacities).tolist()

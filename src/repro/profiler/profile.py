@@ -16,12 +16,7 @@ from ..errors import TraceError
 from ..ir import InstructionTrace, TraceColumns
 from ..obs import metrics
 from .branching import branch_features
-from .features import (
-    FEATURE_NAMES,
-    TOTAL_FEATURES,
-    check_line_bytes,
-    check_sample_limit,
-)
+from .features import FEATURE_NAMES, TOTAL_FEATURES
 from .footprint import footprint_features
 from .ilp import ilp_features
 from .instruction_mix import instruction_mix_features
@@ -96,9 +91,6 @@ def analyze_trace(
     *,
     workload: str = "",
     parameters: dict[str, float] | None = None,
-    line_bytes: int = 64,
-    ilp_sample_limit: int = 15_000,
-    reuse_sample_limit: int = 200_000,
 ) -> ApplicationProfile:
     """Extract the full 395-feature profile from a dynamic trace.
 
@@ -111,43 +103,30 @@ def analyze_trace(
     ``phase.profile.columns`` and dropped on return.
     The ILP and reuse-distance families are timed as
     ``phase.profile.ilp`` and ``phase.profile.reuse`` (data plus
-    instruction), every other family as ``phase.profile.other``.  A
-    negative sample limit or a ``line_bytes`` that is not a positive
-    power of two raises :class:`~repro.errors.ConfigError`, an unknown
-    opcode value :class:`~repro.errors.TraceError`.
+    instruction), every other family as ``phase.profile.other``.  An
+    unknown opcode value raises :class:`~repro.errors.TraceError`.
     """
-    check_sample_limit(ilp_sample_limit, "ilp_sample_limit")
-    check_sample_limit(reuse_sample_limit, "reuse_sample_limit")
-    check_line_bytes(line_bytes)
     trace.check_opcodes()
     m = metrics()
     features: dict[str, float] = {}
     with m.timer("phase.profile.columns"):
         # Every column the families read, and the trace's memoised scalars.
-        cols = TraceColumns(trace, line_bytes)
+        cols = TraceColumns(trace)
         _ = cols.memory_mask, trace.opcode_counts()
     with m.timer("phase.profile.ilp"):
-        features.update(ilp_features(
-            cols, sample_limit=ilp_sample_limit, line_bytes=line_bytes
-        ))
+        features.update(ilp_features(cols))
     with m.timer("phase.profile.reuse"):
-        data_feats, hists = data_reuse_features(
-            cols, line_bytes=line_bytes, sample_limit=reuse_sample_limit
-        )
+        data_feats, hists = data_reuse_features(cols)
         features.update(data_feats)
-        features.update(
-            instruction_reuse_features(cols, sample_limit=reuse_sample_limit)
-        )
+        features.update(instruction_reuse_features(cols))
     with m.timer("phase.profile.other"):
         features.update(instruction_mix_features(trace))
-        features.update(
-            memory_traffic_features(trace, hists, line_bytes=line_bytes)
-        )
+        features.update(memory_traffic_features(trace, hists))
         features.update(register_traffic_features(cols))
-        features.update(footprint_features(cols, line_bytes=line_bytes))
+        features.update(footprint_features(cols))
         features.update(stride_features(cols))
         features.update(branch_features(cols))
-        features.update(working_set_features(cols, line_bytes=line_bytes))
+        features.update(working_set_features(cols))
 
     missing = [name for name in FEATURE_NAMES if name not in features]
     if missing:

@@ -33,9 +33,8 @@ from .features import (
     DATA_REUSE_BUCKETS,
     INSTR_REUSE_CDF_BUCKETS,
     INSTR_REUSE_PDF_BUCKETS,
+    REUSE_SAMPLE_LIMIT,
     REUSE_STREAMS,
-    check_line_bytes,
-    check_sample_limit,
 )
 
 
@@ -127,26 +126,23 @@ class ReuseDistanceHistogram:
 
 def data_reuse_features(
     trace: InstructionTrace | TraceColumns,
-    *,
-    line_bytes: int = 64,
-    sample_limit: int = 200_000,
 ) -> tuple[dict[str, float], dict[str, ReuseDistanceHistogram]]:
     """Data reuse-distance features for read/write/all streams.
 
     Distances are computed once over the combined (interleaved) access
     stream at cache-line granularity, then attributed to the read and write
-    sub-streams — matching how reads and writes share a real cache.
+    sub-streams — matching how reads and writes share a real cache.  Only
+    the first :data:`~repro.profiler.features.REUSE_SAMPLE_LIMIT` accesses
+    count.
 
     Returns the feature dict and the per-stream histograms (reused by the
     memory-traffic analysis).
     """
-    check_sample_limit(sample_limit)
-    check_line_bytes(line_bytes)
     cols = columns_of(trace)
-    is_write = cols.accesses[2][:sample_limit]
-    uniq, _first, lines = cols.lines(line_bytes)
+    is_write = cols.accesses[2][:REUSE_SAMPLE_LIMIT]
+    uniq, _first, lines = cols.lines
     hist, cold, _ = native.resolve("reuse_distances")[0](
-        lines[:sample_limit], len(uniq), is_write
+        lines[:REUSE_SAMPLE_LIMIT], len(uniq), is_write
     )
     counts = {"read": hist[0], "write": hist[1], "all": hist.sum(axis=0)}
     colds = {"read": cold[0], "write": cold[1], "all": cold.sum()}
@@ -169,14 +165,12 @@ def data_reuse_features(
 
 def instruction_reuse_features(
     trace: InstructionTrace | TraceColumns,
-    *,
-    sample_limit: int = 200_000,
 ) -> dict[str, float]:
-    """Instruction reuse-distance features over the static PC stream."""
-    check_sample_limit(sample_limit)
+    """Instruction reuse-distance features over the static PC stream (its
+    first :data:`~repro.profiler.features.REUSE_SAMPLE_LIMIT` pcs)."""
     pcs, n_pcs = columns_of(trace).pcs
     (counts,), (cold,), _ = native.resolve("reuse_distances")[0](
-        pcs[:sample_limit], n_pcs
+        pcs[:REUSE_SAMPLE_LIMIT], n_pcs
     )
     hist = ReuseDistanceHistogram.from_bit_lengths(
         counts, cold, INSTR_REUSE_CDF_BUCKETS

@@ -11,20 +11,17 @@ behaviour that complements the reuse-distance CDF.
 from __future__ import annotations
 
 from ..ir import InstructionTrace, TraceColumns, columns_of
-from .features import WORKING_SET_CHECKPOINTS, check_line_bytes
+from .features import WORKING_SET_CHECKPOINTS
 
 
-def working_set_features(
-    trace: InstructionTrace | TraceColumns, *, line_bytes: int = 64
-) -> dict[str, float]:
-    check_line_bytes(line_bytes)
+def working_set_features(trace: InstructionTrace | TraceColumns) -> dict[str, float]:
     cols = columns_of(trace)
     names = [f"wset.frac_{i}" for i in range(WORKING_SET_CHECKPOINTS)]
     n = len(cols.accesses[0])
     if n == 0:
         return dict.fromkeys(names, 0.0)
     # First-touch positions of each distinct line (at least one).
-    first_idx = cols.lines(line_bytes)[1]
+    first_idx = cols.lines[1]
     out: dict[str, float] = {}
     for i in range(WORKING_SET_CHECKPOINTS):
         cutoff = (i + 1) * n // WORKING_SET_CHECKPOINTS

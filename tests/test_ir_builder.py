@@ -91,6 +91,23 @@ class TestTemplateOp:
         with pytest.raises(TraceError, match="must not take"):
             TemplateOp(Opcode.IALU, dst=1, addr="x")
 
+    @pytest.mark.parametrize("field, value", [
+        ("dst", 2**32 + 5), ("src1", 2**31), ("src2", -(2**31) - 1),
+        ("size", 70000), ("size", -1), ("dst", 1.5),
+    ])
+    def test_value_its_column_cannot_hold_raises_as_emit_does(
+        self, field, value
+    ):
+        with pytest.raises(TraceError, match=field):
+            TraceBuilder().emit(Opcode.IALU, **{field: value})
+        with pytest.raises(TraceError, match=field):
+            TemplateOp(Opcode.IALU, **{field: value})
+
+    def test_integral_float_is_stored_as_int(self):
+        op = TemplateOp(Opcode.LOAD, dst=3.0, addr="x", size=np.uint8(4))
+        assert (op.dst, op.size) == (3, 4)
+        assert type(op.dst) is int and type(op.size) is int
+
 
 class TestLoopTemplate:
     def make(self):

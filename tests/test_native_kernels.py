@@ -52,6 +52,8 @@ from repro.nmcsim.simulator import (
     _FLOAT_SEGS, _INT_SEGS, _META_LEN, _SEGS, _PhaseA, _Streams,
 )
 from repro.profiler import analyze_trace
+from repro.profiler import ilp as ilp_module
+from repro.profiler import reuse_distance as reuse_module
 from repro.profiler.features import ILP_WINDOWS
 from repro.workloads.base import config_seed
 from repro.workloads.synthetic import SYNTHETIC_WORKLOADS
@@ -445,15 +447,12 @@ class TestTraceColumnsKernel:
             lambda *a: calls.append(a) or python(*a), "python"
         ))
         trace = simple_trace(40, dst=np.arange(40) % 7)
-        cols = TraceColumns(trace, 32)
+        cols = TraceColumns(trace)
         _ = cols.memory_mask, cols.registers, cols.pcs, cols.accesses
-        assert cols.lines(32) is cols.lines(32)
-        assert len(calls) == 1 and calls[0][1] == 5
+        assert cols.lines is cols.lines
+        assert len(calls) == 1 and calls[0][1] == 6  # 64-byte lines
         assert trace._memo["thread_count"] == 1
-        assert trace._memo[("footprint_lines", 5)] == len(cols.lines(32)[0])
-        # Another line size is derived from the same accesses.
-        assert len(cols.lines(128)[0]) == trace.footprint_lines(7)
-        assert len(calls) == 1
+        assert trace._memo[("footprint_lines", 6)] == len(cols.lines[0])
 
 
 # ------------------------------------------------------- per-PC strides
@@ -1448,19 +1447,19 @@ def test_profile_identical_under_both_forms(monkeypatch, wl, config):
 
 @pytest.mark.parametrize("limit", [1, 333, 2**31])
 def test_sample_limits_cut_streams_identically(monkeypatch, limit):
-    """A reuse sample limit that cuts the access and pc streams mid-way
-    (and one past both) profiles identically under both forms."""
+    """Sample limits that cut the instruction, access and pc streams
+    mid-way (and one past all) profile identically under both forms."""
     if native.jit_status()["backend"] != "cc":
         pytest.skip("no C compiler available")
     trace = small_trace("bfs", config="test_config")
     assert 333 < int(trace.memory_mask.sum())
+    monkeypatch.setattr(ilp_module, "ILP_SAMPLE_LIMIT", limit)
+    monkeypatch.setattr(reuse_module, "REUSE_SAMPLE_LIMIT", limit)
     got = {}
     for form in ("cc", "python"):
         with monkeypatch.context() as patch:
             use_kernel(patch, form)
-            got[form] = analyze_trace(
-                trace, reuse_sample_limit=limit, ilp_sample_limit=limit
-            ).to_json_dict()
+            got[form] = analyze_trace(trace).to_json_dict()
     assert got["cc"] == got["python"]
 
 

@@ -12,6 +12,7 @@ from repro.ir import (
     TraceBuilder,
 )
 from repro.profiler import ilp_features, instruction_mix_features
+from repro.profiler import ilp as ilp_module
 
 
 def trace_of(*opcodes):
@@ -126,7 +127,8 @@ class TestIlp:
         feats = ilp_features(InstructionTrace.empty())
         assert feats["ilp.total"] == 0.0
 
-    def test_sample_limit_respected(self):
+    def test_sample_limit_respected(self, monkeypatch):
         trace = self._emit([TemplateOp(Opcode.FALU, dst=1, src1=1)], n=1000)
-        feats = ilp_features(trace, sample_limit=100)
+        monkeypatch.setattr(ilp_module, "ILP_SAMPLE_LIMIT", 100)
+        feats = ilp_features(trace)
         assert feats["ilp.total"] == pytest.approx(1.0, rel=0.05)

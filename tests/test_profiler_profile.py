@@ -15,18 +15,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import ConfigError, TraceError
+from repro.errors import TraceError
 from repro.profiler import (
     ApplicationProfile,
     FEATURE_NAMES,
     TOTAL_FEATURES,
     analyze_trace,
-    data_reuse_features,
-    footprint_features,
     ilp_features,
-    instruction_reuse_features,
-    working_set_features,
 )
+from repro.profiler import ilp as ilp_module
 from repro.ir import TraceColumns
 from repro.workloads import all_workloads
 from repro.workloads.synthetic import Gups, PointerChase, Stream
@@ -108,69 +105,21 @@ class TestColumnTableLifetime:
         for key in ("opcode_counts", "thread_count", ("footprint_lines", 6)):
             assert key in trace._memo
 
-    @pytest.mark.parametrize("line_bytes", [32, 64])
-    def test_footprint_lines_agrees_with_fresh_count(self, atax, line_bytes):
+    def test_footprint_lines_agrees_with_fresh_count(self, atax):
         trace = atax.generate(atax.test_config(), scale=4.0)
-        analyze_trace(trace, line_bytes=line_bytes)
+        analyze_trace(trace)
         addrs = trace.addr[trace.memory_mask]
         for shift in (5, 6, 7):
             fresh = len(np.unique(addrs >> np.uint64(shift)))
             assert trace.footprint_lines(shift) == fresh
 
 
-#: Entry points taking a sample limit: name -> call(trace, limit).
-SAMPLED = {
-    "ilp": lambda t, v: ilp_features(t, sample_limit=v),
-    "analyze_ilp": lambda t, v: analyze_trace(t, ilp_sample_limit=v),
-    "data_reuse": lambda t, v: data_reuse_features(t, sample_limit=v),
-    "instr_reuse": lambda t, v: instruction_reuse_features(t, sample_limit=v),
-    "analyze_reuse": lambda t, v: analyze_trace(t, reuse_sample_limit=v),
-}
-
-#: Entry points taking a cache-line size: name -> call(trace, line_bytes).
-LINED = {
-    "ilp": lambda t, v: ilp_features(t, line_bytes=v),
-    "data_reuse": lambda t, v: data_reuse_features(t, line_bytes=v),
-    "analyze": lambda t, v: analyze_trace(t, line_bytes=v),
-    "footprint": lambda t, v: footprint_features(t, line_bytes=v),
-    "working_set": lambda t, v: working_set_features(t, line_bytes=v),
-}
-
-
 class TestBadArguments:
-    """Bad profiler arguments fail loud instead of profiling silently wrong."""
+    """Edge values of the profile's fixed sample sizes."""
 
-    @pytest.mark.parametrize("entry", ["ilp", "analyze_ilp"])
-    def test_negative_ilp_sample_limit(self, stream_trace, entry):
-        with pytest.raises(ConfigError, match="sample_limit"):
-            SAMPLED[entry](stream_trace, -5)
-
-    @pytest.mark.parametrize(
-        "entry", ["data_reuse", "instr_reuse", "analyze_reuse"]
-    )
-    def test_negative_reuse_sample_limit(self, stream_trace, entry):
-        with pytest.raises(ConfigError, match="sample_limit"):
-            SAMPLED[entry](stream_trace, -5)
-
-    @pytest.mark.parametrize("line_bytes", [0, -64, 3, 48])
-    @pytest.mark.parametrize("entry", sorted(LINED))
-    def test_line_bytes_not_power_of_two(self, stream_trace, entry, line_bytes):
-        with pytest.raises(ConfigError, match="line_bytes"):
-            LINED[entry](stream_trace, line_bytes)
-
-    @pytest.mark.parametrize("page_bytes", [3000, 32, 0, -4096])
-    def test_page_bytes_not_power_of_two_above_line(
-        self, stream_trace, page_bytes
-    ):
-        with pytest.raises(ConfigError, match="page_bytes"):
-            footprint_features(stream_trace, page_bytes=page_bytes)
-
-    def test_page_of_one_line_allowed(self, stream_trace):
-        out = footprint_features(stream_trace, page_bytes=64)
-        assert out["footprint.data_pages"] == out["footprint.data_lines"]
-
-    def test_zero_sample_limit_still_allowed(self, stream_trace):
-        assert ilp_features(stream_trace, sample_limit=0)["ilp.total"] == 0.0
+    def test_zero_sample_limit_still_allowed(self, monkeypatch, stream_trace):
+        monkeypatch.setattr(ilp_module, "ILP_SAMPLE_LIMIT", 0)
+        assert ilp_features(stream_trace)["ilp.total"] == 0.0
 
 
 class TestApplicationProfile:
