@@ -232,6 +232,21 @@ def test_non_finite_training_data_rejected(make, target, bad):
         make().fit(X, y)
 
 
+@pytest.mark.parametrize(
+    "make", [RegressionTree, lambda: RandomForestRegressor(n_estimators=5)],
+    ids=["tree", "forest"],
+)
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_prediction_rows_rejected(make, bad):
+    """Prediction refuses what fitting refuses: a NaN or infinite row
+    raises instead of walking right (or to an edge leaf) at every split."""
+    X, y = step_data(40)
+    model = make().fit(X, y)
+    rows = np.array([[0.2, 0.5, 0.5, 0.5, 0.5], [bad, 0.0, 0.0, 0.0, 0.0]])
+    with pytest.raises(MLError, match="finite"):
+        model.predict(rows)
+
+
 # ------------------------------------------------- one descent, many trees
 
 def walk(tree, row) -> int:
