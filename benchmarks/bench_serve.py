@@ -3,14 +3,14 @@
 Boots the real ``repro.serve`` stack against a trained artifact and
 drives it with 1, 8 and 64 concurrent keep-alive clients in three modes:
 
-* ``single`` — microbatch window disabled, one-row requests: every
+* ``single`` — ``max_batch_rows=1``, one-row requests: every
   prediction is its own HTTP round trip and its own ``predict_labels``
   call (the baseline a naive client gets);
-* ``microbatch`` — 2 ms window, one-row requests: concurrent requests
-  coalesce server-side into shared matrix calls (the tentpole's
-  transparent batching — same client code as ``single``);
-* ``batched`` — 2 ms window, 64-row requests: the client uses the
-  vectorized batch-predict path and amortizes HTTP framing, JSON
+* ``microbatch`` — the server defaults, one-row requests: requests that
+  arrive while the model is busy coalesce server-side into its next
+  matrix call (transparent batching — same client code as ``single``);
+* ``batched`` — the server defaults, 64-row requests: the client uses
+  the vectorized batch-predict path and amortizes HTTP framing, JSON
   parsing and per-call model overhead over the whole matrix.
 
 Records p50/p99 request latency, aggregate predictions/sec and the mean
@@ -48,17 +48,16 @@ from repro.serve import ServeClient, ServerThread
 
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "").strip() not in ("", "0")
 CONCURRENCY = (1, 8) if SMOKE else (1, 8, 64)
-BATCH_WINDOW_MS = 2.0
 BATCH_ROWS = 64
 MIN_BATCHED_SPEEDUP = 3.0
 
-#: (rows per request, requests per client, window ms) per mode — the
-#: batched mode sends fewer, larger requests so every mode pushes a
-#: comparable number of predictions through the server.
+#: (rows per request, requests per client, server keyword arguments)
+#: per mode — the batched mode sends fewer, larger requests so every
+#: mode pushes a comparable number of predictions through the server.
 MODES = {
-    "single": (1, 6 if SMOKE else 40, 0.0),
-    "microbatch": (1, 6 if SMOKE else 40, BATCH_WINDOW_MS),
-    "batched": (BATCH_ROWS, 3 if SMOKE else 10, BATCH_WINDOW_MS),
+    "single": (1, 6 if SMOKE else 40, {"max_batch_rows": 1}),
+    "microbatch": (1, 6 if SMOKE else 40, {}),
+    "batched": (BATCH_ROWS, 3 if SMOKE else 10, {}),
 }
 
 
@@ -173,9 +172,9 @@ def test_serve_throughput():
         artifact = Path(tmp) / "model.pkl"
         row = _train_artifact(artifact)
         modes = {}
-        for mode, (rows_per_req, n_requests, window) in MODES.items():
+        for mode, (rows_per_req, n_requests, server_kwargs) in MODES.items():
             with ServerThread(
-                {"default": str(artifact)}, batch_window_ms=window
+                {"default": str(artifact)}, **server_kwargs
             ) as server:
                 # Warm up the executor, the alignment path and the
                 # forests before anything is timed.
@@ -214,8 +213,8 @@ def test_serve_throughput():
          "pred/s", "rows/call"],
         rows,
         title=f"repro serve: single vs batched prediction "
-              f"({BATCH_WINDOW_MS:g} ms window; at {top} clients batched "
-              f"is {speedup:.2f}x single, microbatching {coalesce:.2f}x)",
+              f"(at {top} clients batched is {speedup:.2f}x single, "
+              f"microbatching {coalesce:.2f}x)",
     ))
 
     flat = {
@@ -245,7 +244,7 @@ def test_serve_throughput():
             "modes": {
                 mode: {"rows_per_request": spec[0],
                        "requests_per_client": spec[1],
-                       "batch_window_ms": spec[2]}
+                       "server": spec[2]}
                 for mode, spec in MODES.items()
             },
             "trees": 60,
@@ -280,7 +279,7 @@ def test_serve_obs_overhead():
     (only the aggregate counters kept from the pre-labels era) — and
     compares predictions/sec at the highest client count.
     """
-    rows_per_req, n_requests, window = MODES["microbatch"]
+    rows_per_req, n_requests, server_kwargs = MODES["microbatch"]
     top = max(CONCURRENCY)
     with tempfile.TemporaryDirectory() as tmp:
         artifact = Path(tmp) / "model.pkl"
@@ -289,8 +288,8 @@ def test_serve_obs_overhead():
         for leg, instrument in (("on", True), ("off", False)):
             with ServerThread(
                 {"default": str(artifact)},
-                batch_window_ms=window,
                 instrument=instrument,
+                **server_kwargs,
             ) as server:
                 with ServeClient(port=server.port) as client:
                     for _ in range(3):
@@ -340,7 +339,7 @@ def test_serve_obs_overhead():
             "clients": top,
             "rows_per_request": rows_per_req,
             "requests_per_client": n_requests,
-            "batch_window_ms": window,
+            "server": server_kwargs,
             "max_overhead": MAX_OBS_OVERHEAD,
             "trees": 60,
             "scale": 4.0,

@@ -415,7 +415,6 @@ def cmd_serve(args: argparse.Namespace) -> None:
         registry,
         host=args.host,
         port=args.port,
-        batch_window_ms=args.batch_window_ms,
         max_batch_rows=args.max_batch_rows,
         slow_request_ms=getattr(args, "slow_request_ms", 0.0),
         instrument=not getattr(args, "no_instrument", False),
@@ -444,8 +443,7 @@ def cmd_serve(args: argparse.Namespace) -> None:
              "load", "warnings"],
             rows,
             title=f"repro serve: listening on "
-                  f"http://{server.host}:{server.port} "
-                  f"(batch window {server.batch_window_ms:g} ms)",
+                  f"http://{server.host}:{server.port}",
         ), flush=True)
         loop = asyncio.get_running_loop()
         for sig in (signal.SIGTERM, signal.SIGINT):

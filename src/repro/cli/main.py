@@ -240,14 +240,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="TCP port (default 8177; 0 picks an ephemeral port)",
     )
     p.add_argument(
-        "--batch-window-ms", type=float, default=2.0,
-        help="microbatching window: concurrent /predict requests arriving "
-             "within this many ms are answered by one vectorized model "
-             "call (0 disables batching; default 2.0)",
-    )
-    p.add_argument(
         "--max-batch-rows", type=int, default=4096,
-        help="flush a microbatch early once it holds this many rows",
+        help="flush a microbatch at once when it holds this many rows "
+             "(requests that arrive while the model is busy share its "
+             "next call; default 4096)",
     )
     p.add_argument(
         "--reload", action="store_true",

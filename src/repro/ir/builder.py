@@ -270,8 +270,8 @@ class LoopTemplate:
             raise TraceError("a loop template needs at least one op")
         self.ops = tuple(ops)
         #: Position and address key of each op that takes an address.
-        self._addr_ops = [j for j, op in enumerate(self.ops) if op.addr]
-        self._slot_keys = [self.ops[j].addr for j in self._addr_ops]
+        self._addr_ops = tuple(j for j, op in enumerate(self.ops) if op.addr)
+        self._slot_keys = tuple(self.ops[j].addr for j in self._addr_ops)
         # One row per op: its opcode, dst, src1, src2 and size columns,
         # then its slot ordinal (-1: no address), as the C fill reads it.
         slots = iter(range(len(self._addr_ops)))
@@ -286,6 +286,9 @@ class LoopTemplate:
             for c, name in enumerate(("opcode", "dst", "src1", "src2", "size"))
         }
         self._pc = np.arange(len(self.ops), dtype=np.uint32)
+        # Templates are shared (the workload patterns build each once).
+        for array in (self._body, self._pc, *self._rows.values()):
+            array.flags.writeable = False
 
     def __len__(self) -> int:
         return len(self.ops)

@@ -39,9 +39,13 @@ _SUM_SCALE = 1 << _SUM_SCALE_BITS
 
 
 def _to_scaled(value: float) -> int:
-    """``value`` as an exact integer multiple of 2^-1074."""
-    frac = Fraction(value)  # exact for any finite float
-    return (frac.numerator * _SUM_SCALE) // frac.denominator
+    """``value`` as an exact integer multiple of 2^-1074.
+
+    A finite double is ``n / 2**k`` with ``k <= 1074``, so the multiple
+    is ``n << (1074 - k)``; ``2**k`` has ``k + 1`` bits.
+    """
+    n, d = value.as_integer_ratio()
+    return n << (_SUM_SCALE_BITS + 1 - d.bit_length())
 
 
 def _from_scaled(scaled: int) -> float:
@@ -100,7 +104,12 @@ class Histogram:
     def __init__(
         self, bounds: Sequence[float] = DEFAULT_LATENCY_BOUNDS_S
     ) -> None:
-        bounds = tuple(float(b) for b in bounds)
+        # A tuple of floats is kept as given, so the registry knows an
+        # observer passing the same ladder again by identity.
+        if type(bounds) is not tuple or not all(
+            type(b) is float for b in bounds
+        ):
+            bounds = tuple(float(b) for b in bounds)
         if not bounds or any(
             b2 <= b1 for b1, b2 in zip(bounds, bounds[1:])
         ):

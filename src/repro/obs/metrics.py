@@ -229,7 +229,9 @@ class MetricsRegistry:
             hist = self._histograms.get(key)
             if hist is None:
                 hist = self._histograms[key] = Histogram(bounds)
-            elif hist.bounds != tuple(float(b) for b in bounds):
+            elif bounds is not hist.bounds and (
+                hist.bounds != tuple(float(b) for b in bounds)
+            ):
                 raise ValueError(
                     f"histogram {key!r} already exists with different "
                     "bucket bounds"

@@ -17,7 +17,7 @@ on asyncio streams (no ``http.server``), request bodies decoded by
   :class:`~repro.schema.FeatureSchema` (structured 422 naming the
   missing/extra/moved columns, or ``align=true`` projection by name);
 * :mod:`batcher` — microbatching: concurrent ``POST /predict`` requests
-  accumulate for a small window and are answered by *one* vectorized
+  that arrive while the model is busy are answered by *one* vectorized
   ``predict_labels`` matrix call, fanned back out per request;
 * :mod:`server` — the asyncio HTTP/1.1 server (``/predict``,
   ``/healthz``, ``/metrics``, ``/models``), graceful shutdown that

@@ -3,18 +3,23 @@
 A random forest answers a 64-row matrix in barely more time than a
 1-row vector — per-call overhead (per-tree dispatch, clamping, prior
 offsets) dominates at small batch sizes.  Under concurrency the batcher
-therefore *accumulates*: the first row to arrive for a model opens a
-bucket and starts a timer (``window_s``); rows arriving within the
-window join the bucket; when the timer fires (or the bucket hits
-``max_rows``) all rows go through **one** ``predict_labels`` call and
-the label slices fan back out to the awaiting requests.
+therefore *coalesces*, without ever waiting on a timer: each model keeps
+at most one matrix call in flight, and the rows that arrive while it
+runs form the next batch.  The first row to arrive for an idle model
+opens a bucket and starts a dispatcher task; every request that became
+ready in the same event-loop turn joins the bucket before the task
+runs.  The dispatcher sends the bucket through **one**
+``predict_labels`` call, fans the label slices back out to the awaiting
+requests, and flushes the next bucket as soon as the call returns.  A
+lone request is therefore answered by a 1-row call at once, and a busy
+model batches exactly as much as its own call time lets pile up.  A
+bucket that reaches ``max_rows`` is flushed at once by the request
+that filled it, beside any call already in flight.
 
-Buckets are keyed by (model name, generation): a hot reload mid-window
-opens a fresh bucket for the new generation while the old one finishes
-on the model object its requests resolved — no request ever mixes
-generations.  With ``window_s == 0`` the batcher degrades to a direct
-per-request call (the "single" path the serve benchmark compares
-against).
+Buckets are keyed by (model name, generation): a hot reload opens a
+fresh bucket (and dispatcher) for the new generation while the old one
+finishes on the model object its requests resolved — no request ever
+mixes generations.
 
 Every flush carries a **batch id**: requests learn which batch answered
 them (``submit`` returns it, the server echoes it into access logs and
@@ -54,7 +59,6 @@ class _Bucket:
         default_factory=list
     )
     rows: int = 0
-    timer: asyncio.Task | None = None
 
 
 def predict_matrix(
@@ -71,24 +75,23 @@ class MicroBatcher:
     def __init__(
         self,
         *,
-        window_s: float = 0.002,
         max_rows: int = 4096,
         instrument: bool = True,
     ) -> None:
-        if window_s < 0:
-            raise ValueError("window_s must be >= 0")
         if max_rows < 1:
             raise ValueError("max_rows must be >= 1")
-        self.window_s = float(window_s)
         self.max_rows = int(max_rows)
         self.instrument = instrument
+        #: The open bucket of each key: rows not yet in a matrix call.
         self._buckets: dict[tuple[str, int], _Bucket] = {}
+        #: The dispatcher task of each key that has rows to answer.
+        self._dispatchers: dict[tuple[str, int], asyncio.Task] = {}
         self._batch_seq = itertools.count(1)
 
     # ------------------------------------------------------------- public
 
     def pending_rows(self) -> int:
-        """Rows currently waiting in open buckets (drain visibility)."""
+        """Rows waiting in open buckets (drain visibility)."""
         return sum(b.rows for b in self._buckets.values())
 
     def _next_batch_id(self) -> str:
@@ -108,50 +111,40 @@ class MicroBatcher:
         ``batch_id`` names that call; the ``serve.predict_batch`` trace
         span with the same id lists every coalesced ``request_id``.
         """
-        loop = asyncio.get_running_loop()
-        if self.window_s == 0.0:
-            batch_id = self._next_batch_id()
-            span = self._batch_span(
-                served, batch_id,
-                [request_id] if request_id is not None else [],
-                X.shape[0],
-            )
-            with span:
-                ipc, epi = await loop.run_in_executor(
-                    None, predict_matrix, served, X
-                )
-            metrics().inc("serve.batches")
-            self._observe_batch(served, X.shape[0])
-            return ipc, epi, X.shape[0], batch_id
         key = (served.name, served.generation)
         bucket = self._buckets.get(key)
         if bucket is None:
-            bucket = _Bucket(
-                served=served, batch_id=self._next_batch_id()
-            )
+            bucket = _Bucket(served=served, batch_id=self._next_batch_id())
             self._buckets[key] = bucket
-            bucket.timer = asyncio.create_task(
-                self._flush_after_window(key)
-            )
-        future: asyncio.Future = loop.create_future()
+        future = asyncio.get_running_loop().create_future()
         bucket.items.append((X, future, request_id))
         bucket.rows += X.shape[0]
         if self.instrument:
             metrics().set_gauge("serve.queue_rows", self.pending_rows())
         if bucket.rows >= self.max_rows:
-            self._detach(key, bucket)
+            del self._buckets[key]
             await self._flush(bucket)
+        elif key not in self._dispatchers:
+            self._dispatchers[key] = asyncio.create_task(
+                self._dispatch(key)
+            )
         return await future
 
     async def drain(self) -> None:
-        """Flush every open bucket now (graceful-shutdown path)."""
-        while self._buckets:
-            key = next(iter(self._buckets))
-            bucket = self._buckets[key]
-            self._detach(key, bucket)
-            await self._flush(bucket)
+        """Answer every open bucket and in-flight call (graceful-shutdown
+        path): returns once no dispatcher has rows left."""
+        while self._dispatchers:
+            await asyncio.gather(*self._dispatchers.values())
 
     # ------------------------------------------------------------ internal
+
+    async def _dispatch(self, key: tuple[str, int]) -> None:
+        """Flush the key's open bucket until a call returns to none."""
+        try:
+            while (bucket := self._buckets.pop(key, None)) is not None:
+                await self._flush(bucket)
+        finally:
+            del self._dispatchers[key]
 
     def _batch_span(
         self,
@@ -184,24 +177,7 @@ class MicroBatcher:
         )
         metrics().set_gauge("serve.queue_rows", self.pending_rows())
 
-    def _detach(self, key: tuple[str, int], bucket: _Bucket) -> None:
-        """Close the bucket to new rows and cancel its window timer."""
-        if self._buckets.get(key) is bucket:
-            del self._buckets[key]
-        if bucket.timer is not None and not bucket.timer.done():
-            bucket.timer.cancel()
-
-    async def _flush_after_window(self, key: tuple[str, int]) -> None:
-        await asyncio.sleep(self.window_s)
-        bucket = self._buckets.get(key)
-        if bucket is None:
-            return
-        del self._buckets[key]
-        await self._flush(bucket)
-
     async def _flush(self, bucket: _Bucket) -> None:
-        if not bucket.items:
-            return
         loop = asyncio.get_running_loop()
         matrices = [X for X, _, _ in bucket.items]
         batch = (

@@ -33,9 +33,9 @@ Operational contract:
 * **hot reload** never drops a request: new artifacts load and verify in
   a worker thread while the old generation keeps serving, then swap in
   atomically (requests already resolved keep their model reference);
-* **graceful shutdown** stops accepting, flushes open microbatch
-  buckets, waits for in-flight requests to complete, then closes idle
-  keep-alive connections;
+* **graceful shutdown** stops accepting, answers the in-flight and
+  pending microbatches, waits for in-flight requests to complete, then
+  closes idle keep-alive connections;
 * every request is counted and timed through :mod:`repro.obs`, and a
   server manifest (RunManifest fields) is available for ``--manifest``.
 """
@@ -112,7 +112,6 @@ class PredictionServer:
         *,
         host: str = "127.0.0.1",
         port: int = 8177,
-        batch_window_ms: float = 2.0,
         max_batch_rows: int = 4096,
         drain_timeout_s: float = 10.0,
         slow_request_ms: float = 0.0,
@@ -122,9 +121,7 @@ class PredictionServer:
         self.registry = registry
         self.host = host
         self.port = port
-        self.batch_window_ms = float(batch_window_ms)
         self.batcher = MicroBatcher(
-            window_s=batch_window_ms / 1e3,
             max_rows=max_batch_rows,
             instrument=instrument,
         )
@@ -173,7 +170,6 @@ class PredictionServer:
             "serving", extra={"ctx": {
                 "host": self.host, "port": self.port,
                 "models": list(self.registry.names()),
-                "batch_window_ms": self.batch_window_ms,
             }},
         )
 
@@ -227,7 +223,6 @@ class PredictionServer:
             "serve": {
                 "host": self.host,
                 "port": self.port,
-                "batch_window_ms": self.batch_window_ms,
                 "uptime_seconds": round(
                     time.time() - self.started_at, 3
                 ),
@@ -634,7 +629,6 @@ class PredictionServer:
             "uptime_seconds": round(time.time() - self.started_at, 3),
             "inflight": self._inflight,
             "pending_batch_rows": self.batcher.pending_rows(),
-            "batch_window_ms": self.batch_window_ms,
             "instrument": self.instrument,
             "slow_request_ms": self.slow_request_ms,
             **self.registry.summary(),

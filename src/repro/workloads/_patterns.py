@@ -6,9 +6,14 @@ arithmetic, the induction-variable update and the back-edge branch.
 Register numbering encodes the true dependence structure (see
 :mod:`repro.ir.builder`): accumulators read their own previous value
 (loop-carried chain), streaming statements do not.
+
+Each constructor builds its template once per process and hands the same
+(read-only) object to every generator.
 """
 
 from __future__ import annotations
+
+from functools import cache
 
 import numpy as np
 
@@ -19,6 +24,7 @@ _ACC = 8
 _IV = 9  # induction variable
 
 
+@cache
 def dot_product() -> LoopTemplate:
     """acc += a[i] * x[i]  — two loads, serial FP accumulation chain."""
     return LoopTemplate([
@@ -31,6 +37,7 @@ def dot_product() -> LoopTemplate:
     ])
 
 
+@cache
 def dual_dot() -> LoopTemplate:
     """tmp += A[i]*x[i]; acc += B[i]*x[i]  — gesummv's fused inner loop.
 
@@ -50,6 +57,7 @@ def dual_dot() -> LoopTemplate:
     ])
 
 
+@cache
 def stream_update() -> LoopTemplate:
     """a[i] = f(a[i])  — read-modify-write stream."""
     return LoopTemplate([
@@ -62,6 +70,7 @@ def stream_update() -> LoopTemplate:
     ])
 
 
+@cache
 def gather_reduce() -> LoopTemplate:
     """acc += data[idx[i]]  — indexed gather, address depends on a load."""
     return LoopTemplate([
@@ -76,6 +85,7 @@ def gather_reduce() -> LoopTemplate:
     ])
 
 
+@cache
 def gather_update() -> LoopTemplate:
     """data[idx[i]] op= v  — indexed scatter/update (irregular writes)."""
     return LoopTemplate([
@@ -88,6 +98,7 @@ def gather_update() -> LoopTemplate:
     ])
 
 
+@cache
 def atomic_update() -> LoopTemplate:
     """data[idx[i]] atomic+= v  — contended parallel reduction.
 
@@ -105,6 +116,7 @@ def atomic_update() -> LoopTemplate:
     ])
 
 
+@cache
 def distance_accumulate() -> LoopTemplate:
     """acc += (p[i] - c[i])^2  — k-means distance inner loop."""
     return LoopTemplate([
@@ -117,6 +129,7 @@ def distance_accumulate() -> LoopTemplate:
     ])
 
 
+@cache
 def rank1_update() -> LoopTemplate:
     """a[i,j] -= l[i] * u[j]  — LU / Cholesky trailing update."""
     return LoopTemplate([
@@ -131,6 +144,7 @@ def rank1_update() -> LoopTemplate:
     ])
 
 
+@cache
 def scaled_update() -> LoopTemplate:
     """a[i] -= s * b[i]  — update with a register-resident scalar ``s``.
 
@@ -149,6 +163,7 @@ def scaled_update() -> LoopTemplate:
     ])
 
 
+@cache
 def scalar_divide() -> LoopTemplate:
     """x[i] = x[i] / d  — normalisation loop with FP divides."""
     return LoopTemplate([

@@ -40,6 +40,15 @@ class TestParser:
             build_parser().parse_args(["--version"])
         assert exc.value.code == 0
 
+    def test_serve_has_no_batch_window(self, capsys):
+        # The microbatcher waits on no timer, so there is none to set.
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(
+                ["serve", "--model", "m.pkl", "--batch-window-ms", "2"]
+            )
+        assert exc.value.code == 2
+        assert "--batch-window-ms" in capsys.readouterr().err
+
 
 class TestWorkloadsCommand:
     def test_lists_all_twelve(self, capsys):

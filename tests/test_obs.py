@@ -8,8 +8,11 @@ import os
 import subprocess
 import sys
 import threading
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from _helpers import repro_env
 from repro.cli import main
@@ -33,6 +36,7 @@ from repro.obs import (
     verbosity_level,
 )
 from repro.config import default_nmc_config
+from repro.obs.histogram import _to_scaled
 
 
 def run_cli(capsys, *argv):
@@ -336,6 +340,38 @@ class TestHistogram:
         assert snap["exemplars"]["0"]["request_id"] == "new"
         # Exemplars survive from_snapshot round trips.
         assert Histogram.from_snapshot(snap).exemplars[0]["value"] == 0.6
+
+
+def _fraction_scaled(value: float) -> int:
+    """The ``Fraction`` form of ``histogram._to_scaled``, kept as the
+    oracle of the exact scaled sum."""
+    frac = Fraction(value)
+    return (frac.numerator << 1074) // frac.denominator
+
+
+class TestScaledSum:
+    @settings(max_examples=1000, deadline=None)
+    @given(value=st.floats(allow_nan=False, allow_infinity=False)
+           | st.sampled_from([
+               0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
+               2.2250738585072014e-308, sys.float_info.max,
+               -sys.float_info.max, 1.0, 0.1, 2.0 ** 52 + 0.5,
+           ]))
+    def test_matches_the_fraction_form(self, value):
+        assert _to_scaled(value) == _fraction_scaled(value)
+
+    @settings(max_examples=100, deadline=None)
+    @given(values=st.lists(
+        st.floats(min_value=-1e300, max_value=1e300), max_size=20
+    ))
+    def test_snapshot_sum_is_the_exact_sum_rounded_once(self, values):
+        h = Histogram((1.0,))
+        for v in values:
+            h.observe(v)
+        exact = sum(map(_fraction_scaled, values))
+        snap = h.snapshot()
+        assert snap["sum_scaled"] == exact
+        assert snap["sum"] == float(Fraction(exact, 1 << 1074))
 
 
 class TestRegistryHistogramsAndGauges:

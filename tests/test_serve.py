@@ -7,6 +7,7 @@ import logging
 import math
 import re
 import signal
+import socket
 import struct
 import subprocess
 import sys
@@ -40,6 +41,8 @@ from repro.serve import (
     ServerThread,
     parse_model_specs,
 )
+from repro.serve import batcher as batcher_module
+from repro.serve import protocol
 from repro.serve.protocol import (
     MAX_NESTING,
     ProtocolError,
@@ -64,9 +67,7 @@ def artifact(tmp_path_factory):
 @pytest.fixture(scope="module")
 def server(artifact):
     """One shared server on an ephemeral port for the read-mostly tests."""
-    with ServerThread(
-        {"default": str(artifact.path)}, batch_window_ms=1.0
-    ) as srv:
+    with ServerThread({"default": str(artifact.path)}) as srv:
         yield srv
 
 
@@ -361,44 +362,84 @@ class TestPredictErrors:
 # ------------------------------------------------------- shutdown
 
 
+def _gate_predictions(monkeypatch):
+    """Make every server matrix call block until ``gate.open`` is set.
+
+    ``gate.calls`` records each call's row count and ``gate.entered``
+    is released once per call, as soon as it starts.
+    """
+    gate = SimpleNamespace(
+        open=threading.Event(), entered=threading.Semaphore(0), calls=[]
+    )
+    real = batcher_module.predict_matrix
+
+    def gated(served, X):
+        gate.calls.append(X.shape[0])
+        gate.entered.release()
+        assert gate.open.wait(timeout=30), "gate never opened"
+        return real(served, X)
+
+    monkeypatch.setattr(batcher_module, "predict_matrix", gated)
+    return gate
+
+
+def _wait_for(predicate, what: str, timeout: float = 10.0) -> None:
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        if time.monotonic() > deadline:
+            pytest.fail(f"timed out waiting for {what}")
+        time.sleep(0.01)
+
+
 class TestServerLifecycle:
-    def test_concurrent_requests_coalesce(self, artifact):
-        with ServerThread(
-            {"default": str(artifact.path)}, batch_window_ms=250.0
-        ) as srv:
-            n = 4
-            barrier = threading.Barrier(n, timeout=10)
-            lock = threading.Lock()
-            sizes: list[int] = []
-            errors: list[BaseException] = []
+    @staticmethod
+    def _predict_in_thread(port, row, results, errors, key):
+        def call() -> None:
+            try:
+                with ServeClient(port=port) as c:
+                    results[key] = c.predict([row])
+            except BaseException as exc:  # noqa: BLE001
+                errors.append(exc)
 
-            def worker() -> None:
-                try:
-                    with ServeClient(port=srv.port) as c:
-                        c.healthz()  # open the connection before racing
-                        barrier.wait()
-                        doc = c.predict([_row(artifact)])
-                    with lock:
-                        sizes.append(doc["batched_rows"])
-                except BaseException as exc:  # noqa: BLE001
-                    errors.append(exc)
+        thread = threading.Thread(target=call)
+        thread.start()
+        return thread
 
-            threads = [
-                threading.Thread(target=worker) for _ in range(n)
-            ]
-            for t in threads:
-                t.start()
+    def test_concurrent_requests_coalesce(self, artifact, monkeypatch):
+        # While one 1-row call is in flight, three requests arrive; they
+        # must share the next matrix call.
+        gate = _gate_predictions(monkeypatch)
+        results: dict[str, dict] = {}
+        errors: list[BaseException] = []
+        row = _row(artifact)
+        with ServerThread({"default": str(artifact.path)}) as srv:
+            try:
+                threads = [self._predict_in_thread(
+                    srv.port, row, results, errors, "first"
+                )]
+                assert gate.entered.acquire(timeout=10)
+                threads += [
+                    self._predict_in_thread(
+                        srv.port, row, results, errors, f"r{i}"
+                    )
+                    for i in range(3)
+                ]
+                with ServeClient(port=srv.port) as probe:
+                    _wait_for(
+                        lambda: probe.healthz()["pending_batch_rows"] == 3,
+                        "three rows pending behind the in-flight call",
+                    )
+            finally:
+                gate.open.set()
             for t in threads:
                 t.join(timeout=30)
-            assert not errors
-            # All four raced into one 250 ms window; at minimum the
-            # slowest pair must have shared a matrix call.
-            assert max(sizes) >= 2
+        assert not errors
+        assert gate.calls == [1, 3]
+        assert results["first"]["batched_rows"] == 1
+        assert [results[f"r{i}"]["batched_rows"] for i in range(3)] == [3] * 3
 
     def test_hot_reload_under_live_traffic(self, artifact):
-        with ServerThread(
-            {"default": str(artifact.path)}, batch_window_ms=1.0
-        ) as srv:
+        with ServerThread({"default": str(artifact.path)}) as srv:
             stop = threading.Event()
             lock = threading.Lock()
             generations: set[int] = set()
@@ -435,36 +476,53 @@ class TestServerLifecycle:
             assert health["generation"] == 4
             assert health["reloads"] == 3
 
-    def test_graceful_shutdown_drains_pending_batch(self, artifact):
-        # A window far longer than the test: the request below parks in
-        # an open bucket, and only the shutdown drain can answer it.
-        srv = ServerThread(
-            {"default": str(artifact.path)}, batch_window_ms=60_000.0
-        ).start()
-        results: list[dict] = []
+    def test_graceful_shutdown_drains_pending_batch(
+        self, artifact, monkeypatch
+    ):
+        # One request's call is in flight and another's rows wait behind
+        # it when the shutdown starts: the drain must answer both.
+        gate = _gate_predictions(monkeypatch)
+        results: dict[str, dict] = {}
         errors: list[BaseException] = []
+        row = _row(artifact)
+        srv = ServerThread({"default": str(artifact.path)}).start()
+        port = srv.port
+        stopper = threading.Thread(target=srv.stop)
+        try:
+            threads = [self._predict_in_thread(
+                port, row, results, errors, "inflight"
+            )]
+            assert gate.entered.acquire(timeout=10)
+            threads.append(self._predict_in_thread(
+                port, row, results, errors, "pending"
+            ))
+            with ServeClient(port=port) as probe:
+                _wait_for(
+                    lambda: probe.healthz()["pending_batch_rows"] == 1,
+                    "a row pending behind the in-flight call",
+                )
+            stopper.start()
 
-        def call() -> None:
-            try:
-                with ServeClient(port=srv.port) as c:
-                    results.append(c.predict([_row(artifact)]))
-            except BaseException as exc:  # noqa: BLE001
-                errors.append(exc)
+            def refused() -> bool:
+                try:
+                    socket.create_connection(("127.0.0.1", port), 1).close()
+                except ConnectionRefusedError:
+                    return True
+                return False
 
-        thread = threading.Thread(target=call)
-        thread.start()
-        with ServeClient(port=srv.port) as probe:
-            deadline = time.monotonic() + 10
-            while time.monotonic() < deadline:
-                if probe.healthz()["pending_batch_rows"] >= 1:
-                    break
-                time.sleep(0.01)
-            else:
-                pytest.fail("request never reached the batch bucket")
-        srv.stop()
-        thread.join(timeout=30)
+            _wait_for(refused, "the listener to close")
+        finally:
+            gate.open.set()
+            if stopper.ident is None:
+                srv.stop()
+        stopper.join(timeout=30)
+        for t in threads:
+            t.join(timeout=30)
+        assert not stopper.is_alive()
         assert not errors
-        assert results and results[0]["predictions"]
+        assert gate.calls == [1, 1]
+        assert results["inflight"]["predictions"]
+        assert results["pending"]["predictions"]
 
     def test_bad_artifact_fails_startup(self, tmp_path):
         bad = tmp_path / "bad.pkl"
@@ -620,7 +678,7 @@ class TestObservability:
             # "slow", so one predict must produce one exemplar.
             slow_before = metrics().count("serve.slow_requests")
             with ServerThread(
-                {"default": str(artifact.path)}, batch_window_ms=1.0,
+                {"default": str(artifact.path)},
                 slow_request_ms=1e-6,
             ) as srv:
                 with ServeClient(port=srv.port) as c:
@@ -645,7 +703,7 @@ class TestObservability:
 
     def test_fast_requests_leave_no_exemplar(self, artifact):
         with ServerThread(
-            {"default": str(artifact.path)}, batch_window_ms=1.0,
+            {"default": str(artifact.path)},
         ) as srv:  # slow_request_ms=0: slow-path disabled
             with ServeClient(port=srv.port) as c:
                 c.predict([_row(artifact)], request_id="fastpoke")
@@ -663,7 +721,7 @@ class TestObservability:
     ):
         base = metrics().snapshot()
         with ServerThread(
-            {"default": str(artifact.path)}, batch_window_ms=1.0,
+            {"default": str(artifact.path)},
             instrument=False,
         ) as srv:
             with ServeClient(port=srv.port) as c:
@@ -721,7 +779,7 @@ class TestObservability:
 
         def run_once() -> str:
             async def main():
-                batcher = MicroBatcher(window_s=0.05)
+                batcher = MicroBatcher()
                 served, _ = _fake_served(name="hist-probe")
                 await asyncio.gather(
                     batcher.submit(served, np.ones((1, 2))),
@@ -760,9 +818,7 @@ class TestServeTracing:
     def test_request_spans_link_to_batch_spans(
         self, artifact, _serve_tracer
     ):
-        with ServerThread(
-            {"default": str(artifact.path)}, batch_window_ms=1.0
-        ) as srv:
+        with ServerThread({"default": str(artifact.path)}) as srv:
             with ServeClient(port=srv.port) as c:
                 for i in range(3):
                     c.predict([_row(artifact)], request_id=f"traced-{i}")
@@ -792,7 +848,7 @@ class TestServeTracing:
     ):
         rotations_before = metrics().count("serve.trace_rotations")
         with ServerThread(
-            {"default": str(artifact.path)}, batch_window_ms=1.0,
+            {"default": str(artifact.path)},
             trace_rotate_events=5,
         ) as srv:
             with ServeClient(port=srv.port) as c:
@@ -1000,6 +1056,105 @@ class TestDecodePredictRequest:
         assert nesting_depth(json.dumps(doc).encode()) == depth(doc)
 
 
+def _asarray_feature_matrix(values: list) -> np.ndarray:
+    """The ``np.asarray`` form of ``protocol._feature_matrix``: the
+    oracle the struct-packed form must agree with."""
+    try:
+        X = np.asarray(values)
+    except ValueError as exc:  # ragged nesting
+        raise ProtocolError(
+            400, "bad_request", f"rows contain non-numeric values: {exc}"
+        ) from exc
+    if (
+        X.ndim != 2
+        or X.dtype.kind not in "biuf"
+        or not np.isfinite(X).all()
+    ):
+        raise ProtocolError(
+            400, "bad_request",
+            "every feature value must be a finite JSON number",
+        )
+    return X.astype(np.float64, copy=False)
+
+
+_NUMBERS = (
+    st.floats()
+    | st.integers(-(2 ** 65), 2 ** 65)
+    | st.sampled_from([
+        2 ** 63 - 1, 2 ** 63, 2 ** 63 + 1025, 2 ** 64 - 1, 2 ** 64,
+        -(2 ** 63), -(2 ** 63) - 1, 2 ** 53 + 1, 10 ** 400, 0.0, -0.0,
+        5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308,
+    ])
+    | st.booleans()
+)
+_NON_NUMBERS = (
+    st.sampled_from(["1e3", "nan", "1", None, {}, {"a": 1.0}, [], [1.0]])
+    | st.lists(_NUMBERS, min_size=1, max_size=3)
+)
+
+
+@st.composite
+def _feature_rows(draw):
+    """Equal-width rows of numbers, at times with non-numbers mixed in or
+    with every value nested one list deeper."""
+    n, width = draw(st.integers(1, 4)), draw(st.integers(0, 4))
+    rows = draw(st.lists(
+        st.lists(_NUMBERS, min_size=width, max_size=width),
+        min_size=n, max_size=n,
+    ))
+    if width and draw(st.booleans()):
+        for _ in range(draw(st.integers(1, 3))):
+            i = draw(st.integers(0, n - 1))
+            rows[i][draw(st.integers(0, width - 1))] = draw(_NON_NUMBERS)
+    if draw(st.integers(0, 9)) == 0:
+        rows = [[[v] for v in row] for row in rows]
+    return rows
+
+
+class TestFeatureMatrix:
+    """``_feature_matrix`` accepts and refuses exactly what the
+    ``np.asarray`` form does, and builds the same bits, under both row
+    spellings."""
+
+    @staticmethod
+    def outcome(build, rows):
+        try:
+            X, _ = build(rows)
+        except ProtocolError as exc:
+            return ("refused", exc.status, exc.code)
+        return ("built", X.dtype.str, X.shape, X.tobytes())
+
+    @staticmethod
+    def spellings(rows):
+        names = tuple(f"f{j}" for j in range(len(rows[0])))
+        named = [dict(zip(names, row)) for row in rows]
+        return [
+            (lambda r: protocol._matrix_from_lists(r, None), rows),
+            (lambda r: protocol._matrix_from_dicts(r, names), named),
+        ]
+
+    @settings(max_examples=500, deadline=None)
+    @given(rows=_feature_rows())
+    def test_matches_the_asarray_form(self, rows):
+        for build, spelled in self.spellings(rows):
+            got = self.outcome(build, spelled)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(
+                    protocol, "_feature_matrix", _asarray_feature_matrix
+                )
+                want = self.outcome(build, spelled)
+            assert got == want
+
+    def test_refusals_name_the_rule(self):
+        for bad in ("1e3", None, [1.0], {"a": 1.0}, float("nan"), 2 ** 64):
+            with pytest.raises(ProtocolError) as err:
+                protocol._feature_matrix([[1.0, bad]])
+            assert (err.value.status, err.value.code) == (400, "bad_request")
+            assert str(err.value) == (
+                "every feature value must be a finite JSON number"
+            )
+
+
 def _bits(values):
     return [struct.pack("<d", v) for v in values]
 
@@ -1060,14 +1215,31 @@ class TestDecoder:
 
 
 class _FakeModel:
-    """predict_labels spy: first column back as IPC, doubled as EPI."""
+    """predict_labels spy: first column back as IPC, doubled as EPI.
+
+    Each call records its row count, releases ``entered`` and then
+    blocks until ``gate`` is set (it starts set); ``fail`` makes the
+    call raise instead of answering.
+    """
 
     def __init__(self) -> None:
         self.calls: list[int] = []
+        self.entered = threading.Semaphore(0)
+        self.gate = threading.Event()
+        self.gate.set()
+        self.fail: Exception | None = None
 
     def predict_labels(self, X):
         self.calls.append(X.shape[0])
+        self.entered.release()
+        assert self.gate.wait(timeout=30), "gate never opened"
+        if self.fail is not None:
+            raise self.fail
         return X[:, 0].copy(), X[:, 0] * 2.0
+
+    async def call_started(self) -> None:
+        """Wait until a call has entered ``predict_labels``."""
+        assert await asyncio.to_thread(self.entered.acquire, timeout=10)
 
 
 def _fake_served(name="m", generation=1):
@@ -1077,27 +1249,40 @@ def _fake_served(name="m", generation=1):
     ), model
 
 
+async def _settle() -> None:
+    """Let every ready task run until it next waits on something."""
+    for _ in range(5):
+        await asyncio.sleep(0)
+
+
 class TestMicroBatcher:
-    def test_window_zero_is_direct(self):
+    def test_lone_request_is_a_one_row_call(self):
         async def main():
-            batcher = MicroBatcher(window_s=0.0)
+            loop = asyncio.get_running_loop()
+
+            def no_timers(*args, **kwargs):
+                raise AssertionError("the batcher scheduled a timer")
+
+            loop.call_at = no_timers  # call_later goes through call_at
+            batcher = MicroBatcher()
             served, model = _fake_served()
-            X = np.array([[1.0, 0.0], [2.0, 0.0]])
-            ipc, epi, n, batch_id = await batcher.submit(served, X)
-            assert n == 2
+            ipc, epi, n, batch_id = await batcher.submit(
+                served, np.array([[1.0, 0.0]])
+            )
+            assert (n, model.calls) == (1, [1])
             assert batch_id
-            assert model.calls == [2]
-            assert np.array_equal(ipc, [1.0, 2.0])
-            assert np.array_equal(epi, [2.0, 4.0])
+            assert np.array_equal(ipc, [1.0])
+            assert np.array_equal(epi, [2.0])
 
         asyncio.run(main())
 
     def test_concurrent_submits_share_one_matrix_call(self):
         async def main():
-            batcher = MicroBatcher(window_s=0.05)
+            batcher = MicroBatcher()
             served, model = _fake_served()
             a = np.array([[1.0, 0.0]])
             b = np.array([[2.0, 0.0]])
+            # Both requests are ready in the same loop turn.
             r1, r2 = await asyncio.gather(
                 batcher.submit(served, a), batcher.submit(served, b)
             )
@@ -1110,62 +1295,119 @@ class TestMicroBatcher:
 
         asyncio.run(main())
 
-    def test_max_rows_flushes_before_the_window(self):
+    def test_rows_arriving_during_a_call_share_the_next_one(self):
         async def main():
-            batcher = MicroBatcher(window_s=60.0, max_rows=2)
+            batcher = MicroBatcher()
             served, model = _fake_served()
-            start = time.monotonic()
-            await asyncio.gather(
-                batcher.submit(served, np.ones((1, 2))),
-                batcher.submit(served, np.ones((1, 2))),
+            model.gate.clear()
+            first = asyncio.create_task(
+                batcher.submit(served, np.array([[1.0, 0.0]]))
             )
-            assert time.monotonic() - start < 30
-            assert model.calls == [2]
+            await model.call_started()
+            later = [
+                asyncio.create_task(
+                    batcher.submit(served, np.array([[v, 0.0]] * k))
+                )
+                for v, k in ((2.0, 1), (3.0, 2))
+            ]
+            await _settle()
+            assert batcher.pending_rows() == 3
+            assert model.calls == [1]  # one call in flight per model
+            model.gate.set()
+            r0 = await first
+            r1, r2 = await asyncio.gather(*later)
+            assert model.calls == [1, 3]
+            assert r0[2] == 1 and r1[2] == r2[2] == 3
+            assert r1[3] == r2[3] != r0[3]
+            assert list(r1[0]) == [2.0] and list(r2[0]) == [3.0, 3.0]
+            assert batcher.pending_rows() == 0
+
+        asyncio.run(main())
+
+    def test_max_rows_flushes_a_full_bucket_inline(self):
+        async def main():
+            batcher = MicroBatcher(max_rows=2)
+            served, model = _fake_served()
+            model.gate.clear()
+            first = asyncio.create_task(
+                batcher.submit(served, np.ones((1, 2)))
+            )
+            await model.call_started()
+            # A request that fills a bucket does not wait for the call
+            # in flight: its own call starts at once.
+            full = asyncio.create_task(
+                batcher.submit(served, np.ones((2, 2)))
+            )
+            await model.call_started()
+            assert model.calls == [1, 2]
+            assert batcher.pending_rows() == 0
+            model.gate.set()
+            assert (await first)[2] == 1
+            assert (await full)[2] == 2
 
         asyncio.run(main())
 
     def test_generations_never_share_a_bucket(self):
         async def main():
-            batcher = MicroBatcher(window_s=0.05)
+            batcher = MicroBatcher()
             old, old_model = _fake_served(generation=1)
             new, new_model = _fake_served(generation=2)
-            await asyncio.gather(
+            r_old, r_new = await asyncio.gather(
                 batcher.submit(old, np.ones((1, 2))),
                 batcher.submit(new, np.ones((3, 2))),
             )
             assert old_model.calls == [1]
             assert new_model.calls == [3]
+            assert r_old[3] != r_new[3]
 
         asyncio.run(main())
 
     def test_drain_flushes_open_buckets(self):
         async def main():
-            batcher = MicroBatcher(window_s=60.0)
+            batcher = MicroBatcher()
             served, model = _fake_served()
-            task = asyncio.create_task(
+            model.gate.clear()
+            inflight = asyncio.create_task(
                 batcher.submit(served, np.ones((1, 2)))
             )
-            await asyncio.sleep(0.01)
-            assert batcher.pending_rows() == 1
-            await batcher.drain()
-            _, _, n, _ = await task
-            assert n == 1
+            await model.call_started()
+            pending = asyncio.create_task(
+                batcher.submit(served, np.ones((2, 2)))
+            )
+            await _settle()
+            assert batcher.pending_rows() == 2
+            drain = asyncio.create_task(batcher.drain())
+            await _settle()
+            assert not drain.done()  # the in-flight call still runs
+            model.gate.set()
+            await drain
+            # drain returned only once both calls had answered.
+            assert inflight.done() and pending.done()
+            assert (await inflight)[2] == 1
+            assert (await pending)[2] == 2
+            assert model.calls == [1, 2]
             assert batcher.pending_rows() == 0
 
         asyncio.run(main())
 
     def test_model_failure_fans_out_to_all_waiters(self):
         async def main():
-            batcher = MicroBatcher(window_s=0.05)
+            batcher = MicroBatcher()
             served, model = _fake_served()
-            model.predict_labels = lambda X: (_ for _ in ()).throw(
-                RuntimeError("forest on fire")
-            )
-            results = await asyncio.gather(
-                batcher.submit(served, np.ones((1, 2))),
-                batcher.submit(served, np.ones((1, 2))),
-                return_exceptions=True,
-            )
+            model.fail = RuntimeError("forest on fire")
+            model.gate.clear()
+            tasks = [asyncio.create_task(
+                batcher.submit(served, np.ones((1, 2)))
+            )]
+            await model.call_started()
+            tasks += [
+                asyncio.create_task(batcher.submit(served, np.ones((1, 2))))
+                for _ in range(2)
+            ]
+            await _settle()
+            model.gate.set()
+            results = await asyncio.gather(*tasks, return_exceptions=True)
+            assert model.calls == [1, 2]
             assert all(
                 isinstance(r, RuntimeError) for r in results
             )
@@ -1174,9 +1416,9 @@ class TestMicroBatcher:
 
     def test_invalid_parameters_rejected(self):
         with pytest.raises(ValueError):
-            MicroBatcher(window_s=-1.0)
-        with pytest.raises(ValueError):
             MicroBatcher(max_rows=0)
+        with pytest.raises(TypeError):
+            MicroBatcher(window_s=0.002)  # the batcher has no window
 
 
 # ------------------------------------------ once-per-batch schema work
