@@ -14,7 +14,8 @@ evaluating 256 architecture design points:
   point's phase B runs in one kernel call, so the sweep costs less than
   256 separate simulations;
 * **NAPEL**: one kernel analysis (phase 1 is architecture-independent, so
-  a single profile serves the whole architecture sweep) + 256 model
+  a single profile serves the whole architecture sweep), the assembly of
+  its 256 feature rows (profile plus architecture) and 256 model
   evaluations.
 
 The paper reports speedups between 33x and 1039x (average 220x) against
@@ -76,22 +77,26 @@ def test_fig4_prediction_speedup(
 
         trace = w.generate(w.test_config())
 
-        # NAPEL side: one profile + 256 architecture predictions.
+        # NAPEL side: one profile, its 256 feature rows and their
+        # predictions.
         start = time.perf_counter()
         profile = analyze_trace(trace, workload=w.name)
         profile_s = time.perf_counter() - start
+        start = time.perf_counter()
         X = np.vstack([NapelModel.features(profile, a) for a in archs])
+        assemble_s = time.perf_counter() - start
         start = time.perf_counter()
         trained.model.predict_labels(X)
         predict_s = time.perf_counter() - start
 
-        napel_total = profile_s + predict_s
+        napel_total = profile_s + assemble_s + predict_s
         speedups[w.name] = sim_total / napel_total
         rows.append([
             w.name,
             f"{sim_total:8.2f}",
             f"{sim_total / N_CONFIGS * 1e3:7.1f}",
             f"{profile_s:7.3f}",
+            f"{assemble_s:7.3f}",
             f"{predict_s:7.3f}",
             f"{speedups[w.name]:8.1f}x",
         ])
@@ -99,7 +104,7 @@ def test_fig4_prediction_speedup(
     ordered = dict(sorted(speedups.items(), key=lambda kv: kv[1]))
     table = format_table(
         ["app", f"sim {N_CONFIGS} (s)", "sim per cfg (ms)",
-         "profile (s)", "predict 256 (s)", "speedup"],
+         "profile (s)", "assemble 256 (s)", "predict 256 (s)", "speedup"],
         rows,
         title=f"Figure 4 data: NAPEL vs simulator, {N_CONFIGS} "
               "architecture design points per application",

@@ -72,3 +72,8 @@ class ParallelError(ReproError):
 
 class TracingError(ReproError):
     """An event-trace file is malformed, or the tracer was misused."""
+
+
+class KernelBuildError(ReproError):
+    """The compiled kernel library failed to build on a host that has a C
+    compiler (carries the compiler's error output)."""

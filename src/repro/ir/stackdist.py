@@ -159,9 +159,9 @@ def _c_pass(lib: native.Library) -> Callable:
 
     Index contract, which the C form does not check: every id is in
     ``[0, n_ids)`` and ``is_write``, when given, has one flag per id.
-    The scratch holds ``n_ids`` slots, plus ``len(ids) + 1`` Fenwick
-    slots past 512 ids; every distance is below ``len(ids)``, so its bit
-    length is below :data:`BIT_LENGTHS`.
+    The scratch holds ``n_ids`` slots, plus a sentinel slot up to 512
+    ids and ``len(ids) + 1`` Fenwick slots past that; every distance is
+    below ``len(ids)``, so its bit length is below :data:`BIT_LENGTHS`.
     """
     fn = lib.reuse_distances
     fn.restype = None
@@ -172,7 +172,7 @@ def _c_pass(lib: native.Library) -> Callable:
         ids = np.ascontiguousarray(ids, dtype=np.int64)
         flags = None if is_write is None else np.ascontiguousarray(is_write, bool)
         n_streams = 1 if flags is None else 2
-        scratch = np.empty(n_ids + (n + 1 if n_ids > _MTF_IDS else 0), np.int64)
+        scratch = np.empty(n_ids + (n + 1 if n_ids > _MTF_IDS else 1), np.int64)
         out = np.empty(n, dtype=np.int64) if per_access else None
         hist = np.empty((n_streams, BIT_LENGTHS), dtype=np.int64)
         cold = np.empty(n_streams, dtype=np.int64)

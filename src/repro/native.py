@@ -19,14 +19,17 @@ that own a loop :func:`register` both forms under one name:
   product in one call (:mod:`repro.nmcsim.simulator`);
 * ``trace_columns`` — every derived column the profiler reads (memory
   mask, accesses, dense register, pc and cache-line ids, thread count)
-  of one trace in one call (:mod:`repro.ir.trace`);
+  of one trace in one call, the distinct lines hashed and then ordered
+  by an LSD radix sort (:mod:`repro.ir.trace`);
 * ``reuse_distances`` — LRU stack distances, counted per stream by bit
-  length as they are found (:mod:`repro.ir.stackdist`), for the
-  profiler's reuse-distance families;
+  length as they are found, through a one-pass move-to-front list up
+  to 512 ids and a Fenwick tree past that (:mod:`repro.ir.stackdist`),
+  for the profiler's reuse-distance families;
 * ``pc_strides`` — the profiler's per-PC stride walk
   (:mod:`repro.profiler.stride`);
-* ``ilp_depths`` — the profiler's dependence-DAG depths
-  (:mod:`repro.profiler.ilp`);
+* ``ilp_depths`` — the profiler's dependence-DAG depths under the
+  infinite and every windowed machine, in one walk over producer links
+  that reads the column table in place (:mod:`repro.profiler.ilp`);
 * ``build_trees`` — every CART regression tree of one bootstrap plan
   (the random forest's base learners that share a sample) in one call,
   over one presort of the plan's rows per rank class of columns, each
@@ -44,9 +47,11 @@ compiler (``cc``, ``gcc`` or ``clang``; ``-O2 -fPIC -shared
 -ffp-contract=off``) into a source-hash-keyed shared object under
 ``$REPRO_SIM_JIT_CACHE`` (default: ``repro-simjit`` in the temp
 directory) and loaded with :mod:`ctypes`.  The build is race-free across
-processes and a damaged cached object is discarded and rebuilt; when no
-compiler is found or the build fails, every kernel runs its Python form.
-:func:`jit_status` says which.
+processes and a damaged cached object is discarded and rebuilt.  When
+no compiler is found every kernel runs its Python form; when a compiler
+is found and the build fails, every kernel call raises
+:class:`~repro.errors.KernelBuildError` with the compiler's error
+output.  :func:`jit_status` says which form runs.
 
 Bit-equivalence contract: each C function keeps its Python form's exact
 arithmetic.  The trace fill, the profiler and phase-A L1 kernels are
@@ -80,6 +85,7 @@ import subprocess
 import tempfile
 from typing import Callable
 
+from .errors import KernelBuildError
 from .obs import get_logger
 from .store import discard, replacing
 
@@ -609,10 +615,30 @@ static inline i64 *line_slot(
     return slots + h;
 }
 
-static int by_line(const void *a, const void *b)
+/* pairs[0..n) sorted by line: an LSD radix sort over 8-bit digits,
+   between pairs and tmp, that skips every digit on which all lines
+   agree.  Returns the buffer holding the sorted pairs. */
+static LineSlot *sort_lines(LineSlot *pairs, LineSlot *tmp, i64 n)
 {
-    uint64_t x = ((const LineSlot *)a)->line, y = ((const LineSlot *)b)->line;
-    return (x > y) - (x < y);
+    i64 count[8][256];
+    memset(count, 0, sizeof count);
+    for (i64 q = 0; q < n; q++)
+        for (int d = 0; d < 8; d++) count[d][(pairs[q].line >> 8 * d) & 255]++;
+    for (int d = 0; d < 8; d++) {
+        i64 *c = count[d], sum = 0;
+        if (c[(pairs[0].line >> 8 * d) & 255] == n) continue;
+        for (int b = 0; b < 256; b++) {
+            i64 k = c[b];
+            c[b] = sum;
+            sum += k;
+        }
+        for (i64 q = 0; q < n; q++)
+            tmp[c[(pairs[q].line >> 8 * d) & 255]++] = pairs[q];
+        LineSlot *t = pairs;
+        pairs = tmp;
+        tmp = t;
+    }
+    return pairs;
 }
 
 /* Every derived column of one n-instruction trace in one pass (layout:
@@ -621,7 +647,7 @@ static int by_line(const void *a, const void *b)
    of dst/src1/src2 as three rows of regs (register ids -1 and below are
    -1); dense pc ids; the accesses' cache lines (addr >> line_shift) as
    sorted uniques, first access index and per-access id, found through
-   an open-addressing hash and a sort of the uniques.  counts gets m,
+   an open-addressing hash and a radix sort of the uniques.  counts gets m,
    the register table size, the distinct register count (-1 excluded),
    the pc count, the line count and the thread count.  Returns 0, or
    -1 (-2) when the register (pc) values span more than max_reg_span
@@ -657,7 +683,7 @@ i64 trace_columns(
     i64 *ptab = calloc((size_t)(phi - plo + 1), sizeof *ptab);
     uint64_t seen[1024] = {0};   /* one bit per uint16 tid */
     i64 *slots = NULL, *first = NULL, *rank = NULL;
-    LineSlot *pairs = NULL;
+    LineSlot *pairs = NULL, *tmp = NULL;
     if (!rtab || !ptab) goto done;
 
     for (i64 i = 0; i < n; i++) {
@@ -702,7 +728,8 @@ i64 trace_columns(
         first = malloc((size_t)m * sizeof *first);
         rank = malloc((size_t)m * sizeof *rank);
         pairs = malloc((size_t)m * sizeof *pairs);
-        if (!slots || !first || !rank || !pairs) goto done;
+        tmp = malloc((size_t)m * sizeof *tmp);
+        if (!slots || !first || !rank || !pairs || !tmp) goto done;
         for (i64 j = 0; j < m; j++) {
             if (2 * n_lines >= (i64)1 << bits) {
                 free(slots);
@@ -721,11 +748,11 @@ i64 trace_columns(
             }
             line_ids[j] = *slot - 1;
         }
-        qsort(pairs, (size_t)n_lines, sizeof *pairs, by_line);
+        const LineSlot *sorted = sort_lines(pairs, tmp, n_lines);
         for (i64 q = 0; q < n_lines; q++) {
-            line_uniq[q] = pairs[q].line;
-            line_first[q] = first[pairs[q].prov];
-            rank[pairs[q].prov] = q;
+            line_uniq[q] = sorted[q].line;
+            line_first[q] = first[sorted[q].prov];
+            rank[sorted[q].prov] = q;
         }
         for (i64 j = 0; j < m; j++) line_ids[j] = rank[line_ids[j]];
     }
@@ -738,6 +765,7 @@ done:
     free(first);
     free(rank);
     free(pairs);
+    free(tmp);
     return status;
 }
 
@@ -754,11 +782,12 @@ static inline i64 bit_length(i64 d)
    belongs to stream s = is_write[t] (s = 0 when is_write is NULL): its
    distance d adds one to hist[64 s + bit_length(d)], a first touch one
    to cold[s] (both zeroed here), and out[t] = d unless out is NULL.  Up
-   to 512 ids a move-to-front list in scratch[0..n_ids) gives each
-   distance as the element's list position; past that, last[] =
-   scratch[0..n_ids) holds each element's last access time and tree[] =
-   scratch[n_ids..n_ids + n + 1) a Fenwick tree over access times
-   counting each element's most recent access. */
+   to 512 ids a move-to-front list in scratch[0..n_ids] (one sentinel
+   slot) gives each distance as the element's list position, the
+   entries before it shifting down in the same scan that finds it; past
+   that, last[] = scratch[0..n_ids) holds each element's last access
+   time and tree[] = scratch[n_ids..n_ids + n + 1) a Fenwick tree over
+   access times counting each element's most recent access. */
 void reuse_distances(
     const i64 *ids, i64 n, i64 n_ids, const unsigned char *is_write,
     i64 *scratch, i64 *out, i64 *hist, i64 *cold)
@@ -775,12 +804,17 @@ void reuse_distances(
     for (i64 t = 0; t < n; t++) {
         i64 k = ids[t], d;
         if (mtf) {
-            i64 p = 0;
-            while (p < len && list[p] != k) p++;
+            /* One pass: each entry moves down one slot until k is found,
+               at the latest in the sentinel slot past the list. */
+            i64 p = 0, carry = k, x;
+            list[len] = k;
+            while ((x = list[p]) != k) {
+                list[p++] = carry;
+                carry = x;
+            }
+            list[p] = carry;
             d = p < len ? p : -1;
-            if (p == len) len++;
-            memmove(list + 1, list, (size_t)p * sizeof *list);
-            list[0] = k;
+            len += p == len;
         } else {
             i64 prev = last[k];
             d = -1;
@@ -848,7 +882,7 @@ i64 pc_strides(
 
 /* ------------------------------------------------------ ILP depths */
 
-/* kind[i]: bits 0-1 the op class (0 other, 1 int, 2 fp, 3 memory), bit
+/* kind[op]: bits 0-1 the op class (0 other, 1 int, 2 fp, 3 memory), bit
    2 reads memory (load/atomic), bit 3 writes memory (store/atomic). */
 #define K_CLASS 3
 #define K_INT 1
@@ -857,100 +891,162 @@ i64 pc_strides(
 #define K_READ 4
 #define K_WRITE 8
 
-/* Serialized dependence-DAG depth of chunks of `step` instructions.
-   The register and store tables are valid only where their stamp equals
-   the current chunk's epoch (a fresh epoch per chunk replaces clearing
-   them).  With chains non-NULL (one chunk over the whole sample, on
-   zeroed int and fp tables) the per-class chain depths are added into
-   chains[0..3); the int and fp tables are separate from the register
-   table because a register last written by another class keeps its old
-   chain level. */
-static i64 ilp_pass(
-    i64 n, i64 step, const i64 *kind, const i64 *dst, const i64 *src1,
-    const i64 *src2, const i64 *line,
-    i64 *reg_level, i64 *reg_stamp, i64 *store_level, i64 *store_stamp,
-    i64 *int_level, i64 *fp_level, i64 *epoch, i64 *chains)
+/* Lanes go in groups of ILP_GROUP, the lane count padded with
+   infinite windows, so each group's levels are one fixed-length loop
+   the compiler turns into one 128-bit vector of four 32-bit levels
+   (on the 92 campaign traces groups of 4 beat groups of 8 or 16 and a
+   lane count set at run time). */
+#define ILP_GROUP 4
+
+/* One op's entries in a group of lanes from its producers' rows r1, r2
+   and r3 (distinct from its own row) and the group's chunk starts; top
+   tracks each lane's deepest entry. */
+static inline void ilp_levels(
+    int32_t *restrict row, const int32_t *restrict r1,
+    const int32_t *restrict r2, const int32_t *restrict r3,
+    const int32_t *restrict start, int32_t *restrict top)
 {
-    i64 total = 0;
-    for (i64 start = 0; start < n; start += step) {
-        i64 end = start + step < n ? start + step : n;
-        i64 e = ++*epoch;
-        i64 depth = 0, c_int = 0, c_fp = 0, mem_serial = 0;
-        for (i64 i = start; i < end; i++) {
-            i64 kd = kind[i], s1 = src1[i], s2 = src2[i], d = dst[i];
-            i64 level = 0;
-            if (s1 >= 0 && reg_stamp[s1] == e) level = reg_level[s1];
-            if (s2 >= 0 && reg_stamp[s2] == e && reg_level[s2] > level)
-                level = reg_level[s2];
-            if ((kd & K_READ) && store_stamp[line[i]] == e
-                    && store_level[line[i]] > level)
-                level = store_level[line[i]];
-            level++;
-            if (level > depth) depth = level;
-            if (d >= 0) { reg_level[d] = level; reg_stamp[d] = e; }
-            if (kd & K_WRITE) {
-                store_level[line[i]] = level;
-                store_stamp[line[i]] = e;
+    for (int l = 0; l < ILP_GROUP; l++) {
+        int32_t v = start[l];
+        v = r1[l] > v ? r1[l] : v;
+        v = r2[l] > v ? r2[l] : v;
+        v = r3[l] > v ? r3[l] : v;
+        row[l] = ++v;
+        top[l] = v > top[l] ? v : top[l];
+    }
+}
+
+/* Serialized dependence-DAG depths of the first n instructions, under
+   the infinite window (lane 0) and each of windows[0..n_windows)
+   (lane 1 + w), in one walk over producer links: each op's producers
+   are the last writer of each source register and, for a read, the
+   last store to its line (index n: none).  Under a window of `step`
+   the ops run in chunks [c, c + step) and only producers inside the
+   op's chunk count.  Lane l of row i of the (n + 1) x lanes table holds
+   op i's level plus its chunk start c: a producer from an earlier
+   chunk stores at most that chunk's start plus its length, which is
+   at most c, so 1 + max(c, the producers' entries) is op i's entry
+   without testing where a producer lies.  Row n is all zeros.  Chunk
+   starts move once per segment, up to the next boundary of any lane.
+   The int and fp chains (own level tables per register: a register
+   last written by another class keeps its old chain level) and the
+   memory chain run on lane 0. */
+static void ilp_walk(
+    const unsigned char *opcode, const unsigned char *kind,
+    const i64 *dst, const i64 *src1, const i64 *src2,
+    const unsigned char *mask, const i64 *line_ids, i64 n, i64 n_regs,
+    i64 lanes, const i64 *step, i64 *total, int32_t *start, int32_t *lv,
+    i64 *last_reg, i64 *last_store, i64 *int_level, i64 *chains)
+{
+    int32_t *top = start + lanes;
+    i64 *fp_level = int_level + n_regs;
+    i64 c_int = 0, c_fp = 0, mem_serial = 0;
+    memset(lv + n * lanes, 0, (size_t)lanes * sizeof *lv);
+    for (i64 l = 0; l < lanes; l++) total[l] = start[l] = top[l] = 0;
+    for (i64 i = 0, j = 0; i < n; ) {
+        i64 end = n;
+        for (i64 l = 0; l < lanes; l++)
+            if (start[l] + step[l] < end) end = start[l] + step[l];
+        for (; i < end; i++) {
+            i64 kd = kind[opcode[i]], s1 = src1[i], s2 = src2[i], d = dst[i];
+            i64 p1 = s1 >= 0 ? last_reg[s1] : n;
+            i64 p2 = s2 >= 0 ? last_reg[s2] : n, p3 = n;
+            if (mask[i]) {
+                i64 line = line_ids[j++];
+                if (kd & K_READ) p3 = last_store[line];
+                if (kd & K_WRITE) last_store[line] = i;
             }
-            if (!chains) continue;
+            if (d >= 0) last_reg[d] = i;
+            const int32_t *r1 = lv + p1 * lanes, *r2 = lv + p2 * lanes;
+            const int32_t *r3 = lv + p3 * lanes;
+            int32_t *row = lv + i * lanes;
+            for (i64 g = 0; g < lanes; g += ILP_GROUP)
+                ilp_levels(row + g, r1 + g, r2 + g, r3 + g, start + g, top + g);
             i64 cls = kd & K_CLASS;
             if (cls == K_INT || cls == K_FP) {
-                i64 *lv = cls == K_INT ? int_level : fp_level;
+                i64 *lvc = cls == K_INT ? int_level : fp_level;
                 i64 cl = 0;
-                if (s1 >= 0) cl = lv[s1];
-                if (s2 >= 0 && lv[s2] > cl) cl = lv[s2];
+                if (s1 >= 0) cl = lvc[s1];
+                if (s2 >= 0 && lvc[s2] > cl) cl = lvc[s2];
                 cl++;
-                if (d >= 0) lv[d] = cl;
+                if (d >= 0) lvc[d] = cl;
                 if (cls == K_INT) { if (cl > c_int) c_int = cl; }
                 else if (cl > c_fp) c_fp = cl;
-            } else if (cls == K_MEM && level > mem_serial) {
-                mem_serial = level;
+            } else if (cls == K_MEM && row[0] > mem_serial) {
+                mem_serial = row[0];
             }
         }
-        total += depth;
-        if (chains) {
-            chains[0] += c_int;
-            chains[1] += c_fp;
-            chains[2] += depth < mem_serial ? depth : mem_serial;
+        for (i64 l = 0; l < lanes; l++) {
+            if (start[l] + step[l] != end && end != n) continue;
+            total[l] += top[l] - start[l];
+            start[l] = top[l] = (int32_t)end;
         }
     }
-    return total;
+    chains[0] = c_int;
+    chains[1] = c_fp;
+    chains[2] = total[0] < mem_serial ? total[0] : mem_serial;
 }
 
 /* out[0] the infinite-window depth, out[1..4) the int/fp/memory chain
    depths, out[4..7) the int/fp/memory op counts, out[7 + w] the depth
-   under windows[w].  Registers and lines are dense ids (negative: no
-   register); the tables hold n_regs / n_lines slots, all zeroed.
-   Returns -1, before any table is touched, when a register id is
-   n_regs or more or a memory op's line id is outside [0, n_lines);
-   0 when done. */
+   under windows[w] (a window <= 0 or past n is one chunk).  kind has
+   n_kinds entries; registers are dense ids (negative: no register) and
+   access j's line is line_ids[j], for the j-th op with mask set, of
+   n_access.  Returns -1 when an opcode has no kind, a register id is
+   n_regs or more, the mask disagrees with the kinds' memory bits or a
+   line id is missing or outside [0, n_lines); -2 when n does not fit
+   the 32-bit levels; -3 out of memory; 0 when done. */
 i64 ilp_depths(
-    const i64 *kind, const i64 *dst, const i64 *src1, const i64 *src2,
-    const i64 *line, i64 n, i64 n_regs, i64 n_lines, const i64 *windows,
-    i64 n_windows, i64 *reg_level, i64 *reg_stamp, i64 *store_level,
-    i64 *store_stamp, i64 *int_level, i64 *fp_level, i64 *out)
+    const unsigned char *opcode, const unsigned char *kind, i64 n_kinds,
+    const i64 *dst, const i64 *src1, const i64 *src2,
+    const unsigned char *mask, const i64 *line_ids, i64 n_access, i64 n,
+    i64 n_regs, i64 n_lines, const i64 *windows, i64 n_windows, i64 *out)
 {
-    i64 epoch = 0;
     memset(out, 0, (size_t)(7 + n_windows) * sizeof *out);
-    for (i64 i = 0; i < n; i++) {
-        i64 cls = kind[i] & K_CLASS;
+    for (i64 i = 0, j = 0; i < n; i++) {
+        if (opcode[i] >= n_kinds) return -1;
+        i64 kd = kind[opcode[i]];
         if (dst[i] >= n_regs || src1[i] >= n_regs || src2[i] >= n_regs)
             return -1;
-        if ((kind[i] & (K_READ | K_WRITE))
-                && (line[i] < 0 || line[i] >= n_lines))
-            return -1;
-        if (cls) out[3 + cls]++;
+        if (!mask[i] != !(kd & (K_READ | K_WRITE))) return -1;
+        if (mask[i]) {
+            if (j == n_access) return -1;
+            i64 line = line_ids[j++];
+            if (line < 0 || line >= n_lines) return -1;
+        }
+        if (kd & K_CLASS) out[3 + (kd & K_CLASS)]++;
     }
     if (n == 0) return 0;
-    out[0] = ilp_pass(
-        n, n, kind, dst, src1, src2, line, reg_level, reg_stamp,
-        store_level, store_stamp, int_level, fp_level, &epoch, out + 1);
+    if (n > INT32_MAX / 2 - 1) return -2;
+    i64 lanes = (n_windows + ILP_GROUP) / ILP_GROUP * ILP_GROUP;
+    i64 status = -3;
+    /* The level table; each lane's step, depth total, chunk start and
+       deepest entry; each register's and line's last writer; the int
+       and fp chain levels. */
+    int32_t *lv = malloc((size_t)(n + 1) * lanes * sizeof *lv);
+    i64 *step = malloc((size_t)lanes * 2 * sizeof *step);
+    int32_t *start = malloc((size_t)lanes * 2 * sizeof *start);
+    i64 *last = malloc((size_t)(n_regs + n_lines + 1) * sizeof *last);
+    i64 *chain = calloc((size_t)(2 * n_regs + 1), sizeof *chain);
+    if (!lv || !step || !start || !last || !chain) goto done;
+    for (i64 k = 0; k < n_regs + n_lines; k++) last[k] = n;
+    for (i64 l = 0; l < lanes; l++) step[l] = n;
     for (i64 w = 0; w < n_windows; w++)
-        out[7 + w] = ilp_pass(
-            n, windows[w] > 0 ? windows[w] : n, kind, dst, src1, src2, line,
-            reg_level, reg_stamp, store_level, store_stamp, NULL, NULL,
-            &epoch, NULL);
-    return 0;
+        step[1 + w] = windows[w] > 0 && windows[w] < n ? windows[w] : n;
+    i64 *total = step + lanes;
+    ilp_walk(opcode, kind, dst, src1, src2, mask, line_ids, n, n_regs,
+             lanes, step, total, start, lv, last, last + n_regs, chain,
+             out + 1);
+    out[0] = total[0];
+    for (i64 w = 0; w < n_windows; w++) out[7 + w] = total[1 + w];
+    status = 0;
+done:
+    free(lv);
+    free(step);
+    free(start);
+    free(last);
+    free(chain);
+    return status;
 }
 
 /* -------------------------------------- numpy's Generator.choice */
@@ -1530,8 +1626,9 @@ Library = ctypes.CDLL
 _REGISTRY: dict[str, tuple[Callable, Callable[[Library], Callable | None]]] = {}
 
 _UNSET = object()
-#: The loaded shared object, None once a build proved impossible.
-_LIB: Library | None | object = _UNSET
+#: The loaded shared object, None on a host without a compiler, or the
+#: :class:`~repro.errors.KernelBuildError` of a failed build.
+_LIB: Library | KernelBuildError | None | object = _UNSET
 #: C forms already wrapped over :data:`_LIB`, by kernel name (None: the
 #: C form was refused and the Python form runs).
 _CC: dict[str, Callable | None] = {}
@@ -1559,8 +1656,10 @@ def resolve(name: str) -> tuple[Callable, str]:
     """Kernel ``name`` of this process as ``(callable, backend)``.
 
     ``backend`` is ``"cc"`` when the shared object built (on the first
-    call of the process) and ``"python"`` otherwise; both forms take the
-    same arguments and return identical results.
+    call of the process) and ``"python"`` on a host without a C
+    compiler; both forms take the same arguments and return identical
+    results.  A failed build raises
+    :class:`~repro.errors.KernelBuildError` here, on every call.
     """
     python, cc = _REGISTRY[name]
     lib = _library()
@@ -1576,7 +1675,8 @@ def jit_status() -> dict:
     """Kernel provenance for manifests and benchmark records.
 
     ``backend`` is ``"cc"`` when the shared object is built and
-    ``"python"`` on hosts where it could not be.  Under ``"cc"`` a kernel
+    ``"python"`` on hosts without a C compiler (a failed build raises
+    :class:`~repro.errors.KernelBuildError`).  Under ``"cc"`` a kernel
     whose C form fails its build-time check still runs its Python form
     (with a warning; only ``build_trees`` has such a check).
     """
@@ -1584,15 +1684,27 @@ def jit_status() -> dict:
 
 
 def _library() -> Library | None:
-    """The loaded shared object, built on first use (None: no build)."""
+    """The loaded shared object, built on first use (None: no compiler)."""
     global _LIB
     if _LIB is _UNSET:
-        _LIB = _load_cc_lib()
-        log.info(
-            "native kernels ready",
-            extra={"ctx": {"backend": "python" if _LIB is None else "cc"}},
-        )
+        try:
+            _LIB = _load_cc_lib()
+        except KernelBuildError as exc:
+            _LIB = exc
+        else:
+            log.info(
+                "native kernels ready",
+                extra={"ctx": {"backend": "python" if _LIB is None else "cc"}},
+            )
+    if isinstance(_LIB, KernelBuildError):
+        raise _LIB.with_traceback(None)
     return _LIB
+
+
+def find_compiler() -> str | None:
+    """The C compiler the kernels build with (``cc``, ``gcc`` or
+    ``clang`` on ``PATH``), or None."""
+    return shutil.which("cc") or shutil.which("gcc") or shutil.which("clang")
 
 
 def _cache_dir() -> str:
@@ -1616,7 +1728,8 @@ def _compile(compiler: str, so_path: str) -> None:
     object lands through :func:`repro.store.replacing`, so concurrent
     first builds (``--jobs N`` workers on a cold cache) never see each
     other's half-written files; the last one in wins with identical
-    bytes.
+    bytes.  A failed build raises :class:`~repro.errors.KernelBuildError`
+    with the compiler's error output.
     """
     fd, src_path = tempfile.mkstemp(
         prefix=os.path.basename(so_path)[:-3] + "-",
@@ -1637,8 +1750,16 @@ def _compile(compiler: str, so_path: str) -> None:
                 ],
                 check=True,
                 capture_output=True,
+                text=True,
                 timeout=120,
             )
+    except subprocess.CalledProcessError as exc:
+        raise KernelBuildError(
+            f"C kernel build with {compiler} failed (exit {exc.returncode}):\n"
+            f"{exc.stderr.strip()}"
+        ) from None
+    except (OSError, subprocess.SubprocessError) as exc:
+        raise KernelBuildError(f"C kernel build with {compiler} failed: {exc}") from exc
     finally:
         os.remove(src_path)
 
@@ -1648,30 +1769,28 @@ def _load_cc_lib() -> Library | None:
 
     A cached object that fails to load (truncated, overwritten, built
     for another platform) is reported, deleted and rebuilt once instead
-    of being trusted.  None when no compiler is found or the build
-    fails; every kernel then runs its Python form.
+    of being trusted.  None when no compiler is found (every kernel then
+    runs its Python form); a build or load that fails with a compiler at
+    hand raises :class:`~repro.errors.KernelBuildError`.
     """
-    compiler = (
-        shutil.which("cc") or shutil.which("gcc") or shutil.which("clang")
-    )
+    compiler = find_compiler()
     if compiler is None:
         return None
     try:
         so_path = _so_path()
-        if not os.path.exists(so_path):
-            _compile(compiler, so_path)
-        try:
-            return ctypes.CDLL(so_path)
-        except OSError as exc:
-            discard(
-                f"cached C kernel {so_path} failed to load ({exc}); "
-                "discarding and rebuilding it"
-            )
-            _compile(compiler, so_path)
-            return ctypes.CDLL(so_path)
-    except (OSError, subprocess.SubprocessError) as exc:
-        log.warning(
-            "C kernel build failed; falling back to the Python forms",
-            extra={"ctx": {"compiler": compiler, "error": str(exc)}},
+    except OSError as exc:
+        raise KernelBuildError(f"C kernel cache directory unusable: {exc}") from exc
+    if not os.path.exists(so_path):
+        _compile(compiler, so_path)
+    try:
+        return ctypes.CDLL(so_path)
+    except OSError as exc:
+        discard(
+            f"cached C kernel {so_path} failed to load ({exc}); "
+            "discarding and rebuilding it"
         )
-        return None
+    _compile(compiler, so_path)
+    try:
+        return ctypes.CDLL(so_path)
+    except OSError as exc:
+        raise KernelBuildError(f"rebuilt C kernel {so_path} failed to load: {exc}") from exc

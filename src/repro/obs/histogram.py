@@ -15,7 +15,7 @@ not associative), so the histogram keeps the sum as an *exact* integer
 in units of 2^-1074 (the smallest positive double): every finite float
 converts losslessly, integer addition is associative, and the float
 ``sum`` every snapshot reports is that exact value correctly rounded
-once.
+once (to ±inf past the largest double).
 
 Exemplars: an observation may attach a small JSON dict (request id,
 trace id) to its bucket — one exemplar per bucket, newest wins — so a
@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import bisect
 import math
-from fractions import Fraction
 from typing import Mapping, Sequence
 
 #: Scale turning any finite double into an exact integer (2^1074 is the
@@ -49,8 +48,16 @@ def _to_scaled(value: float) -> int:
 
 
 def _from_scaled(scaled: int) -> float:
-    """The float nearest ``scaled`` * 2^-1074 (one correct rounding)."""
-    return float(Fraction(scaled, _SUM_SCALE))
+    """The float nearest ``scaled`` * 2^-1074 (one correct rounding).
+
+    Int true division rounds correctly and raises exactly when that
+    rounding passes the largest double, where the nearest float is the
+    infinity of ``scaled``'s sign.
+    """
+    try:
+        return scaled / _SUM_SCALE
+    except OverflowError:
+        return math.inf if scaled > 0 else -math.inf
 
 
 def log_bounds(

@@ -111,18 +111,21 @@ def configure_logging(
     :class:`HumanFormatter` at the level implied by ``verbosity``, and —
     when ``json_path`` is given — a file handler appending
     :class:`JsonLinesFormatter` lines at DEBUG (the file always gets the
-    full detail; verbosity only gates the console).  Idempotent: calling
-    again replaces the previously-installed handlers.
+    full detail; verbosity only gates the console).  The logger's own
+    level is the lowest of those handlers' levels, so a record no
+    handler would keep is never built.  Idempotent: calling again
+    replaces the previously-installed handlers.
     """
     root = logging.getLogger(ROOT_LOGGER)
-    root.setLevel(logging.DEBUG)
+    console_level = verbosity_level(verbosity)
+    root.setLevel(logging.DEBUG if json_path else console_level)
     root.propagate = False
     for handler in list(root.handlers):
         if getattr(handler, _MANAGED, False):
             root.removeHandler(handler)
             handler.close()
     console = logging.StreamHandler(stream or sys.stderr)
-    console.setLevel(verbosity_level(verbosity))
+    console.setLevel(console_level)
     console.setFormatter(HumanFormatter())
     setattr(console, _MANAGED, True)
     root.addHandler(console)

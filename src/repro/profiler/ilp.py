@@ -12,11 +12,14 @@ per-class dependence-chain ILP (integer, floating-point, memory) are
 reported, mirroring PISA's ILP sub-features.
 
 All of it is one call into the compiled kernel library
-(:mod:`repro.native`) per trace over the dense register and line ids
-of its derived-column table: the C kernel walks the sample once per
-window (per-chunk epoch stamps stand in for clearing the level tables).
-:func:`_chunk_depths`, the pure-Python walk, is the oracle and the
-fallback on hosts without a C compiler.
+(:mod:`repro.native`) per trace, reading its derived-column table in
+place (the opcodes, the dense register rows, the memory mask and the
+accesses' dense line ids).  The C kernel walks the sample once for
+every window: it links each op to its producers (the last writer of
+each source register and, for a load, the last store to its line) and
+takes the op's level under each window from the producers inside the
+op's chunk.  :func:`_chunk_depths`, the pure-Python walk, is the
+oracle and the fallback on hosts without a C compiler.
 """
 
 from __future__ import annotations
@@ -142,17 +145,27 @@ def _ilp_depths_py(
     dsts: np.ndarray,
     src1s: np.ndarray,
     src2s: np.ndarray,
-    lines: np.ndarray,
+    mask: np.ndarray,
+    line_ids: np.ndarray,
     n_regs: int,
     n_lines: int,
     windows: Sequence[int],
 ) -> list[int]:
     """Every depth :func:`ilp_features` needs, in one list.
 
-    ``[depth, int_chain, fp_chain, mem_chain, n_int, n_fp, n_mem]`` for
-    the infinite window (chain depths, then the per-class op counts),
-    followed by the total depth under each of ``windows``.
+    Over the ``len(opcodes)`` leading instructions of a trace: their
+    dense register ids, their memory mask and the accesses' dense line
+    ids (``line_ids[j]`` belongs to the j-th op with ``mask`` set; the
+    array may run past the sample).  ``[depth, int_chain, fp_chain,
+    mem_chain, n_int, n_fp, n_mem]`` for the infinite window (chain
+    depths, then the per-class op counts), followed by the total depth
+    under each of ``windows``.
     """
+    n = len(opcodes)
+    mask = np.asarray(mask[:n], dtype=bool)
+    # Each sampled memory op's line id; other ops never read theirs.
+    lines = np.zeros(n, dtype=np.int64)
+    lines[mask] = line_ids[:np.count_nonzero(mask)]
     ops = opcodes.tolist()
     cols = (ops, dsts.tolist(), src1s.tolist(), src2s.tolist(), lines.tolist())
     out = list(_chunk_depths(*cols, window=None))
@@ -165,7 +178,7 @@ def _ilp_depths_py(
 
 #: Per-opcode kind bits of the C kernel: the class in bits 0-1 (1 int,
 #: 2 fp, 3 memory), bit 2 reads memory, bit 3 writes memory.
-_KIND = np.zeros(len(Opcode), dtype=np.int64)
+_KIND = np.zeros(len(Opcode), dtype=np.uint8)
 _KIND[sorted(_INT_CODES)] = 1
 _KIND[sorted(_FP_CODES)] = 2
 _KIND[sorted(_MEM_CODES)] = 3
@@ -176,41 +189,48 @@ _KIND[[_STORE, _ATOMIC]] |= 8
 def _ilp_depths_cc(lib: native.Library) -> Callable:
     """The library's ``ilp_depths`` with the Python form's signature.
 
-    Index contract: the five columns are equally long and every window
-    is positive (:data:`~repro.profiler.features.ILP_WINDOWS`), which
-    the C form does not check; every register id is below ``n_regs`` (a
-    negative id is no register) and every memory op's line id is in
-    ``[0, n_lines)``, which only a pass over the columns can tell, so
-    the C form checks both before it touches a table and returns a
-    status, raised here as :class:`ValueError`.  A non-memory op's line
-    id is never read.
+    It reads the columns in place (the register rows and line ids of a
+    :class:`~repro.ir.TraceColumns` table are contiguous ``int64``).
+    Index contract: the register rows and ``mask`` are at least as long
+    as ``opcodes``, which the C form does not check; every opcode has a
+    kind, every register id is below ``n_regs`` (a negative id is no
+    register), ``mask`` marks exactly the memory ops and each of their
+    line ids is in ``[0, n_lines)``, which only a pass over the columns
+    can tell, so the C form checks them before it walks and returns a
+    status, raised here as :class:`ValueError`.
     """
     fn = lib.ilp_depths
     fn.restype = ctypes.c_int64
     fn.argtypes = (
-        [ctypes.c_void_p] * 5 + [ctypes.c_int64] * 3
-        + [ctypes.c_void_p, ctypes.c_int64] + [ctypes.c_void_p] * 7
+        [ctypes.c_void_p] * 2 + [ctypes.c_int64] + [ctypes.c_void_p] * 5
+        + [ctypes.c_int64] * 4 + [ctypes.c_void_p, ctypes.c_int64]
+        + [ctypes.c_void_p]
     )
 
-    def kernel(ops, dsts, src1s, src2s, lines, n_regs, n_lines, windows) -> list[int]:
-        n = len(ops)
-        cols = (_KIND[ops], dsts, src1s, src2s, lines)
-        cols = [np.ascontiguousarray(c, dtype=np.int64) for c in cols]
+    def kernel(
+        ops, dsts, src1s, src2s, mask, line_ids, n_regs, n_lines, windows
+    ) -> list[int]:
+        ops = np.ascontiguousarray(ops, dtype=np.uint8)
+        regs = [np.ascontiguousarray(c, dtype=np.int64) for c in (dsts, src1s, src2s)]
+        mask = np.ascontiguousarray(mask, dtype=bool)
+        line_ids = np.ascontiguousarray(line_ids, dtype=np.int64)
         win = np.asarray(windows, dtype=np.int64)
-        # The register and store level tables, each followed by its
-        # epoch stamps, then the int- and fp-chain level tables.
-        sizes = (n_regs, n_regs, n_lines, n_lines, n_regs, n_regs)
-        tables = [np.zeros(k, dtype=np.int64) for k in sizes]
         out = np.empty(7 + len(win), dtype=np.int64)
         status = fn(
-            *(c.ctypes.data for c in cols), n, n_regs, n_lines,
-            win.ctypes.data, len(win), *(t.ctypes.data for t in tables),
-            out.ctypes.data,
+            ops.ctypes.data, _KIND.ctypes.data, len(_KIND),
+            *(c.ctypes.data for c in regs), mask.ctypes.data,
+            line_ids.ctypes.data, len(line_ids), len(ops), n_regs, n_lines,
+            win.ctypes.data, len(win), out.ctypes.data,
         )
+        if status == -3:
+            raise MemoryError("ilp_depths: out of memory")
+        if status == -2:
+            raise ValueError(f"ilp_depths: {len(ops)} instructions do not fit 32-bit levels")
         if status:
             raise ValueError(
-                f"ilp_depths: a register id is not below {n_regs} or a "
-                f"memory op's line id is outside [0, {n_lines})"
+                f"ilp_depths: an opcode has no kind, a register id is not "
+                f"below {n_regs}, the mask is not the memory ops, or a "
+                f"memory op's line id is missing or outside [0, {n_lines})"
             )
         return out.tolist()
 
@@ -229,13 +249,10 @@ def ilp_features(trace: InstructionTrace | TraceColumns) -> dict[str, float]:
     n = min(len(trace), ILP_SAMPLE_LIMIT)
     regs, n_regs, _distinct = cols.registers
     uniq, _first, line_ids = cols.lines
-    # Each sampled memory op's line id; other ops never read theirs.
-    mem = cols.memory_mask[:n]
-    lines = np.zeros(n, dtype=np.int64)
-    lines[mem] = line_ids[:np.count_nonzero(mem)]
     depth, int_chain, fp_chain, mem_chain, n_int, n_fp, n_mem, *windowed = (
         native.resolve("ilp_depths")[0](
-            trace.opcode[:n], *regs[:, :n], lines, n_regs, len(uniq), ILP_WINDOWS
+            trace.opcode[:n], *regs[:, :n], cols.memory_mask, line_ids,
+            n_regs, len(uniq), ILP_WINDOWS,
         )
     )
     out = {"ilp.total": n / depth if depth else 0.0}

@@ -23,7 +23,6 @@ concurrent cold processes share one object.
 import ctypes
 import functools
 import logging
-import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -33,12 +32,12 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from _helpers import forest_key, repro_env, use_kernel
+from _helpers import forest_key, repro_env, require_compiler, use_kernel
 from test_ir_builder import builder_actions, replay
 from repro import NMCSimulator, default_nmc_config, get_workload, native
 from repro.config import NMCConfig
 from repro.doe import ParameterSpace, central_composite
-from repro.errors import ConfigError, MLError
+from repro.errors import ConfigError, KernelBuildError, MLError
 from repro.ir import InstructionTrace, Opcode, TraceColumns, reuse_distances
 from repro.ir.builder import LoopTemplate, TemplateOp
 from repro.ir.instructions import MEMORY_OPCODES, NO_REG
@@ -73,10 +72,8 @@ DIFF_SETTINGS = settings(
 
 def forms(name):
     """``(cc, python)`` forms of kernel ``name``; skips without a compiler."""
-    fn, backend = native.resolve(name)
-    if backend != "cc":
-        pytest.skip("no C compiler available")
-    return fn, native.python_form(name)
+    require_compiler()
+    return native.resolve(name)[0], native.python_form(name)
 
 
 def profile_json(monkeypatch, trace, form):
@@ -121,16 +118,21 @@ def ilp_inputs(draw):
 
 def dense_ilp_args(opcodes, dst, src1, src2, lines, windows):
     """Raw ILP inputs as the kernel forms take them: dense register ids
-    (every negative id is -1, no register), dense line ids and the two
-    table sizes."""
+    (every negative id is -1, no register), the memory mask, the memory
+    ops' dense line ids and the two table sizes."""
     uniq, _first, ids = dense_ids(np.concatenate((dst, src1, src2)))
     negative = int(np.searchsorted(uniq, 0))
     regs = np.maximum(ids - negative, -1).reshape(3, -1)
-    line_uniq, _first, line_ids = dense_ids(lines)
+    mask = memory_mask(opcodes)
+    line_uniq, _first, line_ids = dense_ids(lines[mask])
     return (
-        opcodes, *regs, line_ids, len(uniq) - negative, len(line_uniq),
+        opcodes, *regs, mask, line_ids, len(uniq) - negative, len(line_uniq),
         windows,
     )
+
+
+def memory_mask(opcodes):
+    return np.isin(opcodes, [int(op) for op in MEMORY_OPCODES])
 
 
 def dense_keys(keys):
@@ -162,10 +164,13 @@ def ilp_boundaries(draw):
     ]
     n_lines = draw(st.sampled_from([1, 2, 4096] + ([] if memory else [0])))
     line = st.sampled_from(sorted({0, max(n_lines - 1, 0)}))
-    lines = np.array(draw(st.lists(line, min_size=n, max_size=n)), np.int64)
-    lines[~np.isin(opcodes, [int(op) for op in MEMORY_OPCODES])] = 2**62
+    mask = memory_mask(opcodes)
+    m = int(mask.sum())
+    lines = np.array(draw(st.lists(line, min_size=m, max_size=m)), np.int64)
+    # Access ids past the sample are never read.
+    lines = np.concatenate((lines, np.full(draw(st.integers(0, 2)), 2**62)))
     windows = draw(st.sampled_from([ILP_WINDOWS, (w,), (max(w - 1, 1), w + 1)]))
-    return (opcodes, *regs, lines, n_regs, n_lines, windows)
+    return (opcodes, *regs, mask, lines, n_regs, n_lines, windows)
 
 
 class TestILPKernel:
@@ -193,24 +198,86 @@ class TestILPKernel:
         assert cc(*args) == python(*args)
 
     @pytest.mark.parametrize(
-        "case", ["dst", "src1", "src2", "line", "negative line"]
+        "case",
+        ["dst", "src1", "src2", "line", "negative line", "missing line",
+         "mask off", "mask on", "opcode"],
     )
     def test_bad_ids_raise(self, case):
-        """The compiled form checks its index contract before it touches
-        a table: a register id at n_regs or a memory op's line id outside
-        [0, n_lines) raises ValueError."""
+        """The compiled form checks its index contract before it walks:
+        an opcode past the kind table, a register id at n_regs, a mask
+        that is not the memory ops, or a memory op's line id missing or
+        outside [0, n_lines) raises ValueError."""
         cc, _python = forms("ilp_depths")
-        ops = np.array([int(Opcode.LOAD), int(Opcode.STORE)], np.uint8)
-        cols = {name: np.array([0, 1]) for name in ("dst", "src1", "src2")}
+        ops = np.array([int(Opcode.LOAD), int(Opcode.STORE), int(Opcode.IALU)], np.uint8)
+        cols = {name: np.array([0, 1, 1]) for name in ("dst", "src1", "src2")}
+        mask = np.array([True, True, False])
         lines = np.array([0, 1])
         if case == "line":
             lines[1] = 2
         elif case == "negative line":
             lines[0] = -1
+        elif case == "missing line":
+            lines = lines[:1]
+        elif case == "mask off":
+            mask[1] = False
+        elif case == "mask on":
+            mask[2] = True
+        elif case == "opcode":
+            ops[2] = len(Opcode)
         else:
             cols[case][1] = 2
         with pytest.raises(ValueError, match="ilp_depths"):
-            cc(ops, *cols.values(), lines, 2, 2, ILP_WINDOWS)
+            cc(ops, *cols.values(), mask, lines, 2, 2, ILP_WINDOWS)
+
+    @pytest.mark.parametrize("n", [0, 1, 10, 37, 300])
+    @pytest.mark.parametrize("windows", [
+        (1,), "n", "n+", (3,), (7, 1, 4), tuple(range(1, 21)), (),
+    ], ids=[
+        "one", "n", "past_n", "not_dividing", "unsorted", "twenty", "none",
+    ])
+    def test_window_edges(self, n, windows):
+        """Windows of 1, of n and past n, windows that do not divide n,
+        any number of windows (none, or more than one lane group)."""
+        cc, python = forms("ilp_depths")
+        if windows == "n":
+            windows = (max(n, 1),)
+        elif windows == "n+":
+            windows = (n + 1, 2 * n + 5)
+        rng = np.random.default_rng(n)
+        ops = np.array([int(op) for op in Opcode], np.uint8)
+        args = dense_ilp_args(
+            rng.choice(ops, n), *rng.integers(-1, 6, (3, n)).astype(np.int32),
+            rng.integers(0, 4, n).astype(np.uint64), windows,
+        )
+        got = cc(*args)
+        assert got == python(*args)
+        assert len(got) == 7 + len(windows)
+
+    @pytest.mark.parametrize("w", [2, 8, 256])
+    @pytest.mark.parametrize("through", ["register", "memory"])
+    def test_producer_one_op_before_a_chunk_start(self, w, through):
+        """Op w - 1 (the last of chunk 0) feeds op w (the first of chunk
+        1): a dependence under the infinite window only."""
+        cc, python = forms("ilp_depths")
+        n = 2 * w
+        ops = np.full(n, int(Opcode.BRANCH), np.uint8)
+        dst, src1, src2 = (np.full(n, -1, np.int32) for _ in range(3))
+        lines = np.zeros(n, np.uint64)
+        if through == "register":
+            ops[[w - 1, w]] = int(Opcode.IALU)
+            dst[w - 1] = src1[w] = 5
+        else:
+            ops[[w - 1, w]] = int(Opcode.STORE), int(Opcode.LOAD)
+        windows = (w, w - 1, w + 1)
+        args = dense_ilp_args(ops, dst, src1, src2, lines, windows)
+        got = cc(*args)
+        assert got == python(*args)
+        # Every chunk is 1 deep, but 2 where it holds both ops.
+        assert got[0] == 2
+        assert got[7:] == [
+            -(-n // v) + ((w - 1) // v == w // v) for v in windows
+        ]
+        assert got[7] == 2
 
     def test_int_and_fp_chains_keep_separate_levels(self):
         """A register last written by an FP op keeps its int-chain level."""
@@ -283,6 +350,25 @@ class TestReuseDistanceKernel:
             )
             assert got == want
         assert max(want[2]) == n_ids - 1
+
+    @pytest.mark.parametrize("n_ids", [1, 2, 512, 513])
+    def test_immediate_repeats(self, n_ids):
+        """Every id touched two or three times in a row (distance 0),
+        in a shuffled order, on both sides of the 512-id switch."""
+        cc, python = forms("reuse_distances")
+        rng = np.random.default_rng(n_ids)
+        order = np.concatenate([rng.permutation(n_ids) for _ in range(3)])
+        ids = np.repeat(order, rng.integers(2, 4, len(order)))
+        is_write = rng.random(len(ids)) < 0.5
+        for flags in (None, is_write):
+            got, want = (
+                reuse_key(form(ids, n_ids, flags, per_access=True))
+                for form in (cc, python)
+            )
+            assert got == want
+        dists = np.array(want[2])
+        assert np.count_nonzero(dists == 0) == np.count_nonzero(ids[1:] == ids[:-1])
+        assert np.count_nonzero(dists == -1) == n_ids
 
     @pytest.mark.parametrize("n", [0, 1, 600])
     def test_all_equal_keys(self, n):
@@ -411,15 +497,33 @@ class TestTraceColumnsKernel:
         lambda: simple_trace(7, addr=np.uint64(2**64 - 1) - np.array(
             [0, 64, 64, 0, 640, 1, 0], dtype=np.uint64
         )),
+        lambda: simple_trace(8, addr=(np.array(
+            [3, 0, 255, 7, 1, 128, 2, 0], dtype=np.uint64
+        ) << np.uint64(56)) | np.uint64(0x1234)),
+        lambda: simple_trace(9, addr=np.uint64(2**63) + np.array(
+            [5, 2**63 - 1, 0, 64, 2**62, 0, 2**63 - 64, 1, 5], dtype=np.uint64
+        )),
+        lambda: simple_trace(40, addr=np.full(40, 2**63 + 12345)),
+        lambda: simple_trace(3000, addr=np.random.default_rng(3).integers(
+            0, 2**64 - 1, 3000, dtype=np.uint64, endpoint=True
+        )),
     ], ids=[
         "empty", "no_memory_ops", "all_no_reg", "one", "sparse_regs",
         "lines_first_touched_descending_near_2**64",
+        "lines_differing_only_in_the_top_byte", "lines_at_and_past_2**63",
+        "every_access_on_one_line", "many_random_lines",
     ])
     def test_boundary_traces_match_python_form(self, make):
+        """Edge traces, among them the line sort's: keys that differ in
+        one digit only (the others skipped), keys at and past 2**63, one
+        line, and thousands of lines over every digit."""
         cc, python = forms("trace_columns")
         trace = make()
         for line_shift in (0, 6, 63):
-            assert_same_columns(cc(trace, line_shift), python(trace, line_shift))
+            got = cc(trace, line_shift)
+            assert_same_columns(got, python(trace, line_shift))
+            uniq = got.lines[0]
+            assert (uniq[1:] > uniq[:-1]).all()
         assert raw_status(trace) == 0
 
     @pytest.mark.parametrize("n", [2, 5])
@@ -1637,14 +1741,16 @@ def test_sample_limits_cut_streams_identically(monkeypatch, limit):
 # ----------------------------------------------------------------- build
 
 requires_cc = pytest.mark.skipif(
-    not any(shutil.which(c) for c in ("cc", "gcc", "clang")),
-    reason="no C compiler available",
+    native.find_compiler() is None, reason="no C compiler available"
 )
 
 
 @requires_cc
 class TestKernelBuild:
-    """The C build is race-free and rebuilds damaged cached objects."""
+    """The C build is race-free, rebuilds damaged cached objects and
+    fails loud: a source that does not compile raises at every kernel
+    call with the compiler's output, and only a host without a compiler
+    runs the Python forms."""
 
     @pytest.fixture
     def cold_cache(self, tmp_path, monkeypatch):
@@ -1693,3 +1799,25 @@ class TestKernelBuild:
         assert [p.name for p in cold_cache.iterdir()] == [
             Path(native._so_path()).name
         ]
+
+    def test_broken_source_raises_with_compiler_output(
+        self, cold_cache, monkeypatch
+    ):
+        monkeypatch.setattr(
+            native, "_C_SOURCE", "#error kernel source broken\n" + native._C_SOURCE
+        )
+        for _ in range(2):
+            with pytest.raises(KernelBuildError, match="kernel source broken"):
+                native.resolve("ilp_depths")
+        with pytest.raises(KernelBuildError, match="failed"):
+            native.jit_status()
+        # Nothing half-built is left in the cache.
+        assert list(cold_cache.iterdir()) == []
+
+    def test_no_compiler_runs_python_forms(self, cold_cache, monkeypatch):
+        monkeypatch.setenv("PATH", "/nonexistent")
+        assert native.find_compiler() is None
+        assert native.jit_status() == {"backend": "python"}
+        assert native.resolve("ilp_depths") == (
+            native.python_form("ilp_depths"), "python"
+        )

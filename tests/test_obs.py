@@ -4,6 +4,7 @@ import asyncio
 import io
 import json
 import logging
+import math
 import os
 import subprocess
 import sys
@@ -91,6 +92,27 @@ class TestLogging:
         assert entries[0]["held_out"] == "atax"
         assert all({"ts", "level", "logger", "message"} <= set(e)
                    for e in entries)
+
+    def test_logger_level_is_the_lowest_handler_level(self, tmp_path):
+        """No record is built that no installed handler keeps: at
+        verbosity 0 an access-log line is never made, and with a JSON
+        file every one of them still lands there."""
+        from repro.serve.server import access_log
+
+        configure_logging(0, stream=io.StringIO())
+        assert not access_log.isEnabledFor(logging.INFO)
+        assert access_log.isEnabledFor(logging.WARNING)
+        configure_logging(1, stream=io.StringIO())
+        assert access_log.isEnabledFor(logging.INFO)
+        assert not access_log.isEnabledFor(logging.DEBUG)
+        path = tmp_path / "run.log"
+        configure_logging(0, json_path=str(path), stream=io.StringIO())
+        assert access_log.isEnabledFor(logging.DEBUG)
+        for i in range(3):
+            access_log.info("request", extra={"ctx": {"request_id": f"r{i}"}})
+        entries = [json.loads(line) for line in path.read_text().splitlines()]
+        assert [e["request_id"] for e in entries] == ["r0", "r1", "r2"]
+        assert {e["logger"] for e in entries} == {"repro.serve.access"}
 
     def test_reconfigure_replaces_managed_handlers(self):
         first = configure_logging(1, stream=io.StringIO())
@@ -349,6 +371,15 @@ def _fraction_scaled(value: float) -> int:
     return (frac.numerator << 1074) // frac.denominator
 
 
+def _fraction_float(scaled: int) -> float:
+    """The ``Fraction`` form of ``histogram._from_scaled``: the nearest
+    float, the infinity of the sign where that rounding overflows."""
+    try:
+        return float(Fraction(scaled, 1 << 1074))
+    except OverflowError:
+        return math.inf if scaled > 0 else -math.inf
+
+
 class TestScaledSum:
     @settings(max_examples=1000, deadline=None)
     @given(value=st.floats(allow_nan=False, allow_infinity=False)
@@ -360,18 +391,36 @@ class TestScaledSum:
     def test_matches_the_fraction_form(self, value):
         assert _to_scaled(value) == _fraction_scaled(value)
 
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=200, deadline=None)
     @given(values=st.lists(
-        st.floats(min_value=-1e300, max_value=1e300), max_size=20
+        st.floats(allow_nan=False, allow_infinity=False)
+        | st.sampled_from([sys.float_info.max, -sys.float_info.max, 1.7e308]),
+        max_size=20,
     ))
     def test_snapshot_sum_is_the_exact_sum_rounded_once(self, values):
+        """Over the whole finite range: a sum past the largest double
+        rounds to the infinity of its sign."""
         h = Histogram((1.0,))
         for v in values:
             h.observe(v)
         exact = sum(map(_fraction_scaled, values))
         snap = h.snapshot()
         assert snap["sum_scaled"] == exact
-        assert snap["sum"] == float(Fraction(exact, 1 << 1074))
+        assert snap["sum"] == _fraction_float(exact)
+        assert h.diff(None)["sum"] == snap["sum"]
+
+    def test_sum_past_the_largest_double_is_infinite(self):
+        h = Histogram((1.0,))
+        base = h.snapshot()
+        h.observe(1.7e308)
+        h.observe(1.7e308)
+        assert h.sum == h.snapshot()["sum"] == h.diff(base)["sum"] == math.inf
+        h.observe(-1.7e308)
+        assert h.sum == 1.7e308
+        neg = Histogram((1.0,))
+        for _ in range(2):
+            neg.observe(-sys.float_info.max)
+        assert neg.snapshot()["sum"] == -math.inf
 
 
 class TestRegistryHistogramsAndGauges:
