@@ -71,9 +71,13 @@ DIFF_SETTINGS = settings(
 
 
 def forms(name):
-    """``(cc, python)`` forms of kernel ``name``; skips without a compiler."""
+    """``(cc, python)`` forms of kernel ``name``; skips without a compiler
+    and when the C form failed its build-time check."""
     require_compiler()
-    return native.resolve(name)[0], native.python_form(name)
+    fn, backend = native.resolve(name)
+    if backend != "cc":
+        pytest.skip(f"the C form of {name} failed its build-time check")
+    return fn, native.python_form(name)
 
 
 def profile_json(monkeypatch, trace, form):
