@@ -13,6 +13,7 @@ evaluation and the benchmark harness revisit the same points many times.
 from __future__ import annotations
 
 import json
+import math
 import time
 from collections import OrderedDict
 from pathlib import Path
@@ -27,7 +28,7 @@ from ..obs import get_logger, metrics, tracer
 from ..parallel import map_jobs, resolve_jobs
 from ..profiler import ApplicationProfile, analyze_trace
 from ..schema import active_schema, canonical_hash
-from ..store import atomic_write_text, discard, lru_get_or_build
+from ..store import discard, lru_get_or_build, replacing
 from ..workloads import Workload
 from ..workloads.base import config_seed
 from .dataset import TrainingRow, TrainingSet
@@ -133,24 +134,47 @@ class CampaignCache:
     def save(self) -> None:
         """Persist the cache atomically (no-op without a configured path).
 
-        Written through :func:`repro.store.atomic_write_text`, so a
-        failed or crashed write leaves the previous file intact and
-        concurrent savers never collide on a temporary file.
+        Encoded by ``orjson`` (compact JSON that the stdlib decoder reads
+        back to equal data) and written through
+        :func:`repro.store.replacing`, so a failed or crashed write
+        leaves the previous file intact and concurrent savers never
+        collide on a temporary file.  A non-finite float has no JSON
+        form (orjson would write ``null``), so a point that holds one
+        raises :class:`~repro.errors.CampaignError` and nothing is
+        written.
         """
         if self.path is None:
             return
-        data = {
+        # Imported here: the rest of repro never loads orjson.
+        import orjson
+
+        profiles = {k: p.to_json_dict() for k, p in self._profiles.items()}
+        results = [
+            {"point": pk, "arch": ak, "result": r.to_json_dict()}
+            for (pk, ak), r in self._results.items()
+        ]
+        text = orjson.dumps({
             "format": CACHE_FORMAT_VERSION,
             "schema_hash": active_schema().content_hash,
-            "profiles": {
-                k: p.to_json_dict() for k, p in self._profiles.items()
-            },
-            "results": [
-                {"point": pk, "arch": ak, "result": r.to_json_dict()}
-                for (pk, ak), r in self._results.items()
-            ],
-        }
-        atomic_write_text(self.path, json.dumps(data))
+            "profiles": profiles,
+            "results": results,
+        })
+        if b"null" in text:  # orjson's form of NaN and +-inf: find the point
+            for key, data in profiles.items():
+                if not _finite(data):
+                    raise CampaignError(
+                        f"cannot save campaign point {key}: its profile "
+                        "holds a non-finite value"
+                    )
+            for entry in results:
+                if not _finite(entry["result"]):
+                    raise CampaignError(
+                        f"cannot save campaign point {entry['point']}: its "
+                        f"simulation result (arch {entry['arch']}) holds a "
+                        "non-finite value"
+                    )
+        with replacing(self.path) as tmp:
+            tmp.write_bytes(text)
 
     def _load(self) -> None:
         """Read the cache file; a stale or damaged one is discarded."""
@@ -179,7 +203,10 @@ class CampaignCache:
                     SimulationResult.from_json_dict(entry["result"])
                 for entry in data.get("results", [])
             }
-        except (ValueError, KeyError, TypeError, AttributeError, OSError) as exc:
+        except (
+            ValueError, KeyError, TypeError, AttributeError, OSError,
+            RecursionError,
+        ) as exc:
             discard(
                 f"campaign cache {self.path} is stale, corrupt or "
                 f"unreadable ({exc!r}); starting with an empty cache"
@@ -190,6 +217,18 @@ class CampaignCache:
 
     def __len__(self) -> int:
         return len(self._results)
+
+
+def _finite(value: object) -> bool:
+    """Whether every float in a JSON-shaped value (dicts, lists,
+    scalars) is finite."""
+    if isinstance(value, float):
+        return math.isfinite(value)
+    if isinstance(value, dict):
+        return all(_finite(v) for v in value.values())
+    if isinstance(value, list):
+        return all(_finite(v) for v in value)
+    return True
 
 
 def _simulate_batch_job(

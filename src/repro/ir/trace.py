@@ -16,7 +16,9 @@ import numpy as np
 
 from .. import native
 from ..errors import TraceError
-from .instructions import MEMORY_OPCODES, NO_REG, Instruction, Opcode
+from .instructions import (
+    CONTROL_OPCODES, MEMORY_OPCODES, NO_REG, Instruction, Opcode,
+)
 
 #: numpy dtypes of the trace columns.
 TRACE_COLUMNS: dict[str, np.dtype] = {
@@ -36,6 +38,9 @@ _IS_MEMORY = np.zeros(256, dtype=bool)
 _IS_MEMORY[[int(op) for op in MEMORY_OPCODES]] = True
 _IS_WRITE = np.zeros(256, dtype=bool)
 _IS_WRITE[[int(Opcode.STORE), int(Opcode.ATOMIC)]] = True
+#: Opcode byte -> is a control-flow instruction.
+_IS_CONTROL = np.zeros(256, dtype=bool)
+_IS_CONTROL[[int(op) for op in CONTROL_OPCODES]] = True
 
 #: dense_ids sorts a column whose value range exceeds this many times its length.
 _TABLE_SPAN = 4
@@ -233,6 +238,21 @@ def _thread_count(tid: np.ndarray) -> int:
     return int(np.count_nonzero(np.bincount(tid)))
 
 
+class _Tallies(NamedTuple):
+    """The integer counts of one trace that the profile's scalar
+    families divide: the ``trace_columns`` kernel tallies them in the
+    scan that builds the columns."""
+
+    opcodes: np.ndarray  #: int64 count of each :class:`Opcode` value
+    reg_reads: int  #: src1 and src2 values other than ``NO_REG``
+    reg_writes: int  #: dst values other than ``NO_REG``
+    read_bytes: int  #: access sizes of the reads
+    write_bytes: int  #: access sizes of the writes (ATOMIC included)
+    control: int  #: control ops (``CONTROL_OPCODES``)
+    control_sites: int  #: distinct pcs of the control ops
+    first_touches: np.ndarray  #: int64 lines first touched before each cut-off
+
+
 class _Columns(NamedTuple):
     """Every derived column of one trace: the ``trace_columns`` kernel's
     product (see :class:`TraceColumns` for each column)."""
@@ -243,24 +263,48 @@ class _Columns(NamedTuple):
     pcs: tuple[np.ndarray, int]
     lines: tuple[np.ndarray, np.ndarray, np.ndarray]
     thread_count: int
+    tallies: _Tallies
 
 
-def _trace_columns_py(trace: InstructionTrace, line_shift: int) -> _Columns:
-    """Python form of the ``trace_columns`` kernel (the oracle)."""
+def _trace_columns_py(trace: InstructionTrace, line_shift: int, cuts: int) -> _Columns:
+    """Python form of the ``trace_columns`` kernel (the oracle).
+
+    ``cuts`` splits the accesses at ``(c + 1) * m // cuts`` for each
+    ``c < cuts`` (m accesses): the tallies' ``first_touches``.
+    """
     accesses = trace.memory_accesses()
     uniq, _first, ids = dense_ids(np.concatenate((trace.dst, trace.src1, trace.src2)))
     negative = int(np.searchsorted(uniq, 0))
     ids = np.maximum(ids - negative, -1).reshape(3, -1)
     registers = (ids, len(uniq) - negative, int(np.count_nonzero(uniq != NO_REG)))
     uniq, _first, ids = dense_ids(trace.pc)
+    lines = dense_ids(accesses[0] >> np.uint64(line_shift))
+    m, first = len(accesses[0]), lines[1]
+    _addrs, sizes, is_write = accesses
+    control = _IS_CONTROL[trace.opcode]
+    tallies = _Tallies(
+        np.bincount(trace.opcode, minlength=len(Opcode))[:len(Opcode)].astype(np.int64),
+        int(np.count_nonzero(trace.src1 != NO_REG))
+        + int(np.count_nonzero(trace.src2 != NO_REG)),
+        int(np.count_nonzero(trace.dst != NO_REG)),
+        int(sizes[~is_write].sum()),
+        int(sizes[is_write].sum()),
+        int(np.count_nonzero(control)),
+        len(np.unique(trace.pc[control])),
+        np.array(
+            [np.count_nonzero(first < (c + 1) * m // cuts) for c in range(cuts)],
+            dtype=np.int64,
+        ),
+    )
     return _Columns(
-        trace.memory_mask, accesses, registers, (ids, len(uniq)),
-        dense_ids(accesses[0] >> np.uint64(line_shift)), _thread_count(trace.tid),
+        trace.memory_mask, accesses, registers, (ids, len(uniq)), lines,
+        _thread_count(trace.tid), tallies,
     )
 
 
-#: Per-opcode kind bits of the C kernel: bit 0 a memory op, bit 1 a write.
-_KIND = (_IS_MEMORY | (_IS_WRITE << 1)).astype(np.uint8)
+#: Per-opcode kind bits of the C kernel: bit 0 a memory op, bit 1 a
+#: write, bit 2 a control op.
+_KIND = (_IS_MEMORY | (_IS_WRITE << 1) | (_IS_CONTROL << 2)).astype(np.uint8)
 
 
 def _trace_columns_cc(lib: native.Library) -> Callable:
@@ -268,10 +312,10 @@ def _trace_columns_cc(lib: native.Library) -> Callable:
     fn.restype = ctypes.c_int64
     fn.argtypes = (
         [ctypes.c_void_p] * 8 + [ctypes.c_int64, ctypes.c_void_p]
-        + [ctypes.c_int64] * 3 + [ctypes.c_void_p] * 10
+        + [ctypes.c_int64] * 4 + [ctypes.c_void_p] * 11
     )
 
-    def kernel(trace: InstructionTrace, line_shift: int) -> _Columns:
+    def kernel(trace: InstructionTrace, line_shift: int, cuts: int) -> _Columns:
         n = len(trace)
         mask, write = np.empty(n, dtype=bool), np.empty(n, dtype=bool)
         addrs, uniq = np.empty(n, dtype=np.uint64), np.empty(n, dtype=np.uint64)
@@ -279,20 +323,23 @@ def _trace_columns_cc(lib: native.Library) -> Callable:
         regs = np.empty((3, n), dtype=np.int64)
         pcs, first, ids = (np.empty(n, dtype=np.int64) for _ in range(3))
         counts = np.empty(6, dtype=np.int64)
+        tally = np.empty(256 + 6 + cuts, dtype=np.int64)
         status = fn(
             *(getattr(trace, name).ctypes.data for name in TRACE_COLUMNS), n,
             _KIND.ctypes.data, line_shift, _TABLE_SPAN * 3 * n, _TABLE_SPAN * n,
-            *(a.ctypes.data for a in (
+            cuts, *(a.ctypes.data for a in (
                 mask, addrs, sizes, write, regs, pcs, uniq, first, ids, counts,
+                tally,
             )),
         )
         if status:  # a span too wide for a table, or out of memory
-            return _trace_columns_py(trace, line_shift)
+            return _trace_columns_py(trace, line_shift, cuts)
         m, n_regs, distinct, n_pcs, n_lines, threads = counts.tolist()
         return _Columns(
             mask, (addrs[:m], sizes[:m], write[:m]), (regs, n_regs, distinct),
             (pcs, n_pcs),
             (uniq[:n_lines].copy(), first[:n_lines].copy(), ids[:m]), threads,
+            _Tallies(tally[:len(Opcode)], *tally[256:262].tolist(), tally[262:]),
         )
 
     return kernel
@@ -305,8 +352,9 @@ class TraceColumns:
     """Derived columns of one trace, all built together on first use by
     the ``trace_columns`` kernel, cache lines at the profile's
     :data:`~repro.profiler.features.LINE_BYTES`; they live as long as
-    the table (only scalars go on the trace's memo: the thread count and
-    the footprint line count).
+    the table.  Only scalars go on the trace's memo: the thread count,
+    the footprint line count and the opcode histogram (when every
+    opcode byte is an :class:`Opcode`).
 
     Index contract of the kernel, which its C form does not check: the
     trace's columns are equally long and typed as :data:`TRACE_COLUMNS`
@@ -321,13 +369,18 @@ class TraceColumns:
     @cached_property
     def _table(self) -> _Columns:
         # Imported on use: repro.profiler imports this package.
-        from ..profiler.features import LINE_BYTES
+        from ..profiler.features import LINE_BYTES, WORKING_SET_CHECKPOINTS
 
         shift = LINE_BYTES.bit_length() - 1
-        got = native.resolve("trace_columns")[0](self.trace, shift)
+        got = native.resolve("trace_columns")[0](
+            self.trace, shift, WORKING_SET_CHECKPOINTS
+        )
         memo = self.trace._memo
         memo["thread_count"] = got.thread_count
         memo[("footprint_lines", shift)] = len(got.lines[0])
+        ops = got.tallies.opcodes.tolist()
+        if sum(ops) == len(self.trace):
+            memo["opcode_counts"] = {Opcode(v): c for v, c in enumerate(ops) if c}
         return got
 
     @property
@@ -353,6 +406,13 @@ class TraceColumns:
     def lines(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """dense_ids of the accesses' cache lines."""
         return self._table.lines
+
+    @property
+    def tallies(self) -> _Tallies:
+        """The trace's integer counts (see :class:`_Tallies`); the
+        first-touch cut-offs split the accesses into
+        :data:`~repro.profiler.features.WORKING_SET_CHECKPOINTS`."""
+        return self._table.tallies
 
 
 def columns_of(trace: InstructionTrace | TraceColumns) -> TraceColumns:

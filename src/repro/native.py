@@ -20,7 +20,10 @@ that own a loop :func:`register` both forms under one name:
 * ``trace_columns`` — every derived column the profiler reads (memory
   mask, accesses, dense register, pc and cache-line ids, thread count)
   of one trace in one call, the distinct lines hashed and then ordered
-  by an LSD radix sort (:mod:`repro.ir.trace`);
+  by an LSD radix sort, plus the integer tallies the profile's scalar
+  families divide (opcode, operand, byte, control-op and control-site
+  counts, and the lines first touched before each working-set
+  cut-off) (:mod:`repro.ir.trace`);
 * ``reuse_distances`` — LRU stack distances, counted per stream by bit
   length as they are found, through a one-pass move-to-front list up
   to 512 ids and a Fenwick tree past that (:mod:`repro.ir.stackdist`),
@@ -642,31 +645,41 @@ static LineSlot *sort_lines(LineSlot *pairs, LineSlot *tmp, i64 n)
 }
 
 /* Every derived column of one n-instruction trace in one pass (layout:
-   repro.ir.trace._Columns).  kind[op]: bit 0 a memory op, bit 1 a write.
-   The m memory ops' mask, address, size and write flag; the dense ids
-   of dst/src1/src2 as three rows of regs (register ids -1 and below are
-   -1); dense pc ids; the accesses' cache lines (addr >> line_shift) as
-   sorted uniques, first access index and per-access id, found through
-   an open-addressing hash and a radix sort of the uniques.  counts gets m,
-   the register table size, the distinct register count (-1 excluded),
-   the pc count, the line count and the thread count.  Returns 0, or
-   -1 (-2) when the register (pc) values span more than max_reg_span
-   (max_pc_span) slots, or -3 out of memory; then no output is valid. */
+   repro.ir.trace._Columns).  kind[op]: bit 0 a memory op, bit 1 a
+   write, bit 2 a control op.  The m memory ops' mask, address, size and
+   write flag; the dense ids of dst/src1/src2 as three rows of regs
+   (register ids -1 and below are -1); dense pc ids; the accesses' cache
+   lines (addr >> line_shift) as sorted uniques, first access index and
+   per-access id, found through an open-addressing hash and a radix sort
+   of the uniques.  counts gets m, the register table size, the distinct
+   register count (-1 excluded), the pc count, the line count and the
+   thread count.  tally (layout: repro.ir.trace._Tallies) gets the count
+   of each of the 256 opcode bytes, the src1/src2 values and the dst
+   values other than -1, the bytes read and written, the control ops,
+   the distinct pcs of control ops and, for each of n_cuts cut-offs
+   (c + 1) * m / n_cuts, the lines first touched by an access before it.
+   Returns 0, or -1 (-2) when the register (pc) values span more than
+   max_reg_span (max_pc_span) slots, or -3 out of memory; then no output
+   is valid. */
 i64 trace_columns(
     const unsigned char *opcode, const int32_t *dst, const int32_t *src1,
     const int32_t *src2, const uint64_t *addr, const uint16_t *size,
     const uint32_t *pc, const uint16_t *tid, i64 n,
     const unsigned char *kind, i64 line_shift, i64 max_reg_span,
-    i64 max_pc_span,
+    i64 max_pc_span, i64 n_cuts,
     unsigned char *mask, uint64_t *acc_addr, uint16_t *acc_size,
     unsigned char *acc_write, i64 *regs, i64 *pcs, uint64_t *line_uniq,
-    i64 *line_first, i64 *line_ids, i64 *counts)
+    i64 *line_first, i64 *line_ids, i64 *counts, i64 *tally)
 {
     memset(counts, 0, 6 * sizeof *counts);
+    memset(tally, 0, (256 + 6 + n_cuts) * sizeof *tally);
     if (n == 0) return 0;
     i64 rlo = dst[0], rhi = dst[0], plo = pc[0], phi = pc[0];
+    i64 reads = 0, writes = 0;
     for (i64 i = 0; i < n; i++) {
         i64 a = dst[i], b = src1[i], c = src2[i], p = pc[i];
+        reads += (b != -1) + (c != -1);
+        writes += a != -1;
         i64 lo = a < b ? a : b, hi = a < b ? b : a;
         lo = c < lo ? c : lo;
         hi = c > hi ? c : hi;
@@ -684,35 +697,49 @@ i64 trace_columns(
     uint64_t seen[1024] = {0};   /* one bit per uint16 tid */
     i64 *slots = NULL, *first = NULL, *rank = NULL;
     LineSlot *pairs = NULL, *tmp = NULL;
+    /* Four opcode histograms, so that runs of one opcode do not chain
+       their increments through one counter. */
+    i64 ops[4][256] = {{0}}, bytes[2] = {0}, *t = tally + 256, *touched = tally + 262;
     if (!rtab || !ptab) goto done;
 
     for (i64 i = 0; i < n; i++) {
         unsigned char k = kind[opcode[i]];
+        ops[i & 3][opcode[i]]++;
         mask[i] = k & 1;
         if (k & 1) {
             acc_addr[m] = addr[i];
             acc_size[m] = size[i];
-            acc_write[m++] = k >> 1;
+            acc_write[m++] = k >> 1 & 1;
+            bytes[k >> 1 & 1] += size[i];
         }
         uint64_t bit = (uint64_t)1 << (tid[i] & 63);
         threads += !(seen[tid[i] >> 6] & bit);
         seen[tid[i] >> 6] |= bit;
         rtab[dst[i] - rlo] = rtab[src1[i] - rlo] = rtab[src2[i] - rlo] = 1;
-        ptab[pc[i] - plo] = 1;
+        ptab[pc[i] - plo] |= 1 | (k & 4) >> 1;   /* bit 1: a control op's */
     }
     counts[0] = m;
     counts[5] = threads;
+    for (int op = 0; op < 256; op++) {
+        tally[op] = ops[0][op] + ops[1][op] + ops[2][op] + ops[3][op];
+        t[4] += kind[op] & 4 ? tally[op] : 0;
+    }
+    t[0] = reads;
+    t[1] = writes;
+    t[2] = bytes[0];
+    t[3] = bytes[1];
 
     /* The three register rows rank as one concatenated column, shifted
        down past the negative values (which all become -1). */
-    i64 rspan = rhi - rlo + 1, below;
+    i64 rspan = rhi - rlo + 1, pspan = phi - plo + 1, below;
     i64 has_m1 = rlo <= -1 && -1 <= rhi && rtab[-1 - rlo];
     i64 r = rank_table(rtab, rspan, rlo, &below);
     for (i64 s = 0; s < rspan; s++)
         rtab[s] = rtab[s] - below < -1 ? -1 : rtab[s] - below;
     counts[1] = r - below;
     counts[2] = r - has_m1;
-    counts[3] = rank_table(ptab, phi - plo + 1, plo, &below);
+    for (i64 s = 0; s < pspan; s++) t[5] += ptab[s] >> 1;
+    counts[3] = rank_table(ptab, pspan, plo, &below);
     for (i64 i = 0; i < n; i++) {
         regs[i] = rtab[dst[i] - rlo];
         regs[n + i] = rtab[src1[i] - rlo];
@@ -730,7 +757,9 @@ i64 trace_columns(
         pairs = malloc((size_t)m * sizeof *pairs);
         tmp = malloc((size_t)m * sizeof *tmp);
         if (!slots || !first || !rank || !pairs || !tmp) goto done;
+        i64 c = 0;   /* the next cut-off */
         for (i64 j = 0; j < m; j++) {
+            while (c < n_cuts && (c + 1) * m / n_cuts <= j) touched[c++] = n_lines;
             if (2 * n_lines >= (i64)1 << bits) {
                 free(slots);
                 slots = calloc((size_t)1 << ++bits, sizeof *slots);
@@ -748,6 +777,7 @@ i64 trace_columns(
             }
             line_ids[j] = *slot - 1;
         }
+        while (c < n_cuts) touched[c++] = n_lines;
         const LineSlot *sorted = sort_lines(pairs, tmp, n_lines);
         for (i64 q = 0; q < n_lines; q++) {
             line_uniq[q] = sorted[q].line;

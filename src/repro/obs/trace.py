@@ -730,3 +730,5 @@ def load_trace(path: str | Path) -> dict:
         raise TracingError(f"cannot read trace {path}: {exc}") from exc
     except ValueError as exc:
         raise TracingError(f"{path} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise TracingError(f"{path} is nested too deeply to read") from exc

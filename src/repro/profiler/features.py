@@ -14,6 +14,8 @@ from __future__ import annotations
 
 from collections import OrderedDict
 
+import numpy as np
+
 from ..schema import register_block
 
 #: Instruction-mix category fractions (see instruction_mix.py).
@@ -138,6 +140,31 @@ TOTAL_FEATURES: int = len(FEATURE_NAMES)
 assert TOTAL_FEATURES == 395, (
     f"feature catalog drifted: {TOTAL_FEATURES} != 395"
 )
+
+
+def _group_slices() -> dict[str, slice]:
+    out, start = {}, 0
+    for group, names in feature_groups().items():
+        out[group] = slice(start, start + len(names))
+        start += len(names)
+    return out
+
+
+#: Group name -> where its features sit in a profile vector.
+GROUP_SLICES: dict[str, slice] = _group_slices()
+
+
+def group_span(first: str, last: str) -> slice:
+    """The profile-vector slice from group ``first`` through ``last``."""
+    return slice(GROUP_SLICES[first].start, GROUP_SLICES[last].stop)
+
+
+def block_view(block: slice, write, *args) -> dict[str, float]:
+    """Name -> value of one block of a profile vector: ``write(out,
+    *args)`` fills the block into ``out``, a 395-float vector."""
+    out = np.zeros(TOTAL_FEATURES)
+    write(out, *args)
+    return dict(zip(FEATURE_NAMES[block], out[block].tolist()))
 
 # This catalog is the "profile" block of the model-input feature schema
 # (see repro.schema): the schema, not ad-hoc concatenation, defines where

@@ -13,35 +13,37 @@ import math
 import numpy as np
 
 from ..ir import InstructionTrace, TraceColumns, columns_of
-from .features import FOOTPRINT_NAMES, LINE_BYTES, PAGE_BYTES
+from .features import GROUP_SLICES, LINE_BYTES, PAGE_BYTES, block_view
+
+
+_SLICE = GROUP_SLICES["footprint"]
 
 
 def _log_bytes(value: float) -> float:
     return math.log2(1.0 + value)
 
 
-def footprint_features(trace: InstructionTrace | TraceColumns) -> dict[str, float]:
-    cols = columns_of(trace)
-    addrs, sizes, is_write = cols.accesses
-    if len(addrs) == 0:
-        return dict.fromkeys(FOOTPRINT_NAMES, 0.0)
+def write_footprint(out: np.ndarray, cols: TraceColumns) -> None:
+    """Write the footprint block into ``out``."""
+    m = len(cols.accesses[0])
+    if m == 0:
+        out[_SLICE] = 0.0
+        return
     lines = cols.lines[0]
     # Pages from the sorted distinct lines: count where the page changes.
     pages = lines >> np.uint64(PAGE_BYTES.bit_length() - LINE_BYTES.bit_length())
     n_pages = 1 + int(np.count_nonzero(pages[1:] != pages[:-1]))
     # Distinct bytes approximated from distinct lines weighted by the mean
     # access size (exact byte tracking would cost O(footprint) memory).
-    mean_size = float(sizes.mean())
+    read_bytes, write_bytes = cols.tallies.read_bytes, cols.tallies.write_bytes
+    mean_size = (read_bytes + write_bytes) / m
     data_bytes = len(lines) * min(float(LINE_BYTES), max(1.0, mean_size) * 2)
-    read_bytes = float(sizes[~is_write].sum())
-    write_bytes = float(sizes[is_write].sum())
     # Static code footprint: one IR statement is ~4 bytes of "code".
     instr_bytes = 4.0 * cols.pcs[1]
-    return {
-        "footprint.data_bytes": _log_bytes(data_bytes),
-        "footprint.data_lines": _log_bytes(float(len(lines))),
-        "footprint.data_pages": _log_bytes(float(n_pages)),
-        "footprint.instr_bytes": _log_bytes(instr_bytes),
-        "footprint.read_bytes": _log_bytes(read_bytes),
-        "footprint.write_bytes": _log_bytes(write_bytes),
-    }
+    out[_SLICE] = [_log_bytes(v) for v in (
+        data_bytes, len(lines), n_pages, instr_bytes, read_bytes, write_bytes,
+    )]
+
+
+def footprint_features(trace: InstructionTrace | TraceColumns) -> dict[str, float]:
+    return block_view(_SLICE, write_footprint, columns_of(trace))

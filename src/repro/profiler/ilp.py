@@ -31,7 +31,7 @@ import numpy as np
 
 from .. import native
 from ..ir import InstructionTrace, Opcode, TraceColumns, columns_of
-from .features import ILP_SAMPLE_LIMIT, ILP_WINDOWS
+from .features import GROUP_SLICES, ILP_SAMPLE_LIMIT, ILP_WINDOWS, block_view
 
 _INT_CODES = frozenset(
     int(op) for op in (Opcode.IALU, Opcode.IMUL, Opcode.IDIV, Opcode.CMP)
@@ -240,11 +240,13 @@ def _ilp_depths_cc(lib: native.Library) -> Callable:
 native.register("ilp_depths", _ilp_depths_py, _ilp_depths_cc)
 
 
-def ilp_features(trace: InstructionTrace | TraceColumns) -> dict[str, float]:
-    """ILP feature family: total, windowed, and per-class chain ILP, over
-    the first :data:`~repro.profiler.features.ILP_SAMPLE_LIMIT`
-    instructions."""
-    cols = columns_of(trace)
+_SLICE = GROUP_SLICES["ilp"]
+
+
+def write_ilp(out: np.ndarray, cols: TraceColumns) -> None:
+    """Write the ILP block into ``out``: total, windowed and per-class
+    chain ILP over the first
+    :data:`~repro.profiler.features.ILP_SAMPLE_LIMIT` instructions."""
     trace = cols.trace
     n = min(len(trace), ILP_SAMPLE_LIMIT)
     regs, n_regs, _distinct = cols.registers
@@ -255,10 +257,11 @@ def ilp_features(trace: InstructionTrace | TraceColumns) -> dict[str, float]:
             n_regs, len(uniq), ILP_WINDOWS,
         )
     )
-    out = {"ilp.total": n / depth if depth else 0.0}
-    out["ilp.int_chain"] = n_int / int_chain if int_chain else 0.0
-    out["ilp.fp_chain"] = n_fp / fp_chain if fp_chain else 0.0
-    out["ilp.mem_chain"] = n_mem / mem_chain if mem_chain else 0.0
-    for w, d in zip(ILP_WINDOWS, windowed):
-        out[f"ilp.window_{w}"] = n / d if d else 0.0
-    return out
+    ops = (n, *(n for _ in windowed), n_int, n_fp, n_mem)
+    depths = (depth, *windowed, int_chain, fp_chain, mem_chain)
+    out[_SLICE] = [k / d if d else 0.0 for k, d in zip(ops, depths)]
+
+
+def ilp_features(trace: InstructionTrace | TraceColumns) -> dict[str, float]:
+    """ILP feature family (see :func:`write_ilp`)."""
+    return block_view(_SLICE, write_ilp, columns_of(trace))

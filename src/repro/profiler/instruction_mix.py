@@ -6,8 +6,10 @@ are in [0, 1] and hardware-independent.
 
 from __future__ import annotations
 
-from ..ir import InstructionTrace, Opcode
-from .features import MIX_CATEGORIES, N_OPCODES
+import numpy as np
+
+from ..ir import InstructionTrace, Opcode, TraceColumns, columns_of
+from .features import MIX_CATEGORIES, N_OPCODES, block_view, group_span
 
 #: Mapping of the scalar mix categories to the opcodes they cover.
 _CATEGORY_OPCODES: dict[str, tuple[Opcode, ...]] = {
@@ -33,20 +35,32 @@ _CATEGORY_OPCODES: dict[str, tuple[Opcode, ...]] = {
 }
 
 
-def instruction_mix_features(trace: InstructionTrace) -> dict[str, float]:
+#: The block's rows over the opcode counts: each category's opcodes,
+#: then one row per opcode.
+_MIX = np.zeros((len(MIX_CATEGORIES) + N_OPCODES, N_OPCODES), dtype=np.int64)
+for _row, _category in enumerate(MIX_CATEGORIES):
+    _MIX[_row, [int(op) for op in _CATEGORY_OPCODES[_category]]] = 1
+_MIX[len(MIX_CATEGORIES):] = np.eye(N_OPCODES, dtype=np.int64)
+
+#: The ``mix`` and ``opcode_mix`` groups of a profile vector.
+MIX_SLICE = group_span("mix", "opcode_mix")
+
+
+def write_mix(out: np.ndarray, cols: TraceColumns) -> None:
+    """Write the category and per-opcode fractions into ``out``."""
+    n = len(cols.trace)
+    if n:
+        out[MIX_SLICE] = _MIX @ cols.tallies.opcodes / n
+    else:
+        out[MIX_SLICE] = 0.0
+
+
+def instruction_mix_features(
+    trace: InstructionTrace | TraceColumns,
+) -> dict[str, float]:
     """Category fractions and per-opcode fractions of the trace.
 
     Returns a dict with keys ``mix.<category>`` and ``opcode.<value>``.
     An empty trace yields all-zero fractions.
     """
-    n = len(trace)
-    counts = trace.opcode_counts()
-
-    out: dict[str, float] = {}
-    for category in MIX_CATEGORIES:
-        opcodes = _CATEGORY_OPCODES[category]
-        total = sum(counts.get(op, 0) for op in opcodes)
-        out[f"mix.{category}"] = total / n if n else 0.0
-    for code in range(N_OPCODES):
-        out[f"opcode.{code}"] = counts.get(Opcode(code), 0) / n if n else 0.0
-    return out
+    return block_view(MIX_SLICE, write_mix, columns_of(trace))

@@ -11,12 +11,35 @@ and the fraction of total accessed bytes that goes to memory.
 
 from __future__ import annotations
 
-from ..ir import InstructionTrace
-from .features import LINE_BYTES, TRAFFIC_CACHE_SIZES
-from .reuse_distance import ReuseDistanceHistogram
+import numpy as np
 
-#: (feature kind, reuse-distance stream) of each traffic feature.
-_KINDS = (("read_miss", "read"), ("write_miss", "write"), ("bytes", "all"))
+from ..ir import InstructionTrace
+from .features import (
+    DATA_REUSE_BUCKETS, GROUP_SLICES, LINE_BYTES, REUSE_STREAMS,
+    TRAFFIC_CACHE_SIZES, block_view,
+)
+from .reuse_distance import DATA_ROWS, ReuseDistanceHistogram, ReuseMatrix
+
+_SLICE = GROUP_SLICES["traffic"]
+# Each cache size's kinds are the data streams' miss fractions, in order.
+assert REUSE_STREAMS == ("read", "write", "all")
+
+#: The cumulative bucket that holds a cache size's hits: the largest i
+#: with 2^i <= its capacity in lines (rounded down: conservative).
+_CUTOFF = np.minimum(
+    [max(1, size // LINE_BYTES).bit_length() - 1 for size in TRAFFIC_CACHE_SIZES],
+    DATA_REUSE_BUCKETS - 1,
+)
+
+
+def write_traffic(out: np.ndarray, matrix: ReuseMatrix) -> None:
+    """Write the traffic block into ``out``: per cache size, the read,
+    write and byte miss fractions (cold misses included: they always
+    go to memory; a stream with no accesses misses nothing)."""
+    total = matrix.total[DATA_ROWS][:, None]
+    hits = matrix.cumulative[DATA_ROWS][:, _CUTOFF]
+    miss = np.where(total > 0, 1.0 - hits / np.maximum(total, 1), 0.0)
+    out[_SLICE].reshape(len(TRAFFIC_CACHE_SIZES), -1)[...] = miss.T
 
 
 def memory_traffic_features(
@@ -24,11 +47,9 @@ def memory_traffic_features(
     hists: dict[str, ReuseDistanceHistogram],
 ) -> dict[str, float]:
     """Traffic escape fractions at :data:`TRAFFIC_CACHE_SIZES` cache sizes
-    (cold misses included: they always go to memory)."""
-    capacities = [max(1, size // LINE_BYTES) for size in TRAFFIC_CACHE_SIZES]
-    out: dict[str, float] = {}
-    for kind, stream in _KINDS:
-        ratios = hists[stream].miss_ratios(capacities).tolist()
-        for size, ratio in zip(TRAFFIC_CACHE_SIZES, ratios):
-            out[f"traffic.{kind}_{size}"] = ratio
-    return out
+    of the data streams' histograms."""
+    matrix = ReuseMatrix.of(
+        np.array([hists[s].counts for s in REUSE_STREAMS]),
+        np.array([hists[s].total for s in REUSE_STREAMS]),
+    )
+    return block_view(_SLICE, write_traffic, matrix)

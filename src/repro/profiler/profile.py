@@ -1,7 +1,8 @@
 """The application profile ``p(k, d)`` and its extraction.
 
-:func:`analyze_trace` runs every analysis family over a dynamic trace and
-assembles the results into an :class:`ApplicationProfile` — the
+:func:`analyze_trace` runs every analysis family over a dynamic trace,
+each writing its block of the feature vector of an
+:class:`ApplicationProfile` — the
 395-dimensional, microarchitecture-independent workload description NAPEL
 feeds to its random-forest model (paper Sections 2.3 and 2.5).
 """
@@ -15,16 +16,16 @@ import numpy as np
 from ..errors import TraceError
 from ..ir import InstructionTrace, TraceColumns
 from ..obs import metrics
-from .branching import branch_features
+from .branching import write_branch
 from .features import FEATURE_NAMES, TOTAL_FEATURES
-from .footprint import footprint_features
-from .ilp import ilp_features
-from .instruction_mix import instruction_mix_features
-from .memory_traffic import memory_traffic_features
-from .register_traffic import register_traffic_features
-from .reuse_distance import data_reuse_features, instruction_reuse_features
-from .stride import stride_features
-from .working_set import working_set_features
+from .footprint import write_footprint
+from .ilp import write_ilp
+from .instruction_mix import write_mix
+from .memory_traffic import write_traffic
+from .register_traffic import write_register_traffic
+from .reuse_distance import reuse_matrix, write_data_reuse, write_instr_reuse
+from .stride import write_stride
+from .working_set import write_working_set
 
 
 @dataclass(frozen=True)
@@ -85,6 +86,12 @@ class ApplicationProfile:
 
 _FEATURE_INDEX = {name: i for i, name in enumerate(FEATURE_NAMES)}
 
+#: The families that read only the column table.
+_SCALAR_FAMILIES = (
+    write_mix, write_register_traffic, write_footprint, write_stride,
+    write_branch, write_working_set,
+)
+
 
 def analyze_trace(
     trace: InstructionTrace,
@@ -100,38 +107,31 @@ def analyze_trace(
 
     The families read one :class:`~repro.ir.trace.TraceColumns`
     table, built first in one ``trace_columns`` kernel call as
-    ``phase.profile.columns`` and dropped on return.
-    The ILP and reuse-distance families are timed as
-    ``phase.profile.ilp`` and ``phase.profile.reuse`` (data plus
-    instruction), every other family as ``phase.profile.other``.  An
-    unknown opcode value raises :class:`~repro.errors.TraceError`.
+    ``phase.profile.columns`` and dropped on return; that scan also
+    tallies the integer counts the scalar families divide.  Each family
+    writes its block of one preallocated 395-float vector in place, at
+    its slice of :func:`~repro.profiler.features.feature_groups`.  The
+    ILP and reuse-distance families are timed as ``phase.profile.ilp``
+    and ``phase.profile.reuse`` (data plus instruction), every other
+    family as ``phase.profile.other``.  An unknown opcode value raises
+    :class:`~repro.errors.TraceError`.
     """
     trace.check_opcodes()
     m = metrics()
-    features: dict[str, float] = {}
+    values = np.empty(TOTAL_FEATURES)
     with m.timer("phase.profile.columns"):
-        # Every column the families read, and the trace's memoised scalars.
         cols = TraceColumns(trace)
-        _ = cols.memory_mask, trace.opcode_counts()
+        _ = cols.tallies
     with m.timer("phase.profile.ilp"):
-        features.update(ilp_features(cols))
+        write_ilp(values, cols)
     with m.timer("phase.profile.reuse"):
-        data_feats, hists = data_reuse_features(cols)
-        features.update(data_feats)
-        features.update(instruction_reuse_features(cols))
+        matrix = reuse_matrix(cols)
+        write_data_reuse(values, matrix)
+        write_instr_reuse(values, matrix)
     with m.timer("phase.profile.other"):
-        features.update(instruction_mix_features(trace))
-        features.update(memory_traffic_features(trace, hists))
-        features.update(register_traffic_features(cols))
-        features.update(footprint_features(cols))
-        features.update(stride_features(cols))
-        features.update(branch_features(cols))
-        features.update(working_set_features(cols))
-
-    missing = [name for name in FEATURE_NAMES if name not in features]
-    if missing:
-        raise TraceError(f"analysis did not produce features: {missing[:5]}...")
-    values = np.array([features[name] for name in FEATURE_NAMES], dtype=np.float64)
+        write_traffic(values, matrix)
+        for write in _SCALAR_FAMILIES:
+            write(values, cols)
     return ApplicationProfile(
         values=values,
         instruction_count=len(trace),

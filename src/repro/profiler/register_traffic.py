@@ -6,24 +6,26 @@ number of distinct virtual registers the kernel uses.
 
 from __future__ import annotations
 
-from ..ir import NO_REG, InstructionTrace, TraceColumns, columns_of
-from .features import REGISTER_NAMES
+import numpy as np
+
+from ..ir import InstructionTrace, TraceColumns, columns_of
+from .features import GROUP_SLICES, block_view
+
+_SLICE = GROUP_SLICES["register"]
+
+
+def write_register_traffic(out: np.ndarray, cols: TraceColumns) -> None:
+    """Write the register-traffic block into ``out``: operand counts
+    of the raw columns (any value but ``NO_REG`` is a register)."""
+    n = len(cols.trace)
+    if n == 0:
+        out[_SLICE] = 0.0
+        return
+    reads, writes = cols.tallies.reg_reads, cols.tallies.reg_writes
+    out[_SLICE] = (reads / n, writes / n, (reads + writes) / n, cols.registers[2])
 
 
 def register_traffic_features(
     trace: InstructionTrace | TraceColumns,
 ) -> dict[str, float]:
-    cols = columns_of(trace)
-    trace = cols.trace
-    n = len(trace)
-    if n == 0:
-        return dict.fromkeys(REGISTER_NAMES, 0.0)
-    reads = int((trace.src1 != NO_REG).sum()) + int((trace.src2 != NO_REG).sum())
-    writes = int((trace.dst != NO_REG).sum())
-    unique = cols.registers[2]
-    return {
-        "reg.reads_per_instr": reads / n,
-        "reg.writes_per_instr": writes / n,
-        "reg.operands_per_instr": (reads + writes) / n,
-        "reg.unique_registers": float(unique),
-    }
+    return block_view(_SLICE, write_register_traffic, columns_of(trace))

@@ -19,6 +19,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,6 +36,8 @@ from .features import (
     INSTR_REUSE_PDF_BUCKETS,
     REUSE_SAMPLE_LIMIT,
     REUSE_STREAMS,
+    block_view,
+    group_span,
 )
 
 
@@ -124,43 +127,110 @@ class ReuseDistanceHistogram:
         return float(np.searchsorted(self._cumulative, half, side="left"))
 
 
+#: Rows of a :class:`ReuseMatrix`: the data streams, then the pcs.
+DATA_ROWS = slice(0, len(REUSE_STREAMS))
+INSTR_ROW = len(REUSE_STREAMS)
+_DATA_SLICE = group_span(f"data_reuse_cdf_{REUSE_STREAMS[0]}", "data_reuse_stats")
+_INSTR_SLICE = group_span("instr_reuse_cdf", "instr_reuse_stats")
+#: Each bucket's index: the log2 scale of mean_log2.
+_CENTERS = np.arange(DATA_REUSE_BUCKETS, dtype=np.int64)
+assert INSTR_REUSE_CDF_BUCKETS == DATA_REUSE_BUCKETS >= INSTR_REUSE_PDF_BUCKETS
+
+
+class ReuseMatrix(NamedTuple):
+    """The reuse streams of a trace as rows of one bucket matrix: the
+    data streams (:data:`~repro.profiler.features.REUSE_STREAMS`), then
+    the instruction pcs.  Row ``r`` is a :class:`ReuseDistanceHistogram`
+    of :data:`~repro.profiler.features.DATA_REUSE_BUCKETS` buckets."""
+
+    counts: np.ndarray  #: (rows, buckets) int64
+    cumulative: np.ndarray  #: counts summed along each row
+    total: np.ndarray  #: int64 accesses of each row, cold ones included
+
+    @classmethod
+    def of(cls, counts: np.ndarray, total: np.ndarray) -> "ReuseMatrix":
+        return cls(counts, np.cumsum(counts, axis=1), total)
+
+    def histogram(self, row: int) -> ReuseDistanceHistogram:
+        total = int(self.total[row])
+        cold = total - int(self.cumulative[row, -1])
+        return ReuseDistanceHistogram(self.counts[row], cold, total)
+
+
+def reuse_matrix(trace: InstructionTrace | TraceColumns) -> ReuseMatrix:
+    """The reuse matrix of a trace's first
+    :data:`~repro.profiler.features.REUSE_SAMPLE_LIMIT` accesses and pcs.
+
+    Data distances are computed once over the combined (interleaved)
+    access stream at cache-line granularity, then attributed to the read
+    and write sub-streams — matching how reads and writes share a real
+    cache.  Distances past the last bucket count in it.
+    """
+    cols = columns_of(trace)
+    kernel = native.resolve("reuse_distances")[0]
+    is_write = cols.accesses[2][:REUSE_SAMPLE_LIMIT]
+    uniq, _first, lines = cols.lines
+    data, data_cold, _ = kernel(lines[:REUSE_SAMPLE_LIMIT], len(uniq), is_write)
+    pcs, n_pcs = cols.pcs
+    instr, instr_cold, _ = kernel(pcs[:REUSE_SAMPLE_LIMIT], n_pcs)
+    bits = np.concatenate((data, data.sum(axis=0, keepdims=True), instr))
+    cold = np.concatenate((data_cold, [data_cold.sum()], instr_cold))
+    last = DATA_REUSE_BUCKETS - 1
+    counts = bits[:, :DATA_REUSE_BUCKETS].copy()
+    counts[:, last] = bits[:, last:].sum(axis=1)
+    return ReuseMatrix.of(counts, cold + bits.sum(axis=1))
+
+
+def _stats(matrix: ReuseMatrix, rows: slice) -> np.ndarray:
+    """(mean_log2, median_log2) of each of ``rows``, as columns."""
+    counts, cum = matrix.counts[rows], matrix.cumulative[rows]
+    reused = cum[:, -1]
+    none = float(counts.shape[1])  # no reuse at all: maximal
+    out = np.full((len(reused), 2), none)
+    some = reused > 0
+    out[some, 0] = (counts[some] @ _CENTERS) / reused[some]
+    out[some, 1] = (cum[some] < (reused[some] / 2.0)[:, None]).sum(axis=1)
+    return out
+
+
+def write_data_reuse(out: np.ndarray, matrix: ReuseMatrix) -> None:
+    """Write the data reuse block into ``out``: each stream's cdf rows,
+    then its pdf rows, then its mean and median."""
+    k = len(REUSE_STREAMS)
+    block = out[_DATA_SLICE]
+    span = k * DATA_REUSE_BUCKETS
+    denom = np.maximum(matrix.total[DATA_ROWS], 1)[:, None]
+    np.divide(matrix.cumulative[DATA_ROWS], denom, out=block[:span].reshape(k, -1))
+    np.divide(matrix.counts[DATA_ROWS], denom, out=block[span:2 * span].reshape(k, -1))
+    block[2 * span:] = _stats(matrix, DATA_ROWS).ravel()
+
+
+def write_instr_reuse(out: np.ndarray, matrix: ReuseMatrix) -> None:
+    """Write the instruction reuse block into ``out``: cdf, pdf (over
+    :data:`~repro.profiler.features.INSTR_REUSE_PDF_BUCKETS` buckets,
+    the last holding every longer distance), mean and median."""
+    block = out[_INSTR_SLICE]
+    counts, cum = matrix.counts[INSTR_ROW], matrix.cumulative[INSTR_ROW]
+    total = max(int(matrix.total[INSTR_ROW]), 1)
+    n_cdf, last = INSTR_REUSE_CDF_BUCKETS, INSTR_REUSE_PDF_BUCKETS - 1
+    np.divide(cum, total, out=block[:n_cdf])
+    np.divide(counts[:last], total, out=block[n_cdf:n_cdf + last])
+    block[n_cdf + last] = (cum[-1] - cum[last - 1]) / total
+    block[-2:] = _stats(matrix, slice(INSTR_ROW, INSTR_ROW + 1))[0]
+
+
 def data_reuse_features(
     trace: InstructionTrace | TraceColumns,
 ) -> tuple[dict[str, float], dict[str, ReuseDistanceHistogram]]:
-    """Data reuse-distance features for read/write/all streams.
-
-    Distances are computed once over the combined (interleaved) access
-    stream at cache-line granularity, then attributed to the read and write
-    sub-streams — matching how reads and writes share a real cache.  Only
-    the first :data:`~repro.profiler.features.REUSE_SAMPLE_LIMIT` accesses
-    count.
+    """Data reuse-distance features for read/write/all streams (see
+    :func:`reuse_matrix`).
 
     Returns the feature dict and the per-stream histograms (reused by the
     memory-traffic analysis).
     """
-    cols = columns_of(trace)
-    is_write = cols.accesses[2][:REUSE_SAMPLE_LIMIT]
-    uniq, _first, lines = cols.lines
-    hist, cold, _ = native.resolve("reuse_distances")[0](
-        lines[:REUSE_SAMPLE_LIMIT], len(uniq), is_write
-    )
-    counts = {"read": hist[0], "write": hist[1], "all": hist.sum(axis=0)}
-    colds = {"read": cold[0], "write": cold[1], "all": cold.sum()}
-    out: dict[str, float] = {}
-    hists: dict[str, ReuseDistanceHistogram] = {}
-    for stream in REUSE_STREAMS:
-        hist = ReuseDistanceHistogram.from_bit_lengths(
-            counts[stream], colds[stream], DATA_REUSE_BUCKETS
-        )
-        hists[stream] = hist
-        cdf = hist.cdf()
-        pdf = hist.pdf()
-        for i in range(DATA_REUSE_BUCKETS):
-            out[f"drd.{stream}.cdf_{i}"] = float(cdf[i])
-            out[f"drd.{stream}.pdf_{i}"] = float(pdf[i])
-        out[f"drd.{stream}.mean_log2"] = hist.mean_log2()
-        out[f"drd.{stream}.median_log2"] = hist.median_log2()
-    return out, hists
+    matrix = reuse_matrix(trace)
+    hists = {stream: matrix.histogram(i) for i, stream in enumerate(REUSE_STREAMS)}
+    return block_view(_DATA_SLICE, write_data_reuse, matrix), hists
 
 
 def instruction_reuse_features(
@@ -168,23 +238,4 @@ def instruction_reuse_features(
 ) -> dict[str, float]:
     """Instruction reuse-distance features over the static PC stream (its
     first :data:`~repro.profiler.features.REUSE_SAMPLE_LIMIT` pcs)."""
-    pcs, n_pcs = columns_of(trace).pcs
-    (counts,), (cold,), _ = native.resolve("reuse_distances")[0](
-        pcs[:REUSE_SAMPLE_LIMIT], n_pcs
-    )
-    hist = ReuseDistanceHistogram.from_bit_lengths(
-        counts, cold, INSTR_REUSE_CDF_BUCKETS
-    )
-    cdf = hist.cdf()
-    out: dict[str, float] = {}
-    for i in range(INSTR_REUSE_CDF_BUCKETS):
-        out[f"ird.cdf_{i}"] = float(cdf[i])
-    pdf_hist = ReuseDistanceHistogram.from_bit_lengths(
-        counts, cold, INSTR_REUSE_PDF_BUCKETS
-    )
-    pdf = pdf_hist.pdf()
-    for i in range(INSTR_REUSE_PDF_BUCKETS):
-        out[f"ird.pdf_{i}"] = float(pdf[i])
-    out["ird.mean_log2"] = hist.mean_log2()
-    out["ird.median_log2"] = hist.median_log2()
-    return out
+    return block_view(_INSTR_SLICE, write_instr_reuse, reuse_matrix(trace))

@@ -17,7 +17,7 @@ import numpy as np
 
 from .. import native
 from ..ir import InstructionTrace, TraceColumns, columns_of
-from .features import STRIDE_BUCKETS, STRIDE_NAMES
+from .features import GROUP_SLICES, STRIDE_BUCKETS, block_view
 
 #: Element size used to express stride buckets (8-byte doubles).
 ELEMENT_BYTES = 8
@@ -27,30 +27,37 @@ ELEMENT_BYTES = 8
 _BOUNDS = np.array([s * ELEMENT_BYTES for s in STRIDE_BUCKETS], dtype=np.int64)
 
 
-def stride_features(trace: InstructionTrace | TraceColumns) -> dict[str, float]:
-    cols = columns_of(trace)
+_SLICE = GROUP_SLICES["stride"]
+
+
+def write_stride(out: np.ndarray, cols: TraceColumns) -> None:
+    """Write the stride block into ``out``: the |stride| bucket
+    fractions, the read and write regularity, and the dominant |stride|'s
+    share and the entropy over the distinct |strides|."""
     ids, n_pcs = cols.pcs
     addrs, _sizes, is_write = cols.accesses
     le, regular, abs_strides = native.resolve("pc_strides")[0](
         ids, cols.memory_mask, addrs, is_write, n_pcs
     )
-    out: dict[str, float] = {}
+    block = out[_SLICE]
     n_valid = len(abs_strides)
-    for s, count in zip(STRIDE_BUCKETS, le):
-        out[f"stride.frac_le_{s}"] = float(count / n_valid) if n_valid else 0.0
     pred_read, read, pred_write, write = regular.tolist()
-    out["stride.regular_read"] = pred_read / read if read else 0.0
-    out["stride.regular_write"] = pred_write / write if write else 0.0
-
+    block[len(le)] = pred_read / read if read else 0.0
+    block[len(le) + 1] = pred_write / write if write else 0.0
     if n_valid:
-        values, counts = np.unique(abs_strides, return_counts=True)
-        out["stride.dominant_frac"] = float(counts.max() / n_valid)
+        block[:len(le)] = le / n_valid
+        # Counts of the distinct |strides| in ascending int64 order.
+        counts = np.unique(abs_strides, return_counts=True)[1]
         probs = counts / n_valid
-        out["stride.entropy"] = float(-(probs * np.log2(probs)).sum())
+        block[-2] = counts.max() / n_valid
+        block[-1] = -(probs * np.log2(probs)).sum()
     else:
-        out["stride.dominant_frac"] = 0.0
-        out["stride.entropy"] = 0.0
-    return out
+        block[:len(le)] = 0.0
+        block[-2:] = 0.0
+
+
+def stride_features(trace: InstructionTrace | TraceColumns) -> dict[str, float]:
+    return block_view(_SLICE, write_stride, columns_of(trace))
 
 
 def _pc_strides_py(

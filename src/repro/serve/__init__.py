@@ -5,7 +5,10 @@ simulation (~256x faster per prediction) — which only pays off when
 prediction is deployable as a long-lived concurrent service instead of
 a fork-load-predict-exit CLI call.  This package is that service: HTTP
 on asyncio streams (no ``http.server``), request bodies decoded by
-``orjson``, which nothing outside this package imports:
+``orjson``.  Outside this package only
+:meth:`repro.core.CampaignCache.save` imports it, on use and to encode:
+every decoder outside this package stays the stdlib's, because orjson
+3.8 has no nesting limit of its own:
 
 * :mod:`registry` — a name-keyed registry of preloaded, verified v2
   model artifacts (mirroring the memory-backend registry pattern), with

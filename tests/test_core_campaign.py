@@ -1,10 +1,13 @@
 """Tests for the DoE campaign runner and training-set container."""
 
+import re
+
 import numpy as np
 import pytest
 
 from repro import SimulationCampaign, active_schema
 from repro.core import CampaignCache
+from repro.core.campaign import CACHE_FORMAT_VERSION
 from repro.core.dataset import TrainingSet
 from repro.errors import CampaignError
 from repro.obs import metrics
@@ -228,6 +231,69 @@ class TestCampaignCacheDisk:
         with pytest.warns(RuntimeWarning, match="different feature schema"):
             stale = CampaignCache(path)
         assert len(stale) == 0
+
+    def test_cache_nested_past_the_recursion_limit_starts_empty(self, tmp_path):
+        path = tmp_path / "cache.json"
+        path.write_text("[" * 100_000)
+        with pytest.warns(RuntimeWarning, match="corrupt"):
+            cache = CampaignCache(path)
+        assert len(cache) == 0
+
+    def test_save_round_trip_is_bit_exact(self, tmp_path, atax):
+        import json
+
+        path = tmp_path / "cache.json"
+        cache = CampaignCache(path)
+        campaign = SimulationCampaign(cache=cache, scale=4.0)
+        for config in ({"dimensions": 500, "threads": 4}, atax.test_config()):
+            campaign.run_point(atax, config)
+        cache.save()
+        assert json.loads(path.read_bytes()) == json.loads(json.dumps({
+            "format": CACHE_FORMAT_VERSION,
+            "schema_hash": active_schema().content_hash,
+            "profiles": {k: p.to_json_dict() for k, p in cache._profiles.items()},
+            "results": [
+                {"point": pk, "arch": ak, "result": r.to_json_dict()}
+                for (pk, ak), r in cache._results.items()
+            ],
+        }))
+        fresh = CampaignCache(path)
+        assert fresh._profiles.keys() == cache._profiles.keys()
+        for key, profile in cache._profiles.items():
+            again = fresh._profiles[key]
+            assert again.values.tobytes() == profile.values.tobytes()
+            assert again.to_json_dict() == profile.to_json_dict()
+        assert fresh._results.keys() == cache._results.keys()
+        for key, result in cache._results.items():
+            assert repr(fresh._results[key]) == repr(result)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("where", ["profile", "parameters", "result"])
+    def test_save_refuses_a_non_finite_value(self, tmp_path, atax, where, bad):
+        import dataclasses
+
+        path = tmp_path / "cache.json"
+        cache = CampaignCache(path)
+        SimulationCampaign(cache=cache, scale=4.0).run_point(
+            atax, {"dimensions": 500, "threads": 4}
+        )
+        cache.save()
+        before = path.read_bytes()
+        ((point, arch), result), = cache._results.items()
+        profile = cache._profiles[point]
+        if where == "profile":
+            values = profile.values.copy()
+            values[7] = bad
+            profile = dataclasses.replace(profile, values=values)
+        elif where == "parameters":
+            profile = dataclasses.replace(profile, parameters={"threads": bad})
+        else:
+            result = dataclasses.replace(result, ipc=bad)
+        cache.put(point, arch, profile, result)
+        with pytest.raises(CampaignError, match=f"point {re.escape(point)}"):
+            cache.save()
+        assert path.read_bytes() == before  # nothing written, no null
+        assert not list(tmp_path.glob("*.tmp*"))
 
     def test_corrupt_cache_is_recoverable(self, tmp_path, atax):
         path = tmp_path / "cache.json"

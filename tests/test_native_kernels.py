@@ -40,7 +40,7 @@ from repro.doe import ParameterSpace, central_composite
 from repro.errors import ConfigError, KernelBuildError, MLError
 from repro.ir import InstructionTrace, Opcode, TraceColumns, reuse_distances
 from repro.ir.builder import LoopTemplate, TemplateOp
-from repro.ir.instructions import MEMORY_OPCODES, NO_REG
+from repro.ir.instructions import CONTROL_OPCODES, MEMORY_OPCODES, NO_REG, Instruction
 from repro.ir import trace as trace_module
 from repro.ir.trace import TRACE_COLUMNS, dense_ids
 from repro.ml import RandomForestRegressor, RegressionTree
@@ -446,7 +446,7 @@ def assert_same_columns(got, want):
                 assert x == y, name
 
 
-def raw_status(trace, line_shift=6):
+def raw_status(trace, line_shift=6, cuts=8):
     """The C ``trace_columns`` status on ``trace`` (0: filled, -1/-2:
     register/pc span past its table limit)."""
     forms("trace_columns")
@@ -455,12 +455,12 @@ def raw_status(trace, line_shift=6):
         np.empty(n, bool), np.empty(n, np.uint64), np.empty(n, np.uint16),
         np.empty(n, bool), np.empty((3, n), np.int64), np.empty(n, np.int64),
         np.empty(n, np.uint64), np.empty(n, np.int64), np.empty(n, np.int64),
-        np.empty(6, np.int64),
+        np.empty(6, np.int64), np.empty(256 + 6 + cuts, np.int64),
     ]
     return native._library().trace_columns(
         *(getattr(trace, name).ctypes.data for name in TRACE_COLUMNS), n,
         trace_module._KIND.ctypes.data, line_shift,
-        trace_module._TABLE_SPAN * 3 * n, trace_module._TABLE_SPAN * n,
+        trace_module._TABLE_SPAN * 3 * n, trace_module._TABLE_SPAN * n, cuts,
         *(a.ctypes.data for a in outs),
     )
 
@@ -482,15 +482,76 @@ def simple_trace(
     )
 
 
+#: Opcode pools of the tally traces.
+_NO_MEMORY = [op for op in Opcode if op not in MEMORY_OPCODES]
+_NO_CONTROL = [op for op in Opcode if op not in CONTROL_OPCODES]
+
+
+@st.composite
+def tally_traces(draw):
+    """Traces shaped for the column scan's tallies: 0-70 instructions
+    (so access counts that 8 does not divide), over every opcode, no
+    memory opcode or no control opcode; register values below -1; pcs
+    in a small range or spanning past the pc table's limit (the Python
+    form runs); accesses spread out or all on one 64-byte line."""
+    n = draw(st.integers(0, 70))
+    pool = draw(st.sampled_from([list(Opcode), _NO_MEMORY, _NO_CONTROL]))
+    regs = st.one_of(st.integers(-3, 6), st.sampled_from([-2**31, -2, 2**31 - 1]))
+    pcs = draw(st.sampled_from([st.integers(0, 12), st.integers(0, 2**32 - 1)]))
+    if draw(st.booleans()):
+        line = draw(st.integers(0, 2**58 - 1)) << 6
+        addrs = st.integers(line, line + 63)
+    else:
+        addrs = st.integers(0, 2**64 - 1)
+
+    def column(values, dtype):
+        return np.array(draw(st.lists(values, min_size=n, max_size=n)), dtype)
+
+    return InstructionTrace(
+        opcode=column(st.sampled_from([int(op) for op in pool]), np.uint8),
+        dst=column(regs, np.int32), src1=column(regs, np.int32),
+        src2=column(regs, np.int32), addr=column(addrs, np.uint64),
+        size=column(st.sampled_from([0, 1, 8, 65535]), np.uint16),
+        pc=column(pcs, np.uint32), tid=np.zeros(n),
+    )
+
+
+def tallies_by_definition(trace, line_shift, cuts):
+    """The ``trace_columns`` tallies of ``trace``, counted directly."""
+    ops = trace.opcode
+    memory = np.isin(ops, [int(op) for op in MEMORY_OPCODES])
+    write = np.isin(ops, [int(Opcode.STORE), int(Opcode.ATOMIC)])
+    control = np.isin(ops, [int(op) for op in CONTROL_OPCODES])
+    lines = (trace.addr[memory] >> np.uint64(line_shift)).tolist()
+    m = len(lines)
+    return trace_module._Tallies(
+        np.array([np.count_nonzero(ops == op) for op in range(len(Opcode))]),
+        int(np.count_nonzero(trace.src1 != NO_REG))
+        + int(np.count_nonzero(trace.src2 != NO_REG)),
+        int(np.count_nonzero(trace.dst != NO_REG)),
+        int(trace.size[memory & ~write].sum()), int(trace.size[write].sum()),
+        int(np.count_nonzero(control)), len(set(trace.pc[control].tolist())),
+        np.array([len(set(lines[:(c + 1) * m // cuts])) for c in range(cuts)]),
+    )
+
+
+def assert_same_tallies(got, want):
+    for name, a, b in zip(want._fields, got, want):
+        assert np.array_equal(a, b), name
+
+
 class TestTraceColumnsKernel:
     @DIFF_SETTINGS
     @given(
         trace=column_traces(),
         line_shift=st.one_of(st.sampled_from([0, 6, 12, 63]), st.integers(0, 63)),
+        cuts=st.one_of(st.just(8), st.integers(1, 20)),
     )
-    def test_matches_python_oracle(self, trace, line_shift):
+    def test_matches_python_oracle(self, trace, line_shift, cuts):
         cc, python = forms("trace_columns")
-        assert_same_columns(cc(trace, line_shift), python(trace, line_shift))
+        assert_same_columns(
+            cc(trace, line_shift, cuts), python(trace, line_shift, cuts)
+        )
 
     @pytest.mark.parametrize("make", [
         InstructionTrace.empty,
@@ -524,8 +585,8 @@ class TestTraceColumnsKernel:
         cc, python = forms("trace_columns")
         trace = make()
         for line_shift in (0, 6, 63):
-            got = cc(trace, line_shift)
-            assert_same_columns(got, python(trace, line_shift))
+            got = cc(trace, line_shift, 8)
+            assert_same_columns(got, python(trace, line_shift, 8))
             uniq = got.lines[0]
             assert (uniq[1:] > uniq[:-1]).all()
         assert raw_status(trace) == 0
@@ -541,13 +602,13 @@ class TestTraceColumnsKernel:
             regs[0] = limit * 3 * n - 2 + extra
             trace = simple_trace(n, src2=regs)
             assert raw_status(trace) == status
-            assert_same_columns(cc(trace, 6), python(trace, 6))
+            assert_same_columns(cc(trace, 6, 8), python(trace, 6, 8))
         for extra, status in ((0, 0), (1, -2)):
             pcs = np.full(n, 2**32 - 1)
             pcs[0] -= limit * n - 1 + extra
             trace = simple_trace(n, pc=pcs)
             assert raw_status(trace) == status
-            assert_same_columns(cc(trace, 6), python(trace, 6))
+            assert_same_columns(cc(trace, 6, 8), python(trace, 6, 8))
 
     def test_table_reads_kernel_once_and_memoises_scalars(self, monkeypatch):
         calls = []
@@ -562,6 +623,54 @@ class TestTraceColumnsKernel:
         assert len(calls) == 1 and calls[0][1] == 6  # 64-byte lines
         assert trace._memo["thread_count"] == 1
         assert trace._memo[("footprint_lines", 6)] == len(cols.lines[0])
+        assert trace._memo["opcode_counts"] == {
+            Opcode.LOAD: 20, Opcode.STORE: 20,
+        }
+
+    def test_opcode_past_the_enum_leaves_the_opcode_memo_alone(self):
+        trace = simple_trace(4)
+        opcode = trace.opcode.copy()
+        opcode[0] = 200
+        bad = InstructionTrace(**{
+            name: opcode if name == "opcode" else getattr(trace, name)
+            for name in TRACE_COLUMNS
+        })
+        assert TraceColumns(bad).tallies.opcodes.sum() == 3
+        assert "opcode_counts" not in bad._memo
+
+    @DIFF_SETTINGS
+    @given(trace=tally_traces(), cuts=st.sampled_from([1, 3, 8, 13]))
+    def test_tallies_match_python_form_and_definition(self, trace, cuts):
+        cc, python = forms("trace_columns")
+        got = cc(trace, 6, cuts).tallies
+        assert_same_columns(got, python(trace, 6, cuts).tallies)
+        assert_same_tallies(got, tallies_by_definition(trace, 6, cuts))
+
+    @pytest.mark.parametrize("make, status", [
+        (InstructionTrace.empty, 0),
+        (lambda: simple_trace(9, memory=False, dst=np.arange(9)), 0),
+        (lambda: simple_trace(13, src1=[-2, -1, 0, -7, 3, -40, 5, -1, -1,
+                                        2, -3, -1, 0]), 0),
+        (lambda: simple_trace(11, pc=np.arange(11) * 2**28), -2),
+        (lambda: simple_trace(21, addr=np.full(21, 2**40) + np.arange(21) % 64), 0),
+        (lambda: InstructionTrace.from_instructions([
+            Instruction(op, dst=i % 3, src1=i % 5 - 2, src2=-1,
+                        addr=64 * (i % 4), size=8 * (i % 2), pc=i % 6, tid=0)
+            for i, op in enumerate(list(Opcode) * 2)
+        ]), 0),
+    ], ids=[
+        "empty", "no_memory_ops", "no_control_ops_registers_below_-1",
+        "pc_span_past_the_table_limit", "every_access_on_one_line",
+        "every_opcode_13_accesses",
+    ])
+    def test_tallies_at_the_edges(self, make, status):
+        cc, python = forms("trace_columns")
+        trace = make()
+        assert raw_status(trace) == status
+        for cuts in (1, 8):
+            got = cc(trace, 6, cuts).tallies
+            assert_same_columns(got, python(trace, 6, cuts).tallies)
+            assert_same_tallies(got, tallies_by_definition(trace, 6, cuts))
 
 
 # ------------------------------------------------------- per-PC strides

@@ -21,10 +21,20 @@ from repro.profiler import (
     FEATURE_NAMES,
     TOTAL_FEATURES,
     analyze_trace,
+    branch_features,
+    data_reuse_features,
+    footprint_features,
     ilp_features,
+    instruction_mix_features,
+    instruction_reuse_features,
+    memory_traffic_features,
+    register_traffic_features,
+    stride_features,
+    working_set_features,
 )
 from repro.profiler import ilp as ilp_module
-from repro.ir import TraceColumns
+from repro.profiler.features import LINE_BYTES, TRAFFIC_CACHE_SIZES
+from repro.ir import InstructionTrace, TraceColumns
 from repro.workloads import all_workloads
 from repro.workloads.synthetic import Gups, PointerChase, Stream
 from _helpers import build_random_trace, build_stream_trace
@@ -80,6 +90,60 @@ class TestAnalyzeTrace:
         trace = atax.generate({"dimensions": 800, "threads": 8}, scale=3.0)
         profile = analyze_trace(trace)
         assert profile.thread_count == 8
+
+
+class TestFamilyViews:
+    """Each public family function is the name-keyed view of its block
+    of the profile vector."""
+
+    @pytest.mark.parametrize("make", [
+        InstructionTrace.empty,
+        lambda: build_stream_trace(3000),
+        lambda: build_random_trace(3000),
+        lambda: PointerChase().generate(PointerChase().central_config(), scale=8.0),
+    ], ids=["empty", "stream", "random", "pointer_chase"])
+    def test_family_dicts_are_slices_of_the_profile(self, make):
+        trace = make()
+        values = analyze_trace(trace).values
+        data, hists = data_reuse_features(trace)
+        got: dict[str, float] = {}
+        for view in (
+            instruction_mix_features(trace), ilp_features(trace), data,
+            instruction_reuse_features(trace),
+            memory_traffic_features(trace, hists),
+            register_traffic_features(trace), footprint_features(trace),
+            stride_features(trace), branch_features(trace),
+            working_set_features(trace),
+        ):
+            assert all(type(v) is float for v in view.values())
+            got.update(view)
+        assert list(got) == list(FEATURE_NAMES)
+        assert np.array(list(got.values())).tobytes() == values.tobytes()
+
+
+    @pytest.mark.parametrize("make", [
+        InstructionTrace.empty,
+        lambda: build_stream_trace(3000),
+        lambda: build_random_trace(3000),
+    ], ids=["empty", "stream", "random"])
+    def test_reuse_blocks_equal_the_histogram_methods(self, make):
+        """The matrix form of the reuse and traffic blocks gives what each
+        stream's ReuseDistanceHistogram gives."""
+        trace = make()
+        feats, hists = data_reuse_features(trace)
+        traffic = memory_traffic_features(trace, hists)
+        capacities = [max(1, size // LINE_BYTES) for size in TRAFFIC_CACHE_SIZES]
+        for kind, stream in (
+            ("read_miss", "read"), ("write_miss", "write"), ("bytes", "all"),
+        ):
+            hist = hists[stream]
+            for stat in ("cdf", "pdf"):
+                got = [feats[f"drd.{stream}.{stat}_{i}"] for i in range(32)]
+                assert got == getattr(hist, stat)().tolist()
+            assert feats[f"drd.{stream}.mean_log2"] == hist.mean_log2()
+            assert feats[f"drd.{stream}.median_log2"] == hist.median_log2()
+            got = [traffic[f"traffic.{kind}_{size}"] for size in TRAFFIC_CACHE_SIZES]
+            assert got == hist.miss_ratios(capacities).tolist()
 
 
 class TestColumnTableLifetime:

@@ -231,6 +231,12 @@ class TestTraceFileUtilities:
         with pytest.raises(TracingError):
             load_trace(path)
 
+    def test_load_trace_rejects_nesting_past_the_recursion_limit(self, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000)
+        with pytest.raises(TracingError, match="nested too deeply"):
+            load_trace(path)
+
 
 def serve_trace_doc() -> dict:
     """A hand-built serve trace: two linked requests, one dangling."""
@@ -285,6 +291,15 @@ class TestSummarizeServeRequests:
 
 
 class TestCliTracing:
+    def test_validate_nesting_past_the_recursion_limit_exits_2(
+        self, capsys, tmp_path
+    ):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000)
+        code, _, err = run_cli(capsys, "trace", str(path), "--validate")
+        assert code == 2
+        assert "nested too deeply" in err
+
     def test_campaign_trace_is_valid_and_in_manifest(self, capsys, tmp_path):
         trace_path = tmp_path / "out.json"
         manifest_path = tmp_path / "man.json"
